@@ -5,24 +5,41 @@ action allocates a single node and never touches existing nodes, so the total
 node count is bounded by the number of exploration actions ever taken.
 Archives serialize to a canonical, versioned binary layout (sorted cells,
 deduplicated trajectory nodes, trailing checksum) so that equal archives have
-equal bytes and corrupt files are detected on load.
+equal bytes and corrupt files are detected on load. Checkpoints are streamed
+to a temporary file, fsynced and renamed over the target, so a failed write
+leaves the previous checkpoint intact.
+
+For selection, the archive keeps a missing-neighbor mask per domain key,
+updated incrementally on every add (see :meth:`Archive._index`).
 """
 
 from __future__ import annotations
 
 import enum
 import hashlib
+import os
 import struct
 from dataclasses import dataclass
 from typing import Callable, Iterator
 
-from .cells import CellKey, DomainKey, MoreKeysProbe, decode_key
+from .cells import CellKey, DomainKey, MoreKeysProbe, decode_key, neighbors
 from .envs.base import EnvSnapshot, peek_config_hash
 from .errors import CheckpointError, ContractError
 from .trajectory import Trajectory
 
 CHECKPOINT_MAGIC = b"AXARCH\x00\x01"
 CHECKPOINT_VERSION = 1
+
+
+# Missing-neighbor mask bits, in the slot order of cells.neighbors(): 0 is
+# x-1, 1 is x+1, 2 is y-1, 3 is y+1 (slot b's opposite is b ^ 1), and 4 is
+# the more-keys slot.
+MORE_KEYS_BIT = 1 << 4
+
+
+def beats(score: float, traj_len: int, best_score: float, best_len: int) -> bool:
+    """The merge rule: a higher score, or an equal score reached sooner."""
+    return score > best_score or (score == best_score and traj_len < best_len)
 
 
 class UpdateOutcome(enum.Enum):
@@ -61,6 +78,8 @@ class Archive:
         self.config_hash = config_hash
         self.cells: dict[CellKey, CellRecord] = {}
         self.max_level = 0
+        # Bit b set: neighbor slot b of the key is missing from the archive.
+        self.missing_neighbors: dict[DomainKey, int] = {}
         self._pos_index: dict[tuple[int, int, int, int], list[DomainKey]] = {}
         self._sorted_keys: list[CellKey] | None = None
 
@@ -90,32 +109,63 @@ class Archive:
         trajectory: Trajectory,
         score: float,
         traj_len: int,
-        snapshot: EnvSnapshot,
+        snapshot: EnvSnapshot | None,
     ) -> UpdateOutcome:
+        """Count a visit to ``key`` and keep it if it wins the merge rule.
+
+        ``snapshot`` may be None for a visit its rollout knew could not win;
+        a snapshot-less visit that does win raises :class:`ContractError`.
+        """
         if traj_len != trajectory.length:
             raise ContractError("candidate traj_len disagrees with trajectory")
-        if peek_config_hash(snapshot.state_bytes) != self.config_hash:
+        if snapshot is not None and peek_config_hash(snapshot.state_bytes) != self.config_hash:
             raise ContractError("candidate snapshot from a different env config")
         record = self.cells.get(key)
+        if record is not None and not beats(score, traj_len, record.score, record.traj_len):
+            record.times_seen += 1
+            return UpdateOutcome.UNCHANGED
+        if snapshot is None:
+            raise ContractError(f"candidate for cell {key!r} wins the merge without a snapshot")
         if record is None:
             self.cells[key] = CellRecord(trajectory, snapshot, score, traj_len)
             self._sorted_keys = None
-            if isinstance(key, DomainKey):
-                if key.level > self.max_level:
-                    self.max_level = key.level
-                pos = (key.x_bin, key.y_bin, key.room, key.level)
-                self._pos_index.setdefault(pos, []).append(key)
+            self._index(key)
             return UpdateOutcome.ADDED
         record.times_seen += 1
-        if score > record.score or (score == record.score and traj_len < record.traj_len):
-            record.trajectory = trajectory
-            record.snapshot = snapshot
-            record.score = score
-            record.traj_len = traj_len
-            record.times_chosen = 0
-            record.times_chosen_since_new = 0
-            return UpdateOutcome.IMPROVED
-        return UpdateOutcome.UNCHANGED
+        record.trajectory = trajectory
+        record.snapshot = snapshot
+        record.score = score
+        record.traj_len = traj_len
+        record.times_chosen = 0
+        record.times_chosen_since_new = 0
+        return UpdateOutcome.IMPROVED
+
+    def _index(self, key: CellKey) -> None:
+        """Index a newly added key: the max level, the position index, and
+        the missing-neighbor masks of the key, of its existing grid
+        neighbors, and of the same-position keys whose more-keys slot it
+        fills. Archives only grow, so masks only lose bits."""
+        if not isinstance(key, DomainKey):
+            return
+        if key.level > self.max_level:
+            self.max_level = key.level
+        masks = self.missing_neighbors
+        mask = 0
+        for bit, (_, slot) in enumerate(neighbors(key, include_more_keys=False)):
+            if slot in masks:
+                masks[slot] &= ~(1 << (bit ^ 1))
+            else:
+                mask |= 1 << bit
+        pos = (key.x_bin, key.y_bin, key.room, key.level)
+        same_pos = self._pos_index.setdefault(pos, [])
+        probe = MoreKeysProbe(key)
+        if not any(probe.matches(other) for other in same_pos):
+            mask |= MORE_KEYS_BIT
+        for other in same_pos:
+            if MoreKeysProbe(other).matches(key):
+                masks[other] &= ~MORE_KEYS_BIT
+        same_pos.append(key)
+        masks[key] = mask
 
     def record_chosen(self, key: CellKey) -> None:
         record = self.record(key)
@@ -159,28 +209,32 @@ class Archive:
 # -- checkpoint serialization ---------------------------------------------------
 
 
-def serialize_archive(archive: Archive, meta: RunMeta | None = None) -> bytes:
-    """Canonical bytes for an archive; equal archives serialize equal."""
+_NODE_ROW = struct.Struct("<HQ")
+_CELL_ROW = struct.Struct("<dQQQQQdQQI")
+_CHUNK_ROWS = 1024  # node or cell rows per piece of the streamed layout
+
+
+def _layout(archive: Archive, meta: RunMeta | None) -> Iterator[bytes]:
+    """The canonical checkpoint body, in pieces of at most ``_CHUNK_ROWS``
+    rows: header, trajectory nodes (each after its parent, discovered from
+    the cells' tails in key order), then cells in key order."""
     meta = meta or RunMeta()
     rooms = sorted(meta.rooms_seen)
-    parts = [
-        CHECKPOINT_MAGIC,
-        struct.pack(
-            f"<HQQQQQI{len(rooms)}II",
-            CHECKPOINT_VERSION,
-            archive.config_hash,
-            meta.seed,
-            meta.iteration,
-            meta.training_frames,
-            meta.game_frames,
-            len(rooms),
-            *rooms,
-            meta.max_level_seen,
-        ),
-    ]
+    yield CHECKPOINT_MAGIC + struct.pack(
+        f"<HQQQQQI{len(rooms)}II",
+        CHECKPOINT_VERSION,
+        archive.config_hash,
+        meta.seed,
+        meta.iteration,
+        meta.training_frames,
+        meta.game_frames,
+        len(rooms),
+        *rooms,
+        meta.max_level_seen,
+    )
 
     node_ids: dict[int, int] = {}
-    node_rows: list[bytes] = []
+    nodes: list = []
     ordered = archive.sorted_keys()
     for key in ordered:
         stack = []
@@ -190,38 +244,49 @@ def serialize_archive(archive: Archive, meta: RunMeta | None = None) -> bytes:
             node = node.parent
         while stack:
             node = stack.pop()
-            parent_id = 0 if node.parent is None else node_ids[id(node.parent)] + 1
-            node_ids[id(node)] = len(node_rows)
-            node_rows.append(struct.pack("<HQ", node.action, parent_id))
-    parts.append(struct.pack("<Q", len(node_rows)))
-    parts.extend(node_rows)
-
-    parts.append(struct.pack("<Q", len(ordered)))
-    for key in ordered:
-        record = archive.cells[key]
-        enc = key.encode()
-        tail = record.trajectory.tail
-        tail_id = 0 if tail is None else node_ids[id(tail)] + 1
-        parts.append(struct.pack("<I", len(enc)))
-        parts.append(enc)
-        parts.append(
-            struct.pack(
-                "<dQQQQQdQQI",
-                record.score,
-                record.traj_len,
-                tail_id,
-                record.times_seen,
-                record.times_chosen,
-                record.times_chosen_since_new,
-                record.snapshot.cum_score,
-                record.snapshot.training_frames,
-                record.snapshot.game_frames,
-                len(record.snapshot.state_bytes),
-            )
+            node_ids[id(node)] = len(nodes)
+            nodes.append(node)
+    yield struct.pack("<Q", len(nodes))
+    pack_node = _NODE_ROW.pack
+    for start in range(0, len(nodes), _CHUNK_ROWS):
+        yield b"".join(
+            pack_node(node.action,
+                      0 if node.parent is None else node_ids[id(node.parent)] + 1)
+            for node in nodes[start:start + _CHUNK_ROWS]
         )
-        parts.append(record.snapshot.state_bytes)
 
-    body = b"".join(parts)
+    yield struct.pack("<Q", len(ordered))
+    pack_cell = _CELL_ROW.pack
+    for start in range(0, len(ordered), _CHUNK_ROWS):
+        parts = []
+        for key in ordered[start:start + _CHUNK_ROWS]:
+            record = archive.cells[key]
+            enc = key.encode()
+            tail = record.trajectory.tail
+            snapshot = record.snapshot
+            parts.append(struct.pack("<I", len(enc)))
+            parts.append(enc)
+            parts.append(
+                pack_cell(
+                    record.score,
+                    record.traj_len,
+                    0 if tail is None else node_ids[id(tail)] + 1,
+                    record.times_seen,
+                    record.times_chosen,
+                    record.times_chosen_since_new,
+                    snapshot.cum_score,
+                    snapshot.training_frames,
+                    snapshot.game_frames,
+                    len(snapshot.state_bytes),
+                )
+            )
+            parts.append(snapshot.state_bytes)
+        yield b"".join(parts)
+
+
+def serialize_archive(archive: Archive, meta: RunMeta | None = None) -> bytes:
+    """Canonical bytes for an archive; equal archives serialize equal."""
+    body = b"".join(_layout(archive, meta))
     return body + hashlib.sha256(body).digest()
 
 
@@ -289,20 +354,34 @@ def _parse_body(body: bytes) -> tuple[Archive, RunMeta]:
             times_chosen_since_new=since_new,
         )
         archive.cells[key] = record
-        if isinstance(key, DomainKey):
-            if key.level > archive.max_level:
-                archive.max_level = key.level
-            pos = (key.x_bin, key.y_bin, key.room, key.level)
-            archive._pos_index.setdefault(pos, []).append(key)
+        archive._index(key)
     if offset != len(body):
         raise CheckpointError("archive checkpoint has trailing bytes")
     return archive, meta
 
 
 def checkpoint_save(archive: Archive, path, meta: RunMeta | None = None) -> None:
-    data = serialize_archive(archive, meta)
-    with open(path, "wb") as fh:
-        fh.write(data)
+    """Write :func:`serialize_archive`'s bytes to ``path`` without holding
+    them in memory, atomically: the layout streams into ``<path>.tmp`` with
+    the checksum fed as it goes, the file is fsynced and then renamed over
+    ``path``. A write that fails partway leaves ``path`` as it was."""
+    tmp = f"{os.fspath(path)}.tmp"
+    digest = hashlib.sha256()
+    try:
+        with open(tmp, "wb") as fh:
+            for chunk in _layout(archive, meta):
+                digest.update(chunk)
+                fh.write(chunk)
+            fh.write(digest.digest())
+            fh.flush()
+            os.fsync(fh.fileno())
+        os.replace(tmp, path)
+    except BaseException:
+        try:
+            os.unlink(tmp)
+        except FileNotFoundError:
+            pass
+        raise
 
 
 def checkpoint_load(path, expected_config_hash: int | None = None) -> tuple[Archive, RunMeta]:

@@ -6,6 +6,12 @@ result to a small integer range; the domain one bins ground-truth position
 features. Keys are small immutable values with structural equality, so two
 states mapping to the same key are indistinguishable downstream.
 
+A mapper is called as ``mapper(source, info)``: ``source`` is either an
+:class:`Observation` (whose frame is already drawn) or the environment that
+just stepped, which the downscaled mapper renders and the domain mapper never
+touches. Stepping therefore renders only when the representation reads
+pixels.
+
 Downscaling is computed in exact integer arithmetic: for output pixel (i, j)
 the quantized value is ``floor(mean * (depth + 1) / 256)`` where ``mean`` is
 the exact fractional-overlap weighted average of the source block. This makes
@@ -23,7 +29,7 @@ from typing import Callable, NamedTuple, Union
 
 import numpy as np
 
-from .envs.base import DomainInfo, Observation
+from .envs.base import DomainInfo, Observation, SnapshotEnv
 from .errors import ConfigError, RepresentationError
 
 
@@ -194,7 +200,15 @@ def neighbors(key: CellKey, include_more_keys: bool = True) -> list[Neighbor]:
 
 # -- mapper factories ---------------------------------------------------------
 
-CellMapper = Callable[[Observation, DomainInfo], CellKey]
+FrameSource = Union[Observation, SnapshotEnv]
+CellMapper = Callable[[FrameSource, DomainInfo], CellKey]
+
+
+def frame_of(source: FrameSource) -> np.ndarray:
+    """An observation's frame, or a fresh render of an environment."""
+    if isinstance(source, Observation):
+        return source.frame
+    return source.render()
 
 
 def downscale_mapper(params: DownscaleParams, cache_limit: int = 200_000) -> CellMapper:
@@ -202,12 +216,13 @@ def downscale_mapper(params: DownscaleParams, cache_limit: int = 200_000) -> Cel
     params = params.validate()
     cache: dict[bytes, DownscaledKey] = {}
 
-    def mapper(obs: Observation, info: DomainInfo) -> CellKey:
+    def mapper(source: FrameSource, info: DomainInfo) -> CellKey:
         del info
-        raw = obs.frame.tobytes()
+        frame = frame_of(source)
+        raw = frame.tobytes()
         key = cache.get(raw)
         if key is None:
-            key = downscale_cell(obs.frame, params)
+            key = downscale_cell(frame, params)
             if len(cache) >= cache_limit:
                 cache.clear()
             cache[raw] = key
@@ -220,12 +235,12 @@ def domain_mapper(grid_size: int) -> CellMapper:
     if grid_size < 1:
         raise ConfigError("grid_size must be >= 1")
 
-    def mapper(obs: Observation, info: DomainInfo) -> CellKey:
-        del obs
+    def mapper(source: FrameSource, info: DomainInfo) -> CellKey:
+        del source
         # Environments hand over key_rooms already sorted; normalize anyway
         # so arbitrary DomainInfo sources produce canonical keys.
         kr = info.key_rooms
-        if any(kr[i] > kr[i + 1] for i in range(len(kr) - 1)):
+        if len(kr) > 1 and any(kr[i] > kr[i + 1] for i in range(len(kr) - 1)):
             kr = tuple(sorted(kr))
         return DomainKey(
             x_bin=info.x // grid_size,

@@ -202,7 +202,7 @@ def cmd_replay(args: argparse.Namespace) -> int:
         f"key {key.encode().hex()}"
     )
     if args.render:
-        frame = env.observe().frame
+        frame = env.render()
         ramp = ASCII_RAMP
         for row in frame[:: max(1, env.tile_px)]:
             print("".join(ramp[int(v) * (len(ramp) - 1) // 255] for v in

@@ -6,6 +6,11 @@ agent decision; each decision repeats the chosen action for ``frame_skip``
 skipped frames. Counters are kept in both units and ``game_frames ==
 training_frames * frame_skip`` always holds, including for snapshots taken
 mid-episode.
+
+Stepping does not render: a :class:`StepResult` carries the reward, the done
+flag and the ground-truth features, and a frame is drawn only by
+:meth:`SnapshotEnv.render` (or :meth:`SnapshotEnv.observe`, which renders),
+so callers that never read pixels never pay for them.
 """
 
 from __future__ import annotations
@@ -63,7 +68,6 @@ class Observation:
 
 @dataclass(slots=True)
 class StepResult:
-    obs: Observation
     reward: float
     done: bool
     info: DomainInfo
@@ -157,6 +161,11 @@ class SnapshotEnv:
         raise NotImplementedError
 
     def observe(self) -> Observation:
+        """The current frame and features; renders."""
+        raise NotImplementedError
+
+    def render(self) -> np.ndarray:
+        """Draw the current state as a fresh uint8 intensity frame."""
         raise NotImplementedError
 
     def discrete_state(self) -> tuple[int, ...]:

@@ -11,6 +11,10 @@ frame counter advances by ``frame_skip`` game frames (the skipped frames are
 identical repeats, and the step reward is the total produced during that
 window). ``game_frames == training_frames * frame_skip`` holds exactly,
 including in snapshots taken mid-episode.
+
+:meth:`step` does not render. :meth:`render` is the only renderer; it is
+called where a frame is read: :meth:`observe` (and so :meth:`reset`), the
+downscaled-cell mapper, and ``archex replay --render``.
 """
 
 from __future__ import annotations
@@ -273,8 +277,7 @@ class GridWorld(SnapshotEnv):
         if not self._done and self._game_frames >= self.time_limit_game_frames:
             self._done = True
         self._score += total
-        info = self._info()
-        return StepResult(self.observe(), total, self._done, info)
+        return StepResult(total, self._done, self._info())
 
     def reset(self, seed: int = 0) -> tuple[Observation, EnvSnapshot]:
         del seed  # the base environment is deterministic

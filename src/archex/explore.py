@@ -8,6 +8,11 @@ which makes the "identical results for any worker count" contract hold
 trivially. Every stochastic draw comes from a stream derived from (seed,
 purpose, iteration, worker), so runs are reproducible and resumable bit-for-
 bit.
+
+A rollout does only the work whose result is used: it snapshots a visit
+only when the visit can still win the merge (see :func:`explore_from`), and
+it renders a frame only when the cell mapper reads one. Every visit is still
+merged, so visit counts and discovery credit do not depend on either.
 """
 
 from __future__ import annotations
@@ -17,7 +22,7 @@ import time
 from dataclasses import dataclass, field
 from typing import Callable, NamedTuple
 
-from .archive import Archive, CellRecord, RunMeta, UpdateOutcome
+from .archive import Archive, CellRecord, RunMeta, UpdateOutcome, beats
 from .cells import CellKey, CellMapper
 from .envs.base import SnapshotEnv
 from .errors import ConfigError, IntegrityError
@@ -56,7 +61,10 @@ class VisitedCell(NamedTuple):
     key: CellKey
     score: float
     trajectory: Trajectory
-    snapshot: object  # EnvSnapshot
+    snapshot: object  # EnvSnapshot, or None for a visit that cannot win the merge
+
+
+_NO_BAR = (float("-inf"), float("inf"))  # what a visit to an unarchived cell must beat
 
 
 @dataclass(slots=True)
@@ -72,12 +80,13 @@ class RolloutResult:
 def explore_from(
     env: SnapshotEnv,
     origin: CellKey,
-    record: CellRecord,
+    archive: Archive,
     rng,
     cfg: ExploreConfig,
     mapper: CellMapper,
 ) -> RolloutResult:
-    """Return to a cell and take up to ``k`` repeat-biased random actions.
+    """Return to ``origin``'s archived state and take up to ``k``
+    repeat-biased random actions.
 
     The RNG contract is fixed: one ``rng.random(k)`` call for the repeat
     decisions followed by one ``rng.integers(0, n_actions, k)`` call for the
@@ -85,7 +94,18 @@ def explore_from(
     the first frame). Returning consumes no randomness at all. If the episode
     ends, the rollout stops and the final transition is discarded: it has no
     destination cell.
+
+    ``archive`` must stand as it did at selection time: the caller merges
+    only after all of a batch's rollouts. A visit gets a snapshot only if it
+    beats, by the merge rule of :func:`archex.archive.beats`, both the
+    archive record of its cell (when there is one) and the cell's earlier
+    visits in this rollout; the others carry ``snapshot=None``. This is
+    safe: between selection and this rollout's merge, records only improve
+    -- by earlier rollouts of the batch and by this rollout's earlier visits,
+    which merge first -- so a visit that fails the filter can never be added
+    or improve a record, and the merge never needs its snapshot.
     """
+    record = archive.cells[origin]
     if cfg.return_mode == "replay":
         env.reset(cfg.seed)
         for action in record.trajectory.actions():
@@ -97,6 +117,8 @@ def explore_from(
 
     repeats = rng.random(cfg.k)
     fresh = rng.integers(0, env.action_count, cfg.k)
+    cells = archive.cells
+    best: dict[CellKey, tuple[float, float]] = {}  # key -> (score, length) to beat
     trajectory = record.trajectory
     visited: list[VisitedCell] = []
     rooms: set[int] = set()
@@ -116,13 +138,23 @@ def explore_from(
             terminated = True
             break
         trajectory = trajectory.extend(action)
-        key = mapper(result.obs, result.info)
-        visited.append(
-            VisitedCell(key, env.cum_score, trajectory, env.snapshot())
-        )
-        rooms.add(result.info.room)
-        if result.info.level > max_level:
-            max_level = result.info.level
+        info = result.info
+        key = mapper(env, info)
+        score = env.cum_score
+        bar = best.get(key)
+        if bar is None:
+            held = cells.get(key)
+            bar = _NO_BAR if held is None else (held.score, held.traj_len)
+        if beats(score, trajectory.length, *bar):
+            snapshot = env.snapshot()
+            best[key] = (score, trajectory.length)
+        else:
+            snapshot = None
+            best[key] = bar
+        visited.append(VisitedCell(key, score, trajectory, snapshot))
+        rooms.add(info.room)
+        if info.level > max_level:
+            max_level = info.level
     return RolloutResult(origin, visited, frames, terminated, rooms, max_level)
 
 
@@ -175,7 +207,7 @@ def run_iteration(
     results = []
     for worker, key in enumerate(origins):
         rng = stream(cfg.seed, TAG_EXPLORE, iteration, worker)
-        results.append(explore_from(env, key, archive.cells[key], rng, cfg, mapper))
+        results.append(explore_from(env, key, archive, rng, cfg, mapper))
     return merge_results(archive, results)
 
 
@@ -322,7 +354,6 @@ def baseline_from_start(
     env = env_factory()
     start = time.perf_counter()
     archive, start_key, rooms_seen = _seed_archive(env, cfg.seed, mapper)
-    start_record = archive.cells[start_key]
     iteration = 0
     frames = 0
     max_level_seen = 0
@@ -338,9 +369,7 @@ def baseline_from_start(
         results = []
         for worker in range(cfg.batch_size):
             rng = stream(cfg.seed, TAG_BASELINE, iteration, worker)
-            results.append(
-                explore_from(env, start_key, start_record, rng, cfg, mapper)
-            )
+            results.append(explore_from(env, start_key, archive, rng, cfg, mapper))
         stats = merge_results(archive, results)
         iteration += 1
         frames += stats.frames
@@ -416,17 +445,17 @@ def replay_record(
     """Replay a record's trajectory from reset and verify score, final cell,
     and snapshot bytes against what the archive stored."""
     obs, _ = env.reset(seed)
-    final_obs, final_info = obs, obs.features
+    final_info = obs.features
     for action in record.trajectory.actions():
         result = env.step(action)
         if result.done:
             raise IntegrityError("stored trajectory ends an episode early")
-        final_obs, final_info = result.obs, result.info
+        final_info = result.info
     if env.cum_score != record.score:
         raise IntegrityError(
             f"replayed score {env.cum_score} != stored {record.score}"
         )
-    if mapper(final_obs, final_info) != key:
+    if mapper(env, final_info) != key:
         raise IntegrityError("replayed trajectory lands in a different cell")
     if env.snapshot().state_bytes != record.snapshot.state_bytes:
         raise IntegrityError("replayed snapshot differs from stored snapshot")

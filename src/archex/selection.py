@@ -3,22 +3,30 @@
 Each cell's score combines count subscores ``w * (1/(v + eps1))**p + eps2``
 over the three interaction counters, neighbor subscores ``w_n * (1 -
 HasNeighbor)`` for missing archive neighbors (domain mode only), and an
-exponential level weight ``base**(max_level - level)``:
+exponential level weight ``base**(max_level - level)``, floored at the
+smallest normal float so that no level gap underflows it to zero:
 
     score = level_weight * (sum(neigh) + sum(count) + 1)
 
 Scores are strictly positive, so every cell keeps a nonzero selection
 probability. Probabilities are the scores normalized over the archive, and
 batches are drawn with replacement by cumulative-sum roulette.
+
+:func:`cell_score` is the per-cell oracle; :func:`cell_probs` computes the
+same floats for the whole archive at once. It reads neighbor weights from
+the archive's incrementally kept missing-neighbor masks and takes one
+level weight per distinct level gap, with the same operations in the same
+order, so the two agree bit for bit.
 """
 
 from __future__ import annotations
 
+import sys
 from dataclasses import dataclass
 
 import numpy as np
 
-from .archive import Archive, CellRecord
+from .archive import MORE_KEYS_BIT, Archive, CellRecord
 from .cells import CellKey, DomainKey, NeighborKind, neighbors
 from .errors import ConfigError
 
@@ -65,9 +73,21 @@ class SelectionConfig:
         return self
 
 
-def count_subscore(v: int, w: float, p: float, eps1: float, eps2: float) -> float:
-    """w * (1 / (v + eps1))**p + eps2 for a single counter value."""
+# Level weights never fall below this, so a cell at any level gap keeps a
+# nonzero probability; at decay 0.1 only gaps above 307 reach it.
+LEVEL_WEIGHT_FLOOR = sys.float_info.min
+
+
+def count_subscores(v: np.ndarray, w: float, p: float, eps1: float, eps2: float) -> np.ndarray:
+    """w * (1 / (v + eps1))**p + eps2 elementwise over counter values."""
     return w * (1.0 / (v + eps1)) ** p + eps2
+
+
+def count_subscore(v: int, w: float, p: float, eps1: float, eps2: float) -> float:
+    """:func:`count_subscores` of a single counter value. numpy's array power
+    differs from Python's ``**`` in the last bit for some inputs, so both
+    paths share the array formula."""
+    return float(count_subscores(np.array([v], np.float64), w, p, eps1, eps2)[0])
 
 
 def neigh_subscore(key: CellKey, archive: Archive, cfg: SelectionConfig) -> float:
@@ -87,11 +107,28 @@ def neigh_subscore(key: CellKey, archive: Archive, cfg: SelectionConfig) -> floa
     return total
 
 
+def neigh_weight_table(cfg: SelectionConfig) -> np.ndarray:
+    """:func:`neigh_subscore` for each of the 32 missing-neighbor masks,
+    summed in the same slot order (that of :func:`archex.cells.neighbors`)."""
+    slots = [cfg.w_horizontal, cfg.w_horizontal, cfg.w_vertical, cfg.w_vertical]
+    if cfg.track_keys:
+        slots.append(cfg.w_more_keys)
+    table = np.zeros(MORE_KEYS_BIT << 1, np.float64)
+    for mask in range(len(table)):
+        total = 0.0
+        for bit, w in enumerate(slots):
+            if mask >> bit & 1:
+                total += w
+        table[mask] = total
+    return table
+
+
 def level_weight(level: int, max_level: int, base: float) -> float:
-    """base**(max_level - level); callers pass 1 when levels are unknown."""
+    """max(base**(max_level - level), LEVEL_WEIGHT_FLOOR); callers pass 1
+    when levels are unknown."""
     if level > max_level:
         raise ConfigError("cell level exceeds archive max_level")
-    return base ** (max_level - level)
+    return max(base ** (max_level - level), LEVEL_WEIGHT_FLOOR)
 
 
 def cell_score(record: CellRecord, key: CellKey, archive: Archive,
@@ -129,24 +166,30 @@ def cell_probs(archive: Archive, cfg: SelectionConfig) -> SelectionTable:
     since = np.fromiter((r.times_chosen_since_new for r in records), np.float64, n)
     seen = np.fromiter((r.times_seen for r in records), np.float64, n)
     cnt = (
-        (cfg.w_chosen * (1.0 / (chosen + cfg.eps1)) ** cfg.p_chosen + cfg.eps2)
-        + (cfg.w_chosen_since_new * (1.0 / (since + cfg.eps1)) ** cfg.p_chosen_since_new
-           + cfg.eps2)
-        + (cfg.w_seen * (1.0 / (seen + cfg.eps1)) ** cfg.p_seen + cfg.eps2)
+        count_subscores(chosen, cfg.w_chosen, cfg.p_chosen, cfg.eps1, cfg.eps2)
+        + count_subscores(since, cfg.w_chosen_since_new, cfg.p_chosen_since_new,
+                          cfg.eps1, cfg.eps2)
+        + count_subscores(seen, cfg.w_seen, cfg.p_seen, cfg.eps1, cfg.eps2)
     )
     if cfg.domain_mode:
-        neigh = np.fromiter(
-            (neigh_subscore(k, archive, cfg) for k in keys), np.float64, n
-        )
-        lw = np.fromiter(
-            (
-                cfg.level_decay ** (archive.max_level - k.level)
-                if isinstance(k, DomainKey) else 1.0
-                for k in keys
-            ),
-            np.float64,
+        # Non-domain keys have no mask (weight 0) and level weight 1, which
+        # the gap -1 stands for.
+        masks = archive.missing_neighbors
+        neigh = neigh_weight_table(cfg)[
+            np.fromiter((masks.get(k, 0) for k in keys), np.intp, n)
+        ]
+        top = archive.max_level
+        gaps = np.fromiter(
+            (top - k.level if isinstance(k, DomainKey) else -1 for k in keys),
+            np.int64,
             n,
         )
+        distinct, where = np.unique(gaps, return_inverse=True)
+        lw = np.array(
+            [1.0 if g < 0 else level_weight(top - g, top, cfg.level_decay)
+             for g in distinct.tolist()],
+            np.float64,
+        )[where]
         scores = lw * (neigh + cnt + 1.0)
     else:
         scores = cnt + 1.0

@@ -83,3 +83,10 @@ def drive(env, actions):
         rewards.append(result.reward)
         dones.append(result.done)
     return rewards, dones
+
+
+def step_and_render(env, action):
+    """Step, then render the state the step led to; (frame bytes, reward,
+    done). Stepping itself draws no frame."""
+    result = env.step(action)
+    return env.render().tobytes(), result.reward, result.done

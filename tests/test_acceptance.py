@@ -40,7 +40,7 @@ from archex.seeding import TAG_EVAL, stream
 from archex.selection import SelectionConfig, cell_probs, cell_score, count_subscore, sample_batch
 from archex.trajectory import Trajectory
 
-from conftest import bfs_reachable_states
+from conftest import bfs_reachable_states, step_and_render
 
 mp.dps = 50
 
@@ -204,8 +204,7 @@ def test_criterion_03_replay_soundness():
             for action in suffix:
                 if env.done:
                     break
-                r = env.step(action)
-                a_stream.append((r.obs.frame.tobytes(), r.reward, r.done))
+                a_stream.append(step_and_render(env, action))
             env2.reset(0)
             for action in record.trajectory.actions():
                 env2.step(action)
@@ -213,8 +212,7 @@ def test_criterion_03_replay_soundness():
             for action in suffix:
                 if env2.done:
                     break
-                r = env2.step(action)
-                b_stream.append((r.obs.frame.tobytes(), r.reward, r.done))
+                b_stream.append(step_and_render(env2, action))
             assert a_stream == b_stream
             checked += 1
     report(3, checked >= 1000, f"{checked} archived cells replay-verified (>= 1000)")

@@ -135,6 +135,28 @@ def test_candidate_config_mismatch_rejected(env, snap):
         archive.insert_or_update(key(), Trajectory(), 0.0, 0, snap)
 
 
+def test_snapshotless_candidate_counts_when_it_loses(env, snap):
+    archive = fresh_archive(env)
+    archive.insert_or_update(key(), traj_of(1), 5.0, 1, snap)
+    assert archive.insert_or_update(key(), traj_of(1, 2), 5.0, 2, None) is UpdateOutcome.UNCHANGED
+    assert archive.insert_or_update(key(), traj_of(2), 4.0, 1, None) is UpdateOutcome.UNCHANGED
+    assert archive.record(key()).times_seen == 3
+    assert archive.record(key()).snapshot is snap
+
+
+@pytest.mark.parametrize("score,length", [(6.0, 3), (5.0, 0)])
+def test_snapshotless_candidate_that_wins_rejected(env, snap, score, length):
+    archive = fresh_archive(env)
+    archive.insert_or_update(key(), traj_of(1), 5.0, 1, snap)
+    with pytest.raises(ContractError):
+        archive.insert_or_update(key(), traj_of(*[0] * length), score, length, None)
+    record = archive.record(key())
+    assert (record.score, record.traj_len, record.times_seen) == (5.0, 1, 1)
+    with pytest.raises(ContractError):  # a new cell always wins
+        archive.insert_or_update(key(x=1), Trajectory(), 0.0, 0, None)
+    assert key(x=1) not in archive
+
+
 def test_candidate_length_mismatch_rejected(env, snap):
     archive = fresh_archive(env)
     with pytest.raises(ContractError):
@@ -258,6 +280,39 @@ def test_checkpoint_roundtrip_bit_identical(tmp_path):
     path2 = tmp_path / "b.ckpt"
     checkpoint_save(loaded, path2, meta)
     assert path.read_bytes() == path2.read_bytes()
+
+
+def test_checkpoint_file_is_serialized_bytes(tmp_path):
+    result = build_small_archive()
+    path = tmp_path / "a.ckpt"
+    checkpoint_save(result.archive, path, result.meta)
+    assert path.read_bytes() == serialize_archive(result.archive, result.meta)
+    assert [p.name for p in tmp_path.iterdir()] == ["a.ckpt"]
+
+
+def test_checkpoint_write_failing_partway_keeps_previous(tmp_path, monkeypatch):
+    import archex.archive as archive_module
+
+    first = build_small_archive(budget=2_000)
+    path = tmp_path / "a.ckpt"
+    checkpoint_save(first.archive, path, first.meta)
+    before = path.read_bytes()
+
+    layout = archive_module._layout
+
+    def failing_layout(archive, meta):
+        pieces = layout(archive, meta)
+        yield next(pieces)
+        yield next(pieces)
+        raise OSError("disk full")
+
+    monkeypatch.setattr(archive_module, "_layout", failing_layout)
+    second = build_small_archive(budget=6_000)
+    with pytest.raises(OSError):
+        checkpoint_save(second.archive, path, second.meta)
+    assert path.read_bytes() == before
+    assert [p.name for p in tmp_path.iterdir()] == ["a.ckpt"]
+    assert checkpoint_load(path)[1] == first.meta
 
 
 def test_checkpoint_preserves_everything():

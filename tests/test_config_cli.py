@@ -1,6 +1,8 @@
 """Config parsing, presets, env overrides, and CLI command wiring."""
 
 import csv
+import hashlib
+from pathlib import Path
 
 import pytest
 
@@ -306,3 +308,36 @@ def test_cli_report(tmp_path):
     code = run_cli("report", "--out", str(tmp_path / "agg"), *outs)
     assert code == 0
     assert (tmp_path / "agg" / "cells_aggregate.csv").exists()
+
+
+# -- pinned checkpoint bytes ------------------------------------------------------
+
+CONFIGS = Path(__file__).resolve().parent.parent / "configs"
+
+# sha256 of archive.ckpt after `archex explore --budget-frames N` on each
+# shipped config (corridor also with downscaled cells). These bytes date from
+# rollouts that rendered and snapshotted every step; work that makes rollouts
+# or selection cheaper must leave them unchanged.
+GOLDEN_CHECKPOINTS = [
+    ("corridor-deceptive", 60_000, False,
+     "846909286e91e4de503e7a4a74e78ee072ca7960b7e24e5250c79f7c67a7feb3"),
+    ("corridor-deceptive", 60_000, True,
+     "9ebb5750da129df9b9b3bcf369cfa70fdba641f4b1a2d36d565814409aae1eb2"),
+    ("keydoor-domain", 60_000, False,
+     "e758291321c7cab7d1b5d6d07271520a1b85ad0d5c7e54aae649e6eee02b2e28"),
+    ("twomaze-detachment", 30_000, False,
+     "598614ab2324e0d62c497bd7c2842b8df90257a84ad36ae29ae8ffed12667562"),
+]
+
+
+@pytest.mark.parametrize("name,budget,downscale,digest", GOLDEN_CHECKPOINTS)
+def test_shipped_config_checkpoint_golden(tmp_path, name, budget, downscale, digest):
+    text = (CONFIGS / f"{name}.cfg").read_text()
+    if downscale:
+        text = text.replace("repr.mode = domain", "repr.mode = downscale")
+        text = text.replace("select.domain_mode = true", "select.domain_mode = false")
+    path = write_config(tmp_path, text)
+    out = tmp_path / "run"
+    assert run_cli("explore", "--config", str(path), "--budget-frames", str(budget),
+                   "--out", str(out)) == 0
+    assert hashlib.sha256((out / "archive.ckpt").read_bytes()).hexdigest() == digest

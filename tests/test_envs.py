@@ -19,7 +19,14 @@ from archex.envs import (
 from archex.envs.gridworld import TILE_DOOR, TILE_HAZARD, TILE_WALL
 from archex.errors import ConfigError, ContractError, SnapshotFormatError
 
-from conftest import bfs_reachable_states, drive, small_corridor, small_keydoor, small_twomaze
+from conftest import (
+    bfs_reachable_states,
+    drive,
+    small_corridor,
+    small_keydoor,
+    small_twomaze,
+    step_and_render,
+)
 
 
 def random_actions(seed, n, n_actions=5):
@@ -52,8 +59,7 @@ def test_two_fresh_runs_are_byte_identical(any_env):
         for action in actions:
             if any_env.done:
                 break
-            r = any_env.step(action)
-            stream.append((r.obs.frame.tobytes(), r.reward, r.done))
+            stream.append(step_and_render(any_env, action))
         return stream
 
     assert run() == run()
@@ -65,9 +71,10 @@ def test_frame_intensities_in_range(any_env):
     for action in random_actions(3, 100, any_env.action_count):
         if any_env.done:
             break
-        result = any_env.step(action)
-        assert result.obs.frame.shape == shape
-        assert result.obs.frame.dtype == np.uint8  # uint8 is [0, 255] by type
+        any_env.step(action)
+        frame = any_env.render()
+        assert frame.shape == shape
+        assert frame.dtype == np.uint8  # uint8 is [0, 255] by type
 
 
 # -- frame counters --------------------------------------------------------------
@@ -111,11 +118,10 @@ def test_snapshot_restore_roundtrip(any_env):
     any_env.reset(0)
     drive(any_env, random_actions(5, 50, any_env.action_count))
     snap = any_env.snapshot()
-    direct = any_env.step(ACTION_RIGHT)
+    direct = step_and_render(any_env, ACTION_RIGHT)
     any_env.restore(snap)
-    again = any_env.step(ACTION_RIGHT)
-    assert direct.reward == again.reward
-    assert np.array_equal(direct.obs.frame, again.obs.frame)
+    again = step_and_render(any_env, ACTION_RIGHT)
+    assert direct == again  # frame, reward and done
 
 
 def test_snapshot_equivalence_random_suffixes(any_env):
@@ -126,15 +132,9 @@ def test_snapshot_equivalence_random_suffixes(any_env):
         suffix = random_actions(trial + 100, 25, any_env.action_count)
         drive(any_env, prefix)
         snap = any_env.snapshot()
-        played = [
-            (r.obs.frame.tobytes(), r.reward, r.done)
-            for r in (any_env.step(a) for a in suffix)
-        ]
+        played = [step_and_render(any_env, a) for a in suffix]
         any_env.restore(snap)
-        restored = [
-            (r.obs.frame.tobytes(), r.reward, r.done)
-            for r in (any_env.step(a) for a in suffix)
-        ]
+        restored = [step_and_render(any_env, a) for a in suffix]
         assert played == restored
 
 

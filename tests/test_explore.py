@@ -18,7 +18,7 @@ from archex.seeding import TAG_EXPLORE, stream
 from archex.selection import SelectionConfig
 from archex.trajectory import Trajectory
 
-from conftest import small_corridor, small_keydoor, small_twomaze
+from conftest import drive, small_corridor, small_keydoor, small_twomaze
 
 MAPPER = domain_mapper(1)
 
@@ -46,7 +46,7 @@ def cfg_with(**kw):
 def test_rollout_consumes_k_frames():
     env = small_twomaze()
     archive, key = seeded_archive(env)
-    result = explore_from(env, key, archive.record(key), np.random.default_rng(0),
+    result = explore_from(env, key, archive, np.random.default_rng(0),
                           cfg_with(), MAPPER)
     assert result.frames == 20
     assert not result.terminated
@@ -56,7 +56,7 @@ def test_rollout_consumes_k_frames():
 def test_rollout_stops_at_episode_end_and_discards_terminal():
     env = small_twomaze(time_limit_game_frames=10 * 4)  # 10 training frames
     archive, key = seeded_archive(env)
-    result = explore_from(env, key, archive.record(key), np.random.default_rng(0),
+    result = explore_from(env, key, archive, np.random.default_rng(0),
                           cfg_with(k=50), MAPPER)
     assert result.terminated
     assert result.frames == 10           # the fatal frame is counted
@@ -68,8 +68,7 @@ def test_rollout_repeat_zero_matches_enumeration():
     env = small_twomaze()
     archive, key = seeded_archive(env)
     cfg = cfg_with(repeat_p=0.0)
-    result = explore_from(env, key, archive.record(key),
-                          stream(9, TAG_EXPLORE, 0, 0), cfg, MAPPER)
+    result = explore_from(env, key, archive, stream(9, TAG_EXPLORE, 0, 0), cfg, MAPPER)
     rng = stream(9, TAG_EXPLORE, 0, 0)
     rng.random(cfg.k)  # repeat draws, unused at p=0
     expect = [int(a) for a in rng.integers(0, env.action_count, cfg.k)]
@@ -80,7 +79,7 @@ def test_rollout_repeat_zero_matches_enumeration():
 def test_rollout_trajectories_extend_origin():
     env = small_twomaze()
     archive, key = seeded_archive(env)
-    result = explore_from(env, key, archive.record(key), np.random.default_rng(1),
+    result = explore_from(env, key, archive, np.random.default_rng(1),
                           cfg_with(), MAPPER)
     origin_len = archive.record(key).traj_len
     for i, visit in enumerate(result.visited, start=1):
@@ -92,13 +91,43 @@ def test_rollout_trajectories_extend_origin():
 
 
 def test_rollout_scores_track_env():
+    """Each visit's score is the env's: restored from its snapshot, or
+    replayed from reset along its trajectory when it has none."""
     env = small_corridor()
     archive, key = seeded_archive(env)
-    result = explore_from(env, key, archive.record(key), np.random.default_rng(3),
+    result = explore_from(env, key, archive, np.random.default_rng(3),
                           cfg_with(k=100), MAPPER)
+    assert any(v.snapshot is None for v in result.visited)
     for visit in result.visited:
-        env.restore(visit.snapshot)
+        if visit.snapshot is not None:
+            env.restore(visit.snapshot)
+        else:
+            env.reset(0)
+            drive(env, visit.trajectory.actions())
         assert env.cum_score == visit.score
+
+
+def test_rollout_snapshots_exactly_the_possible_winners():
+    """A visit carries a snapshot iff it beats its cell's archived record and
+    the cell's earlier visits in the rollout: higher score, or equal score
+    and shorter trajectory."""
+    env = small_corridor()  # moving costs points, so scores fall and rise
+    archive, key = seeded_archive(env)
+    for it in range(3):
+        run_iteration(archive, env, SelectionConfig(), cfg_with(k=60), it, MAPPER)
+    origin = archive.sorted_keys()[len(archive) // 2]
+    result = explore_from(env, origin, archive, np.random.default_rng(4),
+                          cfg_with(k=100), MAPPER)
+    best = {k: (r.score, r.traj_len) for k, r in archive.items()}
+    for visit in result.visited:
+        length = visit.trajectory.length
+        bar = best.get(visit.key)
+        wins = bar is None or visit.score > bar[0] or (visit.score == bar[0] and length < bar[1])
+        assert (visit.snapshot is not None) == wins
+        if wins:
+            best[visit.key] = (visit.score, length)
+    kept = sum(v.snapshot is not None for v in result.visited)
+    assert 0 < kept < len(result.visited)
 
 
 # -- run_iteration ------------------------------------------------------------------

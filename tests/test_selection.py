@@ -6,10 +6,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from mpmath import mp, mpf
 
-from archex.archive import Archive
-from archex.cells import DomainKey
+from archex.archive import Archive, deserialize_archive, serialize_archive
+from archex.cells import DomainKey, neighbors
 from archex.errors import ConfigError
 from archex.selection import (
+    LEVEL_WEIGHT_FLOOR,
     SelectionConfig,
     cell_probs,
     cell_score,
@@ -132,6 +133,43 @@ def test_level_weight():
         level_weight(4, 3, 0.1)
 
 
+def test_level_weight_reachable_gaps_pinned():
+    """The floor leaves every weight above it alone: base**gap exactly."""
+    for base in (0.1, 0.5, 1.0):
+        for gap in range(0, 308):
+            assert level_weight(0, gap, base) == base ** gap
+    assert level_weight(0, 2, 0.1) == 0.010000000000000002
+
+
+def test_level_weight_floor_keeps_deep_levels_selectable():
+    assert 0.1 ** 400 == 0.0  # what the floor guards against
+    assert level_weight(0, 400, 0.1) == LEVEL_WEIGHT_FLOOR > 0
+    archive = build_archive([(dkey(x=0, level=0), 0, 0, 1), (dkey(x=5, level=400), 0, 0, 1)])
+    cfg = table2_cfg()
+    table = cell_probs(archive, cfg)
+    assert (table.probs > 0).all()
+    assert table.scores[0] == cell_score(archive.record(dkey(x=0)), dkey(x=0), archive, cfg)
+
+
+def test_missing_neighbor_masks_match_has_neighbor():
+    """Masks kept on insert equal a full neighbor scan, before and
+    after a checkpoint round trip."""
+    rng = np.random.default_rng(5)
+    records = []
+    for _ in range(300):
+        keys = tuple(sorted(int(r) for r in rng.integers(0, 3, int(rng.integers(0, 3)))))
+        records.append((dkey(int(rng.integers(0, 6)), int(rng.integers(0, 6)),
+                             int(rng.integers(0, 2)), int(rng.integers(0, 2)), keys), 0, 0, 1))
+    archive = build_archive(records)
+    reloaded, _ = deserialize_archive(serialize_archive(archive))
+    for arch in (archive, reloaded):
+        assert set(arch.missing_neighbors) == set(arch.cells)
+        for key, mask in arch.missing_neighbors.items():
+            want = sum(1 << bit for bit, (_, slot) in enumerate(neighbors(key))
+                       if not arch.has_neighbor(slot))
+            assert mask == want, key
+
+
 # -- probabilities ----------------------------------------------------------------
 
 
@@ -172,6 +210,12 @@ def test_probs_positive_and_scale_invariant():
     assert np.allclose(scaled / scaled.sum(), table.probs, atol=1e-12)
 
 
+def assert_probs_match_scalar(archive, cfg):
+    table = cell_probs(archive, cfg)
+    for i, key in enumerate(table.keys):
+        assert table.scores[i] == cell_score(archive.record(key), key, archive, cfg), key
+
+
 def test_probs_match_scalar_cell_score():
     rng = np.random.default_rng(1)
     records = [
@@ -180,11 +224,58 @@ def test_probs_match_scalar_cell_score():
         for i in range(25)
     ]
     archive = build_archive(records)
-    cfg = table2_cfg(w_chosen=0.5, w_seen=0.2)
-    table = cell_probs(archive, cfg)
-    for i, key in enumerate(table.keys):
-        scalar = cell_score(archive.record(key), key, archive, cfg)
-        assert table.scores[i] == pytest.approx(scalar, rel=1e-12)
+    assert_probs_match_scalar(archive, table2_cfg(w_chosen=0.5, w_seen=0.2))
+
+
+def test_probs_match_scalar_where_power_rounding_differs():
+    """At these counts numpy's array ``x ** 0.5`` and Python's ``x ** 0.5``
+    round apart; a heavy weight carries the last bit into the score."""
+    cfg = SelectionConfig(w_chosen=0, w_chosen_since_new=0, w_seen=1000.0)
+    archive = build_archive([(dkey(i), 0, 0, v) for i, v in enumerate((483, 715, 839, 1829))])
+    assert_probs_match_scalar(archive, cfg)
+
+
+def grown_archive(seed=3, n=400):
+    """Clustered positions over several levels and rooms, key sets that
+    extend one another (more-keys neighbors), counters up to 5000."""
+    rng = np.random.default_rng(seed)
+    records = {}
+    for _ in range(n):
+        keys = tuple(sorted(int(r) for r in rng.integers(0, 3, int(rng.integers(0, 4)))))
+        key = dkey(int(rng.integers(0, 8)), int(rng.integers(0, 8)),
+                   int(rng.integers(0, 2)), int(rng.integers(0, 4)), keys)
+        records[key] = (int(rng.integers(0, 700)), int(rng.integers(0, 50)),
+                        int(rng.integers(1, 5000)))
+    return build_archive([(k, *counts) for k, counts in records.items()])
+
+
+@pytest.mark.parametrize("track_keys", [True, False])
+def test_probs_match_scalar_on_grown_and_reloaded_archives(track_keys):
+    archive = grown_archive()
+    assert archive.max_level == 3
+    reloaded, _ = deserialize_archive(serialize_archive(archive))
+    cfg = table2_cfg(w_chosen=0.5, w_chosen_since_new=0.25, w_seen=0.2,
+                     track_keys=track_keys)
+    assert_probs_match_scalar(archive, cfg)
+    assert_probs_match_scalar(reloaded, cfg)
+    assert cell_probs(reloaded, cfg).scores.tolist() == cell_probs(archive, cfg).scores.tolist()
+
+
+def test_probs_match_scalar_on_explored_archive():
+    """An archive grown by the explorer itself: real visit counts, keys
+    picked up, doors and levels."""
+    from archex.cells import domain_mapper
+    from archex.explore import ExploreConfig, run_phase1
+
+    from conftest import small_keydoor
+
+    cfg = table2_cfg()
+    explore = ExploreConfig(k=50, batch_size=20, budget_training_frames=20_000,
+                            metric_interval_game_frames=10**9)
+    archive = run_phase1(small_keydoor, explore, cfg, domain_mapper(1)).archive
+    assert archive.max_level >= 1
+    assert any(k.key_rooms for k in archive.cells)
+    assert_probs_match_scalar(archive, cfg)
 
 
 @settings(max_examples=40, deadline=None)
