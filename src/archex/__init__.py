@@ -22,7 +22,6 @@ from .robustify import (
     backward_run,
     early_terminate,
     select_demonstrations,
-    shape_reward,
     truncate_demo,
 )
 from .selection import SelectionConfig, cell_probs, cell_score, sample_batch
@@ -61,6 +60,5 @@ __all__ = [
     "run_phase1",
     "sample_batch",
     "select_demonstrations",
-    "shape_reward",
     "truncate_demo",
 ]

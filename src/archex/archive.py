@@ -7,10 +7,12 @@ Archives serialize to a canonical, versioned binary layout (sorted cells,
 deduplicated trajectory nodes, trailing checksum) so that equal archives have
 equal bytes and corrupt files are detected on load. Checkpoints are streamed
 to a temporary file, fsynced and renamed over the target, so a failed write
-leaves the previous checkpoint intact.
+leaves the previous checkpoint intact (:func:`write_checksummed`, which
+policy checkpoints use too).
 
-For selection, the archive keeps a missing-neighbor mask per domain key,
-updated incrementally on every add (see :meth:`Archive._index`).
+Every added key is indexed once (see :meth:`Archive._index`): its encoding,
+kept for the canonical key order, and for selection a missing-neighbor mask
+per domain key, updated incrementally.
 """
 
 from __future__ import annotations
@@ -20,7 +22,7 @@ import hashlib
 import os
 import struct
 from dataclasses import dataclass
-from typing import Callable, Iterator
+from typing import Callable, Iterable, Iterator
 
 from .cells import CellKey, DomainKey, MoreKeysProbe, decode_key, neighbors
 from .envs.base import EnvSnapshot, peek_config_hash
@@ -81,7 +83,9 @@ class Archive:
         # Bit b set: neighbor slot b of the key is missing from the archive.
         self.missing_neighbors: dict[DomainKey, int] = {}
         self._pos_index: dict[tuple[int, int, int, int], list[DomainKey]] = {}
-        self._sorted_keys: list[CellKey] | None = None
+        self._encoded: dict[CellKey, bytes] = {}
+        self._sorted_keys: list[CellKey] = []
+        self._unsorted_keys: list[CellKey] = []  # added since the last sorted_keys()
 
     def __len__(self) -> int:
         return len(self.cells)
@@ -96,9 +100,13 @@ class Archive:
             raise ContractError(f"cell {key!r} not in archive") from None
 
     def sorted_keys(self) -> list[CellKey]:
-        """Keys in canonical (encoded-bytes) order; cached between inserts."""
-        if self._sorted_keys is None:
-            self._sorted_keys = sorted(self.cells, key=lambda k: k.encode())
+        """Keys in canonical (encoded-bytes) order; cached between inserts,
+        and keys added since the last call are sorted into the cached
+        order."""
+        if self._unsorted_keys:
+            self._sorted_keys = sorted(self._sorted_keys + self._unsorted_keys,
+                                       key=self._encoded.__getitem__)
+            self._unsorted_keys = []
         return self._sorted_keys
 
     # -- updates -----------------------------------------------------------
@@ -128,7 +136,6 @@ class Archive:
             raise ContractError(f"candidate for cell {key!r} wins the merge without a snapshot")
         if record is None:
             self.cells[key] = CellRecord(trajectory, snapshot, score, traj_len)
-            self._sorted_keys = None
             self._index(key)
             return UpdateOutcome.ADDED
         record.times_seen += 1
@@ -141,10 +148,13 @@ class Archive:
         return UpdateOutcome.IMPROVED
 
     def _index(self, key: CellKey) -> None:
-        """Index a newly added key: the max level, the position index, and
-        the missing-neighbor masks of the key, of its existing grid
-        neighbors, and of the same-position keys whose more-keys slot it
-        fills. Archives only grow, so masks only lose bits."""
+        """Index a newly added key: its encoding, and for a domain key the
+        max level, the position index, and the missing-neighbor masks of the
+        key, of its existing grid neighbors, and of the same-position keys
+        whose more-keys slot it fills. Archives only grow, so masks only
+        lose bits."""
+        self._encoded[key] = key.encode()
+        self._unsorted_keys.append(key)
         if not isinstance(key, DomainKey):
             return
         if key.level > self.max_level:
@@ -185,7 +195,7 @@ class Archive:
         for key, record in self.cells.items():
             if predicate is not None and not predicate(key, record):
                 continue
-            rank = (-record.score, record.traj_len, key.encode())
+            rank = (-record.score, record.traj_len, self._encoded[key])
             if best is None or rank < best[:3]:
                 best = (*rank, key, record)
         if best is None:
@@ -261,7 +271,7 @@ def _layout(archive: Archive, meta: RunMeta | None) -> Iterator[bytes]:
         parts = []
         for key in ordered[start:start + _CHUNK_ROWS]:
             record = archive.cells[key]
-            enc = key.encode()
+            enc = archive._encoded[key]
             tail = record.trajectory.tail
             snapshot = record.snapshot
             parts.append(struct.pack("<I", len(enc)))
@@ -360,16 +370,17 @@ def _parse_body(body: bytes) -> tuple[Archive, RunMeta]:
     return archive, meta
 
 
-def checkpoint_save(archive: Archive, path, meta: RunMeta | None = None) -> None:
-    """Write :func:`serialize_archive`'s bytes to ``path`` without holding
-    them in memory, atomically: the layout streams into ``<path>.tmp`` with
-    the checksum fed as it goes, the file is fsynced and then renamed over
-    ``path``. A write that fails partway leaves ``path`` as it was."""
+def write_checksummed(path, chunks: Iterable[bytes]) -> None:
+    """Write the concatenated ``chunks`` and their sha256 to ``path``
+    atomically and without holding them in memory: the chunks stream into
+    ``<path>.tmp`` with the checksum fed as they go, the file is fsynced and
+    then renamed over ``path``. A write that fails partway leaves ``path``
+    as it was and removes the temporary file."""
     tmp = f"{os.fspath(path)}.tmp"
     digest = hashlib.sha256()
     try:
         with open(tmp, "wb") as fh:
-            for chunk in _layout(archive, meta):
+            for chunk in chunks:
                 digest.update(chunk)
                 fh.write(chunk)
             fh.write(digest.digest())
@@ -382,6 +393,12 @@ def checkpoint_save(archive: Archive, path, meta: RunMeta | None = None) -> None
         except FileNotFoundError:
             pass
         raise
+
+
+def checkpoint_save(archive: Archive, path, meta: RunMeta | None = None) -> None:
+    """Write :func:`serialize_archive`'s bytes to ``path`` with
+    :func:`write_checksummed`."""
+    write_checksummed(path, _layout(archive, meta))
 
 
 def checkpoint_load(path, expected_config_hash: int | None = None) -> tuple[Archive, RunMeta]:

@@ -5,8 +5,9 @@ report. Exit codes: 0 success, 2 config error, 3 integrity/checkpoint error,
 4 shortfall or unmet precondition.
 
 All commands honor --seed; identical invocations produce bit-identical
-outputs apart from wall-clock columns. --workers sizes the logical rollout
-pool; results are guaranteed identical for any value.
+outputs apart from wall-clock columns. --workers (and the ``workers`` config
+key) is accepted and must be >= 1, but has no effect yet: rollouts run
+serially in worker order whatever its value.
 """
 
 from __future__ import annotations
@@ -236,7 +237,7 @@ def build_parser() -> argparse.ArgumentParser:
                    help="total training-frame budget (cumulative across resume)")
     p.add_argument("--resume", default=None, help="archive checkpoint to continue")
     p.add_argument("--workers", type=int, default=None,
-                   help="logical rollout pool size (results are identical for any value)")
+                   help="accepted (>= 1) but has no effect yet: rollouts run serially")
     p.set_defaults(func=cmd_explore)
 
     p = sub.add_parser("robustify", help="run the backward-curriculum phase")

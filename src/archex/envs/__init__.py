@@ -15,7 +15,7 @@ from .base import (
 )
 from .gridworld import GridWorld
 from .suite import DeceptiveCorridor, KeyDoorWorld, TwoMaze
-from .wrappers import RandomNoops, StickyActions, force_noops, wrap_noops, wrap_sticky
+from .wrappers import StickyActions, force_noops, wrap_sticky
 
 __all__ = [
     "ACTION_COUNT",
@@ -30,12 +30,10 @@ __all__ = [
     "GridWorld",
     "KeyDoorWorld",
     "Observation",
-    "RandomNoops",
     "SnapshotEnv",
     "StepResult",
     "StickyActions",
     "TwoMaze",
     "force_noops",
-    "wrap_noops",
     "wrap_sticky",
 ]

@@ -7,10 +7,11 @@ skipped frames. Counters are kept in both units and ``game_frames ==
 training_frames * frame_skip`` always holds, including for snapshots taken
 mid-episode.
 
-Stepping does not render: a :class:`StepResult` carries the reward, the done
-flag and the ground-truth features, and a frame is drawn only by
-:meth:`SnapshotEnv.render` (or :meth:`SnapshotEnv.observe`, which renders),
-so callers that never read pixels never pay for them.
+Stepping computes only what every caller reads: a :class:`StepResult`
+carries the reward and the done flag. The ground-truth features come from
+:meth:`SnapshotEnv.features` and a frame from :meth:`SnapshotEnv.render` (or
+:meth:`SnapshotEnv.observe`, which does both), so callers that never read
+features or pixels never pay for them.
 """
 
 from __future__ import annotations
@@ -18,6 +19,7 @@ from __future__ import annotations
 import hashlib
 import struct
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -43,8 +45,7 @@ _DELTAS = {
 }
 
 
-@dataclass(frozen=True, slots=True)
-class DomainInfo:
+class DomainInfo(NamedTuple):
     """Ground-truth features a frame classifier would extract.
 
     ``x``/``y`` are the agent position in tile units of the global grid,
@@ -70,7 +71,6 @@ class Observation:
 class StepResult:
     reward: float
     done: bool
-    info: DomainInfo
 
 
 @dataclass(frozen=True, slots=True)
@@ -143,7 +143,6 @@ class SnapshotEnv:
     def __init__(self) -> None:
         self.config_hash: int = 0
         self.frame_skip: int = 4
-        self.episode_end_policy: str = "timeout"
         self._done = True
 
     # -- interface -------------------------------------------------------
@@ -162,6 +161,10 @@ class SnapshotEnv:
 
     def observe(self) -> Observation:
         """The current frame and features; renders."""
+        raise NotImplementedError
+
+    def features(self) -> DomainInfo:
+        """The ground-truth features of the current state."""
         raise NotImplementedError
 
     def render(self) -> np.ndarray:

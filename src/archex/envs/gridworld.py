@@ -12,9 +12,14 @@ identical repeats, and the step reward is the total produced during that
 window). ``game_frames == training_frames * frame_skip`` holds exactly,
 including in snapshots taken mid-episode.
 
-:meth:`step` does not render. :meth:`render` is the only renderer; it is
-called where a frame is read: :meth:`observe` (and so :meth:`reset`), the
-downscaled-cell mapper, and ``archex replay --render``.
+:meth:`step` returns only the reward and the done flag. :meth:`features`
+builds the ground-truth features where they are read (exploration
+rollouts, replay verification, demonstration building), and :meth:`render`
+is the only renderer, called where a frame is read: :meth:`observe` (and so
+:meth:`reset`), the downscaled-cell mapper, and ``archex replay --render``.
+:meth:`discrete_state` keeps the part of its tuple that only pickups, door
+openings, treasures, level advances, reset and restore change, so between
+those events it costs one tuple concatenation.
 """
 
 from __future__ import annotations
@@ -64,6 +69,11 @@ class GridWorld(SnapshotEnv):
     treasures, the room geometry, and behaviour switches (``hazard_policy``
     is ``"kill"`` or ``"respawn"``, ``treasure_mode`` is ``"level"`` or
     ``"collect"``).
+
+    The dynamic state (position, level, ``held``, ``keys_taken``,
+    ``doors_open``, ``treasures_taken``) changes only through :meth:`step`,
+    :meth:`reset` and :meth:`restore`, which keep :meth:`discrete_state`'s
+    cached part current.
     """
 
     def __init__(
@@ -114,7 +124,12 @@ class GridWorld(SnapshotEnv):
         self._score = 0.0
         self._training_frames = 0
         self._game_frames = 0
+        # discrete_state() after (x, y, level); None once a change voids it.
+        self._state_tail: tuple[int, ...] | None = None
 
+        # room_of(x, y) == _room_col[x] + _room_row[y], filled in by _build().
+        self._room_col: list[int] = []
+        self._room_row: list[int] = []
         self._key_at: dict[tuple[int, int], int] = {}
         self._door_at: dict[tuple[int, int], int] = {}
         self._treasure_at: dict[tuple[int, int], int] = {}
@@ -129,6 +144,14 @@ class GridWorld(SnapshotEnv):
         self._key_at = {p: i for i, p in enumerate(self.key_positions)}
         self._door_at = {p: i for i, p in enumerate(self.door_positions)}
         self._treasure_at = {p: i for i, p in enumerate(self.treasure_positions)}
+        if self.rooms is None:
+            self._room_col = [0] * self.width
+            self._room_row = [0] * self.height
+        else:
+            rows, cols, w, h = self.rooms
+            self._room_col = [min((x - 1) // (w + 1), cols - 1) for x in range(self.width)]
+            self._room_row = [min((y - 1) // (h + 1), rows - 1) * cols
+                              for y in range(self.height)]
         self._validate_layout()
         self.config_hash = config_hash_from_lines(self.config_lines())
         self._prerender()
@@ -174,12 +197,8 @@ class GridWorld(SnapshotEnv):
     # -- geometry ----------------------------------------------------------
 
     def room_of(self, x: int, y: int) -> int:
-        if self.rooms is None:
-            return 0
-        rows, cols, w, h = self.rooms
-        rc = min((x - 1) // (w + 1), cols - 1)
-        rr = min((y - 1) // (h + 1), rows - 1)
-        return rr * cols + rc
+        """Room index of a tile inside the grid, by two table lookups."""
+        return self._room_col[x] + self._room_row[y]
 
     def room_count(self) -> int:
         if self.rooms is None:
@@ -232,6 +251,7 @@ class GridWorld(SnapshotEnv):
                     # Unlocking consumes the frame and the lowest-room key.
                     self.held = self.held[1:]
                     self.doors_open.add(self._door_at[(nx, ny)])
+                    self._state_tail = None
             else:
                 self.x, self.y = nx, ny
 
@@ -243,6 +263,7 @@ class GridWorld(SnapshotEnv):
                 self.keys_taken.add(idx)
                 room = self.room_of(*pos)
                 self.held = tuple(sorted(self.held + (room,)))
+                self._state_tail = None
                 reward += self.key_rewards[idx]
         elif code == TILE_TREASURE:
             idx = self._treasure_at[pos]
@@ -251,6 +272,7 @@ class GridWorld(SnapshotEnv):
                 self._advance_level()
             elif idx not in self.treasures_taken:
                 self.treasures_taken.add(idx)
+                self._state_tail = None
                 reward += self.treasure_values[idx]
         elif code == TILE_HAZARD:
             if self.hazard_policy == "kill":
@@ -265,6 +287,7 @@ class GridWorld(SnapshotEnv):
         self.held = ()
         self.keys_taken.clear()
         self.doors_open.clear()
+        self._state_tail = None
         self.x, self.y = self.spawn
 
     def step(self, action: int) -> StepResult:
@@ -277,7 +300,7 @@ class GridWorld(SnapshotEnv):
         if not self._done and self._game_frames >= self.time_limit_game_frames:
             self._done = True
         self._score += total
-        return StepResult(total, self._done, self._info())
+        return StepResult(total, self._done)
 
     def reset(self, seed: int = 0) -> tuple[Observation, EnvSnapshot]:
         del seed  # the base environment is deterministic
@@ -287,6 +310,7 @@ class GridWorld(SnapshotEnv):
         self.keys_taken.clear()
         self.doors_open.clear()
         self.treasures_taken.clear()
+        self._state_tail = None
         self._score = 0.0
         self._training_frames = 0
         self._game_frames = 0
@@ -295,17 +319,11 @@ class GridWorld(SnapshotEnv):
 
     # -- observation -------------------------------------------------------
 
-    def _info(self) -> DomainInfo:
-        return DomainInfo(
-            x=self.x,
-            y=self.y,
-            room=self.room_of(self.x, self.y),
-            level=self.level,
-            key_rooms=self.held,
-        )
+    def features(self) -> DomainInfo:
+        return DomainInfo(self.x, self.y, self.room_of(self.x, self.y), self.level, self.held)
 
     def observe(self) -> Observation:
-        return Observation(frame=self.render(), features=self._info())
+        return Observation(frame=self.render(), features=self.features())
 
     def _prerender(self) -> None:
         tp = self.tile_px
@@ -435,18 +453,19 @@ class GridWorld(SnapshotEnv):
         self.keys_taken = set(seqs[1])
         self.doors_open = set(seqs[2])
         self.treasures_taken = set(seqs[3])
+        self._state_tail = None
 
     def discrete_state(self) -> tuple[int, ...]:
-        return (
-            self.x,
-            self.y,
-            self.level,
-            len(self.held),
-            *self.held,
-            len(self.keys_taken),
-            *sorted(self.keys_taken),
-            len(self.doors_open),
-            *sorted(self.doors_open),
-            len(self.treasures_taken),
-            *sorted(self.treasures_taken),
-        )
+        tail = self._state_tail
+        if tail is None:
+            tail = self._state_tail = (
+                len(self.held),
+                *self.held,
+                len(self.keys_taken),
+                *sorted(self.keys_taken),
+                len(self.doors_open),
+                *sorted(self.doors_open),
+                len(self.treasures_taken),
+                *sorted(self.treasures_taken),
+            )
+        return (self.x, self.y, self.level) + tail

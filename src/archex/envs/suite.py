@@ -57,7 +57,6 @@ class TwoMaze(GridWorld):
         self.base = _blank_grid(self.width, self.height)
         self.render_scope = "grid"
         self.rooms = None
-        self.episode_end_policy = "timeout"
 
         right0 = arm_cols + 2  # first column of the right arm
         for i in range(arm_rows):
@@ -136,7 +135,6 @@ class KeyDoorWorld(GridWorld):
         self.hazard_policy = hazard_policy
         self.treasure_mode = "level"
         self.render_scope = "room"
-        self.episode_end_policy = "hazard-kill" if hazard_policy == "kill" else "timeout"
 
         n_rooms = rooms_rows * rooms_cols
         for room in range(n_rooms):
@@ -265,7 +263,6 @@ class DeceptiveCorridor(GridWorld):
         self.hazard_penalty = hazard_penalty
         self.treasure_mode = "collect"
         self.render_scope = "room"
-        self.episode_end_policy = "timeout"
 
         for room in range(n_rooms):
             ox, oy = self.room_origin(room)

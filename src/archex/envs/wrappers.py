@@ -1,19 +1,27 @@
 """Stochasticity wrappers used for robustification and evaluation.
 
 The base environments are deterministic; test-time stochasticity is layered
-on through these wrappers. Wrapper randomness is reseeded by ``reset(seed)``
+on through :class:`StickyActions`. Wrapper randomness is reseeded by ``reset(seed)``
 and is *not* part of snapshots: restoring a snapshot rewinds the world, not
-the noise stream, so repeated restores see fresh perturbations.
+the noise stream, so repeated restores see fresh perturbations. Random
+no-op starts have no wrapper: evaluation and robustification draw the count
+from their own streams and step :func:`force_noops`.
 """
 
 from __future__ import annotations
 
+from typing import Iterator
+
+import numpy as np
+
 from ..errors import ConfigError
 from ..seeding import TAG_WRAPPER, stream
-from .base import EnvSnapshot, Observation, SnapshotEnv, StepResult
+from .base import DomainInfo, EnvSnapshot, Observation, SnapshotEnv, StepResult
 
 _SALT_STICKY = 1
-_SALT_NOOP = 2
+# Uniforms drawn per refill of StickyActions' block; Generator.random(n)
+# yields the same values as n successive Generator.random() calls.
+_STICKY_BLOCK = 256
 
 
 class _Delegate(SnapshotEnv):
@@ -37,10 +45,6 @@ class _Delegate(SnapshotEnv):
         return self.inner.config_hash
 
     @property
-    def episode_end_policy(self) -> str:  # type: ignore[override]
-        return self.inner.episode_end_policy
-
-    @property
     def cum_score(self) -> float:
         return self.inner.cum_score
 
@@ -50,6 +54,12 @@ class _Delegate(SnapshotEnv):
 
     def observe(self) -> Observation:
         return self.inner.observe()
+
+    def features(self) -> DomainInfo:
+        return self.inner.features()
+
+    def render(self) -> np.ndarray:
+        return self.inner.render()
 
     def discrete_state(self) -> tuple[int, ...]:
         return self.inner.discrete_state()
@@ -73,7 +83,12 @@ class _Delegate(SnapshotEnv):
 class StickyActions(_Delegate):
     """With probability ``p`` per training frame, repeat the last executed
     action instead of the submitted one. The first action after a reset or a
-    restore is never replaced."""
+    restore is never replaced.
+
+    The uniforms come from a private stream reseeded by :meth:`reset`, drawn
+    in blocks: the draw sequence is the same as one ``random()`` call per
+    decision, and the unused rest of a block is dropped at the next reset.
+    """
 
     def __init__(self, inner: SnapshotEnv, p: float) -> None:
         if not 0.0 <= p < 1.0:
@@ -82,11 +97,13 @@ class StickyActions(_Delegate):
         self.p = p
         self._prev: int | None = None
         self._rng = stream(0, TAG_WRAPPER, _SALT_STICKY)
+        self._uniforms: Iterator[float] = iter(())
         self.replaced_count = 0
         self.step_count = 0
 
     def reset(self, seed: int) -> tuple[Observation, EnvSnapshot]:
         self._rng = stream(seed, TAG_WRAPPER, _SALT_STICKY)
+        self._uniforms = iter(())
         self._prev = None
         return self.inner.reset(seed)
 
@@ -96,38 +113,17 @@ class StickyActions(_Delegate):
 
     def step(self, action: int) -> StepResult:
         executed = action
-        if self._prev is not None and self.p > 0.0 and self._rng.random() < self.p:
-            executed = self._prev
-            self.replaced_count += 1
+        if self._prev is not None and self.p > 0.0:
+            u = next(self._uniforms, None)
+            if u is None:
+                self._uniforms = iter(self._rng.random(_STICKY_BLOCK).tolist())
+                u = next(self._uniforms)
+            if u < self.p:
+                executed = self._prev
+                self.replaced_count += 1
         self.step_count += 1
         self._prev = executed
         return self.inner.step(executed)
-
-
-class RandomNoops(_Delegate):
-    """Inject a uniform number of no-op actions in [0, max_noops] on reset,
-    before control passes to the agent."""
-
-    def __init__(self, inner: SnapshotEnv, max_noops: int) -> None:
-        if max_noops < 0:
-            raise ConfigError("max_noops must be >= 0")
-        super().__init__(inner)
-        self.max_noops = max_noops
-        self._rng = stream(0, TAG_WRAPPER, _SALT_NOOP)
-        self.last_noops = 0
-
-    def reset(self, seed: int) -> tuple[Observation, EnvSnapshot]:
-        self._rng = stream(seed, TAG_WRAPPER, _SALT_NOOP)
-        obs, snap = self.inner.reset(seed)
-        n = int(self._rng.integers(0, self.max_noops + 1)) if self.max_noops else 0
-        self.last_noops = n
-        for _ in range(n):
-            if self.inner.done:
-                break
-            self.inner.step(self.inner.noop_action)
-        if n:
-            obs, snap = self.inner.observe(), self.inner.snapshot()
-        return obs, snap
 
 
 def wrap_sticky(env: SnapshotEnv, p: float) -> SnapshotEnv:
@@ -137,16 +133,8 @@ def wrap_sticky(env: SnapshotEnv, p: float) -> SnapshotEnv:
     return StickyActions(env, p)
 
 
-def wrap_noops(env: SnapshotEnv, max_noops: int) -> SnapshotEnv:
-    """Identity when max_noops == 0, else a :class:`RandomNoops` wrapper."""
-    if max_noops == 0:
-        return env
-    return RandomNoops(env, max_noops)
-
-
 def force_noops(env: SnapshotEnv, n: int) -> None:
-    """Step exactly ``n`` no-ops; the evaluation protocol's deterministic
-    counterpart of :class:`RandomNoops`."""
+    """Step ``n`` no-ops, fewer if the episode ends first."""
     for _ in range(n):
         if env.done:
             break

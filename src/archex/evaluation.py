@@ -70,22 +70,26 @@ def evaluate_policy(
     """Run the full no-op sweep and return the grand mean and raw scores.
 
     Episode RNG streams are derived from (seed, noop, episode), so scores are
-    reproducible and episodes are independent of evaluation order.
+    reproducible and episodes are independent of evaluation order. Episodes
+    run one after another on the one environment ``env_factory`` makes;
+    actions go through the sticky-action wrapper, while ``policy.act`` and
+    the loop read the unwrapped environment.
     """
     protocol = protocol.validate()
-    env = wrap_sticky(env_factory(), protocol.sticky_p)
-    frame_cap = protocol.time_limit_game_frames // max(1, env.frame_skip)
+    base = env_factory()
+    env = wrap_sticky(base, protocol.sticky_p)
+    frame_cap = protocol.time_limit_game_frames // max(1, base.frame_skip)
     scores: list[tuple[int, int, float]] = []
     for noop in range(protocol.max_noop + 1):
         for episode in range(protocol.min_episodes):
             rng = stream(seed, TAG_EVAL, noop, episode)
             env.reset(int(rng.integers(2**63)))
             force_noops(env, noop)
-            frames = env.frame_counters()[1]
-            while not env.done and frames < frame_cap:
-                env.step(policy.act(env, rng))
+            frames = base.frame_counters()[1]
+            while not base.done and frames < frame_cap:
+                env.step(policy.act(base, rng))
                 frames += 1
-            scores.append((noop, episode, env.cum_score))
+            scores.append((noop, episode, base.cum_score))
     gmean, per_noop = grand_mean((n, s) for n, _, s in scores)
     return EvalResult(grand_mean=gmean, per_noop=per_noop, scores=scores)
 

@@ -138,7 +138,7 @@ def explore_from(
             terminated = True
             break
         trajectory = trajectory.extend(action)
-        info = result.info
+        info = env.features()
         key = mapper(env, info)
         score = env.cum_score
         bar = best.get(key)
@@ -444,18 +444,15 @@ def replay_record(
 ) -> None:
     """Replay a record's trajectory from reset and verify score, final cell,
     and snapshot bytes against what the archive stored."""
-    obs, _ = env.reset(seed)
-    final_info = obs.features
+    env.reset(seed)
     for action in record.trajectory.actions():
-        result = env.step(action)
-        if result.done:
+        if env.step(action).done:
             raise IntegrityError("stored trajectory ends an episode early")
-        final_info = result.info
     if env.cum_score != record.score:
         raise IntegrityError(
             f"replayed score {env.cum_score} != stored {record.score}"
         )
-    if mapper(env, final_info) != key:
+    if mapper(env, env.features()) != key:
         raise IntegrityError("replayed trajectory lands in a different cell")
     if env.snapshot().state_bytes != record.snapshot.state_bytes:
         raise IntegrityError("replayed snapshot differs from stored snapshot")

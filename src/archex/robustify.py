@@ -20,11 +20,11 @@ import hashlib
 import struct
 from collections import deque
 from dataclasses import dataclass, field
-from typing import Callable, Sequence
+from typing import Callable, Iterator, Sequence
 
 import numpy as np
 
-from .archive import Archive, CellRecord
+from .archive import Archive, CellRecord, write_checksummed
 from .cells import CellKey, DomainKey
 from .envs.base import EnvSnapshot, SnapshotEnv
 from .errors import (
@@ -97,26 +97,22 @@ def build_demonstration(
     if stride < 1:
         raise ConfigError("snapshot stride must be >= 1")
     actions = record.trajectory.actions()
-    obs, snap = env.reset(0)
+    _, snap = env.reset(0)
     cum = [0.0]
     snaps = {0: snap}
-    level = obs.features.level if obs.features else 0
     for i, action in enumerate(actions, start=1):
-        result = env.step(action)
-        if result.done:
+        if env.step(action).done:
             raise IntegrityError("demonstration steps through an episode end")
         cum.append(env.cum_score)
         if i % stride == 0:
             snaps[i] = env.snapshot()
-        level = result.info.level
     if env.cum_score != record.score:
         raise IntegrityError(
             f"demonstration replays to {env.cum_score}, archive says {record.score}"
         )
     if env.snapshot().state_bytes != record.snapshot.state_bytes:
         raise IntegrityError("demonstration end state differs from archive snapshot")
-    if isinstance(key, DomainKey):
-        level = key.level
+    level = key.level if isinstance(key, DomainKey) else env.features().level
     return Demonstration(actions, cum, snaps, stride, level, cum[-1], label)
 
 
@@ -197,10 +193,6 @@ class RewardShaping:
         if self.mode not in ("clip", "scale"):
             raise ConfigError(f"unknown reward shaping mode {self.mode!r}")
         return self
-
-
-def shape_reward(reward: float, shaping: RewardShaping) -> float:
-    return shaping(reward)
 
 
 def early_terminate(
@@ -302,15 +294,24 @@ class TabularQLearner(Learner):
 
 
 class GreedyTabularPolicy(Policy):
+    """Greedy in a fixed Q table; states it has not seen get a uniformly
+    random action from the episode stream.
+
+    The greedy action of each state (the first maximum of its row) is
+    computed once, here: later changes to ``q`` do not reach the policy.
+    """
+
     def __init__(self, q: dict[tuple, list[float]], n_actions: int) -> None:
         self.q = q
         self.n_actions = n_actions
+        actions = range(n_actions)
+        self.greedy = {state: max(actions, key=row.__getitem__) for state, row in q.items()}
 
     def act(self, env: SnapshotEnv, rng: np.random.Generator) -> int:
-        row = self.q.get(env.discrete_state())
-        if row is None:
+        action = self.greedy.get(env.discrete_state())
+        if action is None:
             return int(rng.integers(self.n_actions))
-        return max(range(self.n_actions), key=row.__getitem__)
+        return action
 
 
 class ReplayOracleLearner(Learner):
@@ -427,7 +428,8 @@ def backward_run(
         raise ShortfallError("backward_run needs at least one demonstration")
     interval = cfg.advance_interval or 200 * len(demos)
     materialize_env = env_factory()          # deterministic, for snapshot fill-in
-    env = wrap_sticky(env_factory(), cfg.sticky_p)
+    base = env_factory()
+    env = wrap_sticky(base, cfg.sticky_p)    # steps go through the wrapper, reads to base
 
     progress = [
         DemoProgress(
@@ -480,30 +482,32 @@ def backward_run(
             force_noops(env, int(rng.integers(0, cfg.max_noops + 1)))
 
         learner.begin_rollout(demo, start)
-        score_at_start = env.cum_score
+        score_at_start = base.cum_score
         demo_rel = demo.relative_cum(start)
         rel = [0.0]
         transitions: list[tuple] = []
-        success = env.cum_score >= demo.score
+        success = score_at_start >= demo.score
+        state = None if success else base.discrete_state()
         while not success:
             t_rel = len(rel) - 1
-            if env.done:
+            if base.done:
                 break
             if cfg.rollout_frame_cap is not None and t_rel >= cfg.rollout_frame_cap:
                 break
             if early_terminate(rel, demo_rel, start + t_rel, start,
                                cfg.window, cfg.allowed_deficit):
                 break
-            state = env.discrete_state()
             action = learner.act(state, rng)
             result = env.step(action)
             frames += 1
-            rel.append(env.cum_score - score_at_start)
+            score = base.cum_score
+            rel.append(score - score_at_start)
+            next_state = base.discrete_state()
             transitions.append(
-                (state, action, cfg.shaping(result.reward),
-                 env.discrete_state(), result.done)
+                (state, action, cfg.shaping(result.reward), next_state, result.done)
             )
-            success = env.cum_score >= demo.score
+            state = next_state
+            success = score >= demo.score
         learner.update(transitions)
 
         attempts += 1
@@ -523,14 +527,14 @@ def backward_run(
                     prog.zero_confirmed = True
                 prog.history.append((attempts, prog.max_starting_point))
                 take_checkpoint()
-            emit_row(env.cum_score)
+            emit_row(base.cum_score)
 
         if (cfg.checkpoint_interval_attempts
                 and attempts % cfg.checkpoint_interval_attempts == 0):
             take_checkpoint()
 
     take_checkpoint()
-    emit_row(env.cum_score if attempts else float("nan"))
+    emit_row(base.cum_score if attempts else float("nan"))
     return BackwardResult(
         progress=rows,
         demo_progress=progress,
@@ -546,21 +550,21 @@ def _pack_state(state: tuple) -> bytes:
     return struct.pack(f"<H{len(state)}q", len(state), *state)
 
 
+def _policy_layout(checkpoint: PolicyCheckpoint, config_hash: int) -> Iterator[bytes]:
+    """The policy checkpoint body: header, then one piece per Q row in
+    encoded-state order."""
+    yield POLICY_MAGIC + struct.pack(
+        "<HQQQIQ", POLICY_VERSION, config_hash, checkpoint.min_msp,
+        checkpoint.attempts, checkpoint.n_actions, len(checkpoint.q),
+    )
+    row = struct.Struct(f"<{checkpoint.n_actions}d")
+    for enc, state in sorted((_pack_state(s), s) for s in checkpoint.q):
+        yield struct.pack("<I", len(enc)) + enc + row.pack(*checkpoint.q[state])
+
+
 def save_policy(checkpoint: PolicyCheckpoint, path, config_hash: int) -> None:
-    parts = [
-        POLICY_MAGIC,
-        struct.pack("<HQQQI", POLICY_VERSION, config_hash,
-                    checkpoint.min_msp, checkpoint.attempts, checkpoint.n_actions),
-        struct.pack("<Q", len(checkpoint.q)),
-    ]
-    for state in sorted(checkpoint.q, key=_pack_state):
-        enc = _pack_state(state)
-        parts.append(struct.pack("<I", len(enc)))
-        parts.append(enc)
-        parts.append(struct.pack(f"<{checkpoint.n_actions}d", *checkpoint.q[state]))
-    body = b"".join(parts)
-    with open(path, "wb") as fh:
-        fh.write(body + hashlib.sha256(body).digest())
+    """Write a policy checkpoint atomically (:func:`write_checksummed`)."""
+    write_checksummed(path, _policy_layout(checkpoint, config_hash))
 
 
 def load_policy(path, expected_config_hash: int | None = None) -> PolicyCheckpoint:

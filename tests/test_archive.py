@@ -258,6 +258,43 @@ def test_more_keys_neighbor_lookup(env, snap):
     assert archive.has_neighbor(MoreKeysProbe(base))
 
 
+def test_sorted_keys_follow_encoding_across_inserts_and_load(env, snap):
+    """The cached order equals a full sort by encoding after interleaved
+    inserts (domain and downscaled keys, negative bins) and after a
+    checkpoint load; lists handed out earlier are left as they were."""
+    import numpy as np
+
+    from archex.cells import DownscaledKey
+
+    rng = np.random.default_rng(5)
+
+    def random_key():
+        if rng.random() < 0.2:
+            return DownscaledKey(2, 2, 8, bytes(rng.integers(0, 9, 4).tolist()))
+        rooms = tuple(sorted(rng.integers(0, 4, int(rng.integers(0, 3))).tolist()))
+        return key(*rng.integers(-300, 300, 2).tolist(), int(rng.integers(4)),
+                   int(rng.integers(3)), rooms)
+
+    def full_sort(archive):
+        return sorted(archive.cells, key=lambda k: k.encode())
+
+    archive = fresh_archive(env)
+    handed_out = []
+    for batch in range(12):
+        for _ in range(int(rng.integers(0, 40))):
+            archive.insert_or_update(random_key(), Trajectory(), 0.0, 0, snap)
+        order = archive.sorted_keys()
+        assert order == full_sort(archive)
+        handed_out.append((order, list(order)))
+    assert all(order == copy for order, copy in handed_out)
+
+    loaded, _ = deserialize_archive(serialize_archive(archive))
+    assert loaded.sorted_keys() == full_sort(archive)
+    for _ in range(30):
+        loaded.insert_or_update(random_key(), Trajectory(), 0.0, 0, snap)
+    assert loaded.sorted_keys() == full_sort(loaded)
+
+
 # -- checkpoints -------------------------------------------------------------------------
 
 

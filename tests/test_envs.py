@@ -9,17 +9,16 @@ from archex.envs import (
     ACTION_RIGHT,
     ACTION_UP,
     KeyDoorWorld,
-    RandomNoops,
     StickyActions,
     TwoMaze,
     force_noops,
-    wrap_noops,
     wrap_sticky,
 )
 from archex.envs.gridworld import TILE_DOOR, TILE_HAZARD, TILE_WALL
 from archex.errors import ConfigError, ContractError, SnapshotFormatError
 
 from conftest import (
+    ENV_FACTORIES,
     bfs_reachable_states,
     drive,
     small_corridor,
@@ -206,6 +205,80 @@ def test_truncated_snapshot_rejected(any_env):
         any_env.restore(bad)
 
 
+# -- features and discrete state against a recomputation -------------------------
+
+
+def room_oracle(env, x, y):
+    if env.rooms is None:
+        return 0
+    rows, cols, w, h = env.rooms
+    return min((y - 1) // (h + 1), rows - 1) * cols + min((x - 1) // (w + 1), cols - 1)
+
+
+def state_oracle(env):
+    return (
+        env.x, env.y, env.level,
+        len(env.held), *env.held,
+        len(env.keys_taken), *sorted(env.keys_taken),
+        len(env.doors_open), *sorted(env.doors_open),
+        len(env.treasures_taken), *sorted(env.treasures_taken),
+    )
+
+
+EVENTS_EXPECTED = {
+    "twomaze": {"reset", "restore"},
+    "keydoor": {"reset", "restore", "pickup", "door", "level"},
+    "corridor": {"reset", "restore", "respawn", "treasure"},
+}
+
+
+@pytest.mark.parametrize("world", sorted(EVENTS_EXPECTED))
+def test_cached_state_and_features_match_recomputation(world):
+    """Random action streams that return to random earlier states reach
+    pickups, door openings, level advances, hazard respawns and treasures;
+    after every step, restore and reset the cached discrete_state() and
+    features() equal a recomputation from the dynamic state."""
+    env = ENV_FACTORIES[world]()
+    assert all(env.room_of(x, y) == room_oracle(env, x, y)
+               for x in range(env.width) for y in range(env.height))
+    rng = np.random.default_rng(11)
+    events = set()
+    _, snap = env.reset(0)
+    seen = {env.discrete_state(): snap}
+    action = ACTION_NOOP
+    for _ in range(6000):
+        u = rng.random()
+        if u < 0.01 or env.done:
+            env.reset(0)
+            events.add("reset")
+        elif u < 0.06:
+            snaps = list(seen.values())
+            env.restore(snaps[int(rng.integers(len(snaps)))])
+            events.add("restore")
+        else:
+            if rng.random() < 0.3:
+                action = int(rng.integers(env.action_count))
+            counts = (env.level, len(env.keys_taken), len(env.doors_open),
+                      len(env.treasures_taken))
+            reward = env.step(action).reward
+            after = (env.level, len(env.keys_taken), len(env.doors_open),
+                     len(env.treasures_taken))
+            for name, old, new in zip(("level", "pickup", "door", "treasure"),
+                                      counts, after):
+                if new > old:
+                    events.add(name)
+            if reward < 0:
+                events.add("respawn")
+            if not env.done and state_oracle(env) not in seen:
+                seen[state_oracle(env)] = env.snapshot()
+        state = env.discrete_state()
+        assert state == state_oracle(env)
+        assert env.discrete_state() == state
+        assert env.features() == (env.x, env.y, room_oracle(env, env.x, env.y),
+                                  env.level, env.held)
+    assert EVENTS_EXPECTED[world] <= events
+
+
 # -- sticky wrapper -------------------------------------------------------------
 
 
@@ -242,29 +315,31 @@ def test_sticky_chain_resets_on_restore():
 
 
 def test_sticky_replacement_pattern_matches_independent_enumeration():
-    """Fixed RNG stream: re-derive the substitution pattern externally."""
+    """Fixed RNG stream: re-derive the substitution pattern externally with
+    one scalar draw per decision, across several of the wrapper's blocks of
+    draws, restores (which skip a decision) and a reseeding reset."""
     from archex.seeding import TAG_WRAPPER, stream
 
-    p = 0.25
-    seed = 77
-    submitted = random_actions(4, 200)
-    env = StickyActions(small_twomaze(), p)
-    env.reset(seed)
-    executed = []
-    for a in submitted:
-        if env.done:
-            break
-        env.step(a)
-        executed.append(env._prev)
-
-    rng = stream(seed, TAG_WRAPPER, 1)  # same derivation the wrapper uses
-    expect, prev = [], None
-    for a in submitted[: len(executed)]:
-        if prev is not None and rng.random() < p:
-            a = prev
-        expect.append(a)
-        prev = a
+    p = 0.3
+    env = StickyActions(small_twomaze(time_limit_game_frames=10**9), p)
+    submitted = random_actions(9, 1500)
+    executed, expect = [], []
+    for seed in (3, 8):
+        env.reset(seed)
+        snap = env.snapshot()
+        rng, prev = stream(seed, TAG_WRAPPER, 1), None
+        for i, a in enumerate(submitted):
+            if i % 400 == 399:
+                env.restore(snap)
+                prev = None
+            env.step(a)
+            executed.append(env._prev)
+            if prev is not None and rng.random() < p:
+                a = prev
+            expect.append(a)
+            prev = a
     assert executed == expect
+    assert env.step_count == 3000
 
 
 def test_sticky_empirical_frequency():
@@ -280,25 +355,7 @@ def test_sticky_empirical_frequency():
     assert abs(freq - p) < 0.01
 
 
-# -- no-op wrapper ----------------------------------------------------------------
-
-
-def test_noops_identity_at_zero():
-    env = small_twomaze()
-    assert wrap_noops(env, 0) is env
-
-
-def test_noop_counts_cover_full_range():
-    env = RandomNoops(small_twomaze(), 30)
-    values = {env.reset(seed)[1].training_frames for seed in range(400)}
-    assert values == set(range(31))  # 31 possible starts
-
-
-def test_noop_seeded_reset_reproducible():
-    env = RandomNoops(small_twomaze(), 30)
-    n1 = env.reset(42)[1].training_frames
-    n2 = env.reset(42)[1].training_frames
-    assert n1 == n2
+# -- forced no-ops ----------------------------------------------------------------
 
 
 def test_force_noops_exact():
@@ -418,7 +475,7 @@ def test_keydoor_hazard_kills():
     env.step(ACTION_RIGHT)
     result = env.step(ACTION_UP)
     assert result.done
-    assert env.episode_end_policy == "hazard-kill"
+    assert env.hazard_policy == "kill"
 
 
 def test_corridor_hazard_respawns_with_penalty():
@@ -435,7 +492,7 @@ def test_corridor_hazard_respawns_with_penalty():
     assert hit
     assert (env.x, env.y) == start  # respawn at the room edge
     assert not env.done
-    assert env.episode_end_policy == "timeout"
+    assert env.hazard_policy == "respawn"
 
 
 def test_corridor_negative_expected_reward_short_rollouts():

@@ -71,7 +71,6 @@ class ScriptedEnv:
     noop_action = 0
     frame_skip = 1
     config_hash = 0
-    episode_end_policy = "scripted"
 
     def __init__(self, table):
         self.table = table  # (noop, episode) -> score
@@ -102,12 +101,12 @@ class ScriptedEnv:
         self._frames += 1
         if action == self.noop_action and self._score == 0.0:
             self._noops += 1
-            return StepResult(0.0, False, None)
+            return StepResult(0.0, False)
         episode = self.episode_of_noop.get(self._noops, 0)
         self.episode_of_noop[self._noops] = episode + 1
         self._score = float(self.table[self._noops][episode])
         self._done = True
-        return StepResult(self._score, True, None)
+        return StepResult(self._score, True)
 
     def frame_counters(self):
         return (self._frames, self._frames)

@@ -25,7 +25,6 @@ from archex.robustify import (
     load_policy,
     save_policy,
     select_demonstrations,
-    shape_reward,
     truncate_demo,
 )
 from archex.selection import SelectionConfig
@@ -173,23 +172,23 @@ def test_truncate_no_positive_reward_errors():
 
 def test_shape_clip():
     clip = RewardShaping("clip")
-    assert shape_reward(-5.0, clip) == -1.0
-    assert shape_reward(0.5, clip) == 0.5
-    assert shape_reward(3000.0, clip) == 1.0
+    assert clip(-5.0) == -1.0
+    assert clip(0.5) == 0.5
+    assert clip(3000.0) == 1.0
 
 
 def test_shape_scale():
     scale = RewardShaping("scale", 0.001)
-    assert shape_reward(3000.0, scale) == 3.0
-    assert shape_reward(-1.0, scale) == -0.001
+    assert scale(3000.0) == 3.0
+    assert scale(-1.0) == -0.001
 
 
 @settings(max_examples=50, deadline=None)
 @given(rewards=st.lists(st.floats(-1000, 1000, allow_nan=False), max_size=30))
 def test_scale_commutes_with_sum(rewards):
     scale = RewardShaping("scale", 0.001)
-    shaped_then_summed = sum(shape_reward(r, scale) for r in rewards)
-    summed_then_shaped = shape_reward(sum(rewards), scale)
+    shaped_then_summed = sum(scale(r) for r in rewards)
+    summed_then_shaped = scale(sum(rewards))
     assert shaped_then_summed == pytest.approx(summed_then_shaped, abs=1e-9)
 
 
@@ -198,7 +197,7 @@ def test_scale_commutes_with_sum(rewards):
 def test_scale_preserves_order(a, b):
     scale = RewardShaping("scale", 0.001)
     if a < b:
-        assert shape_reward(a, scale) < shape_reward(b, scale)
+        assert scale(a) < scale(b)
 
 
 # -- early termination -----------------------------------------------------------------
@@ -412,6 +411,65 @@ def test_tabular_robustification_under_stochasticity(kd_result):
     assert outcome.grand_mean >= demos[0].score
 
 
+def test_greedy_table_is_first_max_argmax():
+    """Each state's frozen action is the first maximum of its row (ties
+    included); unseen states draw from the episode stream."""
+    from archex.robustify import GreedyTabularPolicy
+
+    rng = np.random.default_rng(2)
+    q = {(i,): [float(v) for v in rng.integers(-2, 3, 5)] for i in range(300)}
+    q[(300,)] = [0.0] * 5
+    q[(301,)] = [-1.0, 4.0, 4.0, 0.0, 4.0]
+    assert sum(len(set(row)) < 5 for row in q.values()) > 200  # ties are common
+    policy = GreedyTabularPolicy(q, 5)
+
+    class StateEnv:
+        state = None
+
+        def discrete_state(self):
+            return self.state
+
+    env = StateEnv()
+    for state, row in q.items():
+        env.state = state
+        assert policy.act(env, None) == int(np.argmax(row)) == row.index(max(row))
+    assert policy.greedy[(300,)] == 0 and policy.greedy[(301,)] == 1
+    env.state = (999,)
+    draws = [policy.act(env, np.random.default_rng(7)) for _ in range(3)]
+    assert draws == [int(np.random.default_rng(7).integers(5))] * 3
+
+
+def test_robustify_and_evaluate_golden(kd_result, tmp_path):
+    """Policy file bytes and evaluation scores of a small fixed run, pinned
+    to the values the per-step implementation produced."""
+    import hashlib
+
+    from archex.evaluation import EvalProtocol, evaluate_policy
+
+    demo = select_demonstrations([kd_result.archive], 1, small_keydoor())[0]
+    first_level = next(i for i, c in enumerate(demo.cum_rewards) if c >= 1100.0)
+    demo = truncate_demo(demo, max_frames=first_level, to_last_reward=True)
+    cfg = BackwardConfig(success_threshold=0.4, advance_interval=50, delta=8, window=50,
+                         sticky_p=0.25, max_noops=30, frame_budget=15_000,
+                         rollout_frame_cap=400)
+    learner = TabularQLearner(5, TabularQConfig(alpha=0.3, gamma=0.98, epsilon=0.1))
+    result = backward_run([demo], learner, small_keydoor, cfg, seed=3)
+    assert (result.attempts, result.frames, result.min_starting_point()) == (310, 15052, 63)
+    path = tmp_path / "policy.ckpt"
+    save_policy(result.checkpoints[-1], path, small_keydoor().config_hash)
+    assert hashlib.sha256(path.read_bytes()).hexdigest() == (
+        "bc39a63118742b26fa02ac39052bf993086a889fa73b8d27369bf6c42cdf2fe8"
+    )
+    protocol = EvalProtocol(max_noop=6, min_episodes=3, sticky_p=0.25,
+                            time_limit_game_frames=2_000)
+    outcome = evaluate_policy(learner.policy(), small_keydoor, protocol, seed=17)
+    assert [score for _, _, score in outcome.scores] == [
+        100.0, 100.0, 100.0, 100.0, 100.0, 100.0, 100.0, 0.0, 0.0, 100.0, 100.0,
+        100.0, 0.0, 0.0, 0.0, 0.0, 0.0, 100.0, 100.0, 0.0, 0.0,
+    ]
+    assert outcome.grand_mean == 57.142857142857146
+
+
 # -- policy checkpoints -------------------------------------------------------------------
 
 
@@ -433,6 +491,32 @@ def test_policy_checkpoint_roundtrip(tmp_path):
     path.write_bytes(bytes(bad))
     with pytest.raises(CheckpointError):
         load_policy(path)
+
+
+def test_policy_write_failing_partway_keeps_previous(tmp_path, monkeypatch):
+    import archex.robustify as robustify_module
+    from archex.robustify import PolicyCheckpoint
+
+    q = {(i, i + 1): [float(i)] * 5 for i in range(50)}
+    path = tmp_path / "p.ckpt"
+    save_policy(PolicyCheckpoint(q=q, n_actions=5, min_msp=3, attempts=9), path, 7)
+    before = path.read_bytes()
+
+    layout = robustify_module._policy_layout
+
+    def failing_layout(checkpoint, config_hash):
+        pieces = layout(checkpoint, config_hash)
+        yield next(pieces)
+        yield next(pieces)
+        raise OSError("disk full")
+
+    monkeypatch.setattr(robustify_module, "_policy_layout", failing_layout)
+    with pytest.raises(OSError):
+        save_policy(PolicyCheckpoint(q={(1,): [0.0] * 5, (2,): [1.0] * 5}, n_actions=5,
+                                     min_msp=0, attempts=10), path, 7)
+    assert path.read_bytes() == before
+    assert [p.name for p in tmp_path.iterdir()] == ["p.ckpt"]
+    assert load_policy(path, 7).q == q
 
 
 def test_best_checkpoint_retests_winner():
