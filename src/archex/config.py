@@ -39,7 +39,6 @@ PRESETS: dict[str, dict[str, str]] = {
         "select.w_chosen": "0.1",
         "select.w_chosen_since_new": "0",
         "select.w_seen": "0.3",
-        "select.batch_size": "100",
         "explore.batch": "100",
     },
     # Domain features with neighbor and key weighting.
@@ -52,7 +51,6 @@ PRESETS: dict[str, dict[str, str]] = {
         "select.w_horizontal": "0.3",
         "select.w_vertical": "0.1",
         "select.w_more_keys": "10",
-        "select.batch_size": "1000",
         "explore.batch": "1000",
     },
     # Domain features, count-driven, no key tracking.
@@ -66,7 +64,6 @@ PRESETS: dict[str, dict[str, str]] = {
         "select.w_vertical": "0",
         "select.w_more_keys": "0",
         "select.track_keys": "false",
-        "select.batch_size": "1000",
         "explore.batch": "1000",
     },
 }
@@ -329,13 +326,12 @@ def build_config(values: dict[str, str]) -> ExperimentConfig:
         level_decay=r.floating("select.level_decay", 0.1),
         domain_mode=r.boolean("select.domain_mode", mode == "domain"),
         track_keys=r.boolean("select.track_keys", True),
-        batch_size=r.integer("select.batch_size", 100),
     ).validate()
 
     explore = ExploreConfig(
         k=r.integer("explore.k", 100),
         repeat_p=r.floating("explore.repeat_p", 0.95),
-        batch_size=r.integer("explore.batch", selection.batch_size),
+        batch_size=r.integer("explore.batch", 100),
         budget_training_frames=r.integer("explore.budget_training_frames", 1_000_000),
         seed=r.integer("explore.seed", 0),
         return_mode=r.string("explore.return_mode", "restore"),

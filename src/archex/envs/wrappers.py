@@ -12,11 +12,9 @@ from __future__ import annotations
 
 from typing import Iterator
 
-import numpy as np
-
 from ..errors import ConfigError
 from ..seeding import TAG_WRAPPER, stream
-from .base import DomainInfo, EnvSnapshot, Observation, SnapshotEnv, StepResult
+from .base import EnvSnapshot, Observation, SnapshotEnv, StepResult
 
 _SALT_STICKY = 1
 # Uniforms drawn per refill of StickyActions' block; Generator.random(n)
@@ -24,63 +22,7 @@ _SALT_STICKY = 1
 _STICKY_BLOCK = 256
 
 
-class _Delegate(SnapshotEnv):
-    def __init__(self, inner: SnapshotEnv) -> None:
-        self.inner = inner
-
-    @property
-    def action_count(self) -> int:  # type: ignore[override]
-        return self.inner.action_count
-
-    @property
-    def noop_action(self) -> int:  # type: ignore[override]
-        return self.inner.noop_action
-
-    @property
-    def frame_skip(self) -> int:  # type: ignore[override]
-        return self.inner.frame_skip
-
-    @property
-    def config_hash(self) -> int:  # type: ignore[override]
-        return self.inner.config_hash
-
-    @property
-    def cum_score(self) -> float:
-        return self.inner.cum_score
-
-    @property
-    def done(self) -> bool:
-        return self.inner.done
-
-    def observe(self) -> Observation:
-        return self.inner.observe()
-
-    def features(self) -> DomainInfo:
-        return self.inner.features()
-
-    def render(self) -> np.ndarray:
-        return self.inner.render()
-
-    def discrete_state(self) -> tuple[int, ...]:
-        return self.inner.discrete_state()
-
-    def frame_counters(self) -> tuple[int, int]:
-        return self.inner.frame_counters()
-
-    def snapshot(self) -> EnvSnapshot:
-        return self.inner.snapshot()
-
-    def step(self, action: int) -> StepResult:
-        return self.inner.step(action)
-
-    def reset(self, seed: int) -> tuple[Observation, EnvSnapshot]:
-        return self.inner.reset(seed)
-
-    def restore(self, snap: EnvSnapshot) -> None:
-        self.inner.restore(snap)
-
-
-class StickyActions(_Delegate):
+class StickyActions:
     """With probability ``p`` per training frame, repeat the last executed
     action instead of the submitted one. The first action after a reset or a
     restore is never replaced.
@@ -88,18 +30,30 @@ class StickyActions(_Delegate):
     The uniforms come from a private stream reseeded by :meth:`reset`, drawn
     in blocks: the draw sequence is the same as one ``random()`` call per
     decision, and the unused rest of a block is dropped at the next reset.
+
+    It forwards only ``noop_action`` and :meth:`snapshot` to ``inner``, the
+    environment underneath; read anything else there. A ``__getattr__``
+    forward would make :meth:`step` about a quarter slower: CPython stops
+    specializing attribute loads on a class that defines one.
     """
 
     def __init__(self, inner: SnapshotEnv, p: float) -> None:
         if not 0.0 <= p < 1.0:
             raise ConfigError("sticky probability must satisfy 0 <= p < 1")
-        super().__init__(inner)
+        self.inner = inner
         self.p = p
         self._prev: int | None = None
         self._rng = stream(0, TAG_WRAPPER, _SALT_STICKY)
         self._uniforms: Iterator[float] = iter(())
         self.replaced_count = 0
         self.step_count = 0
+
+    @property
+    def noop_action(self) -> int:
+        return self.inner.noop_action
+
+    def snapshot(self) -> EnvSnapshot:
+        return self.inner.snapshot()
 
     def reset(self, seed: int) -> tuple[Observation, EnvSnapshot]:
         self._rng = stream(seed, TAG_WRAPPER, _SALT_STICKY)
@@ -126,7 +80,7 @@ class StickyActions(_Delegate):
         return self.inner.step(executed)
 
 
-def wrap_sticky(env: SnapshotEnv, p: float) -> SnapshotEnv:
+def wrap_sticky(env: SnapshotEnv, p: float) -> SnapshotEnv | StickyActions:
     """Identity when p == 0, else a :class:`StickyActions` wrapper."""
     if p == 0.0:
         return env
@@ -134,8 +88,7 @@ def wrap_sticky(env: SnapshotEnv, p: float) -> SnapshotEnv:
 
 
 def force_noops(env: SnapshotEnv, n: int) -> None:
-    """Step ``n`` no-ops, fewer if the episode ends first."""
+    """Step ``n`` no-ops on a live episode, fewer if the episode ends first."""
     for _ in range(n):
-        if env.done:
+        if env.step(env.noop_action).done:
             break
-        env.step(env.noop_action)

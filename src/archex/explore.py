@@ -25,7 +25,7 @@ from typing import Callable, NamedTuple
 from .archive import Archive, CellRecord, RunMeta, UpdateOutcome, beats
 from .cells import CellKey, CellMapper
 from .envs.base import SnapshotEnv
-from .errors import ConfigError, IntegrityError
+from .errors import ConfigError, ContractError, IntegrityError
 from .seeding import TAG_BASELINE, TAG_EXPLORE, TAG_SELECT, stream
 from .selection import SelectionConfig, cell_probs, sample_batch
 from .trajectory import Trajectory
@@ -204,9 +204,23 @@ def run_iteration(
     origins = sample_batch(table, cfg.batch_size, stream(cfg.seed, TAG_SELECT, iteration))
     for key in origins:
         archive.record_chosen(key)
+    return _roll_out(archive, env, cfg, mapper, origins, TAG_EXPLORE, iteration)
+
+
+def _roll_out(
+    archive: Archive,
+    env: SnapshotEnv,
+    cfg: ExploreConfig,
+    mapper: CellMapper,
+    origins: list[CellKey],
+    tag: int,
+    iteration: int,
+) -> IterationStats:
+    """Explore from each origin on stream (seed, tag, iteration, worker),
+    then merge the results in worker order."""
     results = []
     for worker, key in enumerate(origins):
-        rng = stream(cfg.seed, TAG_EXPLORE, iteration, worker)
+        rng = stream(cfg.seed, tag, iteration, worker)
         results.append(explore_from(env, key, archive, rng, cfg, mapper))
     return merge_results(archive, results)
 
@@ -251,19 +265,10 @@ class Phase1Result:
     metrics: list[MetricsRow]
 
 
-def _seed_archive(env: SnapshotEnv, seed: int, mapper: CellMapper) -> tuple[Archive, CellKey, set[int]]:
-    obs, snap = env.reset(seed)
-    info = obs.features
-    key = mapper(obs, info)
-    archive = Archive(env.config_hash)
-    archive.insert_or_update(key, Trajectory(), 0.0, 0, snap)
-    return archive, key, {info.room}
-
-
 def run_phase1(
     env_factory: Callable[[], SnapshotEnv],
     cfg: ExploreConfig,
-    sel_cfg: SelectionConfig,
+    sel_cfg: SelectionConfig | None,
     mapper: CellMapper,
     resume: tuple[Archive, RunMeta] | None = None,
     stop_condition: Callable[[Archive, RunMeta], bool] | None = None,
@@ -274,10 +279,15 @@ def run_phase1(
     ``resume`` continues a checkpointed run bit-exactly: streams are derived
     from the iteration index, so nothing else needs restoring. The optional
     ``stop_condition`` is evaluated between iterations (milestone runs);
-    ``on_iteration`` is a hook for periodic checkpointing.
+    ``on_iteration`` is a hook for periodic checkpointing. Without a
+    selection config nothing is selected: every rollout starts from the
+    start cell, the control of :func:`baseline_from_start`.
     """
     cfg = cfg.validate()
-    sel_cfg = sel_cfg.validate()
+    if sel_cfg is not None:
+        sel_cfg = sel_cfg.validate()
+    elif resume is not None:
+        raise ContractError("the from-start control does not resume")
     env = env_factory()
     start = time.perf_counter()
 
@@ -290,7 +300,11 @@ def run_phase1(
         frames = meta.training_frames
         max_level_seen = meta.max_level_seen
     else:
-        archive, _, rooms_seen = _seed_archive(env, cfg.seed, mapper)
+        obs, snap = env.reset(cfg.seed)
+        start_key = mapper(obs, obs.features)
+        archive = Archive(env.config_hash)
+        archive.insert_or_update(start_key, Trajectory(), 0.0, 0, snap)
+        rooms_seen = {obs.features.room}
         iteration = 0
         frames = 0
         max_level_seen = 0
@@ -324,7 +338,11 @@ def run_phase1(
     while frames < cfg.budget_training_frames:
         if stop_condition is not None and stop_condition(archive, snap_meta()):
             break
-        stats = run_iteration(archive, env, sel_cfg, cfg, iteration, mapper)
+        if sel_cfg is None:
+            origins = [start_key] * cfg.batch_size
+            stats = _roll_out(archive, env, cfg, mapper, origins, TAG_BASELINE, iteration)
+        else:
+            stats = run_iteration(archive, env, sel_cfg, cfg, iteration, mapper)
         iteration += 1
         frames += stats.frames
         game_frames = frames * env.frame_skip
@@ -348,51 +366,10 @@ def baseline_from_start(
     stop_condition: Callable[[Archive, RunMeta], bool] | None = None,
 ) -> Phase1Result:
     """Control condition: identical random exploration, but every rollout
-    starts from the reset state. Discoveries land in a shadow archive that is
-    never used to pick starting points."""
-    cfg = cfg.validate()
-    env = env_factory()
-    start = time.perf_counter()
-    archive, start_key, rooms_seen = _seed_archive(env, cfg.seed, mapper)
-    iteration = 0
-    frames = 0
-    max_level_seen = 0
-    metrics: list[MetricsRow] = []
-    game_frames = 0
-    next_sample = cfg.metric_interval_game_frames
-
-    while frames < cfg.budget_training_frames:
-        meta = RunMeta(cfg.seed, iteration, frames, game_frames,
-                       frozenset(rooms_seen), max_level_seen)
-        if stop_condition is not None and stop_condition(archive, meta):
-            break
-        results = []
-        for worker in range(cfg.batch_size):
-            rng = stream(cfg.seed, TAG_BASELINE, iteration, worker)
-            results.append(explore_from(env, start_key, archive, rng, cfg, mapper))
-        stats = merge_results(archive, results)
-        iteration += 1
-        frames += stats.frames
-        game_frames = frames * env.frame_skip
-        rooms_seen |= stats.rooms
-        max_level_seen = max(max_level_seen, stats.max_level, archive.max_level)
-        while game_frames >= next_sample:
-            metrics.append(
-                MetricsRow(game_frames, frames, len(archive), len(rooms_seen),
-                           archive.max_score(), max_level_seen,
-                           time.perf_counter() - start)
-            )
-            next_sample += cfg.metric_interval_game_frames
-
-    meta = RunMeta(cfg.seed, iteration, frames, game_frames,
-                   frozenset(rooms_seen), max_level_seen)
-    if not metrics or metrics[-1].game_frames != game_frames:
-        metrics.append(
-            MetricsRow(game_frames, frames, len(archive), len(rooms_seen),
-                       archive.max_score(), max_level_seen,
-                       time.perf_counter() - start)
-        )
-    return Phase1Result(archive=archive, meta=meta, metrics=metrics)
+    starts from the reset state, on its own ``TAG_BASELINE`` stream.
+    Discoveries land in a shadow archive that is never used to pick starting
+    points, so no cell is ever counted as chosen."""
+    return run_phase1(env_factory, cfg, None, mapper, stop_condition=stop_condition)
 
 
 def myopic_greedy_baseline(

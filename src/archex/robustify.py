@@ -427,9 +427,11 @@ def backward_run(
     if not demos:
         raise ShortfallError("backward_run needs at least one demonstration")
     interval = cfg.advance_interval or 200 * len(demos)
-    materialize_env = env_factory()          # deterministic, for snapshot fill-in
     base = env_factory()
     env = wrap_sticky(base, cfg.sticky_p)    # steps go through the wrapper, reads to base
+    # Each demo's (max_starting_point, snapshot there): the start changes
+    # only at an advance, so the replay fill-in runs once per start.
+    starts: list[tuple[int, EnvSnapshot] | None] = [None] * len(demos)
 
     progress = [
         DemoProgress(
@@ -476,8 +478,10 @@ def backward_run(
         prog = progress[demo_idx]
         start = prog.max_starting_point
 
+        if starts[demo_idx] is None or starts[demo_idx][0] != start:
+            starts[demo_idx] = (start, demo.snapshot_at(start, base))
         env.reset(int(rng.integers(2**63)))
-        env.restore(demo.snapshot_at(start, materialize_env))
+        env.restore(starts[demo_idx][1])
         if start == 0 and cfg.max_noops > 0:
             force_noops(env, int(rng.integers(0, cfg.max_noops + 1)))
 

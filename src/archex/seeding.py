@@ -27,9 +27,3 @@ def stream(seed: int, tag: int, *indices: int) -> Generator:
     )
     return Generator(PCG64(SeedSequence(entropy=entropy)))
 
-
-def wrapper_seed(seed: int, *indices: int) -> int:
-    """Derive an integer seed for environment wrappers from a parent seed."""
-    ss = SeedSequence(entropy=(int(seed) & 0xFFFFFFFFFFFFFFFF, TAG_WRAPPER)
-                      + tuple(int(i) & 0xFFFFFFFFFFFFFFFF for i in indices))
-    return int(ss.generate_state(1, dtype="uint64")[0])

@@ -54,7 +54,6 @@ class SelectionConfig:
     level_decay: float = 0.1
     domain_mode: bool = False
     track_keys: bool = True
-    batch_size: int = 100
 
     def validate(self) -> "SelectionConfig":
         for name in ("w_chosen", "w_chosen_since_new", "w_seen",
@@ -68,8 +67,6 @@ class SelectionConfig:
             raise ConfigError("eps1 and eps2 must be > 0")
         if not 0 < self.level_decay <= 1:
             raise ConfigError("level_decay must be in (0, 1]")
-        if self.batch_size < 1:
-            raise ConfigError("batch_size must be >= 1")
         return self
 
 

@@ -45,5 +45,3 @@ class Trajectory:
     def __repr__(self) -> str:
         return f"Trajectory(length={self.length})"
 
-
-EMPTY = Trajectory()

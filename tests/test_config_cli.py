@@ -2,12 +2,13 @@
 
 import csv
 import hashlib
+import re
 from pathlib import Path
 
 import pytest
 
 from archex.cli import main
-from archex.config import build_config, load_config, parse_text
+from archex.config import _Reader, build_config, load_config, parse_text
 from archex.errors import ConfigError
 
 
@@ -47,9 +48,11 @@ def test_parse_errors():
 
 
 def test_unknown_key_rejected():
-    with pytest.raises(ConfigError) as err:
-        build_config(parse_text(BASE + "explore.bogus = 3\n"))
-    assert "explore.bogus" in str(err.value)
+    # select.batch_size is no key: explore.batch is the one batch-size key
+    for key in ("explore.bogus", "select.batch_size"):
+        with pytest.raises(ConfigError) as err:
+            build_config(parse_text(BASE + f"{key} = 3\n"))
+        assert key in str(err.value)
 
 
 def test_type_errors_name_the_field():
@@ -87,7 +90,6 @@ def test_preset_domain_loads_table_values():
     assert cfg.selection.w_horizontal == 0.3
     assert cfg.selection.w_vertical == 0.1
     assert cfg.selection.w_more_keys == 10.0
-    assert cfg.selection.batch_size == 1000
     assert cfg.explore.batch_size == 5  # explicit keys beat the preset
     cfg2 = build_config(parse_text("preset = montezuma-like-domain\nenv.type = twomaze\n"))
     assert cfg2.explore.batch_size == 1000
@@ -100,7 +102,7 @@ def test_preset_nodomain_loads_table_values():
     assert cfg.selection.w_chosen == 0.1
     assert cfg.selection.w_chosen_since_new == 0.0
     assert cfg.selection.w_seen == 0.3
-    assert cfg.selection.batch_size == 100
+    assert cfg.explore.batch_size == 100
     assert cfg.representation.mode == "downscale"
     assert cfg.representation.downscale == (11, 8, 8)
     assert not cfg.selection.domain_mode
@@ -113,6 +115,30 @@ def test_preset_pitfall_disables_keys():
     assert cfg.selection.w_horizontal == 1.0
     assert cfg.selection.w_vertical == 0.0
     assert not cfg.selection.track_keys
+    assert cfg.explore.batch_size == 1000
+
+
+def test_readme_config_block_loads(monkeypatch):
+    """The README's config reference loads once its placeholder (empty)
+    lines are dropped, names every key build_config reads, and names no key
+    it does not."""
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    block = readme.split("```ini\n", 1)[1].split("```", 1)[0]
+    documented = parse_text(block, source="README.md")
+    read: set[str] = set()
+    raw = _Reader._raw
+
+    def recording_raw(self, key):
+        read.add(key)
+        return raw(self, key)
+
+    monkeypatch.setattr(_Reader, "_raw", recording_raw)
+    build_config({k: v for k, v in documented.items() if v})
+    for env_type in ("twomaze", "corridor"):  # their keys are in comments
+        build_config({"env.type": env_type})
+    named = set(documented) | set(re.findall(r"\b[a-z]+\.[a-z_]+", block))
+    assert sorted(read - named) == []
+    assert sorted(set(documented) - read - {"preset"}) == []
 
 
 def test_unknown_preset():

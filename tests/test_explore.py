@@ -1,10 +1,14 @@
 """Exploration loop semantics: rollouts, merging, budgets, reproducibility."""
 
+import hashlib
+
 import numpy as np
+import pytest
 
 from archex.archive import Archive, serialize_archive
 from archex.cells import domain_mapper
 from archex.envs import ACTION_NOOP
+from archex.errors import ContractError
 from archex.explore import (
     ExploreConfig,
     baseline_from_start,
@@ -294,6 +298,51 @@ def test_baseline_shadow_archive_untouched_by_selection():
     result = baseline_from_start(small_twomaze, cfg, MAPPER)
     assert len(result.archive) > 1
     assert all(r.times_chosen == 0 for _, r in result.archive.items())
+
+
+def test_baseline_does_not_resume():
+    """The from-start control knows its start cell only from a fresh seed."""
+    run = run_phase1(small_twomaze, cfg_with(budget_training_frames=200),
+                     SelectionConfig(), MAPPER)
+    with pytest.raises(ContractError):
+        run_phase1(small_twomaze, cfg_with(), None, MAPPER,
+                   resume=(run.archive, run.meta))
+
+
+BASELINE_GOLDEN = {
+    # name: (factory, budget, metric interval, stop at this many cells,
+    #        shadow archive sha256, metrics rows without wall_seconds, final meta)
+    "twomaze": (
+        small_twomaze, 2000, 3000, None,
+        "5763723bb0fd273d561650ef54ab65e2b651cd87853f9b49dca85f11d864e68e",
+        [(3200, 800, 17, 1, 0.0, 0), (6000, 1500, 19, 1, 0.0, 0),
+         (8000, 2000, 19, 1, 0.0, 0)],
+        (20, 2000, 8000, {0}, 0),
+    ),
+    "keydoor": (
+        small_keydoor, 6000, 4000, 50,
+        "c8dad60a631eedb339fabe40adf6e4cf1f66c887352eefe145cfcee971f254df",
+        [(4000, 1000, 34, 3, 100.0, 0), (8000, 2000, 45, 3, 100.0, 0),
+         (10000, 2500, 50, 3, 100.0, 0)],
+        (25, 2500, 10000, {0, 1, 2}, 0),
+    ),
+}
+
+
+@pytest.mark.parametrize("name", sorted(BASELINE_GOLDEN))
+def test_baseline_golden(name):
+    """Pinned shadow-archive bytes, metrics rows and final meta of the
+    from-start control, computed before it shared the Phase-1 loop."""
+    factory, budget, interval, stop_cells, digest, rows, meta = BASELINE_GOLDEN[name]
+    cfg = cfg_with(budget_training_frames=budget, seed=3,
+                   metric_interval_game_frames=interval)
+    stop = None if stop_cells is None else (lambda archive, _: len(archive) >= stop_cells)
+    result = baseline_from_start(factory, cfg, MAPPER, stop_condition=stop)
+    assert hashlib.sha256(serialize_archive(result.archive)).hexdigest() == digest
+    assert [tuple(r)[:-1] for r in result.metrics] == rows
+    m = result.meta
+    assert (m.seed, m.iteration, m.training_frames, m.game_frames,
+            set(m.rooms_seen), m.max_level_seen) == (3, *meta)
 
 
 # -- myopic greedy baseline -------------------------------------------------------------
