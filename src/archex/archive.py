@@ -301,18 +301,17 @@ def serialize_archive(archive: Archive, meta: RunMeta | None = None) -> bytes:
 
 
 def deserialize_archive(data: bytes) -> tuple[Archive, RunMeta]:
-    if len(data) < 40 or data[:8] != CHECKPOINT_MAGIC:
-        raise CheckpointError("not an archive checkpoint")
-    body, digest = data[:-32], data[-32:]
-    if hashlib.sha256(body).digest() != digest:
-        raise CheckpointError("archive checkpoint is corrupt (checksum mismatch)")
+    return _parse_body(_checksummed_body(data, CHECKPOINT_MAGIC, "archive checkpoint"))
+
+
+def _parse_body(body: bytes) -> tuple[Archive, RunMeta]:
     try:
-        return _parse_body(body)
+        return _parse_fields(body)
     except (struct.error, ValueError, IndexError) as exc:
         raise CheckpointError(f"archive checkpoint is corrupt: {exc}") from exc
 
 
-def _parse_body(body: bytes) -> tuple[Archive, RunMeta]:
+def _parse_fields(body: bytes) -> tuple[Archive, RunMeta]:
     offset = 8
     version, config_hash, seed, iteration, tf, gf, n_rooms = struct.unpack_from(
         "<HQQQQQI", body, offset
@@ -395,6 +394,27 @@ def write_checksummed(path, chunks: Iterable[bytes]) -> None:
         raise
 
 
+def read_checksummed(path, magic: bytes, what: str) -> bytes:
+    """The body of a file :func:`write_checksummed` wrote, once its magic
+    and sha256 check out; an unreadable or failing file raises
+    :class:`CheckpointError`, with ``what`` naming the kind of file."""
+    try:
+        with open(path, "rb") as fh:
+            data = fh.read()
+    except OSError as exc:
+        raise CheckpointError(f"cannot read {what} {path}: {exc}") from exc
+    return _checksummed_body(data, magic, what)
+
+
+def _checksummed_body(data: bytes, magic: bytes, what: str) -> bytes:
+    if len(data) < len(magic) + 32 or data[:len(magic)] != magic:
+        raise CheckpointError(f"not a valid {what}")
+    body, digest = data[:-32], data[-32:]
+    if hashlib.sha256(body).digest() != digest:
+        raise CheckpointError(f"{what} is corrupt (checksum mismatch)")
+    return body
+
+
 def checkpoint_save(archive: Archive, path, meta: RunMeta | None = None) -> None:
     """Write :func:`serialize_archive`'s bytes to ``path`` with
     :func:`write_checksummed`."""
@@ -402,9 +422,7 @@ def checkpoint_save(archive: Archive, path, meta: RunMeta | None = None) -> None
 
 
 def checkpoint_load(path, expected_config_hash: int | None = None) -> tuple[Archive, RunMeta]:
-    with open(path, "rb") as fh:
-        data = fh.read()
-    archive, meta = deserialize_archive(data)
+    archive, meta = _parse_body(read_checksummed(path, CHECKPOINT_MAGIC, "archive checkpoint"))
     if expected_config_hash is not None and archive.config_hash != expected_config_hash:
         raise CheckpointError("archive checkpoint is from a different env config")
     return archive, meta

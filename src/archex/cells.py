@@ -138,15 +138,7 @@ def downscale_cell(frame: np.ndarray, params: DownscaleParams) -> DownscaledKey:
 
 def domain_cell(info: DomainInfo, grid_size: int) -> DomainKey:
     """Bin the agent position into grid_size x grid_size cells."""
-    if grid_size < 1:
-        raise ConfigError("grid_size must be >= 1")
-    return DomainKey(
-        x_bin=info.x // grid_size,
-        y_bin=info.y // grid_size,
-        room=info.room,
-        level=info.level,
-        key_rooms=tuple(sorted(info.key_rooms)),
-    )
+    return domain_mapper(grid_size)(None, info)
 
 
 class NeighborKind(enum.Enum):
@@ -203,6 +195,8 @@ def neighbors(key: CellKey, include_more_keys: bool = True) -> list[Neighbor]:
 FrameSource = Union[Observation, SnapshotEnv]
 CellMapper = Callable[[FrameSource, DomainInfo], CellKey]
 
+DOWNSCALE_MEMO_LIMIT = 200_000  # frames a downscale mapper memoises before clearing
+
 
 def frame_of(source: FrameSource) -> np.ndarray:
     """An observation's frame, or a fresh render of an environment."""
@@ -211,7 +205,7 @@ def frame_of(source: FrameSource) -> np.ndarray:
     return source.render()
 
 
-def downscale_mapper(params: DownscaleParams, cache_limit: int = 200_000) -> CellMapper:
+def downscale_mapper(params: DownscaleParams) -> CellMapper:
     """Mapper with a frame-bytes memo; identical frames repeat constantly."""
     params = params.validate()
     cache: dict[bytes, DownscaledKey] = {}
@@ -223,7 +217,7 @@ def downscale_mapper(params: DownscaleParams, cache_limit: int = 200_000) -> Cel
         key = cache.get(raw)
         if key is None:
             key = downscale_cell(frame, params)
-            if len(cache) >= cache_limit:
+            if len(cache) >= DOWNSCALE_MEMO_LIMIT:
                 cache.clear()
             cache[raw] = key
         return key

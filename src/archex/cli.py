@@ -35,7 +35,6 @@ from .evaluation import (
 )
 from .explore import replay_record, run_phase1, write_metrics_csv
 from .robustify import (
-    ReplayOracleLearner,
     TabularQLearner,
     backward_run,
     best_checkpoint,
@@ -71,10 +70,9 @@ def cmd_explore(args: argparse.Namespace) -> int:
     archive_path = out / "archive.ckpt"
     resume = None
     if args.resume:
-        archive, meta = checkpoint_load(args.resume)
-        factory_hash = cfg.env_factory()().config_hash
-        if archive.config_hash != factory_hash:
-            raise CheckpointError("resume checkpoint is from a different env config")
+        archive, meta = checkpoint_load(
+            args.resume, expected_config_hash=cfg.env_factory()().config_hash
+        )
         if meta.seed != cfg.explore.seed:
             raise ConfigError(
                 f"resume checkpoint was produced with seed {meta.seed}, "
@@ -131,10 +129,7 @@ def cmd_robustify(args: argparse.Namespace) -> int:
     for demo in demos:
         print(f"{demo.label}: {demo.length} frames, score {demo.score}, level {demo.level}")
 
-    if rcfg.learner == "oracle":
-        learner = ReplayOracleLearner()
-    else:
-        learner = TabularQLearner(env.action_count, rcfg.q)
+    learner = TabularQLearner(env.action_count, rcfg.q)
     result = backward_run(
         demos, learner, cfg.env_factory(), rcfg.backward, seed=cfg.explore.seed
     )
@@ -144,9 +139,6 @@ def cmd_robustify(args: argparse.Namespace) -> int:
         f"min max_starting_point {result.min_starting_point()}"
     )
     print(f"reached within 50 of frame 0: {result.reached_within(50)}")
-
-    if rcfg.learner == "oracle":
-        return 0
 
     def evaluator(checkpoint, eval_index: int) -> float:
         policy = policy_from_checkpoint(checkpoint)

@@ -3,8 +3,7 @@
 Format: one ``section.key = value`` per line, ``#`` starts a comment, blank
 lines are ignored. An optional ``preset = <name>`` line applies a named
 parameter set first; explicit keys override it. Unknown or malformed keys
-are rejected with their field path before anything runs. Environment
-variables of the form ``ARCHEX_SECTION__KEY`` override file values.
+are rejected with their field path before anything runs.
 
 Placement syntaxes:
     env.keys / env.hazards   room:x,y pairs, e.g. "5:6,1; 18:1,4"
@@ -14,7 +13,6 @@ Placement syntaxes:
 
 from __future__ import annotations
 
-import os
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Callable
@@ -26,8 +24,6 @@ from .evaluation import EvalProtocol
 from .explore import ExploreConfig
 from .robustify import BackwardConfig, RewardShaping, TabularQConfig
 from .selection import SelectionConfig
-
-ENV_PREFIX = "ARCHEX_"
 
 PRESETS: dict[str, dict[str, str]] = {
     # Downscaled-frame representation, sparse-reward weighting.
@@ -84,14 +80,6 @@ def parse_text(text: str, source: str = "<config>") -> dict[str, str]:
             raise ConfigError(f"{source}:{lineno}: duplicate key {key!r}")
         values[key] = value
     return values
-
-
-def _apply_env_overrides(values: dict[str, str]) -> None:
-    for name, value in os.environ.items():
-        if not name.startswith(ENV_PREFIX):
-            continue
-        key = name[len(ENV_PREFIX):].lower().replace("__", ".")
-        values[key] = value
 
 
 class _Reader:
@@ -208,7 +196,6 @@ class ReprConfig:
 class RobustifyConfig:
     backward: BackwardConfig = field(default_factory=BackwardConfig)
     n_demos: int = 1
-    learner: str = "tabular"  # "tabular" | "oracle"
     q: TabularQConfig = field(default_factory=TabularQConfig)
     demo_stride: int = 25
     truncate_frames: int | None = None
@@ -334,7 +321,6 @@ def build_config(values: dict[str, str]) -> ExperimentConfig:
         batch_size=r.integer("explore.batch", 100),
         budget_training_frames=r.integer("explore.budget_training_frames", 1_000_000),
         seed=r.integer("explore.seed", 0),
-        return_mode=r.string("explore.return_mode", "restore"),
         metric_interval_game_frames=r.integer(
             "explore.metric_interval_game_frames", 4_000_000
         ),
@@ -351,23 +337,15 @@ def build_config(values: dict[str, str]) -> ExperimentConfig:
             mode=shaping_mode,
             scale=r.floating("robustify.reward_scale", 0.001),
         ),
-        start_offset=r.integer("robustify.start_offset", 0),
         sticky_p=r.floating("robustify.sticky_p", 0.25),
         max_noops=r.integer("robustify.max_noops", 30),
         max_attempts=r.integer("robustify.max_attempts", 1_000_000),
         frame_budget=r.integer("robustify.frame_budget", None),
         rollout_frame_cap=r.integer("robustify.rollout_frame_cap", None),
-        checkpoint_interval_attempts=r.integer(
-            "robustify.checkpoint_interval_attempts", 0
-        ),
     ).validate()
-    learner = r.string("robustify.learner", "tabular")
-    if learner not in ("tabular", "oracle"):
-        raise ConfigError(f"robustify.learner: unknown learner {learner!r}")
     robustify = RobustifyConfig(
         backward=backward,
         n_demos=r.integer("robustify.n_demos", 1),
-        learner=learner,
         q=TabularQConfig(
             alpha=r.floating("robustify.alpha", 0.2),
             gamma=r.floating("robustify.gamma", 0.99),
@@ -414,7 +392,6 @@ def load_config(path: str | Path, overrides: dict[str, str] | None = None) -> Ex
     except OSError as exc:
         raise ConfigError(f"cannot read config {path}: {exc}") from exc
     values = parse_text(text, source=str(path))
-    _apply_env_overrides(values)
     if overrides:
         values.update(overrides)
     return build_config(values)

@@ -45,8 +45,6 @@ class StickyActions:
         self._prev: int | None = None
         self._rng = stream(0, TAG_WRAPPER, _SALT_STICKY)
         self._uniforms: Iterator[float] = iter(())
-        self.replaced_count = 0
-        self.step_count = 0
 
     @property
     def noop_action(self) -> int:
@@ -74,8 +72,6 @@ class StickyActions:
                 u = next(self._uniforms)
             if u < self.p:
                 executed = self._prev
-                self.replaced_count += 1
-        self.step_count += 1
         self._prev = executed
         return self.inner.step(executed)
 

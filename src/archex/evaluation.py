@@ -96,39 +96,34 @@ def evaluate_policy(
 
 # -- bootstrap ---------------------------------------------------------------
 
-def _resample_stats(
+def _resample_means(
     samples: np.ndarray,
     n_resamples: int,
-    statistic: Callable[[np.ndarray], float] | None,
     rng: np.random.Generator,
 ) -> np.ndarray:
     n = len(samples)
     idx = rng.integers(0, n, size=(n_resamples, n))
-    if statistic is None:
-        return samples[idx].mean(axis=1)
-    return np.array([statistic(samples[row]) for row in idx])
+    return samples[idx].mean(axis=1)
 
 
 def bootstrap_ci(
     samples: Sequence[float],
     n_resamples: int = 10_000,
     alpha: float = 0.05,
-    statistic: Callable[[np.ndarray], float] | None = None,
     rng: np.random.Generator | None = None,
 ) -> tuple[float, float]:
-    """Pivotal (empirical) bootstrap confidence interval.
+    """Pivotal (empirical) bootstrap confidence interval of the mean.
 
     With q_lo and q_hi the alpha/2 and 1-alpha/2 empirical quantiles of the
-    resampled statistic, returns (2*stat - q_hi, 2*stat - q_lo). The default
-    statistic is the mean.
+    resampled means, returns (2*mean - q_hi, 2*mean - q_lo).
     """
     data = np.asarray(samples, dtype=np.float64)
     if data.size < 2:
         raise ContractError("bootstrap_ci needs at least 2 samples")
     if rng is None:
         rng = stream(0, TAG_EVAL, 0xB005)
-    center = float(data.mean()) if statistic is None else float(statistic(data))
-    stats = _resample_stats(data, n_resamples, statistic, rng)
+    center = float(data.mean())
+    stats = _resample_means(data, n_resamples, rng)
     q_lo, q_hi = np.quantile(stats, [alpha / 2, 1 - alpha / 2], method="linear")
     return 2 * center - float(q_hi), 2 * center - float(q_lo)
 
@@ -145,7 +140,7 @@ def percentile_band(
         return float(data[0]), float(data[0])
     if rng is None:
         rng = stream(0, TAG_EVAL, 0xBA4D)
-    stats = _resample_stats(data, n_resamples, None, rng)
+    stats = _resample_means(data, n_resamples, rng)
     q_lo, q_hi = np.quantile(stats, [alpha / 2, 1 - alpha / 2], method="linear")
     return float(q_lo), float(q_hi)
 
@@ -154,7 +149,11 @@ def percentile_band(
 
 def _read_metric_csv(path) -> tuple[list[str], list[list[float]]]:
     rows = []
-    with open(path, newline="") as fh:
+    try:
+        fh = open(path, newline="")
+    except OSError as exc:
+        raise ConfigError(f"cannot read metrics CSV {path}: {exc}") from exc
+    with fh:
         reader = csv.reader(fh)
         header = next(reader, None)
         if not header or header[0] != "game_frames":

@@ -38,7 +38,6 @@ class ExploreConfig:
     batch_size: int = 100
     budget_training_frames: int = 1_000_000
     seed: int = 0
-    return_mode: str = "restore"      # "replay" re-executes actions (testing aid)
     metric_interval_game_frames: int = 4_000_000
 
     def validate(self) -> "ExploreConfig":
@@ -50,8 +49,6 @@ class ExploreConfig:
             raise ConfigError("batch_size must be >= 1")
         if self.budget_training_frames < 0:
             raise ConfigError("budget must be >= 0")
-        if self.return_mode not in ("restore", "replay"):
-            raise ConfigError(f"unknown return_mode {self.return_mode!r}")
         if self.metric_interval_game_frames < 1:
             raise ConfigError("metric interval must be >= 1")
         return self
@@ -85,7 +82,7 @@ def explore_from(
     cfg: ExploreConfig,
     mapper: CellMapper,
 ) -> RolloutResult:
-    """Return to ``origin``'s archived state and take up to ``k``
+    """Restore ``origin``'s archived snapshot and take up to ``k``
     repeat-biased random actions.
 
     The RNG contract is fixed: one ``rng.random(k)`` call for the repeat
@@ -106,14 +103,7 @@ def explore_from(
     or improve a record, and the merge never needs its snapshot.
     """
     record = archive.cells[origin]
-    if cfg.return_mode == "replay":
-        env.reset(cfg.seed)
-        for action in record.trajectory.actions():
-            env.step(action)
-        if env.snapshot().state_bytes != record.snapshot.state_bytes:
-            raise IntegrityError("replay return reached a different state")
-    else:
-        env.restore(record.snapshot)
+    env.restore(record.snapshot)
 
     repeats = rng.random(cfg.k)
     fresh = rng.integers(0, env.action_count, cfg.k)

@@ -16,7 +16,6 @@ tests.
 
 from __future__ import annotations
 
-import hashlib
 import struct
 from collections import deque
 from dataclasses import dataclass, field
@@ -24,7 +23,7 @@ from typing import Callable, Iterator, Sequence
 
 import numpy as np
 
-from .archive import Archive, CellRecord, write_checksummed
+from .archive import Archive, CellRecord, read_checksummed, write_checksummed
 from .cells import CellKey, DomainKey
 from .envs.base import EnvSnapshot, SnapshotEnv
 from .errors import (
@@ -236,16 +235,6 @@ class Learner:
     def update(self, transitions: list[tuple]) -> None:
         pass
 
-    def policy(self) -> "Policy":
-        raise NotImplementedError
-
-
-class Policy:
-    """Evaluation-time action selector."""
-
-    def act(self, env: SnapshotEnv, rng: np.random.Generator) -> int:
-        raise NotImplementedError
-
 
 @dataclass(frozen=True)
 class TabularQConfig:
@@ -293,7 +282,7 @@ class TabularQLearner(Learner):
                                    self.n_actions)
 
 
-class GreedyTabularPolicy(Policy):
+class GreedyTabularPolicy:
     """Greedy in a fixed Q table; states it has not seen get a uniformly
     random action from the episode stream.
 
@@ -302,7 +291,6 @@ class GreedyTabularPolicy(Policy):
     """
 
     def __init__(self, q: dict[tuple, list[float]], n_actions: int) -> None:
-        self.q = q
         self.n_actions = n_actions
         actions = range(n_actions)
         self.greedy = {state: max(actions, key=row.__getitem__) for state, row in q.items()}
@@ -335,9 +323,6 @@ class ReplayOracleLearner(Learner):
             return action
         return self._noop
 
-    def policy(self) -> Policy:
-        raise ContractError("the replay oracle has no standalone policy")
-
 
 # -- the control loop --------------------------------------------------------------
 
@@ -349,13 +334,11 @@ class BackwardConfig:
     window: int = 50                        # early-termination window, frames
     allowed_deficit: float = 0.0
     shaping: RewardShaping = RewardShaping("clip")
-    start_offset: int = 0                   # initial offset back from the demo end
     sticky_p: float = 0.25
     max_noops: int = 30
     max_attempts: int = 1_000_000
     frame_budget: int | None = None
     rollout_frame_cap: int | None = None
-    checkpoint_interval_attempts: int = 0   # extra checkpoints; advances always checkpoint
 
     def validate(self) -> "BackwardConfig":
         if not 0 < self.success_threshold <= 1:
@@ -366,8 +349,6 @@ class BackwardConfig:
             raise ConfigError("window must be >= 1")
         if self.advance_interval is not None and self.advance_interval < 1:
             raise ConfigError("advance_interval must be >= 1")
-        if self.start_offset < 0:
-            raise ConfigError("start_offset must be >= 0")
         self.shaping.validate()
         return self
 
@@ -376,7 +357,6 @@ class BackwardConfig:
 class DemoProgress:
     max_starting_point: int
     window: deque
-    attempts: int = 0
     attempts_since_check: int = 0
     last_rate: float = float("nan")
     zero_confirmed: bool = False
@@ -435,7 +415,7 @@ def backward_run(
 
     progress = [
         DemoProgress(
-            max_starting_point=max(0, d.length - cfg.start_offset),
+            max_starting_point=d.length,
             window=deque(maxlen=interval),
         )
         for d in demos
@@ -515,7 +495,6 @@ def backward_run(
         learner.update(transitions)
 
         attempts += 1
-        prog.attempts += 1
         prog.attempts_since_check += 1
         prog.window.append(1.0 if success else 0.0)
 
@@ -532,10 +511,6 @@ def backward_run(
                 prog.history.append((attempts, prog.max_starting_point))
                 take_checkpoint()
             emit_row(base.cum_score)
-
-        if (cfg.checkpoint_interval_attempts
-                and attempts % cfg.checkpoint_interval_attempts == 0):
-            take_checkpoint()
 
     take_checkpoint()
     emit_row(base.cum_score if attempts else float("nan"))
@@ -572,13 +547,7 @@ def save_policy(checkpoint: PolicyCheckpoint, path, config_hash: int) -> None:
 
 
 def load_policy(path, expected_config_hash: int | None = None) -> PolicyCheckpoint:
-    with open(path, "rb") as fh:
-        data = fh.read()
-    if len(data) < 40 or data[:8] != POLICY_MAGIC:
-        raise CheckpointError("not a policy checkpoint")
-    body, digest = data[:-32], data[-32:]
-    if hashlib.sha256(body).digest() != digest:
-        raise CheckpointError("policy checkpoint is corrupt (checksum mismatch)")
+    body = read_checksummed(path, POLICY_MAGIC, "policy checkpoint")
     try:
         offset = 8
         version, chash, msp, attempts, n_actions = struct.unpack_from("<HQQQI", body, offset)

@@ -1,4 +1,4 @@
-"""Config parsing, presets, env overrides, and CLI command wiring."""
+"""Config parsing, presets, and CLI command wiring."""
 
 import csv
 import hashlib
@@ -48,8 +48,11 @@ def test_parse_errors():
 
 
 def test_unknown_key_rejected():
-    # select.batch_size is no key: explore.batch is the one batch-size key
-    for key in ("explore.bogus", "select.batch_size"):
+    # select.batch_size is no key: explore.batch is the one batch-size key.
+    # The last four were settings that no run changed from their default.
+    for key in ("explore.bogus", "select.batch_size", "explore.return_mode",
+                "robustify.learner", "robustify.start_offset",
+                "robustify.checkpoint_interval_attempts"):
         with pytest.raises(ConfigError) as err:
             build_config(parse_text(BASE + f"{key} = 3\n"))
         assert key in str(err.value)
@@ -146,11 +149,13 @@ def test_unknown_preset():
         build_config({"preset": "nope"})
 
 
-def test_env_var_override(tmp_path, monkeypatch):
+def test_environment_does_not_change_config(tmp_path, monkeypatch):
+    """(seed, config) alone determine a run: no environment variable
+    overrides a config value."""
     path = write_config(tmp_path, BASE)
+    plain = load_config(path)
     monkeypatch.setenv("ARCHEX_EXPLORE__SEED", "7")
-    cfg = load_config(path)
-    assert cfg.explore.seed == 7
+    assert load_config(path) == plain
 
 
 # -- CLI ---------------------------------------------------------------------------
@@ -180,6 +185,14 @@ def test_cli_config_error_exit_2(tmp_path):
 
 def test_cli_missing_config_exit_2(tmp_path):
     assert run_cli("explore", "--config", str(tmp_path / "nope.cfg")) == 2
+
+
+def test_cli_missing_input_file_exit_codes(tmp_path):
+    path = str(write_config(tmp_path, BASE))
+    missing, out = str(tmp_path / "missing"), str(tmp_path / "out")
+    assert run_cli("replay", "--config", path, "--archive", missing) == 3
+    assert run_cli("evaluate", "--config", path, "--out", out, "--policy", missing) == 3
+    assert run_cli("report", "--out", out, missing) == 2
 
 
 def test_cli_seed_and_budget_overrides(tmp_path):

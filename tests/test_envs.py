@@ -294,24 +294,38 @@ def test_sticky_probability_bounds():
         StickyActions(small_twomaze(), -0.1)
 
 
+def record_executed(env):
+    """The list of actions that reach ``env.step`` from now on."""
+    executed = []
+    step = env.step
+
+    def recording_step(action):
+        executed.append(action)
+        return step(action)
+
+    env.step = recording_step
+    return executed
+
+
 def test_sticky_first_action_never_replaced():
     env = StickyActions(small_twomaze(), 0.999)
+    executed = record_executed(env.inner)
     env.reset(123)
     x_before = env.inner.x
     env.step(ACTION_LEFT)  # must execute LEFT: nothing to repeat yet
-    assert env.replaced_count == 0
+    assert executed == [ACTION_LEFT]
     assert env.inner.x == x_before - 1
 
 
 def test_sticky_chain_resets_on_restore():
     env = StickyActions(small_twomaze(), 0.999)
+    executed = record_executed(env.inner)
     env.reset(123)
     snap = env.snapshot()
     env.step(ACTION_LEFT)
     env.restore(snap)
-    count = env.replaced_count
     env.step(ACTION_RIGHT)  # first action after restore, never replaced
-    assert env.replaced_count == count
+    assert executed == [ACTION_LEFT, ACTION_RIGHT]
 
 
 def test_sticky_replacement_pattern_matches_independent_enumeration():
@@ -339,20 +353,24 @@ def test_sticky_replacement_pattern_matches_independent_enumeration():
             expect.append(a)
             prev = a
     assert executed == expect
-    assert env.step_count == 3000
 
 
 def test_sticky_empirical_frequency():
-    """Replacement frequency over 1e6 frames within +-0.01 of p."""
+    """Replacement frequency over 1e6 frames within +-0.01 of p. Each
+    submitted action differs from the last executed one, so a frame was
+    replaced exactly when its executed action differs from its submitted."""
     p = 0.25
     env = StickyActions(small_twomaze(time_limit_game_frames=10**9), p)
+    executed = record_executed(env.inner)
     env.reset(5)
     rng = np.random.default_rng(0)
-    actions = rng.integers(0, 5, 1_000_000)
-    for a in actions:
-        env.step(int(a))
-    freq = env.replaced_count / env.step_count
-    assert abs(freq - p) < 0.01
+    shifts = rng.integers(1, 5, 1_000_000).tolist()
+    replaced = 0
+    for shift in shifts:
+        action = (executed[-1] + shift) % 5 if executed else 0
+        env.step(action)
+        replaced += executed[-1] != action
+    assert abs(replaced / len(shifts) - p) < 0.01
 
 
 # -- forced no-ops ----------------------------------------------------------------

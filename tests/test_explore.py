@@ -249,18 +249,6 @@ def test_phase1_resume_equivalence():
     )
 
 
-def test_phase1_restore_and_replay_modes_agree():
-    base = run_phase1(small_twomaze, cfg_with(budget_training_frames=1000),
-                      SelectionConfig(), MAPPER)
-    replay = run_phase1(
-        small_twomaze,
-        cfg_with(budget_training_frames=1000, return_mode="replay"),
-        SelectionConfig(),
-        MAPPER,
-    )
-    assert serialize_archive(base.archive) == serialize_archive(replay.archive)
-
-
 def test_phase1_stop_condition():
     hits = []
 
