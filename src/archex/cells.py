@@ -29,7 +29,8 @@ from typing import Callable, NamedTuple, Union
 
 import numpy as np
 
-from .envs.base import DomainInfo, Observation, SnapshotEnv
+from .envs.base import DomainInfo, Observation
+from .envs.gridworld import GridWorld
 from .errors import ConfigError, RepresentationError
 
 
@@ -192,7 +193,7 @@ def neighbors(key: CellKey, include_more_keys: bool = True) -> list[Neighbor]:
 
 # -- mapper factories ---------------------------------------------------------
 
-FrameSource = Union[Observation, SnapshotEnv]
+FrameSource = Union[Observation, GridWorld]
 CellMapper = Callable[[FrameSource, DomainInfo], CellKey]
 
 DOWNSCALE_MEMO_LIMIT = 200_000  # frames a downscale mapper memoises before clearing

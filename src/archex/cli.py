@@ -68,17 +68,7 @@ def cmd_explore(args: argparse.Namespace) -> int:
     out = Path(cfg.out_dir)
     out.mkdir(parents=True, exist_ok=True)
     archive_path = out / "archive.ckpt"
-    resume = None
-    if args.resume:
-        archive, meta = checkpoint_load(
-            args.resume, expected_config_hash=cfg.env_factory()().config_hash
-        )
-        if meta.seed != cfg.explore.seed:
-            raise ConfigError(
-                f"resume checkpoint was produced with seed {meta.seed}, "
-                f"config says {cfg.explore.seed}"
-            )
-        resume = (archive, meta)
+    resume = checkpoint_load(args.resume) if args.resume else None
 
     interval = cfg.checkpoint_interval_iterations
 
@@ -183,7 +173,10 @@ def cmd_replay(args: argparse.Namespace) -> int:
     if args.cell == "best":
         key, record = archive.best_record()
     else:
-        wanted = bytes.fromhex(args.cell)
+        try:
+            wanted = bytes.fromhex(args.cell)
+        except ValueError:
+            raise ConfigError(f'--cell: expected "best" or a hex key, got {args.cell!r}') from None
         matches = [k for k in archive.sorted_keys() if k.encode() == wanted]
         if not matches:
             raise ShortfallError(f"no cell with key {args.cell}")

@@ -18,7 +18,7 @@ from pathlib import Path
 from typing import Callable
 
 from .cells import CellMapper, DownscaleParams, domain_mapper, downscale_mapper
-from .envs import DeceptiveCorridor, KeyDoorWorld, SnapshotEnv, TwoMaze
+from .envs import DeceptiveCorridor, GridWorld, KeyDoorWorld, TwoMaze
 from .errors import ConfigError
 from .evaluation import EvalProtocol
 from .explore import ExploreConfig
@@ -203,6 +203,15 @@ class RobustifyConfig:
     near: int = 50
     max_tested: int = 10
 
+    def validate(self) -> "RobustifyConfig":
+        if self.n_demos < 1 or self.demo_stride < 1 or self.max_tested < 1:
+            raise ConfigError("robustify: n_demos, demo_stride and max_tested must be >= 1")
+        if self.near < 0:
+            raise ConfigError("robustify.near must be >= 0")
+        if self.truncate_frames is not None and self.truncate_frames < 1:
+            raise ConfigError("robustify.truncate_frames must be >= 1")
+        return self
+
 
 @dataclass(frozen=True)
 class ExperimentConfig:
@@ -217,7 +226,7 @@ class ExperimentConfig:
     workers: int = 1
     checkpoint_interval_iterations: int = 0
 
-    def env_factory(self) -> Callable[[], SnapshotEnv]:
+    def env_factory(self) -> Callable[[], GridWorld]:
         ctor = {"twomaze": TwoMaze, "keydoor": KeyDoorWorld, "corridor": DeceptiveCorridor}[
             self.env_type
         ]
@@ -356,7 +365,7 @@ def build_config(values: dict[str, str]) -> ExperimentConfig:
         truncate_to_last_reward=r.boolean("robustify.truncate_to_last_reward", False),
         near=r.integer("robustify.near", 50),
         max_tested=r.integer("robustify.max_tested", 10),
-    )
+    ).validate()
 
     protocol = EvalProtocol(
         max_noop=r.integer("eval.max_noop", 30),
@@ -382,6 +391,8 @@ def build_config(values: dict[str, str]) -> ExperimentConfig:
     r.reject_unknown()
     if cfg.workers < 1:
         raise ConfigError("workers must be >= 1")
+    if cfg.checkpoint_interval_iterations < 0:
+        raise ConfigError("explore.checkpoint_interval_iterations must be >= 0")
     cfg.env_factory()()  # constructing the env validates placements
     return cfg
 

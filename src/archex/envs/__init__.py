@@ -1,4 +1,4 @@
-"""Deterministic, snapshot-restorable environments and stochastic wrappers."""
+"""Deterministic, snapshot-restorable grid worlds and stochastic wrappers."""
 
 from .base import (
     ACTION_COUNT,
@@ -10,7 +10,6 @@ from .base import (
     DomainInfo,
     EnvSnapshot,
     Observation,
-    SnapshotEnv,
     StepResult,
 )
 from .gridworld import GridWorld
@@ -30,7 +29,6 @@ __all__ = [
     "GridWorld",
     "KeyDoorWorld",
     "Observation",
-    "SnapshotEnv",
     "StepResult",
     "StickyActions",
     "TwoMaze",

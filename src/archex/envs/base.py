@@ -1,4 +1,4 @@
-"""Environment interface: deterministic, snapshot-restorable, discrete actions.
+"""Environment value types and snapshot packing shared by the grid worlds.
 
 Frame accounting follows the two-unit convention: a "training frame" is one
 agent decision; each decision repeats the chosen action for ``frame_skip``
@@ -9,8 +9,8 @@ mid-episode.
 
 Stepping computes only what every caller reads: a :class:`StepResult`
 carries the reward and the done flag. The ground-truth features come from
-:meth:`SnapshotEnv.features` and a frame from :meth:`SnapshotEnv.render` (or
-:meth:`SnapshotEnv.observe`, which does both), so callers that never read
+``GridWorld.features`` and a frame from ``GridWorld.render`` (or
+``GridWorld.observe``, which does both), so callers that never read
 features or pixels never pay for them.
 """
 
@@ -23,7 +23,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from ..errors import ContractError, SnapshotFormatError
+from ..errors import SnapshotFormatError
 
 SNAPSHOT_MAGIC = b"AXSN"
 SNAPSHOT_VERSION = 1
@@ -127,66 +127,3 @@ def unpack_snapshot(blob: bytes, expected_config_hash: int) -> bytes:
         raise SnapshotFormatError("snapshot payload truncated")
     return payload
 
-
-class SnapshotEnv:
-    """Base class for deterministic snapshot/restore environments.
-
-    Instances are single-owner and not thread-safe; snapshots are immutable
-    values and may be shared freely. The base environment itself is fully
-    deterministic -- the ``seed`` argument of :meth:`reset` only matters for
-    stochastic wrappers layered on top.
-    """
-
-    action_count: int = ACTION_COUNT
-    noop_action: int = ACTION_NOOP
-
-    def __init__(self) -> None:
-        self.config_hash: int = 0
-        self.frame_skip: int = 4
-        self._done = True
-
-    # -- interface -------------------------------------------------------
-
-    def reset(self, seed: int) -> tuple[Observation, EnvSnapshot]:
-        raise NotImplementedError
-
-    def step(self, action: int) -> StepResult:
-        raise NotImplementedError
-
-    def snapshot(self) -> EnvSnapshot:
-        raise NotImplementedError
-
-    def restore(self, snap: EnvSnapshot) -> None:
-        raise NotImplementedError
-
-    def observe(self) -> Observation:
-        """The current frame and features; renders."""
-        raise NotImplementedError
-
-    def features(self) -> DomainInfo:
-        """The ground-truth features of the current state."""
-        raise NotImplementedError
-
-    def render(self) -> np.ndarray:
-        """Draw the current state as a fresh uint8 intensity frame."""
-        raise NotImplementedError
-
-    def discrete_state(self) -> tuple[int, ...]:
-        """Compact hashable dynamic state (excludes score and counters)."""
-        raise NotImplementedError
-
-    def frame_counters(self) -> tuple[int, int]:
-        """Return (game_frames, training_frames) since the last reset."""
-        raise NotImplementedError
-
-    @property
-    def cum_score(self) -> float:
-        raise NotImplementedError
-
-    @property
-    def done(self) -> bool:
-        return self._done
-
-    def _require_live(self) -> None:
-        if self._done:
-            raise ContractError("episode has ended; reset or restore first")

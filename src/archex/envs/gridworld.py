@@ -15,8 +15,10 @@ including in snapshots taken mid-episode.
 :meth:`step` returns only the reward and the done flag. :meth:`features`
 builds the ground-truth features where they are read (exploration
 rollouts, replay verification, demonstration building), and :meth:`render`
-is the only renderer, called where a frame is read: :meth:`observe` (and so
-:meth:`reset`), the downscaled-cell mapper, and ``archex replay --render``.
+is the only renderer, called where a frame is read: :meth:`observe`, the
+downscaled-cell mapper, and ``archex replay --render``. :meth:`reset`
+restores the start snapshot and returns the start observation drawn once
+at construction, so robustification and evaluation never render.
 :meth:`discrete_state` keeps the part of its tuple that only pickups, door
 openings, treasures, level advances, reset and restore change, so between
 those events it costs one tuple concatenation.
@@ -31,10 +33,11 @@ import numpy as np
 from ..errors import ConfigError, ContractError, SnapshotFormatError
 from .base import (
     _DELTAS,
+    ACTION_COUNT,
+    ACTION_NOOP,
     DomainInfo,
     EnvSnapshot,
     Observation,
-    SnapshotEnv,
     StepResult,
     config_hash_from_lines,
     pack_snapshot,
@@ -61,8 +64,13 @@ SHADE_AGENT = 192
 _STATE_HEAD = "<dQQBIii"
 
 
-class GridWorld(SnapshotEnv):
+class GridWorld:
     """Tile-grid environment engine. Subclasses build layouts.
+
+    The environment interface: callers take a ``GridWorld`` or anything that
+    duck-types what they call. Instances are single-owner; snapshots are
+    immutable values and may be shared freely. The engine is deterministic:
+    the ``seed`` of :meth:`reset` only matters to stochastic wrappers.
 
     Layout inputs (set by ``_build``): ``width``/``height``, ``base`` (flat
     bytearray of tile codes), ``spawn``, placements for keys, doors,
@@ -76,6 +84,9 @@ class GridWorld(SnapshotEnv):
     cached part current.
     """
 
+    action_count: int = ACTION_COUNT
+    noop_action: int = ACTION_NOOP
+
     def __init__(
         self,
         *,
@@ -84,7 +95,6 @@ class GridWorld(SnapshotEnv):
         time_limit_game_frames: int = 400_000,
         key_capacity: int = 8,
     ) -> None:
-        super().__init__()
         if frame_skip < 1:
             raise ConfigError("frame_skip must be >= 1")
         if tile_px < 1:
@@ -95,6 +105,8 @@ class GridWorld(SnapshotEnv):
         self.tile_px = tile_px
         self.time_limit_game_frames = time_limit_game_frames
         self.key_capacity = key_capacity
+        self.config_hash = 0
+        self._done = True
 
         # Layout, filled in by _build().
         self.width = 0
@@ -155,7 +167,13 @@ class GridWorld(SnapshotEnv):
         self._validate_layout()
         self.config_hash = config_hash_from_lines(self.config_lines())
         self._prerender()
-        self.reset(0)
+        # The start state; reset() restores it and returns this pair, so the
+        # start frame is drawn once and read-only.
+        self.x, self.y = self.spawn
+        self._done = False
+        obs = self.observe()
+        obs.frame.flags.writeable = False
+        self._start = (obs, self.snapshot())
 
     def _validate_layout(self) -> None:
         for name, positions in (
@@ -290,6 +308,14 @@ class GridWorld(SnapshotEnv):
         self._state_tail = None
         self.x, self.y = self.spawn
 
+    @property
+    def done(self) -> bool:
+        return self._done
+
+    def _require_live(self) -> None:
+        if self._done:
+            raise ContractError("episode has ended; reset or restore first")
+
     def step(self, action: int) -> StepResult:
         self._require_live()
         if not 0 <= action < self.action_count:
@@ -303,19 +329,10 @@ class GridWorld(SnapshotEnv):
         return StepResult(total, self._done)
 
     def reset(self, seed: int = 0) -> tuple[Observation, EnvSnapshot]:
-        del seed  # the base environment is deterministic
-        self.x, self.y = self.spawn
-        self.level = 0
-        self.held = ()
-        self.keys_taken.clear()
-        self.doors_open.clear()
-        self.treasures_taken.clear()
-        self._state_tail = None
-        self._score = 0.0
-        self._training_frames = 0
-        self._game_frames = 0
-        self._done = False
-        return self.observe(), self.snapshot()
+        """Restore the start state and return its observation and snapshot."""
+        del seed  # the engine is deterministic
+        self.restore(self._start[1])
+        return self._start
 
     # -- observation -------------------------------------------------------
 

@@ -14,7 +14,8 @@ from typing import Iterator
 
 from ..errors import ConfigError
 from ..seeding import TAG_WRAPPER, stream
-from .base import EnvSnapshot, Observation, SnapshotEnv, StepResult
+from .base import EnvSnapshot, Observation, StepResult
+from .gridworld import GridWorld
 
 _SALT_STICKY = 1
 # Uniforms drawn per refill of StickyActions' block; Generator.random(n)
@@ -37,7 +38,7 @@ class StickyActions:
     specializing attribute loads on a class that defines one.
     """
 
-    def __init__(self, inner: SnapshotEnv, p: float) -> None:
+    def __init__(self, inner: GridWorld, p: float) -> None:
         if not 0.0 <= p < 1.0:
             raise ConfigError("sticky probability must satisfy 0 <= p < 1")
         self.inner = inner
@@ -76,14 +77,14 @@ class StickyActions:
         return self.inner.step(executed)
 
 
-def wrap_sticky(env: SnapshotEnv, p: float) -> SnapshotEnv | StickyActions:
+def wrap_sticky(env: GridWorld, p: float) -> GridWorld | StickyActions:
     """Identity when p == 0, else a :class:`StickyActions` wrapper."""
     if p == 0.0:
         return env
     return StickyActions(env, p)
 
 
-def force_noops(env: SnapshotEnv, n: int) -> None:
+def force_noops(env: GridWorld | StickyActions, n: int) -> None:
     """Step ``n`` no-ops on a live episode, fewer if the episode ends first."""
     for _ in range(n):
         if env.step(env.noop_action).done:

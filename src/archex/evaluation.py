@@ -20,7 +20,7 @@ from typing import Callable, Iterable, Sequence
 
 import numpy as np
 
-from .envs.base import SnapshotEnv
+from .envs.gridworld import GridWorld
 from .envs.wrappers import force_noops, wrap_sticky
 from .errors import ConfigError, ContractError
 from .seeding import TAG_EVAL, stream
@@ -63,7 +63,7 @@ class EvalResult:
 
 def evaluate_policy(
     policy,
-    env_factory: Callable[[], SnapshotEnv],
+    env_factory: Callable[[], GridWorld],
     protocol: EvalProtocol,
     seed: int = 0,
 ) -> EvalResult:

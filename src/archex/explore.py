@@ -24,8 +24,8 @@ from typing import Callable, NamedTuple
 
 from .archive import Archive, CellRecord, RunMeta, UpdateOutcome, beats
 from .cells import CellKey, CellMapper
-from .envs.base import SnapshotEnv
-from .errors import ConfigError, ContractError, IntegrityError
+from .envs.gridworld import GridWorld
+from .errors import CheckpointError, ConfigError, ContractError, IntegrityError
 from .seeding import TAG_BASELINE, TAG_EXPLORE, TAG_SELECT, stream
 from .selection import SelectionConfig, cell_probs, sample_batch
 from .trajectory import Trajectory
@@ -75,7 +75,7 @@ class RolloutResult:
 
 
 def explore_from(
-    env: SnapshotEnv,
+    env: GridWorld,
     origin: CellKey,
     archive: Archive,
     rng,
@@ -182,7 +182,7 @@ def merge_results(archive: Archive, results: list[RolloutResult]) -> IterationSt
 
 def run_iteration(
     archive: Archive,
-    env: SnapshotEnv,
+    env: GridWorld,
     sel_cfg: SelectionConfig,
     cfg: ExploreConfig,
     iteration: int,
@@ -199,7 +199,7 @@ def run_iteration(
 
 def _roll_out(
     archive: Archive,
-    env: SnapshotEnv,
+    env: GridWorld,
     cfg: ExploreConfig,
     mapper: CellMapper,
     origins: list[CellKey],
@@ -256,7 +256,7 @@ class Phase1Result:
 
 
 def run_phase1(
-    env_factory: Callable[[], SnapshotEnv],
+    env_factory: Callable[[], GridWorld],
     cfg: ExploreConfig,
     sel_cfg: SelectionConfig | None,
     mapper: CellMapper,
@@ -267,7 +267,9 @@ def run_phase1(
     """Run the exploration phase until the training-frame budget is spent.
 
     ``resume`` continues a checkpointed run bit-exactly: streams are derived
-    from the iteration index, so nothing else needs restoring. The optional
+    from the iteration index, so nothing else needs restoring. Its archive
+    must come from this environment config (else :class:`CheckpointError`)
+    and its run from ``cfg.seed`` (else :class:`ConfigError`). The optional
     ``stop_condition`` is evaluated between iterations (milestone runs);
     ``on_iteration`` is a hook for periodic checkpointing. Without a
     selection config nothing is selected: every rollout starts from the
@@ -284,7 +286,9 @@ def run_phase1(
     if resume is not None:
         archive, meta = resume
         if archive.config_hash != env.config_hash:
-            raise ConfigError("resume archive does not match the environment config")
+            raise CheckpointError("resume archive is from a different env config")
+        if meta.seed != cfg.seed:
+            raise ConfigError(f"resume checkpoint has seed {meta.seed}, config says {cfg.seed}")
         rooms_seen = set(meta.rooms_seen)
         iteration = meta.iteration
         frames = meta.training_frames
@@ -350,7 +354,7 @@ def run_phase1(
 
 
 def baseline_from_start(
-    env_factory: Callable[[], SnapshotEnv],
+    env_factory: Callable[[], GridWorld],
     cfg: ExploreConfig,
     mapper: CellMapper,
     stop_condition: Callable[[Archive, RunMeta], bool] | None = None,
@@ -363,7 +367,7 @@ def baseline_from_start(
 
 
 def myopic_greedy_baseline(
-    env_factory: Callable[[], SnapshotEnv],
+    env_factory: Callable[[], GridWorld],
     budget_training_frames: int,
     seed: int = 0,
 ) -> float:
@@ -403,7 +407,7 @@ def myopic_greedy_baseline(
 # -- replay verification --------------------------------------------------------
 
 def replay_record(
-    env: SnapshotEnv,
+    env: GridWorld,
     record: CellRecord,
     key: CellKey,
     mapper: CellMapper,

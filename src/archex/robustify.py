@@ -1,4 +1,4 @@
-"""Backward-curriculum robustification over a pluggable learner.
+"""Backward-curriculum robustification of a tabular Q-learner.
 
 Demonstrations exported from archives are replayed into per-frame cumulative
 rewards plus periodic snapshots. Training starts rollouts at each
@@ -9,9 +9,9 @@ success rate clears the threshold. Stochastic wrappers (sticky actions
 throughout, random no-ops once the start reaches frame 0) force the learned
 policy to be robust rather than a replay.
 
-The reference learner is a tabular action-value learner over the
-environment's discrete state; a replay-oracle learner exists for harness
-tests.
+The learner is :class:`TabularQLearner`, action values over the
+environment's discrete state; :func:`backward_run` calls its
+``begin_rollout``, ``act`` and ``update`` and reads its ``q`` table.
 """
 
 from __future__ import annotations
@@ -25,7 +25,8 @@ import numpy as np
 
 from .archive import Archive, CellRecord, read_checksummed, write_checksummed
 from .cells import CellKey, DomainKey
-from .envs.base import EnvSnapshot, SnapshotEnv
+from .envs.base import EnvSnapshot
+from .envs.gridworld import GridWorld
 from .errors import (
     CheckpointError,
     ConfigError,
@@ -66,7 +67,7 @@ class Demonstration:
     def reward_at(self, frame: int) -> float:
         return self.cum_rewards[frame] - self.cum_rewards[frame - 1]
 
-    def snapshot_at(self, frame: int, env: SnapshotEnv) -> EnvSnapshot:
+    def snapshot_at(self, frame: int, env: GridWorld) -> EnvSnapshot:
         """Snapshot at an arbitrary frame, replaying from the nearest stored
         one on a *deterministic* environment."""
         if not 0 <= frame <= self.length:
@@ -86,7 +87,7 @@ class Demonstration:
 
 
 def build_demonstration(
-    env: SnapshotEnv,
+    env: GridWorld,
     key: CellKey,
     record: CellRecord,
     stride: int = 25,
@@ -118,7 +119,7 @@ def build_demonstration(
 def select_demonstrations(
     archives: Sequence[Archive],
     n: int,
-    env: SnapshotEnv,
+    env: GridWorld,
     stride: int = 25,
 ) -> list[Demonstration]:
     """Best record per qualifying archive, highest-level archives only.
@@ -223,19 +224,6 @@ def early_terminate(
 
 # -- learners -------------------------------------------------------------------
 
-class Learner:
-    """Minimal learner interface consumed by :func:`backward_run`."""
-
-    def begin_rollout(self, demo: Demonstration, start: int) -> None:
-        pass
-
-    def act(self, state: tuple, rng: np.random.Generator) -> int:
-        raise NotImplementedError
-
-    def update(self, transitions: list[tuple]) -> None:
-        pass
-
-
 @dataclass(frozen=True)
 class TabularQConfig:
     alpha: float = 0.2
@@ -243,13 +231,16 @@ class TabularQConfig:
     epsilon: float = 0.1
 
 
-class TabularQLearner(Learner):
+class TabularQLearner:
     """Q-learning over the environment's discrete state tuple."""
 
     def __init__(self, n_actions: int, cfg: TabularQConfig = TabularQConfig()) -> None:
         self.n_actions = n_actions
         self.cfg = cfg
         self.q: dict[tuple, list[float]] = {}
+
+    def begin_rollout(self, demo: Demonstration, start: int) -> None:
+        """Called before each attempt; the Q-learner keeps no per-rollout state."""
 
     def _row(self, state: tuple) -> list[float]:
         row = self.q.get(state)
@@ -295,33 +286,11 @@ class GreedyTabularPolicy:
         actions = range(n_actions)
         self.greedy = {state: max(actions, key=row.__getitem__) for state, row in q.items()}
 
-    def act(self, env: SnapshotEnv, rng: np.random.Generator) -> int:
+    def act(self, env: GridWorld, rng: np.random.Generator) -> int:
         action = self.greedy.get(env.discrete_state())
         if action is None:
             return int(rng.integers(self.n_actions))
         return action
-
-
-class ReplayOracleLearner(Learner):
-    """Replays the demonstration's own actions; a harness tool for verifying
-    the curriculum mechanics under a deterministic environment."""
-
-    def __init__(self) -> None:
-        self._actions: list[int] = []
-        self._pos = 0
-        self._noop = 0
-
-    def begin_rollout(self, demo: Demonstration, start: int) -> None:
-        self._actions = demo.actions
-        self._pos = start
-
-    def act(self, state: tuple, rng: np.random.Generator) -> int:
-        del state, rng
-        if self._pos < len(self._actions):
-            action = self._actions[self._pos]
-            self._pos += 1
-            return action
-        return self._noop
 
 
 # -- the control loop --------------------------------------------------------------
@@ -397,8 +366,8 @@ class BackwardResult:
 
 def backward_run(
     demos: Sequence[Demonstration],
-    learner: Learner,
-    env_factory: Callable[[], SnapshotEnv],
+    learner: TabularQLearner,
+    env_factory: Callable[[], GridWorld],
     cfg: BackwardConfig,
     seed: int = 0,
 ) -> BackwardResult:
@@ -426,8 +395,6 @@ def backward_run(
     frames = 0
 
     def take_checkpoint() -> None:
-        if not isinstance(learner, TabularQLearner):
-            return
         checkpoints.append(
             PolicyCheckpoint(
                 q={s: list(r) for s, r in learner.q.items()},

@@ -183,6 +183,20 @@ def test_cli_config_error_exit_2(tmp_path):
     assert run_cli("explore", "--config", str(path)) == 2
 
 
+@pytest.mark.parametrize("line", [
+    "robustify.n_demos = 0",
+    "robustify.demo_stride = 0",
+    "robustify.near = -1",
+    "robustify.max_tested = 0",
+    "robustify.truncate_frames = 0",
+    "explore.checkpoint_interval_iterations = -1",
+])
+def test_cli_out_of_range_setting_exit_2(tmp_path, line):
+    """Rejected when the config loads, not after a whole run."""
+    path = write_config(tmp_path, BASE + line + "\n")
+    assert run_cli("explore", "--config", str(path), "--out", str(tmp_path / "run")) == 2
+
+
 def test_cli_missing_config_exit_2(tmp_path):
     assert run_cli("explore", "--config", str(tmp_path / "nope.cfg")) == 2
 
@@ -238,6 +252,15 @@ def test_cli_resume_seed_mismatch(tmp_path):
                    "--resume", str(out / "archive.ckpt"), "--out", str(out)) == 2
 
 
+def test_cli_resume_env_config_mismatch_exit_3(tmp_path):
+    out = tmp_path / "run"
+    assert run_cli("explore", "--config", str(write_config(tmp_path, BASE)),
+                   "--out", str(out)) == 0
+    other = write_config(tmp_path, BASE.replace("arm_cols = 6", "arm_cols = 7"), "other.cfg")
+    assert run_cli("explore", "--config", str(other),
+                   "--resume", str(out / "archive.ckpt"), "--out", str(out)) == 3
+
+
 def test_cli_replay_best(tmp_path, capsys):
     path = write_config(tmp_path, BASE)
     out = tmp_path / "run"
@@ -257,6 +280,14 @@ def test_cli_replay_integrity_error(tmp_path):
     (out / "archive.ckpt").write_bytes(bytes(data))
     assert run_cli("replay", "--config", str(path),
                    "--archive", str(out / "archive.ckpt")) == 3
+
+
+def test_cli_replay_malformed_cell_key_exit_2(tmp_path):
+    path = write_config(tmp_path, BASE)
+    out = tmp_path / "run"
+    assert run_cli("explore", "--config", str(path), "--out", str(out)) == 0
+    assert run_cli("replay", "--config", str(path), "--archive",
+                   str(out / "archive.ckpt"), "--cell", "zz") == 2
 
 
 KEYDOOR_SMALL = """

@@ -1,5 +1,7 @@
 """Environment contracts: determinism, snapshots, wrappers, suite topology."""
 
+import importlib
+
 import numpy as np
 import pytest
 
@@ -41,6 +43,20 @@ def test_reset_is_deterministic(any_env):
     obs2, snap2 = any_env.reset(0)
     assert snap1.state_bytes == snap2.state_bytes
     assert np.array_equal(obs1.frame, obs2.frame)
+
+
+def test_reset_restores_the_start_without_rendering(any_env, monkeypatch):
+    _, start = any_env.reset(0)
+    drive(any_env, random_actions(11, 200, any_env.action_count))
+    render = any_env.render
+    calls = []
+    monkeypatch.setattr(any_env, "render", lambda: calls.append(1) or render())
+    obs, snap = any_env.reset(0)
+    assert calls == []
+    assert snap.state_bytes == start.state_bytes == any_env.snapshot().state_bytes
+    assert np.array_equal(obs.frame, render())
+    with pytest.raises(ValueError):
+        obs.frame[0, 0] = 1
 
 
 def test_seed_does_not_change_base_env(any_env):
@@ -562,3 +578,13 @@ def test_bad_layouts_rejected():
 def test_config_hash_distinguishes_layouts():
     assert small_keydoor().config_hash != small_keydoor(room_w=6).config_hash
     assert small_keydoor().config_hash == small_keydoor().config_hash
+
+
+# -- package exports ---------------------------------------------------------------
+
+
+@pytest.mark.parametrize("module", ["archex", "archex.envs"])
+def test_every_exported_name_resolves(module):
+    package = importlib.import_module(module)
+    missing = [name for name in package.__all__ if not hasattr(package, name)]
+    assert missing == []

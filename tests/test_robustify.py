@@ -9,12 +9,12 @@ from hypothesis import strategies as st
 
 from archex.archive import Archive
 from archex.cells import domain_mapper
+from archex.envs import ACTION_COUNT, ACTION_NOOP
 from archex.errors import CheckpointError, ContractError, IntegrityError, ShortfallError
 from archex.explore import ExploreConfig, run_phase1
 from archex.robustify import (
     BackwardConfig,
     Demonstration,
-    ReplayOracleLearner,
     RewardShaping,
     TabularQConfig,
     TabularQLearner,
@@ -249,6 +249,29 @@ def test_early_termination_with_nonzero_start():
 
 
 # -- backward_run with the replay oracle ---------------------------------------------
+
+
+class ReplayOracleLearner(TabularQLearner):
+    """Replays the demonstration's own actions, then no-ops: it checks the
+    curriculum mechanics on a deterministic environment. Its Q table still
+    learns from the transitions, so ``backward_run`` checkpoints it."""
+
+    def __init__(self) -> None:
+        super().__init__(ACTION_COUNT)
+        self._actions: list[int] = []
+        self._pos = 0
+
+    def begin_rollout(self, demo, start):
+        self._actions = demo.actions
+        self._pos = start
+
+    def act(self, state, rng):
+        del state, rng
+        if self._pos < len(self._actions):
+            action = self._actions[self._pos]
+            self._pos += 1
+            return action
+        return ACTION_NOOP
 
 
 def oracle_cfg(**kw):
