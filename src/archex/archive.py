@@ -7,8 +7,8 @@ Archives serialize to a canonical, versioned binary layout (sorted cells,
 deduplicated trajectory nodes, trailing checksum) so that equal archives have
 equal bytes and corrupt files are detected on load. Checkpoints are streamed
 to a temporary file, fsynced and renamed over the target, so a failed write
-leaves the previous checkpoint intact (:func:`write_checksummed`, which
-policy checkpoints use too).
+leaves the previous checkpoint intact (:func:`write_atomic`, which policy
+checkpoints and every CSV output use too).
 
 Every added key is indexed once (see :meth:`Archive._index`): its encoding,
 kept for the canonical key order, and for selection a missing-neighbor mask
@@ -17,12 +17,15 @@ per domain key, updated incrementally.
 
 from __future__ import annotations
 
+import csv
 import enum
 import hashlib
+import io
 import os
 import struct
 from dataclasses import dataclass
-from typing import Callable, Iterable, Iterator
+from pathlib import Path
+from typing import Callable, Iterable, Iterator, Sequence
 
 from .cells import CellKey, DomainKey, MoreKeysProbe, decode_key, neighbors
 from .envs.base import EnvSnapshot, peek_config_hash
@@ -369,20 +372,16 @@ def _parse_fields(body: bytes) -> tuple[Archive, RunMeta]:
     return archive, meta
 
 
-def write_checksummed(path, chunks: Iterable[bytes]) -> None:
-    """Write the concatenated ``chunks`` and their sha256 to ``path``
-    atomically and without holding them in memory: the chunks stream into
-    ``<path>.tmp`` with the checksum fed as they go, the file is fsynced and
-    then renamed over ``path``. A write that fails partway leaves ``path``
-    as it was and removes the temporary file."""
+def write_atomic(path, chunks: Iterable[bytes]) -> None:
+    """Write the concatenated ``chunks`` to ``path`` atomically: they stream
+    into ``<path>.tmp``, the file is fsynced and then renamed over ``path``.
+    A write that fails partway leaves ``path`` as it was and removes the
+    temporary file."""
     tmp = f"{os.fspath(path)}.tmp"
-    digest = hashlib.sha256()
     try:
         with open(tmp, "wb") as fh:
             for chunk in chunks:
-                digest.update(chunk)
                 fh.write(chunk)
-            fh.write(digest.digest())
             fh.flush()
             os.fsync(fh.fileno())
         os.replace(tmp, path)
@@ -392,6 +391,32 @@ def write_checksummed(path, chunks: Iterable[bytes]) -> None:
         except FileNotFoundError:
             pass
         raise
+
+
+def write_checksummed(path, chunks: Iterable[bytes]) -> None:
+    """:func:`write_atomic` of the ``chunks`` followed by their sha256, fed
+    as they stream so the body is never held in memory."""
+    def with_digest() -> Iterator[bytes]:
+        digest = hashlib.sha256()
+        for chunk in chunks:
+            digest.update(chunk)
+            yield chunk
+        yield digest.digest()
+
+    write_atomic(path, with_digest())
+
+
+def write_csv(path, header: Sequence[str], rows: Iterable[Sequence], append: bool = False) -> None:
+    """Write ``header`` and ``rows`` as CSV (``\\r\\n`` line ends) with
+    :func:`write_atomic`. With ``append`` the existing file keeps its bytes,
+    header included, and ``rows`` follow them; the whole file is rewritten."""
+    text = io.StringIO()
+    writer = csv.writer(text)
+    if not append:
+        writer.writerow(header)
+    writer.writerows(rows)
+    previous = Path(path).read_bytes() if append else b""
+    write_atomic(path, (previous, text.getvalue().encode()))
 
 
 def read_checksummed(path, magic: bytes, what: str) -> bytes:

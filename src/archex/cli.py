@@ -16,7 +16,7 @@ import argparse
 import sys
 from pathlib import Path
 
-from .archive import checkpoint_load, checkpoint_save
+from .archive import checkpoint_load, checkpoint_save, write_csv
 from .config import ExperimentConfig, load_config
 from .errors import (
     ArchexError,
@@ -27,13 +27,8 @@ from .errors import (
     ShortfallError,
     SnapshotFormatError,
 )
-from .evaluation import (
-    emit_report,
-    evaluate_policy,
-    write_per_noop_csv,
-    write_scores_csv,
-)
-from .explore import replay_record, run_phase1, write_metrics_csv
+from .evaluation import emit_report, evaluate_policy
+from .explore import MetricsRow, replay_record, run_phase1
 from .robustify import (
     TabularQLearner,
     backward_run,
@@ -43,7 +38,6 @@ from .robustify import (
     save_policy,
     select_demonstrations,
     truncate_demo,
-    write_progress_csv,
 )
 from .seeding import TAG_CHECKPOINT, stream
 
@@ -87,7 +81,7 @@ def cmd_explore(args: argparse.Namespace) -> int:
     checkpoint_save(result.archive, archive_path, result.meta)
     metrics_path = out / "metrics.csv"
     append = bool(args.resume) and metrics_path.exists()
-    write_metrics_csv(result.metrics, metrics_path, append=append)
+    write_csv(metrics_path, MetricsRow._fields, result.metrics, append=append)
     last = result.metrics[-1]
     print(
         f"explored {last.training_frames} training frames "
@@ -123,7 +117,14 @@ def cmd_robustify(args: argparse.Namespace) -> int:
     result = backward_run(
         demos, learner, cfg.env_factory(), rcfg.backward, seed=cfg.explore.seed
     )
-    write_progress_csv(result, out / "progress.csv")
+    n = len(demos)
+    write_csv(
+        out / "progress.csv",
+        ["attempts", *(f"max_starting_point_{i}" for i in range(n)),
+         *(f"success_rate_{i}" for i in range(n)), "last_score"],
+        ([r.attempts, *r.max_starting_points, *r.success_rates, r.last_score]
+         for r in result.progress),
+    )
     print(
         f"{result.attempts} attempts, {result.frames} training frames, "
         f"min max_starting_point {result.min_starting_point()}"
@@ -160,8 +161,8 @@ def cmd_evaluate(args: argparse.Namespace) -> int:
     checkpoint = load_policy(args.policy, expected_config_hash=env.config_hash)
     policy = policy_from_checkpoint(checkpoint)
     result = evaluate_policy(policy, cfg.env_factory(), cfg.protocol, seed=cfg.explore.seed)
-    write_scores_csv(result, out / "raw_scores.csv")
-    write_per_noop_csv(result, out / "per_noop.csv")
+    write_csv(out / "raw_scores.csv", ["noop", "episode", "score"], result.scores)
+    write_csv(out / "per_noop.csv", ["noop", "mean_score"], result.per_noop.items())
     print(f"grand mean: {result.grand_mean}")
     return 0
 

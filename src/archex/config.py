@@ -127,47 +127,19 @@ class _Reader:
             return False
         raise ConfigError(f"{key}: expected true/false, got {raw!r}")
 
-    def placements(self, key: str, default: tuple) -> tuple:
-        """room:x,y triplets."""
+    def items(self, key: str, default: tuple, parse: Callable[[str], tuple],
+              form: str) -> tuple:
+        """``;``-separated items, each read by ``parse``; a ValueError names
+        the item's index and its expected ``form``."""
         raw = self._raw(key)
         if raw is None:
             return default
         out = []
         for i, item in enumerate(_items(raw)):
             try:
-                room, coords = item.split(":")
-                x, y = coords.split(",")
-                out.append((int(room), int(x), int(y)))
+                out.append(parse(item))
             except ValueError:
-                raise ConfigError(f"{key}[{i}]: expected room:x,y, got {item!r}") from None
-        return tuple(out)
-
-    def pairs(self, key: str, default: tuple) -> tuple:
-        """a-b room pairs."""
-        raw = self._raw(key)
-        if raw is None:
-            return default
-        out = []
-        for i, item in enumerate(_items(raw)):
-            try:
-                a, b = item.split("-")
-                out.append((int(a), int(b)))
-            except ValueError:
-                raise ConfigError(f"{key}[{i}]: expected a-b, got {item!r}") from None
-        return tuple(out)
-
-    def valued_rooms(self, key: str, default: tuple) -> tuple:
-        """room:value pairs."""
-        raw = self._raw(key)
-        if raw is None:
-            return default
-        out = []
-        for i, item in enumerate(_items(raw)):
-            try:
-                room, value = item.split(":")
-                out.append((int(room), float(value)))
-            except ValueError:
-                raise ConfigError(f"{key}[{i}]: expected room:value, got {item!r}") from None
+                raise ConfigError(f"{key}[{i}]: expected {form}, got {item!r}") from None
         return tuple(out)
 
     def reject_unknown(self) -> None:
@@ -178,6 +150,22 @@ class _Reader:
 
 def _items(raw: str) -> list[str]:
     return [part.strip() for part in raw.split(";") if part.strip()]
+
+
+def _placement(item: str) -> tuple[int, int, int]:
+    room, coords = item.split(":")
+    x, y = coords.split(",")
+    return int(room), int(x), int(y)
+
+
+def _pair(item: str) -> tuple[int, int]:
+    a, b = item.split("-")
+    return int(a), int(b)
+
+
+def _valued_room(item: str) -> tuple[int, float]:
+    room, value = item.split(":")
+    return int(room), float(value)
 
 
 @dataclass(frozen=True)
@@ -256,10 +244,10 @@ def _env_section(r: _Reader) -> tuple[str, dict]:
             rooms_cols=r.integer("env.rooms_cols", 6),
             room_w=r.integer("env.room_w", 8),
             room_h=r.integer("env.room_h", 6),
-            keys=r.placements("env.keys", KeyDoorWorld.DEFAULT_KEYS),
+            keys=r.items("env.keys", KeyDoorWorld.DEFAULT_KEYS, _placement, "room:x,y"),
             key_reward=r.floating("env.key_reward", 100.0),
-            locked_doors=r.pairs("env.locked_doors", KeyDoorWorld.DEFAULT_DOORS),
-            hazards=r.placements("env.hazards", KeyDoorWorld.DEFAULT_HAZARDS),
+            locked_doors=r.items("env.locked_doors", KeyDoorWorld.DEFAULT_DOORS, _pair, "a-b"),
+            hazards=r.items("env.hazards", KeyDoorWorld.DEFAULT_HAZARDS, _placement, "room:x,y"),
             treasure_reward=r.floating("env.treasure_reward", 1000.0),
             treasure_room=r.integer("env.treasure_room", None),
             hazard_policy=r.string("env.hazard_policy", "kill"),
@@ -271,7 +259,8 @@ def _env_section(r: _Reader) -> tuple[str, dict]:
             n_rooms=r.integer("env.n_rooms", 12),
             room_w=r.integer("env.room_w", 10),
             room_h=r.integer("env.room_h", 7),
-            treasures=r.valued_rooms("env.treasures", DeceptiveCorridor.DEFAULT_TREASURES),
+            treasures=r.items("env.treasures", DeceptiveCorridor.DEFAULT_TREASURES,
+                              _valued_room, "room:value"),
             hazard_penalty=r.floating("env.hazard_penalty", -1.0),
             **common,
         )

@@ -20,6 +20,7 @@ from typing import Callable, Iterable, Sequence
 
 import numpy as np
 
+from .archive import write_csv
 from .envs.gridworld import GridWorld
 from .envs.wrappers import force_noops, wrap_sticky
 from .errors import ConfigError, ContractError
@@ -40,6 +41,8 @@ class EvalProtocol:
             raise ConfigError("min_episodes must be >= 1")
         if not 0 <= self.sticky_p < 1:
             raise ConfigError("sticky_p must satisfy 0 <= p < 1")
+        if self.time_limit_game_frames < 1:
+            raise ConfigError("time_limit_game_frames must be >= 1")
         return self
 
 
@@ -204,30 +207,12 @@ def emit_report(
         if name in skip:
             continue
         rng = stream(seed, TAG_EVAL, 0xE307, col)
+        rows = []
+        for gf in shared:
+            values = [t[gf][col] for t in tables]
+            lo, hi = percentile_band(values, n_resamples, rng=rng)
+            rows.append([gf, sum(values) / len(values), lo, hi])
         out_path = out_dir / f"{name}_aggregate.csv"
-        with open(out_path, "w", newline="") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(["game_frames", "mean", "lo", "hi"])
-            for gf in shared:
-                values = [t[gf][col] for t in tables]
-                mean = sum(values) / len(values)
-                lo, hi = percentile_band(values, n_resamples, rng=rng)
-                writer.writerow([gf, mean, lo, hi])
+        write_csv(out_path, ["game_frames", "mean", "lo", "hi"], rows)
         written.append(out_path)
     return written
-
-
-def write_scores_csv(result: EvalResult, path) -> None:
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["noop", "episode", "score"])
-        for row in result.scores:
-            writer.writerow(row)
-
-
-def write_per_noop_csv(result: EvalResult, path) -> None:
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["noop", "mean_score"])
-        for noop, mean in result.per_noop.items():
-            writer.writerow([noop, mean])

@@ -17,7 +17,6 @@ merged, so visit counts and discovery credit do not depend on either.
 
 from __future__ import annotations
 
-import csv
 import time
 from dataclasses import dataclass, field
 from typing import Callable, NamedTuple
@@ -217,17 +216,6 @@ def _roll_out(
 
 # -- metrics -------------------------------------------------------------------
 
-METRIC_COLUMNS = (
-    "game_frames",
-    "training_frames",
-    "cells",
-    "rooms",
-    "max_score",
-    "max_level",
-    "wall_seconds",
-)
-
-
 class MetricsRow(NamedTuple):
     game_frames: int
     training_frames: int
@@ -236,16 +224,6 @@ class MetricsRow(NamedTuple):
     max_score: float
     max_level: int
     wall_seconds: float
-
-
-def write_metrics_csv(rows: list[MetricsRow], path, append: bool = False) -> None:
-    mode = "a" if append else "w"
-    with open(path, mode, newline="") as fh:
-        writer = csv.writer(fh)
-        if not append:
-            writer.writerow(METRIC_COLUMNS)
-        for row in rows:
-            writer.writerow(row)
 
 
 @dataclass(slots=True)

@@ -17,7 +17,6 @@ environment's discrete state; :func:`backward_run` calls its
 from __future__ import annotations
 
 import struct
-from collections import deque
 from dataclasses import dataclass, field
 from typing import Callable, Iterator, Sequence
 
@@ -318,6 +317,12 @@ class BackwardConfig:
             raise ConfigError("window must be >= 1")
         if self.advance_interval is not None and self.advance_interval < 1:
             raise ConfigError("advance_interval must be >= 1")
+        if not 0 <= self.sticky_p < 1:
+            raise ConfigError("sticky_p must satisfy 0 <= p < 1")
+        if self.max_noops < 0 or self.max_attempts < 1:
+            raise ConfigError("max_noops must be >= 0 and max_attempts >= 1")
+        if any(v is not None and v < 1 for v in (self.frame_budget, self.rollout_frame_cap)):
+            raise ConfigError("frame_budget and rollout_frame_cap must be >= 1 when set")
         self.shaping.validate()
         return self
 
@@ -325,7 +330,7 @@ class BackwardConfig:
 @dataclass(slots=True)
 class DemoProgress:
     max_starting_point: int
-    window: deque
+    successes: int = 0                      # since the last advance check
     attempts_since_check: int = 0
     last_rate: float = float("nan")
     zero_confirmed: bool = False
@@ -382,13 +387,7 @@ def backward_run(
     # only at an advance, so the replay fill-in runs once per start.
     starts: list[tuple[int, EnvSnapshot] | None] = [None] * len(demos)
 
-    progress = [
-        DemoProgress(
-            max_starting_point=d.length,
-            window=deque(maxlen=interval),
-        )
-        for d in demos
-    ]
+    progress = [DemoProgress(max_starting_point=d.length) for d in demos]
     rows: list[ProgressRow] = []
     checkpoints: list[PolicyCheckpoint] = []
     attempts = 0
@@ -463,16 +462,15 @@ def backward_run(
 
         attempts += 1
         prog.attempts_since_check += 1
-        prog.window.append(1.0 if success else 0.0)
+        prog.successes += success
 
         if prog.attempts_since_check >= interval:
-            prog.attempts_since_check = 0
-            rate = sum(prog.window) / len(prog.window)
+            rate = prog.successes / interval
+            prog.attempts_since_check = prog.successes = 0
             prog.last_rate = rate
             if rate >= cfg.success_threshold:
                 if prog.max_starting_point > 0:
                     prog.max_starting_point = max(0, prog.max_starting_point - cfg.delta)
-                    prog.window.clear()
                 else:
                     prog.zero_confirmed = True
                 prog.history.append((attempts, prog.max_starting_point))
@@ -569,22 +567,3 @@ def best_checkpoint(
     best_i = max(range(len(pool)), key=scores.__getitem__)
     retest = evaluator(pool[best_i], len(pool))
     return pool[best_i], scores[best_i], retest
-
-
-def write_progress_csv(result: BackwardResult, path) -> None:
-    import csv
-
-    n = len(result.demo_progress)
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(
-            ["attempts"]
-            + [f"max_starting_point_{i}" for i in range(n)]
-            + [f"success_rate_{i}" for i in range(n)]
-            + ["last_score"]
-        )
-        for row in result.progress:
-            writer.writerow(
-                [row.attempts, *row.max_starting_points,
-                 *row.success_rates, row.last_score]
-            )

@@ -11,6 +11,7 @@ from archex.archive import (
     checkpoint_save,
     deserialize_archive,
     serialize_archive,
+    write_csv,
 )
 from archex.cells import DomainKey, domain_mapper
 from archex.errors import CheckpointError, ContractError
@@ -350,6 +351,25 @@ def test_checkpoint_write_failing_partway_keeps_previous(tmp_path, monkeypatch):
     assert path.read_bytes() == before
     assert [p.name for p in tmp_path.iterdir()] == ["a.ckpt"]
     assert checkpoint_load(path)[1] == first.meta
+
+
+def test_csv_write_failing_partway_keeps_previous(tmp_path):
+    path = tmp_path / "m.csv"
+    write_csv(path, ["a", "b"], [(1, 2.5), (3, 4.5)])
+    before = path.read_bytes()
+    assert before == b"a,b\r\n1,2.5\r\n3,4.5\r\n"
+
+    def failing_rows():
+        yield (5, 6.5)
+        raise OSError("disk full")
+
+    for append in (False, True):
+        with pytest.raises(OSError):
+            write_csv(path, ["a", "b"], failing_rows(), append=append)
+        assert path.read_bytes() == before
+        assert [p.name for p in tmp_path.iterdir()] == ["m.csv"]
+    write_csv(path, ["a", "b"], [(5, 6.5)], append=True)
+    assert path.read_bytes() == before + b"5,6.5\r\n"
 
 
 def test_checkpoint_preserves_everything():

@@ -190,6 +190,12 @@ def test_cli_config_error_exit_2(tmp_path):
     "robustify.max_tested = 0",
     "robustify.truncate_frames = 0",
     "explore.checkpoint_interval_iterations = -1",
+    "eval.time_limit_game_frames = 0",
+    "robustify.frame_budget = -5",
+    "robustify.max_attempts = -1",
+    "robustify.max_noops = -1",
+    "robustify.rollout_frame_cap = 0",
+    "robustify.sticky_p = 1.5",
 ])
 def test_cli_out_of_range_setting_exit_2(tmp_path, line):
     """Rejected when the config loads, not after a whole run."""
@@ -411,3 +417,45 @@ def test_shipped_config_checkpoint_golden(tmp_path, name, budget, downscale, dig
     assert run_cli("explore", "--config", str(path), "--budget-frames", str(budget),
                    "--out", str(out)) == 0
     assert hashlib.sha256((out / "archive.ckpt").read_bytes()).hexdigest() == digest
+
+
+# -- pinned CSV bytes --------------------------------------------------------------
+
+# sha256 of each CSV a small keydoor run writes: explore to 20k frames, resume
+# to 40k into the same directory (metrics.csv gains rows), robustify, evaluate,
+# and report over the metrics. metrics.csv is hashed with its wall_seconds
+# column cut from every line; the \r\n line ends are part of every digest.
+GOLDEN_CSVS = {
+    "run/metrics.csv":
+        "171701506d44e9f3afac94a753ae7833a84ac632838b1b562ab3f3a62b70149f",
+    "rob/progress.csv":
+        "81f2dbd426ba1ac44567371b34f21594d466f8856c62ba36fffe8841ebe98607",
+    "eval/raw_scores.csv":
+        "1ac9d8eb4a4fea6538d168faec1a6568544e6623d277c5275a2e35f73cfccc41",
+    "eval/per_noop.csv":
+        "799c47fb170362ddb9335e9b848a21b0b9c5fb9486bf8909b616a228f7427741",
+    "agg/max_score_aggregate.csv":
+        "349f5421007f23e3f7d33db9679671db4fa26795d736f13cc635bbc1c85fb3b5",
+}
+
+
+def test_cli_csv_golden(tmp_path):
+    path = write_config(tmp_path, KEYDOOR_SMALL.replace(
+        "metric_interval_game_frames = 1000000000", "metric_interval_game_frames = 20000"))
+    run = tmp_path / "run"
+    assert run_cli("explore", "--config", str(path), "--budget-frames", "20000",
+                   "--out", str(run)) == 0
+    assert run_cli("explore", "--config", str(path), "--resume", str(run / "archive.ckpt"),
+                   "--out", str(run)) == 0
+    assert run_cli("robustify", "--config", str(path), "--out", str(tmp_path / "rob"),
+                   str(run / "archive.ckpt")) == 0
+    assert run_cli("evaluate", "--config", str(path), "--out", str(tmp_path / "eval"),
+                   "--policy", str(tmp_path / "rob" / "policy.ckpt")) == 0
+    assert run_cli("report", "--out", str(tmp_path / "agg"), str(run / "metrics.csv")) == 0
+    digests = {}
+    for name in GOLDEN_CSVS:
+        data = (tmp_path / name).read_bytes()
+        if name.endswith("metrics.csv"):
+            data = b"\r\n".join(line.rpartition(b",")[0] for line in data.split(b"\r\n"))
+        digests[name] = hashlib.sha256(data).hexdigest()
+    assert digests == GOLDEN_CSVS

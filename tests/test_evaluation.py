@@ -8,6 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from archex.archive import write_csv
 from archex.envs import ACTION_NOOP
 from archex.errors import ConfigError, ContractError
 from archex.evaluation import (
@@ -17,10 +18,8 @@ from archex.evaluation import (
     evaluate_policy,
     grand_mean,
     percentile_band,
-    write_per_noop_csv,
-    write_scores_csv,
 )
-from archex.explore import MetricsRow, write_metrics_csv
+from archex.explore import MetricsRow
 from archex.seeding import TAG_EVAL, stream
 
 from conftest import small_keydoor
@@ -266,7 +265,7 @@ def test_emit_report(tmp_path):
     paths = []
     for seed in (1, 2):
         path = tmp_path / f"metrics_{seed}.csv"
-        write_metrics_csv(rows_for_seed(seed), path)
+        write_csv(path, MetricsRow._fields, rows_for_seed(seed))
         paths.append(path)
     written = emit_report(paths, tmp_path / "agg", n_resamples=200, seed=0)
     names = {p.name for p in written}
@@ -287,7 +286,7 @@ def test_emit_report(tmp_path):
 
 def test_emit_report_single_seed_band_collapses(tmp_path):
     path = tmp_path / "metrics.csv"
-    write_metrics_csv(rows_for_seed(3), path)
+    write_csv(path, MetricsRow._fields, rows_for_seed(3))
     written = emit_report([path], tmp_path / "agg", n_resamples=100, seed=0)
     with open(tmp_path / "agg" / "cells_aggregate.csv") as fh:
         rows = list(csv.reader(fh))[1:]
@@ -311,8 +310,8 @@ def test_eval_csv_writers(tmp_path):
         per_noop={n: 5.0 for n in range(31)},
         scores=[(n, e, 5.0) for n in range(31) for e in range(5)],
     )
-    write_scores_csv(result, tmp_path / "raw.csv")
-    write_per_noop_csv(result, tmp_path / "per_noop.csv")
+    write_csv(tmp_path / "raw.csv", ["noop", "episode", "score"], result.scores)
+    write_csv(tmp_path / "per_noop.csv", ["noop", "mean_score"], result.per_noop.items())
     with open(tmp_path / "per_noop.csv") as fh:
         rows = list(csv.reader(fh))
     assert len(rows) == 32  # header + 31 noop rows
