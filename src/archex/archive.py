@@ -222,6 +222,10 @@ class Archive:
 # -- checkpoint serialization ---------------------------------------------------
 
 
+# The fixed-size rows of the layout; rooms and snapshot states vary in size.
+_HEADER = struct.Struct("<HQQQQQI")  # version, config hash, meta counters, room count
+_COUNT = struct.Struct("<Q")  # nodes or cells that follow
+_KEY_LEN = struct.Struct("<I")
 _NODE_ROW = struct.Struct("<HQ")
 _CELL_ROW = struct.Struct("<dQQQQQdQQI")
 _CHUNK_ROWS = 1024  # node or cell rows per piece of the streamed layout
@@ -233,8 +237,7 @@ def _layout(archive: Archive, meta: RunMeta | None) -> Iterator[bytes]:
     the cells' tails in key order), then cells in key order."""
     meta = meta or RunMeta()
     rooms = sorted(meta.rooms_seen)
-    yield CHECKPOINT_MAGIC + struct.pack(
-        f"<HQQQQQI{len(rooms)}II",
+    yield CHECKPOINT_MAGIC + _HEADER.pack(
         CHECKPOINT_VERSION,
         archive.config_hash,
         meta.seed,
@@ -242,9 +245,7 @@ def _layout(archive: Archive, meta: RunMeta | None) -> Iterator[bytes]:
         meta.training_frames,
         meta.game_frames,
         len(rooms),
-        *rooms,
-        meta.max_level_seen,
-    )
+    ) + struct.pack(f"<{len(rooms) + 1}I", *rooms, meta.max_level_seen)
 
     node_ids: dict[int, int] = {}
     nodes: list = []
@@ -259,7 +260,7 @@ def _layout(archive: Archive, meta: RunMeta | None) -> Iterator[bytes]:
             node = stack.pop()
             node_ids[id(node)] = len(nodes)
             nodes.append(node)
-    yield struct.pack("<Q", len(nodes))
+    yield _COUNT.pack(len(nodes))
     pack_node = _NODE_ROW.pack
     for start in range(0, len(nodes), _CHUNK_ROWS):
         yield b"".join(
@@ -268,7 +269,7 @@ def _layout(archive: Archive, meta: RunMeta | None) -> Iterator[bytes]:
             for node in nodes[start:start + _CHUNK_ROWS]
         )
 
-    yield struct.pack("<Q", len(ordered))
+    yield _COUNT.pack(len(ordered))
     pack_cell = _CELL_ROW.pack
     for start in range(0, len(ordered), _CHUNK_ROWS):
         parts = []
@@ -277,7 +278,7 @@ def _layout(archive: Archive, meta: RunMeta | None) -> Iterator[bytes]:
             enc = archive._encoded[key]
             tail = record.trajectory.tail
             snapshot = record.snapshot
-            parts.append(struct.pack("<I", len(enc)))
+            parts.append(_KEY_LEN.pack(len(enc)))
             parts.append(enc)
             parts.append(
                 pack_cell(
@@ -315,42 +316,37 @@ def _parse_body(body: bytes) -> tuple[Archive, RunMeta]:
 
 
 def _parse_fields(body: bytes) -> tuple[Archive, RunMeta]:
-    offset = 8
-    version, config_hash, seed, iteration, tf, gf, n_rooms = struct.unpack_from(
-        "<HQQQQQI", body, offset
-    )
+    offset = len(CHECKPOINT_MAGIC)
+    version, config_hash, seed, iteration, tf, gf, n_rooms = _HEADER.unpack_from(body, offset)
     if version != CHECKPOINT_VERSION:
         raise CheckpointError(f"archive checkpoint version {version} unsupported")
-    offset += struct.calcsize("<HQQQQQI")
-    rooms = struct.unpack_from(f"<{n_rooms}I", body, offset)
-    offset += 4 * n_rooms
-    (max_level_seen,) = struct.unpack_from("<I", body, offset)
-    offset += 4
+    offset += _HEADER.size
+    *rooms, max_level_seen = struct.unpack_from(f"<{n_rooms + 1}I", body, offset)
+    offset += 4 * (n_rooms + 1)
     meta = RunMeta(seed, iteration, tf, gf, frozenset(rooms), max_level_seen)
 
-    (n_nodes,) = struct.unpack_from("<Q", body, offset)
-    offset += 8
+    (n_nodes,) = _COUNT.unpack_from(body, offset)
+    offset += _COUNT.size
     nodes: list = []
     append = nodes.append
+    unpack_node, node_size = _NODE_ROW.unpack_from, _NODE_ROW.size
     for _ in range(n_nodes):
-        action, parent_id = struct.unpack_from("<HQ", body, offset)
-        offset += 10
+        action, parent_id = unpack_node(body, offset)
+        offset += node_size
         parent = None if parent_id == 0 else nodes[parent_id - 1]
         append(Trajectory.make_node(action, parent))
 
     archive = Archive(config_hash)
-    (n_cells,) = struct.unpack_from("<Q", body, offset)
-    offset += 8
+    (n_cells,) = _COUNT.unpack_from(body, offset)
+    offset += _COUNT.size
     for _ in range(n_cells):
-        (key_len,) = struct.unpack_from("<I", body, offset)
-        offset += 4
+        (key_len,) = _KEY_LEN.unpack_from(body, offset)
+        offset += _KEY_LEN.size
         key = decode_key(body[offset:offset + key_len])
         offset += key_len
         (score, traj_len, tail_id, seen, chosen, since_new,
-         snap_score, snap_tf, snap_gf, snap_len) = struct.unpack_from(
-            "<dQQQQQdQQI", body, offset
-        )
-        offset += struct.calcsize("<dQQQQQdQQI")
+         snap_score, snap_tf, snap_gf, snap_len) = _CELL_ROW.unpack_from(body, offset)
+        offset += _CELL_ROW.size
         state = body[offset:offset + snap_len]
         if len(state) != snap_len:
             raise CheckpointError("archive checkpoint truncated mid-cell")

@@ -27,7 +27,7 @@ from .errors import (
     ShortfallError,
     SnapshotFormatError,
 )
-from .evaluation import emit_report, evaluate_policy
+from .evaluation import emit_report, evaluate_policy, read_metric_csv
 from .explore import MetricsRow, replay_record, run_phase1
 from .robustify import (
     TabularQLearner,
@@ -63,6 +63,15 @@ def cmd_explore(args: argparse.Namespace) -> int:
     out.mkdir(parents=True, exist_ok=True)
     archive_path = out / "archive.ckpt"
     resume = checkpoint_load(args.resume) if args.resume else None
+    metrics_path = out / "metrics.csv"
+    append = bool(args.resume) and metrics_path.exists()
+    elapsed = 0.0  # a resumed run's wall_seconds carry on from the rows written
+    if append:
+        header, previous = read_metric_csv(metrics_path)
+        if header != list(MetricsRow._fields):
+            raise ConfigError(f"{metrics_path}: columns differ, cannot append")
+        if previous:
+            elapsed = previous[-1][-1]
 
     interval = cfg.checkpoint_interval_iterations
 
@@ -79,9 +88,8 @@ def cmd_explore(args: argparse.Namespace) -> int:
         on_iteration=on_iteration if interval else None,
     )
     checkpoint_save(result.archive, archive_path, result.meta)
-    metrics_path = out / "metrics.csv"
-    append = bool(args.resume) and metrics_path.exists()
-    write_csv(metrics_path, MetricsRow._fields, result.metrics, append=append)
+    rows = [m._replace(wall_seconds=m.wall_seconds + elapsed) for m in result.metrics]
+    write_csv(metrics_path, MetricsRow._fields, rows, append=append)
     last = result.metrics[-1]
     print(
         f"explored {last.training_frames} training frames "

@@ -5,6 +5,13 @@ lines are ignored. An optional ``preset = <name>`` line applies a named
 parameter set first; explicit keys override it. Unknown or malformed keys
 are rejected with their field path before anything runs.
 
+Each key is ``section.<field>`` of its settings class, with that field's
+type and default (``explore.batch``, ``robustify.reward_mode`` and
+``robustify.reward_scale`` are the renamed ones, and ``out.dir``,
+``workers`` and ``explore.checkpoint_interval_iterations`` are
+``ExperimentConfig``'s run-level fields); ``env.*`` keys are the keyword
+arguments of the chosen environment's constructor.
+
 Placement syntaxes:
     env.keys / env.hazards   room:x,y pairs, e.g. "5:6,1; 18:1,4"
     env.locked_doors         room-room pairs, e.g. "17-23; 22-23"
@@ -13,9 +20,13 @@ Placement syntaxes:
 
 from __future__ import annotations
 
+import functools
+import inspect
+import math
+import types
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Callable
+from typing import Callable, get_args, get_origin, get_type_hints
 
 from .cells import CellMapper, DownscaleParams, domain_mapper, downscale_mapper
 from .envs import DeceptiveCorridor, GridWorld, KeyDoorWorld, TwoMaze
@@ -113,9 +124,12 @@ class _Reader:
         if raw is None:
             return default
         try:
-            return float(raw)
+            value = float(raw)
         except ValueError:
-            raise ConfigError(f"{key}: expected a number, got {raw!r}") from None
+            value = math.nan
+        if math.isnan(value):
+            raise ConfigError(f"{key}: expected a number, got {raw!r}")
+        return value
 
     def boolean(self, key: str, default: bool) -> bool:
         raw = self._raw(key)
@@ -165,7 +179,64 @@ def _pair(item: str) -> tuple[int, int]:
 
 def _valued_room(item: str) -> tuple[int, float]:
     room, value = item.split(":")
-    return int(room), float(value)
+    room, score = int(room), float(value)
+    if math.isnan(score):
+        raise ValueError(item)
+    return room, score
+
+
+# The item lists among the environment settings: each one's item parser and
+# the item form its errors name.
+_ITEM_LISTS = {
+    "keys": (_placement, "room:x,y"),
+    "hazards": (_placement, "room:x,y"),
+    "locked_doors": (_pair, "a-b"),
+    "treasures": (_valued_room, "room:value"),
+}
+
+
+@functools.cache
+def _settings(cls: type) -> tuple[tuple[str, type, object], ...]:
+    """(name, type, default) of each setting of ``cls``: the fields of a
+    settings class, or the keyword arguments of an environment constructor.
+    ``int | None`` counts as ``int``; an item list's type is ``tuple``."""
+    hints = get_type_hints(cls.__init__ if issubclass(cls, GridWorld) else cls)
+    out = []
+    for name, param in inspect.signature(cls).parameters.items():
+        hint = hints[name]
+        if isinstance(hint, types.UnionType):
+            hint = get_args(hint)[0]
+        out.append((name, get_origin(hint) or hint, param.default))
+    return tuple(out)
+
+
+def _values(r: _Reader, prefix: str, cls: type, keys: dict[str, str] | None = None,
+            **given) -> dict:
+    """Each setting of ``cls``: taken from ``given``, or read from the key
+    ``prefix + name`` with the setting's type and default; ``keys`` maps the
+    fields whose key is not their name."""
+    read = {int: r.integer, float: r.floating, bool: r.boolean, str: r.string}
+    keys = keys or {}
+    out = {}
+    for name, kind, default in _settings(cls):
+        key = prefix + keys.get(name, name)
+        if name in given:
+            out[name] = given[name]
+        elif kind is tuple:
+            out[name] = r.items(key, default, *_ITEM_LISTS[name])
+        else:
+            out[name] = read[kind](key, default)
+    return out
+
+
+def _section(r: _Reader, prefix: str, cls: type, keys: dict[str, str] | None = None,
+             **given):
+    return cls(**_values(r, prefix, cls, keys, **given))
+
+
+ENV_TYPES: dict[str, type[GridWorld]] = {
+    "twomaze": TwoMaze, "keydoor": KeyDoorWorld, "corridor": DeceptiveCorridor,
+}
 
 
 @dataclass(frozen=True)
@@ -173,6 +244,11 @@ class ReprConfig:
     mode: str = "domain"  # "domain" | "downscale"
     grid_size: int = 1
     downscale: DownscaleParams = DownscaleParams()
+
+    def validate(self) -> "ReprConfig":
+        if self.mode not in ("domain", "downscale"):
+            raise ConfigError(f"repr.mode: unknown representation {self.mode!r}")
+        return self
 
     def build_mapper(self) -> CellMapper:
         if self.mode == "domain":
@@ -215,9 +291,7 @@ class ExperimentConfig:
     checkpoint_interval_iterations: int = 0
 
     def env_factory(self) -> Callable[[], GridWorld]:
-        ctor = {"twomaze": TwoMaze, "keydoor": KeyDoorWorld, "corridor": DeceptiveCorridor}[
-            self.env_type
-        ]
+        ctor = ENV_TYPES[self.env_type]
         kwargs = self.env_kwargs
         return lambda: ctor(**kwargs)
 
@@ -227,44 +301,10 @@ class ExperimentConfig:
 
 def _env_section(r: _Reader) -> tuple[str, dict]:
     env_type = r.string("env.type", "twomaze")
-    common = dict(
-        frame_skip=r.integer("env.frame_skip", 4),
-        tile_px=r.integer("env.tile_px", 4),
-        time_limit_game_frames=r.integer("env.time_limit_game_frames", 400_000),
-    )
-    if env_type == "twomaze":
-        return env_type, dict(
-            arm_rows=r.integer("env.arm_rows", 5),
-            arm_cols=r.integer("env.arm_cols", 12),
-            **common,
-        )
-    if env_type == "keydoor":
-        return env_type, dict(
-            rooms_rows=r.integer("env.rooms_rows", 4),
-            rooms_cols=r.integer("env.rooms_cols", 6),
-            room_w=r.integer("env.room_w", 8),
-            room_h=r.integer("env.room_h", 6),
-            keys=r.items("env.keys", KeyDoorWorld.DEFAULT_KEYS, _placement, "room:x,y"),
-            key_reward=r.floating("env.key_reward", 100.0),
-            locked_doors=r.items("env.locked_doors", KeyDoorWorld.DEFAULT_DOORS, _pair, "a-b"),
-            hazards=r.items("env.hazards", KeyDoorWorld.DEFAULT_HAZARDS, _placement, "room:x,y"),
-            treasure_reward=r.floating("env.treasure_reward", 1000.0),
-            treasure_room=r.integer("env.treasure_room", None),
-            hazard_policy=r.string("env.hazard_policy", "kill"),
-            key_capacity=r.integer("env.key_capacity", 4),
-            **common,
-        )
-    if env_type == "corridor":
-        return env_type, dict(
-            n_rooms=r.integer("env.n_rooms", 12),
-            room_w=r.integer("env.room_w", 10),
-            room_h=r.integer("env.room_h", 7),
-            treasures=r.items("env.treasures", DeceptiveCorridor.DEFAULT_TREASURES,
-                              _valued_room, "room:value"),
-            hazard_penalty=r.floating("env.hazard_penalty", -1.0),
-            **common,
-        )
-    raise ConfigError(f"env.type: unknown environment {env_type!r}")
+    ctor = ENV_TYPES.get(env_type)
+    if ctor is None:
+        raise ConfigError(f"env.type: unknown environment {env_type!r}")
+    return env_type, _values(r, "env.", ctor)
 
 
 def build_config(values: dict[str, str]) -> ExperimentConfig:
@@ -282,100 +322,29 @@ def build_config(values: dict[str, str]) -> ExperimentConfig:
 
     r = _Reader(values)
     env_type, env_kwargs = _env_section(r)
-
-    mode = r.string("repr.mode", "domain")
-    if mode not in ("domain", "downscale"):
-        raise ConfigError(f"repr.mode: unknown representation {mode!r}")
-    representation = ReprConfig(
-        mode=mode,
-        grid_size=r.integer("repr.grid_size", 1),
-        downscale=DownscaleParams(
-            width=r.integer("repr.width", 11),
-            height=r.integer("repr.height", 8),
-            depth=r.integer("repr.depth", 8),
-        ).validate(),
-    )
-
-    selection = SelectionConfig(
-        w_chosen=r.floating("select.w_chosen", 0.1),
-        w_chosen_since_new=r.floating("select.w_chosen_since_new", 0.0),
-        w_seen=r.floating("select.w_seen", 0.3),
-        p_chosen=r.floating("select.p_chosen", 0.5),
-        p_chosen_since_new=r.floating("select.p_chosen_since_new", 0.5),
-        p_seen=r.floating("select.p_seen", 0.5),
-        w_horizontal=r.floating("select.w_horizontal", 0.0),
-        w_vertical=r.floating("select.w_vertical", 0.0),
-        w_more_keys=r.floating("select.w_more_keys", 0.0),
-        eps1=r.floating("select.eps1", 0.001),
-        eps2=r.floating("select.eps2", 0.00001),
-        level_decay=r.floating("select.level_decay", 0.1),
-        domain_mode=r.boolean("select.domain_mode", mode == "domain"),
-        track_keys=r.boolean("select.track_keys", True),
+    representation = _section(
+        r, "repr.", ReprConfig, downscale=_section(r, "repr.", DownscaleParams).validate()
     ).validate()
-
-    explore = ExploreConfig(
-        k=r.integer("explore.k", 100),
-        repeat_p=r.floating("explore.repeat_p", 0.95),
-        batch_size=r.integer("explore.batch", 100),
-        budget_training_frames=r.integer("explore.budget_training_frames", 1_000_000),
-        seed=r.integer("explore.seed", 0),
-        metric_interval_game_frames=r.integer(
-            "explore.metric_interval_game_frames", 4_000_000
-        ),
+    selection = _section(
+        r, "select.", SelectionConfig,
+        domain_mode=r.boolean("select.domain_mode", representation.mode == "domain"),
     ).validate()
-
-    shaping_mode = r.string("robustify.reward_mode", "clip")
-    backward = BackwardConfig(
-        success_threshold=r.floating("robustify.success_threshold", 0.1),
-        advance_interval=r.integer("robustify.advance_interval", None),
-        delta=r.integer("robustify.delta", 1),
-        window=r.integer("robustify.window", 50),
-        allowed_deficit=r.floating("robustify.allowed_deficit", 0.0),
-        shaping=RewardShaping(
-            mode=shaping_mode,
-            scale=r.floating("robustify.reward_scale", 0.001),
-        ),
-        sticky_p=r.floating("robustify.sticky_p", 0.25),
-        max_noops=r.integer("robustify.max_noops", 30),
-        max_attempts=r.integer("robustify.max_attempts", 1_000_000),
-        frame_budget=r.integer("robustify.frame_budget", None),
-        rollout_frame_cap=r.integer("robustify.rollout_frame_cap", None),
+    explore = _section(r, "explore.", ExploreConfig, keys={"batch_size": "batch"}).validate()
+    shaping = _section(r, "robustify.", RewardShaping,
+                       keys={"mode": "reward_mode", "scale": "reward_scale"})
+    robustify = _section(
+        r, "robustify.", RobustifyConfig,
+        backward=_section(r, "robustify.", BackwardConfig, shaping=shaping).validate(),
+        q=_section(r, "robustify.", TabularQConfig).validate(),
     ).validate()
-    robustify = RobustifyConfig(
-        backward=backward,
-        n_demos=r.integer("robustify.n_demos", 1),
-        q=TabularQConfig(
-            alpha=r.floating("robustify.alpha", 0.2),
-            gamma=r.floating("robustify.gamma", 0.99),
-            epsilon=r.floating("robustify.epsilon", 0.1),
-        ),
-        demo_stride=r.integer("robustify.demo_stride", 25),
-        truncate_frames=r.integer("robustify.truncate_frames", None),
-        truncate_to_last_reward=r.boolean("robustify.truncate_to_last_reward", False),
-        near=r.integer("robustify.near", 50),
-        max_tested=r.integer("robustify.max_tested", 10),
-    ).validate()
+    protocol = _section(r, "eval.", EvalProtocol).validate()
 
-    protocol = EvalProtocol(
-        max_noop=r.integer("eval.max_noop", 30),
-        min_episodes=r.integer("eval.min_episodes", 5),
-        sticky_p=r.floating("eval.sticky_p", 0.25),
-        time_limit_game_frames=r.integer("eval.time_limit_game_frames", 400_000),
-    ).validate()
-
-    cfg = ExperimentConfig(
-        env_type=env_type,
-        env_kwargs=env_kwargs,
-        representation=representation,
-        selection=selection,
-        explore=explore,
-        robustify=robustify,
-        protocol=protocol,
-        out_dir=r.string("out.dir", "out"),
-        workers=r.integer("workers", 1),
-        checkpoint_interval_iterations=r.integer(
-            "explore.checkpoint_interval_iterations", 0
-        ),
+    cfg = _section(
+        r, "", ExperimentConfig,
+        keys={"out_dir": "out.dir",
+              "checkpoint_interval_iterations": "explore.checkpoint_interval_iterations"},
+        env_type=env_type, env_kwargs=env_kwargs, representation=representation,
+        selection=selection, explore=explore, robustify=robustify, protocol=protocol,
     )
     r.reject_unknown()
     if cfg.workers < 1:

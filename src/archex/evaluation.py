@@ -150,7 +150,7 @@ def percentile_band(
 
 # -- report aggregation ---------------------------------------------------------
 
-def _read_metric_csv(path) -> tuple[list[str], list[list[float]]]:
+def read_metric_csv(path) -> tuple[list[str], list[list[float]]]:
     rows = []
     try:
         fh = open(path, newline="")
@@ -188,8 +188,13 @@ def emit_report(
         raise ConfigError("no metric CSVs given")
     tables = []
     header = None
+    seen = set()
     for path in metric_csvs:
-        head, rows = _read_metric_csv(path)
+        head, rows = read_metric_csv(path)
+        real = Path(path).resolve()
+        if real in seen:
+            raise ConfigError(f"{path}: given twice (each input is one seed)")
+        seen.add(real)
         if header is None:
             header = head
         elif head != header:

@@ -229,6 +229,13 @@ class TabularQConfig:
     gamma: float = 0.99
     epsilon: float = 0.1
 
+    def validate(self) -> "TabularQConfig":
+        if not 0 < self.alpha <= 1:
+            raise ConfigError("alpha must be in (0, 1]")
+        if not (0 <= self.gamma <= 1 and 0 <= self.epsilon <= 1):
+            raise ConfigError("gamma and epsilon must be in [0, 1]")
+        return self
+
 
 class TabularQLearner:
     """Q-learning over the environment's discrete state tuple."""
@@ -494,14 +501,22 @@ def _pack_state(state: tuple) -> bytes:
     return struct.pack(f"<H{len(state)}q", len(state), *state)
 
 
+# version, config hash, min_msp, attempts, n_actions, number of Q rows
+_POLICY_HEADER = struct.Struct("<HQQQIQ")
+
+
+def _q_row(n_actions: int) -> struct.Struct:
+    return struct.Struct(f"<{n_actions}d")
+
+
 def _policy_layout(checkpoint: PolicyCheckpoint, config_hash: int) -> Iterator[bytes]:
     """The policy checkpoint body: header, then one piece per Q row in
     encoded-state order."""
-    yield POLICY_MAGIC + struct.pack(
-        "<HQQQIQ", POLICY_VERSION, config_hash, checkpoint.min_msp,
+    yield POLICY_MAGIC + _POLICY_HEADER.pack(
+        POLICY_VERSION, config_hash, checkpoint.min_msp,
         checkpoint.attempts, checkpoint.n_actions, len(checkpoint.q),
     )
-    row = struct.Struct(f"<{checkpoint.n_actions}d")
+    row = _q_row(checkpoint.n_actions)
     for enc, state in sorted((_pack_state(s), s) for s in checkpoint.q):
         yield struct.pack("<I", len(enc)) + enc + row.pack(*checkpoint.q[state])
 
@@ -514,15 +529,15 @@ def save_policy(checkpoint: PolicyCheckpoint, path, config_hash: int) -> None:
 def load_policy(path, expected_config_hash: int | None = None) -> PolicyCheckpoint:
     body = read_checksummed(path, POLICY_MAGIC, "policy checkpoint")
     try:
-        offset = 8
-        version, chash, msp, attempts, n_actions = struct.unpack_from("<HQQQI", body, offset)
+        offset = len(POLICY_MAGIC)
+        version, chash, msp, attempts, n_actions, n_states = _POLICY_HEADER.unpack_from(
+            body, offset)
         if version != POLICY_VERSION:
             raise CheckpointError(f"policy version {version} unsupported")
         if expected_config_hash is not None and chash != expected_config_hash:
             raise CheckpointError("policy checkpoint is from a different env config")
-        offset += struct.calcsize("<HQQQI")
-        (n_states,) = struct.unpack_from("<Q", body, offset)
-        offset += 8
+        offset += _POLICY_HEADER.size
+        row = _q_row(n_actions)
         q: dict[tuple, list[float]] = {}
         for _ in range(n_states):
             (enc_len,) = struct.unpack_from("<I", body, offset)
@@ -530,9 +545,8 @@ def load_policy(path, expected_config_hash: int | None = None) -> PolicyCheckpoi
             (n_ints,) = struct.unpack_from("<H", body, offset)
             state = struct.unpack_from(f"<{n_ints}q", body, offset + 2)
             offset += enc_len
-            row = list(struct.unpack_from(f"<{n_actions}d", body, offset))
-            offset += 8 * n_actions
-            q[tuple(state)] = row
+            q[tuple(state)] = list(row.unpack_from(body, offset))
+            offset += row.size
     except struct.error as exc:
         raise CheckpointError(f"policy checkpoint corrupt: {exc}") from exc
     return PolicyCheckpoint(q=q, n_actions=n_actions, min_msp=msp, attempts=attempts)

@@ -21,6 +21,7 @@ order, so the two agree bit for bit.
 
 from __future__ import annotations
 
+import math
 import sys
 from dataclasses import dataclass
 
@@ -56,11 +57,16 @@ class SelectionConfig:
     track_keys: bool = True
 
     def validate(self) -> "SelectionConfig":
-        for name in ("w_chosen", "w_chosen_since_new", "w_seen",
-                     "w_horizontal", "w_vertical", "w_more_keys"):
+        weights = ("w_chosen", "w_chosen_since_new", "w_seen",
+                   "w_horizontal", "w_vertical", "w_more_keys")
+        powers = ("p_chosen", "p_chosen_since_new", "p_seen")
+        for name in weights + powers + ("eps1", "eps2"):
+            if not math.isfinite(getattr(self, name)):
+                raise ConfigError(f"selection setting {name} must be finite")
+        for name in weights:
             if getattr(self, name) < 0:
                 raise ConfigError(f"selection weight {name} must be >= 0")
-        for name in ("p_chosen", "p_chosen_since_new", "p_seen"):
+        for name in powers:
             if getattr(self, name) <= 0:
                 raise ConfigError(f"selection power {name} must be > 0")
         if self.eps1 <= 0 or self.eps2 <= 0:

@@ -2,14 +2,19 @@
 
 import csv
 import hashlib
+import inspect
 import re
 from pathlib import Path
 
 import pytest
 
 from archex.cli import main
-from archex.config import _Reader, build_config, load_config, parse_text
+from archex.config import ReprConfig, RobustifyConfig, _Reader, build_config, load_config, parse_text
+from archex.envs import DeceptiveCorridor, KeyDoorWorld, TwoMaze
 from archex.errors import ConfigError
+from archex.evaluation import EvalProtocol
+from archex.explore import ExploreConfig
+from archex.selection import SelectionConfig
 
 
 BASE = """
@@ -58,10 +63,42 @@ def test_unknown_key_rejected():
         assert key in str(err.value)
 
 
-def test_type_errors_name_the_field():
+@pytest.mark.parametrize("env_type, line, message", [
+    ("twomaze", "explore.k = x", "explore.k: expected an integer, got 'x'"),
+    ("twomaze", "select.w_seen = fast", "select.w_seen: expected a number, got 'fast'"),
+    ("twomaze", "select.domain_mode = maybe",
+     "select.domain_mode: expected true/false, got 'maybe'"),
+    ("twomaze", "robustify.advance_interval = 1.5",
+     "robustify.advance_interval: expected an integer, got '1.5'"),
+    ("keydoor", "env.treasure_room = x", "env.treasure_room: expected an integer, got 'x'"),
+    ("keydoor", "env.keys = 5:1", "env.keys[0]: expected room:x,y, got '5:1'"),
+    ("twomaze", "select.eps1 = nan", "select.eps1: expected a number, got 'nan'"),
+    ("corridor", "env.treasures = 3:nan", "env.treasures[0]: expected room:value, got '3:nan'"),
+], ids=["integer", "number", "boolean", "optional-integer", "env-integer", "item-list",
+        "nan", "item-nan"])
+def test_type_errors_name_the_field(env_type, line, message):
     with pytest.raises(ConfigError) as err:
-        build_config(parse_text(BASE + "select.w_seen = fast\n"))
-    assert "select.w_seen" in str(err.value)
+        build_config(parse_text(f"env.type = {env_type}\n{line}\n"))
+    assert str(err.value) == message
+
+
+@pytest.mark.parametrize("env_type, ctor", [
+    ("twomaze", TwoMaze), ("keydoor", KeyDoorWorld), ("corridor", DeceptiveCorridor)])
+def test_unset_keys_take_the_class_defaults(env_type, ctor):
+    cfg = build_config({"env.type": env_type})
+    assert cfg.env_kwargs == {
+        name: p.default for name, p in inspect.signature(ctor).parameters.items()}
+    assert cfg.representation == ReprConfig()
+    assert cfg.selection == SelectionConfig(domain_mode=True)
+    assert cfg.explore == ExploreConfig()
+    assert cfg.robustify == RobustifyConfig()
+    assert cfg.protocol == EvalProtocol()
+
+
+def test_infinite_allowed_deficit_loads():
+    # early_terminate reads an infinite deficit as "never terminate".
+    cfg = build_config(parse_text(BASE + "robustify.allowed_deficit = inf\n"))
+    assert cfg.robustify.backward.allowed_deficit == float("inf")
 
 
 def test_bad_placement_syntax():
@@ -196,6 +233,16 @@ def test_cli_config_error_exit_2(tmp_path):
     "robustify.max_noops = -1",
     "robustify.rollout_frame_cap = 0",
     "robustify.sticky_p = 1.5",
+    "select.w_seen = nan",
+    "select.eps1 = nan",
+    "select.w_horizontal = nan",
+    "select.w_seen = inf",
+    "select.eps2 = inf",
+    "robustify.alpha = -5",
+    "robustify.epsilon = 2",
+    "robustify.gamma = 1.5",
+    "robustify.allowed_deficit = nan",
+    "robustify.reward_scale = nan",
 ])
 def test_cli_out_of_range_setting_exit_2(tmp_path, line):
     """Rejected when the config loads, not after a whole run."""
@@ -384,6 +431,39 @@ def test_cli_report(tmp_path):
     code = run_cli("report", "--out", str(tmp_path / "agg"), *outs)
     assert code == 0
     assert (tmp_path / "agg" / "cells_aggregate.csv").exists()
+
+
+def test_cli_report_same_file_twice_exit_2(tmp_path, monkeypatch):
+    path = write_config(tmp_path, BASE)
+    assert run_cli("explore", "--config", str(path), "--out", str(tmp_path / "run")) == 0
+    monkeypatch.chdir(tmp_path)
+    assert run_cli("report", "--out", "agg", "run/metrics.csv", "./run/metrics.csv") == 2
+    assert not (tmp_path / "agg").exists()
+
+
+def test_cli_resume_wall_seconds_never_decrease(tmp_path):
+    path = write_config(tmp_path, KEYDOOR_SMALL.replace(
+        "metric_interval_game_frames = 1000000000", "metric_interval_game_frames = 20000"))
+    run = tmp_path / "run"
+    assert run_cli("explore", "--config", str(path), "--budget-frames", "20000",
+                   "--out", str(run)) == 0
+    first = (run / "metrics.csv").read_text().count("\n")
+    assert run_cli("explore", "--config", str(path), "--resume", str(run / "archive.ckpt"),
+                   "--out", str(run)) == 0
+    with open(run / "metrics.csv") as fh:
+        rows = list(csv.DictReader(fh))
+    assert first - 1 < len(rows)  # the resumed run appended rows
+    wall = [float(row["wall_seconds"]) for row in rows]
+    assert wall == sorted(wall)
+
+
+def test_cli_resume_onto_foreign_metrics_csv_exit_2(tmp_path):
+    path = write_config(tmp_path, BASE)
+    run = tmp_path / "run"
+    assert run_cli("explore", "--config", str(path), "--out", str(run)) == 0
+    (run / "metrics.csv").write_text("game_frames,cells\r\n0,1\r\n")
+    assert run_cli("explore", "--config", str(path), "--resume", str(run / "archive.ckpt"),
+                   "--budget-frames", "2000", "--out", str(run)) == 2
 
 
 # -- pinned checkpoint bytes ------------------------------------------------------
