@@ -9,7 +9,6 @@ from .cells import (
     DomainKey,
     DownscaledKey,
     DownscaleParams,
-    domain_cell,
     downscale_cell,
     neighbors,
 )
@@ -24,7 +23,7 @@ from .robustify import (
     select_demonstrations,
     truncate_demo,
 )
-from .selection import SelectionConfig, cell_probs, cell_score, sample_batch
+from .selection import SelectionConfig, cell_probs, sample_batch
 from .trajectory import Trajectory
 
 __all__ = [
@@ -49,8 +48,6 @@ __all__ = [
     "baseline_from_start",
     "bootstrap_ci",
     "cell_probs",
-    "cell_score",
-    "domain_cell",
     "downscale_cell",
     "early_terminate",
     "evaluate_policy",

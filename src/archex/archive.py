@@ -215,9 +215,6 @@ class Archive:
             return any(slot.matches(k) for k in self._pos_index.get(pos, ()))
         return slot in self.cells
 
-    def items(self) -> Iterator[tuple[CellKey, CellRecord]]:
-        return iter(self.cells.items())
-
 
 # -- checkpoint serialization ---------------------------------------------------
 

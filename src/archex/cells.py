@@ -137,11 +137,6 @@ def downscale_cell(frame: np.ndarray, params: DownscaleParams) -> DownscaledKey:
 
 # -- domain representation ----------------------------------------------------
 
-def domain_cell(info: DomainInfo, grid_size: int) -> DomainKey:
-    """Bin the agent position into grid_size x grid_size cells."""
-    return domain_mapper(grid_size)(None, info)
-
-
 class NeighborKind(enum.Enum):
     HORIZONTAL = "horizontal"
     VERTICAL = "vertical"

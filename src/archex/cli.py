@@ -30,11 +30,11 @@ from .errors import (
 from .evaluation import emit_report, evaluate_policy, read_metric_csv
 from .explore import MetricsRow, replay_record, run_phase1
 from .robustify import (
+    GreedyTabularPolicy,
     TabularQLearner,
     backward_run,
     best_checkpoint,
     load_policy,
-    policy_from_checkpoint,
     save_policy,
     select_demonstrations,
     truncate_demo,
@@ -140,7 +140,7 @@ def cmd_robustify(args: argparse.Namespace) -> int:
     print(f"reached within 50 of frame 0: {result.reached_within(50)}")
 
     def evaluator(checkpoint, eval_index: int) -> float:
-        policy = policy_from_checkpoint(checkpoint)
+        policy = GreedyTabularPolicy(checkpoint.q, checkpoint.n_actions)
         outcome = evaluate_policy(
             policy, cfg.env_factory(), cfg.protocol,
             seed=int(stream(cfg.explore.seed, TAG_CHECKPOINT, eval_index).integers(2**63)),
@@ -167,7 +167,7 @@ def cmd_evaluate(args: argparse.Namespace) -> int:
     out.mkdir(parents=True, exist_ok=True)
     env = cfg.env_factory()()
     checkpoint = load_policy(args.policy, expected_config_hash=env.config_hash)
-    policy = policy_from_checkpoint(checkpoint)
+    policy = GreedyTabularPolicy(checkpoint.q, checkpoint.n_actions)
     result = evaluate_policy(policy, cfg.env_factory(), cfg.protocol, seed=cfg.explore.seed)
     write_csv(out / "raw_scores.csv", ["noop", "episode", "score"], result.scores)
     write_csv(out / "per_noop.csv", ["noop", "mean_score"], result.per_noop.items())

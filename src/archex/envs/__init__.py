@@ -14,7 +14,7 @@ from .base import (
 )
 from .gridworld import GridWorld
 from .suite import DeceptiveCorridor, KeyDoorWorld, TwoMaze
-from .wrappers import StickyActions, force_noops, wrap_sticky
+from .wrappers import StickyActions, force_noops
 
 __all__ = [
     "ACTION_COUNT",
@@ -33,5 +33,4 @@ __all__ = [
     "StickyActions",
     "TwoMaze",
     "force_noops",
-    "wrap_sticky",
 ]

@@ -27,6 +27,9 @@ from ..errors import SnapshotFormatError
 
 SNAPSHOT_MAGIC = b"AXSN"
 SNAPSHOT_VERSION = 1
+# After the magic: version, config hash, payload length.
+_SNAPSHOT_HEADER = struct.Struct("<HQI")
+_PAYLOAD_START = len(SNAPSHOT_MAGIC) + _SNAPSHOT_HEADER.size
 
 # Action ids shared by all built-in environments.
 ACTION_NOOP = 0
@@ -97,32 +100,30 @@ def config_hash_from_lines(lines: list[str]) -> int:
 def pack_snapshot(config_hash: int, payload: bytes) -> bytes:
     return (
         SNAPSHOT_MAGIC
-        + struct.pack("<HQI", SNAPSHOT_VERSION, config_hash, len(payload))
+        + _SNAPSHOT_HEADER.pack(SNAPSHOT_VERSION, config_hash, len(payload))
         + payload
     )
 
 
 def peek_config_hash(blob: bytes) -> int:
     """Read the config hash out of a snapshot blob without full parsing."""
-    if len(blob) < 14 or blob[:4] != SNAPSHOT_MAGIC:
+    if len(blob) < _PAYLOAD_START or blob[:4] != SNAPSHOT_MAGIC:
         raise SnapshotFormatError("not a snapshot blob")
-    (chash,) = struct.unpack_from("<Q", blob, 6)
-    return chash
+    return _SNAPSHOT_HEADER.unpack_from(blob, 4)[1]
 
 
 def unpack_snapshot(blob: bytes, expected_config_hash: int) -> bytes:
     """Validate header and return the payload; raises SnapshotFormatError."""
-    header = struct.calcsize("<HQI")
-    if len(blob) < 4 + header or blob[:4] != SNAPSHOT_MAGIC:
+    if len(blob) < _PAYLOAD_START or blob[:4] != SNAPSHOT_MAGIC:
         raise SnapshotFormatError("not a snapshot blob")
-    version, chash, plen = struct.unpack_from("<HQI", blob, 4)
+    version, chash, plen = _SNAPSHOT_HEADER.unpack_from(blob, 4)
     if version != SNAPSHOT_VERSION:
         raise SnapshotFormatError(f"snapshot version {version} not supported")
     if chash != expected_config_hash:
         raise SnapshotFormatError(
             "snapshot was taken under a different environment config"
         )
-    payload = blob[4 + header:]
+    payload = blob[_PAYLOAD_START:]
     if len(payload) != plen:
         raise SnapshotFormatError("snapshot payload truncated")
     return payload

@@ -61,7 +61,11 @@ SHADE_HAZARD = 64
 SHADE_TREASURE = 224
 SHADE_AGENT = 192
 
-_STATE_HEAD = "<dQQBIii"
+# Score, training and game frames, done flag, level, x, y; then four
+# sequences (held, keys taken, doors open, treasures taken), each a count
+# followed by that many values.
+_STATE_HEAD = struct.Struct("<dQQBIii")
+_SEQ_LEN = struct.Struct("<H")
 
 
 class GridWorld:
@@ -217,12 +221,6 @@ class GridWorld:
     def room_of(self, x: int, y: int) -> int:
         """Room index of a tile inside the grid, by two table lookups."""
         return self._room_col[x] + self._room_row[y]
-
-    def room_count(self) -> int:
-        if self.rooms is None:
-            return 1
-        rows, cols, _, _ = self.rooms
-        return rows * cols
 
     def room_origin(self, room: int) -> tuple[int, int]:
         """Top-left interior tile of a room."""
@@ -418,8 +416,7 @@ class GridWorld:
 
     def snapshot(self) -> EnvSnapshot:
         parts = [
-            struct.pack(
-                _STATE_HEAD,
+            _STATE_HEAD.pack(
                 self._score,
                 self._training_frames,
                 self._game_frames,
@@ -447,15 +444,12 @@ class GridWorld:
     def restore(self, snap: EnvSnapshot) -> None:
         payload = unpack_snapshot(snap.state_bytes, self.config_hash)
         try:
-            head = struct.calcsize(_STATE_HEAD)
-            score, tf, gf, done, level, x, y = struct.unpack_from(
-                _STATE_HEAD, payload, 0
-            )
-            offset = head
+            score, tf, gf, done, level, x, y = _STATE_HEAD.unpack_from(payload, 0)
+            offset = _STATE_HEAD.size
             seqs = []
             for _ in range(4):
-                (n,) = struct.unpack_from("<H", payload, offset)
-                offset += 2
+                (n,) = _SEQ_LEN.unpack_from(payload, offset)
+                offset += _SEQ_LEN.size
                 seqs.append(struct.unpack_from(f"<{n}H", payload, offset))
                 offset += 2 * n
         except struct.error as exc:

@@ -10,6 +10,8 @@ movement with small negative rewards long before its large positive ones.
 
 from __future__ import annotations
 
+import math
+
 from ..errors import ConfigError
 from .gridworld import (
     GridWorld,
@@ -24,6 +26,11 @@ from .gridworld import (
 
 def _blank_grid(width: int, height: int) -> bytearray:
     return bytearray([TILE_WALL]) * (width * height)
+
+
+def _require_finite(setting: str, value: float) -> None:
+    if not math.isfinite(value):
+        raise ConfigError(f"{setting} must be finite, got {value!r}")
 
 
 class TwoMaze(GridWorld):
@@ -128,6 +135,8 @@ class KeyDoorWorld(GridWorld):
             raise ConfigError("room interior must be at least 3x3")
         if hazard_policy not in ("kill", "respawn"):
             raise ConfigError(f"unknown hazard_policy {hazard_policy!r}")
+        _require_finite("key_reward", key_reward)
+        _require_finite("treasure_reward", treasure_reward)
         self.rooms = (rooms_rows, rooms_cols, room_w, room_h)
         self.width = rooms_cols * (room_w + 1) + 1
         self.height = rooms_rows * (room_h + 1) + 1
@@ -255,6 +264,7 @@ class DeceptiveCorridor(GridWorld):
             raise ConfigError("DeceptiveCorridor needs at least 2 rooms")
         if room_w < 5 or room_h < 3:
             raise ConfigError("room interior must be at least 5x3")
+        _require_finite("hazard_penalty", hazard_penalty)
         self.rooms = (1, n_rooms, room_w, room_h)
         self.width = n_rooms * (room_w + 1) + 1
         self.height = room_h + 2
@@ -289,6 +299,7 @@ class DeceptiveCorridor(GridWorld):
                 raise ConfigError(f"treasure room {room} out of range (room 0 reserved)")
             if room in treasure_rooms:
                 raise ConfigError(f"two treasures in room {room}")
+            _require_finite("treasures", value)
             treasure_rooms.add(room)
             ox, oy = self.room_origin(room)
             pos = (ox + room_w - 1, oy + room_h // 2)
@@ -299,10 +310,6 @@ class DeceptiveCorridor(GridWorld):
         self.spawn = self.respawn_point(0)
         self._params = dict(treasures=tuple(treasures))
         self._build()
-
-    def attainable_total(self) -> float:
-        """Best achievable episode score: every treasure, no hazard contact."""
-        return sum(self.treasure_values)
 
     def config_lines(self) -> list[str]:
         extra = [f"{k}={v!r}" for k, v in sorted(self._params.items())]

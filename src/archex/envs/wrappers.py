@@ -77,13 +77,6 @@ class StickyActions:
         return self.inner.step(executed)
 
 
-def wrap_sticky(env: GridWorld, p: float) -> GridWorld | StickyActions:
-    """Identity when p == 0, else a :class:`StickyActions` wrapper."""
-    if p == 0.0:
-        return env
-    return StickyActions(env, p)
-
-
 def force_noops(env: GridWorld | StickyActions, n: int) -> None:
     """Step ``n`` no-ops on a live episode, fewer if the episode ends first."""
     for _ in range(n):

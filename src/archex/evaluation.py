@@ -22,7 +22,7 @@ import numpy as np
 
 from .archive import write_csv
 from .envs.gridworld import GridWorld
-from .envs.wrappers import force_noops, wrap_sticky
+from .envs.wrappers import StickyActions, force_noops
 from .errors import ConfigError, ContractError
 from .seeding import TAG_EVAL, stream
 
@@ -80,7 +80,7 @@ def evaluate_policy(
     """
     protocol = protocol.validate()
     base = env_factory()
-    env = wrap_sticky(base, protocol.sticky_p)
+    env = StickyActions(base, protocol.sticky_p)
     frame_cap = protocol.time_limit_game_frames // max(1, base.frame_skip)
     scores: list[tuple[int, int, float]] = []
     for noop in range(protocol.max_noop + 1):

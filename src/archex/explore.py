@@ -344,44 +344,6 @@ def baseline_from_start(
     return run_phase1(env_factory, cfg, None, mapper, stop_condition=stop_condition)
 
 
-def myopic_greedy_baseline(
-    env_factory: Callable[[], GridWorld],
-    budget_training_frames: int,
-    seed: int = 0,
-) -> float:
-    """Reward-greedy control: pick the action with the best immediate reward
-    via one-step lookahead, preferring no-op on ties.
-
-    In deceptive-reward worlds every action from most states looks no better
-    than doing nothing, so this baseline settles into the stand-still local
-    optimum. Returns the best episode score achieved within the budget.
-    """
-    env = env_factory()
-    env.reset(seed)
-    best = env.cum_score
-    frames = 0
-    while frames < budget_training_frames:
-        if env.done:
-            best = max(best, env.cum_score)
-            env.reset(seed)
-        here = env.snapshot()
-        # Evaluate no-op first so ties keep it.
-        order = [env.noop_action] + [
-            a for a in range(env.action_count) if a != env.noop_action
-        ]
-        choice, choice_reward = env.noop_action, float("-inf")
-        for action in order:
-            env.restore(here)
-            result = env.step(action)
-            if result.reward > choice_reward:
-                choice, choice_reward = action, result.reward
-        env.restore(here)
-        env.step(choice)
-        frames += 1
-        best = max(best, env.cum_score)
-    return best
-
-
 # -- replay verification --------------------------------------------------------
 
 def replay_record(

@@ -16,6 +16,7 @@ environment's discrete state; :func:`backward_run` calls its
 
 from __future__ import annotations
 
+import math
 import struct
 from dataclasses import dataclass, field
 from typing import Callable, Iterator, Sequence
@@ -34,7 +35,7 @@ from .errors import (
     ShortfallError,
 )
 from .seeding import TAG_ATTEMPT, stream
-from .envs.wrappers import force_noops, wrap_sticky
+from .envs.wrappers import StickyActions, force_noops
 
 POLICY_MAGIC = b"AXPOLC\x00\x01"
 POLICY_VERSION = 1
@@ -47,14 +48,13 @@ class Demonstration:
     """A materialized high-scoring trajectory with per-frame bookkeeping.
 
     ``cum_rewards[t]`` is the cumulative unshaped reward after t actions
-    (``cum_rewards[0] == 0``). Snapshots are stored every ``stride`` frames;
-    intermediate frames are materialized by deterministic replay fill-in.
+    (``cum_rewards[0] == 0``). Snapshots are stored at some frames, always
+    including 0; the others are materialized by deterministic replay fill-in.
     """
 
     actions: list[int]
     cum_rewards: list[float]
     snapshots: dict[int, EnvSnapshot]
-    stride: int
     level: int
     score: float
     label: str = ""
@@ -112,7 +112,7 @@ def build_demonstration(
     if env.snapshot().state_bytes != record.snapshot.state_bytes:
         raise IntegrityError("demonstration end state differs from archive snapshot")
     level = key.level if isinstance(key, DomainKey) else env.features().level
-    return Demonstration(actions, cum, snaps, stride, level, cum[-1], label)
+    return Demonstration(actions, cum, snaps, level, cum[-1], label)
 
 
 def select_demonstrations(
@@ -167,7 +167,6 @@ def truncate_demo(
         actions=demo.actions[:length],
         cum_rewards=demo.cum_rewards[:length + 1],
         snapshots={f: s for f, s in demo.snapshots.items() if f <= length},
-        stride=demo.stride,
         level=demo.level,
         score=demo.cum_rewards[length],
         label=demo.label,
@@ -191,6 +190,8 @@ class RewardShaping:
     def validate(self) -> "RewardShaping":
         if self.mode not in ("clip", "scale"):
             raise ConfigError(f"unknown reward shaping mode {self.mode!r}")
+        if not (math.isfinite(self.scale) and self.scale > 0):
+            raise ConfigError("reward scale must be finite and > 0")
         return self
 
 
@@ -199,7 +200,7 @@ def early_terminate(
     demo_cum: Sequence[float],
     t: int,
     start: int,
-    window: int | float | None,
+    window: float,
     deficit: float,
 ) -> bool:
     """Sliding-window laggard check.
@@ -209,10 +210,9 @@ def early_terminate(
     ``t`` is the absolute frame, so ``t - start`` frames have elapsed. True
     iff the window has fully elapsed and the rollout's total is more than
     ``deficit`` below the demonstration's total from ``window`` frames
-    earlier. Reads past the end of either series clamp to its final value.
+    earlier, so an infinite window or deficit never terminates. Reads past
+    the end of either series clamp to its final value.
     """
-    if window is None or window == float("inf") or deficit == float("inf"):
-        return False
     elapsed = t - start
     if elapsed < window:
         return False
@@ -275,8 +275,7 @@ class TabularQLearner:
             row[action] += alpha * (target - row[action])
 
     def policy(self) -> "GreedyTabularPolicy":
-        return GreedyTabularPolicy({s: list(r) for s, r in self.q.items()},
-                                   self.n_actions)
+        return GreedyTabularPolicy(self.q, self.n_actions)
 
 
 class GreedyTabularPolicy:
@@ -389,7 +388,7 @@ def backward_run(
         raise ShortfallError("backward_run needs at least one demonstration")
     interval = cfg.advance_interval or 200 * len(demos)
     base = env_factory()
-    env = wrap_sticky(base, cfg.sticky_p)    # steps go through the wrapper, reads to base
+    env = StickyActions(base, cfg.sticky_p)  # steps go through the wrapper, reads to base
     # Each demo's (max_starting_point, snapshot there): the start changes
     # only at an advance, so the replay fill-in runs once per start.
     starts: list[tuple[int, EnvSnapshot] | None] = [None] * len(demos)
@@ -543,17 +542,19 @@ def load_policy(path, expected_config_hash: int | None = None) -> PolicyCheckpoi
             (enc_len,) = struct.unpack_from("<I", body, offset)
             offset += 4
             (n_ints,) = struct.unpack_from("<H", body, offset)
+            if enc_len != 2 + 8 * n_ints:
+                raise CheckpointError(
+                    f"policy checkpoint corrupt: state length {enc_len} "
+                    f"does not fit {n_ints} values")
             state = struct.unpack_from(f"<{n_ints}q", body, offset + 2)
             offset += enc_len
             q[tuple(state)] = list(row.unpack_from(body, offset))
             offset += row.size
     except struct.error as exc:
         raise CheckpointError(f"policy checkpoint corrupt: {exc}") from exc
+    if offset != len(body):
+        raise CheckpointError("policy checkpoint has trailing bytes")
     return PolicyCheckpoint(q=q, n_actions=n_actions, min_msp=msp, attempts=attempts)
-
-
-def policy_from_checkpoint(checkpoint: PolicyCheckpoint) -> GreedyTabularPolicy:
-    return GreedyTabularPolicy(checkpoint.q, checkpoint.n_actions)
 
 
 def best_checkpoint(

@@ -12,11 +12,11 @@ Scores are strictly positive, so every cell keeps a nonzero selection
 probability. Probabilities are the scores normalized over the archive, and
 batches are drawn with replacement by cumulative-sum roulette.
 
-:func:`cell_score` is the per-cell oracle; :func:`cell_probs` computes the
-same floats for the whole archive at once. It reads neighbor weights from
-the archive's incrementally kept missing-neighbor masks and takes one
-level weight per distinct level gap, with the same operations in the same
-order, so the two agree bit for bit.
+:func:`cell_probs` scores the whole archive at once. It reads neighbor
+weights from the archive's incrementally kept missing-neighbor masks and
+takes one level weight per distinct level gap, with the same operations in
+the same order as the per-cell formula above, so it agrees bit for bit with
+the scalar oracle the tests keep (``tests/oracle.py``).
 """
 
 from __future__ import annotations
@@ -27,7 +27,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .archive import MORE_KEYS_BIT, Archive, CellRecord
+from .archive import MORE_KEYS_BIT, Archive
 from .cells import CellKey, DomainKey, NeighborKind, neighbors
 from .errors import ConfigError
 
@@ -86,13 +86,6 @@ def count_subscores(v: np.ndarray, w: float, p: float, eps1: float, eps2: float)
     return w * (1.0 / (v + eps1)) ** p + eps2
 
 
-def count_subscore(v: int, w: float, p: float, eps1: float, eps2: float) -> float:
-    """:func:`count_subscores` of a single counter value. numpy's array power
-    differs from Python's ``**`` in the last bit for some inputs, so both
-    paths share the array formula."""
-    return float(count_subscores(np.array([v], np.float64), w, p, eps1, eps2)[0])
-
-
 def neigh_subscore(key: CellKey, archive: Archive, cfg: SelectionConfig) -> float:
     """Total weight of neighbor slots missing from the archive; 0 outside
     domain mode."""
@@ -134,22 +127,6 @@ def level_weight(level: int, max_level: int, base: float) -> float:
     return max(base ** (max_level - level), LEVEL_WEIGHT_FLOOR)
 
 
-def cell_score(record: CellRecord, key: CellKey, archive: Archive,
-               cfg: SelectionConfig) -> float:
-    cnt = (
-        count_subscore(record.times_chosen, cfg.w_chosen, cfg.p_chosen,
-                       cfg.eps1, cfg.eps2)
-        + count_subscore(record.times_chosen_since_new, cfg.w_chosen_since_new,
-                         cfg.p_chosen_since_new, cfg.eps1, cfg.eps2)
-        + count_subscore(record.times_seen, cfg.w_seen, cfg.p_seen,
-                         cfg.eps1, cfg.eps2)
-    )
-    lw = 1.0
-    if cfg.domain_mode and isinstance(key, DomainKey):
-        lw = level_weight(key.level, archive.max_level, cfg.level_decay)
-    return lw * (neigh_subscore(key, archive, cfg) + cnt + 1.0)
-
-
 @dataclass(slots=True)
 class SelectionTable:
     keys: list[CellKey]
@@ -159,7 +136,7 @@ class SelectionTable:
 
 def cell_probs(archive: Archive, cfg: SelectionConfig) -> SelectionTable:
     """Scores and normalized probabilities over the archive in canonical key
-    order. Vectorized, but numerically identical to :func:`cell_score`."""
+    order."""
     keys = archive.sorted_keys()
     if not keys:
         raise ConfigError("cannot select from an empty archive")

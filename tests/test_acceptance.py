@@ -23,7 +23,6 @@ from archex.evaluation import EvalProtocol, bootstrap_ci, evaluate_policy, grand
 from archex.explore import (
     ExploreConfig,
     baseline_from_start,
-    myopic_greedy_baseline,
     replay_record,
     run_phase1,
 )
@@ -37,12 +36,15 @@ from archex.robustify import (
     truncate_demo,
 )
 from archex.seeding import TAG_EVAL, stream
-from archex.selection import SelectionConfig, cell_probs, cell_score, count_subscore, sample_batch
+from archex.selection import SelectionConfig, cell_probs, count_subscores, sample_batch
 from archex.trajectory import Trajectory
 
 from conftest import bfs_reachable_states, step_and_render
+from oracle import myopic_greedy_baseline
 
 mp.dps = 50
+
+pytestmark = pytest.mark.acceptance
 
 
 def report(n: int, ok: bool, detail: str) -> None:
@@ -64,7 +66,7 @@ def test_criterion_01_formula_oracle():
         p = float(rng.uniform(0.1, 2.0))
         e1 = float(rng.uniform(1e-4, 1e-2))
         e2 = float(rng.uniform(1e-6, 1e-4))
-        got = count_subscore(v, w, p, e1, e2)
+        got = float(count_subscores(np.array([v], np.float64), w, p, e1, e2)[0])
         want = mpf(str(w)) * (1 / (mpf(v) + mpf(str(e1)))) ** mpf(str(p)) + mpf(str(e2))
         worst = max(worst, abs(got - float(want)) / float(want))
 
@@ -120,7 +122,7 @@ def test_criterion_01_formula_oracle():
             oracle_scores.append(lw * (neigh + counts + 1))
         total = sum(oracle_scores)
         for i, key in enumerate(table.keys):
-            got_score = cell_score(archive.record(key), key, archive, cfg)
+            got_score = table.scores[i]
             worst = max(worst, abs(got_score - float(oracle_scores[i])) / float(oracle_scores[i]))
             want_prob = float(oracle_scores[i] / total)
             worst = max(worst, abs(table.probs[i] - want_prob) / want_prob)
@@ -253,8 +255,9 @@ def test_criterion_04_detachment():
 def test_criterion_05_sparse_milestone():
     factory = lambda: KeyDoorWorld()  # 4x6 rooms, 2 keys, levels repeat
     env = factory()
-    assert env.room_count() >= 24 and len(env.key_positions) == 2
-    final_room = env.room_count() - 1
+    rows, cols, _, _ = env.rooms
+    assert rows * cols >= 24 and len(env.key_positions) == 2
+    final_room = rows * cols - 1
     mapper = domain_mapper(2)
     sel = SelectionConfig(domain_mode=True, w_chosen=0.0, w_chosen_since_new=0.0,
                           w_seen=0.0, w_horizontal=0.3, w_vertical=0.1,
@@ -290,7 +293,7 @@ def test_criterion_05_sparse_milestone():
 
 def test_criterion_06_deceptive_milestone():
     factory = lambda: DeceptiveCorridor()
-    attainable = factory().attainable_total()
+    attainable = sum(factory().treasure_values)
     mapper = domain_mapper(2)
     sel = SelectionConfig(domain_mode=True, w_chosen=1.0, w_chosen_since_new=0.5,
                           w_seen=0.0, w_horizontal=1.0, w_vertical=0.0,

@@ -377,7 +377,7 @@ def test_checkpoint_preserves_everything():
     data = serialize_archive(result.archive, result.meta)
     loaded, _ = deserialize_archive(data)
     assert len(loaded) == len(result.archive)
-    for k, record in result.archive.items():
+    for k, record in result.archive.cells.items():
         other = loaded.record(k)
         assert other.score == record.score
         assert other.traj_len == record.traj_len
@@ -422,7 +422,7 @@ def test_node_sharing_bounded_by_actions():
     """Total stored nodes <= total exploration actions taken."""
     result = build_small_archive()
     nodes = set()
-    for _, record in result.archive.items():
+    for _, record in result.archive.cells.items():
         node = record.trajectory.tail
         while node is not None and id(node) not in nodes:
             nodes.add(id(node))

@@ -15,7 +15,6 @@ from archex.cells import (
     MoreKeysProbe,
     NeighborKind,
     decode_key,
-    domain_cell,
     domain_mapper,
     downscale_cell,
     downscale_mapper,
@@ -153,20 +152,20 @@ def info(x=0, y=0, room=0, level=0, key_rooms=()):
 
 
 def test_domain_binning():
-    key = domain_cell(info(x=33, y=50), grid_size=16)
+    key = domain_mapper(16)(None, info(x=33, y=50))
     assert (key.x_bin, key.y_bin) == (2, 3)
-    assert domain_cell(info(0, 0), 16).x_bin == 0
+    assert domain_mapper(16)(None, info(0, 0)).x_bin == 0
 
 
 def test_key_rooms_canonical_order():
-    key = domain_cell(info(key_rooms=(3, 1, 1)), grid_size=1)
+    key = domain_mapper(1)(None, info(key_rooms=(3, 1, 1)))
     assert key.key_rooms == (1, 1, 3)
 
 
 def test_domain_mapper_matches_domain_cell():
     mapper = domain_mapper(4)
     obs = Observation(frame=np.zeros((2, 2), np.uint8), features=info(9, 13))
-    assert mapper(obs, obs.features) == domain_cell(info(9, 13), 4)
+    assert mapper(obs, obs.features) == domain_mapper(4)(None, info(9, 13))
 
 
 def test_downscale_mapper_caches():
@@ -180,7 +179,7 @@ def test_downscale_mapper_caches():
 
 
 def test_neighbor_slots():
-    key = domain_cell(info(x=2, y=3), grid_size=1)
+    key = domain_mapper(1)(None, info(x=2, y=3))
     slots = neighbors(key)
     kinds = [k for k, _ in slots]
     assert kinds == [
@@ -196,14 +195,14 @@ def test_neighbor_slots():
 
 
 def test_neighbors_at_origin_emit_negative_bins():
-    key = domain_cell(info(x=0, y=3), grid_size=1)
+    key = domain_mapper(1)(None, info(x=0, y=3))
     xs = [s.x_bin for k, s in neighbors(key, include_more_keys=False)
           if k is NeighborKind.HORIZONTAL]
     assert -1 in xs
 
 
 def test_neighbors_without_keys():
-    key = domain_cell(info(), grid_size=1)
+    key = domain_mapper(1)(None, info())
     assert len(neighbors(key, include_more_keys=False)) == 4
 
 
@@ -214,7 +213,7 @@ def test_neighbors_reject_downscaled():
 
 
 def test_more_keys_probe():
-    base = domain_cell(info(x=5, y=5, room=2, key_rooms=(1,)), grid_size=1)
+    base = domain_mapper(1)(None, info(x=5, y=5, room=2, key_rooms=(1,)))
     probe = MoreKeysProbe(base)
     assert probe.matches(base._replace(key_rooms=(1, 4)))
     assert probe.matches(base._replace(key_rooms=(1, 1)))

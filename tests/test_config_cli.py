@@ -4,16 +4,19 @@ import csv
 import hashlib
 import inspect
 import re
+import struct
 from pathlib import Path
 
 import pytest
 
+from archex.archive import write_checksummed
 from archex.cli import main
 from archex.config import ReprConfig, RobustifyConfig, _Reader, build_config, load_config, parse_text
 from archex.envs import DeceptiveCorridor, KeyDoorWorld, TwoMaze
 from archex.errors import ConfigError
 from archex.evaluation import EvalProtocol
 from archex.explore import ExploreConfig
+from archex.robustify import PolicyCheckpoint, _policy_layout
 from archex.selection import SelectionConfig
 
 
@@ -243,11 +246,53 @@ def test_cli_config_error_exit_2(tmp_path):
     "robustify.gamma = 1.5",
     "robustify.allowed_deficit = nan",
     "robustify.reward_scale = nan",
+    *(pytest.param(f"robustify.reward_mode = scale\nrobustify.reward_scale = {v}",
+                   id=f"robustify.reward_scale = {v} (scale mode)") for v in ("inf", "-1", "0")),
 ])
 def test_cli_out_of_range_setting_exit_2(tmp_path, line):
     """Rejected when the config loads, not after a whole run."""
     path = write_config(tmp_path, BASE + line + "\n")
     assert run_cli("explore", "--config", str(path), "--out", str(tmp_path / "run")) == 2
+
+
+@pytest.mark.parametrize("env_type, line", [
+    ("keydoor", "env.key_reward = inf"),
+    ("keydoor", "env.treasure_reward = -inf"),
+    ("corridor", "env.hazard_penalty = -inf"),
+    ("corridor", "env.treasures = 3:inf"),
+])
+def test_cli_non_finite_reward_exit_2(tmp_path, env_type, line):
+    """On a base of the line's own world, so that the line cannot fail as
+    an unknown or duplicate key."""
+    base = BASE.replace("env.type = twomaze\nenv.arm_rows = 3\nenv.arm_cols = 6\n",
+                        f"env.type = {env_type}\n")
+    path = write_config(tmp_path, base + line + "\n")
+    assert run_cli("explore", "--config", str(path), "--out", str(tmp_path / "run")) == 2
+
+
+@pytest.mark.parametrize("defect, code", [
+    ("none", 0), ("trailing-bytes", 3), ("state-length", 3)])
+def test_cli_evaluate_malformed_policy_exit_3(tmp_path, defect, code):
+    """A policy file with a valid checksum but bytes after its last Q row, or
+    a row whose state-length field disagrees with its state, is rejected."""
+    path = write_config(tmp_path, BASE + "eval.max_noop = 1\neval.min_episodes = 1\n"
+                        "eval.time_limit_game_frames = 40\n")
+    config_hash = load_config(path).env_factory()().config_hash
+    checkpoint = PolicyCheckpoint(q={(7, 1, 0): [0.0, 2.0, 0.0, 0.0, 0.0]},
+                                  n_actions=5, min_msp=0, attempts=1)
+    head, row = _policy_layout(checkpoint, config_hash)
+    chunks = [head, row]
+    if defect == "trailing-bytes":
+        chunks.append(bytes(7))
+    elif defect == "state-length":
+        # The length field claims 8 more bytes than the state holds; 8 more
+        # bytes at the end let a reader that trusts it finish the row.
+        (state_len,) = struct.unpack_from("<I", row)
+        chunks = [head, struct.pack("<I", state_len + 8) + row[4:], bytes(8)]
+    policy = tmp_path / "policy.ckpt"
+    write_checksummed(policy, chunks)
+    assert run_cli("evaluate", "--config", str(path), "--out", str(tmp_path / "out"),
+                   "--policy", str(policy)) == code
 
 
 def test_cli_missing_config_exit_2(tmp_path):

@@ -14,7 +14,6 @@ from archex.envs import (
     StickyActions,
     TwoMaze,
     force_noops,
-    wrap_sticky,
 )
 from archex.envs.gridworld import TILE_DOOR, TILE_HAZARD, TILE_WALL
 from archex.errors import ConfigError, ContractError, SnapshotFormatError
@@ -296,11 +295,6 @@ def test_cached_state_and_features_match_recomputation(world):
 
 
 # -- sticky wrapper -------------------------------------------------------------
-
-
-def test_sticky_identity_at_zero():
-    env = small_twomaze()
-    assert wrap_sticky(env, 0.0) is env
 
 
 def test_sticky_probability_bounds():

@@ -14,7 +14,6 @@ from archex.explore import (
     baseline_from_start,
     explore_from,
     merge_results,
-    myopic_greedy_baseline,
     run_iteration,
     run_phase1,
 )
@@ -23,6 +22,7 @@ from archex.selection import SelectionConfig
 from archex.trajectory import Trajectory
 
 from conftest import drive, small_corridor, small_keydoor, small_twomaze
+from oracle import myopic_greedy_baseline
 
 MAPPER = domain_mapper(1)
 
@@ -122,7 +122,7 @@ def test_rollout_snapshots_exactly_the_possible_winners():
     origin = archive.sorted_keys()[len(archive) // 2]
     result = explore_from(env, origin, archive, np.random.default_rng(4),
                           cfg_with(k=100), MAPPER)
-    best = {k: (r.score, r.traj_len) for k, r in archive.items()}
+    best = {k: (r.score, r.traj_len) for k, r in archive.cells.items()}
     for visit in result.visited:
         length = visit.trajectory.length
         bar = best.get(visit.key)
@@ -285,7 +285,7 @@ def test_baseline_shadow_archive_untouched_by_selection():
     cfg = cfg_with(budget_training_frames=2000)
     result = baseline_from_start(small_twomaze, cfg, MAPPER)
     assert len(result.archive) > 1
-    assert all(r.times_chosen == 0 for _, r in result.archive.items())
+    assert all(r.times_chosen == 0 for _, r in result.archive.cells.items())
 
 
 def test_baseline_does_not_resume():

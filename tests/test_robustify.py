@@ -138,7 +138,6 @@ def demo_with_rewards(rewards):
         actions=[0] * len(rewards),
         cum_rewards=cum,
         snapshots={},
-        stride=25,
         level=0,
         score=total,
     )
@@ -232,7 +231,6 @@ def test_early_termination_window_not_elapsed():
 
 def test_early_termination_degenerate_guards():
     demo_rel = worked_example_series()
-    assert not early_terminate([0.0] * 300, demo_rel, 299, 0, None, 0.0)
     assert not early_terminate([0.0] * 300, demo_rel, 299, 0, float("inf"), 0.0)
     assert not early_terminate([0.0] * 300, demo_rel, 299, 0, 50, float("inf"))
 
@@ -347,7 +345,7 @@ def scripted_demo(env, actions):
         if i % 25 == 0:
             snaps[i] = env.snapshot()
     return Demonstration(actions=list(actions), cum_rewards=cum, snapshots=snaps,
-                         stride=25, level=0, score=cum[-1])
+                         level=0, score=cum[-1])
 
 
 def corridor_demo_with_early_penalty():
@@ -462,35 +460,48 @@ def test_greedy_table_is_first_max_argmax():
     assert draws == [int(np.random.default_rng(7).integers(5))] * 3
 
 
-def test_robustify_and_evaluate_golden(kd_result, tmp_path):
+# sticky_p -> (attempts, frames, min starting point), policy sha256, eval scores, grand mean
+GOLDEN_ROBUSTIFY = {
+    0.25: ((310, 15052, 63),
+           "bc39a63118742b26fa02ac39052bf993086a889fa73b8d27369bf6c42cdf2fe8",
+           [100.0, 100.0, 100.0, 100.0, 100.0, 100.0, 100.0, 0.0, 0.0, 100.0, 100.0,
+            100.0, 0.0, 0.0, 0.0, 0.0, 0.0, 100.0, 100.0, 0.0, 0.0],
+           57.142857142857146),
+    0.0: ((309, 15022, 63),
+          "a1e00392766f7c770082118f6ec2712bcbade1cb1b560e5e9aaabc757e4afb01",
+          [100.0, 100.0, 0.0, 100.0, 100.0, 100.0, 0.0, 0.0, 0.0, 100.0, 100.0,
+           0.0, 0.0, 0.0, 0.0, 100.0, 0.0, 100.0, 0.0, 100.0, 0.0],
+          47.61904761904763),
+}
+
+
+@pytest.mark.parametrize("sticky_p", list(GOLDEN_ROBUSTIFY))
+def test_robustify_and_evaluate_golden(kd_result, tmp_path, sticky_p):
     """Policy file bytes and evaluation scores of a small fixed run, pinned
-    to the values the per-step implementation produced."""
+    to the values the per-step implementation produced. The sticky_p 0 case
+    pins the sticky-action wrapper's p = 0 path, which draws nothing."""
     import hashlib
 
     from archex.evaluation import EvalProtocol, evaluate_policy
 
+    counts, policy_sha, scores, gmean = GOLDEN_ROBUSTIFY[sticky_p]
     demo = select_demonstrations([kd_result.archive], 1, small_keydoor())[0]
     first_level = next(i for i, c in enumerate(demo.cum_rewards) if c >= 1100.0)
     demo = truncate_demo(demo, max_frames=first_level, to_last_reward=True)
     cfg = BackwardConfig(success_threshold=0.4, advance_interval=50, delta=8, window=50,
-                         sticky_p=0.25, max_noops=30, frame_budget=15_000,
+                         sticky_p=sticky_p, max_noops=30, frame_budget=15_000,
                          rollout_frame_cap=400)
     learner = TabularQLearner(5, TabularQConfig(alpha=0.3, gamma=0.98, epsilon=0.1))
     result = backward_run([demo], learner, small_keydoor, cfg, seed=3)
-    assert (result.attempts, result.frames, result.min_starting_point()) == (310, 15052, 63)
+    assert (result.attempts, result.frames, result.min_starting_point()) == counts
     path = tmp_path / "policy.ckpt"
     save_policy(result.checkpoints[-1], path, small_keydoor().config_hash)
-    assert hashlib.sha256(path.read_bytes()).hexdigest() == (
-        "bc39a63118742b26fa02ac39052bf993086a889fa73b8d27369bf6c42cdf2fe8"
-    )
-    protocol = EvalProtocol(max_noop=6, min_episodes=3, sticky_p=0.25,
+    assert hashlib.sha256(path.read_bytes()).hexdigest() == policy_sha
+    protocol = EvalProtocol(max_noop=6, min_episodes=3, sticky_p=sticky_p,
                             time_limit_game_frames=2_000)
     outcome = evaluate_policy(learner.policy(), small_keydoor, protocol, seed=17)
-    assert [score for _, _, score in outcome.scores] == [
-        100.0, 100.0, 100.0, 100.0, 100.0, 100.0, 100.0, 0.0, 0.0, 100.0, 100.0,
-        100.0, 0.0, 0.0, 0.0, 0.0, 0.0, 100.0, 100.0, 0.0, 0.0,
-    ]
-    assert outcome.grand_mean == 57.142857142857146
+    assert [score for _, _, score in outcome.scores] == scores
+    assert outcome.grand_mean == gmean
 
 
 # -- policy checkpoints -------------------------------------------------------------------

@@ -13,8 +13,6 @@ from archex.selection import (
     LEVEL_WEIGHT_FLOOR,
     SelectionConfig,
     cell_probs,
-    cell_score,
-    count_subscore,
     level_weight,
     neigh_subscore,
     sample_batch,
@@ -22,6 +20,7 @@ from archex.selection import (
 from archex.trajectory import Trajectory
 
 from conftest import small_twomaze
+from oracle import cell_score, count_subscore
 
 mp.dps = 50
 
