@@ -29,7 +29,7 @@ from typing import Callable, Iterable, Iterator, Sequence
 
 from .cells import CellKey, DomainKey, MoreKeysProbe, decode_key, neighbors
 from .envs.base import EnvSnapshot, peek_config_hash
-from .errors import CheckpointError, ContractError
+from .errors import CheckpointError, ConfigError, ContractError
 from .trajectory import Trajectory
 
 CHECKPOINT_MAGIC = b"AXARCH\x00\x01"
@@ -363,6 +363,16 @@ def _parse_fields(body: bytes) -> tuple[Archive, RunMeta]:
     if offset != len(body):
         raise CheckpointError("archive checkpoint has trailing bytes")
     return archive, meta
+
+
+def output_dir(path) -> Path:
+    """The directory ``path``, created with its parents if missing; a path
+    that cannot be a directory raises :class:`ConfigError`."""
+    try:
+        Path(path).mkdir(parents=True, exist_ok=True)
+    except OSError as exc:
+        raise ConfigError(f"output directory {path}: {exc.strerror}") from exc
+    return Path(path)
 
 
 def write_atomic(path, chunks: Iterable[bytes]) -> None:

@@ -34,17 +34,17 @@ from .envs.gridworld import GridWorld
 from .errors import ConfigError, RepresentationError
 
 
-class DownscaleParams(NamedTuple):
+@dataclass(frozen=True)
+class DownscaleParams:
     width: int = 11
     height: int = 8
     depth: int = 8  # quantized values span 0..depth inclusive
 
-    def validate(self) -> "DownscaleParams":
+    def __post_init__(self) -> None:
         if self.width < 1 or self.height < 1:
             raise ConfigError("downscale width/height must be >= 1")
         if not 1 <= self.depth <= 255:
             raise ConfigError("downscale depth must be in [1, 255]")
-        return self
 
 
 class DownscaledKey(NamedTuple):
@@ -203,7 +203,6 @@ def frame_of(source: FrameSource) -> np.ndarray:
 
 def downscale_mapper(params: DownscaleParams) -> CellMapper:
     """Mapper with a frame-bytes memo; identical frames repeat constantly."""
-    params = params.validate()
     cache: dict[bytes, DownscaledKey] = {}
 
     def mapper(source: FrameSource, info: DomainInfo) -> CellKey:

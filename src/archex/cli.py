@@ -14,9 +14,8 @@ from __future__ import annotations
 
 import argparse
 import sys
-from pathlib import Path
 
-from .archive import checkpoint_load, checkpoint_save, write_csv
+from .archive import checkpoint_load, checkpoint_save, output_dir, write_atomic, write_csv
 from .config import ExperimentConfig, load_config
 from .errors import (
     ArchexError,
@@ -59,19 +58,22 @@ def _load(args: argparse.Namespace) -> ExperimentConfig:
 
 def cmd_explore(args: argparse.Namespace) -> int:
     cfg = _load(args)
-    out = Path(cfg.out_dir)
-    out.mkdir(parents=True, exist_ok=True)
+    out = output_dir(cfg.out_dir)
     archive_path = out / "archive.ckpt"
     resume = checkpoint_load(args.resume) if args.resume else None
     metrics_path = out / "metrics.csv"
     append = bool(args.resume) and metrics_path.exists()
     elapsed = 0.0  # a resumed run's wall_seconds carry on from the rows written
+    # A run's final row falls between samples unless its budget ends on one.
+    # A straight run has no row there, so a resumed run drops it.
+    off_grid = False
     if append:
         header, previous = read_metric_csv(metrics_path)
         if header != list(MetricsRow._fields):
             raise ConfigError(f"{metrics_path}: columns differ, cannot append")
         if previous:
             elapsed = previous[-1][-1]
+            off_grid = previous[-1][0] % cfg.explore.metric_interval_game_frames != 0
 
     interval = cfg.checkpoint_interval_iterations
 
@@ -88,6 +90,9 @@ def cmd_explore(args: argparse.Namespace) -> int:
         on_iteration=on_iteration if interval else None,
     )
     checkpoint_save(result.archive, archive_path, result.meta)
+    if off_grid:
+        data = metrics_path.read_bytes()
+        write_atomic(metrics_path, [data[:data.rstrip(b"\r\n").rfind(b"\n") + 1]])
     rows = [m._replace(wall_seconds=m.wall_seconds + elapsed) for m in result.metrics]
     write_csv(metrics_path, MetricsRow._fields, rows, append=append)
     last = result.metrics[-1]
@@ -103,8 +108,7 @@ def cmd_explore(args: argparse.Namespace) -> int:
 
 def cmd_robustify(args: argparse.Namespace) -> int:
     cfg = _load(args)
-    out = Path(cfg.out_dir)
-    out.mkdir(parents=True, exist_ok=True)
+    out = output_dir(cfg.out_dir)
     env = cfg.env_factory()()
     archives = []
     for path in args.demos:
@@ -163,10 +167,12 @@ def cmd_robustify(args: argparse.Namespace) -> int:
 
 def cmd_evaluate(args: argparse.Namespace) -> int:
     cfg = _load(args)
-    out = Path(cfg.out_dir)
-    out.mkdir(parents=True, exist_ok=True)
+    out = output_dir(cfg.out_dir)
     env = cfg.env_factory()()
     checkpoint = load_policy(args.policy, expected_config_hash=env.config_hash)
+    if checkpoint.n_actions != env.action_count:
+        raise CheckpointError(
+            f"policy has {checkpoint.n_actions} actions, the environment {env.action_count}")
     policy = GreedyTabularPolicy(checkpoint.q, checkpoint.n_actions)
     result = evaluate_policy(policy, cfg.env_factory(), cfg.protocol, seed=cfg.explore.seed)
     write_csv(out / "raw_scores.csv", ["noop", "episode", "score"], result.scores)

@@ -245,10 +245,9 @@ class ReprConfig:
     grid_size: int = 1
     downscale: DownscaleParams = DownscaleParams()
 
-    def validate(self) -> "ReprConfig":
+    def __post_init__(self) -> None:
         if self.mode not in ("domain", "downscale"):
             raise ConfigError(f"repr.mode: unknown representation {self.mode!r}")
-        return self
 
     def build_mapper(self) -> CellMapper:
         if self.mode == "domain":
@@ -267,14 +266,13 @@ class RobustifyConfig:
     near: int = 50
     max_tested: int = 10
 
-    def validate(self) -> "RobustifyConfig":
+    def __post_init__(self) -> None:
         if self.n_demos < 1 or self.demo_stride < 1 or self.max_tested < 1:
             raise ConfigError("robustify: n_demos, demo_stride and max_tested must be >= 1")
         if self.near < 0:
             raise ConfigError("robustify.near must be >= 0")
         if self.truncate_frames is not None and self.truncate_frames < 1:
             raise ConfigError("robustify.truncate_frames must be >= 1")
-        return self
 
 
 @dataclass(frozen=True)
@@ -289,6 +287,12 @@ class ExperimentConfig:
     out_dir: str = "out"
     workers: int = 1
     checkpoint_interval_iterations: int = 0
+
+    def __post_init__(self) -> None:
+        if self.workers < 1:
+            raise ConfigError("workers must be >= 1")
+        if self.checkpoint_interval_iterations < 0:
+            raise ConfigError("explore.checkpoint_interval_iterations must be >= 0")
 
     def env_factory(self) -> Callable[[], GridWorld]:
         ctor = ENV_TYPES[self.env_type]
@@ -323,23 +327,23 @@ def build_config(values: dict[str, str]) -> ExperimentConfig:
     r = _Reader(values)
     env_type, env_kwargs = _env_section(r)
     representation = _section(
-        r, "repr.", ReprConfig, downscale=_section(r, "repr.", DownscaleParams).validate()
-    ).validate()
+        r, "repr.", ReprConfig, downscale=_section(r, "repr.", DownscaleParams)
+    )
     selection = _section(
         r, "select.", SelectionConfig,
         domain_mode=r.boolean("select.domain_mode", representation.mode == "domain"),
-    ).validate()
-    explore = _section(r, "explore.", ExploreConfig, keys={"batch_size": "batch"}).validate()
+    )
+    explore = _section(r, "explore.", ExploreConfig, keys={"batch_size": "batch"})
     shaping = _section(r, "robustify.", RewardShaping,
                        keys={"mode": "reward_mode", "scale": "reward_scale"})
     robustify = _section(
         r, "robustify.", RobustifyConfig,
-        backward=_section(r, "robustify.", BackwardConfig, shaping=shaping).validate(),
-        q=_section(r, "robustify.", TabularQConfig).validate(),
-    ).validate()
-    protocol = _section(r, "eval.", EvalProtocol).validate()
+        backward=_section(r, "robustify.", BackwardConfig, shaping=shaping),
+        q=_section(r, "robustify.", TabularQConfig),
+    )
+    protocol = _section(r, "eval.", EvalProtocol)
 
-    cfg = _section(
+    run = _values(
         r, "", ExperimentConfig,
         keys={"out_dir": "out.dir",
               "checkpoint_interval_iterations": "explore.checkpoint_interval_iterations"},
@@ -347,10 +351,7 @@ def build_config(values: dict[str, str]) -> ExperimentConfig:
         selection=selection, explore=explore, robustify=robustify, protocol=protocol,
     )
     r.reject_unknown()
-    if cfg.workers < 1:
-        raise ConfigError("workers must be >= 1")
-    if cfg.checkpoint_interval_iterations < 0:
-        raise ConfigError("explore.checkpoint_interval_iterations must be >= 0")
+    cfg = ExperimentConfig(**run)
     cfg.env_factory()()  # constructing the env validates placements
     return cfg
 

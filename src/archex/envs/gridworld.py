@@ -76,11 +76,14 @@ class GridWorld:
     immutable values and may be shared freely. The engine is deterministic:
     the ``seed`` of :meth:`reset` only matters to stochastic wrappers.
 
-    Layout inputs (set by ``_build``): ``width``/``height``, ``base`` (flat
-    bytearray of tile codes), ``spawn``, placements for keys, doors,
-    treasures, the room geometry, and behaviour switches (``hazard_policy``
-    is ``"kill"`` or ``"respawn"``, ``treasure_mode`` is ``"level"`` or
-    ``"collect"``).
+    Layout inputs (set by subclasses before ``_build``): ``width``/``height``,
+    ``base`` (flat bytearray of tile codes), ``spawn``, placements for keys,
+    doors, treasures, the room geometry (``_lay_out_rooms`` sets it with
+    the size, the walls and the doorways), ``_params`` (the constructor
+    arguments ``config_lines`` appends, sorted), and behaviour switches
+    (``hazard_policy`` is ``"kill"`` or ``"respawn"``, ``treasure_mode`` is
+    ``"level"`` or ``"collect"``). A world without rooms renders the whole
+    grid; a world of rooms renders the agent's room.
 
     The dynamic state (position, level, ``held``, ``keys_taken``,
     ``doors_open``, ``treasures_taken``) changes only through :meth:`step`,
@@ -125,9 +128,9 @@ class GridWorld:
         self.hazard_penalty = 0.0
         self.hazard_policy = "kill"
         self.treasure_mode = "level"
-        self.render_scope = "room"
         # Room geometry: (rows, cols, interior_w, interior_h); None = one room.
         self.rooms: tuple[int, int, int, int] | None = None
+        self._params: dict[str, object] = {}
 
         # Dynamic state.
         self.x = 0
@@ -154,6 +157,35 @@ class GridWorld:
         self._dyn: list[list[tuple[int, int, int, int]]] = []
 
     # -- construction ------------------------------------------------------
+
+    def _lay_out_rooms(self, rows: int, cols: int, w: int, h: int,
+                       locked: set[tuple[int, int]]) -> None:
+        """Set ``rooms``, ``width``, ``height`` and ``base`` for a ``rows`` x
+        ``cols`` grid of ``w`` x ``h`` room interiors walled by single tiles,
+        with a doorway in the middle of every wall two rooms share. The
+        doorway is a door, recorded in ``door_positions``, where the (lower,
+        higher) room pair is in ``locked``, and floor elsewhere."""
+        self.rooms = (rows, cols, w, h)
+        self.width = cols * (w + 1) + 1
+        self.height = rows * (h + 1) + 1
+        self.base = bytearray([TILE_WALL]) * (self.width * self.height)
+        floor = bytes([TILE_FLOOR]) * w
+        for room in range(rows * cols):
+            rr, rc = divmod(room, cols)
+            ox, oy = self.room_origin(room)
+            for row in range(oy * self.width + ox, (oy + h) * self.width, self.width):
+                self.base[row:row + w] = floor
+            doorways = []
+            if rc + 1 < cols:  # the right wall, at mid height
+                doorways.append((ox + w, oy + h // 2, room + 1))
+            if rr + 1 < rows:  # the bottom wall, at mid width
+                doorways.append((ox + w // 2, oy + h, room + cols))
+            for x, y, other in doorways:
+                if (room, other) in locked:
+                    self.base[y * self.width + x] = TILE_DOOR
+                    self.door_positions.append((x, y))
+                else:
+                    self.base[y * self.width + x] = TILE_FLOOR
 
     def _build(self) -> None:
         """Called by subclasses after layout fields are populated."""
@@ -205,7 +237,8 @@ class GridWorld:
             f"hazard_policy={self.hazard_policy}",
             f"hazard_penalty={self.hazard_penalty!r}",
             f"treasure_mode={self.treasure_mode}",
-            f"render_scope={self.render_scope}",
+            # What render() shows; derived from the rooms, kept in the hash.
+            f"render_scope={'grid' if self.rooms is None else 'room'}",
             f"rooms={self.rooms}",
             "tiles=" + bytes(self.base).hex(),
             "keys=" + ";".join(f"{x},{y},{r!r}" for (x, y), r in
@@ -214,7 +247,7 @@ class GridWorld:
             "treasures=" + ";".join(f"{x},{y},{v!r}" for (x, y), v in
                                     zip(self.treasure_positions, self.treasure_values)),
         ]
-        return lines
+        return lines + [f"{k}={v!r}" for k, v in sorted(self._params.items())]
 
     # -- geometry ----------------------------------------------------------
 
@@ -350,7 +383,7 @@ class GridWorld:
             TILE_HAZARD: SHADE_HAZARD,   # static
             TILE_TREASURE: SHADE_FLOOR,  # drawn dynamically
         }
-        if self.render_scope == "grid" or self.rooms is None:
+        if self.rooms is None:
             views = [(0, 0, self.width, self.height)]
         else:
             rows, cols, w, h = self.rooms

@@ -13,19 +13,7 @@ from __future__ import annotations
 import math
 
 from ..errors import ConfigError
-from .gridworld import (
-    GridWorld,
-    TILE_DOOR,
-    TILE_FLOOR,
-    TILE_HAZARD,
-    TILE_KEY,
-    TILE_TREASURE,
-    TILE_WALL,
-)
-
-
-def _blank_grid(width: int, height: int) -> bytearray:
-    return bytearray([TILE_WALL]) * (width * height)
+from .gridworld import GridWorld, TILE_FLOOR, TILE_HAZARD, TILE_KEY, TILE_TREASURE, TILE_WALL
 
 
 def _require_finite(setting: str, value: float) -> None:
@@ -61,9 +49,7 @@ class TwoMaze(GridWorld):
         self.arm_cols = arm_cols
         self.width = 2 * arm_cols + 3
         self.height = 2 * arm_rows + 1
-        self.base = _blank_grid(self.width, self.height)
-        self.render_scope = "grid"
-        self.rooms = None
+        self.base = bytearray([TILE_WALL]) * (self.width * self.height)
 
         right0 = arm_cols + 2  # first column of the right arm
         for i in range(arm_rows):
@@ -85,6 +71,8 @@ class TwoMaze(GridWorld):
         self.base[y * self.width + x] = TILE_FLOOR
 
     def config_lines(self) -> list[str]:
+        # Not ``_params``: sorting these two lines would change every TwoMaze
+        # config hash.
         return super().config_lines() + [
             f"arm_rows={self.arm_rows}",
             f"arm_cols={self.arm_cols}",
@@ -137,38 +125,15 @@ class KeyDoorWorld(GridWorld):
             raise ConfigError(f"unknown hazard_policy {hazard_policy!r}")
         _require_finite("key_reward", key_reward)
         _require_finite("treasure_reward", treasure_reward)
-        self.rooms = (rooms_rows, rooms_cols, room_w, room_h)
-        self.width = rooms_cols * (room_w + 1) + 1
-        self.height = rooms_rows * (room_h + 1) + 1
-        self.base = _blank_grid(self.width, self.height)
         self.hazard_policy = hazard_policy
-        self.treasure_mode = "level"
-        self.render_scope = "room"
-
-        n_rooms = rooms_rows * rooms_cols
-        for room in range(n_rooms):
-            ox, oy = self.room_origin(room)
-            for dy in range(room_h):
-                for dx in range(room_w):
-                    self.base[(oy + dy) * self.width + (ox + dx)] = TILE_FLOOR
-        ox, oy = self.room_origin(0)
-        self.spawn = (ox + room_w // 2, oy + room_h // 2)
-
         locked = {tuple(sorted(d)) for d in locked_doors}
         for pair in locked:
             if not self._adjacent(*pair, rooms_rows, rooms_cols):
                 raise ConfigError(f"locked door {pair} does not join adjacent rooms")
-        for rr in range(rooms_rows):
-            for rc in range(rooms_cols):
-                room = rr * rooms_cols + rc
-                if rc + 1 < rooms_cols:
-                    x = (rc + 1) * (room_w + 1)
-                    y = rr * (room_h + 1) + 1 + room_h // 2
-                    self._place_doorway(x, y, room, room + 1, locked)
-                if rr + 1 < rooms_rows:
-                    x = rc * (room_w + 1) + 1 + room_w // 2
-                    y = (rr + 1) * (room_h + 1)
-                    self._place_doorway(x, y, room, room + rooms_cols, locked)
+        self._lay_out_rooms(rooms_rows, rooms_cols, room_w, room_h, locked)
+        n_rooms = rooms_rows * rooms_cols
+        ox, oy = self.room_origin(0)
+        self.spawn = (ox + room_w // 2, oy + room_h // 2)
 
         for room, lx, ly in keys:
             self._place(room, lx, ly, TILE_KEY, n_rooms)
@@ -220,17 +185,6 @@ class KeyDoorWorld(GridWorld):
             raise ConfigError("cannot place on the spawn tile")
         self.base[y * self.width + x] = tile
 
-    def _place_doorway(self, x: int, y: int, a: int, b: int, locked: set) -> None:
-        if tuple(sorted((a, b))) in locked:
-            self.base[y * self.width + x] = TILE_DOOR
-            self.door_positions.append((x, y))
-        else:
-            self.base[y * self.width + x] = TILE_FLOOR
-
-    def config_lines(self) -> list[str]:
-        extra = [f"{k}={v!r}" for k, v in sorted(self._params.items())]
-        return super().config_lines() + extra
-
 
 class DeceptiveCorridor(GridWorld):
     """A long room chain where motion costs points and riches sit far right.
@@ -265,25 +219,10 @@ class DeceptiveCorridor(GridWorld):
         if room_w < 5 or room_h < 3:
             raise ConfigError("room interior must be at least 5x3")
         _require_finite("hazard_penalty", hazard_penalty)
-        self.rooms = (1, n_rooms, room_w, room_h)
-        self.width = n_rooms * (room_w + 1) + 1
-        self.height = room_h + 2
-        self.base = _blank_grid(self.width, self.height)
         self.hazard_policy = "respawn"
         self.hazard_penalty = hazard_penalty
         self.treasure_mode = "collect"
-        self.render_scope = "room"
-
-        for room in range(n_rooms):
-            ox, oy = self.room_origin(room)
-            for dy in range(room_h):
-                for dx in range(room_w):
-                    self.base[(oy + dy) * self.width + (ox + dx)] = TILE_FLOOR
-        # Doorways between consecutive rooms, at mid height.
-        for room in range(n_rooms - 1):
-            x = (room + 1) * (room_w + 1)
-            y = 1 + room_h // 2
-            self.base[y * self.width + x] = TILE_FLOOR
+        self._lay_out_rooms(1, n_rooms, room_w, room_h, locked=set())
         # One hazard line per room with a single gap at a per-room height.
         for room in range(n_rooms):
             ox, oy = self.room_origin(room)
@@ -310,7 +249,3 @@ class DeceptiveCorridor(GridWorld):
         self.spawn = self.respawn_point(0)
         self._params = dict(treasures=tuple(treasures))
         self._build()
-
-    def config_lines(self) -> list[str]:
-        extra = [f"{k}={v!r}" for k, v in sorted(self._params.items())]
-        return super().config_lines() + extra

@@ -20,7 +20,7 @@ from typing import Callable, Iterable, Sequence
 
 import numpy as np
 
-from .archive import write_csv
+from .archive import output_dir, write_csv
 from .envs.gridworld import GridWorld
 from .envs.wrappers import StickyActions, force_noops
 from .errors import ConfigError, ContractError
@@ -34,7 +34,7 @@ class EvalProtocol:
     sticky_p: float = 0.25
     time_limit_game_frames: int = 400_000
 
-    def validate(self) -> "EvalProtocol":
+    def __post_init__(self) -> None:
         if self.max_noop < 0:
             raise ConfigError("max_noop must be >= 0")
         if self.min_episodes < 1:
@@ -43,7 +43,6 @@ class EvalProtocol:
             raise ConfigError("sticky_p must satisfy 0 <= p < 1")
         if self.time_limit_game_frames < 1:
             raise ConfigError("time_limit_game_frames must be >= 1")
-        return self
 
 
 def grand_mean(scores: Iterable[tuple[int, float]]) -> tuple[float, dict[int, float]]:
@@ -78,7 +77,6 @@ def evaluate_policy(
     actions go through the sticky-action wrapper, while ``policy.act`` and
     the loop read the unwrapped environment.
     """
-    protocol = protocol.validate()
     base = env_factory()
     env = StickyActions(base, protocol.sticky_p)
     frame_cap = protocol.time_limit_game_frames // max(1, base.frame_skip)
@@ -204,8 +202,7 @@ def emit_report(
     if not shared:
         raise ConfigError("input CSVs share no game_frames samples")
 
-    out_dir = Path(out_dir)
-    out_dir.mkdir(parents=True, exist_ok=True)
+    out_dir = output_dir(out_dir)
     skip = {"game_frames", "training_frames", "wall_seconds"}
     written = []
     for col, name in enumerate(header):

@@ -39,7 +39,7 @@ class ExploreConfig:
     seed: int = 0
     metric_interval_game_frames: int = 4_000_000
 
-    def validate(self) -> "ExploreConfig":
+    def __post_init__(self) -> None:
         if self.k < 1:
             raise ConfigError("k must be >= 1")
         if not 0.0 <= self.repeat_p < 1.0:
@@ -48,9 +48,10 @@ class ExploreConfig:
             raise ConfigError("batch_size must be >= 1")
         if self.budget_training_frames < 0:
             raise ConfigError("budget must be >= 0")
+        if not 0 <= self.seed < 2**64:  # checkpoints store it as an unsigned 64-bit integer
+            raise ConfigError("seed must be in [0, 2**64)")
         if self.metric_interval_game_frames < 1:
             raise ConfigError("metric interval must be >= 1")
-        return self
 
 
 class VisitedCell(NamedTuple):
@@ -253,10 +254,7 @@ def run_phase1(
     selection config nothing is selected: every rollout starts from the
     start cell, the control of :func:`baseline_from_start`.
     """
-    cfg = cfg.validate()
-    if sel_cfg is not None:
-        sel_cfg = sel_cfg.validate()
-    elif resume is not None:
+    if sel_cfg is None and resume is not None:
         raise ContractError("the from-start control does not resume")
     env = env_factory()
     start = time.perf_counter()

@@ -187,12 +187,11 @@ class RewardShaping:
             return max(-1.0, min(1.0, reward))
         return reward * self.scale
 
-    def validate(self) -> "RewardShaping":
+    def __post_init__(self) -> None:
         if self.mode not in ("clip", "scale"):
             raise ConfigError(f"unknown reward shaping mode {self.mode!r}")
         if not (math.isfinite(self.scale) and self.scale > 0):
             raise ConfigError("reward scale must be finite and > 0")
-        return self
 
 
 def early_terminate(
@@ -229,12 +228,11 @@ class TabularQConfig:
     gamma: float = 0.99
     epsilon: float = 0.1
 
-    def validate(self) -> "TabularQConfig":
+    def __post_init__(self) -> None:
         if not 0 < self.alpha <= 1:
             raise ConfigError("alpha must be in (0, 1]")
         if not (0 <= self.gamma <= 1 and 0 <= self.epsilon <= 1):
             raise ConfigError("gamma and epsilon must be in [0, 1]")
-        return self
 
 
 class TabularQLearner:
@@ -314,7 +312,7 @@ class BackwardConfig:
     frame_budget: int | None = None
     rollout_frame_cap: int | None = None
 
-    def validate(self) -> "BackwardConfig":
+    def __post_init__(self) -> None:
         if not 0 < self.success_threshold <= 1:
             raise ConfigError("success_threshold must be in (0, 1]")
         if self.delta < 1:
@@ -329,8 +327,6 @@ class BackwardConfig:
             raise ConfigError("max_noops must be >= 0 and max_attempts >= 1")
         if any(v is not None and v < 1 for v in (self.frame_budget, self.rollout_frame_cap)):
             raise ConfigError("frame_budget and rollout_frame_cap must be >= 1 when set")
-        self.shaping.validate()
-        return self
 
 
 @dataclass(slots=True)
@@ -383,7 +379,6 @@ def backward_run(
     seed: int = 0,
 ) -> BackwardResult:
     """Train a learner along the demonstrations' backward curriculum."""
-    cfg = cfg.validate()
     if not demos:
         raise ShortfallError("backward_run needs at least one demonstration")
     interval = cfg.advance_interval or 200 * len(demos)
@@ -533,6 +528,8 @@ def load_policy(path, expected_config_hash: int | None = None) -> PolicyCheckpoi
             body, offset)
         if version != POLICY_VERSION:
             raise CheckpointError(f"policy version {version} unsupported")
+        if n_actions < 1:
+            raise CheckpointError(f"policy checkpoint has {n_actions} actions")
         if expected_config_hash is not None and chash != expected_config_hash:
             raise CheckpointError("policy checkpoint is from a different env config")
         offset += _POLICY_HEADER.size

@@ -56,7 +56,7 @@ class SelectionConfig:
     domain_mode: bool = False
     track_keys: bool = True
 
-    def validate(self) -> "SelectionConfig":
+    def __post_init__(self) -> None:
         weights = ("w_chosen", "w_chosen_since_new", "w_seen",
                    "w_horizontal", "w_vertical", "w_more_keys")
         powers = ("p_chosen", "p_chosen_since_new", "p_seen")
@@ -73,7 +73,6 @@ class SelectionConfig:
             raise ConfigError("eps1 and eps2 must be > 0")
         if not 0 < self.level_decay <= 1:
             raise ConfigError("level_decay must be in (0, 1]")
-        return self
 
 
 # Level weights never fall below this, so a cell at any level gap keeps a

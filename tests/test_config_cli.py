@@ -10,13 +10,20 @@ from pathlib import Path
 import pytest
 
 from archex.archive import write_checksummed
+from archex.cells import DownscaleParams
 from archex.cli import main
 from archex.config import ReprConfig, RobustifyConfig, _Reader, build_config, load_config, parse_text
 from archex.envs import DeceptiveCorridor, KeyDoorWorld, TwoMaze
 from archex.errors import ConfigError
 from archex.evaluation import EvalProtocol
 from archex.explore import ExploreConfig
-from archex.robustify import PolicyCheckpoint, _policy_layout
+from archex.robustify import (
+    BackwardConfig,
+    PolicyCheckpoint,
+    RewardShaping,
+    TabularQConfig,
+    _policy_layout,
+)
 from archex.selection import SelectionConfig
 
 
@@ -147,7 +154,7 @@ def test_preset_nodomain_loads_table_values():
     assert cfg.selection.w_seen == 0.3
     assert cfg.explore.batch_size == 100
     assert cfg.representation.mode == "downscale"
-    assert cfg.representation.downscale == (11, 8, 8)
+    assert cfg.representation.downscale == DownscaleParams(11, 8, 8)
     assert not cfg.selection.domain_mode
 
 
@@ -255,6 +262,33 @@ def test_cli_out_of_range_setting_exit_2(tmp_path, line):
     assert run_cli("explore", "--config", str(path), "--out", str(tmp_path / "run")) == 2
 
 
+@pytest.mark.parametrize("seed", ["-1", str(2**64)])
+def test_cli_out_of_range_seed_exit_2(tmp_path, seed):
+    """Checkpoints store the seed as an unsigned 64-bit integer, so a seed
+    outside [0, 2**64) is rejected when the config loads, before any work."""
+    path = write_config(tmp_path, BASE)
+    out = tmp_path / "run"
+    assert run_cli("explore", "--config", str(path), "--seed", seed, "--out", str(out)) == 2
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("make", [
+    lambda: DownscaleParams(depth=0),
+    lambda: ReprConfig(mode="pixels"),
+    lambda: RobustifyConfig(n_demos=0),
+    lambda: SelectionConfig(eps1=0),
+    lambda: ExploreConfig(k=0),
+    lambda: RewardShaping(mode="tanh"),
+    lambda: TabularQConfig(alpha=5),
+    lambda: BackwardConfig(delta=0),
+    lambda: EvalProtocol(min_episodes=0),
+], ids=["DownscaleParams", "ReprConfig", "RobustifyConfig", "SelectionConfig",
+        "ExploreConfig", "RewardShaping", "TabularQConfig", "BackwardConfig", "EvalProtocol"])
+def test_settings_check_themselves_when_made(make):
+    with pytest.raises(ConfigError):
+        make()
+
+
 @pytest.mark.parametrize("env_type, line", [
     ("keydoor", "env.key_reward = inf"),
     ("keydoor", "env.treasure_reward = -inf"),
@@ -271,15 +305,18 @@ def test_cli_non_finite_reward_exit_2(tmp_path, env_type, line):
 
 
 @pytest.mark.parametrize("defect, code", [
-    ("none", 0), ("trailing-bytes", 3), ("state-length", 3)])
+    ("none", 0), ("trailing-bytes", 3), ("state-length", 3), ("0-actions", 3),
+    ("9-actions", 3)])
 def test_cli_evaluate_malformed_policy_exit_3(tmp_path, defect, code):
-    """A policy file with a valid checksum but bytes after its last Q row, or
-    a row whose state-length field disagrees with its state, is rejected."""
+    """A policy file with a valid checksum but bytes after its last Q row, a
+    row whose state-length field disagrees with its state, or an action count
+    other than the environment's, is rejected."""
     path = write_config(tmp_path, BASE + "eval.max_noop = 1\neval.min_episodes = 1\n"
                         "eval.time_limit_game_frames = 40\n")
     config_hash = load_config(path).env_factory()().config_hash
-    checkpoint = PolicyCheckpoint(q={(7, 1, 0): [0.0, 2.0, 0.0, 0.0, 0.0]},
-                                  n_actions=5, min_msp=0, attempts=1)
+    n_actions = {"0-actions": 0, "9-actions": 9}.get(defect, 5)
+    checkpoint = PolicyCheckpoint(q={(7, 1, 0): [float(a == 1) * 2 for a in range(n_actions)]},
+                                  n_actions=n_actions, min_msp=0, attempts=1)
     head, row = _policy_layout(checkpoint, config_hash)
     chunks = [head, row]
     if defect == "trailing-bytes":
@@ -293,6 +330,32 @@ def test_cli_evaluate_malformed_policy_exit_3(tmp_path, defect, code):
     write_checksummed(policy, chunks)
     assert run_cli("evaluate", "--config", str(path), "--out", str(tmp_path / "out"),
                    "--policy", str(policy)) == code
+
+
+def test_cli_out_names_a_file_exit_2(tmp_path, capsys):
+    """Each command that writes an output directory rejects an --out that
+    names a file, with inputs it runs on when --out is a directory."""
+    path = str(write_config(tmp_path, BASE + "robustify.max_attempts = 20\n"
+                            "eval.max_noop = 1\neval.min_episodes = 1\n"
+                            "eval.time_limit_game_frames = 40\n"))
+    run = tmp_path / "run"
+    assert run_cli("explore", "--config", path, "--out", str(run)) == 0
+    assert run_cli("robustify", "--config", path, "--out", str(tmp_path / "rob"),
+                   str(run / "archive.ckpt")) == 0
+    inputs = {
+        "explore": ["--config", path],
+        "robustify": ["--config", path, str(run / "archive.ckpt")],
+        "evaluate": ["--config", path, "--policy", str(tmp_path / "rob" / "policy.ckpt")],
+        "report": [str(run / "metrics.csv")],
+    }
+    taken = tmp_path / "taken"
+    taken.write_text("a file")
+    for command, argv in inputs.items():
+        assert run_cli(command, *argv, "--out", str(tmp_path / command)) == 0
+        capsys.readouterr()
+        assert run_cli(command, *argv, "--out", str(taken)) == 2, command
+        assert str(taken) in capsys.readouterr().err
+    assert taken.read_text() == "a file"
 
 
 def test_cli_missing_config_exit_2(tmp_path):
@@ -500,6 +563,27 @@ def test_cli_resume_wall_seconds_never_decrease(tmp_path):
     assert first - 1 < len(rows)  # the resumed run appended rows
     wall = [float(row["wall_seconds"]) for row in rows]
     assert wall == sorted(wall)
+
+
+def test_cli_resumed_metrics_match_a_straight_run(tmp_path):
+    """A run's final row falls between samples (here at 120,000 game frames,
+    with samples every 100,000); the resumed run drops it, so its metrics.csv
+    reads as a straight run's, wall_seconds aside."""
+    path = str(CONFIGS / "twomaze-detachment.cfg")
+    straight, resumed = tmp_path / "straight", tmp_path / "resumed"
+    assert run_cli("explore", "--config", path, "--budget-frames", "40000",
+                   "--out", str(straight)) == 0
+    assert run_cli("explore", "--config", path, "--budget-frames", "30000",
+                   "--out", str(resumed)) == 0
+    assert run_cli("explore", "--config", path, "--budget-frames", "40000",
+                   "--resume", str(resumed / "archive.ckpt"), "--out", str(resumed)) == 0
+
+    def cut(run):
+        lines = (run / "metrics.csv").read_bytes().split(b"\r\n")
+        return [line.rpartition(b",")[0] for line in lines]
+
+    assert cut(resumed) == cut(straight)
+    assert [line.split(b",")[0] for line in cut(straight)[1:-1]] == [b"100000", b"160000"]
 
 
 def test_cli_resume_onto_foreign_metrics_csv_exit_2(tmp_path):

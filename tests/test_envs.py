@@ -10,6 +10,7 @@ from archex.envs import (
     ACTION_NOOP,
     ACTION_RIGHT,
     ACTION_UP,
+    DeceptiveCorridor,
     KeyDoorWorld,
     StickyActions,
     TwoMaze,
@@ -572,6 +573,23 @@ def test_bad_layouts_rejected():
 def test_config_hash_distinguishes_layouts():
     assert small_keydoor().config_hash != small_keydoor(room_w=6).config_hash
     assert small_keydoor().config_hash == small_keydoor().config_hash
+
+
+# Each world's config hash covers its whole layout (tiles, doors, placements)
+# and is written into every snapshot and checkpoint; these values pin it.
+@pytest.mark.parametrize("make, config_hash", [
+    (lambda: TwoMaze(), 5258495703993525792),
+    (lambda: TwoMaze(arm_rows=6, arm_cols=14), 12531032386613311334),
+    (lambda: KeyDoorWorld(), 13018531155005237145),
+    (lambda: KeyDoorWorld(rooms_rows=1, rooms_cols=3, room_w=4, room_h=3, keys=((0, 1, 1),),
+                          locked_doors=((1, 2),), hazards=((1, 2, 0),), treasure_room=2),
+     5173323468356945217),
+    (lambda: DeceptiveCorridor(), 11423020708828405911),
+    (lambda: DeceptiveCorridor(n_rooms=3, room_w=6, room_h=3, treasures=((2, 50.0),)),
+     7097193000988263738),
+], ids=["twomaze", "twomaze-6x14", "keydoor", "keydoor-1x3", "corridor", "corridor-3"])
+def test_config_hash_golden(make, config_hash):
+    assert make().config_hash == config_hash
 
 
 # -- package exports ---------------------------------------------------------------

@@ -335,10 +335,10 @@ def test_sample_reproducible():
 
 def test_config_validation():
     with pytest.raises(ConfigError):
-        SelectionConfig(w_chosen=-1).validate()
+        SelectionConfig(w_chosen=-1)
     with pytest.raises(ConfigError):
-        SelectionConfig(p_seen=0).validate()
+        SelectionConfig(p_seen=0)
     with pytest.raises(ConfigError):
-        SelectionConfig(eps2=0).validate()
+        SelectionConfig(eps2=0)
     with pytest.raises(ConfigError):
         cell_probs(Archive(0), SelectionConfig())
