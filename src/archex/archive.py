@@ -324,14 +324,16 @@ def _parse_fields(body: bytes) -> tuple[Archive, RunMeta]:
 
     (n_nodes,) = _COUNT.unpack_from(body, offset)
     offset += _COUNT.size
-    nodes: list = []
-    append = nodes.append
+    # Node id i is nodes[i], and id 0 the empty chain. Parents come before
+    # their children, so each chain's length is known as it is read.
+    nodes: list = [None]
+    lengths = [0]
     unpack_node, node_size = _NODE_ROW.unpack_from, _NODE_ROW.size
     for _ in range(n_nodes):
         action, parent_id = unpack_node(body, offset)
         offset += node_size
-        parent = None if parent_id == 0 else nodes[parent_id - 1]
-        append(Trajectory.make_node(action, parent))
+        nodes.append(Trajectory.make_node(action, nodes[parent_id]))
+        lengths.append(lengths[parent_id] + 1)
 
     archive = Archive(config_hash)
     (n_cells,) = _COUNT.unpack_from(body, offset)
@@ -348,9 +350,10 @@ def _parse_fields(body: bytes) -> tuple[Archive, RunMeta]:
         if len(state) != snap_len:
             raise CheckpointError("archive checkpoint truncated mid-cell")
         offset += snap_len
-        tail = None if tail_id == 0 else nodes[tail_id - 1]
+        if traj_len != lengths[tail_id]:
+            raise CheckpointError("archive checkpoint cell traj_len disagrees with its chain")
         record = CellRecord(
-            trajectory=Trajectory(tail, traj_len),
+            trajectory=Trajectory(nodes[tail_id], traj_len),
             snapshot=EnvSnapshot(state, snap_score, snap_tf, snap_gf),
             score=score,
             traj_len=traj_len,
@@ -409,17 +412,14 @@ def write_checksummed(path, chunks: Iterable[bytes]) -> None:
     write_atomic(path, with_digest())
 
 
-def write_csv(path, header: Sequence[str], rows: Iterable[Sequence], append: bool = False) -> None:
+def write_csv(path, header: Sequence[str], rows: Iterable[Sequence]) -> None:
     """Write ``header`` and ``rows`` as CSV (``\\r\\n`` line ends) with
-    :func:`write_atomic`. With ``append`` the existing file keeps its bytes,
-    header included, and ``rows`` follow them; the whole file is rewritten."""
+    :func:`write_atomic`."""
     text = io.StringIO()
     writer = csv.writer(text)
-    if not append:
-        writer.writerow(header)
+    writer.writerow(header)
     writer.writerows(rows)
-    previous = Path(path).read_bytes() if append else b""
-    write_atomic(path, (previous, text.getvalue().encode()))
+    write_atomic(path, [text.getvalue().encode()])
 
 
 def read_checksummed(path, magic: bytes, what: str) -> bytes:

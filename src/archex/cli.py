@@ -14,8 +14,9 @@ from __future__ import annotations
 
 import argparse
 import sys
+from typing import get_type_hints
 
-from .archive import checkpoint_load, checkpoint_save, output_dir, write_atomic, write_csv
+from .archive import checkpoint_load, checkpoint_save, output_dir, write_csv
 from .config import ExperimentConfig, load_config
 from .errors import (
     ArchexError,
@@ -27,7 +28,7 @@ from .errors import (
     SnapshotFormatError,
 )
 from .evaluation import emit_report, evaluate_policy, read_metric_csv
-from .explore import MetricsRow, replay_record, run_phase1
+from .explore import MetricsRow, Phase1Result, replay_record, run_phase1
 from .robustify import (
     GreedyTabularPolicy,
     TabularQLearner,
@@ -56,30 +57,35 @@ def _load(args: argparse.Namespace) -> ExperimentConfig:
     return load_config(args.config, overrides)
 
 
+def _read_metrics(path) -> list[MetricsRow]:
+    """A ``metrics.csv``'s rows, typed so that they render to the same bytes."""
+    header, rows = read_metric_csv(path)
+    if header != list(MetricsRow._fields):
+        raise ConfigError(f"{path}: columns differ, cannot continue its series")
+    types = get_type_hints(MetricsRow)
+    return [MetricsRow(*(types[f](v) for f, v in zip(header, row))) for row in rows]
+
+
 def cmd_explore(args: argparse.Namespace) -> int:
     cfg = _load(args)
     out = output_dir(cfg.out_dir)
     archive_path = out / "archive.ckpt"
-    resume = checkpoint_load(args.resume) if args.resume else None
     metrics_path = out / "metrics.csv"
-    append = bool(args.resume) and metrics_path.exists()
-    elapsed = 0.0  # a resumed run's wall_seconds carry on from the rows written
-    # A run's final row falls between samples unless its budget ends on one.
-    # A straight run has no row there, so a resumed run drops it.
-    off_grid = False
-    if append:
-        header, previous = read_metric_csv(metrics_path)
-        if header != list(MetricsRow._fields):
-            raise ConfigError(f"{metrics_path}: columns differ, cannot append")
-        if previous:
-            elapsed = previous[-1][-1]
-            off_grid = previous[-1][0] % cfg.explore.metric_interval_game_frames != 0
+    resume = Phase1Result(*checkpoint_load(args.resume), []) if args.resume else None
+    if resume is not None and metrics_path.exists():
+        resume.metrics = _read_metrics(metrics_path)
+
+    def save(run: Phase1Result) -> None:
+        # Metrics first: after a crash between the two writes, the resume
+        # drops the rows past the checkpoint instead of missing some.
+        write_csv(metrics_path, MetricsRow._fields, run.metrics)
+        checkpoint_save(run.archive, archive_path, run.meta)
 
     interval = cfg.checkpoint_interval_iterations
 
-    def on_iteration(archive, meta):
-        if interval and meta.iteration % interval == 0:
-            checkpoint_save(archive, archive_path, meta)
+    def on_iteration(run: Phase1Result) -> None:
+        if run.meta.iteration % interval == 0:
+            save(run)
 
     result = run_phase1(
         cfg.env_factory(),
@@ -89,12 +95,7 @@ def cmd_explore(args: argparse.Namespace) -> int:
         resume=resume,
         on_iteration=on_iteration if interval else None,
     )
-    checkpoint_save(result.archive, archive_path, result.meta)
-    if off_grid:
-        data = metrics_path.read_bytes()
-        write_atomic(metrics_path, [data[:data.rstrip(b"\r\n").rfind(b"\n") + 1]])
-    rows = [m._replace(wall_seconds=m.wall_seconds + elapsed) for m in result.metrics]
-    write_csv(metrics_path, MetricsRow._fields, rows, append=append)
+    save(result)
     last = result.metrics[-1]
     print(
         f"explored {last.training_frames} training frames "

@@ -487,6 +487,8 @@ class GridWorld:
                 offset += 2 * n
         except struct.error as exc:
             raise SnapshotFormatError(f"snapshot payload corrupt: {exc}") from exc
+        if offset != len(payload):
+            raise SnapshotFormatError("snapshot payload has trailing bytes")
         self._score = score
         self._training_frames = tf
         self._game_frames = gf

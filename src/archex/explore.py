@@ -18,7 +18,7 @@ merged, so visit counts and discovery credit do not depend on either.
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Callable, NamedTuple
 
 from .archive import Archive, CellRecord, RunMeta, UpdateOutcome, beats
@@ -234,23 +234,40 @@ class Phase1Result:
     metrics: list[MetricsRow]
 
 
+def _resumed_metrics(rows: list[MetricsRow], reached: int, interval: int) -> list[MetricsRow]:
+    """A previous leg's ``rows`` cut to a straight run's at ``reached`` game
+    frames: rows past it go, and rows at it stay only if they are sample
+    rows, i.e. if a sample point lies between the last row before them (0
+    if none) and ``reached``; otherwise they are the leg's final row."""
+    kept = [row for row in rows if row.game_frames < reached]
+    last = kept[-1].game_frames if kept else 0
+    if reached // interval > last // interval:
+        kept += [row for row in rows if row.game_frames == reached]
+    return kept
+
+
 def run_phase1(
     env_factory: Callable[[], GridWorld],
     cfg: ExploreConfig,
     sel_cfg: SelectionConfig | None,
     mapper: CellMapper,
-    resume: tuple[Archive, RunMeta] | None = None,
+    resume: Phase1Result | None = None,
     stop_condition: Callable[[Archive, RunMeta], bool] | None = None,
-    on_iteration: Callable[[Archive, RunMeta], None] | None = None,
+    on_iteration: Callable[[Phase1Result], None] | None = None,
 ) -> Phase1Result:
     """Run the exploration phase until the training-frame budget is spent.
 
-    ``resume`` continues a checkpointed run bit-exactly: streams are derived
-    from the iteration index, so nothing else needs restoring. Its archive
-    must come from this environment config (else :class:`CheckpointError`)
-    and its run from ``cfg.seed`` (else :class:`ConfigError`). The optional
-    ``stop_condition`` is evaluated between iterations (milestone runs);
-    ``on_iteration`` is a hook for periodic checkpointing. Without a
+    The metrics get a row each time the game frames cross a multiple of
+    ``cfg.metric_interval_game_frames``, and a final row if the last
+    iteration wrote none. ``resume`` continues a previous leg bit-exactly:
+    streams are derived from the iteration index, so its archive and meta
+    are all the state there is, and its metrics (cut by
+    :func:`_resumed_metrics`) seed the series, whose ``wall_seconds`` carry
+    on. Its archive must come from this environment config (else
+    :class:`CheckpointError`) and its run from ``cfg.seed`` (else
+    :class:`ConfigError`). The optional ``stop_condition`` is evaluated
+    between iterations (milestone runs); ``on_iteration`` gets the run as it
+    stands after each iteration, for periodic checkpointing. Without a
     selection config nothing is selected: every rollout starts from the
     start cell, the control of :func:`baseline_from_start`.
     """
@@ -258,75 +275,54 @@ def run_phase1(
         raise ContractError("the from-start control does not resume")
     env = env_factory()
     start = time.perf_counter()
+    interval = cfg.metric_interval_game_frames
 
     if resume is not None:
-        archive, meta = resume
+        archive, meta = resume.archive, replace(resume.meta)
         if archive.config_hash != env.config_hash:
             raise CheckpointError("resume archive is from a different env config")
         if meta.seed != cfg.seed:
             raise ConfigError(f"resume checkpoint has seed {meta.seed}, config says {cfg.seed}")
-        rooms_seen = set(meta.rooms_seen)
-        iteration = meta.iteration
-        frames = meta.training_frames
-        max_level_seen = meta.max_level_seen
+        metrics = _resumed_metrics(resume.metrics, meta.game_frames, interval)
+        if resume.metrics:
+            start -= resume.metrics[-1].wall_seconds
     else:
         obs, snap = env.reset(cfg.seed)
         start_key = mapper(obs, obs.features)
         archive = Archive(env.config_hash)
         archive.insert_or_update(start_key, Trajectory(), 0.0, 0, snap)
-        rooms_seen = {obs.features.room}
-        iteration = 0
-        frames = 0
-        max_level_seen = 0
-
-    metrics: list[MetricsRow] = []
-    interval = cfg.metric_interval_game_frames
-    game_frames = frames * env.frame_skip
-    next_sample = (game_frames // interval + 1) * interval
-
-    def snap_meta() -> RunMeta:
-        return RunMeta(
-            seed=cfg.seed,
-            iteration=iteration,
-            training_frames=frames,
-            game_frames=game_frames,
-            rooms_seen=frozenset(rooms_seen),
-            max_level_seen=max_level_seen,
-        )
+        meta = RunMeta(cfg.seed, rooms_seen=frozenset({obs.features.room}))
+        metrics = []
+    run = Phase1Result(archive, meta, metrics)
+    next_sample = (meta.game_frames // interval + 1) * interval
 
     def metric_row() -> MetricsRow:
-        return MetricsRow(
-            game_frames=game_frames,
-            training_frames=frames,
-            cells=len(archive),
-            rooms=len(rooms_seen),
-            max_score=archive.max_score(),
-            max_level=max_level_seen,
-            wall_seconds=time.perf_counter() - start,
-        )
+        return MetricsRow(meta.game_frames, meta.training_frames, len(archive),
+                          len(meta.rooms_seen), archive.max_score(), meta.max_level_seen,
+                          time.perf_counter() - start)
 
-    while frames < cfg.budget_training_frames:
-        if stop_condition is not None and stop_condition(archive, snap_meta()):
+    while meta.training_frames < cfg.budget_training_frames:
+        if stop_condition is not None and stop_condition(archive, meta):
             break
         if sel_cfg is None:
             origins = [start_key] * cfg.batch_size
-            stats = _roll_out(archive, env, cfg, mapper, origins, TAG_BASELINE, iteration)
+            stats = _roll_out(archive, env, cfg, mapper, origins, TAG_BASELINE, meta.iteration)
         else:
-            stats = run_iteration(archive, env, sel_cfg, cfg, iteration, mapper)
-        iteration += 1
-        frames += stats.frames
-        game_frames = frames * env.frame_skip
-        rooms_seen |= stats.rooms
-        max_level_seen = max(max_level_seen, stats.max_level, archive.max_level)
-        while game_frames >= next_sample:
+            stats = run_iteration(archive, env, sel_cfg, cfg, meta.iteration, mapper)
+        meta.iteration += 1
+        meta.training_frames += stats.frames
+        meta.game_frames = meta.training_frames * env.frame_skip
+        meta.rooms_seen |= stats.rooms
+        meta.max_level_seen = max(meta.max_level_seen, stats.max_level, archive.max_level)
+        while meta.game_frames >= next_sample:
             metrics.append(metric_row())
             next_sample += interval
         if on_iteration is not None:
-            on_iteration(archive, snap_meta())
+            on_iteration(run)
 
-    if not metrics or metrics[-1].game_frames != game_frames:
+    if not metrics or metrics[-1].game_frames != meta.game_frames:
         metrics.append(metric_row())
-    return Phase1Result(archive=archive, meta=snap_meta(), metrics=metrics)
+    return run
 
 
 def baseline_from_start(

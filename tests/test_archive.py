@@ -363,13 +363,10 @@ def test_csv_write_failing_partway_keeps_previous(tmp_path):
         yield (5, 6.5)
         raise OSError("disk full")
 
-    for append in (False, True):
-        with pytest.raises(OSError):
-            write_csv(path, ["a", "b"], failing_rows(), append=append)
-        assert path.read_bytes() == before
-        assert [p.name for p in tmp_path.iterdir()] == ["m.csv"]
-    write_csv(path, ["a", "b"], [(5, 6.5)], append=True)
-    assert path.read_bytes() == before + b"5,6.5\r\n"
+    with pytest.raises(OSError):
+        write_csv(path, ["a", "b"], failing_rows())
+    assert path.read_bytes() == before
+    assert [p.name for p in tmp_path.iterdir()] == ["m.csv"]
 
 
 def test_checkpoint_preserves_everything():
@@ -408,6 +405,18 @@ def test_checkpoint_corruption_detected(tmp_path):
     (tmp_path / "bad.ckpt").write_bytes(bytes(data))
     with pytest.raises(CheckpointError):
         checkpoint_load(tmp_path / "bad.ckpt")
+
+
+def test_checkpoint_traj_len_must_match_its_chain(tmp_path):
+    """A cell whose traj_len disagrees with its node chain is rejected on
+    load, before anything replays it."""
+    result = build_small_archive()
+    key = result.archive.sorted_keys()[5]
+    result.archive.record(key).traj_len += 1
+    path = tmp_path / "a.ckpt"
+    checkpoint_save(result.archive, path, result.meta)
+    with pytest.raises(CheckpointError, match="traj_len"):
+        checkpoint_load(path)
 
 
 def test_checkpoint_config_mismatch(tmp_path):

@@ -9,7 +9,7 @@ from pathlib import Path
 
 import pytest
 
-from archex.archive import write_checksummed
+from archex.archive import checkpoint_load, checkpoint_save, write_checksummed
 from archex.cells import DownscaleParams
 from archex.cli import main
 from archex.config import ReprConfig, RobustifyConfig, _Reader, build_config, load_config, parse_text
@@ -37,6 +37,8 @@ explore.budget_training_frames = 1000
 explore.seed = 0
 explore.metric_interval_game_frames = 1000000000
 """
+
+CONFIGS = Path(__file__).resolve().parent.parent / "configs"
 
 
 def write_config(tmp_path, text, name="exp.cfg"):
@@ -443,6 +445,18 @@ def test_cli_replay_integrity_error(tmp_path):
                    "--archive", str(out / "archive.ckpt")) == 3
 
 
+def test_cli_replay_traj_len_off_its_chain_exit_3(tmp_path):
+    path = write_config(tmp_path, BASE)
+    out = tmp_path / "run"
+    assert run_cli("explore", "--config", str(path), "--out", str(out)) == 0
+    archive, meta = checkpoint_load(out / "archive.ckpt")
+    key = archive.sorted_keys()[3]
+    archive.record(key).traj_len += 1
+    checkpoint_save(archive, out / "archive.ckpt", meta)
+    assert run_cli("replay", "--config", str(path), "--archive", str(out / "archive.ckpt"),
+                   "--cell", key.encode().hex()) == 3
+
+
 def test_cli_replay_malformed_cell_key_exit_2(tmp_path):
     path = write_config(tmp_path, BASE)
     out = tmp_path / "run"
@@ -565,25 +579,93 @@ def test_cli_resume_wall_seconds_never_decrease(tmp_path):
     assert wall == sorted(wall)
 
 
-def test_cli_resumed_metrics_match_a_straight_run(tmp_path):
-    """A run's final row falls between samples (here at 120,000 game frames,
-    with samples every 100,000); the resumed run drops it, so its metrics.csv
-    reads as a straight run's, wall_seconds aside."""
-    path = str(CONFIGS / "twomaze-detachment.cfg")
+def _cut(path):
+    """The lines of a metrics.csv without their wall_seconds column."""
+    return [line.rpartition(b",")[0] for line in path.read_bytes().split(b"\r\n")]
+
+
+# (config, first leg's budget, total budget, the straight run's game_frames
+# column). twomaze: the first leg's final row (120,000) falls between
+# samples. keydoor: the first leg's final row (12,192) is also the sample row
+# of 12,000. budget-spent: the first leg's final row is a sample row (4,000),
+# and the resume has nothing left to run.
+RESUME_CASES = {
+    "twomaze": ((CONFIGS / "twomaze-detachment.cfg").read_text(), 30_000, 40_000,
+                [b"100000", b"160000"]),
+    "keydoor": (KEYDOOR_SMALL.replace("env.hazards =", "env.hazards = 0:1,1; 1:1,3; 2:3,3")
+                .replace("explore.k = 40", "explore.k = 50")
+                .replace("explore.batch = 20", "explore.batch = 10")
+                .replace("metric_interval_game_frames = 1000000000",
+                         "metric_interval_game_frames = 3000"),
+                3_000, 6_000,
+                [b"3804", b"6764", b"10388", b"12192", b"16012", b"18012", b"22012",
+                 b"25516"]),
+    "budget-spent": (BASE.replace("explore.k = 20", "explore.k = 10")
+                     .replace("explore.batch = 5", "explore.batch = 10")
+                     .replace("metric_interval_game_frames = 1000000000",
+                              "metric_interval_game_frames = 2000"),
+                     1_000, 1_000, [b"2000", b"4000"]),
+}
+
+
+@pytest.mark.parametrize("case", RESUME_CASES)
+def test_cli_resumed_metrics_match_a_straight_run(tmp_path, case):
+    """A resumed metrics.csv reads as a straight run's, wall_seconds aside,
+    and the first leg's rows keep their bytes."""
+    text, first_budget, budget, column = RESUME_CASES[case]
+    path = str(write_config(tmp_path, text))
     straight, resumed = tmp_path / "straight", tmp_path / "resumed"
-    assert run_cli("explore", "--config", path, "--budget-frames", "40000",
+    assert run_cli("explore", "--config", path, "--budget-frames", str(budget),
                    "--out", str(straight)) == 0
-    assert run_cli("explore", "--config", path, "--budget-frames", "30000",
+    assert run_cli("explore", "--config", path, "--budget-frames", str(first_budget),
                    "--out", str(resumed)) == 0
-    assert run_cli("explore", "--config", path, "--budget-frames", "40000",
+    first_leg = (resumed / "metrics.csv").read_bytes().split(b"\r\n")[:-1]
+    assert run_cli("explore", "--config", path, "--budget-frames", str(budget),
                    "--resume", str(resumed / "archive.ckpt"), "--out", str(resumed)) == 0
 
-    def cut(run):
-        lines = (run / "metrics.csv").read_bytes().split(b"\r\n")
-        return [line.rpartition(b",")[0] for line in lines]
+    assert _cut(resumed / "metrics.csv") == _cut(straight / "metrics.csv")
+    lines = (resumed / "metrics.csv").read_bytes().split(b"\r\n")
+    assert lines[:len(first_leg) - 1] == first_leg[:-1]
+    assert [line.split(b",")[0] for line in _cut(straight / "metrics.csv")[1:-1]] == column
 
-    assert cut(resumed) == cut(straight)
-    assert [line.split(b",")[0] for line in cut(straight)[1:-1]] == [b"100000", b"160000"]
+
+@pytest.mark.parametrize("failing", ["checkpoint_save", "write_csv"])
+def test_cli_resume_after_a_crash_past_the_last_checkpoint(tmp_path, monkeypatch, failing):
+    """A run that dies in its final write resumes from its last periodic
+    checkpoint to a straight run's metrics, wall_seconds aside. Failing the
+    final checkpoint leaves rows past the checkpoint, which the resume drops;
+    failing the final metrics write leaves the rows of the periodic flush."""
+    import archex.cli as cli
+
+    path = str(write_config(tmp_path, KEYDOOR_SMALL.replace(
+        "metric_interval_game_frames = 1000000000", "metric_interval_game_frames = 7000")
+        + "explore.checkpoint_interval_iterations = 20\n"))
+    straight, run = tmp_path / "straight", tmp_path / "run"
+    assert run_cli("explore", "--config", path, "--out", str(straight)) == 0
+
+    finished = []
+    run_phase1, real = cli.run_phase1, getattr(cli, failing)
+
+    def run_and_mark(*args, **kwargs):
+        result = run_phase1(*args, **kwargs)
+        finished.append(result.meta)
+        return result
+
+    def fail_once_finished(*args, **kwargs):
+        if finished:
+            raise OSError("killed in the final write")
+        return real(*args, **kwargs)
+
+    with monkeypatch.context() as patch:
+        patch.setattr(cli, "run_phase1", run_and_mark)
+        patch.setattr(cli, failing, fail_once_finished)
+        with pytest.raises(OSError):
+            run_cli("explore", "--config", path, "--out", str(run))
+    _, meta = checkpoint_load(run / "archive.ckpt")
+    assert 0 < meta.training_frames < finished[0].training_frames
+    assert run_cli("explore", "--config", path, "--resume", str(run / "archive.ckpt"),
+                   "--out", str(run)) == 0
+    assert _cut(run / "metrics.csv") == _cut(straight / "metrics.csv")
 
 
 def test_cli_resume_onto_foreign_metrics_csv_exit_2(tmp_path):
@@ -596,8 +678,6 @@ def test_cli_resume_onto_foreign_metrics_csv_exit_2(tmp_path):
 
 
 # -- pinned checkpoint bytes ------------------------------------------------------
-
-CONFIGS = Path(__file__).resolve().parent.parent / "configs"
 
 # sha256 of archive.ckpt after `archex explore --budget-frames N` on each
 # shipped config (corridor also with downscaled cells). These bytes date from

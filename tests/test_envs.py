@@ -221,6 +221,22 @@ def test_truncated_snapshot_rejected(any_env):
         any_env.restore(bad)
 
 
+def test_snapshot_with_trailing_payload_bytes_rejected(any_env):
+    """A payload two bytes longer than its state, with a header that counts
+    them, would otherwise restore and then snapshot to other bytes."""
+    import dataclasses
+    import struct
+
+    any_env.reset(0)
+    blob = any_env.snapshot().state_bytes
+    magic, header = blob[:4], struct.Struct("<HQI")
+    version, chash, plen = header.unpack_from(blob, 4)
+    padded = magic + header.pack(version, chash, plen + 2) + blob[4 + header.size:] + b"\0\0"
+    bad = dataclasses.replace(any_env.snapshot(), state_bytes=padded)
+    with pytest.raises(SnapshotFormatError, match="trailing"):
+        any_env.restore(bad)
+
+
 # -- features and discrete state against a recomputation -------------------------
 
 

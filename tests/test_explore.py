@@ -1,16 +1,18 @@
 """Exploration loop semantics: rollouts, merging, budgets, reproducibility."""
 
 import hashlib
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
-from archex.archive import Archive, serialize_archive
+from archex.archive import Archive, deserialize_archive, serialize_archive
 from archex.cells import domain_mapper
 from archex.envs import ACTION_NOOP
 from archex.errors import ContractError
 from archex.explore import (
     ExploreConfig,
+    Phase1Result,
     baseline_from_start,
     explore_from,
     merge_results,
@@ -240,13 +242,48 @@ def test_phase1_resume_equivalence():
 
     cfg_half = cfg_with(budget_training_frames=1500)
     half = run_phase1(small_twomaze, cfg_half, SelectionConfig(), MAPPER)
-    resumed = run_phase1(
-        small_twomaze, cfg_full, SelectionConfig(), MAPPER,
-        resume=(half.archive, half.meta),
-    )
+    resumed = run_phase1(small_twomaze, cfg_full, SelectionConfig(), MAPPER, resume=half)
     assert serialize_archive(resumed.archive, resumed.meta) == serialize_archive(
         full.archive, full.meta
     )
+
+
+def strip_wall(rows):
+    return [row._replace(wall_seconds=0.0) for row in rows]
+
+
+def test_phase1_resumed_metrics_sweep():
+    """Each iteration steps 400 game frames against a sample interval of 150,
+    so one iteration crosses two or three samples. From every resume point
+    the series reads as the straight run's, wall_seconds aside: resuming the
+    leg that ended there, resuming it with nothing left to run, and resuming
+    the straight run's own checkpoint with all its rows (a crash after the
+    metrics write and before the checkpoint)."""
+    cfg = cfg_with(budget_training_frames=1500, metric_interval_game_frames=150)
+    checkpoints = []
+    full = run_phase1(small_twomaze, cfg, SelectionConfig(), MAPPER,
+                      on_iteration=lambda run: checkpoints.append(
+                          serialize_archive(run.archive, run.meta)))
+    assert len(checkpoints) == 15 and len(full.metrics) > 2 * len(checkpoints)
+
+    for budget in range(0, 1500, 100):
+        leg = run_phase1(small_twomaze, replace(cfg, budget_training_frames=budget),
+                         SelectionConfig(), MAPPER)
+        first = list(leg.metrics)
+        spent = run_phase1(small_twomaze, replace(cfg, budget_training_frames=budget),
+                           SelectionConfig(), MAPPER, resume=leg)
+        assert strip_wall(spent.metrics) == strip_wall(first)
+        resumed = run_phase1(small_twomaze, cfg, SelectionConfig(), MAPPER, resume=leg)
+        assert strip_wall(resumed.metrics) == strip_wall(full.metrics)
+        assert resumed.metrics[:len(first) - 1] == first[:-1]
+        wall = [row.wall_seconds for row in resumed.metrics]
+        assert wall == sorted(wall)
+
+    for blob in checkpoints:
+        archive, meta = deserialize_archive(blob)
+        resumed = run_phase1(small_twomaze, cfg, SelectionConfig(), MAPPER,
+                             resume=Phase1Result(archive, meta, full.metrics))
+        assert strip_wall(resumed.metrics) == strip_wall(full.metrics)
 
 
 def test_phase1_stop_condition():
@@ -294,7 +331,7 @@ def test_baseline_does_not_resume():
                      SelectionConfig(), MAPPER)
     with pytest.raises(ContractError):
         run_phase1(small_twomaze, cfg_with(), None, MAPPER,
-                   resume=(run.archive, run.meta))
+                   resume=run)
 
 
 BASELINE_GOLDEN = {
