@@ -11,8 +11,10 @@ leaves the previous checkpoint intact (:func:`write_atomic`, which policy
 checkpoints and every CSV output use too).
 
 Every added key is indexed once (see :meth:`Archive._index`): its encoding,
-kept for the canonical key order, and for selection a missing-neighbor mask
-per domain key, updated incrementally.
+kept for the canonical key order, and the archive's max level. Selection's
+missing-neighbor masks are built on their first read, from the keys added
+since the last one, so an archive that is only loaded, replayed or
+robustified never builds them.
 """
 
 from __future__ import annotations
@@ -84,8 +86,9 @@ class Archive:
         self.cells: dict[CellKey, CellRecord] = {}
         self.max_level = 0
         # Bit b set: neighbor slot b of the key is missing from the archive.
-        self.missing_neighbors: dict[DomainKey, int] = {}
+        self._missing: dict[DomainKey, int] = {}
         self._pos_index: dict[tuple[int, int, int, int], list[DomainKey]] = {}
+        self._unmasked: list[DomainKey] = []  # added since the masks were last read
         self._encoded: dict[CellKey, bytes] = {}
         self._sorted_keys: list[CellKey] = []
         self._unsorted_keys: list[CellKey] = []  # added since the last sorted_keys()
@@ -120,28 +123,29 @@ class Archive:
         trajectory: Trajectory,
         score: float,
         traj_len: int,
-        snapshot: EnvSnapshot | None,
+        snapshot: EnvSnapshot,
+        visits: int = 1,
     ) -> UpdateOutcome:
-        """Count a visit to ``key`` and keep it if it wins the merge rule.
+        """Count ``visits`` visits to ``key``, of which the candidate is the
+        best, and keep the candidate if it wins the merge rule.
 
-        ``snapshot`` may be None for a visit its rollout knew could not win;
-        a snapshot-less visit that does win raises :class:`ContractError`.
+        The visits add to the record's ``times_seen``, or set it for an
+        added cell. A rollout merges each cell it visited once: the
+        candidate is its last winning visit, and a cell none of whose visits
+        won only has its ``times_seen`` raised.
         """
         if traj_len != trajectory.length:
             raise ContractError("candidate traj_len disagrees with trajectory")
-        if snapshot is not None and peek_config_hash(snapshot.state_bytes) != self.config_hash:
+        if peek_config_hash(snapshot.state_bytes) != self.config_hash:
             raise ContractError("candidate snapshot from a different env config")
         record = self.cells.get(key)
-        if record is not None and not beats(score, traj_len, record.score, record.traj_len):
-            record.times_seen += 1
-            return UpdateOutcome.UNCHANGED
-        if snapshot is None:
-            raise ContractError(f"candidate for cell {key!r} wins the merge without a snapshot")
         if record is None:
-            self.cells[key] = CellRecord(trajectory, snapshot, score, traj_len)
+            self.cells[key] = CellRecord(trajectory, snapshot, score, traj_len, visits)
             self._index(key)
             return UpdateOutcome.ADDED
-        record.times_seen += 1
+        record.times_seen += visits
+        if not beats(score, traj_len, record.score, record.traj_len):
+            return UpdateOutcome.UNCHANGED
         record.trajectory = trajectory
         record.snapshot = snapshot
         record.score = score
@@ -152,33 +156,46 @@ class Archive:
 
     def _index(self, key: CellKey) -> None:
         """Index a newly added key: its encoding, and for a domain key the
-        max level, the position index, and the missing-neighbor masks of the
-        key, of its existing grid neighbors, and of the same-position keys
-        whose more-keys slot it fills. Archives only grow, so masks only
-        lose bits."""
+        max level; its masks wait for :attr:`missing_neighbors`."""
         self._encoded[key] = key.encode()
         self._unsorted_keys.append(key)
         if not isinstance(key, DomainKey):
             return
         if key.level > self.max_level:
             self.max_level = key.level
-        masks = self.missing_neighbors
-        mask = 0
-        for bit, (_, slot) in enumerate(neighbors(key, include_more_keys=False)):
-            if slot in masks:
-                masks[slot] &= ~(1 << (bit ^ 1))
-            else:
-                mask |= 1 << bit
-        pos = (key.x_bin, key.y_bin, key.room, key.level)
-        same_pos = self._pos_index.setdefault(pos, [])
-        probe = MoreKeysProbe(key)
-        if not any(probe.matches(other) for other in same_pos):
-            mask |= MORE_KEYS_BIT
-        for other in same_pos:
-            if MoreKeysProbe(other).matches(key):
-                masks[other] &= ~MORE_KEYS_BIT
-        same_pos.append(key)
-        masks[key] = mask
+        self._unmasked.append(key)
+
+    @property
+    def missing_neighbors(self) -> dict[DomainKey, int]:
+        """The missing-neighbor mask of every domain key."""
+        return self._index_neighbors()
+
+    def _index_neighbors(self) -> dict[DomainKey, int]:
+        """Index the domain keys added since the masks were last read, in the
+        order they were added: the position index gets the key, and the
+        masks of the key, of its existing grid neighbors and of the
+        same-position keys whose more-keys slot it fills are set. Archives
+        only grow, so masks only lose bits."""
+        masks = self._missing
+        for key in self._unmasked:
+            mask = 0
+            for bit, (_, slot) in enumerate(neighbors(key, include_more_keys=False)):
+                if slot in masks:
+                    masks[slot] &= ~(1 << (bit ^ 1))
+                else:
+                    mask |= 1 << bit
+            pos = (key.x_bin, key.y_bin, key.room, key.level)
+            same_pos = self._pos_index.setdefault(pos, [])
+            probe = MoreKeysProbe(key)
+            if not any(probe.matches(other) for other in same_pos):
+                mask |= MORE_KEYS_BIT
+            for other in same_pos:
+                if MoreKeysProbe(other).matches(key):
+                    masks[other] &= ~MORE_KEYS_BIT
+            same_pos.append(key)
+            masks[key] = mask
+        self._unmasked.clear()
+        return masks
 
     def record_chosen(self, key: CellKey) -> None:
         record = self.record(key)
@@ -210,6 +227,7 @@ class Archive:
 
     def has_neighbor(self, slot: DomainKey | MoreKeysProbe) -> bool:
         if isinstance(slot, MoreKeysProbe):
+            self._index_neighbors()
             base = slot.base
             pos = (base.x_bin, base.y_bin, base.room, base.level)
             return any(slot.matches(k) for k in self._pos_index.get(pos, ()))
@@ -244,25 +262,25 @@ def _layout(archive: Archive, meta: RunMeta | None) -> Iterator[bytes]:
         len(rooms),
     ) + struct.pack(f"<{len(rooms) + 1}I", *rooms, meta.max_level_seen)
 
-    node_ids: dict[int, int] = {}
+    node_ids: dict = {}  # node -> its row; nodes hash by identity
     nodes: list = []
     ordered = archive.sorted_keys()
     for key in ordered:
         stack = []
         node = archive.cells[key].trajectory.tail
-        while node is not None and id(node) not in node_ids:
+        while node is not None and node not in node_ids:
             stack.append(node)
             node = node.parent
         while stack:
             node = stack.pop()
-            node_ids[id(node)] = len(nodes)
+            node_ids[node] = len(nodes)
             nodes.append(node)
     yield _COUNT.pack(len(nodes))
     pack_node = _NODE_ROW.pack
     for start in range(0, len(nodes), _CHUNK_ROWS):
         yield b"".join(
             pack_node(node.action,
-                      0 if node.parent is None else node_ids[id(node.parent)] + 1)
+                      0 if node.parent is None else node_ids[node.parent] + 1)
             for node in nodes[start:start + _CHUNK_ROWS]
         )
 
@@ -281,7 +299,7 @@ def _layout(archive: Archive, meta: RunMeta | None) -> Iterator[bytes]:
                 pack_cell(
                     record.score,
                     record.traj_len,
-                    0 if tail is None else node_ids[id(tail)] + 1,
+                    0 if tail is None else node_ids[tail] + 1,
                     record.times_seen,
                     record.times_chosen,
                     record.times_chosen_since_new,

@@ -10,9 +10,12 @@ purpose, iteration, worker), so runs are reproducible and resumable bit-for-
 bit.
 
 A rollout does only the work whose result is used: it snapshots a visit
-only when the visit can still win the merge (see :func:`explore_from`), and
-it renders a frame only when the cell mapper reads one. Every visit is still
-merged, so visit counts and discovery credit do not depend on either.
+only when the visit can still win the merge, it renders a frame only when
+the cell mapper reads one, and it hands the merge one aggregate per cell it
+visited (a visit count and the cell's last winning visit; see
+:func:`explore_from`). The merge then runs once per (rollout, cell), and
+gives the same records, visit counts, discovery credit and order of added
+keys as folding in every visit on its own.
 """
 
 from __future__ import annotations
@@ -23,6 +26,7 @@ from typing import Callable, NamedTuple
 
 from .archive import Archive, CellRecord, RunMeta, UpdateOutcome, beats
 from .cells import CellKey, CellMapper
+from .envs.base import EnvSnapshot
 from .envs.gridworld import GridWorld
 from .errors import CheckpointError, ConfigError, ContractError, IntegrityError
 from .seeding import TAG_BASELINE, TAG_EXPLORE, TAG_SELECT, stream
@@ -54,11 +58,15 @@ class ExploreConfig:
             raise ConfigError("metric interval must be >= 1")
 
 
-class VisitedCell(NamedTuple):
-    key: CellKey
-    score: float
-    trajectory: Trajectory
-    snapshot: object  # EnvSnapshot, or None for a visit that cannot win the merge
+class CellVisits(NamedTuple):
+    """A rollout's visits to one cell: how many, and the last visit that won
+    (its score, trajectory and snapshot), or ``None`` for each when none
+    did."""
+
+    visits: int
+    score: float | None
+    trajectory: Trajectory | None
+    snapshot: EnvSnapshot | None
 
 
 _NO_BAR = (float("-inf"), float("inf"))  # what a visit to an unarchived cell must beat
@@ -67,7 +75,7 @@ _NO_BAR = (float("-inf"), float("inf"))  # what a visit to an unarchived cell mu
 @dataclass(slots=True)
 class RolloutResult:
     origin: CellKey
-    visited: list[VisitedCell]
+    cells: dict[CellKey, CellVisits]  # in the order of their first visits
     frames: int
     terminated: bool
     rooms: set[int]
@@ -82,8 +90,8 @@ def explore_from(
     cfg: ExploreConfig,
     mapper: CellMapper,
 ) -> RolloutResult:
-    """Restore ``origin``'s archived snapshot and take up to ``k``
-    repeat-biased random actions.
+    """Restore ``origin``'s archived snapshot, take up to ``k``
+    repeat-biased random actions, and sum up the visits per cell.
 
     The RNG contract is fixed: one ``rng.random(k)`` call for the repeat
     decisions followed by one ``rng.integers(0, n_actions, k)`` call for the
@@ -93,14 +101,17 @@ def explore_from(
     destination cell.
 
     ``archive`` must stand as it did at selection time: the caller merges
-    only after all of a batch's rollouts. A visit gets a snapshot only if it
-    beats, by the merge rule of :func:`archex.archive.beats`, both the
-    archive record of its cell (when there is one) and the cell's earlier
-    visits in this rollout; the others carry ``snapshot=None``. This is
-    safe: between selection and this rollout's merge, records only improve
-    -- by earlier rollouts of the batch and by this rollout's earlier visits,
-    which merge first -- so a visit that fails the filter can never be added
-    or improve a record, and the merge never needs its snapshot.
+    only after all of a batch's rollouts. A visit wins if it beats, by the
+    merge rule of :func:`archex.archive.beats`, both the archive record of
+    its cell (when there is one) and the cell's earlier winner in this
+    rollout; only winners are snapshotted, and each cell keeps its last
+    winner, which is the best of its visits. A losing visit only counts.
+    Trajectory nodes are built at the end, along the rollout's actions up
+    to its last winning step, so every winner shares the one chain. This is
+    all the merge needs: between selection and this rollout's merge,
+    records only improve (by earlier rollouts of the batch), so no visit
+    that loses here can be added or improve a record, and a cell's last
+    winner beats its current record iff any of its visits does.
     """
     record = archive.cells[origin]
     env.restore(record.snapshot)
@@ -108,9 +119,9 @@ def explore_from(
     repeats = rng.random(cfg.k)
     fresh = rng.integers(0, env.action_count, cfg.k)
     cells = archive.cells
-    best: dict[CellKey, tuple[float, float]] = {}  # key -> (score, length) to beat
-    trajectory = record.trajectory
-    visited: list[VisitedCell] = []
+    found: dict[CellKey, list] = {}  # key -> [visits, score, length, snapshot] of its winner
+    actions: list[int] = []
+    base = length = record.traj_len
     rooms: set[int] = set()
     max_level = 0
     prev_action = -1
@@ -127,25 +138,37 @@ def explore_from(
         if result.done:
             terminated = True
             break
-        trajectory = trajectory.extend(action)
+        actions.append(action)
+        length += 1
         info = env.features()
         key = mapper(env, info)
         score = env.cum_score
-        bar = best.get(key)
-        if bar is None:
+        entry = found.get(key)
+        if entry is None:
             held = cells.get(key)
-            bar = _NO_BAR if held is None else (held.score, held.traj_len)
-        if beats(score, trajectory.length, *bar):
-            snapshot = env.snapshot()
-            best[key] = (score, trajectory.length)
-        else:
-            snapshot = None
-            best[key] = bar
-        visited.append(VisitedCell(key, score, trajectory, snapshot))
+            entry = found[key] = [0, *(_NO_BAR if held is None
+                                       else (held.score, held.traj_len)), None]
+        entry[0] += 1
+        if beats(score, length, entry[1], entry[2]):
+            entry[1] = score
+            entry[2] = length
+            entry[3] = env.snapshot()
         rooms.add(info.room)
         if info.level > max_level:
             max_level = info.level
-    return RolloutResult(origin, visited, frames, terminated, rooms, max_level)
+
+    last = max((entry[2] for entry in found.values() if entry[3] is not None), default=base)
+    nodes = []  # nodes[i] ends the trajectory of length base + i + 1
+    tail = record.trajectory.tail
+    for action in actions[:last - base]:
+        tail = Trajectory.make_node(action, tail)
+        nodes.append(tail)
+    visits = {
+        key: CellVisits(n, won, Trajectory(nodes[won_len - base - 1], won_len), snapshot)
+        if snapshot is not None else CellVisits(n, None, None, None)
+        for key, (n, won, won_len, snapshot) in found.items()
+    }
+    return RolloutResult(origin, visits, frames, terminated, rooms, max_level)
 
 
 @dataclass(slots=True)
@@ -158,13 +181,19 @@ class IterationStats:
 
 
 def merge_results(archive: Archive, results: list[RolloutResult]) -> IterationStats:
-    """Fold rollout results into the archive in worker-index order."""
+    """Fold rollout results into the archive in worker-index order, once per
+    (rollout, cell): a cell with a winner goes through the merge rule with
+    its visit count, and one without only adds its visits to
+    ``times_seen``."""
     stats = IterationStats()
     for result in results:
         discovered = False
-        for key, score, trajectory, snapshot in result.visited:
+        for key, (visits, score, trajectory, snapshot) in result.cells.items():
+            if snapshot is None:
+                archive.cells[key].times_seen += visits
+                continue
             outcome = archive.insert_or_update(
-                key, trajectory, score, trajectory.length, snapshot
+                key, trajectory, score, trajectory.length, snapshot, visits
             )
             if outcome is UpdateOutcome.ADDED:
                 stats.added += 1

@@ -2,19 +2,25 @@
 
 :func:`cell_score` scores one cell as the selection formula is written;
 :func:`archex.selection.cell_probs` must give the same floats for the whole
-archive at once. :func:`myopic_greedy_baseline` is the reward-greedy control
-of the deceptive-reward milestone.
+archive at once. :func:`explore_from` and :func:`merge_results` are the
+per-visit rollout and merge: every visit builds its own trajectory node and
+is folded into the archive on its own, where :mod:`archex.explore` merges
+once per (rollout, cell); both must leave the same archive bytes.
+:func:`myopic_greedy_baseline` is the reward-greedy control of the
+deceptive-reward milestone.
 """
 
 from __future__ import annotations
 
-from typing import Callable
+from typing import Callable, NamedTuple
 
 import numpy as np
 
-from archex.archive import Archive, CellRecord
-from archex.cells import CellKey, DomainKey
+from archex.archive import Archive, CellRecord, UpdateOutcome, beats
+from archex.cells import CellKey, CellMapper, DomainKey
 from archex.envs.gridworld import GridWorld
+from archex.explore import ExploreConfig, IterationStats
+from archex.trajectory import Trajectory
 from archex.selection import SelectionConfig, count_subscores, level_weight, neigh_subscore
 
 
@@ -39,6 +45,104 @@ def cell_score(record: CellRecord, key: CellKey, archive: Archive,
     if cfg.domain_mode and isinstance(key, DomainKey):
         lw = level_weight(key.level, archive.max_level, cfg.level_decay)
     return lw * (neigh_subscore(key, archive, cfg) + cnt + 1.0)
+
+
+class VisitedCell(NamedTuple):
+    key: CellKey
+    score: float
+    trajectory: Trajectory
+    snapshot: object  # EnvSnapshot, or None for a visit that cannot win the merge
+
+
+class VisitResult(NamedTuple):
+    origin: CellKey
+    visited: list[VisitedCell]
+    frames: int
+    terminated: bool
+    rooms: set[int]
+    max_level: int
+
+
+_NO_BAR = (float("-inf"), float("inf"))  # what a visit to an unarchived cell must beat
+
+
+def explore_from(env: GridWorld, origin: CellKey, archive: Archive, rng,
+                 cfg: ExploreConfig, mapper: CellMapper) -> VisitResult:
+    """One rollout with one :class:`VisitedCell` per stepped frame, on the
+    same RNG contract as :func:`archex.explore.explore_from`. A visit gets a
+    snapshot only if it beats its cell's archive record and the cell's
+    earlier visits in this rollout."""
+    record = archive.cells[origin]
+    env.restore(record.snapshot)
+
+    repeats = rng.random(cfg.k)
+    fresh = rng.integers(0, env.action_count, cfg.k)
+    best: dict[CellKey, tuple[float, float]] = {}  # key -> (score, length) to beat
+    trajectory = record.trajectory
+    visited: list[VisitedCell] = []
+    rooms: set[int] = set()
+    max_level = 0
+    prev_action = -1
+    frames = 0
+    terminated = False
+    for i in range(cfg.k):
+        if i > 0 and repeats[i] < cfg.repeat_p:
+            action = prev_action
+        else:
+            action = int(fresh[i])
+        result = env.step(action)
+        frames += 1
+        prev_action = action
+        if result.done:
+            terminated = True
+            break
+        trajectory = trajectory.extend(action)
+        info = env.features()
+        key = mapper(env, info)
+        score = env.cum_score
+        bar = best.get(key)
+        if bar is None:
+            held = archive.cells.get(key)
+            bar = _NO_BAR if held is None else (held.score, held.traj_len)
+        if beats(score, trajectory.length, *bar):
+            snapshot = env.snapshot()
+            best[key] = (score, trajectory.length)
+        else:
+            snapshot = None
+            best[key] = bar
+        visited.append(VisitedCell(key, score, trajectory, snapshot))
+        rooms.add(info.room)
+        max_level = max(max_level, info.level)
+    return VisitResult(origin, visited, frames, terminated, rooms, max_level)
+
+
+def merge_results(archive: Archive, results: list[VisitResult]) -> IterationStats:
+    """Fold every visit into the archive on its own, in worker order; a
+    snapshot-less visit must lose, and only counts as seen."""
+    stats = IterationStats()
+    for result in results:
+        discovered = False
+        for key, score, trajectory, snapshot in result.visited:
+            if snapshot is None:
+                record = archive.record(key)
+                assert not beats(score, trajectory.length, record.score, record.traj_len)
+                record.times_seen += 1
+                continue
+            outcome = archive.insert_or_update(
+                key, trajectory, score, trajectory.length, snapshot
+            )
+            if outcome is UpdateOutcome.ADDED:
+                stats.added += 1
+                discovered = True
+            elif outcome is UpdateOutcome.IMPROVED:
+                stats.improved += 1
+                discovered = True
+        if discovered:
+            archive.credit_discovery(result.origin)
+        stats.frames += result.frames
+        stats.rooms |= result.rooms
+        stats.max_level = max(stats.max_level, result.max_level)
+    return stats
 
 
 def myopic_greedy_baseline(

@@ -136,26 +136,20 @@ def test_candidate_config_mismatch_rejected(env, snap):
         archive.insert_or_update(key(), Trajectory(), 0.0, 0, snap)
 
 
-def test_snapshotless_candidate_counts_when_it_loses(env, snap):
+def test_visit_count_adds_to_times_seen(env, snap):
+    """A merge counts all of one rollout's visits to a cell at once: they
+    set ``times_seen`` of an added cell and add to it otherwise, whether the
+    candidate wins or loses."""
     archive = fresh_archive(env)
-    archive.insert_or_update(key(), traj_of(1), 5.0, 1, snap)
-    assert archive.insert_or_update(key(), traj_of(1, 2), 5.0, 2, None) is UpdateOutcome.UNCHANGED
-    assert archive.insert_or_update(key(), traj_of(2), 4.0, 1, None) is UpdateOutcome.UNCHANGED
-    assert archive.record(key()).times_seen == 3
-    assert archive.record(key()).snapshot is snap
-
-
-@pytest.mark.parametrize("score,length", [(6.0, 3), (5.0, 0)])
-def test_snapshotless_candidate_that_wins_rejected(env, snap, score, length):
-    archive = fresh_archive(env)
-    archive.insert_or_update(key(), traj_of(1), 5.0, 1, snap)
-    with pytest.raises(ContractError):
-        archive.insert_or_update(key(), traj_of(*[0] * length), score, length, None)
+    assert archive.insert_or_update(key(), traj_of(1), 5.0, 1, snap, 4) is UpdateOutcome.ADDED
     record = archive.record(key())
-    assert (record.score, record.traj_len, record.times_seen) == (5.0, 1, 1)
-    with pytest.raises(ContractError):  # a new cell always wins
-        archive.insert_or_update(key(x=1), Trajectory(), 0.0, 0, None)
-    assert key(x=1) not in archive
+    assert record.times_seen == 4
+    loser = traj_of(1, 2)
+    assert archive.insert_or_update(key(), loser, 5.0, 2, snap, 3) is UpdateOutcome.UNCHANGED
+    assert (record.times_seen, record.traj_len) == (7, 1)
+    archive.record_chosen(key())
+    assert archive.insert_or_update(key(), traj_of(2), 6.0, 1, snap, 2) is UpdateOutcome.IMPROVED
+    assert (record.times_seen, record.score, record.times_chosen) == (9, 6.0, 0)
 
 
 def test_candidate_length_mismatch_rejected(env, snap):

@@ -1,6 +1,7 @@
 """Exploration loop semantics: rollouts, merging, budgets, reproducibility."""
 
 import hashlib
+from collections import Counter
 from dataclasses import replace
 
 import numpy as np
@@ -8,11 +9,13 @@ import pytest
 
 from archex.archive import Archive, deserialize_archive, serialize_archive
 from archex.cells import domain_mapper
-from archex.envs import ACTION_NOOP
 from archex.errors import ContractError
+import archex.explore as X
 from archex.explore import (
+    CellVisits,
     ExploreConfig,
     Phase1Result,
+    RolloutResult,
     baseline_from_start,
     explore_from,
     merge_results,
@@ -23,6 +26,7 @@ from archex.seeding import TAG_EXPLORE, stream
 from archex.selection import SelectionConfig
 from archex.trajectory import Trajectory
 
+import oracle
 from conftest import drive, small_corridor, small_keydoor, small_twomaze
 from oracle import myopic_greedy_baseline
 
@@ -49,6 +53,17 @@ def cfg_with(**kw):
 # -- explore_from -----------------------------------------------------------------
 
 
+def grown_archive(env, iterations=3):
+    archive, _ = seeded_archive(env)
+    for it in range(iterations):
+        run_iteration(archive, env, SelectionConfig(), cfg_with(k=60), it, MAPPER)
+    return archive
+
+
+def winners(result):
+    return [c for c in result.cells.values() if c.snapshot is not None]
+
+
 def test_rollout_consumes_k_frames():
     env = small_twomaze()
     archive, key = seeded_archive(env)
@@ -56,7 +71,7 @@ def test_rollout_consumes_k_frames():
                           cfg_with(), MAPPER)
     assert result.frames == 20
     assert not result.terminated
-    assert len(result.visited) == 20
+    assert sum(c.visits for c in result.cells.values()) == 20
 
 
 def test_rollout_stops_at_episode_end_and_discards_terminal():
@@ -66,11 +81,15 @@ def test_rollout_stops_at_episode_end_and_discards_terminal():
                           cfg_with(k=50), MAPPER)
     assert result.terminated
     assert result.frames == 10           # the fatal frame is counted
-    assert len(result.visited) == 9      # ... but records no destination cell
+    assert sum(c.visits for c in result.cells.values()) == 9  # ... but visits no cell
+    assert all(c.trajectory.length <= 9 for c in winners(result))
 
 
 def test_rollout_repeat_zero_matches_enumeration():
-    """repeat_p=0: every action is the fresh draw from the fixed stream."""
+    """repeat_p=0: every action is the fresh draw from the fixed stream.
+    Stepping the drawn actions from the origin visits the rollout's cells as
+    often as it counts them, and every winner's trajectory is a prefix of
+    the drawn actions."""
     env = small_twomaze()
     archive, key = seeded_archive(env)
     cfg = cfg_with(repeat_p=0.0)
@@ -78,62 +97,101 @@ def test_rollout_repeat_zero_matches_enumeration():
     rng = stream(9, TAG_EXPLORE, 0, 0)
     rng.random(cfg.k)  # repeat draws, unused at p=0
     expect = [int(a) for a in rng.integers(0, env.action_count, cfg.k)]
-    got = [v.trajectory.actions()[-1] for v in result.visited]
-    assert got == expect
+    env.restore(archive.record(key).snapshot)
+    counts = Counter()
+    for action in expect:
+        env.step(action)
+        counts[MAPPER(env, env.features())] += 1
+    assert {k: c.visits for k, c in result.cells.items()} == counts
+    for cell in winners(result):
+        assert cell.trajectory.actions() == expect[:cell.trajectory.length]
 
 
 def test_rollout_trajectories_extend_origin():
-    env = small_twomaze()
-    archive, key = seeded_archive(env)
-    result = explore_from(env, key, archive, np.random.default_rng(1),
+    """Winners' trajectories continue the origin's chain within the frames
+    stepped, and all of them lie on one chain of the rollout's actions."""
+    env = small_keydoor()
+    archive = grown_archive(env, iterations=2)
+    origin = max(archive.cells, key=lambda k: archive.record(k).traj_len)
+    record = archive.record(origin)
+    result = explore_from(env, origin, archive, np.random.default_rng(2),
                           cfg_with(), MAPPER)
-    origin_len = archive.record(key).traj_len
-    for i, visit in enumerate(result.visited, start=1):
-        assert visit.trajectory.length == origin_len + i
-    for visit in result.visited:
-        if visit.key != key:
-            assert visit.trajectory.length > origin_len
-            break
+    found = winners(result)
+    assert len(found) > 1 and record.traj_len > 0
+    longest = max(found, key=lambda c: c.trajectory.length)
+    chain = set()
+    node = longest.trajectory.tail
+    while node is not record.trajectory.tail:
+        chain.add(node)
+        node = node.parent
+    for cell in found:
+        assert record.traj_len < cell.trajectory.length <= record.traj_len + result.frames
+        assert cell.trajectory.actions()[:record.traj_len] == record.trajectory.actions()
+        assert cell.trajectory.tail in chain
 
 
 def test_rollout_scores_track_env():
-    """Each visit's score is the env's: restored from its snapshot, or
-    replayed from reset along its trajectory when it has none."""
+    """Each winner's score is the env's, restored from its snapshot or
+    replayed from reset along its trajectory; a cell that only lost carries
+    no score, trajectory or snapshot."""
     env = small_corridor()
-    archive, key = seeded_archive(env)
-    result = explore_from(env, key, archive, np.random.default_rng(3),
+    archive = grown_archive(env)
+    origin = archive.sorted_keys()[len(archive) // 2]
+    result = explore_from(env, origin, archive, np.random.default_rng(3),
                           cfg_with(k=100), MAPPER)
-    assert any(v.snapshot is None for v in result.visited)
-    for visit in result.visited:
-        if visit.snapshot is not None:
-            env.restore(visit.snapshot)
-        else:
-            env.reset(0)
-            drive(env, visit.trajectory.actions())
-        assert env.cum_score == visit.score
+    losers = [c for c in result.cells.values() if c.snapshot is None]
+    assert losers and all(c[1:] == (None, None, None) for c in losers)
+    for key, cell in result.cells.items():
+        if cell.snapshot is None:
+            continue
+        env.restore(cell.snapshot)
+        assert env.cum_score == cell.score
+        env.reset(0)
+        drive(env, cell.trajectory.actions())
+        assert env.cum_score == cell.score
+        assert MAPPER(env, env.features()) == key
+        assert env.snapshot() == cell.snapshot
 
 
 def test_rollout_snapshots_exactly_the_possible_winners():
-    """A visit carries a snapshot iff it beats its cell's archived record and
-    the cell's earlier visits in the rollout: higher score, or equal score
-    and shorter trajectory."""
-    env = small_corridor()  # moving costs points, so scores fall and rise
-    archive, key = seeded_archive(env)
-    for it in range(3):
-        run_iteration(archive, env, SelectionConfig(), cfg_with(k=60), it, MAPPER)
-    origin = archive.sorted_keys()[len(archive) // 2]
-    result = explore_from(env, origin, archive, np.random.default_rng(4),
-                          cfg_with(k=100), MAPPER)
+    """A cell carries the snapshot of its last visit that beat its archived
+    record and the cell's earlier winners in the rollout (higher score, or
+    equal score and shorter trajectory), and none if no visit did. The
+    visits are the per-visit oracle's, taken on the same stream. Here the
+    hazards pay a point and send the agent back to the room's edge, so the
+    rollout returns to cells with a higher score and some cells win twice."""
+    env = small_corridor(hazard_penalty=1.0)
+    archive = grown_archive(env)
+    origin = archive.sorted_keys()[2]
+    cfg = cfg_with(k=100)
+    result = explore_from(env, origin, archive, np.random.default_rng(2), cfg, MAPPER)
+    visited = oracle.explore_from(env, origin, archive, np.random.default_rng(2), cfg,
+                                  MAPPER).visited
     best = {k: (r.score, r.traj_len) for k, r in archive.cells.items()}
-    for visit in result.visited:
+    expect = {}
+    wins = Counter()
+    for visit in visited:
+        n, win = expect.get(visit.key, (0, None))
         length = visit.trajectory.length
         bar = best.get(visit.key)
-        wins = bar is None or visit.score > bar[0] or (visit.score == bar[0] and length < bar[1])
-        assert (visit.snapshot is not None) == wins
-        if wins:
+        if bar is None or visit.score > bar[0] or (visit.score == bar[0] and length < bar[1]):
             best[visit.key] = (visit.score, length)
-    kept = sum(v.snapshot is not None for v in result.visited)
-    assert 0 < kept < len(result.visited)
+            win = visit
+            wins[visit.key] += 1
+        expect[visit.key] = (n + 1, win)
+    assert max(wins.values()) > 1
+    assert list(result.cells) == list(expect)  # first-visit order
+    for key, (n, win) in expect.items():
+        cell = result.cells[key]
+        assert cell.visits == n
+        if win is None:
+            assert cell.snapshot is None
+        else:
+            assert (cell.score, cell.trajectory.length, cell.snapshot) == (
+                win.score, win.trajectory.length, win.snapshot)
+            assert cell.trajectory.actions() == win.trajectory.actions()
+    kept = len(winners(result))
+    assert 0 < kept < len(result.cells)
 
 
 # -- run_iteration ------------------------------------------------------------------
@@ -172,26 +230,20 @@ def test_merge_order_deterministic():
 
 
 def test_merge_credits_improvement():
-    """An Improved outcome must also reset the origin's since-new counter."""
+    """An Improved outcome must also reset the origin's since-new counter,
+    and the merge counts all of the rollout's visits to the cell."""
     env = small_twomaze()
     archive, key = seeded_archive(env)
-    record = archive.record(key)
-    from archex.explore import RolloutResult, VisitedCell
-
-    env.restore(record.snapshot)
-    env.step(ACTION_NOOP)
-    snap = env.snapshot()
-    better = VisitedCell(key, 0.0, Trajectory(), snap)  # same score, len 0 is not shorter
-    # craft a strictly better candidate for an existing second cell instead
     env.reset(0)
     env.step(3)
     other_key = MAPPER(env.observe(), env.observe().features)
-    first = VisitedCell(other_key, 0.0, Trajectory().extend(3).extend(0), env.snapshot())
-    archive.insert_or_update(other_key, first.trajectory, 0.0, 2, first.snapshot)
+    archive.insert_or_update(other_key, Trajectory().extend(3).extend(0), 0.0, 2,
+                             env.snapshot())
     archive.record_chosen(key)
-    shorter = VisitedCell(other_key, 0.0, Trajectory().extend(3), env.snapshot())
-    merge_results(archive, [RolloutResult(key, [shorter], 1, False, set(), 0)])
+    shorter = CellVisits(2, 0.0, Trajectory().extend(3), env.snapshot())
+    merge_results(archive, [RolloutResult(key, {other_key: shorter}, 1, False, set(), 0)])
     assert archive.record(other_key).traj_len == 1
+    assert archive.record(other_key).times_seen == 3
     assert archive.record(key).times_chosen_since_new == 0
 
 
@@ -368,6 +420,69 @@ def test_baseline_golden(name):
     m = result.meta
     assert (m.seed, m.iteration, m.training_frames, m.game_frames,
             set(m.rooms_seen), m.max_level_seen) == (3, *meta)
+
+
+# -- per-visit oracle ------------------------------------------------------------------
+
+
+def per_iteration(monkeypatch, explore, merge, factory, cfg, sel_cfg, mapper):
+    """Run Phase 1 with the given rollout and merge functions: the
+    checkpoint bytes after every iteration, each iteration's merged frames,
+    rooms and max level, and the metrics rows without wall_seconds."""
+    stats = []
+
+    def merge_and_record(archive, results):
+        merged = merge(archive, results)
+        stats.append((merged.frames, sorted(merged.rooms), merged.max_level))
+        return merged
+
+    checkpoints = []
+    with monkeypatch.context() as patch:
+        patch.setattr(X, "explore_from", explore)
+        patch.setattr(X, "merge_results", merge_and_record)
+        run = run_phase1(factory, cfg, sel_cfg, mapper, on_iteration=lambda r: checkpoints.append(
+            serialize_archive(r.archive, r.meta)))
+    return checkpoints, stats, strip_wall(run.metrics)
+
+
+def downscale():
+    from archex.cells import DownscaleParams, downscale_mapper
+    return downscale_mapper(DownscaleParams(width=8, height=6, depth=8))
+
+
+KEYDOOR_SELECTION = SelectionConfig(domain_mode=True, w_horizontal=0.3, w_vertical=0.1,
+                                    w_more_keys=10.0)
+ORACLE_CASES = {
+    # name: (env factory, mapper factory, selection config or None, explore settings)
+    "keydoor": (small_keydoor, lambda: MAPPER, KEYDOOR_SELECTION, {}),
+    "keydoor-time-limit": (lambda: small_keydoor(time_limit_game_frames=30 * 4),
+                           lambda: MAPPER, KEYDOOR_SELECTION, {}),
+    "corridor": (small_corridor, lambda: MAPPER, SelectionConfig(), {"k": 60}),
+    # Hazards that pay and send the agent back: cells win more than once per rollout.
+    "corridor-paying-hazards": (lambda: small_corridor(hazard_penalty=1.0), lambda: MAPPER,
+                                SelectionConfig(), {}),
+    "twomaze-downscale": (small_twomaze, downscale, SelectionConfig(), {}),
+    "corridor-from-start": (small_corridor, lambda: MAPPER, None, {"k": 60}),
+}
+
+
+@pytest.mark.parametrize("name", sorted(ORACLE_CASES))
+def test_rollout_merge_matches_per_visit_oracle(monkeypatch, name):
+    """Merging once per (rollout, cell) leaves the archive and run meta the
+    per-visit fold leaves, byte for byte after every iteration, with the
+    same frames, rooms and max level per iteration and the same metrics."""
+    factory, mapper, sel_cfg, settings = ORACLE_CASES[name]
+    cfg = cfg_with(budget_training_frames=6000, metric_interval_game_frames=1000,
+                   seed=5, **settings)
+    got = per_iteration(monkeypatch, explore_from, merge_results, factory, cfg, sel_cfg,
+                        mapper())
+    want = per_iteration(monkeypatch, oracle.explore_from, oracle.merge_results, factory,
+                         cfg, sel_cfg, mapper())
+    assert len(got[0]) >= 20
+    assert got == want
+    archive, _ = deserialize_archive(got[0][-1])
+    assert len(archive) > 10
+    assert any(r.times_seen > 1 for r in archive.cells.values())
 
 
 # -- myopic greedy baseline -------------------------------------------------------------

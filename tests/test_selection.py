@@ -169,6 +169,38 @@ def test_missing_neighbor_masks_match_has_neighbor():
             assert mask == want, key
 
 
+def test_deferred_masks_equal_masks_built_while_growing():
+    """A loaded archive indexes its neighbors only when its masks are first
+    read. Those masks, and those after further inserts, equal the masks of
+    an archive that read them after every insert, and selection scores on
+    the loaded archive are bit-identical."""
+    rng = np.random.default_rng(11)
+
+    def random_key():
+        keys = tuple(sorted(int(r) for r in rng.integers(0, 3, int(rng.integers(0, 3)))))
+        return dkey(int(rng.integers(0, 7)), int(rng.integers(0, 7)),
+                    int(rng.integers(0, 2)), int(rng.integers(0, 3)), keys)
+
+    snap = small_twomaze().reset(0)[1]
+    grown = build_archive([(random_key(), 0, 0, 1) for _ in range(5)])
+    for _ in range(200):
+        grown.insert_or_update(random_key(), Trajectory(), 0.0, 0, snap)
+        grown.missing_neighbors  # read after every insert, indexing one key at a time
+    loaded, _ = deserialize_archive(serialize_archive(grown))
+    assert not loaded._pos_index
+    assert loaded.missing_neighbors == grown.missing_neighbors
+    cfg = table2_cfg()
+    assert cell_probs(loaded, cfg).scores.tobytes() == cell_probs(grown, cfg).scores.tobytes()
+
+    for _ in range(100):
+        key = random_key()
+        for archive in (grown, loaded):
+            archive.insert_or_update(key, Trajectory(), 0.0, 0, snap)
+        grown.missing_neighbors  # read after every insert, indexing one key at a time
+    assert loaded.missing_neighbors == grown.missing_neighbors
+    assert cell_probs(loaded, cfg).scores.tobytes() == cell_probs(grown, cfg).scores.tobytes()
+
+
 # -- probabilities ----------------------------------------------------------------
 
 
