@@ -5,8 +5,10 @@ action allocates a single node and never touches existing nodes, so the total
 node count is bounded by the number of exploration actions ever taken.
 Archives serialize to a canonical, versioned binary layout (sorted cells,
 deduplicated trajectory nodes, trailing checksum) so that equal archives have
-equal bytes and corrupt files are detected on load. Checkpoints are streamed
-to a temporary file, fsynced and renamed over the target, so a failed write
+equal bytes, and a load accepts that layout only: corrupt files, keys not
+canonically encoded in strict order, and scores or lengths other than their
+snapshot's or node chain's are rejected. Checkpoints are streamed to a
+temporary file, fsynced and renamed over the target, so a failed write
 leaves the previous checkpoint intact (:func:`write_atomic`, which policy
 checkpoints and every CSV output use too).
 
@@ -57,13 +59,22 @@ class UpdateOutcome(enum.Enum):
 
 @dataclass(slots=True)
 class CellRecord:
+    """A cell's best visit (the trajectory to it, the snapshot to return to,
+    which hold its length and score) and the cell's three counters."""
+
     trajectory: Trajectory
     snapshot: EnvSnapshot
-    score: float
-    traj_len: int
     times_seen: int = 1
     times_chosen: int = 0
     times_chosen_since_new: int = 0
+
+    @property
+    def score(self) -> float:
+        return self.snapshot.cum_score
+
+    @property
+    def traj_len(self) -> int:
+        return self.trajectory.length
 
 
 @dataclass(slots=True)
@@ -121,35 +132,30 @@ class Archive:
         self,
         key: CellKey,
         trajectory: Trajectory,
-        score: float,
-        traj_len: int,
         snapshot: EnvSnapshot,
         visits: int = 1,
     ) -> UpdateOutcome:
-        """Count ``visits`` visits to ``key``, of which the candidate is the
-        best, and keep the candidate if it wins the merge rule.
+        """Count ``visits`` visits to ``key``, of which the candidate (the
+        ``trajectory`` and the ``snapshot`` it ends in, which carries its
+        score) is the best, and keep the candidate if it wins the merge rule.
 
         The visits add to the record's ``times_seen``, or set it for an
         added cell. A rollout merges each cell it visited once: the
         candidate is its last winning visit, and a cell none of whose visits
         won only has its ``times_seen`` raised.
         """
-        if traj_len != trajectory.length:
-            raise ContractError("candidate traj_len disagrees with trajectory")
         if peek_config_hash(snapshot.state_bytes) != self.config_hash:
             raise ContractError("candidate snapshot from a different env config")
         record = self.cells.get(key)
         if record is None:
-            self.cells[key] = CellRecord(trajectory, snapshot, score, traj_len, visits)
+            self.cells[key] = CellRecord(trajectory, snapshot, visits)
             self._index(key)
             return UpdateOutcome.ADDED
         record.times_seen += visits
-        if not beats(score, traj_len, record.score, record.traj_len):
+        if not beats(snapshot.cum_score, trajectory.length, record.score, record.traj_len):
             return UpdateOutcome.UNCHANGED
         record.trajectory = trajectory
         record.snapshot = snapshot
-        record.score = score
-        record.traj_len = traj_len
         record.times_chosen = 0
         record.times_chosen_since_new = 0
         return UpdateOutcome.IMPROVED
@@ -356,11 +362,16 @@ def _parse_fields(body: bytes) -> tuple[Archive, RunMeta]:
     archive = Archive(config_hash)
     (n_cells,) = _COUNT.unpack_from(body, offset)
     offset += _COUNT.size
+    last = b""  # no key encodes to fewer bytes
     for _ in range(n_cells):
         (key_len,) = _KEY_LEN.unpack_from(body, offset)
         offset += _KEY_LEN.size
-        key = decode_key(body[offset:offset + key_len])
+        enc = body[offset:offset + key_len]
+        key = decode_key(enc)
         offset += key_len
+        if enc <= last or enc != key.encode():
+            raise CheckpointError("archive checkpoint cells are not in canonical key order")
+        last = enc
         (score, traj_len, tail_id, seen, chosen, since_new,
          snap_score, snap_tf, snap_gf, snap_len) = _CELL_ROW.unpack_from(body, offset)
         offset += _CELL_ROW.size
@@ -370,16 +381,11 @@ def _parse_fields(body: bytes) -> tuple[Archive, RunMeta]:
         offset += snap_len
         if traj_len != lengths[tail_id]:
             raise CheckpointError("archive checkpoint cell traj_len disagrees with its chain")
-        record = CellRecord(
-            trajectory=Trajectory(nodes[tail_id], traj_len),
-            snapshot=EnvSnapshot(state, snap_score, snap_tf, snap_gf),
-            score=score,
-            traj_len=traj_len,
-            times_seen=seen,
-            times_chosen=chosen,
-            times_chosen_since_new=since_new,
-        )
-        archive.cells[key] = record
+        if score != snap_score:
+            raise CheckpointError("archive checkpoint cell score disagrees with its snapshot")
+        archive.cells[key] = CellRecord(Trajectory(nodes[tail_id], traj_len),
+                                        EnvSnapshot(state, snap_score, snap_tf, snap_gf),
+                                        seen, chosen, since_new)
         archive._index(key)
     if offset != len(body):
         raise CheckpointError("archive checkpoint has trailing bytes")

@@ -169,9 +169,9 @@ Neighbor = tuple[NeighborKind, Union[DomainKey, MoreKeysProbe]]
 def neighbors(key: CellKey, include_more_keys: bool = True) -> list[Neighbor]:
     """Enumerate the neighbor slots of a domain key.
 
-    Two horizontal, two vertical, and (when key tracking is enabled) one
-    more-keys slot. Out-of-world neighbors are emitted uniformly; they simply
-    never exist in an archive.
+    Two horizontal, two vertical, and (unless ``include_more_keys`` is
+    false) one more-keys slot. Out-of-world neighbors are emitted uniformly;
+    they simply never exist in an archive.
     """
     if not isinstance(key, DomainKey):
         raise RepresentationError("neighbors are only defined for domain keys")
@@ -221,9 +221,6 @@ def downscale_mapper(params: DownscaleParams) -> CellMapper:
 
 
 def domain_mapper(grid_size: int) -> CellMapper:
-    if grid_size < 1:
-        raise ConfigError("grid_size must be >= 1")
-
     def mapper(source: FrameSource, info: DomainInfo) -> CellKey:
         del source
         # Environments hand over key_rooms already sorted; normalize anyway

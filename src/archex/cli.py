@@ -123,8 +123,8 @@ def cmd_robustify(args: argparse.Namespace) -> int:
             truncate_demo(d, rcfg.truncate_frames, rcfg.truncate_to_last_reward)
             for d in demos
         ]
-    for demo in demos:
-        print(f"{demo.label}: {demo.length} frames, score {demo.score}, level {demo.level}")
+    for i, demo in enumerate(demos):
+        print(f"demo{i}: {demo.length} frames, score {demo.score}, level {demo.level}")
 
     learner = TabularQLearner(env.action_count, rcfg.q)
     result = backward_run(

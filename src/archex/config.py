@@ -60,7 +60,7 @@ PRESETS: dict[str, dict[str, str]] = {
         "select.w_more_keys": "10",
         "explore.batch": "1000",
     },
-    # Domain features, count-driven, no key tracking.
+    # Domain features, count-driven.
     "pitfall-like-domain": {
         "repr.mode": "domain",
         "repr.grid_size": "16",
@@ -70,7 +70,6 @@ PRESETS: dict[str, dict[str, str]] = {
         "select.w_horizontal": "1",
         "select.w_vertical": "0",
         "select.w_more_keys": "0",
-        "select.track_keys": "false",
         "explore.batch": "1000",
     },
 }
@@ -248,6 +247,8 @@ class ReprConfig:
     def __post_init__(self) -> None:
         if self.mode not in ("domain", "downscale"):
             raise ConfigError(f"repr.mode: unknown representation {self.mode!r}")
+        if self.grid_size < 1:
+            raise ConfigError("repr.grid_size must be >= 1")
 
     def build_mapper(self) -> CellMapper:
         if self.mode == "domain":

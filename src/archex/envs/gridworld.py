@@ -108,6 +108,8 @@ class GridWorld:
             raise ConfigError("tile_px must be >= 1")
         if time_limit_game_frames < 1:
             raise ConfigError("time_limit_game_frames must be >= 1")
+        if key_capacity < 0:
+            raise ConfigError("key_capacity must be >= 0")
         self.frame_skip = frame_skip
         self.tile_px = tile_px
         self.time_limit_game_frames = time_limit_game_frames

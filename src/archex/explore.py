@@ -60,11 +60,10 @@ class ExploreConfig:
 
 class CellVisits(NamedTuple):
     """A rollout's visits to one cell: how many, and the last visit that won
-    (its score, trajectory and snapshot), or ``None`` for each when none
-    did."""
+    (its trajectory, and its snapshot, which carries its score), or ``None``
+    for both when none did."""
 
     visits: int
-    score: float | None
     trajectory: Trajectory | None
     snapshot: EnvSnapshot | None
 
@@ -164,9 +163,9 @@ def explore_from(
         tail = Trajectory.make_node(action, tail)
         nodes.append(tail)
     visits = {
-        key: CellVisits(n, won, Trajectory(nodes[won_len - base - 1], won_len), snapshot)
-        if snapshot is not None else CellVisits(n, None, None, None)
-        for key, (n, won, won_len, snapshot) in found.items()
+        key: CellVisits(n, Trajectory(nodes[won_len - base - 1], won_len), snapshot)
+        if snapshot is not None else CellVisits(n, None, None)
+        for key, (n, _, won_len, snapshot) in found.items()
     }
     return RolloutResult(origin, visits, frames, terminated, rooms, max_level)
 
@@ -188,13 +187,11 @@ def merge_results(archive: Archive, results: list[RolloutResult]) -> IterationSt
     stats = IterationStats()
     for result in results:
         discovered = False
-        for key, (visits, score, trajectory, snapshot) in result.cells.items():
+        for key, (visits, trajectory, snapshot) in result.cells.items():
             if snapshot is None:
                 archive.cells[key].times_seen += visits
                 continue
-            outcome = archive.insert_or_update(
-                key, trajectory, score, trajectory.length, snapshot, visits
-            )
+            outcome = archive.insert_or_update(key, trajectory, snapshot, visits)
             if outcome is UpdateOutcome.ADDED:
                 stats.added += 1
                 discovered = True
@@ -319,7 +316,7 @@ def run_phase1(
         obs, snap = env.reset(cfg.seed)
         start_key = mapper(obs, obs.features)
         archive = Archive(env.config_hash)
-        archive.insert_or_update(start_key, Trajectory(), 0.0, 0, snap)
+        archive.insert_or_update(start_key, Trajectory(), snap)
         meta = RunMeta(cfg.seed, rooms_seen=frozenset({obs.features.room}))
         metrics = []
     run = Phase1Result(archive, meta, metrics)

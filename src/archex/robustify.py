@@ -18,7 +18,7 @@ from __future__ import annotations
 
 import math
 import struct
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, Iterator, Sequence
 
 import numpy as np
@@ -48,20 +48,23 @@ class Demonstration:
     """A materialized high-scoring trajectory with per-frame bookkeeping.
 
     ``cum_rewards[t]`` is the cumulative unshaped reward after t actions
-    (``cum_rewards[0] == 0``). Snapshots are stored at some frames, always
-    including 0; the others are materialized by deterministic replay fill-in.
+    (``cum_rewards[0] == 0``), and the last one is the score. Snapshots are
+    stored at some frames, always including 0; the others are materialized
+    by deterministic replay fill-in.
     """
 
     actions: list[int]
     cum_rewards: list[float]
     snapshots: dict[int, EnvSnapshot]
     level: int
-    score: float
-    label: str = ""
 
     @property
     def length(self) -> int:
         return len(self.actions)
+
+    @property
+    def score(self) -> float:
+        return self.cum_rewards[-1]
 
     def reward_at(self, frame: int) -> float:
         return self.cum_rewards[frame] - self.cum_rewards[frame - 1]
@@ -79,18 +82,12 @@ class Demonstration:
             env.step(action)
         return env.snapshot()
 
-    def relative_cum(self, start: int) -> list[float]:
-        """Cumulative rewards measured from ``start`` to the demo end."""
-        base = self.cum_rewards[start]
-        return [c - base for c in self.cum_rewards[start:]]
-
 
 def build_demonstration(
     env: GridWorld,
     key: CellKey,
     record: CellRecord,
     stride: int = 25,
-    label: str = "",
 ) -> Demonstration:
     """Replay a record from reset into a Demonstration, verifying integrity."""
     if stride < 1:
@@ -112,7 +109,7 @@ def build_demonstration(
     if env.snapshot().state_bytes != record.snapshot.state_bytes:
         raise IntegrityError("demonstration end state differs from archive snapshot")
     level = key.level if isinstance(key, DomainKey) else env.features().level
-    return Demonstration(actions, cum, snaps, level, cum[-1], label)
+    return Demonstration(actions, cum, snaps, level)
 
 
 def select_demonstrations(
@@ -140,9 +137,9 @@ def select_demonstrations(
         return not isinstance(key, DomainKey) or key.level == top
 
     demos = []
-    for i, archive in enumerate(qualifying[:n]):
+    for archive in qualifying[:n]:
         key, record = archive.best_record(at_top)
-        demos.append(build_demonstration(env, key, record, stride, label=f"demo{i}"))
+        demos.append(build_demonstration(env, key, record, stride))
     return demos
 
 
@@ -168,8 +165,6 @@ def truncate_demo(
         cum_rewards=demo.cum_rewards[:length + 1],
         snapshots={f: s for f, s in demo.snapshots.items() if f <= length},
         level=demo.level,
-        score=demo.cum_rewards[length],
-        label=demo.label,
     )
 
 
@@ -195,29 +190,26 @@ class RewardShaping:
 
 
 def early_terminate(
-    rollout_cum: Sequence[float],
+    gain: float,
     demo_cum: Sequence[float],
-    t: int,
     start: int,
+    elapsed: int,
     window: float,
     deficit: float,
 ) -> bool:
-    """Sliding-window laggard check.
+    """Sliding-window laggard check of a rollout that started at frame
+    ``start`` of a demonstration with cumulative rewards ``demo_cum`` and
+    has gained ``gain`` in ``elapsed`` frames.
 
-    Both series are cumulative rewards measured from the starting frame:
-    index j holds the total collected in the first j frames after ``start``.
-    ``t`` is the absolute frame, so ``t - start`` frames have elapsed. True
-    iff the window has fully elapsed and the rollout's total is more than
-    ``deficit`` below the demonstration's total from ``window`` frames
-    earlier, so an infinite window or deficit never terminates. Reads past
-    the end of either series clamp to its final value.
+    True iff the window has fully elapsed and ``gain`` is more than
+    ``deficit`` below the demonstration's gain over the first
+    ``elapsed - window`` frames from ``start`` (clamped to its end), so an
+    infinite window or deficit never terminates.
     """
-    elapsed = t - start
     if elapsed < window:
         return False
-    roll = rollout_cum[min(elapsed, len(rollout_cum) - 1)]
-    demo = demo_cum[min(int(elapsed - window), len(demo_cum) - 1)]
-    return roll < demo - deficit
+    frame = min(start + int(elapsed - window), len(demo_cum) - 1)
+    return gain < demo_cum[frame] - demo_cum[start] - deficit
 
 
 # -- learners -------------------------------------------------------------------
@@ -336,7 +328,6 @@ class DemoProgress:
     attempts_since_check: int = 0
     last_rate: float = float("nan")
     zero_confirmed: bool = False
-    history: list[tuple[int, int]] = field(default_factory=list)
 
 
 @dataclass(slots=True)
@@ -434,31 +425,31 @@ def backward_run(
 
         learner.begin_rollout(demo, start)
         score_at_start = base.cum_score
-        demo_rel = demo.relative_cum(start)
-        rel = [0.0]
-        transitions: list[tuple] = []
-        success = score_at_start >= demo.score
+        demo_score = demo.score
+        gain = 0.0
+        transitions: list[tuple] = []  # one per frame stepped
+        success = score_at_start >= demo_score
         state = None if success else base.discrete_state()
         while not success:
-            t_rel = len(rel) - 1
+            elapsed = len(transitions)
             if base.done:
                 break
-            if cfg.rollout_frame_cap is not None and t_rel >= cfg.rollout_frame_cap:
+            if cfg.rollout_frame_cap is not None and elapsed >= cfg.rollout_frame_cap:
                 break
-            if early_terminate(rel, demo_rel, start + t_rel, start,
+            if early_terminate(gain, demo.cum_rewards, start, elapsed,
                                cfg.window, cfg.allowed_deficit):
                 break
             action = learner.act(state, rng)
             result = env.step(action)
             frames += 1
             score = base.cum_score
-            rel.append(score - score_at_start)
+            gain = score - score_at_start
             next_state = base.discrete_state()
             transitions.append(
                 (state, action, cfg.shaping(result.reward), next_state, result.done)
             )
             state = next_state
-            success = score >= demo.score
+            success = score >= demo_score
         learner.update(transitions)
 
         attempts += 1
@@ -474,7 +465,6 @@ def backward_run(
                     prog.max_starting_point = max(0, prog.max_starting_point - cfg.delta)
                 else:
                     prog.zero_confirmed = True
-                prog.history.append((attempts, prog.max_starting_point))
                 take_checkpoint()
             emit_row(base.cum_score)
 
@@ -535,6 +525,7 @@ def load_policy(path, expected_config_hash: int | None = None) -> PolicyCheckpoi
         offset += _POLICY_HEADER.size
         row = _q_row(n_actions)
         q: dict[tuple, list[float]] = {}
+        last = b""  # no state encodes to fewer bytes
         for _ in range(n_states):
             (enc_len,) = struct.unpack_from("<I", body, offset)
             offset += 4
@@ -544,6 +535,10 @@ def load_policy(path, expected_config_hash: int | None = None) -> PolicyCheckpoi
                     f"policy checkpoint corrupt: state length {enc_len} "
                     f"does not fit {n_ints} values")
             state = struct.unpack_from(f"<{n_ints}q", body, offset + 2)
+            enc = body[offset:offset + enc_len]
+            if enc <= last:
+                raise CheckpointError("policy checkpoint states are not in strict order")
+            last = enc
             offset += enc_len
             q[tuple(state)] = list(row.unpack_from(body, offset))
             offset += row.size

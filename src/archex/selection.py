@@ -54,7 +54,6 @@ class SelectionConfig:
     eps2: float = 0.00001
     level_decay: float = 0.1
     domain_mode: bool = False
-    track_keys: bool = True
 
     def __post_init__(self) -> None:
         weights = ("w_chosen", "w_chosen_since_new", "w_seen",
@@ -96,7 +95,7 @@ def neigh_subscore(key: CellKey, archive: Archive, cfg: SelectionConfig) -> floa
         NeighborKind.MORE_KEYS: cfg.w_more_keys,
     }
     total = 0.0
-    for kind, slot in neighbors(key, include_more_keys=cfg.track_keys):
+    for kind, slot in neighbors(key):
         if not archive.has_neighbor(slot):
             total += weight[kind]
     return total
@@ -105,9 +104,8 @@ def neigh_subscore(key: CellKey, archive: Archive, cfg: SelectionConfig) -> floa
 def neigh_weight_table(cfg: SelectionConfig) -> np.ndarray:
     """:func:`neigh_subscore` for each of the 32 missing-neighbor masks,
     summed in the same slot order (that of :func:`archex.cells.neighbors`)."""
-    slots = [cfg.w_horizontal, cfg.w_horizontal, cfg.w_vertical, cfg.w_vertical]
-    if cfg.track_keys:
-        slots.append(cfg.w_more_keys)
+    slots = [cfg.w_horizontal, cfg.w_horizontal, cfg.w_vertical, cfg.w_vertical,
+             cfg.w_more_keys]
     table = np.zeros(MORE_KEYS_BIT << 1, np.float64)
     for mask in range(len(table)):
         total = 0.0

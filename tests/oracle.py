@@ -128,9 +128,7 @@ def merge_results(archive: Archive, results: list[VisitResult]) -> IterationStat
                 assert not beats(score, trajectory.length, record.score, record.traj_len)
                 record.times_seen += 1
                 continue
-            outcome = archive.insert_or_update(
-                key, trajectory, score, trajectory.length, snapshot
-            )
+            outcome = archive.insert_or_update(key, trajectory, snapshot)
             if outcome is UpdateOutcome.ADDED:
                 stats.added += 1
                 discovered = True

@@ -7,8 +7,11 @@ caps.
 """
 
 import csv
-import dataclasses
-import math
+import functools
+import multiprocessing
+import os
+from concurrent.futures import ProcessPoolExecutor
+from typing import Callable
 
 import numpy as np
 import pytest
@@ -45,6 +48,19 @@ from oracle import myopic_greedy_baseline
 mp.dps = 50
 
 pytestmark = pytest.mark.acceptance
+
+
+# Criteria 4-7 run their ten seeds in this many processes.
+SEED_WORKERS = min(os.cpu_count() or 1, 10)
+
+
+def by_seed(run: Callable) -> list:
+    """``run(seed)`` for seeds 0-9, spread over ``SEED_WORKERS`` spawned
+    processes and gathered in seed order; ``run`` must be a module-level
+    function (or a partial of one) so that it pickles."""
+    spawn = multiprocessing.get_context("spawn")
+    with ProcessPoolExecutor(max_workers=SEED_WORKERS, mp_context=spawn) as pool:
+        return list(pool.map(run, range(10)))
 
 
 def report(n: int, ok: bool, detail: str) -> None:
@@ -90,7 +106,7 @@ def test_criterion_01_formula_oracle():
                             0, int(trng.integers(0, 3)), ())
             if key in archive:
                 continue
-            archive.insert_or_update(key, Trajectory(), 0.0, 0, snap)
+            archive.insert_or_update(key, Trajectory(), snap)
             record = archive.record(key)
             record.times_chosen = int(trng.integers(0, 100))
             record.times_chosen_since_new = int(trng.integers(0, 30))
@@ -115,7 +131,7 @@ def test_criterion_01_formula_oracle():
 
                 weight = {"horizontal": cfg.w_horizontal, "vertical": cfg.w_vertical,
                           "more_keys": cfg.w_more_keys}
-                for kind, slot in neighbor_slots(key, include_more_keys=cfg.track_keys):
+                for kind, slot in neighbor_slots(key):
                     if not archive.has_neighbor(slot):
                         neigh += mpf(str(weight[kind.value]))
             lw = mpf(str(cfg.level_decay)) ** (archive.max_level - key.level) if cfg.domain_mode else mpf(1)
@@ -143,7 +159,7 @@ def test_criterion_02_selection_distribution():
         key = DomainKey(int(rng.integers(0, 40)), int(rng.integers(0, 40)), 0, 0, ())
         if key in archive:
             continue
-        archive.insert_or_update(key, Trajectory(), 0.0, 0, snap)
+        archive.insert_or_update(key, Trajectory(), snap)
         record = archive.record(key)
         record.times_chosen = int(rng.integers(0, 40))
         record.times_chosen_since_new = int(rng.integers(0, 10))
@@ -170,7 +186,7 @@ def _suite_archives():
     jobs = [
         (lambda: TwoMaze(arm_rows=6, arm_cols=14), domain_mapper(1), 40_000,
          SelectionConfig(domain_mode=True, w_horizontal=1.0, w_chosen=1.0,
-                         w_chosen_since_new=0.5, w_seen=0.0, track_keys=False)),
+                         w_chosen_since_new=0.5, w_seen=0.0)),
         (lambda: KeyDoorWorld(rooms_rows=2, rooms_cols=3, room_w=5, room_h=5,
                               keys=((1, 4, 1),), locked_doors=((4, 5), (2, 5)),
                               hazards=((3, 2, 2),), treasure_room=5),
@@ -181,7 +197,7 @@ def _suite_archives():
                                    treasures=((2, 2000.0), (4, 3000.0), (6, 2500.0))),
          domain_mapper(1), 60_000,
          SelectionConfig(domain_mode=True, w_chosen=1.0, w_chosen_since_new=0.5,
-                         w_seen=0.0, w_horizontal=1.0, track_keys=False)),
+                         w_seen=0.0, w_horizontal=1.0)),
     ]
     out = []
     for factory, mapper, budget, sel in jobs:
@@ -225,24 +241,27 @@ def test_criterion_03_replay_soundness():
 # ---------------------------------------------------------------------------
 
 
-def test_criterion_04_detachment():
+def _detachment_seed(oracle: set, seed: int) -> tuple[bool, bool]:
+    """One seed of criterion 4: (Phase 1 covers the oracle's states, the
+    from-start baseline covers under 60% of them)."""
     factory = lambda: TwoMaze(arm_rows=6, arm_cols=14)
-    oracle = {(s[0], s[1]) for s in bfs_reachable_states(factory(), max_level=0)}
     mapper = domain_mapper(1)
     sel = SelectionConfig(domain_mode=True, w_horizontal=1.0, w_vertical=0.0,
-                          w_chosen=1.0, w_chosen_since_new=0.5, w_seen=0.0,
-                          track_keys=False)
-    base_cfg = ExploreConfig(k=100, repeat_p=0.95, batch_size=50,
-                             budget_training_frames=200_000, seed=0,
-                             metric_interval_game_frames=10**9)
-    full, starved = 0, 0
-    for seed in range(10):
-        cfg = dataclasses.replace(base_cfg, seed=seed)
-        coverage = lambda a: len({(k.x_bin, k.y_bin) for k in a.cells} & oracle) / len(oracle)
-        if coverage(run_phase1(factory, cfg, sel, mapper).archive) == 1.0:
-            full += 1
-        if coverage(baseline_from_start(factory, cfg, mapper).archive) < 0.60:
-            starved += 1
+                          w_chosen=1.0, w_chosen_since_new=0.5, w_seen=0.0)
+    cfg = ExploreConfig(k=100, repeat_p=0.95, batch_size=50,
+                        budget_training_frames=200_000, seed=seed,
+                        metric_interval_game_frames=10**9)
+    coverage = lambda a: len({(k.x_bin, k.y_bin) for k in a.cells} & oracle) / len(oracle)
+    return (coverage(run_phase1(factory, cfg, sel, mapper).archive) == 1.0,
+            coverage(baseline_from_start(factory, cfg, mapper).archive) < 0.60)
+
+
+def test_criterion_04_detachment():
+    oracle = {(s[0], s[1]) for s in
+              bfs_reachable_states(TwoMaze(arm_rows=6, arm_cols=14), max_level=0)}
+    results = by_seed(functools.partial(_detachment_seed, oracle))
+    full = sum(covered for covered, _ in results)
+    starved = sum(short for _, short in results)
     report(4, full >= 9 and starved >= 9,
            f"phase1 full coverage in {full}/10 seeds, baseline < 60% in {starved}/10")
 
@@ -252,12 +271,10 @@ def test_criterion_04_detachment():
 # ---------------------------------------------------------------------------
 
 
-def test_criterion_05_sparse_milestone():
-    factory = lambda: KeyDoorWorld()  # 4x6 rooms, 2 keys, levels repeat
-    env = factory()
-    rows, cols, _, _ = env.rooms
-    assert rows * cols >= 24 and len(env.key_positions) == 2
-    final_room = rows * cols - 1
+def _sparse_milestone_seed(final_room: int, seed: int) -> tuple[bool, bool]:
+    """One seed of criterion 5: (the final room of level 1 is reached, the
+    metrics' max score and room count never fall)."""
+    factory = lambda: KeyDoorWorld()
     mapper = domain_mapper(2)
     sel = SelectionConfig(domain_mode=True, w_chosen=0.0, w_chosen_since_new=0.0,
                           w_seen=0.0, w_horizontal=0.3, w_vertical=0.1,
@@ -269,18 +286,23 @@ def test_criterion_05_sparse_milestone():
             for k in archive.cells
         )
 
-    base_cfg = ExploreConfig(k=100, repeat_p=0.95, batch_size=100,
-                             budget_training_frames=5_000_000, seed=0,
-                             metric_interval_game_frames=250_000)
-    reached, monotone = 0, True
-    for seed in range(10):
-        cfg = dataclasses.replace(base_cfg, seed=seed)
-        result = run_phase1(factory, cfg, sel, mapper, stop_condition=milestone)
-        if milestone(result.archive, result.meta):
-            reached += 1
-        scores = [row.max_score for row in result.metrics]
-        rooms = [row.rooms for row in result.metrics]
-        monotone &= scores == sorted(scores) and rooms == sorted(rooms)
+    cfg = ExploreConfig(k=100, repeat_p=0.95, batch_size=100,
+                        budget_training_frames=5_000_000, seed=seed,
+                        metric_interval_game_frames=250_000)
+    result = run_phase1(factory, cfg, sel, mapper, stop_condition=milestone)
+    scores = [row.max_score for row in result.metrics]
+    rooms = [row.rooms for row in result.metrics]
+    return (milestone(result.archive, result.meta),
+            scores == sorted(scores) and rooms == sorted(rooms))
+
+
+def test_criterion_05_sparse_milestone():
+    env = KeyDoorWorld()  # 4x6 rooms, 2 keys, levels repeat
+    rows, cols, _, _ = env.rooms
+    assert rows * cols >= 24 and len(env.key_positions) == 2
+    results = by_seed(functools.partial(_sparse_milestone_seed, rows * cols - 1))
+    reached = sum(hit for hit, _ in results)
+    monotone = all(rising for _, rising in results)
     report(5, reached >= 9 and monotone,
            f"final room of level 1 within 5M frames in {reached}/10 seeds; "
            f"metrics monotone: {monotone}")
@@ -291,31 +313,30 @@ def test_criterion_05_sparse_milestone():
 # ---------------------------------------------------------------------------
 
 
-def test_criterion_06_deceptive_milestone():
+def _deceptive_milestone_seed(seed: int) -> tuple[bool, bool]:
+    """One seed of criterion 6: (the reward-greedy control ends at or below
+    0, Phase 1 reaches 90% of the attainable total)."""
     factory = lambda: DeceptiveCorridor()
     attainable = sum(factory().treasure_values)
     mapper = domain_mapper(2)
     sel = SelectionConfig(domain_mode=True, w_chosen=1.0, w_chosen_since_new=0.5,
-                          w_seen=0.0, w_horizontal=1.0, w_vertical=0.0,
-                          track_keys=False)
-
-    greedy_ok = 0
-    for seed in range(10):
-        if myopic_greedy_baseline(factory, 2_000, seed=seed) <= 0:
-            greedy_ok += 1
+                          w_seen=0.0, w_horizontal=1.0, w_vertical=0.0)
+    greedy_ok = myopic_greedy_baseline(factory, 2_000, seed=seed) <= 0
 
     def target(archive, meta):
         return archive.max_score() >= 0.9 * attainable
 
-    base_cfg = ExploreConfig(k=100, repeat_p=0.95, batch_size=100,
-                             budget_training_frames=4_000_000, seed=0,
-                             metric_interval_game_frames=10**9)
-    reached = 0
-    for seed in range(10):
-        cfg = dataclasses.replace(base_cfg, seed=seed)
-        result = run_phase1(factory, cfg, sel, mapper, stop_condition=target)
-        if result.archive.max_score() >= 0.9 * attainable:
-            reached += 1
+    cfg = ExploreConfig(k=100, repeat_p=0.95, batch_size=100,
+                        budget_training_frames=4_000_000, seed=seed,
+                        metric_interval_game_frames=10**9)
+    result = run_phase1(factory, cfg, sel, mapper, stop_condition=target)
+    return greedy_ok, result.archive.max_score() >= 0.9 * attainable
+
+
+def test_criterion_06_deceptive_milestone():
+    results = by_seed(_deceptive_milestone_seed)
+    greedy_ok = sum(ok for ok, _ in results)
+    reached = sum(hit for _, hit in results)
     report(6, greedy_ok == 10 and reached >= 9,
            f"greedy baseline <= 0 in {greedy_ok}/10 seeds; "
            f"phase1 >= 90% of attainable total in {reached}/10 seeds")
@@ -361,8 +382,7 @@ def _robustify_once(seed: int) -> tuple[bool, float, float]:
 def test_criterion_07_robustification():
     successes = 0
     details = []
-    for seed in range(10):
-        anchored, gmean, demo_score = _robustify_once(seed)
+    for anchored, gmean, demo_score in by_seed(_robustify_once):
         ok = anchored and gmean >= demo_score
         successes += ok
         details.append(f"{gmean:.0f}{'*' if ok else '!'}")
@@ -377,14 +397,14 @@ def test_criterion_07_robustification():
 
 
 def test_criterion_08_early_termination_example():
-    demo_rel = [0.0] * 20 + [100.0] * 181  # 100 points at relative step 20
-    behind = [99.0] * 201
+    demo_cum = [0.0] * 20 + [100.0] * 181  # 100 points at step 20
+    behind = 99.0  # a rollout from frame 0 stuck at 99 points
     kill_at_70 = (
-        not early_terminate(behind, demo_rel, 69, 0, 50, 0.0)
-        and early_terminate(behind, demo_rel, 70, 0, 50, 0.0)
+        not early_terminate(behind, demo_cum, 0, 69, 50, 0.0)
+        and early_terminate(behind, demo_cum, 0, 70, 50, 0.0)
     )
     survives = not any(
-        early_terminate(behind, demo_rel, t, 0, 50, 250.0) for t in range(200)
+        early_terminate(behind, demo_cum, 0, t, 50, 250.0) for t in range(200)
     )
     report(8, kill_at_70 and survives,
            "A.7.3-style window example: deficit 0 terminates exactly at step 70, "

@@ -1,5 +1,7 @@
 """Archive semantics: trajectories, update rules, counters, checkpoints."""
 
+import dataclasses
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -40,6 +42,11 @@ def fresh_archive(env):
     return Archive(env.config_hash)
 
 
+def scored(snap, score):
+    """``snap`` carrying ``score``, the score of a candidate under test."""
+    return dataclasses.replace(snap, cum_score=score)
+
+
 def traj_of(*actions):
     t = Trajectory()
     for a in actions:
@@ -78,7 +85,7 @@ def test_trajectory_extension_is_constant_allocation():
 
 def test_insert_absent_added(env, snap):
     archive = fresh_archive(env)
-    outcome = archive.insert_or_update(key(), Trajectory(), 0.0, 0, snap)
+    outcome = archive.insert_or_update(key(), Trajectory(), snap)
     record = archive.record(key())
     assert outcome is UpdateOutcome.ADDED
     assert (record.times_seen, record.times_chosen, record.times_chosen_since_new) == (1, 0, 0)
@@ -86,10 +93,10 @@ def test_insert_absent_added(env, snap):
 
 def test_higher_score_improves_and_resets_chosen(env, snap):
     archive = fresh_archive(env)
-    archive.insert_or_update(key(), traj_of(1), 5.0, 1, snap)
+    archive.insert_or_update(key(), traj_of(1), scored(snap, 5.0))
     archive.record_chosen(key())
     archive.record_chosen(key())
-    outcome = archive.insert_or_update(key(), traj_of(1, 2), 9.0, 2, snap)
+    outcome = archive.insert_or_update(key(), traj_of(1, 2), scored(snap, 9.0))
     record = archive.record(key())
     assert outcome is UpdateOutcome.IMPROVED
     assert record.score == 9.0 and record.traj_len == 2
@@ -99,16 +106,16 @@ def test_higher_score_improves_and_resets_chosen(env, snap):
 
 def test_equal_score_shorter_improves(env, snap):
     archive = fresh_archive(env)
-    archive.insert_or_update(key(), traj_of(1, 2, 3), 5.0, 3, snap)
-    outcome = archive.insert_or_update(key(), traj_of(1, 2), 5.0, 2, snap)
+    archive.insert_or_update(key(), traj_of(1, 2, 3), scored(snap, 5.0))
+    outcome = archive.insert_or_update(key(), traj_of(1, 2), scored(snap, 5.0))
     assert outcome is UpdateOutcome.IMPROVED
     assert archive.record(key()).traj_len == 2
 
 
 def test_equal_score_longer_unchanged(env, snap):
     archive = fresh_archive(env)
-    archive.insert_or_update(key(), traj_of(1), 5.0, 1, snap)
-    outcome = archive.insert_or_update(key(), traj_of(1, 2, 3), 5.0, 3, snap)
+    archive.insert_or_update(key(), traj_of(1), scored(snap, 5.0))
+    outcome = archive.insert_or_update(key(), traj_of(1, 2, 3), scored(snap, 5.0))
     record = archive.record(key())
     assert outcome is UpdateOutcome.UNCHANGED
     assert record.traj_len == 1
@@ -118,22 +125,23 @@ def test_equal_score_longer_unchanged(env, snap):
 def test_equal_score_equal_length_keeps_incumbent(env, snap):
     archive = fresh_archive(env)
     first = traj_of(1)
-    archive.insert_or_update(key(), first, 5.0, 1, snap)
-    archive.insert_or_update(key(), traj_of(2), 5.0, 1, snap)
+    archive.insert_or_update(key(), first, scored(snap, 5.0))
+    archive.insert_or_update(key(), traj_of(2), scored(snap, 5.0))
     assert archive.record(key()).trajectory is first
 
 
 def test_lower_score_unchanged(env, snap):
     archive = fresh_archive(env)
-    archive.insert_or_update(key(), traj_of(1), 5.0, 1, snap)
-    assert archive.insert_or_update(key(), traj_of(2), 3.0, 1, snap) is UpdateOutcome.UNCHANGED
+    archive.insert_or_update(key(), traj_of(1), scored(snap, 5.0))
+    outcome = archive.insert_or_update(key(), traj_of(2), scored(snap, 3.0))
+    assert outcome is UpdateOutcome.UNCHANGED
 
 
 def test_candidate_config_mismatch_rejected(env, snap):
     other = small_keydoor()
     archive = fresh_archive(other)
     with pytest.raises(ContractError):
-        archive.insert_or_update(key(), Trajectory(), 0.0, 0, snap)
+        archive.insert_or_update(key(), Trajectory(), snap)
 
 
 def test_visit_count_adds_to_times_seen(env, snap):
@@ -141,21 +149,18 @@ def test_visit_count_adds_to_times_seen(env, snap):
     set ``times_seen`` of an added cell and add to it otherwise, whether the
     candidate wins or loses."""
     archive = fresh_archive(env)
-    assert archive.insert_or_update(key(), traj_of(1), 5.0, 1, snap, 4) is UpdateOutcome.ADDED
+    outcome = archive.insert_or_update(key(), traj_of(1), scored(snap, 5.0), 4)
+    assert outcome is UpdateOutcome.ADDED
     record = archive.record(key())
     assert record.times_seen == 4
     loser = traj_of(1, 2)
-    assert archive.insert_or_update(key(), loser, 5.0, 2, snap, 3) is UpdateOutcome.UNCHANGED
+    outcome = archive.insert_or_update(key(), loser, scored(snap, 5.0), 3)
+    assert outcome is UpdateOutcome.UNCHANGED
     assert (record.times_seen, record.traj_len) == (7, 1)
     archive.record_chosen(key())
-    assert archive.insert_or_update(key(), traj_of(2), 6.0, 1, snap, 2) is UpdateOutcome.IMPROVED
+    outcome = archive.insert_or_update(key(), traj_of(2), scored(snap, 6.0), 2)
+    assert outcome is UpdateOutcome.IMPROVED
     assert (record.times_seen, record.score, record.times_chosen) == (9, 6.0, 0)
-
-
-def test_candidate_length_mismatch_rejected(env, snap):
-    archive = fresh_archive(env)
-    with pytest.raises(ContractError):
-        archive.insert_or_update(key(), traj_of(1, 2), 0.0, 5, snap)
 
 
 # -- counters ------------------------------------------------------------------------
@@ -163,7 +168,7 @@ def test_candidate_length_mismatch_rejected(env, snap):
 
 def test_record_chosen_counts(env, snap):
     archive = fresh_archive(env)
-    archive.insert_or_update(key(), Trajectory(), 0.0, 0, snap)
+    archive.insert_or_update(key(), Trajectory(), snap)
     archive.record_chosen(key())
     record = archive.record(key())
     assert (record.times_chosen, record.times_chosen_since_new) == (1, 1)
@@ -174,7 +179,7 @@ def test_record_chosen_counts(env, snap):
 def test_chosen_credited_chosen(env, snap):
     """chosen, credited with a discovery, chosen again -> (2, 1)."""
     archive = fresh_archive(env)
-    archive.insert_or_update(key(), Trajectory(), 0.0, 0, snap)
+    archive.insert_or_update(key(), Trajectory(), snap)
     archive.record_chosen(key())
     archive.credit_discovery(key())
     archive.record_chosen(key())
@@ -184,7 +189,7 @@ def test_chosen_credited_chosen(env, snap):
 
 def test_credit_discovery_idempotent(env, snap):
     archive = fresh_archive(env)
-    archive.insert_or_update(key(), Trajectory(), 0.0, 0, snap)
+    archive.insert_or_update(key(), Trajectory(), snap)
     archive.credit_discovery(key())
     archive.credit_discovery(key())
     assert archive.record(key()).times_chosen_since_new == 0
@@ -207,7 +212,7 @@ def test_monotone_score_and_length(ops):
     archive = Archive(env.config_hash)
     last_score, last_len = None, None
     for score, length in ops:
-        archive.insert_or_update(key(), traj_of(*([0] * length)), score, length, snap)
+        archive.insert_or_update(key(), traj_of(*([0] * length)), scored(snap, score))
         record = archive.record(key())
         if last_score is not None:
             assert record.score >= last_score
@@ -221,9 +226,9 @@ def test_monotone_score_and_length(ops):
 
 def test_best_record_rules(env, snap):
     archive = fresh_archive(env)
-    archive.insert_or_update(key(0), traj_of(1, 1, 1), 10.0, 3, snap)
-    archive.insert_or_update(key(1), traj_of(1, 1), 20.0, 2, snap)
-    archive.insert_or_update(key(2), traj_of(1), 20.0, 1, snap)
+    archive.insert_or_update(key(0), traj_of(1, 1, 1), scored(snap, 10.0))
+    archive.insert_or_update(key(1), traj_of(1, 1), scored(snap, 20.0))
+    archive.insert_or_update(key(2), traj_of(1), scored(snap, 20.0))
     best_key, record = archive.best_record()
     assert best_key == key(2)  # highest score, then shorter
     assert record.score == 20.0
@@ -235,9 +240,9 @@ def test_best_record_rules(env, snap):
 
 def test_max_level_tracked(env, snap):
     archive = fresh_archive(env)
-    archive.insert_or_update(key(level=0), Trajectory(), 0.0, 0, snap)
+    archive.insert_or_update(key(level=0), Trajectory(), snap)
     assert archive.max_level == 0
-    archive.insert_or_update(key(x=1, level=3), Trajectory(), 0.0, 0, snap)
+    archive.insert_or_update(key(x=1, level=3), Trajectory(), snap)
     assert archive.max_level == 3
 
 
@@ -247,9 +252,9 @@ def test_more_keys_neighbor_lookup(env, snap):
     archive = fresh_archive(env)
     base = key(x=4, y=4, room=1, key_rooms=(1,))
     richer = key(x=4, y=4, room=1, key_rooms=(1, 4))
-    archive.insert_or_update(base, Trajectory(), 0.0, 0, snap)
+    archive.insert_or_update(base, Trajectory(), snap)
     assert not archive.has_neighbor(MoreKeysProbe(base))
-    archive.insert_or_update(richer, Trajectory(), 0.0, 0, snap)
+    archive.insert_or_update(richer, Trajectory(), snap)
     assert archive.has_neighbor(MoreKeysProbe(base))
 
 
@@ -277,7 +282,7 @@ def test_sorted_keys_follow_encoding_across_inserts_and_load(env, snap):
     handed_out = []
     for batch in range(12):
         for _ in range(int(rng.integers(0, 40))):
-            archive.insert_or_update(random_key(), Trajectory(), 0.0, 0, snap)
+            archive.insert_or_update(random_key(), Trajectory(), snap)
         order = archive.sorted_keys()
         assert order == full_sort(archive)
         handed_out.append((order, list(order)))
@@ -286,7 +291,7 @@ def test_sorted_keys_follow_encoding_across_inserts_and_load(env, snap):
     loaded, _ = deserialize_archive(serialize_archive(archive))
     assert loaded.sorted_keys() == full_sort(archive)
     for _ in range(30):
-        loaded.insert_or_update(random_key(), Trajectory(), 0.0, 0, snap)
+        loaded.insert_or_update(random_key(), Trajectory(), snap)
     assert loaded.sorted_keys() == full_sort(loaded)
 
 
@@ -406,7 +411,8 @@ def test_checkpoint_traj_len_must_match_its_chain(tmp_path):
     load, before anything replays it."""
     result = build_small_archive()
     key = result.archive.sorted_keys()[5]
-    result.archive.record(key).traj_len += 1
+    record = result.archive.record(key)
+    record.trajectory = Trajectory(record.trajectory.tail, record.traj_len + 1)
     path = tmp_path / "a.ckpt"
     checkpoint_save(result.archive, path, result.meta)
     with pytest.raises(CheckpointError, match="traj_len"):

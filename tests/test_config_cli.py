@@ -25,6 +25,7 @@ from archex.robustify import (
     _policy_layout,
 )
 from archex.selection import SelectionConfig
+from archex.trajectory import Trajectory
 
 
 BASE = """
@@ -166,7 +167,7 @@ def test_preset_pitfall_disables_keys():
     assert cfg.selection.w_chosen_since_new == 0.5
     assert cfg.selection.w_horizontal == 1.0
     assert cfg.selection.w_vertical == 0.0
-    assert not cfg.selection.track_keys
+    assert cfg.selection.w_more_keys == 0.0
     assert cfg.explore.batch_size == 1000
 
 
@@ -257,10 +258,18 @@ def test_cli_config_error_exit_2(tmp_path):
     "robustify.reward_scale = nan",
     *(pytest.param(f"robustify.reward_mode = scale\nrobustify.reward_scale = {v}",
                    id=f"robustify.reward_scale = {v} (scale mode)") for v in ("inf", "-1", "0")),
+    "repr.grid_size = 0",
+    pytest.param("env.type = keydoor\nenv.key_capacity = -1", id="env.key_capacity = -1"),
 ])
 def test_cli_out_of_range_setting_exit_2(tmp_path, line):
-    """Rejected when the config loads, not after a whole run."""
-    path = write_config(tmp_path, BASE + line + "\n")
+    """Rejected when the config loads, not after a whole run. A line that
+    sets its own env.type replaces the base's twomaze."""
+    base = BASE
+    if line.startswith("env.type"):
+        base = BASE.replace("env.type = twomaze\nenv.arm_rows = 3\nenv.arm_cols = 6\n", "")
+    path = write_config(tmp_path, base + line + "\n")
+    with pytest.raises(ConfigError):
+        load_config(path)
     assert run_cli("explore", "--config", str(path), "--out", str(tmp_path / "run")) == 2
 
 
@@ -308,11 +317,11 @@ def test_cli_non_finite_reward_exit_2(tmp_path, env_type, line):
 
 @pytest.mark.parametrize("defect, code", [
     ("none", 0), ("trailing-bytes", 3), ("state-length", 3), ("0-actions", 3),
-    ("9-actions", 3)])
+    ("9-actions", 3), ("duplicate-state", 3)])
 def test_cli_evaluate_malformed_policy_exit_3(tmp_path, defect, code):
     """A policy file with a valid checksum but bytes after its last Q row, a
-    row whose state-length field disagrees with its state, or an action count
-    other than the environment's, is rejected."""
+    row whose state-length field disagrees with its state, an action count
+    other than the environment's, or a state on two rows, is rejected."""
     path = write_config(tmp_path, BASE + "eval.max_noop = 1\neval.min_episodes = 1\n"
                         "eval.time_limit_game_frames = 40\n")
     config_hash = load_config(path).env_factory()().config_hash
@@ -328,6 +337,9 @@ def test_cli_evaluate_malformed_policy_exit_3(tmp_path, defect, code):
         # bytes at the end let a reader that trusts it finish the row.
         (state_len,) = struct.unpack_from("<I", row)
         chunks = [head, struct.pack("<I", state_len + 8) + row[4:], bytes(8)]
+    elif defect == "duplicate-state":
+        # The header's last field counts the rows: two, both of one state.
+        chunks = [head[:-8] + struct.pack("<Q", 2), row, row]
     policy = tmp_path / "policy.ckpt"
     write_checksummed(policy, chunks)
     assert run_cli("evaluate", "--config", str(path), "--out", str(tmp_path / "out"),
@@ -451,10 +463,43 @@ def test_cli_replay_traj_len_off_its_chain_exit_3(tmp_path):
     assert run_cli("explore", "--config", str(path), "--out", str(out)) == 0
     archive, meta = checkpoint_load(out / "archive.ckpt")
     key = archive.sorted_keys()[3]
-    archive.record(key).traj_len += 1
+    record = archive.record(key)
+    record.trajectory = Trajectory(record.trajectory.tail, record.traj_len + 1)
     checkpoint_save(archive, out / "archive.ckpt", meta)
     assert run_cli("replay", "--config", str(path), "--archive", str(out / "archive.ckpt"),
                    "--cell", key.encode().hex()) == 3
+
+
+@pytest.mark.parametrize("defect, code", [
+    ("none", 0), ("score-column", 3), ("key-trailing-byte", 3), ("duplicate-row", 3),
+    ("reversed-rows", 3)])
+def test_cli_resume_malformed_checkpoint_exit_3(tmp_path, defect, code):
+    """A checkpoint with a valid checksum is rejected if a cell's score
+    column differs from its snapshot's, if a key's bytes are not its
+    canonical encoding, or if its cell rows are not in strictly increasing
+    key order (a row twice, or rows reversed)."""
+    path = write_config(tmp_path, BASE)
+    out = tmp_path / "run"
+    assert run_cli("explore", "--config", str(path), "--out", str(out)) == 0
+    ckpt = out / "archive.ckpt"
+    archive, meta = checkpoint_load(ckpt)
+    keys = archive.sorted_keys()
+    if defect in ("score-column", "key-trailing-byte"):
+        enc = keys[3].encode()
+        body = bytearray(ckpt.read_bytes()[:-32])
+        at = body.index(struct.pack("<I", len(enc)) + enc)  # the cell's key length field
+        if defect == "score-column":
+            at += 4 + len(enc)
+            struct.pack_into("<d", body, at, struct.unpack_from("<d", body, at)[0] + 1)
+        else:  # decodes to the same key
+            body[at:at + 4 + len(enc)] = struct.pack("<I", len(enc) + 1) + enc + b"\x07"
+        write_checksummed(ckpt, [bytes(body)])
+    elif defect != "none":
+        order = keys[:4] + keys[3:] if defect == "duplicate-row" else keys[::-1]
+        archive.sorted_keys = lambda: order
+        checkpoint_save(archive, ckpt, meta)
+    assert run_cli("explore", "--config", str(path), "--budget-frames", "2000",
+                   "--resume", str(ckpt), "--out", str(out)) == code
 
 
 def test_cli_replay_malformed_cell_key_exit_2(tmp_path):

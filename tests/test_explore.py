@@ -37,7 +37,7 @@ def seeded_archive(env, seed=0):
     obs, snap = env.reset(seed)
     archive = Archive(env.config_hash)
     key = MAPPER(obs, obs.features)
-    archive.insert_or_update(key, Trajectory(), 0.0, 0, snap)
+    archive.insert_or_update(key, Trajectory(), snap)
     return archive, key
 
 
@@ -133,22 +133,22 @@ def test_rollout_trajectories_extend_origin():
 def test_rollout_scores_track_env():
     """Each winner's score is the env's, restored from its snapshot or
     replayed from reset along its trajectory; a cell that only lost carries
-    no score, trajectory or snapshot."""
+    no trajectory or snapshot."""
     env = small_corridor()
     archive = grown_archive(env)
     origin = archive.sorted_keys()[len(archive) // 2]
     result = explore_from(env, origin, archive, np.random.default_rng(3),
                           cfg_with(k=100), MAPPER)
     losers = [c for c in result.cells.values() if c.snapshot is None]
-    assert losers and all(c[1:] == (None, None, None) for c in losers)
+    assert losers and all(c[1:] == (None, None) for c in losers)
     for key, cell in result.cells.items():
         if cell.snapshot is None:
             continue
         env.restore(cell.snapshot)
-        assert env.cum_score == cell.score
+        assert env.cum_score == cell.snapshot.cum_score
         env.reset(0)
         drive(env, cell.trajectory.actions())
-        assert env.cum_score == cell.score
+        assert env.cum_score == cell.snapshot.cum_score
         assert MAPPER(env, env.features()) == key
         assert env.snapshot() == cell.snapshot
 
@@ -187,7 +187,7 @@ def test_rollout_snapshots_exactly_the_possible_winners():
         if win is None:
             assert cell.snapshot is None
         else:
-            assert (cell.score, cell.trajectory.length, cell.snapshot) == (
+            assert (cell.snapshot.cum_score, cell.trajectory.length, cell.snapshot) == (
                 win.score, win.trajectory.length, win.snapshot)
             assert cell.trajectory.actions() == win.trajectory.actions()
     kept = len(winners(result))
@@ -237,10 +237,9 @@ def test_merge_credits_improvement():
     env.reset(0)
     env.step(3)
     other_key = MAPPER(env.observe(), env.observe().features)
-    archive.insert_or_update(other_key, Trajectory().extend(3).extend(0), 0.0, 2,
-                             env.snapshot())
+    archive.insert_or_update(other_key, Trajectory().extend(3).extend(0), env.snapshot())
     archive.record_chosen(key)
-    shorter = CellVisits(2, 0.0, Trajectory().extend(3), env.snapshot())
+    shorter = CellVisits(2, Trajectory().extend(3), env.snapshot())
     merge_results(archive, [RolloutResult(key, {other_key: shorter}, 1, False, set(), 0)])
     assert archive.record(other_key).traj_len == 1
     assert archive.record(other_key).times_seen == 3

@@ -82,7 +82,8 @@ def test_demo_corruption_detected(kd_result):
     key, record = kd_result.archive.best_record()
     import dataclasses
 
-    bad = dataclasses.replace(record, score=record.score + 1)
+    bad = dataclasses.replace(
+        record, snapshot=dataclasses.replace(record.snapshot, cum_score=record.score + 1))
     with pytest.raises(IntegrityError):
         build_demonstration(env, key, bad)
 
@@ -98,13 +99,12 @@ def test_select_demonstrations_level_filter():
 
     def archive_with_level(level):
         archive = Archive(env.config_hash)
-        archive.insert_or_update(DomainKey(0, 0, 0, 0, ()), Trajectory(), 0.0, 0, snap)
+        archive.insert_or_update(DomainKey(0, 0, 0, 0, ()), Trajectory(), snap)
         if level:
             # records carry a replay-consistent snapshot; the level lives in
             # the key only, which is all the filter looks at
-            archive.insert_or_update(
-                DomainKey(1, 0, 0, level, ()), Trajectory().extend(0), 0.0, 1, stepped
-            )
+            archive.insert_or_update(DomainKey(1, 0, 0, level, ()), Trajectory().extend(0),
+                                     stepped)
         return archive
 
     archives = [archive_with_level(2), archive_with_level(2), archive_with_level(1)]
@@ -139,7 +139,6 @@ def demo_with_rewards(rewards):
         cum_rewards=cum,
         snapshots={},
         level=0,
-        score=total,
     )
 
 
@@ -203,47 +202,46 @@ def test_scale_preserves_order(a, b):
 
 
 def worked_example_series():
-    """Demo gains 100 at relative step 20, nothing else."""
-    demo_rel = [0.0] * 20 + [100.0] * 81
-    return demo_rel
+    """Demo cumulative rewards: it gains 100 at step 20, nothing else."""
+    return [0.0] * 20 + [100.0] * 81
 
 
 def test_early_termination_worked_example_deficit_zero():
-    demo_rel = worked_example_series()
-    rollout_rel = [99.0] * 101  # stuck at 99 points
-    assert not early_terminate(rollout_rel, demo_rel, 69, 0, 50, 0.0)
-    assert early_terminate(rollout_rel, demo_rel, 70, 0, 50, 0.0)
+    demo_cum = worked_example_series()
+    # a rollout from frame 0 stuck at 99 points
+    assert not early_terminate(99.0, demo_cum, 0, 69, 50, 0.0)
+    assert early_terminate(99.0, demo_cum, 0, 70, 50, 0.0)
 
 
 def test_early_termination_worked_example_deficit_250():
-    demo_rel = worked_example_series()
-    rollout_rel = [99.0] * 200
-    assert not early_terminate(rollout_rel, demo_rel, 70, 0, 50, 250.0)
+    demo_cum = worked_example_series()
+    assert not early_terminate(99.0, demo_cum, 0, 70, 50, 250.0)
     # even far past the demo end the deficit keeps it alive
-    assert not early_terminate(rollout_rel, demo_rel, 150, 0, 50, 250.0)
+    assert not early_terminate(99.0, demo_cum, 0, 150, 50, 250.0)
 
 
 def test_early_termination_window_not_elapsed():
-    demo_rel = worked_example_series()
-    assert not early_terminate([0.0] * 10, demo_rel, 9, 0, 50, 0.0)
-    assert not early_terminate([0.0] * 49, demo_rel, 48, 0, 50, 0.0)
+    demo_cum = worked_example_series()
+    assert not early_terminate(0.0, demo_cum, 0, 9, 50, 0.0)
+    assert not early_terminate(0.0, demo_cum, 0, 48, 50, 0.0)
 
 
 def test_early_termination_degenerate_guards():
-    demo_rel = worked_example_series()
-    assert not early_terminate([0.0] * 300, demo_rel, 299, 0, float("inf"), 0.0)
-    assert not early_terminate([0.0] * 300, demo_rel, 299, 0, 50, float("inf"))
+    demo_cum = worked_example_series()
+    assert not early_terminate(0.0, demo_cum, 0, 299, float("inf"), 0.0)
+    assert not early_terminate(0.0, demo_cum, 0, 299, 50, float("inf"))
 
 
 def test_early_termination_matching_pace_survives():
-    demo_rel = worked_example_series()
-    assert not early_terminate(list(demo_rel), demo_rel, 80, 0, 50, 0.0)
+    demo_cum = worked_example_series()
+    assert not early_terminate(demo_cum[80], demo_cum, 0, 80, 50, 0.0)
 
 
 def test_early_termination_with_nonzero_start():
-    demo_rel = [0.0] * 10 + [7.0] * 91
-    assert early_terminate([0.0] * 200, demo_rel, 100 + 60, 100, 50, 0.0)
-    assert not early_terminate([0.0] * 200, demo_rel, 100 + 59, 100, 50, 6.0)
+    # 3 points by the start at frame 100, then 7 more 10 frames after it
+    demo_cum = [3.0] * 110 + [10.0] * 91
+    assert early_terminate(0.0, demo_cum, 100, 60, 50, 0.0)
+    assert not early_terminate(0.0, demo_cum, 100, 59, 50, 6.0)
 
 
 # -- backward_run with the replay oracle ---------------------------------------------
@@ -290,7 +288,7 @@ def test_oracle_learner_reaches_zero(kd_result):
     assert result.demo_progress[0].zero_confirmed
     advances = math.ceil(demos[0].length / cfg.delta)
     assert result.attempts == cfg.advance_interval * (advances + 1)
-    msps = [m for _, m in result.demo_progress[0].history]
+    msps = [row.max_starting_points[0] for row in result.progress]
     assert msps == sorted(msps, reverse=True)
 
 
@@ -344,8 +342,7 @@ def scripted_demo(env, actions):
         cum.append(env.cum_score)
         if i % 25 == 0:
             snaps[i] = env.snapshot()
-    return Demonstration(actions=list(actions), cum_rewards=cum, snapshots=snaps,
-                         level=0, score=cum[-1])
+    return Demonstration(actions=list(actions), cum_rewards=cum, snapshots=snaps, level=0)
 
 
 def corridor_demo_with_early_penalty():

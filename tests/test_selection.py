@@ -47,7 +47,7 @@ def build_archive(records, domain=True):
     snap = env.reset(0)[1]
     archive = Archive(env.config_hash)
     for key, chosen, since, seen in records:
-        archive.insert_or_update(key, Trajectory(), 0.0, 0, snap)
+        archive.insert_or_update(key, Trajectory(), snap)
         record = archive.record(key)
         record.times_chosen = chosen
         record.times_chosen_since_new = since
@@ -184,7 +184,7 @@ def test_deferred_masks_equal_masks_built_while_growing():
     snap = small_twomaze().reset(0)[1]
     grown = build_archive([(random_key(), 0, 0, 1) for _ in range(5)])
     for _ in range(200):
-        grown.insert_or_update(random_key(), Trajectory(), 0.0, 0, snap)
+        grown.insert_or_update(random_key(), Trajectory(), snap)
         grown.missing_neighbors  # read after every insert, indexing one key at a time
     loaded, _ = deserialize_archive(serialize_archive(grown))
     assert not loaded._pos_index
@@ -195,7 +195,7 @@ def test_deferred_masks_equal_masks_built_while_growing():
     for _ in range(100):
         key = random_key()
         for archive in (grown, loaded):
-            archive.insert_or_update(key, Trajectory(), 0.0, 0, snap)
+            archive.insert_or_update(key, Trajectory(), snap)
         grown.missing_neighbors  # read after every insert, indexing one key at a time
     assert loaded.missing_neighbors == grown.missing_neighbors
     assert cell_probs(loaded, cfg).scores.tobytes() == cell_probs(grown, cfg).scores.tobytes()
@@ -280,13 +280,13 @@ def grown_archive(seed=3, n=400):
     return build_archive([(k, *counts) for k, counts in records.items()])
 
 
-@pytest.mark.parametrize("track_keys", [True, False])
-def test_probs_match_scalar_on_grown_and_reloaded_archives(track_keys):
+@pytest.mark.parametrize("w_more_keys", [10.0, 0.0])
+def test_probs_match_scalar_on_grown_and_reloaded_archives(w_more_keys):
     archive = grown_archive()
     assert archive.max_level == 3
     reloaded, _ = deserialize_archive(serialize_archive(archive))
     cfg = table2_cfg(w_chosen=0.5, w_chosen_since_new=0.25, w_seen=0.2,
-                     track_keys=track_keys)
+                     w_more_keys=w_more_keys)
     assert_probs_match_scalar(archive, cfg)
     assert_probs_match_scalar(reloaded, cfg)
     assert cell_probs(reloaded, cfg).scores.tolist() == cell_probs(archive, cfg).scores.tolist()
