@@ -6,8 +6,9 @@ node count is bounded by the number of exploration actions ever taken.
 Archives serialize to a canonical, versioned binary layout (sorted cells,
 deduplicated trajectory nodes, trailing checksum) so that equal archives have
 equal bytes, and a load accepts that layout only: corrupt files, keys not
-canonically encoded in strict order, and scores or lengths other than their
-snapshot's or node chain's are rejected. Checkpoints are streamed to a
+canonically encoded in strict order, snapshots of another config, and
+scores, frame counts or lengths other than their snapshot state's or node
+chain's are rejected. Checkpoints are streamed to a
 temporary file, fsynced and renamed over the target, so a failed write
 leaves the previous checkpoint intact (:func:`write_atomic`, which policy
 checkpoints and every CSV output use too).
@@ -32,8 +33,8 @@ from pathlib import Path
 from typing import Callable, Iterable, Iterator, Sequence
 
 from .cells import CellKey, DomainKey, MoreKeysProbe, decode_key, neighbors
-from .envs.base import EnvSnapshot, peek_config_hash
-from .errors import CheckpointError, ConfigError, ContractError
+from .envs.base import EnvSnapshot, peek_config_hash, read_state_head, unpack_snapshot
+from .errors import CheckpointError, ConfigError, ContractError, SnapshotFormatError
 from .trajectory import Trajectory
 
 CHECKPOINT_MAGIC = b"AXARCH\x00\x01"
@@ -332,7 +333,7 @@ def deserialize_archive(data: bytes) -> tuple[Archive, RunMeta]:
 def _parse_body(body: bytes) -> tuple[Archive, RunMeta]:
     try:
         return _parse_fields(body)
-    except (struct.error, ValueError, IndexError) as exc:
+    except (struct.error, ValueError, IndexError, SnapshotFormatError) as exc:
         raise CheckpointError(f"archive checkpoint is corrupt: {exc}") from exc
 
 
@@ -383,6 +384,10 @@ def _parse_fields(body: bytes) -> tuple[Archive, RunMeta]:
             raise CheckpointError("archive checkpoint cell traj_len disagrees with its chain")
         if score != snap_score:
             raise CheckpointError("archive checkpoint cell score disagrees with its snapshot")
+        head = read_state_head(unpack_snapshot(state, config_hash))
+        if (snap_score, snap_tf, snap_gf) != head[:3]:
+            raise CheckpointError(
+                "archive checkpoint cell score or frame columns disagree with its state bytes")
         archive.cells[key] = CellRecord(Trajectory(nodes[tail_id], traj_len),
                                         EnvSnapshot(state, snap_score, snap_tf, snap_gf),
                                         seen, chosen, since_new)

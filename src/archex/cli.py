@@ -153,9 +153,7 @@ def cmd_robustify(args: argparse.Namespace) -> int:
         return outcome.grand_mean
 
     rng = stream(cfg.explore.seed, TAG_CHECKPOINT, 0xC0DE)
-    chosen, selection_score, retest = best_checkpoint(
-        result.checkpoints, evaluator, rng, near=rcfg.near, max_tested=rcfg.max_tested
-    )
+    chosen, selection_score, retest = best_checkpoint(result.checkpoints, evaluator, rng)
     policy_path = out / "policy.ckpt"
     save_policy(chosen, policy_path, env.config_hash)
     print(
@@ -204,11 +202,9 @@ def cmd_replay(args: argparse.Namespace) -> int:
         f"key {key.encode().hex()}"
     )
     if args.render:
-        frame = env.render()
         ramp = ASCII_RAMP
-        for row in frame[:: max(1, env.tile_px)]:
-            print("".join(ramp[int(v) * (len(ramp) - 1) // 255] for v in
-                          row[:: max(1, env.tile_px)]))
+        for row in env.render()[:: env.tile_px]:
+            print("".join(ramp[int(v) * (len(ramp) - 1) // 255] for v in row[:: env.tile_px]))
     return 0
 
 

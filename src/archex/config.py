@@ -264,14 +264,10 @@ class RobustifyConfig:
     demo_stride: int = 25
     truncate_frames: int | None = None
     truncate_to_last_reward: bool = False
-    near: int = 50
-    max_tested: int = 10
 
     def __post_init__(self) -> None:
-        if self.n_demos < 1 or self.demo_stride < 1 or self.max_tested < 1:
-            raise ConfigError("robustify: n_demos, demo_stride and max_tested must be >= 1")
-        if self.near < 0:
-            raise ConfigError("robustify.near must be >= 0")
+        if self.n_demos < 1 or self.demo_stride < 1:
+            raise ConfigError("robustify: n_demos and demo_stride must be >= 1")
         if self.truncate_frames is not None and self.truncate_frames < 1:
             raise ConfigError("robustify.truncate_frames must be >= 1")
 

@@ -30,6 +30,9 @@ SNAPSHOT_VERSION = 1
 # After the magic: version, config hash, payload length.
 _SNAPSHOT_HEADER = struct.Struct("<HQI")
 _PAYLOAD_START = len(SNAPSHOT_MAGIC) + _SNAPSHOT_HEADER.size
+# A payload starts with the score, training and game frames, done flag,
+# level, x and y; the grid world's state sequences follow.
+STATE_HEAD = struct.Struct("<dQQBIii")
 
 # Action ids shared by all built-in environments.
 ACTION_NOOP = 0
@@ -128,3 +131,11 @@ def unpack_snapshot(blob: bytes, expected_config_hash: int) -> bytes:
         raise SnapshotFormatError("snapshot payload truncated")
     return payload
 
+
+def read_state_head(payload: bytes) -> tuple[float, int, int, int, int, int, int]:
+    """The head of a snapshot payload: score, training frames, game frames,
+    done flag, level, x and y; raises SnapshotFormatError if it is cut."""
+    try:
+        return STATE_HEAD.unpack_from(payload, 0)
+    except struct.error as exc:
+        raise SnapshotFormatError(f"snapshot payload corrupt: {exc}") from exc

@@ -35,12 +35,14 @@ from .base import (
     _DELTAS,
     ACTION_COUNT,
     ACTION_NOOP,
+    STATE_HEAD,
     DomainInfo,
     EnvSnapshot,
     Observation,
     StepResult,
     config_hash_from_lines,
     pack_snapshot,
+    read_state_head,
     unpack_snapshot,
 )
 
@@ -61,10 +63,9 @@ SHADE_HAZARD = 64
 SHADE_TREASURE = 224
 SHADE_AGENT = 192
 
-# Score, training and game frames, done flag, level, x, y; then four
-# sequences (held, keys taken, doors open, treasures taken), each a count
-# followed by that many values.
-_STATE_HEAD = struct.Struct("<dQQBIii")
+# After the payload's head (base.STATE_HEAD), four sequences: held, keys
+# taken, doors open, treasures taken, each a count followed by that many
+# values.
 _SEQ_LEN = struct.Struct("<H")
 
 
@@ -93,25 +94,23 @@ class GridWorld:
 
     action_count: int = ACTION_COUNT
     noop_action: int = ACTION_NOOP
+    # Side of a tile in rendered pixels; config_lines keeps it in the hash.
+    tile_px: int = 4
 
     def __init__(
         self,
         *,
         frame_skip: int = 4,
-        tile_px: int = 4,
         time_limit_game_frames: int = 400_000,
         key_capacity: int = 8,
     ) -> None:
         if frame_skip < 1:
             raise ConfigError("frame_skip must be >= 1")
-        if tile_px < 1:
-            raise ConfigError("tile_px must be >= 1")
         if time_limit_game_frames < 1:
             raise ConfigError("time_limit_game_frames must be >= 1")
         if key_capacity < 0:
             raise ConfigError("key_capacity must be >= 0")
         self.frame_skip = frame_skip
-        self.tile_px = tile_px
         self.time_limit_game_frames = time_limit_game_frames
         self.key_capacity = key_capacity
         self.config_hash = 0
@@ -451,7 +450,7 @@ class GridWorld:
 
     def snapshot(self) -> EnvSnapshot:
         parts = [
-            _STATE_HEAD.pack(
+            STATE_HEAD.pack(
                 self._score,
                 self._training_frames,
                 self._game_frames,
@@ -478,10 +477,10 @@ class GridWorld:
 
     def restore(self, snap: EnvSnapshot) -> None:
         payload = unpack_snapshot(snap.state_bytes, self.config_hash)
+        score, tf, gf, done, level, x, y = read_state_head(payload)
+        offset = STATE_HEAD.size
+        seqs = []
         try:
-            score, tf, gf, done, level, x, y = _STATE_HEAD.unpack_from(payload, 0)
-            offset = _STATE_HEAD.size
-            seqs = []
             for _ in range(4):
                 (n,) = _SEQ_LEN.unpack_from(payload, offset)
                 offset += _SEQ_LEN.size

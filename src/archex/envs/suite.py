@@ -35,14 +35,9 @@ class TwoMaze(GridWorld):
         arm_rows: int = 5,
         arm_cols: int = 12,
         frame_skip: int = 4,
-        tile_px: int = 4,
         time_limit_game_frames: int = 400_000,
     ) -> None:
-        super().__init__(
-            frame_skip=frame_skip,
-            tile_px=tile_px,
-            time_limit_game_frames=time_limit_game_frames,
-        )
+        super().__init__(frame_skip=frame_skip, time_limit_game_frames=time_limit_game_frames)
         if arm_rows < 1 or arm_cols < 2:
             raise ConfigError("TwoMaze needs arm_rows >= 1 and arm_cols >= 2")
         self.arm_rows = arm_rows
@@ -108,12 +103,10 @@ class KeyDoorWorld(GridWorld):
         hazard_policy: str = "kill",
         key_capacity: int = 4,
         frame_skip: int = 4,
-        tile_px: int = 4,
         time_limit_game_frames: int = 400_000,
     ) -> None:
         super().__init__(
             frame_skip=frame_skip,
-            tile_px=tile_px,
             time_limit_game_frames=time_limit_game_frames,
             key_capacity=key_capacity,
         )
@@ -206,14 +199,9 @@ class DeceptiveCorridor(GridWorld):
         treasures: tuple[tuple[int, float], ...] = DEFAULT_TREASURES,
         hazard_penalty: float = -1.0,
         frame_skip: int = 4,
-        tile_px: int = 4,
         time_limit_game_frames: int = 400_000,
     ) -> None:
-        super().__init__(
-            frame_skip=frame_skip,
-            tile_px=tile_px,
-            time_limit_game_frames=time_limit_game_frames,
-        )
+        super().__init__(frame_skip=frame_skip, time_limit_game_frames=time_limit_game_frames)
         if n_rooms < 2:
             raise ConfigError("DeceptiveCorridor needs at least 2 rooms")
         if room_w < 5 or room_h < 3:

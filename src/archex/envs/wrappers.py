@@ -32,8 +32,8 @@ class StickyActions:
     in blocks: the draw sequence is the same as one ``random()`` call per
     decision, and the unused rest of a block is dropped at the next reset.
 
-    It forwards only ``noop_action`` and :meth:`snapshot` to ``inner``, the
-    environment underneath; read anything else there. A ``__getattr__``
+    It forwards only ``noop_action`` to ``inner``, the environment
+    underneath; read anything else there, snapshots included. A ``__getattr__``
     forward would make :meth:`step` about a quarter slower: CPython stops
     specializing attribute loads on a class that defines one.
     """
@@ -50,9 +50,6 @@ class StickyActions:
     @property
     def noop_action(self) -> int:
         return self.inner.noop_action
-
-    def snapshot(self) -> EnvSnapshot:
-        return self.inner.snapshot()
 
     def reset(self, seed: int) -> tuple[Observation, EnvSnapshot]:
         self._rng = stream(seed, TAG_WRAPPER, _SALT_STICKY)

@@ -1,7 +1,8 @@
 """Typed errors shared across the package.
 
-The CLI maps these onto exit codes: ConfigError -> 2, IntegrityError and
-CheckpointError -> 3, ShortfallError -> 4.
+The CLI maps these onto exit codes: ConfigError -> 2, IntegrityError,
+CheckpointError and SnapshotFormatError -> 3, ShortfallError and
+ContractError -> 4, and any other ArchexError -> 1.
 """
 
 

@@ -371,11 +371,10 @@ def replay_record(
     record: CellRecord,
     key: CellKey,
     mapper: CellMapper,
-    seed: int = 0,
 ) -> None:
     """Replay a record's trajectory from reset and verify score, final cell,
     and snapshot bytes against what the archive stored."""
-    env.reset(seed)
+    env.reset()
     for action in record.trajectory.actions():
         if env.step(action).done:
             raise IntegrityError("stored trajectory ends an episode early")

@@ -186,7 +186,7 @@ class RewardShaping:
         if self.mode not in ("clip", "scale"):
             raise ConfigError(f"unknown reward shaping mode {self.mode!r}")
         if not (math.isfinite(self.scale) and self.scale > 0):
-            raise ConfigError("reward scale must be finite and > 0")
+            raise ConfigError("robustify.reward_scale must be finite and > 0")
 
 
 def early_terminate(

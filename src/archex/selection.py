@@ -4,7 +4,10 @@ Each cell's score combines count subscores ``w * (1/(v + eps1))**p + eps2``
 over the three interaction counters, neighbor subscores ``w_n * (1 -
 HasNeighbor)`` for missing archive neighbors (domain mode only), and an
 exponential level weight ``base**(max_level - level)``, floored at the
-smallest normal float so that no level gap underflows it to zero:
+smallest normal float so that no level gap underflows it to zero. The
+weights ``w`` and ``w_n`` are settings; ``p``, the epsilons and ``base`` are
+the constants :data:`COUNT_POWER`, :data:`EPS1`, :data:`EPS2` and
+:data:`LEVEL_DECAY`:
 
     score = level_weight * (sum(neigh) + sum(count) + 1)
 
@@ -34,7 +37,8 @@ from .errors import ConfigError
 
 @dataclass(frozen=True)
 class SelectionConfig:
-    """Weights and powers for cell selection.
+    """Weights for cell selection; the powers, epsilons and level decay are
+    the module constants below.
 
     Defaults follow the downscaled-representation configuration of the
     reference setup; see the presets in :mod:`archex.config` for the other
@@ -44,35 +48,26 @@ class SelectionConfig:
     w_chosen: float = 0.1
     w_chosen_since_new: float = 0.0
     w_seen: float = 0.3
-    p_chosen: float = 0.5
-    p_chosen_since_new: float = 0.5
-    p_seen: float = 0.5
     w_horizontal: float = 0.0
     w_vertical: float = 0.0
     w_more_keys: float = 0.0
-    eps1: float = 0.001
-    eps2: float = 0.00001
-    level_decay: float = 0.1
     domain_mode: bool = False
 
     def __post_init__(self) -> None:
-        weights = ("w_chosen", "w_chosen_since_new", "w_seen",
-                   "w_horizontal", "w_vertical", "w_more_keys")
-        powers = ("p_chosen", "p_chosen_since_new", "p_seen")
-        for name in weights + powers + ("eps1", "eps2"):
-            if not math.isfinite(getattr(self, name)):
-                raise ConfigError(f"selection setting {name} must be finite")
-        for name in weights:
-            if getattr(self, name) < 0:
-                raise ConfigError(f"selection weight {name} must be >= 0")
-        for name in powers:
-            if getattr(self, name) <= 0:
-                raise ConfigError(f"selection power {name} must be > 0")
-        if self.eps1 <= 0 or self.eps2 <= 0:
-            raise ConfigError("eps1 and eps2 must be > 0")
-        if not 0 < self.level_decay <= 1:
-            raise ConfigError("level_decay must be in (0, 1]")
+        for name in ("w_chosen", "w_chosen_since_new", "w_seen",
+                     "w_horizontal", "w_vertical", "w_more_keys"):
+            value = getattr(self, name)
+            if not math.isfinite(value) or value < 0:
+                raise ConfigError(f"selection weight {name} must be finite and >= 0")
 
+
+# The count subscores' power and epsilons, and the level weight's base: one
+# value each in the reference setup, whose parameter sets differ only in
+# their weights.
+COUNT_POWER = 0.5
+EPS1 = 0.001
+EPS2 = 0.00001
+LEVEL_DECAY = 0.1
 
 # Level weights never fall below this, so a cell at any level gap keeps a
 # nonzero probability; at decay 0.1 only gaps above 307 reach it.
@@ -143,10 +138,9 @@ def cell_probs(archive: Archive, cfg: SelectionConfig) -> SelectionTable:
     since = np.fromiter((r.times_chosen_since_new for r in records), np.float64, n)
     seen = np.fromiter((r.times_seen for r in records), np.float64, n)
     cnt = (
-        count_subscores(chosen, cfg.w_chosen, cfg.p_chosen, cfg.eps1, cfg.eps2)
-        + count_subscores(since, cfg.w_chosen_since_new, cfg.p_chosen_since_new,
-                          cfg.eps1, cfg.eps2)
-        + count_subscores(seen, cfg.w_seen, cfg.p_seen, cfg.eps1, cfg.eps2)
+        count_subscores(chosen, cfg.w_chosen, COUNT_POWER, EPS1, EPS2)
+        + count_subscores(since, cfg.w_chosen_since_new, COUNT_POWER, EPS1, EPS2)
+        + count_subscores(seen, cfg.w_seen, COUNT_POWER, EPS1, EPS2)
     )
     if cfg.domain_mode:
         # Non-domain keys have no mask (weight 0) and level weight 1, which
@@ -163,7 +157,7 @@ def cell_probs(archive: Archive, cfg: SelectionConfig) -> SelectionTable:
         )
         distinct, where = np.unique(gaps, return_inverse=True)
         lw = np.array(
-            [1.0 if g < 0 else level_weight(top - g, top, cfg.level_decay)
+            [1.0 if g < 0 else level_weight(top - g, top, LEVEL_DECAY)
              for g in distinct.tolist()],
             np.float64,
         )[where]

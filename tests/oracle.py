@@ -21,7 +21,16 @@ from archex.cells import CellKey, CellMapper, DomainKey
 from archex.envs.gridworld import GridWorld
 from archex.explore import ExploreConfig, IterationStats
 from archex.trajectory import Trajectory
-from archex.selection import SelectionConfig, count_subscores, level_weight, neigh_subscore
+from archex.selection import (
+    COUNT_POWER,
+    EPS1,
+    EPS2,
+    LEVEL_DECAY,
+    SelectionConfig,
+    count_subscores,
+    level_weight,
+    neigh_subscore,
+)
 
 
 def count_subscore(v: int, w: float, p: float, eps1: float, eps2: float) -> float:
@@ -34,16 +43,14 @@ def count_subscore(v: int, w: float, p: float, eps1: float, eps2: float) -> floa
 def cell_score(record: CellRecord, key: CellKey, archive: Archive,
                cfg: SelectionConfig) -> float:
     cnt = (
-        count_subscore(record.times_chosen, cfg.w_chosen, cfg.p_chosen,
-                       cfg.eps1, cfg.eps2)
+        count_subscore(record.times_chosen, cfg.w_chosen, COUNT_POWER, EPS1, EPS2)
         + count_subscore(record.times_chosen_since_new, cfg.w_chosen_since_new,
-                         cfg.p_chosen_since_new, cfg.eps1, cfg.eps2)
-        + count_subscore(record.times_seen, cfg.w_seen, cfg.p_seen,
-                         cfg.eps1, cfg.eps2)
+                         COUNT_POWER, EPS1, EPS2)
+        + count_subscore(record.times_seen, cfg.w_seen, COUNT_POWER, EPS1, EPS2)
     )
     lw = 1.0
     if cfg.domain_mode and isinstance(key, DomainKey):
-        lw = level_weight(key.level, archive.max_level, cfg.level_decay)
+        lw = level_weight(key.level, archive.max_level, LEVEL_DECAY)
     return lw * (neigh_subscore(key, archive, cfg) + cnt + 1.0)
 
 

@@ -39,7 +39,16 @@ from archex.robustify import (
     truncate_demo,
 )
 from archex.seeding import TAG_EVAL, stream
-from archex.selection import SelectionConfig, cell_probs, count_subscores, sample_batch
+from archex.selection import (
+    COUNT_POWER,
+    EPS1,
+    EPS2,
+    LEVEL_DECAY,
+    SelectionConfig,
+    cell_probs,
+    count_subscores,
+    sample_batch,
+)
 from archex.trajectory import Trajectory
 
 from conftest import bfs_reachable_states, step_and_render
@@ -117,14 +126,13 @@ def test_criterion_01_formula_oracle():
         for key in table.keys:
             record = archive.record(key)
             counts = mpf(0)
-            for v, w, p in (
-                (record.times_chosen, cfg.w_chosen, cfg.p_chosen),
-                (record.times_chosen_since_new, cfg.w_chosen_since_new,
-                 cfg.p_chosen_since_new),
-                (record.times_seen, cfg.w_seen, cfg.p_seen),
+            for v, w in (
+                (record.times_chosen, cfg.w_chosen),
+                (record.times_chosen_since_new, cfg.w_chosen_since_new),
+                (record.times_seen, cfg.w_seen),
             ):
-                counts += (mpf(str(w)) * (1 / (mpf(v) + mpf(str(cfg.eps1)))) ** mpf(str(p))
-                           + mpf(str(cfg.eps2)))
+                counts += (mpf(str(w)) * (1 / (mpf(v) + mpf(str(EPS1)))) ** mpf(str(COUNT_POWER))
+                           + mpf(str(EPS2)))
             neigh = mpf(0)
             if cfg.domain_mode:
                 from archex.cells import neighbors as neighbor_slots
@@ -134,7 +142,7 @@ def test_criterion_01_formula_oracle():
                 for kind, slot in neighbor_slots(key):
                     if not archive.has_neighbor(slot):
                         neigh += mpf(str(weight[kind.value]))
-            lw = mpf(str(cfg.level_decay)) ** (archive.max_level - key.level) if cfg.domain_mode else mpf(1)
+            lw = mpf(str(LEVEL_DECAY)) ** (archive.max_level - key.level) if cfg.domain_mode else mpf(1)
             oracle_scores.append(lw * (neigh + counts + 1))
         total = sum(oracle_scores)
         for i, key in enumerate(table.keys):

@@ -76,6 +76,20 @@ def test_unknown_key_rejected():
         assert key in str(err.value)
 
 
+@pytest.mark.parametrize("line", [
+    "select.p_chosen = 0.5", "select.p_chosen_since_new = 0.5", "select.p_seen = 0.5",
+    "select.eps1 = 0.001", "select.eps2 = 0.00001", "select.level_decay = 0.1",
+    "env.tile_px = 4", "robustify.near = 50", "robustify.max_tested = 10",
+])
+def test_constant_keys_exit_2_as_unknown(tmp_path, capsys, line):
+    """The count power, epsilons, level decay, tile size and checkpoint
+    choice have one value each and no key, even at that value."""
+    path = write_config(tmp_path, BASE + line + "\n")
+    assert run_cli("explore", "--config", str(path), "--out", str(tmp_path / "run")) == 2
+    key = line.split("=")[0].strip()
+    assert f"unknown config keys: {key}" in capsys.readouterr().err
+
+
 @pytest.mark.parametrize("env_type, line, message", [
     ("twomaze", "explore.k = x", "explore.k: expected an integer, got 'x'"),
     ("twomaze", "select.w_seen = fast", "select.w_seen: expected a number, got 'fast'"),
@@ -85,7 +99,7 @@ def test_unknown_key_rejected():
      "robustify.advance_interval: expected an integer, got '1.5'"),
     ("keydoor", "env.treasure_room = x", "env.treasure_room: expected an integer, got 'x'"),
     ("keydoor", "env.keys = 5:1", "env.keys[0]: expected room:x,y, got '5:1'"),
-    ("twomaze", "select.eps1 = nan", "select.eps1: expected a number, got 'nan'"),
+    ("twomaze", "robustify.alpha = nan", "robustify.alpha: expected a number, got 'nan'"),
     ("corridor", "env.treasures = 3:nan", "env.treasures[0]: expected room:value, got '3:nan'"),
 ], ids=["integer", "number", "boolean", "optional-integer", "env-integer", "item-list",
         "nan", "item-nan"])
@@ -131,8 +145,6 @@ def test_defaults_fill_in():
     cfg = build_config(parse_text(BASE))
     assert cfg.explore.k == 20
     assert cfg.explore.repeat_p == 0.95
-    assert cfg.selection.eps1 == 0.001
-    assert cfg.selection.eps2 == 0.00001
     assert cfg.protocol.max_noop == 30
     assert cfg.robustify.backward.success_threshold == 0.1
     assert cfg.robustify.backward.window == 50
@@ -236,8 +248,6 @@ def test_cli_config_error_exit_2(tmp_path):
 @pytest.mark.parametrize("line", [
     "robustify.n_demos = 0",
     "robustify.demo_stride = 0",
-    "robustify.near = -1",
-    "robustify.max_tested = 0",
     "robustify.truncate_frames = 0",
     "explore.checkpoint_interval_iterations = -1",
     "eval.time_limit_game_frames = 0",
@@ -247,10 +257,8 @@ def test_cli_config_error_exit_2(tmp_path):
     "robustify.rollout_frame_cap = 0",
     "robustify.sticky_p = 1.5",
     "select.w_seen = nan",
-    "select.eps1 = nan",
     "select.w_horizontal = nan",
     "select.w_seen = inf",
-    "select.eps2 = inf",
     "robustify.alpha = -5",
     "robustify.epsilon = 2",
     "robustify.gamma = 1.5",
@@ -262,14 +270,19 @@ def test_cli_config_error_exit_2(tmp_path):
     pytest.param("env.type = keydoor\nenv.key_capacity = -1", id="env.key_capacity = -1"),
 ])
 def test_cli_out_of_range_setting_exit_2(tmp_path, line):
-    """Rejected when the config loads, not after a whole run. A line that
-    sets its own env.type replaces the base's twomaze."""
+    """Rejected when the config loads, not after a whole run, by a check of
+    the value: the error names the setting of the last line and is no
+    unknown-key error. A line that sets its own env.type replaces the base's
+    twomaze."""
     base = BASE
     if line.startswith("env.type"):
         base = BASE.replace("env.type = twomaze\nenv.arm_rows = 3\nenv.arm_cols = 6\n", "")
     path = write_config(tmp_path, base + line + "\n")
-    with pytest.raises(ConfigError):
+    with pytest.raises(ConfigError) as err:
         load_config(path)
+    setting = line.splitlines()[-1].split("=")[0].strip().split(".")[-1]
+    assert setting in str(err.value)
+    assert "unknown config keys" not in str(err.value)
     assert run_cli("explore", "--config", str(path), "--out", str(tmp_path / "run")) == 2
 
 
@@ -287,7 +300,7 @@ def test_cli_out_of_range_seed_exit_2(tmp_path, seed):
     lambda: DownscaleParams(depth=0),
     lambda: ReprConfig(mode="pixels"),
     lambda: RobustifyConfig(n_demos=0),
-    lambda: SelectionConfig(eps1=0),
+    lambda: SelectionConfig(w_seen=-1),
     lambda: ExploreConfig(k=0),
     lambda: RewardShaping(mode="tanh"),
     lambda: TabularQConfig(alpha=5),
@@ -470,29 +483,49 @@ def test_cli_replay_traj_len_off_its_chain_exit_3(tmp_path):
                    "--cell", key.encode().hex()) == 3
 
 
+# Offsets in a cell row (after its key) of the score column, of the
+# snapshot's score, training-frame and game-frame columns, and of the config
+# hash in the snapshot's state bytes, which follow the row.
+_SCORE_AT, _SNAP_SCORE_AT, _SNAP_TF_AT, _SNAP_GF_AT, _STATE_HASH_AT = 0, 48, 56, 64, 82
+
+
 @pytest.mark.parametrize("defect, code", [
-    ("none", 0), ("score-column", 3), ("key-trailing-byte", 3), ("duplicate-row", 3),
-    ("reversed-rows", 3)])
+    ("none", 0), ("score-column", 3), ("snapshot-score", 3), ("training-frames", 3),
+    ("game-frames", 3), ("state-config", 3), ("key-trailing-byte", 3),
+    ("duplicate-row", 3), ("reversed-rows", 3)])
 def test_cli_resume_malformed_checkpoint_exit_3(tmp_path, defect, code):
     """A checkpoint with a valid checksum is rejected if a cell's score
-    column differs from its snapshot's, if a key's bytes are not its
-    canonical encoding, or if its cell rows are not in strictly increasing
-    key order (a row twice, or rows reversed)."""
+    column differs from its snapshot's, if its snapshot's score or frame
+    columns differ from its state bytes (both score columns 500 where the
+    state says 0, or a frame count one off), if its state bytes carry
+    another config hash, if a key's bytes are not its canonical encoding,
+    or if its cell rows are not in strictly increasing key order (a row
+    twice, or rows reversed)."""
     path = write_config(tmp_path, BASE)
     out = tmp_path / "run"
     assert run_cli("explore", "--config", str(path), "--out", str(out)) == 0
     ckpt = out / "archive.ckpt"
     archive, meta = checkpoint_load(ckpt)
     keys = archive.sorted_keys()
-    if defect in ("score-column", "key-trailing-byte"):
+    if defect in ("score-column", "snapshot-score", "training-frames", "game-frames",
+                  "state-config", "key-trailing-byte"):
         enc = keys[3].encode()
         body = bytearray(ckpt.read_bytes()[:-32])
         at = body.index(struct.pack("<I", len(enc)) + enc)  # the cell's key length field
-        if defect == "score-column":
-            at += 4 + len(enc)
-            struct.pack_into("<d", body, at, struct.unpack_from("<d", body, at)[0] + 1)
-        else:  # decodes to the same key
+        row = at + 4 + len(enc)
+        if defect == "key-trailing-byte":  # decodes to the same key
             body[at:at + 4 + len(enc)] = struct.pack("<I", len(enc) + 1) + enc + b"\x07"
+        elif defect == "score-column":
+            at = row + _SCORE_AT
+            struct.pack_into("<d", body, at, struct.unpack_from("<d", body, at)[0] + 1)
+        elif defect == "snapshot-score":
+            assert archive.record(keys[3]).score == 0
+            struct.pack_into("<d", body, row + _SCORE_AT, 500.0)
+            struct.pack_into("<d", body, row + _SNAP_SCORE_AT, 500.0)
+        else:  # the low bit of a frame column or of the state's config hash
+            at = row + {"training-frames": _SNAP_TF_AT, "game-frames": _SNAP_GF_AT,
+                        "state-config": _STATE_HASH_AT}[defect]
+            struct.pack_into("<Q", body, at, struct.unpack_from("<Q", body, at)[0] ^ 1)
         write_checksummed(ckpt, [bytes(body)])
     elif defect != "none":
         order = keys[:4] + keys[3:] if defect == "duplicate-row" else keys[::-1]

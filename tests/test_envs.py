@@ -348,7 +348,7 @@ def test_sticky_chain_resets_on_restore():
     env = StickyActions(small_twomaze(), 0.999)
     executed = record_executed(env.inner)
     env.reset(123)
-    snap = env.snapshot()
+    snap = env.inner.snapshot()
     env.step(ACTION_LEFT)
     env.restore(snap)
     env.step(ACTION_RIGHT)  # first action after restore, never replaced
@@ -367,7 +367,7 @@ def test_sticky_replacement_pattern_matches_independent_enumeration():
     executed, expect = [], []
     for seed in (3, 8):
         env.reset(seed)
-        snap = env.snapshot()
+        snap = env.inner.snapshot()
         rng, prev = stream(seed, TAG_WRAPPER, 1), None
         for i, a in enumerate(submitted):
             if i % 400 == 399:

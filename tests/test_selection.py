@@ -10,6 +10,10 @@ from archex.archive import Archive, deserialize_archive, serialize_archive
 from archex.cells import DomainKey, neighbors
 from archex.errors import ConfigError
 from archex.selection import (
+    COUNT_POWER,
+    EPS1,
+    EPS2,
+    LEVEL_DECAY,
     LEVEL_WEIGHT_FLOOR,
     SelectionConfig,
     cell_probs,
@@ -32,12 +36,11 @@ def oracle_count_subscore(v, w, p, eps1, eps2):
 def oracle_cell_score(counts, cfg: SelectionConfig, neigh=0.0, level=0, max_level=0):
     chosen, since, seen = counts
     total = (
-        oracle_count_subscore(chosen, str(cfg.w_chosen), cfg.p_chosen, cfg.eps1, cfg.eps2)
-        + oracle_count_subscore(since, str(cfg.w_chosen_since_new),
-                                cfg.p_chosen_since_new, cfg.eps1, cfg.eps2)
-        + oracle_count_subscore(seen, str(cfg.w_seen), cfg.p_seen, cfg.eps1, cfg.eps2)
+        oracle_count_subscore(chosen, str(cfg.w_chosen), COUNT_POWER, EPS1, EPS2)
+        + oracle_count_subscore(since, str(cfg.w_chosen_since_new), COUNT_POWER, EPS1, EPS2)
+        + oracle_count_subscore(seen, str(cfg.w_seen), COUNT_POWER, EPS1, EPS2)
     )
-    lw = mpf(str(cfg.level_decay)) ** (max_level - level) if cfg.domain_mode else mpf(1)
+    lw = mpf(str(LEVEL_DECAY)) ** (max_level - level) if cfg.domain_mode else mpf(1)
     return lw * (mpf(str(neigh)) + total + 1)
 
 
@@ -369,8 +372,6 @@ def test_config_validation():
     with pytest.raises(ConfigError):
         SelectionConfig(w_chosen=-1)
     with pytest.raises(ConfigError):
-        SelectionConfig(p_seen=0)
-    with pytest.raises(ConfigError):
-        SelectionConfig(eps2=0)
+        SelectionConfig(w_more_keys=float("inf"))
     with pytest.raises(ConfigError):
         cell_probs(Archive(0), SelectionConfig())
