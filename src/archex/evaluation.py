@@ -16,7 +16,7 @@ from __future__ import annotations
 import csv
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Callable, Iterable, Sequence
+from typing import Callable, Iterable, Iterator, Sequence
 
 import numpy as np
 
@@ -25,6 +25,11 @@ from .envs.gridworld import GridWorld
 from .envs.wrappers import StickyActions, force_noops
 from .errors import ConfigError, ContractError
 from .seeding import TAG_EVAL, stream
+
+# Fallback actions drawn per refill of an episode's action block; on PCG64,
+# Generator.integers(n, size=k) yields the same values as k successive
+# Generator.integers(n) calls (both take one 32-bit bounded draw each).
+_ACTION_BLOCK = 256
 
 
 @dataclass(frozen=True)
@@ -63,6 +68,13 @@ class EvalResult:
     scores: list[tuple[int, int, float]]  # (noop, episode, score)
 
 
+def uniform_actions(rng: np.random.Generator, n: int) -> Iterator[int]:
+    """Endless uniform actions in ``[0, n)`` from ``rng``, drawn lazily in
+    blocks of ``_ACTION_BLOCK``."""
+    while True:
+        yield from rng.integers(n, size=_ACTION_BLOCK).tolist()
+
+
 def evaluate_policy(
     policy,
     env_factory: Callable[[], GridWorld],
@@ -72,23 +84,28 @@ def evaluate_policy(
     """Run the full no-op sweep and return the grand mean and raw scores.
 
     Episode RNG streams are derived from (seed, noop, episode), so scores are
-    reproducible and episodes are independent of evaluation order. Episodes
-    run one after another on the one environment ``env_factory`` makes;
-    actions go through the sticky-action wrapper, while ``policy.act`` and
-    the loop read the unwrapped environment.
+    reproducible and episodes are independent of evaluation order. Each
+    episode's stream first draws the reset seed; after that it only feeds
+    ``policy.act(env, actions)``, whose ``actions`` iterator yields uniform
+    fallback actions over ``env.action_count``, drawn from that stream in
+    blocks of 256 (see :func:`uniform_actions`). Episodes run one after
+    another on the one environment ``env_factory`` makes; actions go through
+    the sticky-action wrapper, while ``policy.act`` and the loop read the
+    unwrapped environment.
     """
     base = env_factory()
     env = StickyActions(base, protocol.sticky_p)
-    frame_cap = protocol.time_limit_game_frames // max(1, base.frame_skip)
+    frame_cap = protocol.time_limit_game_frames // base.frame_skip
     scores: list[tuple[int, int, float]] = []
     for noop in range(protocol.max_noop + 1):
         for episode in range(protocol.min_episodes):
             rng = stream(seed, TAG_EVAL, noop, episode)
             env.reset(int(rng.integers(2**63)))
             force_noops(env, noop)
+            actions = uniform_actions(rng, base.action_count)
             frames = base.frame_counters()[1]
             while not base.done and frames < frame_cap:
-                env.step(policy.act(base, rng))
+                env.step(policy.act(base, actions))
                 frames += 1
             scores.append((noop, episode, base.cum_score))
     gmean, per_noop = grand_mean((n, s) for n, _, s in scores)

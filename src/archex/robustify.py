@@ -269,8 +269,9 @@ class TabularQLearner:
 
 
 class GreedyTabularPolicy:
-    """Greedy in a fixed Q table; states it has not seen get a uniformly
-    random action from the episode stream.
+    """Greedy in a fixed Q table; states it has not seen take the next
+    uniformly random action from ``actions``, the episode's fallback stream
+    (:func:`archex.evaluation.uniform_actions`).
 
     The greedy action of each state (the first maximum of its row) is
     computed once, here: later changes to ``q`` do not reach the policy.
@@ -281,10 +282,10 @@ class GreedyTabularPolicy:
         actions = range(n_actions)
         self.greedy = {state: max(actions, key=row.__getitem__) for state, row in q.items()}
 
-    def act(self, env: GridWorld, rng: np.random.Generator) -> int:
+    def act(self, env: GridWorld, actions: Iterator[int]) -> int:
         action = self.greedy.get(env.discrete_state())
         if action is None:
-            return int(rng.integers(self.n_actions))
+            return next(actions)
         return action
 
 
@@ -540,7 +541,10 @@ def load_policy(path, expected_config_hash: int | None = None) -> PolicyCheckpoi
                 raise CheckpointError("policy checkpoint states are not in strict order")
             last = enc
             offset += enc_len
-            q[tuple(state)] = list(row.unpack_from(body, offset))
+            values = row.unpack_from(body, offset)
+            if not all(map(math.isfinite, values)):
+                raise CheckpointError(f"policy checkpoint has a non-finite Q value at {state}")
+            q[tuple(state)] = list(values)
             offset += row.size
     except struct.error as exc:
         raise CheckpointError(f"policy checkpoint corrupt: {exc}") from exc

@@ -7,6 +7,7 @@ from collections import deque
 import pytest
 
 from archex.envs import DeceptiveCorridor, KeyDoorWorld, TwoMaze
+from archex.robustify import GreedyTabularPolicy
 
 
 def small_twomaze(**kwargs):
@@ -46,6 +47,19 @@ ENV_FACTORIES = {
 @pytest.fixture(params=sorted(ENV_FACTORIES))
 def any_env(request):
     return ENV_FACTORIES[request.param]()
+
+
+class CountingPolicy(GreedyTabularPolicy):
+    """Counts the frames whose state the table knows and those it lacks."""
+
+    known = unknown = 0
+
+    def act(self, env, actions):
+        if env.discrete_state() in self.greedy:
+            self.known += 1
+        else:
+            self.unknown += 1
+        return super().act(env, actions)
 
 
 def bfs_reachable_states(env, limit: int | None = None, max_level: int = 1):

@@ -7,7 +7,10 @@ per-visit rollout and merge: every visit builds its own trajectory node and
 is folded into the archive on its own, where :mod:`archex.explore` merges
 once per (rollout, cell); both must leave the same archive bytes.
 :func:`myopic_greedy_baseline` is the reward-greedy control of the
-deceptive-reward milestone.
+deceptive-reward milestone. :func:`evaluate_scalar_draws` is the no-op
+sweep with one ``rng.integers(n_actions)`` call per unknown-state frame,
+where :func:`archex.evaluation.evaluate_policy` draws fallback actions in
+blocks; both must give the same scores.
 """
 
 from __future__ import annotations
@@ -19,7 +22,11 @@ import numpy as np
 from archex.archive import Archive, CellRecord, UpdateOutcome, beats
 from archex.cells import CellKey, CellMapper, DomainKey
 from archex.envs.gridworld import GridWorld
+from archex.envs.wrappers import StickyActions, force_noops
+from archex.evaluation import EvalProtocol
 from archex.explore import ExploreConfig, IterationStats
+from archex.robustify import GreedyTabularPolicy
+from archex.seeding import TAG_EVAL, stream
 from archex.trajectory import Trajectory
 from archex.selection import (
     COUNT_POWER,
@@ -186,3 +193,33 @@ def myopic_greedy_baseline(
         frames += 1
         best = max(best, env.cum_score)
     return best
+
+
+def evaluate_scalar_draws(
+    policy: GreedyTabularPolicy,
+    env_factory: Callable[[], GridWorld],
+    protocol: EvalProtocol,
+    seed: int = 0,
+) -> list[tuple[int, int, float, int]]:
+    """:func:`archex.evaluation.evaluate_policy`'s sweep, drawing each
+    unknown state's action with its own ``rng.integers(n_actions)`` call on
+    the episode stream. Returns one ``(noop, episode, score,
+    training_frames)`` row per episode."""
+    base = env_factory()
+    env = StickyActions(base, protocol.sticky_p)
+    frame_cap = protocol.time_limit_game_frames // base.frame_skip
+    rows = []
+    for noop in range(protocol.max_noop + 1):
+        for episode in range(protocol.min_episodes):
+            rng = stream(seed, TAG_EVAL, noop, episode)
+            env.reset(int(rng.integers(2**63)))
+            force_noops(env, noop)
+            frames = base.frame_counters()[1]
+            while not base.done and frames < frame_cap:
+                action = policy.greedy.get(base.discrete_state())
+                if action is None:
+                    action = int(rng.integers(policy.n_actions))
+                env.step(action)
+                frames += 1
+            rows.append((noop, episode, base.cum_score, frames))
+    return rows

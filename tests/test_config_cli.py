@@ -3,6 +3,7 @@
 import csv
 import hashlib
 import inspect
+import math
 import re
 import struct
 from pathlib import Path
@@ -330,17 +331,21 @@ def test_cli_non_finite_reward_exit_2(tmp_path, env_type, line):
 
 @pytest.mark.parametrize("defect, code", [
     ("none", 0), ("trailing-bytes", 3), ("state-length", 3), ("0-actions", 3),
-    ("9-actions", 3), ("duplicate-state", 3)])
+    ("9-actions", 3), ("duplicate-state", 3), ("non-finite-q", 3)])
 def test_cli_evaluate_malformed_policy_exit_3(tmp_path, defect, code):
     """A policy file with a valid checksum but bytes after its last Q row, a
     row whose state-length field disagrees with its state, an action count
-    other than the environment's, or a state on two rows, is rejected."""
+    other than the environment's, a state on two rows, or a NaN Q value, is
+    rejected."""
     path = write_config(tmp_path, BASE + "eval.max_noop = 1\neval.min_episodes = 1\n"
                         "eval.time_limit_game_frames = 40\n")
     config_hash = load_config(path).env_factory()().config_hash
     n_actions = {"0-actions": 0, "9-actions": 9}.get(defect, 5)
-    checkpoint = PolicyCheckpoint(q={(7, 1, 0): [float(a == 1) * 2 for a in range(n_actions)]},
-                                  n_actions=n_actions, min_msp=0, attempts=1)
+    q_row = [float(a == 1) * 2 for a in range(n_actions)]
+    if defect == "non-finite-q":
+        q_row[0] = math.nan  # a reader that lets it through acts 0, not 1
+    checkpoint = PolicyCheckpoint(q={(7, 1, 0): q_row}, n_actions=n_actions, min_msp=0,
+                                  attempts=1)
     head, row = _policy_layout(checkpoint, config_hash)
     chunks = [head, row]
     if defect == "trailing-bytes":

@@ -18,11 +18,19 @@ from archex.evaluation import (
     evaluate_policy,
     grand_mean,
     percentile_band,
+    uniform_actions,
 )
 from archex.explore import MetricsRow
 from archex.seeding import TAG_EVAL, stream
 
-from conftest import small_keydoor
+from conftest import (
+    ENV_FACTORIES,
+    CountingPolicy,
+    bfs_reachable_states,
+    small_keydoor,
+    small_twomaze,
+)
+from oracle import evaluate_scalar_draws
 
 
 # -- grand mean ------------------------------------------------------------------
@@ -124,7 +132,7 @@ class ScriptedEnv:
 
 
 class OneStepPolicy:
-    def act(self, env, rng):
+    def act(self, env, actions):
         return 1
 
 
@@ -157,13 +165,130 @@ def test_evaluate_policy_reproducible_on_real_env():
 
 def test_do_nothing_policy_scores_zero():
     class Noop:
-        def act(self, env, rng):
+        def act(self, env, actions):
             return ACTION_NOOP
 
     protocol = EvalProtocol(max_noop=2, min_episodes=1, sticky_p=0.25,
                             time_limit_game_frames=200)
     result = evaluate_policy(Noop(), small_keydoor, protocol, seed=0)
     assert result.grand_mean == 0.0
+
+
+# -- fallback actions drawn in blocks -------------------------------------------------
+
+
+@pytest.mark.parametrize("n", [2, 5, 7])
+def test_block_integers_equal_scalar_integers(n):
+    """The numpy property the evaluation's fallback blocks rest on: on an
+    episode stream, after the reset-seed draw ``integers(2**63)``, blocks of
+    ``integers(n, size=256)`` give the same values as one ``integers(n)``
+    call each. A numpy release that breaks it fails here by name."""
+    for noop, episode in [(0, 0), (3, 1), (30, 4)]:
+        blocks, scalars = stream(9, TAG_EVAL, noop, episode), stream(9, TAG_EVAL, noop, episode)
+        blocks.integers(2**63)
+        scalars.integers(2**63)
+        drawn = [v for _ in range(4) for v in blocks.integers(n, size=256).tolist()]
+        assert drawn == [int(scalars.integers(n)) for _ in range(4 * 256)]
+
+
+def test_uniform_actions_draws_one_block_at_a_time():
+    rng, reference = stream(2, TAG_EVAL, 0, 0), stream(2, TAG_EVAL, 0, 0)
+    state = rng.bit_generator.state
+    actions = uniform_actions(rng, 5)
+    assert rng.bit_generator.state == state  # nothing drawn before the first action
+    first = [next(actions) for _ in range(256)]
+    assert first == reference.integers(5, size=256).tolist()
+    assert rng.bit_generator.state == reference.bit_generator.state
+    assert next(actions) == int(reference.integers(5))
+
+
+def checkerboard_table(make_env):
+    """Q rows for the states on even squares (x + y even), each greedy in
+    an action that leaves its state. Known and unknown frames then
+    alternate, and no greedy loop holds the agent on known states."""
+    env = make_env()
+    rng = np.random.default_rng(5)
+    q = {}
+    for state, snap in bfs_reachable_states(env).items():
+        if (state[0] + state[1]) % 2:
+            continue
+        moves = []
+        for action in range(env.action_count):
+            env.restore(snap)
+            env.step(action)
+            if env.done or env.discrete_state() != state:
+                moves.append(action)
+        row = rng.random(env.action_count)
+        row[rng.choice(moves)] = 2.0
+        q[state] = row.tolist()
+    return q
+
+
+def logging_actions(make_env, log):
+    """``make_env`` whose worlds append each action they step to ``log``."""
+    def make():
+        env = make_env()
+        step = env.step
+
+        def logged_step(action):
+            log.append(action)
+            return step(action)
+
+        env.step = logged_step
+        return env
+    return make
+
+
+def assert_matches_scalar_draws(q, make_env, protocol, seed):
+    """Scores, and every action the world steps, equal the one-draw-per-frame
+    oracle's (TwoMaze has no rewards, so its scores alone prove nothing).
+    Returns the policy and the oracle's (noop, episode, score,
+    training_frames) rows."""
+    policy = CountingPolicy(q, 5)
+    expected, stepped = [], []
+    rows = evaluate_scalar_draws(policy, logging_actions(make_env, expected), protocol, seed=seed)
+    outcome = evaluate_policy(policy, logging_actions(make_env, stepped), protocol, seed=seed)
+    assert outcome.scores == [row[:3] for row in rows]
+    assert stepped == expected
+    return policy, rows
+
+
+@pytest.mark.parametrize("table", ["empty", "checkerboard"])
+@pytest.mark.parametrize("sticky_p", [0.0, 0.25])
+@pytest.mark.parametrize("world", sorted(ENV_FACTORIES))
+def test_evaluate_policy_matches_scalar_draws(world, sticky_p, table):
+    """Block-drawn fallback actions give the raw scores of one
+    ``rng.integers`` call per unknown-state frame. The 600-frame cap makes
+    the empty table draw three blocks per episode."""
+    make_env = ENV_FACTORIES[world]
+    q = checkerboard_table(make_env) if table == "checkerboard" else {}
+    protocol = EvalProtocol(max_noop=3, min_episodes=2, sticky_p=sticky_p,
+                            time_limit_game_frames=2_400)
+    policy, _ = assert_matches_scalar_draws(q, make_env, protocol, seed=31)
+    assert policy.unknown > 256
+    assert policy.known > 0 if q else policy.known == 0
+
+
+def test_evaluate_policy_matches_scalar_draws_when_hazards_kill():
+    """Episodes a hazard ends before the frame cap drop the rest of their
+    block; the next episode starts a block of its own stream."""
+    protocol = EvalProtocol(max_noop=4, min_episodes=3, sticky_p=0.25,
+                            time_limit_game_frames=4_000)
+    _, rows = assert_matches_scalar_draws(
+        {}, lambda: small_keydoor(hazards=((0, 3, 1), (0, 1, 3))), protocol, seed=8)
+    cap = protocol.time_limit_game_frames // 4
+    assert any(frames < cap for *_, frames in rows)
+
+
+def test_evaluate_policy_matches_scalar_draws_when_noops_end_the_episode():
+    """A 3-frame world: no-op counts of 3 and more end the episode before
+    the policy acts, so those episodes draw no fallback action."""
+    protocol = EvalProtocol(max_noop=5, min_episodes=2, sticky_p=0.25,
+                            time_limit_game_frames=2_400)
+    policy, rows = assert_matches_scalar_draws(
+        {}, lambda: small_twomaze(time_limit_game_frames=12), protocol, seed=3)
+    assert all(frames == 3 for *_, frames in rows)
+    assert policy.unknown == (3 + 2 + 1) * 2  # noops 0, 1, 2 leave 3, 2, 1 frames
 
 
 # -- bootstrap -----------------------------------------------------------------------

@@ -30,7 +30,7 @@ from archex.robustify import (
 from archex.selection import SelectionConfig
 from archex.trajectory import Trajectory
 
-from conftest import small_corridor, small_keydoor, small_twomaze
+from conftest import CountingPolicy, small_corridor, small_keydoor, small_twomaze
 
 MAPPER = domain_mapper(1)
 
@@ -431,7 +431,7 @@ def test_tabular_robustification_under_stochasticity(kd_result):
 
 def test_greedy_table_is_first_max_argmax():
     """Each state's frozen action is the first maximum of its row (ties
-    included); unseen states draw from the episode stream."""
+    included); unseen states take the next fallback action."""
     from archex.robustify import GreedyTabularPolicy
 
     rng = np.random.default_rng(2)
@@ -453,8 +453,10 @@ def test_greedy_table_is_first_max_argmax():
         assert policy.act(env, None) == int(np.argmax(row)) == row.index(max(row))
     assert policy.greedy[(300,)] == 0 and policy.greedy[(301,)] == 1
     env.state = (999,)
-    draws = [policy.act(env, np.random.default_rng(7)) for _ in range(3)]
-    assert draws == [int(np.random.default_rng(7).integers(5))] * 3
+    fallback = iter([4, 0, 3])
+    assert [policy.act(env, fallback) for _ in range(3)] == [4, 0, 3]
+    env.state = (301,)
+    assert policy.act(env, fallback) == 1
 
 
 # sticky_p -> (attempts, frames, min starting point), policy sha256, eval scores, grand mean
@@ -499,6 +501,30 @@ def test_robustify_and_evaluate_golden(kd_result, tmp_path, sticky_p):
     outcome = evaluate_policy(learner.policy(), small_keydoor, protocol, seed=17)
     assert [score for _, _, score in outcome.scores] == scores
     assert outcome.grand_mean == gmean
+
+
+@pytest.mark.parametrize("sticky_p", [0.0, 0.25])
+def test_learned_policy_evaluates_as_scalar_draws(kd_result, sticky_p):
+    """A backward run's policy gets the same raw scores from block-drawn
+    fallback actions as from one draw per unknown-state frame."""
+    from archex.evaluation import EvalProtocol, evaluate_policy
+    from oracle import evaluate_scalar_draws
+
+    demo = select_demonstrations([kd_result.archive], 1, small_keydoor())[0]
+    first_level = next(i for i, c in enumerate(demo.cum_rewards) if c >= 1100.0)
+    demo = truncate_demo(demo, max_frames=first_level, to_last_reward=True)
+    cfg = BackwardConfig(success_threshold=0.4, advance_interval=50, delta=8, window=50,
+                         sticky_p=sticky_p, max_noops=30, frame_budget=6_000,
+                         rollout_frame_cap=400)
+    learner = TabularQLearner(5, TabularQConfig(alpha=0.3, gamma=0.98, epsilon=0.1))
+    backward_run([demo], learner, small_keydoor, cfg, seed=4)
+    policy = CountingPolicy(learner.q, 5)
+    protocol = EvalProtocol(max_noop=6, min_episodes=2, sticky_p=sticky_p,
+                            time_limit_game_frames=2_400)
+    rows = evaluate_scalar_draws(policy, small_keydoor, protocol, seed=29)
+    outcome = evaluate_policy(policy, small_keydoor, protocol, seed=29)
+    assert outcome.scores == [row[:3] for row in rows]
+    assert policy.known > 0 and policy.unknown > 256
 
 
 # -- policy checkpoints -------------------------------------------------------------------
