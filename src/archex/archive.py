@@ -5,13 +5,13 @@ action allocates a single node and never touches existing nodes, so the total
 node count is bounded by the number of exploration actions ever taken.
 Archives serialize to a canonical, versioned binary layout (sorted cells,
 deduplicated trajectory nodes, trailing checksum) so that equal archives have
-equal bytes, and a load accepts that layout only: corrupt files, keys not
-canonically encoded in strict order, snapshots of another config, and
-scores, frame counts or lengths other than their snapshot state's or node
-chain's are rejected. Checkpoints are streamed to a
-temporary file, fsynced and renamed over the target, so a failed write
-leaves the previous checkpoint intact (:func:`write_atomic`, which policy
-checkpoints and every CSV output use too).
+equal bytes, and only the bytes the writer would make load: lengths come from
+node chains and scores and frame counts from snapshot states, and the body
+must be :func:`_layout` of the archive so built (:func:`require_layout`, which
+policy checkpoints use too), with its sha256 and snapshot config hashes
+right. Checkpoints are streamed to a temporary file, fsynced and renamed over
+the target, so a failed write leaves the previous checkpoint intact
+(:func:`write_atomic`, which policy checkpoints and every CSV output use too).
 
 Every added key is indexed once (see :meth:`Archive._index`): its encoding,
 kept for the canonical key order, and the archive's max level. Selection's
@@ -338,10 +338,10 @@ def _parse_body(body: bytes) -> tuple[Archive, RunMeta]:
 
 
 def _parse_fields(body: bytes) -> tuple[Archive, RunMeta]:
+    """The archive and meta of ``body``; the row columns that copy a chain's
+    length or a state's head are not read."""
     offset = len(CHECKPOINT_MAGIC)
-    version, config_hash, seed, iteration, tf, gf, n_rooms = _HEADER.unpack_from(body, offset)
-    if version != CHECKPOINT_VERSION:
-        raise CheckpointError(f"archive checkpoint version {version} unsupported")
+    _, config_hash, seed, iteration, tf, gf, n_rooms = _HEADER.unpack_from(body, offset)
     offset += _HEADER.size
     *rooms, max_level_seen = struct.unpack_from(f"<{n_rooms + 1}I", body, offset)
     offset += 4 * (n_rooms + 1)
@@ -353,47 +353,31 @@ def _parse_fields(body: bytes) -> tuple[Archive, RunMeta]:
     # their children, so each chain's length is known as it is read.
     nodes: list = [None]
     lengths = [0]
-    unpack_node, node_size = _NODE_ROW.unpack_from, _NODE_ROW.size
-    for _ in range(n_nodes):
-        action, parent_id = unpack_node(body, offset)
-        offset += node_size
+    end = offset + n_nodes * _NODE_ROW.size
+    for action, parent_id in _NODE_ROW.iter_unpack(memoryview(body)[offset:end]):
         nodes.append(Trajectory.make_node(action, nodes[parent_id]))
         lengths.append(lengths[parent_id] + 1)
+    offset = end
 
     archive = Archive(config_hash)
     (n_cells,) = _COUNT.unpack_from(body, offset)
     offset += _COUNT.size
-    last = b""  # no key encodes to fewer bytes
     for _ in range(n_cells):
         (key_len,) = _KEY_LEN.unpack_from(body, offset)
         offset += _KEY_LEN.size
-        enc = body[offset:offset + key_len]
-        key = decode_key(enc)
+        key = decode_key(body[offset:offset + key_len])
         offset += key_len
-        if enc <= last or enc != key.encode():
-            raise CheckpointError("archive checkpoint cells are not in canonical key order")
-        last = enc
-        (score, traj_len, tail_id, seen, chosen, since_new,
-         snap_score, snap_tf, snap_gf, snap_len) = _CELL_ROW.unpack_from(body, offset)
+        _, _, tail_id, seen, chosen, since_new, _, _, _, snap_len = _CELL_ROW.unpack_from(
+            body, offset)
         offset += _CELL_ROW.size
         state = body[offset:offset + snap_len]
-        if len(state) != snap_len:
-            raise CheckpointError("archive checkpoint truncated mid-cell")
         offset += snap_len
-        if traj_len != lengths[tail_id]:
-            raise CheckpointError("archive checkpoint cell traj_len disagrees with its chain")
-        if score != snap_score:
-            raise CheckpointError("archive checkpoint cell score disagrees with its snapshot")
         head = read_state_head(unpack_snapshot(state, config_hash))
-        if (snap_score, snap_tf, snap_gf) != head[:3]:
-            raise CheckpointError(
-                "archive checkpoint cell score or frame columns disagree with its state bytes")
-        archive.cells[key] = CellRecord(Trajectory(nodes[tail_id], traj_len),
-                                        EnvSnapshot(state, snap_score, snap_tf, snap_gf),
-                                        seen, chosen, since_new)
-        archive._index(key)
-    if offset != len(body):
-        raise CheckpointError("archive checkpoint has trailing bytes")
+        if key not in archive.cells:  # a repeated key is indexed once
+            archive._index(key)
+        archive.cells[key] = CellRecord(Trajectory(nodes[tail_id], lengths[tail_id]),
+                                        EnvSnapshot(state, *head[:3]), seen, chosen, since_new)
+    require_layout(body, _layout(archive, meta), "archive checkpoint")
     return archive, meta
 
 
@@ -470,6 +454,20 @@ def _checksummed_body(data: bytes, magic: bytes, what: str) -> bytes:
     if hashlib.sha256(body).digest() != digest:
         raise CheckpointError(f"{what} is corrupt (checksum mismatch)")
     return body
+
+
+def require_layout(body: bytes, chunks: Iterable[bytes], what: str) -> None:
+    """Raise :class:`CheckpointError` unless the writer's ``chunks`` for what
+    was parsed from ``body`` make it up, compared in place as they come."""
+    offset = 0
+    for chunk in chunks:
+        if not body.startswith(chunk, offset):
+            break
+        offset += len(chunk)
+    else:
+        if offset == len(body):
+            return
+    raise CheckpointError(f"{what} is not in the canonical layout")
 
 
 def checkpoint_save(archive: Archive, path, meta: RunMeta | None = None) -> None:

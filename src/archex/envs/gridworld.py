@@ -53,6 +53,8 @@ TILE_DOOR = 3
 TILE_HAZARD = 4
 TILE_TREASURE = 5
 
+MAX_TILES = 1 << 20  # the most tiles a grid may have; checked before allocating them
+
 # Rendering intensities, all in [0, 255].
 SHADE_FLOOR = 0
 SHADE_WALL = 255
@@ -159,17 +161,25 @@ class GridWorld:
 
     # -- construction ------------------------------------------------------
 
+    def _wall_grid(self, width: int, height: int, settings: str) -> None:
+        """Set ``width``, ``height`` and an all-wall ``base``; a grid of more
+        than ``MAX_TILES`` tiles raises :class:`ConfigError` naming the
+        ``settings`` that size it, before anything is allocated."""
+        if width * height > MAX_TILES:
+            raise ConfigError(f"{settings} give {width}x{height} tiles, over {MAX_TILES}")
+        self.width, self.height = width, height
+        self.base = bytearray([TILE_WALL]) * (width * height)
+
     def _lay_out_rooms(self, rows: int, cols: int, w: int, h: int,
-                       locked: set[tuple[int, int]]) -> None:
+                       locked: set[tuple[int, int]], settings: str) -> None:
         """Set ``rooms``, ``width``, ``height`` and ``base`` for a ``rows`` x
         ``cols`` grid of ``w`` x ``h`` room interiors walled by single tiles,
         with a doorway in the middle of every wall two rooms share. The
         doorway is a door, recorded in ``door_positions``, where the (lower,
-        higher) room pair is in ``locked``, and floor elsewhere."""
+        higher) room pair is in ``locked``, and floor elsewhere; ``settings``
+        names the dimensions for :meth:`_wall_grid`."""
         self.rooms = (rows, cols, w, h)
-        self.width = cols * (w + 1) + 1
-        self.height = rows * (h + 1) + 1
-        self.base = bytearray([TILE_WALL]) * (self.width * self.height)
+        self._wall_grid(cols * (w + 1) + 1, rows * (h + 1) + 1, settings)
         floor = bytes([TILE_FLOOR]) * w
         for room in range(rows * cols):
             rr, rc = divmod(room, cols)

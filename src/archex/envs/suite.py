@@ -13,7 +13,7 @@ from __future__ import annotations
 import math
 
 from ..errors import ConfigError
-from .gridworld import GridWorld, TILE_FLOOR, TILE_HAZARD, TILE_KEY, TILE_TREASURE, TILE_WALL
+from .gridworld import GridWorld, TILE_FLOOR, TILE_HAZARD, TILE_KEY, TILE_TREASURE
 
 
 def _require_finite(setting: str, value: float) -> None:
@@ -42,9 +42,7 @@ class TwoMaze(GridWorld):
             raise ConfigError("TwoMaze needs arm_rows >= 1 and arm_cols >= 2")
         self.arm_rows = arm_rows
         self.arm_cols = arm_cols
-        self.width = 2 * arm_cols + 3
-        self.height = 2 * arm_rows + 1
-        self.base = bytearray([TILE_WALL]) * (self.width * self.height)
+        self._wall_grid(2 * arm_cols + 3, 2 * arm_rows + 1, "arm_rows and arm_cols")
 
         right0 = arm_cols + 2  # first column of the right arm
         for i in range(arm_rows):
@@ -123,7 +121,8 @@ class KeyDoorWorld(GridWorld):
         for pair in locked:
             if not self._adjacent(*pair, rooms_rows, rooms_cols):
                 raise ConfigError(f"locked door {pair} does not join adjacent rooms")
-        self._lay_out_rooms(rooms_rows, rooms_cols, room_w, room_h, locked)
+        self._lay_out_rooms(rooms_rows, rooms_cols, room_w, room_h, locked,
+                            "rooms_rows, rooms_cols, room_w and room_h")
         n_rooms = rooms_rows * rooms_cols
         ox, oy = self.room_origin(0)
         self.spawn = (ox + room_w // 2, oy + room_h // 2)
@@ -210,7 +209,7 @@ class DeceptiveCorridor(GridWorld):
         self.hazard_policy = "respawn"
         self.hazard_penalty = hazard_penalty
         self.treasure_mode = "collect"
-        self._lay_out_rooms(1, n_rooms, room_w, room_h, locked=set())
+        self._lay_out_rooms(1, n_rooms, room_w, room_h, set(), "n_rooms, room_w and room_h")
         # One hazard line per room with a single gap at a per-room height.
         for room in range(n_rooms):
             ox, oy = self.room_origin(room)

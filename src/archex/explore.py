@@ -289,13 +289,13 @@ def run_phase1(
     streams are derived from the iteration index, so its archive and meta
     are all the state there is, and its metrics (cut by
     :func:`_resumed_metrics`) seed the series, whose ``wall_seconds`` carry
-    on. Its archive must come from this environment config (else
-    :class:`CheckpointError`) and its run from ``cfg.seed`` (else
-    :class:`ConfigError`). The optional ``stop_condition`` is evaluated
-    between iterations (milestone runs); ``on_iteration`` gets the run as it
-    stands after each iteration, for periodic checkpointing. Without a
-    selection config nothing is selected: every rollout starts from the
-    start cell, the control of :func:`baseline_from_start`.
+    on. Its archive must come from this environment config and name only
+    its rooms (else :class:`CheckpointError`), and its run from ``cfg.seed``
+    (else :class:`ConfigError`). The optional ``stop_condition`` is
+    evaluated between iterations (milestone runs); ``on_iteration`` gets the
+    run as it stands after each iteration, for periodic checkpointing.
+    Without a selection config nothing is selected: every rollout starts
+    from the start cell, the control of :func:`baseline_from_start`.
     """
     if sel_cfg is None and resume is not None:
         raise ContractError("the from-start control does not resume")
@@ -307,6 +307,8 @@ def run_phase1(
         archive, meta = resume.archive, replace(resume.meta)
         if archive.config_hash != env.config_hash:
             raise CheckpointError("resume archive is from a different env config")
+        if max(meta.rooms_seen, default=0) >= (env.rooms[0] * env.rooms[1] if env.rooms else 1):
+            raise CheckpointError("resume checkpoint names a room its world lacks")
         if meta.seed != cfg.seed:
             raise ConfigError(f"resume checkpoint has seed {meta.seed}, config says {cfg.seed}")
         metrics = _resumed_metrics(resume.metrics, meta.game_frames, interval)

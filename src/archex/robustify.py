@@ -23,7 +23,7 @@ from typing import Callable, Iterator, Sequence
 
 import numpy as np
 
-from .archive import Archive, CellRecord, read_checksummed, write_checksummed
+from .archive import Archive, CellRecord, read_checksummed, require_layout, write_checksummed
 from .cells import CellKey, DomainKey
 from .envs.base import EnvSnapshot
 from .envs.gridworld import GridWorld
@@ -512,45 +512,34 @@ def save_policy(checkpoint: PolicyCheckpoint, path, config_hash: int) -> None:
 
 
 def load_policy(path, expected_config_hash: int | None = None) -> PolicyCheckpoint:
+    """The checkpoint :func:`save_policy` wrote to ``path``; a body other
+    than :func:`_policy_layout`'s bytes for what it holds is rejected."""
     body = read_checksummed(path, POLICY_MAGIC, "policy checkpoint")
     try:
-        offset = len(POLICY_MAGIC)
-        version, chash, msp, attempts, n_actions, n_states = _POLICY_HEADER.unpack_from(
-            body, offset)
-        if version != POLICY_VERSION:
-            raise CheckpointError(f"policy version {version} unsupported")
+        _, chash, msp, attempts, n_actions, n_states = _POLICY_HEADER.unpack_from(
+            body, len(POLICY_MAGIC))
         if n_actions < 1:
             raise CheckpointError(f"policy checkpoint has {n_actions} actions")
         if expected_config_hash is not None and chash != expected_config_hash:
             raise CheckpointError("policy checkpoint is from a different env config")
-        offset += _POLICY_HEADER.size
+        offset = len(POLICY_MAGIC) + _POLICY_HEADER.size
         row = _q_row(n_actions)
         q: dict[tuple, list[float]] = {}
-        last = b""  # no state encodes to fewer bytes
         for _ in range(n_states):
-            (enc_len,) = struct.unpack_from("<I", body, offset)
-            offset += 4
-            (n_ints,) = struct.unpack_from("<H", body, offset)
-            if enc_len != 2 + 8 * n_ints:
-                raise CheckpointError(
-                    f"policy checkpoint corrupt: state length {enc_len} "
-                    f"does not fit {n_ints} values")
-            state = struct.unpack_from(f"<{n_ints}q", body, offset + 2)
-            enc = body[offset:offset + enc_len]
-            if enc <= last:
-                raise CheckpointError("policy checkpoint states are not in strict order")
-            last = enc
-            offset += enc_len
+            # A row: state length (derived, not read), value count, values, Q row.
+            (n_ints,) = struct.unpack_from("<H", body, offset + 4)
+            state = struct.unpack_from(f"<{n_ints}q", body, offset + 6)
+            offset += 6 + 8 * n_ints
             values = row.unpack_from(body, offset)
             if not all(map(math.isfinite, values)):
                 raise CheckpointError(f"policy checkpoint has a non-finite Q value at {state}")
-            q[tuple(state)] = list(values)
+            q[state] = list(values)
             offset += row.size
     except struct.error as exc:
         raise CheckpointError(f"policy checkpoint corrupt: {exc}") from exc
-    if offset != len(body):
-        raise CheckpointError("policy checkpoint has trailing bytes")
-    return PolicyCheckpoint(q=q, n_actions=n_actions, min_msp=msp, attempts=attempts)
+    checkpoint = PolicyCheckpoint(q=q, n_actions=n_actions, min_msp=msp, attempts=attempts)
+    require_layout(body, _policy_layout(checkpoint, chash), "policy checkpoint")
+    return checkpoint
 
 
 def best_checkpoint(

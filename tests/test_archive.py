@@ -1,6 +1,7 @@
 """Archive semantics: trajectories, update rules, counters, checkpoints."""
 
 import dataclasses
+import hashlib
 
 import pytest
 from hypothesis import given, settings
@@ -18,6 +19,7 @@ from archex.archive import (
 from archex.cells import DomainKey, domain_mapper
 from archex.errors import CheckpointError, ContractError
 from archex.explore import ExploreConfig, replay_record, run_phase1
+from archex.robustify import PolicyCheckpoint, load_policy, save_policy
 from archex.selection import SelectionConfig
 from archex.trajectory import Trajectory
 
@@ -349,6 +351,7 @@ def test_checkpoint_write_failing_partway_keeps_previous(tmp_path, monkeypatch):
         checkpoint_save(second.archive, path, second.meta)
     assert path.read_bytes() == before
     assert [p.name for p in tmp_path.iterdir()] == ["a.ckpt"]
+    monkeypatch.undo()  # the loader re-lays out what it reads
     assert checkpoint_load(path)[1] == first.meta
 
 
@@ -415,7 +418,7 @@ def test_checkpoint_traj_len_must_match_its_chain(tmp_path):
     record.trajectory = Trajectory(record.trajectory.tail, record.traj_len + 1)
     path = tmp_path / "a.ckpt"
     checkpoint_save(result.archive, path, result.meta)
-    with pytest.raises(CheckpointError, match="traj_len"):
+    with pytest.raises(CheckpointError, match="canonical layout"):
         checkpoint_load(path)
 
 
@@ -437,6 +440,75 @@ def test_node_sharing_bounded_by_actions():
             nodes.add(id(node))
             node = node.parent
     assert len(nodes) <= result.meta.training_frames
+
+
+# -- only the writer's bytes load -------------------------------------------------------
+
+
+# Up to three edits of a body: flip a bit, insert a byte or delete one, at a
+# position taken modulo the body's length.
+_EDITS = st.lists(st.tuples(st.sampled_from(["flip", "insert", "delete"]),
+                            st.integers(0, 2**32), st.integers(0, 255)),
+                  min_size=1, max_size=3)
+
+
+def _edited(data: bytes, edits) -> bytes:
+    """``data``'s body with ``edits`` applied, and its sha256 recomputed so
+    that the edited body reaches the parser."""
+    body = bytearray(data[:-32])
+    for kind, at, value in edits:
+        at %= len(body) + (kind == "insert")
+        if kind == "flip":
+            body[at] ^= 1 << (value % 8)
+        elif kind == "insert":
+            body.insert(at, value)
+        else:
+            del body[at]
+    return bytes(body) + hashlib.sha256(body).digest()
+
+
+@pytest.fixture(scope="module")
+def keydoor_checkpoint():
+    """A small keydoor archive's checkpoint bytes: several rooms, scores
+    other than 0 and shared trajectory nodes."""
+    cfg = ExploreConfig(k=50, batch_size=10, budget_training_frames=3_000, seed=0,
+                        metric_interval_game_frames=10**9)
+    result = run_phase1(small_keydoor, cfg, SelectionConfig(), domain_mapper(1))
+    return serialize_archive(result.archive, result.meta)
+
+
+@settings(max_examples=1500, deadline=None, derandomize=True)
+@given(edits=_EDITS)
+def test_edited_checkpoint_loads_only_as_written(keydoor_checkpoint, edits):
+    data = _edited(keydoor_checkpoint, edits)
+    try:
+        archive, meta = deserialize_archive(data)
+    except CheckpointError:
+        return
+    assert serialize_archive(archive, meta) == data
+
+
+@pytest.fixture(scope="module")
+def policy_file(tmp_path_factory):
+    """A path holding a small policy checkpoint, and its bytes."""
+    q = {(4, 1, 0): [0.5, -1.0, 2.0], (7,): [0.0, 3.25, -0.0], (2, 2): [1e300, 1.0, 0.0]}
+    path = tmp_path_factory.mktemp("policy") / "p.ckpt"
+    save_policy(PolicyCheckpoint(q=q, n_actions=3, min_msp=5, attempts=40), path, 11)
+    return path, path.read_bytes()
+
+
+@settings(max_examples=1500, deadline=None, derandomize=True)
+@given(edits=_EDITS)
+def test_edited_policy_loads_only_as_written(policy_file, edits):
+    path, data = policy_file
+    edited = _edited(data, edits)
+    path.write_bytes(edited)
+    try:
+        checkpoint = load_policy(path, expected_config_hash=11)
+    except CheckpointError:
+        return
+    save_policy(checkpoint, path, 11)
+    assert path.read_bytes() == edited
 
 
 # -- replay soundness ----------------------------------------------------------------

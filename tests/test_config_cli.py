@@ -10,7 +10,13 @@ from pathlib import Path
 
 import pytest
 
-from archex.archive import checkpoint_load, checkpoint_save, write_checksummed
+from archex.archive import (
+    _HEADER,
+    CHECKPOINT_MAGIC,
+    checkpoint_load,
+    checkpoint_save,
+    write_checksummed,
+)
 from archex.cells import DownscaleParams
 from archex.cli import main
 from archex.config import ReprConfig, RobustifyConfig, _Reader, build_config, load_config, parse_text
@@ -269,6 +275,10 @@ def test_cli_config_error_exit_2(tmp_path):
                    id=f"robustify.reward_scale = {v} (scale mode)") for v in ("inf", "-1", "0")),
     "repr.grid_size = 0",
     pytest.param("env.type = keydoor\nenv.key_capacity = -1", id="env.key_capacity = -1"),
+    # Grids past MAX_TILES tiles: one past the index range, one within it.
+    pytest.param("env.type = twomaze\nenv.arm_rows = 18446744073709551616",
+                 id="env.arm_rows = 18446744073709551616"),
+    pytest.param("env.type = keydoor\nenv.room_w = 10000", id="env.room_w = 10000"),
 ])
 def test_cli_out_of_range_setting_exit_2(tmp_path, line):
     """Rejected when the config loads, not after a whole run, by a check of
@@ -488,16 +498,33 @@ def test_cli_replay_traj_len_off_its_chain_exit_3(tmp_path):
                    "--cell", key.encode().hex()) == 3
 
 
-# Offsets in a cell row (after its key) of the score column, of the
-# snapshot's score, training-frame and game-frame columns, and of the config
-# hash in the snapshot's state bytes, which follow the row.
-_SCORE_AT, _SNAP_SCORE_AT, _SNAP_TF_AT, _SNAP_GF_AT, _STATE_HASH_AT = 0, 48, 56, 64, 82
+# Offsets in a cell row (after its key) of the score column, of the tail
+# node id, of the snapshot's score, training-frame and game-frame columns,
+# and of the config hash in the snapshot's state bytes, which follow the row.
+_SCORE_AT, _TAIL_AT, _SNAP_SCORE_AT, _SNAP_TF_AT, _SNAP_GF_AT, _STATE_HASH_AT = (
+    0, 16, 48, 56, 64, 82)
+# Where the header's room count sits, and where its rooms start.
+_ROOMS_AT = len(CHECKPOINT_MAGIC) + _HEADER.size
+# A header room list for each room defect: unsorted, one room twice, and a
+# room the world does not have (it is in canonical order).
+_ROOM_LISTS = {"unsorted-rooms": [1, 0], "duplicate-room": [0, 0],
+               "foreign-room": [0, 2**29]}
+
+
+def _node_rows(body):
+    """The (action, parent id) rows of a checkpoint body's node table."""
+    (n_rooms,) = struct.unpack_from("<I", body, _ROOMS_AT - 4)
+    at = _ROOMS_AT + 4 * (n_rooms + 1)  # past the rooms and the max level
+    (n_nodes,) = struct.unpack_from("<Q", body, at)
+    return list(struct.iter_unpack("<HQ", body[at + 8:at + 8 + 10 * n_nodes]))
 
 
 @pytest.mark.parametrize("defect, code", [
     ("none", 0), ("score-column", 3), ("snapshot-score", 3), ("training-frames", 3),
     ("game-frames", 3), ("state-config", 3), ("key-trailing-byte", 3),
-    ("duplicate-row", 3), ("reversed-rows", 3)])
+    ("duplicate-row", 3), ("reversed-rows", 3), ("unsorted-rooms", 3),
+    ("duplicate-room", 3), ("foreign-room", 3), ("negative-zero-score", 3),
+    ("tail-onto-equal-chain", 3)])
 def test_cli_resume_malformed_checkpoint_exit_3(tmp_path, defect, code):
     """A checkpoint with a valid checksum is rejected if a cell's score
     column differs from its snapshot's, if its snapshot's score or frame
@@ -505,17 +532,48 @@ def test_cli_resume_malformed_checkpoint_exit_3(tmp_path, defect, code):
     state says 0, or a frame count one off), if its state bytes carry
     another config hash, if a key's bytes are not its canonical encoding,
     or if its cell rows are not in strictly increasing key order (a row
-    twice, or rows reversed)."""
-    path = write_config(tmp_path, BASE)
+    twice, or rows reversed). So is one that loads to an archive the writer
+    would lay out otherwise (an unsorted room list or a room listed twice,
+    score columns of -0.0 where the state says 0.0, a cell's tail moved to
+    another chain of its length), and one whose rooms the world lacks. The
+    room defects run in a world of many rooms."""
+    base = BASE
+    if defect in _ROOM_LISTS:
+        base = BASE.replace("env.type = twomaze\nenv.arm_rows = 3\nenv.arm_cols = 6\n",
+                            "env.type = keydoor\n")
+    path = write_config(tmp_path, base)
     out = tmp_path / "run"
     assert run_cli("explore", "--config", str(path), "--out", str(out)) == 0
     ckpt = out / "archive.ckpt"
     archive, meta = checkpoint_load(ckpt)
     keys = archive.sorted_keys()
-    if defect in ("score-column", "snapshot-score", "training-frames", "game-frames",
-                  "state-config", "key-trailing-byte"):
+    body = bytearray(ckpt.read_bytes()[:-32])
+    if defect in _ROOM_LISTS:
+        (n_rooms,) = struct.unpack_from("<I", body, _ROOMS_AT - 4)
+        rooms = _ROOM_LISTS[defect]
+        body[_ROOMS_AT - 4:_ROOMS_AT + 4 * n_rooms] = struct.pack(
+            f"<{len(rooms) + 1}I", len(rooms), *rooms)
+        write_checksummed(ckpt, [bytes(body)])
+    elif defect == "tail-onto-equal-chain":
+        # A cell whose tail is no node's parent, moved onto another chain
+        # of its length: its old tail is left out of every chain.
+        parents = [parent for _, parent in _node_rows(body)]
+        lengths = [0]  # by node id; id 0 is the empty chain
+        for parent in parents:
+            lengths.append(lengths[parent] + 1)
+        for k in keys:
+            enc = k.encode()
+            row = body.index(struct.pack("<I", len(enc)) + enc) + 4 + len(enc)
+            (tail,) = struct.unpack_from("<Q", body, row + _TAIL_AT)
+            others = [i for i, n in enumerate(lengths) if n == lengths[tail] and i != tail]
+            if tail not in parents and others:
+                struct.pack_into("<Q", body, row + _TAIL_AT, others[0])
+                break
+        else:
+            pytest.fail("no cell's tail has a chain of equal length beside it")
+        write_checksummed(ckpt, [bytes(body)])
+    elif defect not in ("none", "duplicate-row", "reversed-rows"):
         enc = keys[3].encode()
-        body = bytearray(ckpt.read_bytes()[:-32])
         at = body.index(struct.pack("<I", len(enc)) + enc)  # the cell's key length field
         row = at + 4 + len(enc)
         if defect == "key-trailing-byte":  # decodes to the same key
@@ -523,10 +581,11 @@ def test_cli_resume_malformed_checkpoint_exit_3(tmp_path, defect, code):
         elif defect == "score-column":
             at = row + _SCORE_AT
             struct.pack_into("<d", body, at, struct.unpack_from("<d", body, at)[0] + 1)
-        elif defect == "snapshot-score":
+        elif defect in ("snapshot-score", "negative-zero-score"):
             assert archive.record(keys[3]).score == 0
-            struct.pack_into("<d", body, row + _SCORE_AT, 500.0)
-            struct.pack_into("<d", body, row + _SNAP_SCORE_AT, 500.0)
+            score = 500.0 if defect == "snapshot-score" else -0.0
+            struct.pack_into("<d", body, row + _SCORE_AT, score)
+            struct.pack_into("<d", body, row + _SNAP_SCORE_AT, score)
         else:  # the low bit of a frame column or of the state's config hash
             at = row + {"training-frames": _SNAP_TF_AT, "game-frames": _SNAP_GF_AT,
                         "state-config": _STATE_HASH_AT}[defect]

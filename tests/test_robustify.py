@@ -573,6 +573,7 @@ def test_policy_write_failing_partway_keeps_previous(tmp_path, monkeypatch):
                                      min_msp=0, attempts=10), path, 7)
     assert path.read_bytes() == before
     assert [p.name for p in tmp_path.iterdir()] == ["p.ckpt"]
+    monkeypatch.undo()  # the loader re-lays out what it reads
     assert load_policy(path, 7).q == q
 
 
