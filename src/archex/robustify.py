@@ -12,6 +12,14 @@ policy to be robust rather than a replay.
 The learner is :class:`TabularQLearner`, action values over the
 environment's discrete state; :func:`backward_run` calls its
 ``begin_rollout``, ``act`` and ``update`` and reads its ``q`` table.
+
+Each attempt has one stream, from (seed, attempt index). With numpy calls it
+draws the demonstration index, the reset seed (which also seeds the sticky
+stream) and, at frame 0, the no-op count. The learner's exploration draws
+then come from the same stream through :class:`archex.seeding.RawDraws`,
+which gives the values that numpy's scalar ``random()`` and
+``integers(n)`` calls would. ``tests/oracle.py`` keeps the loop with those
+scalar calls and a learner that scans its Q rows, as the reference.
 """
 
 from __future__ import annotations
@@ -34,7 +42,7 @@ from .errors import (
     IntegrityError,
     ShortfallError,
 )
-from .seeding import TAG_ATTEMPT, stream
+from .seeding import TAG_ATTEMPT, RawDraws, stream
 from .envs.wrappers import StickyActions, force_noops
 
 POLICY_MAGIC = b"AXPOLC\x00\x01"
@@ -228,41 +236,54 @@ class TabularQConfig:
 
 
 class TabularQLearner:
-    """Q-learning over the environment's discrete state tuple."""
+    """Q-learning over the environment's discrete state tuple.
+
+    ``greedy[state]`` is the first maximum of ``q[state]``
+    (``max(range(n_actions), key=row.__getitem__)``); :meth:`update` keeps
+    it current, so neither :meth:`act` nor the update target scans a row.
+    """
 
     def __init__(self, n_actions: int, cfg: TabularQConfig = TabularQConfig()) -> None:
         self.n_actions = n_actions
         self.cfg = cfg
         self.q: dict[tuple, list[float]] = {}
+        self.greedy: dict[tuple, int] = {}
 
     def begin_rollout(self, demo: Demonstration, start: int) -> None:
         """Called before each attempt; the Q-learner keeps no per-rollout state."""
 
-    def _row(self, state: tuple) -> list[float]:
-        row = self.q.get(state)
-        if row is None:
-            row = [0.0] * self.n_actions
-            self.q[state] = row
-        return row
-
-    def act(self, state: tuple, rng: np.random.Generator) -> int:
+    def act(self, state: tuple, rng: np.random.Generator | RawDraws) -> int:
+        """Epsilon-greedy in ``state``. ``rng`` is any source of numpy's
+        ``random()`` and ``integers(n)`` draws; :func:`backward_run` passes
+        a :class:`archex.seeding.RawDraws`."""
         if rng.random() < self.cfg.epsilon:
             return int(rng.integers(self.n_actions))
-        row = self.q.get(state)
-        if row is None:
+        action = self.greedy.get(state)
+        if action is None:
             return int(rng.integers(self.n_actions))
-        return max(range(self.n_actions), key=row.__getitem__)
+        return action
 
     def update(self, transitions: list[tuple]) -> None:
         alpha, gamma = self.cfg.alpha, self.cfg.gamma
+        q, greedy = self.q, self.greedy
         for state, action, reward, next_state, done in transitions:
-            row = self._row(state)
+            row = q.get(state)
+            if row is None:
+                row = q[state] = [0.0] * self.n_actions
+                greedy[state] = 0
             target = reward
             if not done:
-                nxt = self.q.get(next_state)
+                nxt = greedy.get(next_state)
                 if nxt is not None:
-                    target += gamma * max(nxt)
-            row[action] += alpha * (target - row[action])
+                    target += gamma * q[next_state][nxt]
+            old = row[action]
+            row[action] = value = old + alpha * (target - old)
+            best = greedy[state]
+            if action == best:
+                if value < old:
+                    greedy[state] = max(range(self.n_actions), key=row.__getitem__)
+            elif value > row[best] or (value == row[best] and action < best):
+                greedy[state] = action
 
     def policy(self) -> "GreedyTabularPolicy":
         return GreedyTabularPolicy(self.q, self.n_actions)
@@ -312,6 +333,8 @@ class BackwardConfig:
             raise ConfigError("delta must be >= 1")
         if self.window < 1:
             raise ConfigError("window must be >= 1")
+        if not self.allowed_deficit >= 0:
+            raise ConfigError("allowed_deficit must be >= 0")
         if self.advance_interval is not None and self.advance_interval < 1:
             raise ConfigError("advance_interval must be >= 1")
         if not 0 <= self.sticky_p < 1:
@@ -385,6 +408,8 @@ def backward_run(
     checkpoints: list[PolicyCheckpoint] = []
     attempts = 0
     frames = 0
+    shaping, window, deficit = cfg.shaping, cfg.window, cfg.allowed_deficit
+    frame_cap = math.inf if cfg.rollout_frame_cap is None else cfg.rollout_frame_cap
 
     def take_checkpoint() -> None:
         checkpoints.append(
@@ -423,6 +448,7 @@ def backward_run(
         env.restore(starts[demo_idx][1])
         if start == 0 and cfg.max_noops > 0:
             force_noops(env, int(rng.integers(0, cfg.max_noops + 1)))
+        draws = RawDraws(rng)  # the learner's draws: the same values, without numpy calls
 
         learner.begin_rollout(demo, start)
         score_at_start = base.cum_score
@@ -433,24 +459,23 @@ def backward_run(
         state = None if success else base.discrete_state()
         while not success:
             elapsed = len(transitions)
-            if base.done:
+            if base.done or elapsed >= frame_cap:
                 break
-            if cfg.rollout_frame_cap is not None and elapsed >= cfg.rollout_frame_cap:
+            # early_terminate is False until the window has elapsed.
+            if elapsed >= window and early_terminate(gain, demo.cum_rewards, start, elapsed,
+                                                     window, deficit):
                 break
-            if early_terminate(gain, demo.cum_rewards, start, elapsed,
-                               cfg.window, cfg.allowed_deficit):
-                break
-            action = learner.act(state, rng)
+            action = learner.act(state, draws)
             result = env.step(action)
-            frames += 1
             score = base.cum_score
             gain = score - score_at_start
             next_state = base.discrete_state()
-            transitions.append(
-                (state, action, cfg.shaping(result.reward), next_state, result.done)
-            )
+            reward = result.reward  # both shaping modes map a zero reward to itself
+            transitions.append((state, action, shaping(reward) if reward else reward,
+                                next_state, result.done))
             state = next_state
             success = score >= demo_score
+        frames += len(transitions)
         learner.update(transitions)
 
         attempts += 1

@@ -10,23 +10,41 @@ once per (rollout, cell); both must leave the same archive bytes.
 deceptive-reward milestone. :func:`evaluate_scalar_draws` is the no-op
 sweep with one ``rng.integers(n_actions)`` call per unknown-state frame,
 where :func:`archex.evaluation.evaluate_policy` draws fallback actions in
-blocks; both must give the same scores.
+blocks; both must give the same scores. :class:`ScalarQLearner` and
+:func:`backward_run_scalar` are the backward run with numpy's scalar
+``random()`` and ``integers(n)`` calls on the attempt stream and a ``max``
+over the Q row wherever a greedy action or value is needed, where
+:func:`archex.robustify.backward_run` reads the same draws through
+:class:`archex.seeding.RawDraws` and :class:`archex.robustify.TabularQLearner`
+caches each row's greedy action; both must give the same Q tables, progress
+rows and checkpoints.
 """
 
 from __future__ import annotations
 
-from typing import Callable, NamedTuple
+from typing import Callable, NamedTuple, Sequence
 
 import numpy as np
 
 from archex.archive import Archive, CellRecord, UpdateOutcome, beats
 from archex.cells import CellKey, CellMapper, DomainKey
+from archex.envs.base import EnvSnapshot
 from archex.envs.gridworld import GridWorld
 from archex.envs.wrappers import StickyActions, force_noops
 from archex.evaluation import EvalProtocol
 from archex.explore import ExploreConfig, IterationStats
-from archex.robustify import GreedyTabularPolicy
-from archex.seeding import TAG_EVAL, stream
+from archex.robustify import (
+    BackwardConfig,
+    BackwardResult,
+    DemoProgress,
+    Demonstration,
+    GreedyTabularPolicy,
+    PolicyCheckpoint,
+    ProgressRow,
+    TabularQLearner,
+    early_terminate,
+)
+from archex.seeding import TAG_ATTEMPT, TAG_EVAL, stream
 from archex.trajectory import Trajectory
 from archex.selection import (
     COUNT_POWER,
@@ -223,3 +241,144 @@ def evaluate_scalar_draws(
                 frames += 1
             rows.append((noop, episode, base.cum_score, frames))
     return rows
+
+
+class ScalarQLearner(TabularQLearner):
+    """:class:`archex.robustify.TabularQLearner` that finds each greedy
+    action and value with a ``max`` over the row, and leaves ``greedy``
+    empty."""
+
+    def act(self, state: tuple, rng: np.random.Generator) -> int:
+        if rng.random() < self.cfg.epsilon:
+            return int(rng.integers(self.n_actions))
+        row = self.q.get(state)
+        if row is None:
+            return int(rng.integers(self.n_actions))
+        return max(range(self.n_actions), key=row.__getitem__)
+
+    def update(self, transitions: list[tuple]) -> None:
+        alpha, gamma = self.cfg.alpha, self.cfg.gamma
+        for state, action, reward, next_state, done in transitions:
+            row = self.q.setdefault(state, [0.0] * self.n_actions)
+            target = reward
+            if not done:
+                nxt = self.q.get(next_state)
+                if nxt is not None:
+                    target += gamma * max(nxt)
+            row[action] += alpha * (target - row[action])
+
+
+def backward_run_scalar(
+    demos: Sequence[Demonstration],
+    learner: TabularQLearner,
+    env_factory: Callable[[], GridWorld],
+    cfg: BackwardConfig,
+    seed: int = 0,
+) -> BackwardResult:
+    """:func:`archex.robustify.backward_run` with the learner drawing from
+    the attempt stream itself, one numpy call per draw."""
+    interval = cfg.advance_interval or 200 * len(demos)
+    base = env_factory()
+    env = StickyActions(base, cfg.sticky_p)  # steps go through the wrapper, reads to base
+    # Each demo's (max_starting_point, snapshot there): the start changes
+    # only at an advance, so the replay fill-in runs once per start.
+    starts: list[tuple[int, EnvSnapshot] | None] = [None] * len(demos)
+
+    progress = [DemoProgress(max_starting_point=d.length) for d in demos]
+    rows: list[ProgressRow] = []
+    checkpoints: list[PolicyCheckpoint] = []
+    attempts = 0
+    frames = 0
+
+    def take_checkpoint() -> None:
+        checkpoints.append(
+            PolicyCheckpoint(
+                q={s: list(r) for s, r in learner.q.items()},
+                n_actions=learner.n_actions,
+                min_msp=min(p.max_starting_point for p in progress),
+                attempts=attempts,
+            )
+        )
+
+    def emit_row(last_score: float) -> None:
+        rows.append(
+            ProgressRow(
+                attempts=attempts,
+                max_starting_points=tuple(p.max_starting_point for p in progress),
+                success_rates=tuple(p.last_rate for p in progress),
+                last_score=last_score,
+            )
+        )
+
+    while attempts < cfg.max_attempts:
+        if cfg.frame_budget is not None and frames >= cfg.frame_budget:
+            break
+        if all(p.zero_confirmed for p in progress):
+            break
+        rng = stream(seed, TAG_ATTEMPT, attempts)
+        demo_idx = int(rng.integers(len(demos)))
+        demo = demos[demo_idx]
+        prog = progress[demo_idx]
+        start = prog.max_starting_point
+
+        if starts[demo_idx] is None or starts[demo_idx][0] != start:
+            starts[demo_idx] = (start, demo.snapshot_at(start, base))
+        env.reset(int(rng.integers(2**63)))
+        env.restore(starts[demo_idx][1])
+        if start == 0 and cfg.max_noops > 0:
+            force_noops(env, int(rng.integers(0, cfg.max_noops + 1)))
+
+        learner.begin_rollout(demo, start)
+        score_at_start = base.cum_score
+        demo_score = demo.score
+        gain = 0.0
+        transitions: list[tuple] = []  # one per frame stepped
+        success = score_at_start >= demo_score
+        state = None if success else base.discrete_state()
+        while not success:
+            elapsed = len(transitions)
+            if base.done:
+                break
+            if cfg.rollout_frame_cap is not None and elapsed >= cfg.rollout_frame_cap:
+                break
+            if early_terminate(gain, demo.cum_rewards, start, elapsed,
+                               cfg.window, cfg.allowed_deficit):
+                break
+            action = learner.act(state, rng)
+            result = env.step(action)
+            frames += 1
+            score = base.cum_score
+            gain = score - score_at_start
+            next_state = base.discrete_state()
+            transitions.append(
+                (state, action, cfg.shaping(result.reward), next_state, result.done)
+            )
+            state = next_state
+            success = score >= demo_score
+        learner.update(transitions)
+
+        attempts += 1
+        prog.attempts_since_check += 1
+        prog.successes += success
+
+        if prog.attempts_since_check >= interval:
+            rate = prog.successes / interval
+            prog.attempts_since_check = prog.successes = 0
+            prog.last_rate = rate
+            if rate >= cfg.success_threshold:
+                if prog.max_starting_point > 0:
+                    prog.max_starting_point = max(0, prog.max_starting_point - cfg.delta)
+                else:
+                    prog.zero_confirmed = True
+                take_checkpoint()
+            emit_row(base.cum_score)
+
+    take_checkpoint()
+    emit_row(base.cum_score if attempts else float("nan"))
+    return BackwardResult(
+        progress=rows,
+        demo_progress=progress,
+        checkpoints=checkpoints,
+        attempts=attempts,
+        frames=frames,
+    )

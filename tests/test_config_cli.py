@@ -270,6 +270,8 @@ def test_cli_config_error_exit_2(tmp_path):
     "robustify.epsilon = 2",
     "robustify.gamma = 1.5",
     "robustify.allowed_deficit = nan",
+    "robustify.allowed_deficit = -1",
+    "robustify.allowed_deficit = -inf",
     "robustify.reward_scale = nan",
     *(pytest.param(f"robustify.reward_mode = scale\nrobustify.reward_scale = {v}",
                    id=f"robustify.reward_scale = {v} (scale mode)") for v in ("inf", "-1", "0")),

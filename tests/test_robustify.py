@@ -27,6 +27,7 @@ from archex.robustify import (
     select_demonstrations,
     truncate_demo,
 )
+from archex.seeding import TAG_ATTEMPT, RawDraws, stream
 from archex.selection import SelectionConfig
 from archex.trajectory import Trajectory
 
@@ -525,6 +526,134 @@ def test_learned_policy_evaluates_as_scalar_draws(kd_result, sticky_p):
     outcome = evaluate_policy(policy, small_keydoor, protocol, seed=29)
     assert outcome.scores == [row[:3] for row in rows]
     assert policy.known > 0 and policy.unknown > 256
+
+
+# -- the backward run against its scalar reference ------------------------------------
+
+
+@pytest.mark.parametrize("n", [1, 2, 5, 7, 2**31 + 1])
+def test_raw_draws_equal_scalar_generator_draws(n):
+    """The numpy property the backward run's draws rest on: a RawDraws that
+    takes over an attempt stream gives the same values as the Generator's
+    own ``random()`` and ``integers(n)`` calls, interleaved in any order,
+    also when the Generator holds a buffered 32-bit half (after
+    ``integers(0, 31)``). n = 2**31 + 1 rejects about half its draws, and
+    n = 1 draws nothing. A numpy release that breaks it fails here by name."""
+    order = np.random.default_rng(n)
+    for attempt in range(12):
+        scalars, raw = stream(9, TAG_ATTEMPT, attempt), stream(9, TAG_ATTEMPT, attempt)
+        for rng in (scalars, raw):
+            rng.integers(2**63)
+            if attempt % 2:
+                rng.integers(0, 31)
+        assert raw.bit_generator.state["has_uint32"] == attempt % 2
+        draws = RawDraws(raw)
+        for integer in order.random(700) < 0.5:
+            if integer:
+                assert draws.integers(n) == int(scalars.integers(n))
+            else:
+                assert draws.random() == scalars.random()
+
+
+def backward_facts(result, learner, path) -> dict:
+    """Everything a backward run leaves that must not depend on how it draws."""
+    save_policy(result.checkpoints[-1], path, 0)
+    return {
+        "counts": (result.attempts, result.frames, result.min_starting_point()),
+        "q": repr(learner.q),  # repr tells -0.0 from 0.0 and keeps the insertion order
+        "progress": repr(result.progress),
+        "demo_progress": repr(result.demo_progress),
+        "checkpoints": repr(result.checkpoints),
+        "policy": path.read_bytes(),
+    }
+
+
+def reference_case(world, kd_result):
+    """Demonstrations, env factory and settings for a differential run."""
+    if world == "keydoor":
+        # Two demos draw a demo index, so attempts start with a buffered half;
+        # the short one reaches frame 0, where no-op counts are drawn.
+        demo = select_demonstrations([kd_result.archive], 1, small_keydoor())[0]
+        first_key = next(i for i in range(1, demo.length + 1) if demo.reward_at(i) > 0)
+        first_level = next(i for i, c in enumerate(demo.cum_rewards) if c >= 1100.0)
+        demos = [truncate_demo(demo, max_frames=first_key),
+                 truncate_demo(demo, max_frames=first_level, to_last_reward=True)]
+        return demos, small_keydoor, dict(window=20)
+    if world == "corridor":
+        # A -1 hazard, scaled rewards and an allowed deficit.
+        return ([corridor_demo_with_early_penalty()], small_corridor,
+                dict(shaping=RewardShaping("scale"), allowed_deficit=250.0))
+    # TwoMaze has no rewards: every Q value stays 0, so every greedy action
+    # is a tie. The demo claims a score no rollout reaches.
+    env = small_twomaze()
+    demo = scripted_demo(env, [a % env.action_count for a in range(60)])
+    demo.cum_rewards[-1] = 1.0
+    return [demo], small_twomaze, dict(rollout_frame_cap=150)
+
+
+def run_against_reference(world, sticky_p, kd_result, tmp_path):
+    from oracle import ScalarQLearner, backward_run_scalar
+
+    demos, factory, overrides = reference_case(world, kd_result)
+    overrides = dict(dict(success_threshold=0.2, advance_interval=20, delta=8, window=50,
+                          sticky_p=sticky_p, max_noops=30, frame_budget=12_000,
+                          rollout_frame_cap=200), **overrides)
+    cfg = BackwardConfig(**overrides)
+    qcfg = TabularQConfig(alpha=0.3, gamma=0.98, epsilon=0.1)
+    learner, scalar = TabularQLearner(5, qcfg), ScalarQLearner(5, qcfg)
+    fast = backward_facts(backward_run(demos, learner, factory, cfg, seed=2),
+                          learner, tmp_path / "fast.ckpt")
+    slow = backward_facts(backward_run_scalar(demos, scalar, factory, cfg, seed=2),
+                          scalar, tmp_path / "scalar.ckpt")
+    return fast, slow
+
+
+@pytest.mark.parametrize("sticky_p", [0.0, 0.25])
+@pytest.mark.parametrize("world", ["keydoor", "corridor", "twomaze"])
+def test_backward_run_equals_scalar_reference(kd_result, tmp_path, world, sticky_p):
+    fast, slow = run_against_reference(world, sticky_p, kd_result, tmp_path)
+    assert fast == slow
+    assert fast["counts"][1] > 5_000  # the loop ran, not only the bookkeeping
+
+
+def test_scalar_reference_catches_a_mutated_tie_rule(kd_result, tmp_path, monkeypatch):
+    """The differential test fails when the greedy cache breaks ties by the
+    last maximum instead of the first."""
+    update = TabularQLearner.update
+
+    def last_max_update(self, transitions):
+        update(self, transitions)
+        for state, *_ in transitions:
+            row = self.q[state]
+            self.greedy[state] = max(reversed(range(self.n_actions)), key=row.__getitem__)
+
+    monkeypatch.setattr(TabularQLearner, "update", last_max_update)
+    for world in ("keydoor", "twomaze"):
+        fast, slow = run_against_reference(world, 0.25, kd_result, tmp_path)
+        assert fast["q"] != slow["q"] and fast["policy"] != slow["policy"]
+
+
+REWARDS = st.sampled_from([0.0, -0.0, 1.0, -1.0, 0.5, -0.5, 2.0])
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(n_actions=st.integers(1, 4),
+       alpha=st.sampled_from([0.5, 1.0]),
+       gamma=st.sampled_from([0.0, 0.5, 1.0]),
+       transitions=st.lists(st.tuples(st.integers(0, 3), st.integers(0, 3), REWARDS,
+                                      st.integers(0, 4), st.booleans()),
+                            min_size=1, max_size=60))
+def test_greedy_cache_is_first_max_after_every_update(n_actions, alpha, gamma, transitions):
+    """Ties, lowered greedy values and negative or zero rewards: after each
+    transition every row's cached action is its first maximum."""
+    learner = TabularQLearner(n_actions, TabularQConfig(alpha=alpha, gamma=gamma))
+    for state, action, reward, next_state, done in transitions:
+        learner.update([((state,), action % n_actions, reward, (next_state,), done)])
+        assert learner.greedy.keys() == learner.q.keys()
+        for key, row in learner.q.items():
+            best = learner.greedy[key]
+            assert best == max(range(n_actions), key=row.__getitem__)
+            assert row[best] == max(row)
 
 
 # -- policy checkpoints -------------------------------------------------------------------
