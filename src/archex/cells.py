@@ -8,9 +8,11 @@ states mapping to the same key are indistinguishable downstream.
 
 A mapper is called as ``mapper(source, info)``: ``source`` is either an
 :class:`Observation` (whose frame is already drawn) or the environment that
-just stepped, which the downscaled mapper renders and the domain mapper never
-touches. Stepping therefore renders only when the representation reads
-pixels.
+just stepped, which the domain mapper never touches. The downscaled mapper
+looks an environment up by its config hash and discrete state, and renders
+only on a memo miss: a world's frame is a function of those two (see
+:meth:`GridWorld.render`), so a stepping run renders about once per distinct
+state.
 
 Downscaling is computed in exact integer arithmetic: for output pixel (i, j)
 the quantized value is ``floor(mean * (depth + 1) / 256)`` where ``mean`` is
@@ -191,30 +193,39 @@ def neighbors(key: CellKey, include_more_keys: bool = True) -> list[Neighbor]:
 FrameSource = Union[Observation, GridWorld]
 CellMapper = Callable[[FrameSource, DomainInfo], CellKey]
 
-DOWNSCALE_MEMO_LIMIT = 200_000  # frames a downscale mapper memoises before clearing
-
-
-def frame_of(source: FrameSource) -> np.ndarray:
-    """An observation's frame, or a fresh render of an environment."""
-    if isinstance(source, Observation):
-        return source.frame
-    return source.render()
+# Entries each of a downscale mapper's memos (environment states, frame
+# bytes) holds before it is cleared.
+DOWNSCALE_MEMO_LIMIT = 200_000
 
 
 def downscale_mapper(params: DownscaleParams) -> CellMapper:
-    """Mapper with a frame-bytes memo; identical frames repeat constantly."""
-    cache: dict[bytes, DownscaledKey] = {}
+    """Mapper with two memos: environments by (config hash, discrete state),
+    so a known state is never rendered again, and frames by their bytes,
+    since different states often draw the same frame."""
+    by_frame: dict[bytes, DownscaledKey] = {}
+    by_state: dict[tuple, DownscaledKey] = {}
+
+    def of_frame(frame: np.ndarray) -> DownscaledKey:
+        raw = frame.tobytes()
+        key = by_frame.get(raw)
+        if key is None:
+            key = downscale_cell(frame, params)
+            if len(by_frame) >= DOWNSCALE_MEMO_LIMIT:
+                by_frame.clear()
+            by_frame[raw] = key
+        return key
 
     def mapper(source: FrameSource, info: DomainInfo) -> CellKey:
         del info
-        frame = frame_of(source)
-        raw = frame.tobytes()
-        key = cache.get(raw)
+        if isinstance(source, Observation):
+            return of_frame(source.frame)
+        state = (source.config_hash, source.discrete_state())
+        key = by_state.get(state)
         if key is None:
-            key = downscale_cell(frame, params)
-            if len(cache) >= DOWNSCALE_MEMO_LIMIT:
-                cache.clear()
-            cache[raw] = key
+            key = of_frame(source.render())
+            if len(by_state) >= DOWNSCALE_MEMO_LIMIT:
+                by_state.clear()
+            by_state[state] = key
         return key
 
     return mapper

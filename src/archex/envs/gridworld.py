@@ -16,9 +16,10 @@ including in snapshots taken mid-episode.
 builds the ground-truth features where they are read (exploration
 rollouts, replay verification, demonstration building), and :meth:`render`
 is the only renderer, called where a frame is read: :meth:`observe`, the
-downscaled-cell mapper, and ``archex replay --render``. :meth:`reset`
-restores the start snapshot and returns the start observation drawn once
-at construction, so robustification and evaluation never render.
+downscaled-cell mapper on a memo miss, and ``archex replay --render``.
+:meth:`reset` restores the start snapshot and returns the start
+observation drawn once at construction, so robustification and evaluation
+never render.
 :meth:`discrete_state` keeps the part of its tuple that only pickups, door
 openings, treasures, level advances, reset and restore change, so between
 those events it costs one tuple concatenation.
@@ -426,7 +427,14 @@ class GridWorld:
             self._dyn.append(dyn)
 
     def render(self) -> np.ndarray:
-        """Render the current viewport as a fresh uint8 intensity frame."""
+        """Render the current viewport as a fresh uint8 intensity frame.
+
+        The frame is a pure function of the config (``config_hash``) and
+        :meth:`discrete_state`: the viewport and the agent tile come from
+        the position, the dynamic tiles from the taken keys, the opened
+        doors and the collected treasures. The downscaled-cell mapper
+        memoises keys on that pair, so a state this method draws must be
+        in :meth:`discrete_state` too."""
         view = 0 if len(self._bg) == 1 else self.room_of(self.x, self.y)
         frame = self._bg[view].copy()
         tp = self.tile_px
@@ -513,6 +521,9 @@ class GridWorld:
         self._state_tail = None
 
     def discrete_state(self) -> tuple[int, ...]:
+        """Position, level, held keys and the taken keys, opened doors and
+        collected treasures, as one tuple of ints. Two states of one config
+        with equal tuples render the same frame (see :meth:`render`)."""
         tail = self._state_tail
         if tail is None:
             tail = self._state_tail = (

@@ -12,6 +12,8 @@ from __future__ import annotations
 
 from typing import Iterator
 
+from numpy.random import Generator
+
 from ..errors import ConfigError
 from ..seeding import TAG_WRAPPER, stream
 from .base import EnvSnapshot, Observation, StepResult
@@ -31,6 +33,8 @@ class StickyActions:
     The uniforms come from a private stream reseeded by :meth:`reset`, drawn
     in blocks: the draw sequence is the same as one ``random()`` call per
     decision, and the unused rest of a block is dropped at the next reset.
+    The stream's generator is built at the first refill after a reset, so
+    an episode that draws nothing (any episode at ``p == 0``) builds none.
 
     It forwards only ``noop_action`` to ``inner``, the environment
     underneath; read anything else there, snapshots included. A ``__getattr__``
@@ -44,7 +48,8 @@ class StickyActions:
         self.inner = inner
         self.p = p
         self._prev: int | None = None
-        self._rng = stream(0, TAG_WRAPPER, _SALT_STICKY)
+        self._seed = 0
+        self._rng: Generator | None = None  # built by _refill
         self._uniforms: Iterator[float] = iter(())
 
     @property
@@ -52,7 +57,8 @@ class StickyActions:
         return self.inner.noop_action
 
     def reset(self, seed: int) -> tuple[Observation, EnvSnapshot]:
-        self._rng = stream(seed, TAG_WRAPPER, _SALT_STICKY)
+        self._seed = seed
+        self._rng = None
         self._uniforms = iter(())
         self._prev = None
         return self.inner.reset(seed)
@@ -66,12 +72,18 @@ class StickyActions:
         if self._prev is not None and self.p > 0.0:
             u = next(self._uniforms, None)
             if u is None:
-                self._uniforms = iter(self._rng.random(_STICKY_BLOCK).tolist())
-                u = next(self._uniforms)
+                u = self._refill()
             if u < self.p:
                 executed = self._prev
         self._prev = executed
         return self.inner.step(executed)
+
+    def _refill(self) -> float:
+        """Draw the next block of uniforms and return its first."""
+        if self._rng is None:
+            self._rng = stream(self._seed, TAG_WRAPPER, _SALT_STICKY)
+        self._uniforms = iter(self._rng.random(_STICKY_BLOCK).tolist())
+        return next(self._uniforms)
 
 
 def force_noops(env: GridWorld | StickyActions, n: int) -> None:

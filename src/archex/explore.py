@@ -10,12 +10,13 @@ purpose, iteration, worker), so runs are reproducible and resumable bit-for-
 bit.
 
 A rollout does only the work whose result is used: it snapshots a visit
-only when the visit can still win the merge, it renders a frame only when
-the cell mapper reads one, and it hands the merge one aggregate per cell it
-visited (a visit count and the cell's last winning visit; see
-:func:`explore_from`). The merge then runs once per (rollout, cell), and
-gives the same records, visit counts, discovery credit and order of added
-keys as folding in every visit on its own.
+only when the visit can still win the merge, it leaves rendering to the
+cell mapper (the downscaled mapper renders a state only the first time it
+sees it), and it hands the merge one aggregate per cell it visited (a
+visit count and the cell's last winning visit; see :func:`explore_from`).
+The merge then runs once per (rollout, cell), and gives the same records,
+visit counts, discovery credit and order of added keys as folding in every
+visit on its own.
 """
 
 from __future__ import annotations

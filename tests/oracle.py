@@ -17,7 +17,10 @@ over the Q row wherever a greedy action or value is needed, where
 :func:`archex.robustify.backward_run` reads the same draws through
 :class:`archex.seeding.RawDraws` and :class:`archex.robustify.TabularQLearner`
 caches each row's greedy action; both must give the same Q tables, progress
-rows and checkpoints.
+rows and checkpoints. :func:`plain_downscale_mapper` downscales every
+frame it is handed, rendering an environment on every call, where
+:func:`archex.cells.downscale_mapper` memoises keys by environment state and
+by frame bytes; both must give the same keys.
 """
 
 from __future__ import annotations
@@ -27,8 +30,15 @@ from typing import Callable, NamedTuple, Sequence
 import numpy as np
 
 from archex.archive import Archive, CellRecord, UpdateOutcome, beats
-from archex.cells import CellKey, CellMapper, DomainKey
-from archex.envs.base import EnvSnapshot
+from archex.cells import (
+    CellKey,
+    CellMapper,
+    DomainKey,
+    DownscaleParams,
+    FrameSource,
+    downscale_cell,
+)
+from archex.envs.base import DomainInfo, EnvSnapshot, Observation
 from archex.envs.gridworld import GridWorld
 from archex.envs.wrappers import StickyActions, force_noops
 from archex.evaluation import EvalProtocol
@@ -173,6 +183,22 @@ def merge_results(archive: Archive, results: list[VisitResult]) -> IterationStat
         stats.rooms |= result.rooms
         stats.max_level = max(stats.max_level, result.max_level)
     return stats
+
+
+def frame_of(source: FrameSource) -> np.ndarray:
+    """An observation's frame, or a fresh render of an environment."""
+    if isinstance(source, Observation):
+        return source.frame
+    return source.render()
+
+
+def plain_downscale_mapper(params: DownscaleParams) -> CellMapper:
+    """The downscaled representation without a memo."""
+    def mapper(source: FrameSource, info: DomainInfo) -> CellKey:
+        del info
+        return downscale_cell(frame_of(source), params)
+
+    return mapper
 
 
 def myopic_greedy_baseline(

@@ -264,51 +264,99 @@ EVENTS_EXPECTED = {
 }
 
 
-@pytest.mark.parametrize("world", sorted(EVENTS_EXPECTED))
-def test_cached_state_and_features_match_recomputation(world):
-    """Random action streams that return to random earlier states reach
-    pickups, door openings, level advances, hazard respawns and treasures;
-    after every step, restore and reset the cached discrete_state() and
-    features() equal a recomputation from the dynamic state."""
-    env = ENV_FACTORIES[world]()
-    assert all(env.room_of(x, y) == room_oracle(env, x, y)
-               for x in range(env.width) for y in range(env.height))
-    rng = np.random.default_rng(11)
-    events = set()
+def random_walk(env, seed, steps):
+    """Random action streams that return to random earlier states: after
+    each reset, restore or step, yield the events it caused ("reset",
+    "restore", "level", "pickup", "door", "treasure", "respawn" for a jump
+    of more than one tile within a level, "kill" for a step that ends the
+    episode before its time limit)."""
+    rng = np.random.default_rng(seed)
     _, snap = env.reset(0)
     seen = {env.discrete_state(): snap}
     action = ACTION_NOOP
-    for _ in range(6000):
+    for _ in range(steps):
         u = rng.random()
         if u < 0.01 or env.done:
             env.reset(0)
-            events.add("reset")
+            yield {"reset"}
         elif u < 0.06:
             snaps = list(seen.values())
             env.restore(snaps[int(rng.integers(len(snaps)))])
-            events.add("restore")
+            yield {"restore"}
         else:
             if rng.random() < 0.3:
                 action = int(rng.integers(env.action_count))
             counts = (env.level, len(env.keys_taken), len(env.doors_open),
                       len(env.treasures_taken))
-            reward = env.step(action).reward
+            x, y = env.x, env.y
+            env.step(action)
             after = (env.level, len(env.keys_taken), len(env.doors_open),
                      len(env.treasures_taken))
-            for name, old, new in zip(("level", "pickup", "door", "treasure"),
-                                      counts, after):
-                if new > old:
-                    events.add(name)
-            if reward < 0:
+            events = {name for name, old, new in zip(("level", "pickup", "door", "treasure"),
+                                                     counts, after) if new > old}
+            if after[0] == counts[0] and abs(env.x - x) + abs(env.y - y) > 1:
                 events.add("respawn")
+            if env.done and env.frame_counters()[0] < env.time_limit_game_frames:
+                events.add("kill")
             if not env.done and state_oracle(env) not in seen:
                 seen[state_oracle(env)] = env.snapshot()
+            yield events
+
+
+@pytest.mark.parametrize("world", sorted(EVENTS_EXPECTED))
+def test_cached_state_and_features_match_recomputation(world):
+    """Random walks reach pickups, door openings, level advances, hazard
+    respawns and treasures; after every step, restore and reset the cached
+    discrete_state() and features() equal a recomputation from the dynamic
+    state."""
+    env = ENV_FACTORIES[world]()
+    assert all(env.room_of(x, y) == room_oracle(env, x, y)
+               for x in range(env.width) for y in range(env.height))
+    events = set()
+    for happened in random_walk(env, 11, 6000):
+        events |= happened
         state = env.discrete_state()
         assert state == state_oracle(env)
         assert env.discrete_state() == state
         assert env.features() == (env.x, env.y, room_oracle(env, env.x, env.y),
                                   env.level, env.held)
     assert EVENTS_EXPECTED[world] <= events
+
+
+# Hazards clear of every doorway, each more than one tile from the room's
+# respawn point, so a respawn is a jump.
+KEYDOOR_HAZARDS = ((0, 4, 0), (1, 3, 4), (2, 4, 4))
+RENDER_WORLDS = {
+    # name: (factory, events the walk must reach)
+    "twomaze": (small_twomaze, {"reset", "restore"}),
+    "keydoor-kill": (lambda: small_keydoor(hazards=KEYDOOR_HAZARDS),
+                     {"pickup", "door", "level", "kill"}),
+    "keydoor-respawn": (lambda: small_keydoor(hazards=KEYDOOR_HAZARDS, hazard_policy="respawn"),
+                        {"pickup", "door", "level", "respawn"}),
+    "corridor": (small_corridor, {"treasure", "respawn"}),
+}
+
+
+@pytest.mark.parametrize("world", sorted(RENDER_WORLDS))
+def test_equal_discrete_states_render_equal_frames(world):
+    """The contract the downscaled mapper's memo rests on: within one
+    config, render() is a function of discrete_state(). Any two points of
+    seeded random walks, across resets, restores, pickups, doors, level
+    advances, kills, respawns and treasures, whose discrete states are
+    equal render the same bytes."""
+    factory, expected = RENDER_WORLDS[world]
+    env = factory()
+    frames = {}
+    events = set()
+    visits = 0
+    for seed in (3, 4):
+        for happened in random_walk(env, seed, 6000):
+            events |= happened
+            frame = env.render().tobytes()
+            assert frames.setdefault(env.discrete_state(), frame) == frame
+            visits += 1
+    assert expected <= events
+    assert visits > 4 * len(frames)  # most points revisit a state
 
 
 # -- sticky wrapper -------------------------------------------------------------

@@ -27,6 +27,7 @@ from conftest import (
     ENV_FACTORIES,
     CountingPolicy,
     bfs_reachable_states,
+    small_corridor,
     small_keydoor,
     small_twomaze,
 )
@@ -172,6 +173,32 @@ def test_do_nothing_policy_scores_zero():
                             time_limit_game_frames=200)
     result = evaluate_policy(Noop(), small_keydoor, protocol, seed=0)
     assert result.grand_mean == 0.0
+
+
+# Raw scores of the sweep below at sticky_p 0.25, from when StickyActions
+# built its stream at every reset.
+STICKY_SCORES = [-15.0, -17.0, -20.0, -16.0, -12.0, -13.0, -13.0, -10.0]
+
+
+@pytest.mark.parametrize("sticky_p", [0.0, 0.25])
+def test_sticky_stream_built_only_where_drawn(monkeypatch, sticky_p):
+    """The sticky wrapper builds its stream at an episode's first draw: a
+    sweep at sticky_p 0 builds none, and one at 0.25 builds one per episode
+    and keeps its scores."""
+    import archex.envs.wrappers as W
+    from archex.robustify import GreedyTabularPolicy
+
+    built = []
+    real = W.stream
+    monkeypatch.setattr(W, "stream", lambda *args: built.append(args) or real(*args))
+    protocol = EvalProtocol(max_noop=3, min_episodes=2, sticky_p=sticky_p,
+                            time_limit_game_frames=2_400)
+    result = evaluate_policy(GreedyTabularPolicy({}, 5), small_corridor, protocol, seed=31)
+    if sticky_p == 0.0:
+        assert built == []
+    else:
+        assert len(built) == len(result.scores) == 8
+        assert [score for *_, score in result.scores] == STICKY_SCORES
 
 
 # -- fallback actions drawn in blocks -------------------------------------------------

@@ -484,6 +484,73 @@ def test_rollout_merge_matches_per_visit_oracle(monkeypatch, name):
     assert any(r.times_seen > 1 for r in archive.cells.values())
 
 
+# -- downscale memo against the un-memoised mapper -------------------------------------
+
+
+DOWNSCALE_PARAMS = dict(width=8, height=6, depth=8)
+MEMO_CASES = {
+    # name: (env factory, budget); the keydoor run reaches level 1, where the
+    # frames of level 0 come back under other states.
+    "twomaze": (small_twomaze, 4000),
+    "corridor": (small_corridor, 4000),
+    "keydoor": (small_keydoor, 8000),
+}
+
+
+@pytest.mark.parametrize("name", sorted(MEMO_CASES))
+def test_downscale_memo_matches_unmemoised_mapper(monkeypatch, name):
+    """Keys memoised by environment state leave the checkpoint bytes an
+    un-memoised mapper leaves, after every iteration, and the memoised
+    mapper renders each distinct state it maps exactly once."""
+    from archex.cells import DownscaleParams, downscale_mapper
+    from archex.envs.gridworld import GridWorld
+
+    factory, budget = MEMO_CASES[name]
+    params = DownscaleParams(**DOWNSCALE_PARAMS)
+    cfg = cfg_with(budget_training_frames=budget, metric_interval_game_frames=1000, seed=5)
+    memoised = downscale_mapper(params)
+    states = set()
+
+    def spied(source, info):
+        if isinstance(source, GridWorld):
+            states.add(source.discrete_state())
+        return memoised(source, info)
+
+    render = GridWorld.render
+    renders = []
+    monkeypatch.setattr(GridWorld, "render", lambda env: renders.append(1) or render(env))
+    got = per_iteration(monkeypatch, explore_from, merge_results, factory, cfg,
+                        SelectionConfig(), spied)
+    assert len(renders) == 1 + len(states)  # one at construction, for the start observation
+    monkeypatch.undo()
+    want = per_iteration(monkeypatch, explore_from, merge_results, factory, cfg,
+                         SelectionConfig(), oracle.plain_downscale_mapper(params))
+    assert len(got[0]) >= 40
+    assert got == want
+    if name == "keydoor":
+        assert max(level for _, _, level in got[1]) >= 1
+
+
+def test_downscale_memo_keeps_worlds_apart():
+    """One mapper alternating between two worlds whose start states are
+    equal but whose frames differ (a hazard tile) returns each world's own
+    key: the memo is keyed by config hash as well as state."""
+    from archex.cells import DownscaleParams, downscale_cell, downscale_mapper
+
+    params = DownscaleParams(**DOWNSCALE_PARAMS)
+    worlds = [small_keydoor(), small_keydoor(hazards=((0, 0, 0),))]
+    for env in worlds:
+        env.reset(0)
+    assert worlds[0].discrete_state() == worlds[1].discrete_state()
+    assert worlds[0].config_hash != worlds[1].config_hash
+    want = [downscale_cell(env.render(), params) for env in worlds]
+    assert want[0] != want[1]
+    mapper = downscale_mapper(params)
+    for _ in range(3):
+        for env, key in zip(worlds, want):
+            assert mapper(env, env.features()) == key
+
+
 # -- myopic greedy baseline -------------------------------------------------------------
 
 
