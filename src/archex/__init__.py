@@ -10,7 +10,6 @@ from .cells import (
     DownscaledKey,
     DownscaleParams,
     downscale_cell,
-    neighbors,
 )
 from .envs import DeceptiveCorridor, KeyDoorWorld, TwoMaze
 from .evaluation import EvalProtocol, bootstrap_ci, evaluate_policy, grand_mean
@@ -53,7 +52,6 @@ __all__ = [
     "evaluate_policy",
     "explore_from",
     "grand_mean",
-    "neighbors",
     "run_phase1",
     "sample_batch",
     "select_demonstrations",

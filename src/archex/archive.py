@@ -14,10 +14,12 @@ the target, so a failed write leaves the previous checkpoint intact
 (:func:`write_atomic`, which policy checkpoints and every CSV output use too).
 
 Every added key is indexed once (see :meth:`Archive._index`): its encoding,
-kept for the canonical key order, and the archive's max level. Selection's
-missing-neighbor masks are built on their first read, from the keys added
-since the last one, so an archive that is only loaded, replayed or
-robustified never builds them.
+kept for the canonical key order, and the archive's max level. The archive
+owns the neighbor slots of a domain key, which selection weights: the bit
+layout of its missing-neighbor masks (:data:`SLOT_KINDS`), the four grid
+slots and the more-keys rule. The masks are built on their first read, from
+the keys added since the last one, so an archive that is only loaded,
+replayed or robustified never builds them.
 """
 
 from __future__ import annotations
@@ -28,11 +30,12 @@ import hashlib
 import io
 import os
 import struct
+from collections import Counter
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Callable, Iterable, Iterator, Sequence
 
-from .cells import CellKey, DomainKey, MoreKeysProbe, decode_key, neighbors
+from .cells import CellKey, DomainKey, decode_key
 from .envs.base import EnvSnapshot, peek_config_hash, read_state_head, unpack_snapshot
 from .errors import CheckpointError, ConfigError, ContractError, SnapshotFormatError
 from .trajectory import Trajectory
@@ -41,10 +44,29 @@ CHECKPOINT_MAGIC = b"AXARCH\x00\x01"
 CHECKPOINT_VERSION = 1
 
 
-# Missing-neighbor mask bits, in the slot order of cells.neighbors(): 0 is
-# x-1, 1 is x+1, 2 is y-1, 3 is y+1 (slot b's opposite is b ^ 1), and 4 is
-# the more-keys slot.
+# Missing-neighbor mask bits: 0 is x-1, 1 is x+1, 2 is y-1, 3 is y+1 (slot
+# b's opposite is b ^ 1), and 4 is the more-keys slot: a key at the same
+# position whose key multiset strictly extends this one. SLOT_KINDS gives
+# each bit's kind, in bit order.
+SLOT_KINDS = ("horizontal", "horizontal", "vertical", "vertical", "more_keys")
 MORE_KEYS_BIT = 1 << 4
+
+
+def _grid_slots(key: DomainKey) -> tuple[DomainKey, ...]:
+    """The keys of grid slots 0-3, in bit order. Slots outside the world
+    are keys like any other; they are never archived."""
+    x, y = key.x_bin, key.y_bin
+    return (key._replace(x_bin=x - 1), key._replace(x_bin=x + 1),
+            key._replace(y_bin=y - 1), key._replace(y_bin=y + 1))
+
+
+def _has_more_keys(other: DomainKey, key: DomainKey) -> bool:
+    """Whether ``other``, a key at ``key``'s position, fills ``key``'s
+    more-keys slot."""
+    if len(other.key_rooms) <= len(key.key_rooms):
+        return False
+    have = Counter(other.key_rooms)
+    return all(have[r] >= c for r, c in Counter(key.key_rooms).items())
 
 
 def beats(score: float, traj_len: int, best_score: float, best_len: int) -> bool:
@@ -186,18 +208,17 @@ class Archive:
         masks = self._missing
         for key in self._unmasked:
             mask = 0
-            for bit, (_, slot) in enumerate(neighbors(key, include_more_keys=False)):
+            for bit, slot in enumerate(_grid_slots(key)):
                 if slot in masks:
                     masks[slot] &= ~(1 << (bit ^ 1))
                 else:
                     mask |= 1 << bit
             pos = (key.x_bin, key.y_bin, key.room, key.level)
             same_pos = self._pos_index.setdefault(pos, [])
-            probe = MoreKeysProbe(key)
-            if not any(probe.matches(other) for other in same_pos):
+            if not any(_has_more_keys(other, key) for other in same_pos):
                 mask |= MORE_KEYS_BIT
             for other in same_pos:
-                if MoreKeysProbe(other).matches(key):
+                if _has_more_keys(key, other):
                     masks[other] &= ~MORE_KEYS_BIT
             same_pos.append(key)
             masks[key] = mask
@@ -231,14 +252,6 @@ class Archive:
 
     def max_score(self) -> float:
         return max((r.score for r in self.cells.values()), default=0.0)
-
-    def has_neighbor(self, slot: DomainKey | MoreKeysProbe) -> bool:
-        if isinstance(slot, MoreKeysProbe):
-            self._index_neighbors()
-            base = slot.base
-            pos = (base.x_bin, base.y_bin, base.room, base.level)
-            return any(slot.matches(k) for k in self._pos_index.get(pos, ()))
-        return slot in self.cells
 
 
 # -- checkpoint serialization ---------------------------------------------------

@@ -4,7 +4,9 @@ Two interchangeable representations are provided. The domain-agnostic one
 downscales the observation frame with area interpolation and quantizes the
 result to a small integer range; the domain one bins ground-truth position
 features. Keys are small immutable values with structural equality, so two
-states mapping to the same key are indistinguishable downstream.
+states mapping to the same key are indistinguishable downstream. A domain
+key's neighbor slots, which selection weights, belong to the archive that
+holds the keys (:mod:`archex.archive`).
 
 A mapper is called as ``mapper(source, info)``: ``source`` is either an
 :class:`Observation` (whose frame is already drawn) or the environment that
@@ -23,9 +25,7 @@ source intensities.
 
 from __future__ import annotations
 
-import enum
 import struct
-from collections import Counter
 from dataclasses import dataclass
 from typing import Callable, NamedTuple, Union
 
@@ -43,8 +43,9 @@ class DownscaleParams:
     depth: int = 8  # quantized values span 0..depth inclusive
 
     def __post_init__(self) -> None:
-        if self.width < 1 or self.height < 1:
-            raise ConfigError("downscale width/height must be >= 1")
+        for name in ("width", "height"):  # DownscaledKey.encode packs 16 bits each
+            if not 1 <= getattr(self, name) <= 0xFFFF:
+                raise ConfigError(f"downscale {name} must be in [1, 65535]")
         if not 1 <= self.depth <= 255:
             raise ConfigError("downscale depth must be in [1, 255]")
 
@@ -135,57 +136,6 @@ def downscale_cell(frame: np.ndarray, params: DownscaleParams) -> DownscaledKey:
     return DownscaledKey(
         params.width, params.height, params.depth, q.astype(np.uint8).tobytes()
     )
-
-
-# -- domain representation ----------------------------------------------------
-
-class NeighborKind(enum.Enum):
-    HORIZONTAL = "horizontal"
-    VERTICAL = "vertical"
-    MORE_KEYS = "more_keys"
-
-
-@dataclass(frozen=True, slots=True)
-class MoreKeysProbe:
-    """Predicate form of the "more keys" neighbor: matches any archived key
-    at the same position whose key multiset strictly extends this one."""
-
-    base: DomainKey
-
-    def matches(self, other: DomainKey) -> bool:
-        b = self.base
-        if (other.x_bin, other.y_bin, other.room, other.level) != (
-            b.x_bin, b.y_bin, b.room, b.level,
-        ):
-            return False
-        if len(other.key_rooms) <= len(b.key_rooms):
-            return False
-        need = Counter(b.key_rooms)
-        have = Counter(other.key_rooms)
-        return all(have[r] >= c for r, c in need.items())
-
-
-Neighbor = tuple[NeighborKind, Union[DomainKey, MoreKeysProbe]]
-
-
-def neighbors(key: CellKey, include_more_keys: bool = True) -> list[Neighbor]:
-    """Enumerate the neighbor slots of a domain key.
-
-    Two horizontal, two vertical, and (unless ``include_more_keys`` is
-    false) one more-keys slot. Out-of-world neighbors are emitted uniformly;
-    they simply never exist in an archive.
-    """
-    if not isinstance(key, DomainKey):
-        raise RepresentationError("neighbors are only defined for domain keys")
-    out: list[Neighbor] = [
-        (NeighborKind.HORIZONTAL, key._replace(x_bin=key.x_bin - 1)),
-        (NeighborKind.HORIZONTAL, key._replace(x_bin=key.x_bin + 1)),
-        (NeighborKind.VERTICAL, key._replace(y_bin=key.y_bin - 1)),
-        (NeighborKind.VERTICAL, key._replace(y_bin=key.y_bin + 1)),
-    ]
-    if include_more_keys:
-        out.append((NeighborKind.MORE_KEYS, MoreKeysProbe(key)))
-    return out
 
 
 # -- mapper factories ---------------------------------------------------------

@@ -250,11 +250,6 @@ class ReprConfig:
         if self.grid_size < 1:
             raise ConfigError("repr.grid_size must be >= 1")
 
-    def build_mapper(self) -> CellMapper:
-        if self.mode == "domain":
-            return domain_mapper(self.grid_size)
-        return downscale_mapper(self.downscale)
-
 
 @dataclass(frozen=True)
 class RobustifyConfig:
@@ -297,7 +292,10 @@ class ExperimentConfig:
         return lambda: ctor(**kwargs)
 
     def mapper(self) -> CellMapper:
-        return self.representation.build_mapper()
+        rep = self.representation
+        if rep.mode == "domain":
+            return domain_mapper(rep.grid_size)
+        return downscale_mapper(rep.downscale)
 
 
 def _env_section(r: _Reader) -> tuple[str, dict]:

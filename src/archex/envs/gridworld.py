@@ -285,29 +285,17 @@ class GridWorld:
 
     # -- dynamics ----------------------------------------------------------
 
-    def _tile(self, x: int, y: int) -> int:
-        code = self.base[y * self.width + x]
-        if code == TILE_KEY and self._key_at[(x, y)] in self.keys_taken:
-            return TILE_FLOOR
-        if code == TILE_DOOR and self._door_at[(x, y)] in self.doors_open:
-            return TILE_FLOOR
-        if (
-            code == TILE_TREASURE
-            and self.treasure_mode == "collect"
-            and self._treasure_at[(x, y)] in self.treasures_taken
-        ):
-            return TILE_FLOOR
-        return code
-
     def _tick(self, action: int) -> float:
         reward = 0.0
         dx, dy = _DELTAS[action]
         if dx or dy:
             nx, ny = self.x + dx, self.y + dy
-            code = self._tile(nx, ny)
+            # Keys and treasures, taken or not, are walked onto like floor,
+            # and so is an opened door.
+            code = self.base[ny * self.width + nx]
             if code == TILE_WALL:
                 pass
-            elif code == TILE_DOOR:
+            elif code == TILE_DOOR and self._door_at[(nx, ny)] not in self.doors_open:
                 if self.held:
                     # Unlocking consumes the frame and the lowest-room key.
                     self.held = self.held[1:]
@@ -508,6 +496,10 @@ class GridWorld:
             raise SnapshotFormatError(f"snapshot payload corrupt: {exc}") from exc
         if offset != len(payload):
             raise SnapshotFormatError("snapshot payload has trailing bytes")
+        if not (0 <= x < self.width and 0 <= y < self.height
+                and self.base[y * self.width + x] != TILE_WALL):
+            # No step reaches it.
+            raise SnapshotFormatError(f"snapshot position ({x},{y}) is off the grid or a wall")
         self._score = score
         self._training_frames = tf
         self._game_frames = gf

@@ -15,11 +15,12 @@ Scores are strictly positive, so every cell keeps a nonzero selection
 probability. Probabilities are the scores normalized over the archive, and
 batches are drawn with replacement by cumulative-sum roulette.
 
-:func:`cell_probs` scores the whole archive at once. It reads neighbor
-weights from the archive's incrementally kept missing-neighbor masks and
-takes one level weight per distinct level gap, with the same operations in
-the same order as the per-cell formula above, so it agrees bit for bit with
-the scalar oracle the tests keep (``tests/oracle.py``).
+:func:`cell_probs` scores the whole archive at once. Its neighbor term reads
+the archive's missing-neighbor masks (the archive owns the slots, see
+:data:`archex.archive.SLOT_KINDS`) through :func:`neigh_weight_table`, and
+it takes one level weight per distinct level gap, with the same operations
+in the same order as the per-cell formula above, so it agrees bit for bit
+with the scalar oracle the tests keep (``tests/oracle.py``).
 """
 
 from __future__ import annotations
@@ -30,8 +31,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .archive import MORE_KEYS_BIT, Archive
-from .cells import CellKey, DomainKey, NeighborKind, neighbors
+from .archive import SLOT_KINDS, Archive
+from .cells import CellKey, DomainKey
 from .errors import ConfigError
 
 
@@ -80,28 +81,18 @@ def count_subscores(v: np.ndarray, w: float, p: float, eps1: float, eps2: float)
 
 
 def neigh_subscore(key: CellKey, archive: Archive, cfg: SelectionConfig) -> float:
-    """Total weight of neighbor slots missing from the archive; 0 outside
-    domain mode."""
-    if not cfg.domain_mode or not isinstance(key, DomainKey):
+    """Total weight of the key's missing neighbor slots, as :func:`cell_probs`
+    reads it; 0 outside domain mode."""
+    if not cfg.domain_mode:
         return 0.0
-    weight = {
-        NeighborKind.HORIZONTAL: cfg.w_horizontal,
-        NeighborKind.VERTICAL: cfg.w_vertical,
-        NeighborKind.MORE_KEYS: cfg.w_more_keys,
-    }
-    total = 0.0
-    for kind, slot in neighbors(key):
-        if not archive.has_neighbor(slot):
-            total += weight[kind]
-    return total
+    return float(neigh_weight_table(cfg)[archive.missing_neighbors.get(key, 0)])
 
 
 def neigh_weight_table(cfg: SelectionConfig) -> np.ndarray:
-    """:func:`neigh_subscore` for each of the 32 missing-neighbor masks,
-    summed in the same slot order (that of :func:`archex.cells.neighbors`)."""
-    slots = [cfg.w_horizontal, cfg.w_horizontal, cfg.w_vertical, cfg.w_vertical,
-             cfg.w_more_keys]
-    table = np.zeros(MORE_KEYS_BIT << 1, np.float64)
+    """The total weight of each of the 32 missing-neighbor masks, summed in
+    slot order; a slot of kind ``k`` weighs ``cfg.w_<k>``."""
+    slots = [getattr(cfg, f"w_{kind}") for kind in SLOT_KINDS]
+    table = np.zeros(1 << len(slots), np.float64)
     for mask in range(len(table)):
         total = 0.0
         for bit, w in enumerate(slots):

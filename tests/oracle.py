@@ -25,6 +25,7 @@ by frame bytes; both must give the same keys.
 
 from __future__ import annotations
 
+from collections import Counter
 from typing import Callable, NamedTuple, Sequence
 
 import numpy as np
@@ -64,7 +65,6 @@ from archex.selection import (
     SelectionConfig,
     count_subscores,
     level_weight,
-    neigh_subscore,
 )
 
 
@@ -75,6 +75,31 @@ def count_subscore(v: int, w: float, p: float, eps1: float, eps2: float) -> floa
     return float(count_subscores(np.array([v], np.float64), w, p, eps1, eps2)[0])
 
 
+def missing_slots(archive: Archive, key: DomainKey) -> int:
+    """The missing-neighbor mask of ``key``, found by scanning every archived
+    key. Bits 0-3 are the grid slots x-1, x+1, y-1 and y+1: the key moved
+    one bin, all else equal. Bit 4 is the more-keys slot: a key at the same
+    position whose key multiset strictly contains this one's."""
+    grid = ((-1, 0), (1, 0), (0, -1), (0, 1))
+    mask = 0b11111
+    for other in archive.cells:
+        if not isinstance(other, DomainKey) or (other.room, other.level) != (key.room, key.level):
+            continue
+        delta = (other.x_bin - key.x_bin, other.y_bin - key.y_bin)
+        if other.key_rooms == key.key_rooms and delta in grid:
+            mask &= ~(1 << grid.index(delta))
+        if (delta == (0, 0) and len(other.key_rooms) > len(key.key_rooms)
+                and not Counter(key.key_rooms) - Counter(other.key_rooms)):
+            mask &= ~(1 << 4)
+    return mask
+
+
+def slot_weights(cfg: SelectionConfig) -> tuple[float, ...]:
+    """The weight of each :func:`missing_slots` bit, in bit order."""
+    return (cfg.w_horizontal, cfg.w_horizontal, cfg.w_vertical, cfg.w_vertical,
+            cfg.w_more_keys)
+
+
 def cell_score(record: CellRecord, key: CellKey, archive: Archive,
                cfg: SelectionConfig) -> float:
     cnt = (
@@ -83,10 +108,14 @@ def cell_score(record: CellRecord, key: CellKey, archive: Archive,
                          COUNT_POWER, EPS1, EPS2)
         + count_subscore(record.times_seen, cfg.w_seen, COUNT_POWER, EPS1, EPS2)
     )
-    lw = 1.0
+    lw, neigh = 1.0, 0.0
     if cfg.domain_mode and isinstance(key, DomainKey):
         lw = level_weight(key.level, archive.max_level, LEVEL_DECAY)
-    return lw * (neigh_subscore(key, archive, cfg) + cnt + 1.0)
+        mask = missing_slots(archive, key)
+        for bit, w in enumerate(slot_weights(cfg)):
+            if mask >> bit & 1:
+                neigh += w
+    return lw * (neigh + cnt + 1.0)
 
 
 class VisitedCell(NamedTuple):

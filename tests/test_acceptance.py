@@ -52,7 +52,7 @@ from archex.selection import (
 from archex.trajectory import Trajectory
 
 from conftest import bfs_reachable_states, step_and_render
-from oracle import myopic_greedy_baseline
+from oracle import missing_slots, myopic_greedy_baseline, slot_weights
 
 mp.dps = 50
 
@@ -135,13 +135,10 @@ def test_criterion_01_formula_oracle():
                            + mpf(str(EPS2)))
             neigh = mpf(0)
             if cfg.domain_mode:
-                from archex.cells import neighbors as neighbor_slots
-
-                weight = {"horizontal": cfg.w_horizontal, "vertical": cfg.w_vertical,
-                          "more_keys": cfg.w_more_keys}
-                for kind, slot in neighbor_slots(key):
-                    if not archive.has_neighbor(slot):
-                        neigh += mpf(str(weight[kind.value]))
+                mask = missing_slots(archive, key)
+                for bit, w in enumerate(slot_weights(cfg)):
+                    if mask >> bit & 1:
+                        neigh += mpf(str(w))
             lw = mpf(str(LEVEL_DECAY)) ** (archive.max_level - key.level) if cfg.domain_mode else mpf(1)
             oracle_scores.append(lw * (neigh + counts + 1))
         total = sum(oracle_scores)

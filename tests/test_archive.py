@@ -8,6 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from archex.archive import (
+    MORE_KEYS_BIT,
     Archive,
     UpdateOutcome,
     checkpoint_load,
@@ -249,15 +250,14 @@ def test_max_level_tracked(env, snap):
 
 
 def test_more_keys_neighbor_lookup(env, snap):
-    from archex.cells import MoreKeysProbe
-
     archive = fresh_archive(env)
     base = key(x=4, y=4, room=1, key_rooms=(1,))
     richer = key(x=4, y=4, room=1, key_rooms=(1, 4))
     archive.insert_or_update(base, Trajectory(), snap)
-    assert not archive.has_neighbor(MoreKeysProbe(base))
+    assert archive.missing_neighbors[base] & MORE_KEYS_BIT
     archive.insert_or_update(richer, Trajectory(), snap)
-    assert archive.has_neighbor(MoreKeysProbe(base))
+    assert not archive.missing_neighbors[base] & MORE_KEYS_BIT
+    assert archive.missing_neighbors[richer] & MORE_KEYS_BIT
 
 
 def test_sorted_keys_follow_encoding_across_inserts_and_load(env, snap):

@@ -8,20 +8,21 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from archex.archive import MORE_KEYS_BIT, Archive
 from archex.cells import (
     DomainKey,
     DownscaledKey,
     DownscaleParams,
-    MoreKeysProbe,
-    NeighborKind,
     decode_key,
     domain_mapper,
     downscale_cell,
     downscale_mapper,
-    neighbors,
 )
 from archex.envs.base import DomainInfo, Observation
 from archex.errors import RepresentationError
+from archex.trajectory import Trajectory
+
+from conftest import small_twomaze
 
 
 def oracle_downscale(frame, params):
@@ -175,51 +176,55 @@ def test_downscale_mapper_caches():
     assert mapper(obs, None) is mapper(obs, None)  # memoized object
 
 
-# -- neighbors ---------------------------------------------------------------------
+# -- neighbor slots ----------------------------------------------------------------
+# A domain key's slots are read from the missing-neighbor masks of an archive
+# holding it.
+
+
+def masks_of(*keys):
+    """The missing-neighbor masks of an archive holding ``keys``."""
+    env = small_twomaze()
+    snap = env.reset(0)[1]
+    archive = Archive(env.config_hash)
+    for key in keys:
+        archive.insert_or_update(key, Trajectory(), snap)
+    return archive.missing_neighbors
 
 
 def test_neighbor_slots():
+    """Bits 0-3 are the grid slots x-1, x+1, y-1 and y+1 (bit b's opposite
+    is b ^ 1), and bit 4 the more-keys slot. A key fills none of its own
+    slots, and a downscaled key has none."""
     key = domain_mapper(1)(None, info(x=2, y=3))
-    slots = neighbors(key)
-    kinds = [k for k, _ in slots]
-    assert kinds == [
-        NeighborKind.HORIZONTAL,
-        NeighborKind.HORIZONTAL,
-        NeighborKind.VERTICAL,
-        NeighborKind.VERTICAL,
-        NeighborKind.MORE_KEYS,
-    ]
-    positions = {(s.x_bin, s.y_bin) for k, s in slots if isinstance(s, DomainKey)}
-    assert positions == {(1, 3), (3, 3), (2, 2), (2, 4)}
-    assert key not in [s for _, s in slots]
+    assert masks_of(key)[key] == 0b11111
+    for bit, (x, y) in enumerate([(1, 3), (3, 3), (2, 2), (2, 4)]):
+        slot = key._replace(x_bin=x, y_bin=y)
+        masks = masks_of(key, slot)
+        assert masks[key] == 0b11111 & ~(1 << bit)
+        assert masks[slot] == 0b11111 & ~(1 << (bit ^ 1))
+    downscaled = downscale_cell(np.zeros((4, 4), np.uint8), DownscaleParams(2, 2, 8))
+    assert downscaled not in masks_of(key, downscaled)
 
 
 def test_neighbors_at_origin_emit_negative_bins():
     key = domain_mapper(1)(None, info(x=0, y=3))
-    xs = [s.x_bin for k, s in neighbors(key, include_more_keys=False)
-          if k is NeighborKind.HORIZONTAL]
-    assert -1 in xs
+    assert masks_of(key)[key] & 1
+    assert not masks_of(key, key._replace(x_bin=-1))[key] & 1
 
 
-def test_neighbors_without_keys():
-    key = domain_mapper(1)(None, info())
-    assert len(neighbors(key, include_more_keys=False)) == 4
-
-
-def test_neighbors_reject_downscaled():
-    key = downscale_cell(np.zeros((4, 4), np.uint8), DownscaleParams(2, 2, 8))
-    with pytest.raises(RepresentationError):
-        neighbors(key)
-
-
-def test_more_keys_probe():
+def test_more_keys_slot():
+    """Filled by a key at the same position whose key multiset strictly
+    extends this one's."""
     base = domain_mapper(1)(None, info(x=5, y=5, room=2, key_rooms=(1,)))
-    probe = MoreKeysProbe(base)
-    assert probe.matches(base._replace(key_rooms=(1, 4)))
-    assert probe.matches(base._replace(key_rooms=(1, 1)))
-    assert not probe.matches(base._replace(key_rooms=(4,)))       # not a superset
-    assert not probe.matches(base._replace(key_rooms=(1,)))       # not strict
-    assert not probe.matches(base._replace(x_bin=6, key_rooms=(1, 4)))
+
+    def fills(other):
+        return not masks_of(base, other)[base] & MORE_KEYS_BIT
+
+    assert fills(base._replace(key_rooms=(1, 4)))
+    assert fills(base._replace(key_rooms=(1, 1)))
+    assert not fills(base._replace(key_rooms=(4,)))       # not a superset
+    assert not fills(base._replace(key_rooms=(1,)))       # not strict
+    assert not fills(base._replace(x_bin=6, key_rooms=(1, 4)))
 
 
 # -- serialization -------------------------------------------------------------------

@@ -276,6 +276,8 @@ def test_cli_config_error_exit_2(tmp_path):
     *(pytest.param(f"robustify.reward_mode = scale\nrobustify.reward_scale = {v}",
                    id=f"robustify.reward_scale = {v} (scale mode)") for v in ("inf", "-1", "0")),
     "repr.grid_size = 0",
+    "repr.width = 65536",  # past what a downscaled key's encoding holds
+    "repr.height = 65536",
     pytest.param("env.type = keydoor\nenv.key_capacity = -1", id="env.key_capacity = -1"),
     # Grids past MAX_TILES tiles: one past the index range, one within it.
     pytest.param("env.type = twomaze\nenv.arm_rows = 18446744073709551616",
@@ -502,9 +504,10 @@ def test_cli_replay_traj_len_off_its_chain_exit_3(tmp_path):
 
 # Offsets in a cell row (after its key) of the score column, of the tail
 # node id, of the snapshot's score, training-frame and game-frame columns,
-# and of the config hash in the snapshot's state bytes, which follow the row.
-_SCORE_AT, _TAIL_AT, _SNAP_SCORE_AT, _SNAP_TF_AT, _SNAP_GF_AT, _STATE_HASH_AT = (
-    0, 16, 48, 56, 64, 82)
+# and of the config hash and the x position in the snapshot's state bytes,
+# which follow the row.
+(_SCORE_AT, _TAIL_AT, _SNAP_SCORE_AT, _SNAP_TF_AT, _SNAP_GF_AT, _STATE_HASH_AT,
+ _STATE_X_AT) = (0, 16, 48, 56, 64, 82, 123)
 # Where the header's room count sits, and where its rooms start.
 _ROOMS_AT = len(CHECKPOINT_MAGIC) + _HEADER.size
 # A header room list for each room defect: unsorted, one room twice, and a
@@ -526,7 +529,7 @@ def _node_rows(body):
     ("game-frames", 3), ("state-config", 3), ("key-trailing-byte", 3),
     ("duplicate-row", 3), ("reversed-rows", 3), ("unsorted-rooms", 3),
     ("duplicate-room", 3), ("foreign-room", 3), ("negative-zero-score", 3),
-    ("tail-onto-equal-chain", 3)])
+    ("tail-onto-equal-chain", 3), ("off-grid-position", 3)])
 def test_cli_resume_malformed_checkpoint_exit_3(tmp_path, defect, code):
     """A checkpoint with a valid checksum is rejected if a cell's score
     column differs from its snapshot's, if its snapshot's score or frame
@@ -538,7 +541,9 @@ def test_cli_resume_malformed_checkpoint_exit_3(tmp_path, defect, code):
     would lay out otherwise (an unsorted room list or a room listed twice,
     score columns of -0.0 where the state says 0.0, a cell's tail moved to
     another chain of its length), and one whose rooms the world lacks. The
-    room defects run in a world of many rooms."""
+    room defects run in a world of many rooms. A state that puts the agent
+    off the grid loads, since its bytes are laid out right, and is rejected
+    when the run restores it."""
     base = BASE
     if defect in _ROOM_LISTS:
         base = BASE.replace("env.type = twomaze\nenv.arm_rows = 3\nenv.arm_cols = 6\n",
@@ -573,6 +578,12 @@ def test_cli_resume_malformed_checkpoint_exit_3(tmp_path, defect, code):
                 break
         else:
             pytest.fail("no cell's tail has a chain of equal length beside it")
+        write_checksummed(ckpt, [bytes(body)])
+    elif defect == "off-grid-position":  # every cell's, so the run restores one
+        for k in keys:
+            enc = k.encode()
+            row = body.index(struct.pack("<I", len(enc)) + enc) + 4 + len(enc)
+            struct.pack_into("<i", body, row + _STATE_X_AT, 10**6)
         write_checksummed(ckpt, [bytes(body)])
     elif defect not in ("none", "duplicate-row", "reversed-rows"):
         enc = keys[3].encode()

@@ -237,6 +237,28 @@ def test_snapshot_with_trailing_payload_bytes_rejected(any_env):
         any_env.restore(bad)
 
 
+def test_snapshot_with_position_off_grid_or_on_wall_rejected(any_env):
+    """No step reaches a position outside the grid or on a wall tile. A
+    snapshot holding one would step on wrapped indices, report rooms the
+    world lacks, or fail with IndexError."""
+    import dataclasses
+
+    from archex.envs.base import STATE_HEAD, pack_snapshot, unpack_snapshot
+
+    snap = any_env.reset(0)[1]
+    payload = unpack_snapshot(snap.state_bytes, any_env.config_hash)
+    head = list(STATE_HEAD.unpack_from(payload))
+    wall = any_env.base.index(TILE_WALL)
+    for x, y in [(10**6, 1), (-1, 1), (-3, -2), (wall % any_env.width, wall // any_env.width)]:
+        head[5:7] = x, y
+        state = pack_snapshot(any_env.config_hash,
+                              STATE_HEAD.pack(*head) + payload[STATE_HEAD.size:])
+        with pytest.raises(SnapshotFormatError, match="position"):
+            any_env.restore(dataclasses.replace(snap, state_bytes=state))
+    any_env.restore(snap)
+    assert any_env.snapshot() == snap
+
+
 # -- features and discrete state against a recomputation -------------------------
 
 

@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 from mpmath import mp, mpf
 
 from archex.archive import Archive, deserialize_archive, serialize_archive
-from archex.cells import DomainKey, neighbors
+from archex.cells import DomainKey
 from archex.errors import ConfigError
 from archex.selection import (
     COUNT_POWER,
@@ -24,7 +24,7 @@ from archex.selection import (
 from archex.trajectory import Trajectory
 
 from conftest import small_twomaze
-from oracle import cell_score, count_subscore
+from oracle import cell_score, count_subscore, missing_slots
 
 mp.dps = 50
 
@@ -154,8 +154,8 @@ def test_level_weight_floor_keeps_deep_levels_selectable():
 
 
 def test_missing_neighbor_masks_match_has_neighbor():
-    """Masks kept on insert equal a full neighbor scan, before and
-    after a checkpoint round trip."""
+    """Masks kept on insert equal a scan of every archived key
+    (``oracle.missing_slots``), before and after a checkpoint round trip."""
     rng = np.random.default_rng(5)
     records = []
     for _ in range(300):
@@ -167,9 +167,7 @@ def test_missing_neighbor_masks_match_has_neighbor():
     for arch in (archive, reloaded):
         assert set(arch.missing_neighbors) == set(arch.cells)
         for key, mask in arch.missing_neighbors.items():
-            want = sum(1 << bit for bit, (_, slot) in enumerate(neighbors(key))
-                       if not arch.has_neighbor(slot))
-            assert mask == want, key
+            assert mask == missing_slots(arch, key), key
 
 
 def test_deferred_masks_equal_masks_built_while_growing():
