@@ -38,7 +38,7 @@ from typing import Callable, Iterable, Iterator, Sequence
 from .cells import CellKey, DomainKey, decode_key
 from .envs.base import EnvSnapshot, peek_config_hash, read_state_head, unpack_snapshot
 from .errors import CheckpointError, ConfigError, ContractError, SnapshotFormatError
-from .trajectory import Trajectory
+from .trajectory import Node, Trajectory
 
 CHECKPOINT_MAGIC = b"AXARCH\x00\x01"
 CHECKPOINT_VERSION = 1
@@ -368,7 +368,7 @@ def _parse_fields(body: bytes) -> tuple[Archive, RunMeta]:
     lengths = [0]
     end = offset + n_nodes * _NODE_ROW.size
     for action, parent_id in _NODE_ROW.iter_unpack(memoryview(body)[offset:end]):
-        nodes.append(Trajectory.make_node(action, nodes[parent_id]))
+        nodes.append(Node(action, nodes[parent_id]))
         lengths.append(lengths[parent_id] + 1)
     offset = end
 

@@ -11,10 +11,13 @@ holds the keys (:mod:`archex.archive`).
 A mapper is called as ``mapper(source, info)``: ``source`` is either an
 :class:`Observation` (whose frame is already drawn) or the environment that
 just stepped, which the domain mapper never touches. The downscaled mapper
-looks an environment up by its config hash and discrete state, and renders
-only on a memo miss: a world's frame is a function of those two (see
-:meth:`GridWorld.render`), so a stepping run renders about once per distinct
-state.
+keeps one memo: it looks an environment up by its config hash and discrete
+state, and renders only on a miss, since a world's frame is a function of
+those two (see :meth:`GridWorld.render`); a stepping run renders about once
+per distinct state. An observation (the start cell) is downscaled directly.
+The domain mapper copies the features as they are: a world's held key rooms
+are sorted, and :meth:`GridWorld.restore` admits no snapshot where they are
+not.
 
 Downscaling is computed in exact integer arithmetic: for output pixel (i, j)
 the quantized value is ``floor(mean * (depth + 1) / 256)`` where ``mean`` is
@@ -143,39 +146,26 @@ def downscale_cell(frame: np.ndarray, params: DownscaleParams) -> DownscaledKey:
 FrameSource = Union[Observation, GridWorld]
 CellMapper = Callable[[FrameSource, DomainInfo], CellKey]
 
-# Entries each of a downscale mapper's memos (environment states, frame
-# bytes) holds before it is cleared.
+# Environment states a downscale mapper's memo holds before it is cleared.
 DOWNSCALE_MEMO_LIMIT = 200_000
 
 
 def downscale_mapper(params: DownscaleParams) -> CellMapper:
-    """Mapper with two memos: environments by (config hash, discrete state),
-    so a known state is never rendered again, and frames by their bytes,
-    since different states often draw the same frame."""
-    by_frame: dict[bytes, DownscaledKey] = {}
-    by_state: dict[tuple, DownscaledKey] = {}
-
-    def of_frame(frame: np.ndarray) -> DownscaledKey:
-        raw = frame.tobytes()
-        key = by_frame.get(raw)
-        if key is None:
-            key = downscale_cell(frame, params)
-            if len(by_frame) >= DOWNSCALE_MEMO_LIMIT:
-                by_frame.clear()
-            by_frame[raw] = key
-        return key
+    """Mapper that memoises an environment's key by (config hash, discrete
+    state), so a known state is never rendered again. An observation's frame
+    is already drawn and is downscaled as it is."""
+    memo: dict[tuple, DownscaledKey] = {}
 
     def mapper(source: FrameSource, info: DomainInfo) -> CellKey:
         del info
         if isinstance(source, Observation):
-            return of_frame(source.frame)
+            return downscale_cell(source.frame, params)
         state = (source.config_hash, source.discrete_state())
-        key = by_state.get(state)
+        key = memo.get(state)
         if key is None:
-            key = of_frame(source.render())
-            if len(by_state) >= DOWNSCALE_MEMO_LIMIT:
-                by_state.clear()
-            by_state[state] = key
+            if len(memo) >= DOWNSCALE_MEMO_LIMIT:
+                memo.clear()
+            key = memo[state] = downscale_cell(source.render(), params)
         return key
 
     return mapper
@@ -184,17 +174,7 @@ def downscale_mapper(params: DownscaleParams) -> CellMapper:
 def domain_mapper(grid_size: int) -> CellMapper:
     def mapper(source: FrameSource, info: DomainInfo) -> CellKey:
         del source
-        # Environments hand over key_rooms already sorted; normalize anyway
-        # so arbitrary DomainInfo sources produce canonical keys.
-        kr = info.key_rooms
-        if len(kr) > 1 and any(kr[i] > kr[i + 1] for i in range(len(kr) - 1)):
-            kr = tuple(sorted(kr))
-        return DomainKey(
-            x_bin=info.x // grid_size,
-            y_bin=info.y // grid_size,
-            room=info.room,
-            level=info.level,
-            key_rooms=kr,
-        )
+        return DomainKey(info.x // grid_size, info.y // grid_size, info.room, info.level,
+                         info.key_rooms)
 
     return mapper

@@ -59,11 +59,8 @@ def _load(args: argparse.Namespace) -> ExperimentConfig:
 
 def _read_metrics(path) -> list[MetricsRow]:
     """A ``metrics.csv``'s rows, typed so that they render to the same bytes."""
-    header, rows = read_metric_csv(path)
-    if header != list(MetricsRow._fields):
-        raise ConfigError(f"{path}: columns differ, cannot continue its series")
-    types = get_type_hints(MetricsRow)
-    return [MetricsRow(*(types[f](v) for f, v in zip(header, row))) for row in rows]
+    types = get_type_hints(MetricsRow).values()  # in field order
+    return [MetricsRow(*(t(v) for t, v in zip(types, row))) for row in read_metric_csv(path)]
 
 
 def cmd_explore(args: argparse.Namespace) -> int:

@@ -31,7 +31,7 @@ SNAPSHOT_VERSION = 1
 _SNAPSHOT_HEADER = struct.Struct("<HQI")
 _PAYLOAD_START = len(SNAPSHOT_MAGIC) + _SNAPSHOT_HEADER.size
 # A payload starts with the score, training and game frames, done flag,
-# level, x and y; the grid world's state sequences follow.
+# level, x and y; the rest of the grid world's discrete state follows.
 STATE_HEAD = struct.Struct("<dQQBIii")
 
 # Action ids shared by all built-in environments.

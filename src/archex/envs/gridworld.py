@@ -23,6 +23,14 @@ never render.
 :meth:`discrete_state` keeps the part of its tuple that only pickups, door
 openings, treasures, level advances, reset and restore change, so between
 those events it costs one tuple concatenation.
+
+A snapshot's payload is ``base.STATE_HEAD`` followed by that cached tail
+(the held key rooms, taken keys, opened doors and collected treasures, each
+a count and then its sorted values) as one run of 16-bit integers.
+:meth:`restore` is the one parser of the run: it rejects a state that
+breaks an invariant every step keeps, then installs the run as the cached
+tail, so the mappers and every other reader of the state trust it without
+checking again.
 """
 
 from __future__ import annotations
@@ -65,11 +73,6 @@ SHADE_DOOR_OPEN = 32
 SHADE_HAZARD = 64
 SHADE_TREASURE = 224
 SHADE_AGENT = 192
-
-# After the payload's head (base.STATE_HEAD), four sequences: held, keys
-# taken, doors open, treasures taken, each a count followed by that many
-# values.
-_SEQ_LEN = struct.Struct("<H")
 
 
 class GridWorld:
@@ -455,62 +458,77 @@ class GridWorld:
     # -- snapshot / restore --------------------------------------------------
 
     def snapshot(self) -> EnvSnapshot:
-        parts = [
-            STATE_HEAD.pack(
-                self._score,
-                self._training_frames,
-                self._game_frames,
-                1 if self._done else 0,
-                self.level,
-                self.x,
-                self.y,
-            )
-        ]
-        for seq in (
-            self.held,
-            sorted(self.keys_taken),
-            sorted(self.doors_open),
-            sorted(self.treasures_taken),
-        ):
-            parts.append(struct.pack(f"<H{len(seq)}H", len(seq), *seq))
-        blob = pack_snapshot(self.config_hash, b"".join(parts))
+        tail = self.discrete_state()[3:]
+        payload = STATE_HEAD.pack(
+            self._score,
+            self._training_frames,
+            self._game_frames,
+            1 if self._done else 0,
+            self.level,
+            self.x,
+            self.y,
+        ) + struct.pack(f"<{len(tail)}H", *tail)
         return EnvSnapshot(
-            state_bytes=blob,
+            state_bytes=pack_snapshot(self.config_hash, payload),
             cum_score=self._score,
             training_frames=self._training_frames,
             game_frames=self._game_frames,
         )
 
     def restore(self, snap: EnvSnapshot) -> None:
+        """Install a snapshot's state. Raises :class:`SnapshotFormatError`
+        for a payload that breaks an invariant every :meth:`step` keeps in
+        this world, so every reader of the state may trust it."""
         payload = unpack_snapshot(snap.state_bytes, self.config_hash)
         score, tf, gf, done, level, x, y = read_state_head(payload)
-        offset = STATE_HEAD.size
-        seqs = []
-        try:
-            for _ in range(4):
-                (n,) = _SEQ_LEN.unpack_from(payload, offset)
-                offset += _SEQ_LEN.size
-                seqs.append(struct.unpack_from(f"<{n}H", payload, offset))
-                offset += 2 * n
-        except struct.error as exc:
-            raise SnapshotFormatError(f"snapshot payload corrupt: {exc}") from exc
-        if offset != len(payload):
+        n, odd = divmod(len(payload) - STATE_HEAD.size, 2)
+        tail = struct.unpack_from(f"<{n}H", payload, STATE_HEAD.size)
+        seqs, at = [], 0
+        while len(seqs) < 4 and at < n:
+            end = at + 1 + tail[at]
+            seqs.append(tail[at + 1:end])
+            at = end
+        if len(seqs) < 4 or at > n:
+            raise SnapshotFormatError("snapshot payload is cut short")
+        if at < n or odd:
             raise SnapshotFormatError("snapshot payload has trailing bytes")
+        held, keys, doors, treasures = seqs
+        if done > 1:
+            raise SnapshotFormatError(f"snapshot done flag is {done}, not 0 or 1")
+        if gf != tf * self.frame_skip:
+            raise SnapshotFormatError(f"snapshot game frames {gf} are not {tf} x frame_skip")
         if not (0 <= x < self.width and 0 <= y < self.height
                 and self.base[y * self.width + x] != TILE_WALL):
-            # No step reaches it.
             raise SnapshotFormatError(f"snapshot position ({x},{y}) is off the grid or a wall")
+        n_rooms = 1 if self.rooms is None else self.rooms[0] * self.rooms[1]
+        if (len(held) > self.key_capacity or held != tuple(sorted(held))
+                or (held and held[-1] >= n_rooms)):
+            raise SnapshotFormatError(f"snapshot holds keys of rooms {held}, which no step does")
+        for name, taken, count in (("key", keys, len(self.key_positions)),
+                                   ("door", doors, len(self.door_positions)),
+                                   ("treasure", treasures, len(self.treasure_positions))):
+            if taken and (taken[-1] >= count or taken != tuple(sorted(set(taken)))):
+                raise SnapshotFormatError(
+                    f"snapshot {name} indices {taken} are not increasing and below {count}")
+        if len(held) + len(doors) != len(keys):
+            raise SnapshotFormatError("snapshot held keys and opened doors do not add up "
+                                      "to the keys taken")
+        if self.treasure_mode == "level" and self.treasure_positions:
+            if treasures:
+                raise SnapshotFormatError("snapshot collects treasures that advance levels")
+        elif level:
+            raise SnapshotFormatError(f"snapshot is at level {level} in a world without levels")
         self._score = score
         self._training_frames = tf
         self._game_frames = gf
         self._done = bool(done)
         self.level = level
         self.x, self.y = x, y
-        self.held = tuple(seqs[0])
-        self.keys_taken = set(seqs[1])
-        self.doors_open = set(seqs[2])
-        self.treasures_taken = set(seqs[3])
-        self._state_tail = None
+        self.held = held
+        self.keys_taken = set(keys)
+        self.doors_open = set(doors)
+        self.treasures_taken = set(treasures)
+        self._state_tail = tail
 
     def discrete_state(self) -> tuple[int, ...]:
         """Position, level, held keys and the taken keys, opened doors and

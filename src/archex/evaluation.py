@@ -24,6 +24,7 @@ from .archive import output_dir, write_csv
 from .envs.gridworld import GridWorld
 from .envs.wrappers import StickyActions, force_noops
 from .errors import ConfigError, ContractError
+from .explore import MetricsRow
 from .seeding import TAG_EVAL, stream
 
 # Fallback actions drawn per refill of an episode's action block; on PCG64,
@@ -165,7 +166,10 @@ def percentile_band(
 
 # -- report aggregation ---------------------------------------------------------
 
-def read_metric_csv(path) -> tuple[list[str], list[list[float]]]:
+def read_metric_csv(path) -> list[list[float]]:
+    """The rows of a metrics CSV that ``archex explore`` wrote; any other
+    header raises :class:`ConfigError` naming the file, since the report
+    names its outputs after the columns."""
     rows = []
     try:
         fh = open(path, newline="")
@@ -173,10 +177,9 @@ def read_metric_csv(path) -> tuple[list[str], list[list[float]]]:
         raise ConfigError(f"cannot read metrics CSV {path}: {exc}") from exc
     with fh:
         reader = csv.reader(fh)
-        header = next(reader, None)
-        if not header or header[0] != "game_frames":
-            raise ConfigError(f"{path}:1: not a metrics CSV")
-        width = len(header)
+        if next(reader, None) != list(MetricsRow._fields):
+            raise ConfigError(f"{path}:1: not a metrics CSV of archex explore")
+        width = len(MetricsRow._fields)
         for lineno, row in enumerate(reader, start=2):
             if len(row) != width:
                 raise ConfigError(f"{path}:{lineno}: expected {width} columns")
@@ -184,7 +187,7 @@ def read_metric_csv(path) -> tuple[list[str], list[list[float]]]:
                 rows.append([float(v) for v in row])
             except ValueError as exc:
                 raise ConfigError(f"{path}:{lineno}: {exc}") from exc
-    return header, rows
+    return rows
 
 
 def emit_report(
@@ -202,18 +205,13 @@ def emit_report(
     if not metric_csvs:
         raise ConfigError("no metric CSVs given")
     tables = []
-    header = None
     seen = set()
     for path in metric_csvs:
-        head, rows = read_metric_csv(path)
+        rows = read_metric_csv(path)
         real = Path(path).resolve()
         if real in seen:
             raise ConfigError(f"{path}: given twice (each input is one seed)")
         seen.add(real)
-        if header is None:
-            header = head
-        elif head != header:
-            raise ConfigError(f"{path}: column mismatch with first input")
         tables.append({int(r[0]): r for r in rows})
     shared = sorted(set.intersection(*(set(t) for t in tables)))
     if not shared:
@@ -222,7 +220,7 @@ def emit_report(
     out_dir = output_dir(out_dir)
     skip = {"game_frames", "training_frames", "wall_seconds"}
     written = []
-    for col, name in enumerate(header):
+    for col, name in enumerate(MetricsRow._fields):
         if name in skip:
             continue
         rng = stream(seed, TAG_EVAL, 0xE307, col)

@@ -32,7 +32,7 @@ from .envs.gridworld import GridWorld
 from .errors import CheckpointError, ConfigError, ContractError, IntegrityError
 from .seeding import TAG_BASELINE, TAG_EXPLORE, TAG_SELECT, stream
 from .selection import SelectionConfig, cell_probs, sample_batch
-from .trajectory import Trajectory
+from .trajectory import Node, Trajectory
 
 
 @dataclass(frozen=True)
@@ -161,7 +161,7 @@ def explore_from(
     nodes = []  # nodes[i] ends the trajectory of length base + i + 1
     tail = record.trajectory.tail
     for action in actions[:last - base]:
-        tail = Trajectory.make_node(action, tail)
+        tail = Node(action, tail)
         nodes.append(tail)
     visits = {
         key: CellVisits(n, Trajectory(nodes[won_len - base - 1], won_len), snapshot)

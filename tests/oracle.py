@@ -19,8 +19,9 @@ over the Q row wherever a greedy action or value is needed, where
 caches each row's greedy action; both must give the same Q tables, progress
 rows and checkpoints. :func:`plain_downscale_mapper` downscales every
 frame it is handed, rendering an environment on every call, where
-:func:`archex.cells.downscale_mapper` memoises keys by environment state and
-by frame bytes; both must give the same keys.
+:func:`archex.cells.downscale_mapper` memoises keys by environment state;
+both must give the same keys. :func:`extend` grows a trajectory by one
+action, as only tests do; the package links nodes itself.
 """
 
 from __future__ import annotations
@@ -56,7 +57,7 @@ from archex.robustify import (
     early_terminate,
 )
 from archex.seeding import TAG_ATTEMPT, TAG_EVAL, stream
-from archex.trajectory import Trajectory
+from archex.trajectory import Node, Trajectory
 from archex.selection import (
     COUNT_POWER,
     EPS1,
@@ -66,6 +67,12 @@ from archex.selection import (
     count_subscores,
     level_weight,
 )
+
+
+def extend(trajectory: Trajectory, action: int) -> Trajectory:
+    """``trajectory`` with ``action`` appended: one new node on its tail,
+    every earlier node shared."""
+    return Trajectory(Node(action, trajectory.tail), trajectory.length + 1)
 
 
 def count_subscore(v: int, w: float, p: float, eps1: float, eps2: float) -> float:
@@ -167,7 +174,7 @@ def explore_from(env: GridWorld, origin: CellKey, archive: Archive, rng,
         if result.done:
             terminated = True
             break
-        trajectory = trajectory.extend(action)
+        trajectory = extend(trajectory, action)
         info = env.features()
         key = mapper(env, info)
         score = env.cum_score

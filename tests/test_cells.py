@@ -16,7 +16,6 @@ from archex.cells import (
     decode_key,
     domain_mapper,
     downscale_cell,
-    downscale_mapper,
 )
 from archex.envs.base import DomainInfo, Observation
 from archex.errors import RepresentationError
@@ -158,22 +157,10 @@ def test_domain_binning():
     assert domain_mapper(16)(None, info(0, 0)).x_bin == 0
 
 
-def test_key_rooms_canonical_order():
-    key = domain_mapper(1)(None, info(key_rooms=(3, 1, 1)))
-    assert key.key_rooms == (1, 1, 3)
-
-
 def test_domain_mapper_matches_domain_cell():
     mapper = domain_mapper(4)
     obs = Observation(frame=np.zeros((2, 2), np.uint8), features=info(9, 13))
     assert mapper(obs, obs.features) == domain_mapper(4)(None, info(9, 13))
-
-
-def test_downscale_mapper_caches():
-    mapper = downscale_mapper(DownscaleParams(width=2, height=2, depth=8))
-    frame = np.full((8, 8), 37, np.uint8)
-    obs = Observation(frame=frame, features=None)
-    assert mapper(obs, None) is mapper(obs, None)  # memoized object
 
 
 # -- neighbor slots ----------------------------------------------------------------

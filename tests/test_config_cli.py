@@ -504,10 +504,10 @@ def test_cli_replay_traj_len_off_its_chain_exit_3(tmp_path):
 
 # Offsets in a cell row (after its key) of the score column, of the tail
 # node id, of the snapshot's score, training-frame and game-frame columns,
-# and of the config hash and the x position in the snapshot's state bytes,
-# which follow the row.
+# and of the config hash, the done flag and the x position in the
+# snapshot's state bytes, which follow the row.
 (_SCORE_AT, _TAIL_AT, _SNAP_SCORE_AT, _SNAP_TF_AT, _SNAP_GF_AT, _STATE_HASH_AT,
- _STATE_X_AT) = (0, 16, 48, 56, 64, 82, 123)
+ _STATE_DONE_AT, _STATE_X_AT) = (0, 16, 48, 56, 64, 82, 118, 123)
 # Where the header's room count sits, and where its rooms start.
 _ROOMS_AT = len(CHECKPOINT_MAGIC) + _HEADER.size
 # A header room list for each room defect: unsorted, one room twice, and a
@@ -529,7 +529,7 @@ def _node_rows(body):
     ("game-frames", 3), ("state-config", 3), ("key-trailing-byte", 3),
     ("duplicate-row", 3), ("reversed-rows", 3), ("unsorted-rooms", 3),
     ("duplicate-room", 3), ("foreign-room", 3), ("negative-zero-score", 3),
-    ("tail-onto-equal-chain", 3), ("off-grid-position", 3)])
+    ("tail-onto-equal-chain", 3), ("off-grid-position", 3), ("done-flag", 3)])
 def test_cli_resume_malformed_checkpoint_exit_3(tmp_path, defect, code):
     """A checkpoint with a valid checksum is rejected if a cell's score
     column differs from its snapshot's, if its snapshot's score or frame
@@ -542,8 +542,8 @@ def test_cli_resume_malformed_checkpoint_exit_3(tmp_path, defect, code):
     score columns of -0.0 where the state says 0.0, a cell's tail moved to
     another chain of its length), and one whose rooms the world lacks. The
     room defects run in a world of many rooms. A state that puts the agent
-    off the grid loads, since its bytes are laid out right, and is rejected
-    when the run restores it."""
+    off the grid, or whose done flag is neither 0 nor 1, loads, since its
+    bytes are laid out right, and is rejected when the run restores it."""
     base = BASE
     if defect in _ROOM_LISTS:
         base = BASE.replace("env.type = twomaze\nenv.arm_rows = 3\nenv.arm_cols = 6\n",
@@ -579,11 +579,14 @@ def test_cli_resume_malformed_checkpoint_exit_3(tmp_path, defect, code):
         else:
             pytest.fail("no cell's tail has a chain of equal length beside it")
         write_checksummed(ckpt, [bytes(body)])
-    elif defect == "off-grid-position":  # every cell's, so the run restores one
+    elif defect in ("off-grid-position", "done-flag"):  # every cell's, so the run restores one
         for k in keys:
             enc = k.encode()
             row = body.index(struct.pack("<I", len(enc)) + enc) + 4 + len(enc)
-            struct.pack_into("<i", body, row + _STATE_X_AT, 10**6)
+            if defect == "done-flag":
+                body[row + _STATE_DONE_AT] = 2
+            else:
+                struct.pack_into("<i", body, row + _STATE_X_AT, 10**6)
         write_checksummed(ckpt, [bytes(body)])
     elif defect not in ("none", "duplicate-row", "reversed-rows"):
         enc = keys[3].encode()
@@ -716,6 +719,22 @@ def test_cli_report_same_file_twice_exit_2(tmp_path, monkeypatch):
     monkeypatch.chdir(tmp_path)
     assert run_cli("report", "--out", "agg", "run/metrics.csv", "./run/metrics.csv") == 2
     assert not (tmp_path / "agg").exists()
+
+
+@pytest.mark.parametrize("columns", [
+    "game_frames,../escaped,sub/x", "game_frames,../escaped", "game_frames,sub/x",
+    "game_frames,{tmp}/absolute", "game_frames,cells"],
+    ids=["parent-and-subdir", "parent", "subdir", "absolute", "other-columns"])
+def test_cli_report_foreign_columns_exit_2(tmp_path, monkeypatch, capsys, columns):
+    """The report names each output after its column, so it reads only the
+    columns explore writes: a header naming a parent directory, a
+    subdirectory or an absolute path writes nothing outside --out."""
+    monkeypatch.chdir(tmp_path)
+    header = columns.format(tmp=tmp_path).split(",")
+    Path("m.csv").write_text(",".join(header) + "\n" + ",".join(["1"] * len(header)) + "\n")
+    assert run_cli("report", "m.csv", "--out", "agg") == 2
+    assert "m.csv" in capsys.readouterr().err
+    assert sorted(p.name for p in tmp_path.rglob("*")) == ["m.csv"]
 
 
 def test_cli_resume_wall_seconds_never_decrease(tmp_path):

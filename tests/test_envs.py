@@ -1,9 +1,15 @@
 """Environment contracts: determinism, snapshots, wrappers, suite topology."""
 
+import dataclasses
+import functools
+import hashlib
 import importlib
+import struct
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from archex.envs import (
     ACTION_LEFT,
@@ -16,6 +22,7 @@ from archex.envs import (
     TwoMaze,
     force_noops,
 )
+from archex.envs.base import STATE_HEAD, pack_snapshot, unpack_snapshot
 from archex.envs.gridworld import TILE_DOOR, TILE_HAZARD, TILE_WALL
 from archex.errors import ConfigError, ContractError, SnapshotFormatError
 
@@ -214,8 +221,6 @@ def test_snapshot_stable_across_processes():
 def test_truncated_snapshot_rejected(any_env):
     any_env.reset(0)
     snap = any_env.snapshot()
-    import dataclasses
-
     bad = dataclasses.replace(snap, state_bytes=snap.state_bytes[:-3])
     with pytest.raises(SnapshotFormatError):
         any_env.restore(bad)
@@ -224,9 +229,6 @@ def test_truncated_snapshot_rejected(any_env):
 def test_snapshot_with_trailing_payload_bytes_rejected(any_env):
     """A payload two bytes longer than its state, with a header that counts
     them, would otherwise restore and then snapshot to other bytes."""
-    import dataclasses
-    import struct
-
     any_env.reset(0)
     blob = any_env.snapshot().state_bytes
     magic, header = blob[:4], struct.Struct("<HQI")
@@ -241,10 +243,6 @@ def test_snapshot_with_position_off_grid_or_on_wall_rejected(any_env):
     """No step reaches a position outside the grid or on a wall tile. A
     snapshot holding one would step on wrapped indices, report rooms the
     world lacks, or fail with IndexError."""
-    import dataclasses
-
-    from archex.envs.base import STATE_HEAD, pack_snapshot, unpack_snapshot
-
     snap = any_env.reset(0)[1]
     payload = unpack_snapshot(snap.state_bytes, any_env.config_hash)
     head = list(STATE_HEAD.unpack_from(payload))
@@ -379,6 +377,128 @@ def test_equal_discrete_states_render_equal_frames(world):
             visits += 1
     assert expected <= events
     assert visits > 4 * len(frames)  # most points revisit a state
+
+
+# -- restore rejects states that break an invariant of step ----------------------
+
+# sha256 over the sorted snapshot bytes of every BFS-reachable state of each
+# small world; a change to the snapshot layout changes them.
+BFS_SNAPSHOT_DIGESTS = {
+    "corridor": "2e2f224af53d6a9e12283df4333708eb4fd8480596811dcd47cdd39f907ab734",
+    "keydoor": "dbad4f944e28008e2d64c97f51099ae62375967515cb3c7a3e438ec9fcc4d2f9",
+    "twomaze": "2e9b7294d03e454632919262575dcb28f3ef774975d677267cfa9553238f22fb",
+}
+
+
+@functools.cache
+def reachable(world):
+    """The BFS-reachable (discrete state, snapshot) pairs of a small world."""
+    return tuple(bfs_reachable_states(ENV_FACTORIES[world]()).items())
+
+
+@pytest.mark.parametrize("world", sorted(BFS_SNAPSHOT_DIGESTS))
+def test_reachable_snapshots_keep_their_bytes_and_round_trip(world):
+    snaps = [snap for _, snap in reachable(world)]
+    digest = hashlib.sha256(b"".join(sorted(s.state_bytes for s in snaps))).hexdigest()
+    assert digest == BFS_SNAPSHOT_DIGESTS[world]
+    env = ENV_FACTORIES[world]()
+    for state, snap in reachable(world):
+        env.restore(snap)
+        assert env.discrete_state() == state
+        assert env.snapshot() == snap
+
+
+HEAD_FIELDS = ("score", "tf", "gf", "done", "level", "x", "y")
+
+
+def repacked(env, held=(), keys=(), doors=(), treasures=(), **head):
+    """The start snapshot with the ``head`` fields replaced and the four
+    sequences as its tail, packed through ``pack_snapshot``."""
+    snap = env.reset(0)[1]
+    payload = unpack_snapshot(snap.state_bytes, env.config_hash)
+    values = dict(zip(HEAD_FIELDS, STATE_HEAD.unpack_from(payload)), **head)
+    tail = [n for seq in (held, keys, doors, treasures) for n in (len(seq), *seq)]
+    payload = STATE_HEAD.pack(*values.values()) + struct.pack(f"<{len(tail)}H", *tail)
+    return dataclasses.replace(snap, state_bytes=pack_snapshot(env.config_hash, payload))
+
+
+def two_key_door():
+    """small_keydoor with a second key, in room 2."""
+    return small_keydoor(keys=((1, 4, 1), (2, 1, 1)))
+
+
+RESTORE_CASES = {
+    # Control rows: states a run reaches.
+    "key-held": (small_keydoor, dict(held=(1,), keys=(0,)), None),
+    "door-opened": (two_key_door, dict(held=(2,), keys=(0, 1), doors=(1,), tf=9, gf=36), None),
+    "treasures-collected": (small_corridor, dict(treasures=(0, 1), done=1), None),
+    # Held keys: a room the world lacks, more than key_capacity, unsorted.
+    "held-foreign-room": (small_keydoor, dict(held=(999,), keys=(0,)), "rooms"),
+    "held-over-capacity": (small_keydoor, dict(held=(1,) * 20), "rooms"),
+    "held-unsorted": (two_key_door, dict(held=(2, 1), keys=(0, 1)), "rooms"),
+    # Taken indices: past the world's count, repeated, out of order.
+    "key-past-count": (small_keydoor, dict(held=(1,), keys=(50,)), "key indices"),
+    "key-repeated": (two_key_door, dict(held=(1, 1), keys=(0, 0)), "key indices"),
+    "key-out-of-order": (two_key_door, dict(held=(1, 2), keys=(1, 0)), "key indices"),
+    "door-past-count": (small_keydoor, dict(keys=(0,), doors=(2,)), "door indices"),
+    "door-repeated": (two_key_door, dict(keys=(0, 1), doors=(0, 0)), "door indices"),
+    "door-out-of-order": (two_key_door, dict(keys=(0, 1), doors=(1, 0)), "door indices"),
+    "treasure-past-count": (small_corridor, dict(treasures=(2,)), "treasure indices"),
+    "treasure-repeated": (small_corridor, dict(treasures=(1, 1)), "treasure indices"),
+    "treasure-out-of-order": (small_corridor, dict(treasures=(1, 0)), "treasure indices"),
+    # Counts and flags no step makes.
+    "key-taken-not-held": (small_keydoor, dict(keys=(0,)), "add up"),
+    "key-held-not-taken": (small_keydoor, dict(held=(1,)), "add up"),
+    "done-flag": (small_keydoor, dict(done=2), "done flag"),
+    "game-frames": (small_keydoor, dict(tf=1, gf=5), "frame_skip"),
+    "level-without-levels": (small_corridor, dict(level=1), "without levels"),
+    "treasure-advancing-levels": (small_keydoor, dict(treasures=(0,)), "advance levels"),
+}
+
+
+@pytest.mark.parametrize("case", list(RESTORE_CASES))
+def test_restore_rejects_states_no_step_makes(case):
+    make, state, match = RESTORE_CASES[case]
+    env = make()
+    snap = repacked(env, **state)
+    if match is None:
+        env.restore(snap)
+        assert env.snapshot().state_bytes == snap.state_bytes
+        assert env.discrete_state() == state_oracle(env)
+    else:
+        with pytest.raises(SnapshotFormatError, match=match):
+            env.restore(snap)
+
+
+@settings(max_examples=300, deadline=None)
+@given(world=st.sampled_from(sorted(ENV_FACTORIES)), pick=st.integers(0, 10**6),
+       op=st.sampled_from(("edit", "insert", "delete")), at=st.integers(0, 10**6),
+       value=st.one_of(st.integers(0, 8), st.integers(0, 0xFFFF)))
+def test_restore_of_an_edited_tail_raises_or_round_trips(world, pick, op, at, value):
+    """One 16-bit value of a reachable snapshot's tail edited, inserted or
+    deleted: restore either rejects the result or installs a state whose
+    snapshot is the same bytes and whose discrete state is recomputed
+    exactly from the dynamic state."""
+    env = ENV_FACTORIES[world]()
+    _, snap = reachable(world)[pick % len(reachable(world))]
+    payload = unpack_snapshot(snap.state_bytes, env.config_hash)
+    head, tail = payload[:STATE_HEAD.size], list(struct.unpack(
+        f"<{(len(payload) - STATE_HEAD.size) // 2}H", payload[STATE_HEAD.size:]))
+    at %= len(tail) + (op == "insert")
+    if op == "edit":
+        tail[at] = value
+    elif op == "insert":
+        tail.insert(at, value)
+    else:
+        del tail[at]
+    blob = pack_snapshot(env.config_hash, head + struct.pack(f"<{len(tail)}H", *tail))
+    edited = dataclasses.replace(snap, state_bytes=blob)
+    try:
+        env.restore(edited)
+    except SnapshotFormatError:
+        return
+    assert env.snapshot().state_bytes == blob
+    assert env.discrete_state() == state_oracle(env)
 
 
 # -- sticky wrapper -------------------------------------------------------------

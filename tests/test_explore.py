@@ -28,7 +28,7 @@ from archex.trajectory import Trajectory
 
 import oracle
 from conftest import drive, small_corridor, small_keydoor, small_twomaze
-from oracle import myopic_greedy_baseline
+from oracle import extend, myopic_greedy_baseline
 
 MAPPER = domain_mapper(1)
 
@@ -237,9 +237,9 @@ def test_merge_credits_improvement():
     env.reset(0)
     env.step(3)
     other_key = MAPPER(env.observe(), env.observe().features)
-    archive.insert_or_update(other_key, Trajectory().extend(3).extend(0), env.snapshot())
+    archive.insert_or_update(other_key, extend(extend(Trajectory(), 3), 0), env.snapshot())
     archive.record_chosen(key)
-    shorter = CellVisits(2, Trajectory().extend(3), env.snapshot())
+    shorter = CellVisits(2, extend(Trajectory(), 3), env.snapshot())
     merge_results(archive, [RolloutResult(key, {other_key: shorter}, 1, False, set(), 0)])
     assert archive.record(other_key).traj_len == 1
     assert archive.record(other_key).times_seen == 3

@@ -32,6 +32,7 @@ from archex.selection import SelectionConfig
 from archex.trajectory import Trajectory
 
 from conftest import CountingPolicy, small_corridor, small_keydoor, small_twomaze
+from oracle import extend
 
 MAPPER = domain_mapper(1)
 
@@ -104,7 +105,7 @@ def test_select_demonstrations_level_filter():
         if level:
             # records carry a replay-consistent snapshot; the level lives in
             # the key only, which is all the filter looks at
-            archive.insert_or_update(DomainKey(1, 0, 0, level, ()), Trajectory().extend(0),
+            archive.insert_or_update(DomainKey(1, 0, 0, level, ()), extend(Trajectory(), 0),
                                      stepped)
         return archive
 
