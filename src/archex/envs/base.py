@@ -8,7 +8,8 @@ training_frames * frame_skip`` always holds, including for snapshots taken
 mid-episode.
 
 Stepping computes only what every caller reads: a :class:`StepResult`
-carries the reward and the done flag. The ground-truth features come from
+carries the reward and the done flag, and a world reads most steps from
+its transition table (see ``GridWorld``). The ground-truth features come from
 ``GridWorld.features`` and a frame from ``GridWorld.render`` (or
 ``GridWorld.observe``, which does both), so callers that never read
 features or pixels never pay for them.
@@ -73,8 +74,11 @@ class Observation:
     features: DomainInfo | None
 
 
-@dataclass(slots=True)
+@dataclass(frozen=True, slots=True)
 class StepResult:
+    """A step's reward and done flag; a world hands the same value out for
+    every step with an equal pair."""
+
     reward: float
     done: bool
 

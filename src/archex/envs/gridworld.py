@@ -12,25 +12,39 @@ identical repeats, and the step reward is the total produced during that
 window). ``game_frames == training_frames * frame_skip`` holds exactly,
 including in snapshots taken mid-episode.
 
-:meth:`step` returns only the reward and the done flag. :meth:`features`
-builds the ground-truth features where they are read (exploration
-rollouts, replay verification, demonstration building), and :meth:`render`
+Within one config, a tick's next state, reward and kill flag are a pure
+function of the discrete state and the action; only the time limit reads
+the frame counters. So a world interns each discrete state (position,
+level, held key rooms, taken keys, opened doors, collected treasures, as
+one tuple of ints) to an id the first time it meets it, and keeps a
+transition row per id: each action's next id and its :class:`StepResult`
+(the reward, and done where the step kills), unknown until that action is
+first taken. The dynamic state is that id, the score, the frame counters
+and the done flag, and a :meth:`step` is a table read that hands out the
+row's result, one shared object per distinct result, unless the time limit
+ends the episode. On a miss, the world materialises its fields from the
+id's tuple, runs :meth:`_tick`, the one implementation of the dynamics,
+and fills the entry in. Ids belong to one world, and the table is bounded:
+once it holds ``STATE_TABLE_LIMIT`` states, the next new state clears it,
+and it starts again from the current state.
+
+:meth:`step` returns only the reward and the done flag.
+:meth:`discrete_state` returns the interned tuple, :meth:`features` and
+:meth:`snapshot` read it, and :meth:`render` materialises it. :meth:`render`
 is the only renderer, called where a frame is read: :meth:`observe`, the
 downscaled-cell mapper on a memo miss, and ``archex replay --render``.
-:meth:`reset` restores the start snapshot and returns the start
-observation drawn once at construction, so robustification and evaluation
-never render.
-:meth:`discrete_state` keeps the part of its tuple that only pickups, door
-openings, treasures, level advances, reset and restore change, so between
-those events it costs one tuple concatenation.
+:meth:`reset` installs the start state and returns the start observation
+drawn once at construction, so robustification and evaluation never
+render.
 
-A snapshot's payload is ``base.STATE_HEAD`` followed by that cached tail
-(the held key rooms, taken keys, opened doors and collected treasures, each
-a count and then its sorted values) as one run of 16-bit integers.
-:meth:`restore` is the one parser of the run: it rejects a state that
-breaks an invariant every step keeps, then installs the run as the cached
-tail, so the mappers and every other reader of the state trust it without
-checking again.
+A snapshot's payload is ``base.STATE_HEAD`` followed by the tuple past
+position and level (the held key rooms, taken keys, opened doors and
+collected treasures, each a count and then its sorted values) as one run
+of 16-bit integers. :meth:`restore` is the one parser of the run: it
+rejects a state that breaks an invariant every step keeps, and only then
+interns it, so the table holds only states a step or a checked restore
+made, and the mappers and every other reader of the state trust it
+without checking again.
 """
 
 from __future__ import annotations
@@ -63,6 +77,11 @@ TILE_HAZARD = 4
 TILE_TREASURE = 5
 
 MAX_TILES = 1 << 20  # the most tiles a grid may have; checked before allocating them
+# The most states a world's transition table holds before the next new one
+# clears it. A full table of the shipped keydoor world takes 21.3 MB, 326 B
+# per state (tracemalloc).
+STATE_TABLE_LIMIT = 1 << 16
+_EMPTY_ROW = [None] * ACTION_COUNT  # a new id's transition entries
 
 # Rendering intensities, all in [0, 255].
 SHADE_FLOOR = 0
@@ -92,10 +111,11 @@ class GridWorld:
     ``"level"`` or ``"collect"``). A world without rooms renders the whole
     grid; a world of rooms renders the agent's room.
 
-    The dynamic state (position, level, ``held``, ``keys_taken``,
-    ``doors_open``, ``treasures_taken``) changes only through :meth:`step`,
-    :meth:`reset` and :meth:`restore`, which keep :meth:`discrete_state`'s
-    cached part current.
+    The dynamic state is the interned id of :meth:`discrete_state`, the
+    score, the frame counters and the done flag; it changes only through
+    :meth:`step`, :meth:`reset` and :meth:`restore`. ``x``, ``y``,
+    ``level``, ``held``, ``keys_taken``, ``doors_open`` and
+    ``treasures_taken`` read the interned tuple.
     """
 
     action_count: int = ACTION_COUNT
@@ -139,19 +159,29 @@ class GridWorld:
         self.rooms: tuple[int, int, int, int] | None = None
         self._params: dict[str, object] = {}
 
-        # Dynamic state.
-        self.x = 0
-        self.y = 0
-        self.level = 0
-        self.held: tuple[int, ...] = ()
-        self.keys_taken: set[int] = set()
-        self.doors_open: set[int] = set()
-        self.treasures_taken: set[int] = set()
+        # Dynamic state: the interned id of discrete_state(), then the rest.
+        self._sid = 0
         self._score = 0.0
         self._training_frames = 0
         self._game_frames = 0
-        # discrete_state() after (x, y, level); None once a change voids it.
-        self._state_tail: tuple[int, ...] | None = None
+        # The transition table: discrete states by id and ids by state, then
+        # ACTION_COUNT entries per id, the next id and the step's result
+        # (reward and kill flag), None until the action is first taken. The
+        # results are shared: one object per distinct (reward, kill) pair.
+        self._states: list[tuple[int, ...]] = []
+        self._ids: dict[tuple[int, ...], int] = {}
+        self._next: list[int | None] = []
+        self._result: list[StepResult | None] = []
+        self._results: dict[tuple[float, bool], StepResult] = {}
+        # The state's fields, materialised from its tuple by _materialise()
+        # for _tick() and render().
+        self._x = 0
+        self._y = 0
+        self._level = 0
+        self._held: tuple[int, ...] = ()
+        self._keys: set[int] = set()
+        self._doors: set[int] = set()
+        self._treasures: set[int] = set()
 
         # room_of(x, y) == _room_col[x] + _room_row[y], filled in by _build().
         self._room_col: list[int] = []
@@ -218,9 +248,11 @@ class GridWorld:
         self._validate_layout()
         self.config_hash = config_hash_from_lines(self.config_lines())
         self._prerender()
-        # The start state; reset() restores it and returns this pair, so the
-        # start frame is drawn once and read-only.
-        self.x, self.y = self.spawn
+        # The start state: the spawn tile at level 0, with each of the four
+        # counted runs empty. reset() installs it and returns this pair, so
+        # the start frame is drawn once and read-only.
+        self._start_state = (*self.spawn, 0, 0, 0, 0, 0)
+        self._sid = self._intern(self._start_state)
         self._done = False
         obs = self.observe()
         obs.frame.flags.writeable = False
@@ -289,58 +321,107 @@ class GridWorld:
     # -- dynamics ----------------------------------------------------------
 
     def _tick(self, action: int) -> float:
+        """Advance the materialised fields by one action and return its
+        reward; a kill sets ``_done``."""
         reward = 0.0
         dx, dy = _DELTAS[action]
         if dx or dy:
-            nx, ny = self.x + dx, self.y + dy
+            nx, ny = self._x + dx, self._y + dy
             # Keys and treasures, taken or not, are walked onto like floor,
             # and so is an opened door.
             code = self.base[ny * self.width + nx]
             if code == TILE_WALL:
                 pass
-            elif code == TILE_DOOR and self._door_at[(nx, ny)] not in self.doors_open:
-                if self.held:
+            elif code == TILE_DOOR and self._door_at[(nx, ny)] not in self._doors:
+                if self._held:
                     # Unlocking consumes the frame and the lowest-room key.
-                    self.held = self.held[1:]
-                    self.doors_open.add(self._door_at[(nx, ny)])
-                    self._state_tail = None
+                    self._held = self._held[1:]
+                    self._doors.add(self._door_at[(nx, ny)])
             else:
-                self.x, self.y = nx, ny
+                self._x, self._y = nx, ny
 
-        pos = (self.x, self.y)
-        code = self.base[self.y * self.width + self.x]
+        pos = (self._x, self._y)
+        code = self.base[self._y * self.width + self._x]
         if code == TILE_KEY:
             idx = self._key_at[pos]
-            if idx not in self.keys_taken and len(self.held) < self.key_capacity:
-                self.keys_taken.add(idx)
+            if idx not in self._keys and len(self._held) < self.key_capacity:
+                self._keys.add(idx)
                 room = self.room_of(*pos)
-                self.held = tuple(sorted(self.held + (room,)))
-                self._state_tail = None
+                self._held = tuple(sorted(self._held + (room,)))
                 reward += self.key_rewards[idx]
         elif code == TILE_TREASURE:
             idx = self._treasure_at[pos]
             if self.treasure_mode == "level":
                 reward += self.treasure_values[idx]
                 self._advance_level()
-            elif idx not in self.treasures_taken:
-                self.treasures_taken.add(idx)
-                self._state_tail = None
+            elif idx not in self._treasures:
+                self._treasures.add(idx)
                 reward += self.treasure_values[idx]
         elif code == TILE_HAZARD:
             if self.hazard_policy == "kill":
                 self._done = True
             else:
                 reward += self.hazard_penalty
-                self.x, self.y = self.respawn_point(self.room_of(*pos))
+                self._x, self._y = self.respawn_point(self.room_of(*pos))
         return reward
 
     def _advance_level(self) -> None:
-        self.level += 1
-        self.held = ()
-        self.keys_taken.clear()
-        self.doors_open.clear()
-        self._state_tail = None
-        self.x, self.y = self.spawn
+        self._level += 1
+        self._held = ()
+        self._keys.clear()
+        self._doors.clear()
+        self._x, self._y = self.spawn
+
+    # -- the transition table ------------------------------------------------
+
+    def _intern(self, state: tuple[int, ...]) -> int:
+        """The id of ``state``, giving it the next id and an empty row if
+        it is new. A table that already holds ``STATE_TABLE_LIMIT`` states
+        is cleared first, and the current state interned again, so ``_sid``
+        stays valid."""
+        sid = self._ids.get(state)
+        if sid is not None:
+            return sid
+        if len(self._states) >= STATE_TABLE_LIMIT:
+            current = self._states[self._sid]
+            self._states, self._ids, self._next, self._result = [], {}, [], []
+            self._sid = self._intern(current)
+        sid = len(self._states)
+        self._states.append(state)
+        self._ids[state] = sid
+        self._next += _EMPTY_ROW
+        self._result += _EMPTY_ROW
+        return sid
+
+    def _materialise(self) -> None:
+        """Set the fields ``_tick`` and ``render`` read from the current
+        state's tuple."""
+        state = self._states[self._sid]
+        self._x, self._y, self._level = state[:3]
+        (self._held, keys, doors, treasures), _ = _counted_runs(state, 3)
+        self._keys, self._doors, self._treasures = set(keys), set(doors), set(treasures)
+
+    def _miss(self, action: int) -> tuple[int, StepResult]:
+        """Tick ``action`` from the current state, whose row lacks it, and
+        fill in and return its entry: the next id and the step's result,
+        which is done only if the step kills."""
+        self._materialise()
+        reward = self._tick(action)
+        nid = self._intern((
+            self._x, self._y, self._level,
+            len(self._held), *self._held,
+            len(self._keys), *sorted(self._keys),
+            len(self._doors), *sorted(self._doors),
+            len(self._treasures), *sorted(self._treasures),
+        ))
+        pair = (reward, self._done)
+        result = self._results.get(pair)
+        if result is None:
+            result = self._results[pair] = StepResult(*pair)
+        at = self._sid * ACTION_COUNT + action
+        self._next[at] = nid
+        self._result[at] = result
+        return nid, result
 
     @property
     def done(self) -> bool:
@@ -354,24 +435,38 @@ class GridWorld:
         self._require_live()
         if not 0 <= action < self.action_count:
             raise ContractError(f"action {action} out of range")
-        total = self._tick(action)
+        at = self._sid * ACTION_COUNT + action
+        nid = self._next[at]
+        if nid is None:
+            nid, result = self._miss(action)
+        else:
+            result = self._result[at]
+        self._sid = nid
         self._training_frames += 1
         self._game_frames += self.frame_skip
-        if not self._done and self._game_frames >= self.time_limit_game_frames:
+        self._score += result.reward
+        if result.done:
             self._done = True
-        self._score += total
-        return StepResult(total, self._done)
+        elif self._game_frames >= self.time_limit_game_frames:
+            self._done = True
+            return StepResult(result.reward, True)
+        return result
 
     def reset(self, seed: int = 0) -> tuple[Observation, EnvSnapshot]:
-        """Restore the start state and return its observation and snapshot."""
+        """Install the start state and return its observation and snapshot."""
         del seed  # the engine is deterministic
-        self.restore(self._start[1])
+        self._score = 0.0
+        self._training_frames = self._game_frames = 0
+        self._done = False
+        self._sid = self._intern(self._start_state)
         return self._start
 
     # -- observation -------------------------------------------------------
 
     def features(self) -> DomainInfo:
-        return DomainInfo(self.x, self.y, self.room_of(self.x, self.y), self.level, self.held)
+        state = self._states[self._sid]
+        x, y = state[0], state[1]
+        return DomainInfo(x, y, self.room_of(x, y), state[2], state[4:4 + state[3]])
 
     def observe(self) -> Observation:
         return Observation(frame=self.render(), features=self.features())
@@ -426,23 +521,24 @@ class GridWorld:
         doors and the collected treasures. The downscaled-cell mapper
         memoises keys on that pair, so a state this method draws must be
         in :meth:`discrete_state` too."""
-        view = 0 if len(self._bg) == 1 else self.room_of(self.x, self.y)
+        self._materialise()
+        view = 0 if len(self._bg) == 1 else self.room_of(self._x, self._y)
         frame = self._bg[view].copy()
         tp = self.tile_px
         for kind, idx, tx, ty in self._dyn[view]:
             if kind == TILE_KEY:
-                if idx in self.keys_taken:
+                if idx in self._keys:
                     continue
                 val = SHADE_KEY
             elif kind == TILE_DOOR:
-                val = SHADE_DOOR_OPEN if idx in self.doors_open else SHADE_DOOR_LOCKED
+                val = SHADE_DOOR_OPEN if idx in self._doors else SHADE_DOOR_LOCKED
             else:
-                if self.treasure_mode == "collect" and idx in self.treasures_taken:
+                if self.treasure_mode == "collect" and idx in self._treasures:
                     continue
                 val = SHADE_TREASURE
             frame[ty * tp:(ty + 1) * tp, tx * tp:(tx + 1) * tp] = val
         x0, y0, _, _ = self._viewport[view]
-        ax, ay = self.x - x0, self.y - y0
+        ax, ay = self._x - x0, self._y - y0
         frame[ay * tp:(ay + 1) * tp, ax * tp:(ax + 1) * tp] = SHADE_AGENT
         return frame
 
@@ -458,16 +554,16 @@ class GridWorld:
     # -- snapshot / restore --------------------------------------------------
 
     def snapshot(self) -> EnvSnapshot:
-        tail = self.discrete_state()[3:]
+        state = self._states[self._sid]
         payload = STATE_HEAD.pack(
             self._score,
             self._training_frames,
             self._game_frames,
             1 if self._done else 0,
-            self.level,
-            self.x,
-            self.y,
-        ) + struct.pack(f"<{len(tail)}H", *tail)
+            state[2],
+            state[0],
+            state[1],
+        ) + struct.pack(f"<{len(state) - 3}H", *state[3:])
         return EnvSnapshot(
             state_bytes=pack_snapshot(self.config_hash, payload),
             cum_score=self._score,
@@ -483,11 +579,7 @@ class GridWorld:
         score, tf, gf, done, level, x, y = read_state_head(payload)
         n, odd = divmod(len(payload) - STATE_HEAD.size, 2)
         tail = struct.unpack_from(f"<{n}H", payload, STATE_HEAD.size)
-        seqs, at = [], 0
-        while len(seqs) < 4 and at < n:
-            end = at + 1 + tail[at]
-            seqs.append(tail[at + 1:end])
-            at = end
+        seqs, at = _counted_runs(tail, 0)
         if len(seqs) < 4 or at > n:
             raise SnapshotFormatError("snapshot payload is cut short")
         if at < n or odd:
@@ -497,6 +589,9 @@ class GridWorld:
             raise SnapshotFormatError(f"snapshot done flag is {done}, not 0 or 1")
         if gf != tf * self.frame_skip:
             raise SnapshotFormatError(f"snapshot game frames {gf} are not {tf} x frame_skip")
+        if not done and gf >= self.time_limit_game_frames:
+            raise SnapshotFormatError(f"snapshot is live at game frame {gf}, at or past the "
+                                      "time limit")
         if not (0 <= x < self.width and 0 <= y < self.height
                 and self.base[y * self.width + x] != TILE_WALL):
             raise SnapshotFormatError(f"snapshot position ({x},{y}) is off the grid or a wall")
@@ -513,37 +608,67 @@ class GridWorld:
         if len(held) + len(doors) != len(keys):
             raise SnapshotFormatError("snapshot held keys and opened doors do not add up "
                                       "to the keys taken")
+        taken_rooms = [self.room_of(*self.key_positions[k]) for k in keys]
+        if any(held.count(room) > taken_rooms.count(room) for room in held):
+            raise SnapshotFormatError(f"snapshot holds keys of rooms {held}, not all of them "
+                                      "rooms of the keys taken")
         if self.treasure_mode == "level" and self.treasure_positions:
             if treasures:
                 raise SnapshotFormatError("snapshot collects treasures that advance levels")
         elif level:
             raise SnapshotFormatError(f"snapshot is at level {level} in a world without levels")
+        self._sid = self._intern((x, y, level) + tail)
         self._score = score
         self._training_frames = tf
         self._game_frames = gf
         self._done = bool(done)
-        self.level = level
-        self.x, self.y = x, y
-        self.held = held
-        self.keys_taken = set(keys)
-        self.doors_open = set(doors)
-        self.treasures_taken = set(treasures)
-        self._state_tail = tail
 
     def discrete_state(self) -> tuple[int, ...]:
-        """Position, level, held keys and the taken keys, opened doors and
-        collected treasures, as one tuple of ints. Two states of one config
-        with equal tuples render the same frame (see :meth:`render`)."""
-        tail = self._state_tail
-        if tail is None:
-            tail = self._state_tail = (
-                len(self.held),
-                *self.held,
-                len(self.keys_taken),
-                *sorted(self.keys_taken),
-                len(self.doors_open),
-                *sorted(self.doors_open),
-                len(self.treasures_taken),
-                *sorted(self.treasures_taken),
-            )
-        return (self.x, self.y, self.level) + tail
+        """Position, level, then the held key rooms, taken keys, opened
+        doors and collected treasures, each a count and then its sorted
+        values, as one tuple of ints; the world's interned copy, so states
+        repeat as the same object. Two states of one config with equal
+        tuples render the same frame (see :meth:`render`)."""
+        return self._states[self._sid]
+
+    # Read-only views of the interned tuple.
+
+    @property
+    def x(self) -> int:
+        return self._states[self._sid][0]
+
+    @property
+    def y(self) -> int:
+        return self._states[self._sid][1]
+
+    @property
+    def level(self) -> int:
+        return self._states[self._sid][2]
+
+    @property
+    def held(self) -> tuple[int, ...]:
+        """The rooms of the held keys, sorted."""
+        return _counted_runs(self._states[self._sid], 3)[0][0]
+
+    @property
+    def keys_taken(self) -> frozenset[int]:
+        return frozenset(_counted_runs(self._states[self._sid], 3)[0][1])
+
+    @property
+    def doors_open(self) -> frozenset[int]:
+        return frozenset(_counted_runs(self._states[self._sid], 3)[0][2])
+
+    @property
+    def treasures_taken(self) -> frozenset[int]:
+        return frozenset(_counted_runs(self._states[self._sid], 3)[0][3])
+
+
+def _counted_runs(values: tuple[int, ...], at: int) -> tuple[list[tuple[int, ...]], int]:
+    """Up to four runs from ``values[at:]``, each a count and then that many
+    values, and the index past the last; a run cut short ends early."""
+    runs = []
+    while len(runs) < 4 and at < len(values):
+        end = at + 1 + values[at]
+        runs.append(values[at + 1:end])
+        at = end
+    return runs, at

@@ -31,6 +31,11 @@ from .seeding import TAG_EVAL, stream
 # Generator.integers(n, size=k) yields the same values as k successive
 # Generator.integers(n) calls (both take one 32-bit bounded draw each).
 _ACTION_BLOCK = 256
+# Resample indices drawn and gathered per block of bootstrap rows. Blocks
+# draw the same indices as one call for every row would: each index is one
+# 32-bit bounded draw, and PCG64 keeps its spare 32-bit half-word in the
+# generator state across calls.
+_RESAMPLE_BLOCK = 1 << 16
 
 
 @dataclass(frozen=True)
@@ -120,9 +125,16 @@ def _resample_means(
     n_resamples: int,
     rng: np.random.Generator,
 ) -> np.ndarray:
+    """The means of ``n_resamples`` resamples of ``samples`` with
+    replacement, drawn and gathered about ``_RESAMPLE_BLOCK`` indices at a
+    time into one output array."""
     n = len(samples)
-    idx = rng.integers(0, n, size=(n_resamples, n))
-    return samples[idx].mean(axis=1)
+    rows = max(1, _RESAMPLE_BLOCK // n)
+    means = np.empty(n_resamples)
+    for start in range(0, n_resamples, rows):
+        stop = min(start + rows, n_resamples)
+        means[start:stop] = samples[rng.integers(0, n, size=(stop - start, n))].mean(axis=1)
+    return means
 
 
 def bootstrap_ci(

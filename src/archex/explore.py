@@ -35,6 +35,12 @@ from .selection import SelectionConfig, cell_probs, sample_batch
 from .trajectory import Node, Trajectory
 
 
+# The largest rollout length and batch; each sizes an array of draws per
+# iteration (see explore_from and sample_batch), checked before any work.
+MAX_K = 1 << 20
+MAX_BATCH = 1 << 20
+
+
 @dataclass(frozen=True)
 class ExploreConfig:
     k: int = 100                      # exploration budget per rollout, training frames
@@ -45,12 +51,12 @@ class ExploreConfig:
     metric_interval_game_frames: int = 4_000_000
 
     def __post_init__(self) -> None:
-        if self.k < 1:
-            raise ConfigError("k must be >= 1")
+        if not 1 <= self.k <= MAX_K:
+            raise ConfigError(f"k must be in [1, {MAX_K}]")
         if not 0.0 <= self.repeat_p < 1.0:
             raise ConfigError("repeat_p must satisfy 0 <= p < 1")
-        if self.batch_size < 1:
-            raise ConfigError("batch_size must be >= 1")
+        if not 1 <= self.batch_size <= MAX_BATCH:
+            raise ConfigError(f"batch_size must be in [1, {MAX_BATCH}]")
         if self.budget_training_frames < 0:
             raise ConfigError("budget must be >= 0")
         if not 0 <= self.seed < 2**64:  # checkpoints store it as an unsigned 64-bit integer

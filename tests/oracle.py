@@ -22,6 +22,10 @@ frame it is handed, rendering an environment on every call, where
 :func:`archex.cells.downscale_mapper` memoises keys by environment state;
 both must give the same keys. :func:`extend` grows a trajectory by one
 action, as only tests do; the package links nodes itself.
+:func:`resample_means_oneshot` draws and gathers a bootstrap's whole index
+matrix at once, where :func:`archex.evaluation.bootstrap_ci` and
+:func:`archex.evaluation.percentile_band` do it in blocks of rows; both
+must give the same bytes.
 """
 
 from __future__ import annotations
@@ -303,6 +307,15 @@ def evaluate_scalar_draws(
                 frames += 1
             rows.append((noop, episode, base.cum_score, frames))
     return rows
+
+
+def resample_means_oneshot(samples: np.ndarray, n_resamples: int,
+                           rng: np.random.Generator) -> np.ndarray:
+    """The means of ``n_resamples`` resamples of ``samples``, from one
+    ``integers(0, n, (n_resamples, n))`` draw gathered whole."""
+    n = len(samples)
+    idx = rng.integers(0, n, size=(n_resamples, n))
+    return samples[idx].mean(axis=1)
 
 
 class ScalarQLearner(TabularQLearner):

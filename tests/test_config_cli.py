@@ -283,15 +283,21 @@ def test_cli_config_error_exit_2(tmp_path):
     pytest.param("env.type = twomaze\nenv.arm_rows = 18446744073709551616",
                  id="env.arm_rows = 18446744073709551616"),
     pytest.param("env.type = keydoor\nenv.room_w = 10000", id="env.room_w = 10000"),
+    # Each sizes an array of draws; numpy refuses 2**40 at once, so even
+    # where the value got through, nothing would be allocated.
+    f"explore.batch = {2**40}",
+    f"explore.k = {2**40}",
 ])
 def test_cli_out_of_range_setting_exit_2(tmp_path, line):
     """Rejected when the config loads, not after a whole run, by a check of
     the value: the error names the setting of the last line and is no
     unknown-key error. A line that sets its own env.type replaces the base's
-    twomaze."""
+    twomaze, and one that sets a key of the base replaces the base's line."""
     base = BASE
     if line.startswith("env.type"):
         base = BASE.replace("env.type = twomaze\nenv.arm_rows = 3\nenv.arm_cols = 6\n", "")
+    key = line.split("=")[0]
+    base = "".join(f"{kept}\n" for kept in base.splitlines() if not kept.startswith(key))
     path = write_config(tmp_path, base + line + "\n")
     with pytest.raises(ConfigError) as err:
         load_config(path)

@@ -23,6 +23,7 @@ from archex.envs import (
     force_noops,
 )
 from archex.envs.base import STATE_HEAD, pack_snapshot, unpack_snapshot
+from archex.envs import gridworld
 from archex.envs.gridworld import TILE_DOOR, TILE_HAZARD, TILE_WALL
 from archex.errors import ConfigError, ContractError, SnapshotFormatError
 
@@ -343,6 +344,113 @@ def test_cached_state_and_features_match_recomputation(world):
     assert EVENTS_EXPECTED[world] <= events
 
 
+# -- the transition table against a world that ticks nearly every step -----------
+
+# Worlds with short time limits, so that walks run into them: the small
+# keydoor with a hazard in room 2 under each policy, and the small corridor,
+# whose hazards respawn.
+TABLE_WORLDS = {
+    "twomaze": lambda: small_twomaze(time_limit_game_frames=300),
+    "keydoor-kill": lambda: small_keydoor(hazards=((2, 1, 1),), hazard_policy="kill",
+                                          time_limit_game_frames=600),
+    "keydoor-respawn": lambda: small_keydoor(hazards=((2, 1, 1),), hazard_policy="respawn",
+                                             time_limit_game_frames=600),
+    "corridor": lambda: small_corridor(time_limit_game_frames=300),
+}
+TABLE_EVENTS = {
+    "twomaze": {"reset", "restore", "time limit"},
+    "keydoor-kill": {"reset", "restore", "pickup", "door", "level", "kill", "time limit"},
+    "keydoor-respawn": {"reset", "restore", "pickup", "door", "level", "respawn",
+                        "time limit"},
+    "corridor": {"reset", "restore", "treasure", "respawn", "time limit"},
+}
+
+
+def walk_trace(monkeypatch, env, seed, steps):
+    """:func:`random_walk` on ``env``: the events it met, and after each
+    reset, restore or step the step's result (None for the others), the
+    done flag, discrete state, features, rendered frame and snapshot."""
+    results = []
+    step = env.step
+
+    def recording_step(action):
+        results.append(step(action))
+        return results[-1]
+
+    monkeypatch.setattr(env, "step", recording_step)
+    events, trace = set(), []
+    for happened in random_walk(env, seed, steps):
+        events |= happened
+        if env.done and env.frame_counters()[0] >= env.time_limit_game_frames:
+            events.add("time limit")
+        result = results.pop() if results else None
+        trace.append((result, env.done, env.discrete_state(), env.features(),
+                      env.render().tobytes(), env.snapshot().state_bytes))
+    return events, trace
+
+
+@pytest.mark.parametrize("world", sorted(TABLE_WORLDS))
+def test_table_steps_like_a_world_that_ticks_every_new_pair(monkeypatch, world):
+    """The oracle world's table holds the current state and the one it
+    leads to (a limit of 1), so nearly every step ticks; a world with the
+    shipped limit reads most steps from its table. Both walk the same
+    random walk through every event their world has, with the same
+    results, states, features, frames and snapshots."""
+    monkeypatch.setattr(gridworld, "STATE_TABLE_LIMIT", 1)
+    events, want = walk_trace(monkeypatch, TABLE_WORLDS[world](), 5, 6000)
+    monkeypatch.undo()
+    env = TABLE_WORLDS[world]()
+    got_events, got = walk_trace(monkeypatch, env, 5, 6000)
+    assert TABLE_EVENTS[world] <= events == got_events
+    assert got == want
+    assert len(env._states) < len(got) / 10  # the table did the stepping
+
+
+def test_table_limit_clears_and_keeps_the_bytes(monkeypatch):
+    """A table limited to 50 states is cleared many times over a walk that
+    meets over 300, and the walk's snapshot bytes do not change."""
+    make = TABLE_WORLDS["keydoor-kill"]
+    env = make()
+    unlimited = [snap for *_, snap in walk_trace(monkeypatch, env, 9, 20_000)[1]]
+    assert len(env._states) > 300
+    monkeypatch.undo()
+    monkeypatch.setattr(gridworld, "STATE_TABLE_LIMIT", 50)
+    env = make()
+    sizes = []
+    intern = env._intern
+
+    def sized_intern(state):
+        sid = intern(state)
+        sizes.append(len(env._states))
+        return sid
+
+    monkeypatch.setattr(env, "_intern", sized_intern)
+    limited = [snap for *_, snap in walk_trace(monkeypatch, env, 9, 20_000)[1]]
+    assert limited == unlimited
+    assert max(sizes) <= 51 and sizes.count(2) > 10
+
+
+def test_replay_from_a_snapshot_reads_the_table(monkeypatch):
+    """Stepping the same actions from the same snapshot a second time ticks
+    no step and gives the same results and snapshots."""
+    env = small_keydoor(hazards=((2, 1, 1),), hazard_policy="respawn")
+    ticks = []
+    tick = gridworld.GridWorld._tick
+    monkeypatch.setattr(gridworld.GridWorld, "_tick",
+                        lambda self, action: ticks.append(action) or tick(self, action))
+    _, start = env.reset(0)
+
+    def replay():
+        env.restore(start)
+        return [(env.step(a), env.snapshot()) for a in random_actions(3, 3000)]
+
+    first = replay()
+    assert len(ticks) > 100
+    ticks.clear()
+    assert replay() == first
+    assert ticks == []
+
+
 # Hazards clear of every doorway, each more than one tile from the room's
 # respawn point, so a respawn is a jump.
 KEYDOOR_HAZARDS = ((0, 4, 0), (1, 3, 4), (2, 4, 4))
@@ -436,6 +544,9 @@ RESTORE_CASES = {
     "held-foreign-room": (small_keydoor, dict(held=(999,), keys=(0,)), "rooms"),
     "held-over-capacity": (small_keydoor, dict(held=(1,) * 20), "rooms"),
     "held-unsorted": (two_key_door, dict(held=(2, 1), keys=(0, 1)), "rooms"),
+    # Key 0 lies in room 1, so a step never holds a key of room 2 after it.
+    "held-room-no-taken-key-has": (small_keydoor, dict(held=(2,), keys=(0,)),
+                                   "rooms of the keys taken"),
     # Taken indices: past the world's count, repeated, out of order.
     "key-past-count": (small_keydoor, dict(held=(1,), keys=(50,)), "key indices"),
     "key-repeated": (two_key_door, dict(held=(1, 1), keys=(0, 0)), "key indices"),
@@ -451,6 +562,9 @@ RESTORE_CASES = {
     "key-held-not-taken": (small_keydoor, dict(held=(1,)), "add up"),
     "done-flag": (small_keydoor, dict(done=2), "done flag"),
     "game-frames": (small_keydoor, dict(tf=1, gf=5), "frame_skip"),
+    # small_keydoor's time limit is 400,000 game frames, 100,000 steps.
+    "ended-at-time-limit": (small_keydoor, dict(tf=100_000, gf=400_000, done=1), None),
+    "live-at-time-limit": (small_keydoor, dict(tf=100_000, gf=400_000), "time limit"),
     "level-without-levels": (small_corridor, dict(level=1), "without levels"),
     "treasure-advancing-levels": (small_keydoor, dict(treasures=(0,)), "advance levels"),
 }

@@ -13,6 +13,7 @@ from archex.envs import ACTION_NOOP
 from archex.errors import ConfigError, ContractError
 from archex.evaluation import (
     EvalProtocol,
+    _resample_means,
     bootstrap_ci,
     emit_report,
     evaluate_policy,
@@ -31,7 +32,7 @@ from conftest import (
     small_keydoor,
     small_twomaze,
 )
-from oracle import evaluate_scalar_draws
+from oracle import evaluate_scalar_draws, resample_means_oneshot
 
 
 # -- grand mean ------------------------------------------------------------------
@@ -397,6 +398,22 @@ def test_bootstrap_coverage():
         lo, hi = bootstrap_ci(samples, n_resamples=1000, rng=boot_rng)
         covered += lo <= 0.0 <= hi
     assert 0.93 * trials <= covered <= 0.97 * trials
+
+
+# Sample counts and resample counts whose one-shot index matrix stays
+# within 5M entries (80 MB with its gather): the oracle allocates it whole.
+RESAMPLE_SIZES = [(n, b) for n in (2, 3, 7, 31, 155, 1000, 1705, 5000)
+                  for b in (1, 999, 1000, 10_000) if n * b <= 5_000_000]
+
+
+@pytest.mark.parametrize("n,n_resamples", RESAMPLE_SIZES)
+def test_blocked_resample_means_equal_oneshot(n, n_resamples):
+    """Drawing and gathering in blocks of rows gives the bytes of one draw
+    of the whole index matrix, also where the last block is short."""
+    samples = np.random.default_rng(n).normal(0, 1, size=n)
+    got = _resample_means(samples, n_resamples, stream(n, TAG_EVAL, 6))
+    want = resample_means_oneshot(samples, n_resamples, stream(n, TAG_EVAL, 6))
+    assert got.tobytes() == want.tobytes()
 
 
 def test_percentile_band_single_seed_collapses():
