@@ -22,16 +22,18 @@ transition row per id: each action's next id and its :class:`StepResult`
 first taken. The dynamic state is that id, the score, the frame counters
 and the done flag, and a :meth:`step` is a table read that hands out the
 row's result, one shared object per distinct result, unless the time limit
-ends the episode. On a miss, the world materialises its fields from the
-id's tuple, runs :meth:`_tick`, the one implementation of the dynamics,
-and fills the entry in. Ids belong to one world, and the table is bounded:
+ends the episode. On a miss, the world runs :meth:`_tick`, the one
+implementation of the dynamics, a pure function from the id's tuple and
+the action to the next tuple, the reward and the kill flag, then interns
+the next tuple and fills the entry in. The tuple is the world's only copy
+of its discrete state. Ids belong to one world, and the table is bounded:
 once it holds ``STATE_TABLE_LIMIT`` states, the next new state clears it,
 and it starts again from the current state.
 
 :meth:`step` returns only the reward and the done flag.
-:meth:`discrete_state` returns the interned tuple, :meth:`features` and
-:meth:`snapshot` read it, and :meth:`render` materialises it. :meth:`render`
-is the only renderer, called where a frame is read: :meth:`observe`, the
+:meth:`discrete_state` returns the interned tuple, and :meth:`features`,
+:meth:`snapshot` and :meth:`render` read it. :meth:`render` is the only
+renderer, called where a frame is read: :meth:`observe`, the
 downscaled-cell mapper on a memo miss, and ``archex replay --render``.
 :meth:`reset` installs the start state and returns the start observation
 drawn once at construction, so robustification and evaluation never
@@ -77,6 +79,12 @@ TILE_HAZARD = 4
 TILE_TREASURE = 5
 
 MAX_TILES = 1 << 20  # the most tiles a grid may have; checked before allocating them
+# The most game frames one training frame may stand for (Atari-style frame
+# skipping uses 2 to 4). run_phase1 writes a metrics row for each metric
+# interval the game frames cross, so the cap bounds the rows a training frame
+# can add, and the 64-bit game-frame counters of snapshots and checkpoints
+# still hold 2^54 training frames.
+MAX_FRAME_SKIP = 1 << 10
 # The most states a world's transition table holds before the next new one
 # clears it. A full table of the shipped keydoor world takes 21.3 MB, 326 B
 # per state (tracemalloc).
@@ -113,9 +121,7 @@ class GridWorld:
 
     The dynamic state is the interned id of :meth:`discrete_state`, the
     score, the frame counters and the done flag; it changes only through
-    :meth:`step`, :meth:`reset` and :meth:`restore`. ``x``, ``y``,
-    ``level``, ``held``, ``keys_taken``, ``doors_open`` and
-    ``treasures_taken`` read the interned tuple.
+    :meth:`step`, :meth:`reset` and :meth:`restore`.
     """
 
     action_count: int = ACTION_COUNT
@@ -130,8 +136,8 @@ class GridWorld:
         time_limit_game_frames: int = 400_000,
         key_capacity: int = 8,
     ) -> None:
-        if frame_skip < 1:
-            raise ConfigError("frame_skip must be >= 1")
+        if not 1 <= frame_skip <= MAX_FRAME_SKIP:
+            raise ConfigError(f"frame_skip must be in [1, {MAX_FRAME_SKIP}]")
         if time_limit_game_frames < 1:
             raise ConfigError("time_limit_game_frames must be >= 1")
         if key_capacity < 0:
@@ -173,15 +179,6 @@ class GridWorld:
         self._next: list[int | None] = []
         self._result: list[StepResult | None] = []
         self._results: dict[tuple[float, bool], StepResult] = {}
-        # The state's fields, materialised from its tuple by _materialise()
-        # for _tick() and render().
-        self._x = 0
-        self._y = 0
-        self._level = 0
-        self._held: tuple[int, ...] = ()
-        self._keys: set[int] = set()
-        self._doors: set[int] = set()
-        self._treasures: set[int] = set()
 
         # room_of(x, y) == _room_col[x] + _room_row[y], filled in by _build().
         self._room_col: list[int] = []
@@ -320,57 +317,54 @@ class GridWorld:
 
     # -- dynamics ----------------------------------------------------------
 
-    def _tick(self, action: int) -> float:
-        """Advance the materialised fields by one action and return its
-        reward; a kill sets ``_done``."""
+    def _tick(self, state: tuple[int, ...], action: int) -> tuple[tuple[int, ...], float, bool]:
+        """The dynamics: the state ``action`` leads to from ``state`` (a
+        :meth:`discrete_state` tuple), the step's reward, and whether the
+        step kills. Reads the layout and nothing of the dynamic state."""
+        x, y, level = state[:3]
+        (held, keys, doors, treasures), _ = _counted_runs(state, 3)
         reward = 0.0
+        kill = False
         dx, dy = _DELTAS[action]
         if dx or dy:
-            nx, ny = self._x + dx, self._y + dy
+            nx, ny = x + dx, y + dy
             # Keys and treasures, taken or not, are walked onto like floor,
             # and so is an opened door.
             code = self.base[ny * self.width + nx]
             if code == TILE_WALL:
                 pass
-            elif code == TILE_DOOR and self._door_at[(nx, ny)] not in self._doors:
-                if self._held:
+            elif code == TILE_DOOR and self._door_at[(nx, ny)] not in doors:
+                if held:
                     # Unlocking consumes the frame and the lowest-room key.
-                    self._held = self._held[1:]
-                    self._doors.add(self._door_at[(nx, ny)])
+                    held = held[1:]
+                    doors = tuple(sorted(doors + (self._door_at[(nx, ny)],)))
             else:
-                self._x, self._y = nx, ny
+                x, y = nx, ny
 
-        pos = (self._x, self._y)
-        code = self.base[self._y * self.width + self._x]
+        code = self.base[y * self.width + x]
         if code == TILE_KEY:
-            idx = self._key_at[pos]
-            if idx not in self._keys and len(self._held) < self.key_capacity:
-                self._keys.add(idx)
-                room = self.room_of(*pos)
-                self._held = tuple(sorted(self._held + (room,)))
+            idx = self._key_at[(x, y)]
+            if idx not in keys and len(held) < self.key_capacity:
+                keys = tuple(sorted(keys + (idx,)))
+                held = tuple(sorted(held + (self.room_of(x, y),)))
                 reward += self.key_rewards[idx]
         elif code == TILE_TREASURE:
-            idx = self._treasure_at[pos]
+            idx = self._treasure_at[(x, y)]
             if self.treasure_mode == "level":
+                # The next level: the same layout from the spawn tile, every door locked.
                 reward += self.treasure_values[idx]
-                self._advance_level()
-            elif idx not in self._treasures:
-                self._treasures.add(idx)
+                (x, y), level, held, keys, doors = self.spawn, level + 1, (), (), ()
+            elif idx not in treasures:
+                treasures = tuple(sorted(treasures + (idx,)))
                 reward += self.treasure_values[idx]
         elif code == TILE_HAZARD:
             if self.hazard_policy == "kill":
-                self._done = True
+                kill = True
             else:
                 reward += self.hazard_penalty
-                self._x, self._y = self.respawn_point(self.room_of(*pos))
-        return reward
-
-    def _advance_level(self) -> None:
-        self._level += 1
-        self._held = ()
-        self._keys.clear()
-        self._doors.clear()
-        self._x, self._y = self.spawn
+                x, y = self.respawn_point(self.room_of(x, y))
+        return (x, y, level, len(held), *held, len(keys), *keys, len(doors), *doors,
+                len(treasures), *treasures), reward, kill
 
     # -- the transition table ------------------------------------------------
 
@@ -393,28 +387,13 @@ class GridWorld:
         self._result += _EMPTY_ROW
         return sid
 
-    def _materialise(self) -> None:
-        """Set the fields ``_tick`` and ``render`` read from the current
-        state's tuple."""
-        state = self._states[self._sid]
-        self._x, self._y, self._level = state[:3]
-        (self._held, keys, doors, treasures), _ = _counted_runs(state, 3)
-        self._keys, self._doors, self._treasures = set(keys), set(doors), set(treasures)
-
     def _miss(self, action: int) -> tuple[int, StepResult]:
         """Tick ``action`` from the current state, whose row lacks it, and
         fill in and return its entry: the next id and the step's result,
         which is done only if the step kills."""
-        self._materialise()
-        reward = self._tick(action)
-        nid = self._intern((
-            self._x, self._y, self._level,
-            len(self._held), *self._held,
-            len(self._keys), *sorted(self._keys),
-            len(self._doors), *sorted(self._doors),
-            len(self._treasures), *sorted(self._treasures),
-        ))
-        pair = (reward, self._done)
+        state, reward, kill = self._tick(self._states[self._sid], action)
+        nid = self._intern(state)
+        pair = (reward, kill)
         result = self._results.get(pair)
         if result is None:
             result = self._results[pair] = StepResult(*pair)
@@ -521,24 +500,26 @@ class GridWorld:
         doors and the collected treasures. The downscaled-cell mapper
         memoises keys on that pair, so a state this method draws must be
         in :meth:`discrete_state` too."""
-        self._materialise()
-        view = 0 if len(self._bg) == 1 else self.room_of(self._x, self._y)
+        state = self._states[self._sid]
+        x, y = state[0], state[1]
+        (_, keys, doors, treasures), _ = _counted_runs(state, 3)
+        view = 0 if len(self._bg) == 1 else self.room_of(x, y)
         frame = self._bg[view].copy()
         tp = self.tile_px
         for kind, idx, tx, ty in self._dyn[view]:
             if kind == TILE_KEY:
-                if idx in self._keys:
+                if idx in keys:
                     continue
                 val = SHADE_KEY
             elif kind == TILE_DOOR:
-                val = SHADE_DOOR_OPEN if idx in self._doors else SHADE_DOOR_LOCKED
+                val = SHADE_DOOR_OPEN if idx in doors else SHADE_DOOR_LOCKED
             else:
-                if self.treasure_mode == "collect" and idx in self._treasures:
+                if self.treasure_mode == "collect" and idx in treasures:
                     continue
                 val = SHADE_TREASURE
             frame[ty * tp:(ty + 1) * tp, tx * tp:(tx + 1) * tp] = val
         x0, y0, _, _ = self._viewport[view]
-        ax, ay = self._x - x0, self._y - y0
+        ax, ay = x - x0, y - y0
         frame[ay * tp:(ay + 1) * tp, ax * tp:(ax + 1) * tp] = SHADE_AGENT
         return frame
 
@@ -630,37 +611,6 @@ class GridWorld:
         repeat as the same object. Two states of one config with equal
         tuples render the same frame (see :meth:`render`)."""
         return self._states[self._sid]
-
-    # Read-only views of the interned tuple.
-
-    @property
-    def x(self) -> int:
-        return self._states[self._sid][0]
-
-    @property
-    def y(self) -> int:
-        return self._states[self._sid][1]
-
-    @property
-    def level(self) -> int:
-        return self._states[self._sid][2]
-
-    @property
-    def held(self) -> tuple[int, ...]:
-        """The rooms of the held keys, sorted."""
-        return _counted_runs(self._states[self._sid], 3)[0][0]
-
-    @property
-    def keys_taken(self) -> frozenset[int]:
-        return frozenset(_counted_runs(self._states[self._sid], 3)[0][1])
-
-    @property
-    def doors_open(self) -> frozenset[int]:
-        return frozenset(_counted_runs(self._states[self._sid], 3)[0][2])
-
-    @property
-    def treasures_taken(self) -> frozenset[int]:
-        return frozenset(_counted_runs(self._states[self._sid], 3)[0][3])
 
 
 def _counted_runs(values: tuple[int, ...], at: int) -> tuple[list[tuple[int, ...]], int]:

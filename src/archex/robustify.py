@@ -339,8 +339,9 @@ class BackwardConfig:
             raise ConfigError("advance_interval must be >= 1")
         if not 0 <= self.sticky_p < 1:
             raise ConfigError("sticky_p must satisfy 0 <= p < 1")
-        if self.max_noops < 0 or self.max_attempts < 1:
-            raise ConfigError("max_noops must be >= 0 and max_attempts >= 1")
+        # backward_run draws the no-op count as an int64 below max_noops + 1.
+        if not 0 <= self.max_noops < 2**63 or self.max_attempts < 1:
+            raise ConfigError("max_noops must be in [0, 2**63) and max_attempts >= 1")
         if any(v is not None and v < 1 for v in (self.frame_budget, self.rollout_frame_cap)):
             raise ConfigError("frame_budget and rollout_frame_cap must be >= 1 when set")
 

@@ -19,7 +19,17 @@ from archex.archive import (
 )
 from archex.cells import DownscaleParams
 from archex.cli import main
-from archex.config import ReprConfig, RobustifyConfig, _Reader, build_config, load_config, parse_text
+from archex.config import (
+    ENV_TYPES,
+    ExperimentConfig,
+    ReprConfig,
+    RobustifyConfig,
+    _Reader,
+    _settings,
+    build_config,
+    load_config,
+    parse_text,
+)
 from archex.envs import DeceptiveCorridor, KeyDoorWorld, TwoMaze
 from archex.errors import ConfigError
 from archex.evaluation import EvalProtocol
@@ -261,6 +271,8 @@ def test_cli_config_error_exit_2(tmp_path):
     "robustify.frame_budget = -5",
     "robustify.max_attempts = -1",
     "robustify.max_noops = -1",
+    # backward_run draws the no-op count below max_noops + 1 as an int64.
+    f"robustify.max_noops = {2**63}",
     "robustify.rollout_frame_cap = 0",
     "robustify.sticky_p = 1.5",
     "select.w_seen = nan",
@@ -283,6 +295,8 @@ def test_cli_config_error_exit_2(tmp_path):
     pytest.param("env.type = twomaze\nenv.arm_rows = 18446744073709551616",
                  id="env.arm_rows = 18446744073709551616"),
     pytest.param("env.type = keydoor\nenv.room_w = 10000", id="env.room_w = 10000"),
+    # run_phase1 writes a metrics row per metric interval the game frames cross.
+    f"env.frame_skip = {2**31}",
     # Each sizes an array of draws; numpy refuses 2**40 at once, so even
     # where the value got through, nothing would be allocated.
     f"explore.batch = {2**40}",
@@ -332,6 +346,43 @@ def test_cli_out_of_range_seed_exit_2(tmp_path, seed):
 def test_settings_check_themselves_when_made(make):
     with pytest.raises(ConfigError):
         make()
+
+
+# Each settings class, the prefix of its keys, and the fields whose key is
+# not their name.
+SECTIONS = [
+    (ReprConfig, "repr.", {}), (DownscaleParams, "repr.", {}), (SelectionConfig, "select.", {}),
+    (ExploreConfig, "explore.", {"batch_size": "batch"}),
+    (RewardShaping, "robustify.", {"mode": "reward_mode", "scale": "reward_scale"}),
+    (RobustifyConfig, "robustify.", {}), (BackwardConfig, "robustify.", {}),
+    (TabularQConfig, "robustify.", {}), (EvalProtocol, "eval.", {}),
+    (ExperimentConfig, "", {"checkpoint_interval_iterations":
+                            "explore.checkpoint_interval_iterations"}),
+]
+EDGE_VALUES = {int: ("-1", "0", str(2**63), str(2**64)), float: ("nan", "inf", "-inf")}
+
+
+def test_every_number_setting_at_an_edge_loads_or_raises_config_error():
+    """Every int and float setting of every settings class and of the
+    shipped config's world, set to an edge value in each shipped config:
+    the config loads or raises ConfigError, never another exception. The
+    settings come from the classes, so a setting added later is swept too."""
+    swept = set()
+    for path in sorted(CONFIGS.glob("*.cfg")):
+        base = parse_text(path.read_text())
+        keys = [(prefix + renamed.get(name, name), kind)
+                for cls, prefix, renamed in SECTIONS for name, kind, _ in _settings(cls)]
+        keys += [("env." + name, kind) for name, kind, _ in _settings(ENV_TYPES[base["env.type"]])]
+        for key, kind in keys:
+            for value in EDGE_VALUES.get(kind, ()):
+                try:
+                    build_config({**base, key: value})
+                except ConfigError as err:
+                    assert "unknown config keys" not in str(err)
+                swept.add(key)
+    assert {"env.frame_skip", "env.room_w", "repr.width", "explore.batch",
+            "robustify.reward_scale", "robustify.max_noops", "eval.max_noop", "workers",
+            "explore.checkpoint_interval_iterations"} <= swept
 
 
 @pytest.mark.parametrize("env_type, line", [

@@ -5,6 +5,7 @@ import functools
 import hashlib
 import importlib
 import struct
+from collections import namedtuple
 
 import numpy as np
 import pytest
@@ -268,14 +269,28 @@ def room_oracle(env, x, y):
     return min((y - 1) // (h + 1), rows - 1) * cols + min((x - 1) // (w + 1), cols - 1)
 
 
-def state_oracle(env):
-    return (
-        env.x, env.y, env.level,
-        len(env.held), *env.held,
-        len(env.keys_taken), *sorted(env.keys_taken),
-        len(env.doors_open), *sorted(env.doors_open),
-        len(env.treasures_taken), *sorted(env.treasures_taken),
-    )
+State = namedtuple("State", "x y level held keys doors treasures")
+
+
+def decode(env):
+    """``env.discrete_state()`` by field: position, level, then the held key
+    rooms, taken keys, opened doors and collected treasures, each stored as
+    a count and then its values."""
+    state = env.discrete_state()
+    fields, at = list(state[:3]), 3
+    for _ in range(4):
+        fields.append(state[at + 1:at + 1 + state[at]])
+        at += 1 + state[at]
+    assert at == len(state)
+    return State(*fields)
+
+
+def snapshot_state(env):
+    """The discrete state that ``env.snapshot()``'s payload packs."""
+    payload = unpack_snapshot(env.snapshot().state_bytes, env.config_hash)
+    *_, level, x, y = STATE_HEAD.unpack_from(payload)
+    n = (len(payload) - STATE_HEAD.size) // 2
+    return (x, y, level, *struct.unpack_from(f"<{n}H", payload, STATE_HEAD.size))
 
 
 EVENTS_EXPECTED = {
@@ -307,40 +322,38 @@ def random_walk(env, seed, steps):
         else:
             if rng.random() < 0.3:
                 action = int(rng.integers(env.action_count))
-            counts = (env.level, len(env.keys_taken), len(env.doors_open),
-                      len(env.treasures_taken))
-            x, y = env.x, env.y
+            before = decode(env)
             env.step(action)
-            after = (env.level, len(env.keys_taken), len(env.doors_open),
-                     len(env.treasures_taken))
+            after = decode(env)
+            counts = [(s.level, len(s.keys), len(s.doors), len(s.treasures))
+                      for s in (before, after)]
             events = {name for name, old, new in zip(("level", "pickup", "door", "treasure"),
-                                                     counts, after) if new > old}
-            if after[0] == counts[0] and abs(env.x - x) + abs(env.y - y) > 1:
+                                                     *counts) if new > old}
+            if (after.level == before.level
+                    and abs(after.x - before.x) + abs(after.y - before.y) > 1):
                 events.add("respawn")
             if env.done and env.frame_counters()[0] < env.time_limit_game_frames:
                 events.add("kill")
-            if not env.done and state_oracle(env) not in seen:
-                seen[state_oracle(env)] = env.snapshot()
+            if not env.done and env.discrete_state() not in seen:
+                seen[env.discrete_state()] = env.snapshot()
             yield events
 
 
 @pytest.mark.parametrize("world", sorted(EVENTS_EXPECTED))
 def test_cached_state_and_features_match_recomputation(world):
     """Random walks reach pickups, door openings, level advances, hazard
-    respawns and treasures; after every step, restore and reset the cached
-    discrete_state() and features() equal a recomputation from the dynamic
-    state."""
+    respawns and treasures; after every step, restore and reset the interned
+    discrete_state() is the state the snapshot packs, and features() equal
+    a recomputation from its fields."""
     env = ENV_FACTORIES[world]()
     assert all(env.room_of(x, y) == room_oracle(env, x, y)
                for x in range(env.width) for y in range(env.height))
     events = set()
     for happened in random_walk(env, 11, 6000):
         events |= happened
-        state = env.discrete_state()
-        assert state == state_oracle(env)
-        assert env.discrete_state() == state
-        assert env.features() == (env.x, env.y, room_oracle(env, env.x, env.y),
-                                  env.level, env.held)
+        assert env.discrete_state() == snapshot_state(env)
+        s = decode(env)
+        assert env.features() == (s.x, s.y, room_oracle(env, s.x, s.y), s.level, s.held)
     assert EVENTS_EXPECTED[world] <= events
 
 
@@ -437,7 +450,8 @@ def test_replay_from_a_snapshot_reads_the_table(monkeypatch):
     ticks = []
     tick = gridworld.GridWorld._tick
     monkeypatch.setattr(gridworld.GridWorld, "_tick",
-                        lambda self, action: ticks.append(action) or tick(self, action))
+                        lambda self, state, action: ticks.append(action)
+                        or tick(self, state, action))
     _, start = env.reset(0)
 
     def replay():
@@ -485,6 +499,33 @@ def test_equal_discrete_states_render_equal_frames(world):
             visits += 1
     assert expected <= events
     assert visits > 4 * len(frames)  # most points revisit a state
+
+
+@pytest.mark.parametrize("world", sorted(RENDER_WORLDS))
+def test_tick_is_a_pure_function_of_state_and_action(world):
+    """At every state a random walk meets, across kills, respawns, level
+    advances, doors and treasures, each action's tick gives equal results
+    twice and leaves the world as it found it: its state, done flag, frame
+    counters, score, snapshot and attributes."""
+    factory, expected = RENDER_WORLDS[world]
+    env = factory()
+
+    def world_now():
+        return (env.discrete_state(), env.done, env.frame_counters(), env.cum_score,
+                env.snapshot().state_bytes, {k: id(v) for k, v in vars(env).items()})
+
+    events, checked = set(), set()
+    for happened in random_walk(env, 3, 6000):
+        events |= happened
+        state = env.discrete_state()
+        if state in checked:
+            continue
+        checked.add(state)
+        before = world_now()
+        for action in range(env.action_count):
+            assert env._tick(state, action) == env._tick(state, action)
+        assert world_now() == before
+    assert expected <= events
 
 
 # -- restore rejects states that break an invariant of step ----------------------
@@ -578,7 +619,7 @@ def test_restore_rejects_states_no_step_makes(case):
     if match is None:
         env.restore(snap)
         assert env.snapshot().state_bytes == snap.state_bytes
-        assert env.discrete_state() == state_oracle(env)
+        assert decode(env)[3:] == tuple(state.get(name, ()) for name in State._fields[3:])
     else:
         with pytest.raises(SnapshotFormatError, match=match):
             env.restore(snap)
@@ -592,7 +633,7 @@ def test_restore_of_an_edited_tail_raises_or_round_trips(world, pick, op, at, va
     """One 16-bit value of a reachable snapshot's tail edited, inserted or
     deleted: restore either rejects the result or installs a state whose
     snapshot is the same bytes and whose discrete state is recomputed
-    exactly from the dynamic state."""
+    exactly from the edited payload."""
     env = ENV_FACTORIES[world]()
     _, snap = reachable(world)[pick % len(reachable(world))]
     payload = unpack_snapshot(snap.state_bytes, env.config_hash)
@@ -612,7 +653,9 @@ def test_restore_of_an_edited_tail_raises_or_round_trips(world, pick, op, at, va
     except SnapshotFormatError:
         return
     assert env.snapshot().state_bytes == blob
-    assert env.discrete_state() == state_oracle(env)
+    *_, level, x, y = STATE_HEAD.unpack_from(head)
+    assert env.discrete_state() == (x, y, level, *tail)
+    decode(env)
 
 
 # -- sticky wrapper -------------------------------------------------------------
@@ -642,10 +685,10 @@ def test_sticky_first_action_never_replaced():
     env = StickyActions(small_twomaze(), 0.999)
     executed = record_executed(env.inner)
     env.reset(123)
-    x_before = env.inner.x
+    x_before = decode(env.inner).x
     env.step(ACTION_LEFT)  # must execute LEFT: nothing to repeat yet
     assert executed == [ACTION_LEFT]
-    assert env.inner.x == x_before - 1
+    assert decode(env.inner).x == x_before - 1
 
 
 def test_sticky_chain_resets_on_restore():
@@ -729,7 +772,7 @@ def test_twomaze_arms_are_disjoint():
         seen = set()
         env.reset(0)
         env.step(first)
-        start = (env.x, env.y)
+        start = decode(env)[:2]
         if start == (sx, sy):
             raise AssertionError("first move off the start failed")
         seen.add(start)
@@ -809,10 +852,10 @@ def test_key_capacity_limits_pickups():
     env = small_keydoor(keys=((0, 3, 2), (0, 1, 2)), key_capacity=1)
     env.reset(0)
     env.step(ACTION_RIGHT)  # onto the first key
-    assert len(env.held) == 1
+    assert len(decode(env).held) == 1
     env.step(ACTION_LEFT)
     env.step(ACTION_LEFT)   # onto the second key tile: at capacity, stays
-    assert len(env.held) == 1
+    assert len(decode(env).held) == 1
     state = bfs_reachable_states(env, limit=4000)
     assert all(s[3] <= 1 for s in state)  # held count never exceeds capacity
 
@@ -830,7 +873,7 @@ def test_keydoor_hazard_kills():
 def test_corridor_hazard_respawns_with_penalty():
     env = small_corridor()
     env.reset(0)
-    start = (env.x, env.y)
+    start = decode(env)[:2]
     env.step(ACTION_UP)  # leave the gap row so the line is in the way
     hit = False
     for _ in range(10):
@@ -839,7 +882,7 @@ def test_corridor_hazard_respawns_with_penalty():
             hit = True
             break
     assert hit
-    assert (env.x, env.y) == start  # respawn at the room edge
+    assert decode(env)[:2] == start  # respawn at the room edge
     assert not env.done
     assert env.hazard_policy == "respawn"
 
