@@ -36,7 +36,7 @@ from pathlib import Path
 from typing import Callable, Iterable, Iterator, Sequence
 
 from .cells import CellKey, DomainKey, decode_key
-from .envs.base import EnvSnapshot, peek_config_hash, read_state_head, unpack_snapshot
+from .envs.base import EnvSnapshot, peek_config_hash, read_counts, read_state_head, unpack_snapshot
 from .errors import CheckpointError, ConfigError, ContractError, SnapshotFormatError
 from .trajectory import Node, Trajectory
 
@@ -82,22 +82,29 @@ class UpdateOutcome(enum.Enum):
 
 @dataclass(slots=True)
 class CellRecord:
-    """A cell's best visit (the trajectory to it, the snapshot to return to,
-    which hold its length and score) and the cell's three counters."""
+    """A cell's best visit and the cell's three counters. The visit is kept
+    as the tail node and length of the trajectory to it and the state bytes
+    of the snapshot to return to, whose head holds its score; each fact is
+    stored once, and :attr:`trajectory` and :attr:`snapshot` are views."""
 
-    trajectory: Trajectory
-    snapshot: EnvSnapshot
+    tail: Node | None
+    traj_len: int
+    state_bytes: bytes
     times_seen: int = 1
     times_chosen: int = 0
     times_chosen_since_new: int = 0
 
     @property
     def score(self) -> float:
-        return self.snapshot.cum_score
+        return read_counts(self.state_bytes)[0]
 
     @property
-    def traj_len(self) -> int:
-        return self.trajectory.length
+    def trajectory(self) -> Trajectory:
+        return Trajectory(self.tail, self.traj_len)
+
+    @property
+    def snapshot(self) -> EnvSnapshot:
+        return EnvSnapshot(self.state_bytes)
 
 
 @dataclass(slots=True)
@@ -171,14 +178,16 @@ class Archive:
             raise ContractError("candidate snapshot from a different env config")
         record = self.cells.get(key)
         if record is None:
-            self.cells[key] = CellRecord(trajectory, snapshot, visits)
+            self.cells[key] = CellRecord(trajectory.tail, trajectory.length,
+                                         snapshot.state_bytes, visits)
             self._index(key)
             return UpdateOutcome.ADDED
         record.times_seen += visits
         if not beats(snapshot.cum_score, trajectory.length, record.score, record.traj_len):
             return UpdateOutcome.UNCHANGED
-        record.trajectory = trajectory
-        record.snapshot = snapshot
+        record.tail = trajectory.tail
+        record.traj_len = trajectory.length
+        record.state_bytes = snapshot.state_bytes
         record.times_chosen = 0
         record.times_chosen_since_new = 0
         return UpdateOutcome.IMPROVED
@@ -287,7 +296,7 @@ def _layout(archive: Archive, meta: RunMeta | None) -> Iterator[bytes]:
     ordered = archive.sorted_keys()
     for key in ordered:
         stack = []
-        node = archive.cells[key].trajectory.tail
+        node = archive.cells[key].tail
         while node is not None and node not in node_ids:
             stack.append(node)
             node = node.parent
@@ -311,25 +320,26 @@ def _layout(archive: Archive, meta: RunMeta | None) -> Iterator[bytes]:
         for key in ordered[start:start + _CHUNK_ROWS]:
             record = archive.cells[key]
             enc = archive._encoded[key]
-            tail = record.trajectory.tail
-            snapshot = record.snapshot
+            tail = record.tail
+            state = record.state_bytes
+            score, tf, gf = read_counts(state)
             parts.append(_KEY_LEN.pack(len(enc)))
             parts.append(enc)
             parts.append(
                 pack_cell(
-                    record.score,
+                    score,
                     record.traj_len,
                     0 if tail is None else node_ids[tail] + 1,
                     record.times_seen,
                     record.times_chosen,
                     record.times_chosen_since_new,
-                    snapshot.cum_score,
-                    snapshot.training_frames,
-                    snapshot.game_frames,
-                    len(snapshot.state_bytes),
+                    score,
+                    tf,
+                    gf,
+                    len(state),
                 )
             )
-            parts.append(snapshot.state_bytes)
+            parts.append(state)
         yield b"".join(parts)
 
 
@@ -385,11 +395,13 @@ def _parse_fields(body: bytes) -> tuple[Archive, RunMeta]:
         offset += _CELL_ROW.size
         state = body[offset:offset + snap_len]
         offset += snap_len
-        head = read_state_head(unpack_snapshot(state, config_hash))
+        # The snapshot's score and frame counts are read from its head later,
+        # so a state with a cut head or of another config is rejected here.
+        read_state_head(unpack_snapshot(state, config_hash))
         if key not in archive.cells:  # a repeated key is indexed once
             archive._index(key)
-        archive.cells[key] = CellRecord(Trajectory(nodes[tail_id], lengths[tail_id]),
-                                        EnvSnapshot(state, *head[:3]), seen, chosen, since_new)
+        archive.cells[key] = CellRecord(nodes[tail_id], lengths[tail_id], state,
+                                        seen, chosen, since_new)
     require_layout(body, _layout(archive, meta), "archive checkpoint")
     return archive, meta
 

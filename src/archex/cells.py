@@ -11,13 +11,12 @@ holds the keys (:mod:`archex.archive`).
 A mapper is called as ``mapper(source, info)``: ``source`` is either an
 :class:`Observation` (whose frame is already drawn) or the environment that
 just stepped, which the domain mapper never touches. The downscaled mapper
-keeps one memo: it looks an environment up by its config hash and discrete
-state, and renders only on a miss, since a world's frame is a function of
-those two (see :meth:`GridWorld.render`); a stepping run renders about once
-per distinct state. An observation (the start cell) is downscaled directly.
-The domain mapper copies the features as they are: a world's held key rooms
-are sorted, and :meth:`GridWorld.restore` admits no snapshot where they are
-not.
+renders an environment on every call and keeps no state. Explore calls a
+mapper once per interned state of its world, and reads the key from the
+world's cell column after that (:meth:`GridWorld.cell_column`), since a
+key is a function of the config and the discrete state. The domain mapper
+copies the features as they are: a world's held key rooms are sorted, and
+:meth:`GridWorld.restore` admits no snapshot where they are not.
 
 Downscaling is computed in exact integer arithmetic: for output pixel (i, j)
 the quantized value is ``floor(mean * (depth + 1) / 256)`` where ``mean`` is
@@ -146,27 +145,14 @@ def downscale_cell(frame: np.ndarray, params: DownscaleParams) -> DownscaledKey:
 FrameSource = Union[Observation, GridWorld]
 CellMapper = Callable[[FrameSource, DomainInfo], CellKey]
 
-# Environment states a downscale mapper's memo holds before it is cleared.
-DOWNSCALE_MEMO_LIMIT = 200_000
-
 
 def downscale_mapper(params: DownscaleParams) -> CellMapper:
-    """Mapper that memoises an environment's key by (config hash, discrete
-    state), so a known state is never rendered again. An observation's frame
-    is already drawn and is downscaled as it is."""
-    memo: dict[tuple, DownscaledKey] = {}
-
+    """Mapper that downscales an observation's frame, or a fresh render of
+    an environment."""
     def mapper(source: FrameSource, info: DomainInfo) -> CellKey:
         del info
-        if isinstance(source, Observation):
-            return downscale_cell(source.frame, params)
-        state = (source.config_hash, source.discrete_state())
-        key = memo.get(state)
-        if key is None:
-            if len(memo) >= DOWNSCALE_MEMO_LIMIT:
-                memo.clear()
-            key = memo[state] = downscale_cell(source.render(), params)
-        return key
+        frame = source.frame if isinstance(source, Observation) else source.render()
+        return downscale_cell(frame, params)
 
     return mapper
 

@@ -34,6 +34,7 @@ _PAYLOAD_START = len(SNAPSHOT_MAGIC) + _SNAPSHOT_HEADER.size
 # A payload starts with the score, training and game frames, done flag,
 # level, x and y; the rest of the grid world's discrete state follows.
 STATE_HEAD = struct.Struct("<dQQBIii")
+_HEAD_COUNTS = struct.Struct("<dQQ")  # the head's score, training and game frames
 
 # Action ids shared by all built-in environments.
 ACTION_NOOP = 0
@@ -87,15 +88,17 @@ class StepResult:
 class EnvSnapshot:
     """Opaque, byte-exact environment state.
 
-    ``state_bytes`` fully determines the environment; the remaining fields
-    are copies of values inside the blob, exposed for bookkeeping without
-    parsing.
+    ``state_bytes`` fully determines the environment and is the snapshot's
+    only field: the score and frame counters are read from the payload head
+    (:func:`read_counts`), so each fact is stored once. A snapshot comes
+    from ``GridWorld.snapshot`` or from a loader that has checked its head.
     """
 
     state_bytes: bytes
-    cum_score: float
-    training_frames: int
-    game_frames: int
+
+    @property
+    def cum_score(self) -> float:
+        return read_counts(self.state_bytes)[0]
 
 
 def config_hash_from_lines(lines: list[str]) -> int:
@@ -134,6 +137,12 @@ def unpack_snapshot(blob: bytes, expected_config_hash: int) -> bytes:
     if len(payload) != plen:
         raise SnapshotFormatError("snapshot payload truncated")
     return payload
+
+
+def read_counts(blob: bytes) -> tuple[float, int, int]:
+    """The score, training frames and game frames of a snapshot blob whose
+    head its maker or loader has checked."""
+    return _HEAD_COUNTS.unpack_from(blob, _PAYLOAD_START)
 
 
 def read_state_head(payload: bytes) -> tuple[float, int, int, int, int, int, int]:

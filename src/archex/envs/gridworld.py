@@ -30,11 +30,18 @@ of its discrete state. Ids belong to one world, and the table is bounded:
 once it holds ``STATE_TABLE_LIMIT`` states, the next new state clears it,
 and it starts again from the current state.
 
+Explore keeps its cell mapping beside the table: the cell column holds,
+per id, the state's cell key, room and level under one mapper
+(:meth:`cell_column`). It grows with the table and is cleared in place
+with it, since ids are then handed out again, and explore reads it by
+:attr:`state_id` after every step, so it maps each state once per table.
+
 :meth:`step` returns only the reward and the done flag.
 :meth:`discrete_state` returns the interned tuple, and :meth:`features`,
 :meth:`snapshot` and :meth:`render` read it. :meth:`render` is the only
 renderer, called where a frame is read: :meth:`observe`, the
-downscaled-cell mapper on a memo miss, and ``archex replay --render``.
+downscaled-cell mapper (which explore calls once per id the column
+lacks), and ``archex replay --render``.
 :meth:`reset` installs the start state and returns the start observation
 drawn once at construction, so robustification and evaluation never
 render.
@@ -86,8 +93,9 @@ MAX_TILES = 1 << 20  # the most tiles a grid may have; checked before allocating
 # still hold 2^54 training frames.
 MAX_FRAME_SKIP = 1 << 10
 # The most states a world's transition table holds before the next new one
-# clears it. A full table of the shipped keydoor world takes 21.3 MB, 326 B
-# per state (tracemalloc).
+# clears it. Near full (63,684 states) in the shipped keydoor world, the
+# table and explore's cell column free 25.7 MB when dropped, 266 and 138 B
+# per state (tracemalloc), so a full table holds about 26.5 MB.
 STATE_TABLE_LIMIT = 1 << 16
 _EMPTY_ROW = [None] * ACTION_COUNT  # a new id's transition entries
 
@@ -166,7 +174,8 @@ class GridWorld:
         self._params: dict[str, object] = {}
 
         # Dynamic state: the interned id of discrete_state(), then the rest.
-        self._sid = 0
+        # Explore reads the id to index its cell column (see cell_column).
+        self.state_id = 0
         self._score = 0.0
         self._training_frames = 0
         self._game_frames = 0
@@ -179,6 +188,10 @@ class GridWorld:
         self._next: list[int | None] = []
         self._result: list[StepResult | None] = []
         self._results: dict[tuple[float, bool], StepResult] = {}
+        # Explore's cell column: per id, the state's (cell key, room, level)
+        # under _column_mapper, None until explore first maps the id.
+        self._column: list[tuple | None] = []
+        self._column_mapper: object = None
 
         # room_of(x, y) == _room_col[x] + _room_row[y], filled in by _build().
         self._room_col: list[int] = []
@@ -249,7 +262,7 @@ class GridWorld:
         # counted runs empty. reset() installs it and returns this pair, so
         # the start frame is drawn once and read-only.
         self._start_state = (*self.spawn, 0, 0, 0, 0, 0)
-        self._sid = self._intern(self._start_state)
+        self.state_id = self._intern(self._start_state)
         self._done = False
         obs = self.observe()
         obs.frame.flags.writeable = False
@@ -377,27 +390,42 @@ class GridWorld:
         if sid is not None:
             return sid
         if len(self._states) >= STATE_TABLE_LIMIT:
-            current = self._states[self._sid]
+            current = self._states[self.state_id]
             self._states, self._ids, self._next, self._result = [], {}, [], []
-            self._sid = self._intern(current)
+            self._column.clear()  # in place: a rollout holds the list
+            self.state_id = self._intern(current)
         sid = len(self._states)
         self._states.append(state)
         self._ids[state] = sid
         self._next += _EMPTY_ROW
         self._result += _EMPTY_ROW
+        self._column.append(None)
         return sid
+
+    def cell_column(self, mapper: object) -> list[tuple | None]:
+        """Explore's column: per id, ``None`` or the ``(cell key, room,
+        level)`` that ``mapper`` and :meth:`features` give the id's state.
+        Explore fills an entry the first time it meets the id and reads it
+        after that; a key is a function of the config and the state (see
+        :meth:`render`). The column is cleared in place with the table,
+        since ids are then reused, and emptied when handed a mapper other
+        than the one it was filled for."""
+        if mapper is not self._column_mapper:
+            self._column[:] = [None] * len(self._column)
+            self._column_mapper = mapper
+        return self._column
 
     def _miss(self, action: int) -> tuple[int, StepResult]:
         """Tick ``action`` from the current state, whose row lacks it, and
         fill in and return its entry: the next id and the step's result,
         which is done only if the step kills."""
-        state, reward, kill = self._tick(self._states[self._sid], action)
+        state, reward, kill = self._tick(self._states[self.state_id], action)
         nid = self._intern(state)
         pair = (reward, kill)
         result = self._results.get(pair)
         if result is None:
             result = self._results[pair] = StepResult(*pair)
-        at = self._sid * ACTION_COUNT + action
+        at = self.state_id * ACTION_COUNT + action
         self._next[at] = nid
         self._result[at] = result
         return nid, result
@@ -414,13 +442,13 @@ class GridWorld:
         self._require_live()
         if not 0 <= action < self.action_count:
             raise ContractError(f"action {action} out of range")
-        at = self._sid * ACTION_COUNT + action
+        at = self.state_id * ACTION_COUNT + action
         nid = self._next[at]
         if nid is None:
             nid, result = self._miss(action)
         else:
             result = self._result[at]
-        self._sid = nid
+        self.state_id = nid
         self._training_frames += 1
         self._game_frames += self.frame_skip
         self._score += result.reward
@@ -437,13 +465,13 @@ class GridWorld:
         self._score = 0.0
         self._training_frames = self._game_frames = 0
         self._done = False
-        self._sid = self._intern(self._start_state)
+        self.state_id = self._intern(self._start_state)
         return self._start
 
     # -- observation -------------------------------------------------------
 
     def features(self) -> DomainInfo:
-        state = self._states[self._sid]
+        state = self._states[self.state_id]
         x, y = state[0], state[1]
         return DomainInfo(x, y, self.room_of(x, y), state[2], state[4:4 + state[3]])
 
@@ -497,10 +525,10 @@ class GridWorld:
         The frame is a pure function of the config (``config_hash``) and
         :meth:`discrete_state`: the viewport and the agent tile come from
         the position, the dynamic tiles from the taken keys, the opened
-        doors and the collected treasures. The downscaled-cell mapper
-        memoises keys on that pair, so a state this method draws must be
-        in :meth:`discrete_state` too."""
-        state = self._states[self._sid]
+        doors and the collected treasures. Explore keeps a downscaled key
+        per state id in the cell column, so a state this method draws must
+        be in :meth:`discrete_state` too."""
+        state = self._states[self.state_id]
         x, y = state[0], state[1]
         (_, keys, doors, treasures), _ = _counted_runs(state, 3)
         view = 0 if len(self._bg) == 1 else self.room_of(x, y)
@@ -535,7 +563,7 @@ class GridWorld:
     # -- snapshot / restore --------------------------------------------------
 
     def snapshot(self) -> EnvSnapshot:
-        state = self._states[self._sid]
+        state = self._states[self.state_id]
         payload = STATE_HEAD.pack(
             self._score,
             self._training_frames,
@@ -545,12 +573,7 @@ class GridWorld:
             state[0],
             state[1],
         ) + struct.pack(f"<{len(state) - 3}H", *state[3:])
-        return EnvSnapshot(
-            state_bytes=pack_snapshot(self.config_hash, payload),
-            cum_score=self._score,
-            training_frames=self._training_frames,
-            game_frames=self._game_frames,
-        )
+        return EnvSnapshot(pack_snapshot(self.config_hash, payload))
 
     def restore(self, snap: EnvSnapshot) -> None:
         """Install a snapshot's state. Raises :class:`SnapshotFormatError`
@@ -598,7 +621,7 @@ class GridWorld:
                 raise SnapshotFormatError("snapshot collects treasures that advance levels")
         elif level:
             raise SnapshotFormatError(f"snapshot is at level {level} in a world without levels")
-        self._sid = self._intern((x, y, level) + tail)
+        self.state_id = self._intern((x, y, level) + tail)
         self._score = score
         self._training_frames = tf
         self._game_frames = gf
@@ -610,7 +633,7 @@ class GridWorld:
         values, as one tuple of ints; the world's interned copy, so states
         repeat as the same object. Two states of one config with equal
         tuples render the same frame (see :meth:`render`)."""
-        return self._states[self._sid]
+        return self._states[self.state_id]
 
 
 def _counted_runs(values: tuple[int, ...], at: int) -> tuple[list[tuple[int, ...]], int]:

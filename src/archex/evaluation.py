@@ -36,6 +36,12 @@ _ACTION_BLOCK = 256
 # 32-bit bounded draw, and PCG64 keeps its spare 32-bit half-word in the
 # generator state across calls.
 _RESAMPLE_BLOCK = 1 << 16
+# The most episodes one sweep may run. evaluate_policy runs min_episodes
+# episodes for each of the max_noop + 1 no-op counts and keeps a score row
+# for each, and nothing else bounds those loops: at max_noop = 2^31 a sweep
+# would not end. The paper's protocol, and every shipped config, preset and
+# benchmark workload, runs 31 x 5 = 155; the bound is over 400 times that.
+MAX_EVAL_EPISODES = 1 << 16
 
 
 @dataclass(frozen=True)
@@ -50,6 +56,9 @@ class EvalProtocol:
             raise ConfigError("max_noop must be >= 0")
         if self.min_episodes < 1:
             raise ConfigError("min_episodes must be >= 1")
+        if (self.max_noop + 1) * self.min_episodes > MAX_EVAL_EPISODES:
+            raise ConfigError(f"(max_noop + 1) * min_episodes must be at most "
+                              f"{MAX_EVAL_EPISODES}")
         if not 0 <= self.sticky_p < 1:
             raise ConfigError("sticky_p must satisfy 0 <= p < 1")
         if self.time_limit_game_frames < 1:

@@ -10,10 +10,12 @@ purpose, iteration, worker), so runs are reproducible and resumable bit-for-
 bit.
 
 A rollout does only the work whose result is used: it snapshots a visit
-only when the visit can still win the merge, it leaves rendering to the
-cell mapper (the downscaled mapper renders a state only the first time it
-sees it), and it hands the merge one aggregate per cell it visited (a
-visit count and the cell's last winning visit; see :func:`explore_from`).
+only when the visit can still win the merge, it maps each interned state of
+its world once (the world's cell column keeps the state's cell key, room
+and level by state id, so a known state is neither featurised nor mapped,
+nor rendered, again; see :meth:`GridWorld.cell_column`), and it hands the
+merge one aggregate per cell it visited (a visit count and the cell's last
+winning visit; see :func:`explore_from`).
 The merge then runs once per (rollout, cell), and gives the same records,
 visit counts, discovery credit and order of added keys as folding in every
 visit on its own.
@@ -106,6 +108,10 @@ def explore_from(
     ends, the rollout stops and the final transition is discarded: it has no
     destination cell.
 
+    Each frame's cell key, room and level come from ``env``'s cell column
+    for ``mapper``, indexed by the state id after the step; ``features()``
+    and ``mapper`` run only for an id the column lacks, and fill it in.
+
     ``archive`` must stand as it did at selection time: the caller merges
     only after all of a batch's rollouts. A visit wins if it beats, by the
     merge rule of :func:`archex.archive.beats`, both the archive record of
@@ -124,6 +130,7 @@ def explore_from(
 
     repeats = rng.random(cfg.k)
     fresh = rng.integers(0, env.action_count, cfg.k)
+    column = env.cell_column(mapper)
     cells = archive.cells
     found: dict[CellKey, list] = {}  # key -> [visits, score, length, snapshot] of its winner
     actions: list[int] = []
@@ -146,8 +153,11 @@ def explore_from(
             break
         actions.append(action)
         length += 1
-        info = env.features()
-        key = mapper(env, info)
+        mapped = column[env.state_id]
+        if mapped is None:
+            info = env.features()
+            mapped = column[env.state_id] = (mapper(env, info), info.room, info.level)
+        key, room, level = mapped
         score = env.cum_score
         entry = found.get(key)
         if entry is None:
@@ -159,13 +169,13 @@ def explore_from(
             entry[1] = score
             entry[2] = length
             entry[3] = env.snapshot()
-        rooms.add(info.room)
-        if info.level > max_level:
-            max_level = info.level
+        rooms.add(room)
+        if level > max_level:
+            max_level = level
 
     last = max((entry[2] for entry in found.values() if entry[3] is not None), default=base)
     nodes = []  # nodes[i] ends the trajectory of length base + i + 1
-    tail = record.trajectory.tail
+    tail = record.tail
     for action in actions[:last - base]:
         tail = Node(action, tail)
         nodes.append(tail)

@@ -2,11 +2,13 @@
 
 from __future__ import annotations
 
+import struct
 from collections import deque
 
 import pytest
 
 from archex.envs import DeceptiveCorridor, KeyDoorWorld, TwoMaze
+from archex.envs.base import EnvSnapshot, pack_snapshot, peek_config_hash, unpack_snapshot
 from archex.robustify import GreedyTabularPolicy
 
 
@@ -35,6 +37,14 @@ def small_corridor(**kwargs):
     kwargs.setdefault("room_h", 5)
     kwargs.setdefault("treasures", ((2, 2000.0), (3, 3000.0)))
     return DeceptiveCorridor(**kwargs)
+
+
+def scored(snap, score):
+    """``snap`` with ``score`` written into its payload head, the one place
+    a snapshot keeps its score."""
+    config_hash = peek_config_hash(snap.state_bytes)
+    payload = unpack_snapshot(snap.state_bytes, config_hash)
+    return EnvSnapshot(pack_snapshot(config_hash, struct.pack("<d", score) + payload[8:]))
 
 
 ENV_FACTORIES = {

@@ -3,9 +3,11 @@
 :func:`cell_score` scores one cell as the selection formula is written;
 :func:`archex.selection.cell_probs` must give the same floats for the whole
 archive at once. :func:`explore_from` and :func:`merge_results` are the
-per-visit rollout and merge: every visit builds its own trajectory node and
-is folded into the archive on its own, where :mod:`archex.explore` merges
-once per (rollout, cell); both must leave the same archive bytes.
+per-visit rollout and merge: every visit is mapped, builds its own
+trajectory node and is folded into the archive on its own, where
+:mod:`archex.explore` maps each state id once through the world's cell
+column and merges once per (rollout, cell); both must leave the same
+archive bytes.
 :func:`myopic_greedy_baseline` is the reward-greedy control of the
 deceptive-reward milestone. :func:`evaluate_scalar_draws` is the no-op
 sweep with one ``rng.integers(n_actions)`` call per unknown-state frame,
@@ -18,10 +20,10 @@ over the Q row wherever a greedy action or value is needed, where
 :class:`archex.seeding.RawDraws` and :class:`archex.robustify.TabularQLearner`
 caches each row's greedy action; both must give the same Q tables, progress
 rows and checkpoints. :func:`plain_downscale_mapper` downscales every
-frame it is handed, rendering an environment on every call, where
-:func:`archex.cells.downscale_mapper` memoises keys by environment state;
-both must give the same keys. :func:`extend` grows a trajectory by one
-action, as only tests do; the package links nodes itself.
+frame it is handed, rendering an environment on every call; explore's
+downscaled keys, read from the cell column, must equal its keys.
+:func:`extend` grows a trajectory by one action, as only tests do; the
+package links nodes itself.
 :func:`resample_means_oneshot` draws and gathers a bootstrap's whole index
 matrix at once, where :func:`archex.evaluation.bootstrap_ci` and
 :func:`archex.evaluation.percentile_band` do it in blocks of rows; both

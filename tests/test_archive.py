@@ -1,7 +1,8 @@
 """Archive semantics: trajectories, update rules, counters, checkpoints."""
 
-import dataclasses
+import gc
 import hashlib
+import tracemalloc
 
 import pytest
 from hypothesis import given, settings
@@ -24,7 +25,7 @@ from archex.robustify import PolicyCheckpoint, load_policy, save_policy
 from archex.selection import SelectionConfig
 from archex.trajectory import Trajectory
 
-from conftest import small_keydoor, small_twomaze
+from conftest import scored, small_keydoor, small_twomaze
 from oracle import extend
 
 
@@ -44,11 +45,6 @@ def snap(env):
 
 def fresh_archive(env):
     return Archive(env.config_hash)
-
-
-def scored(snap, score):
-    """``snap`` carrying ``score``, the score of a candidate under test."""
-    return dataclasses.replace(snap, cum_score=score)
 
 
 def traj_of(*actions):
@@ -131,7 +127,7 @@ def test_equal_score_equal_length_keeps_incumbent(env, snap):
     first = traj_of(1)
     archive.insert_or_update(key(), first, scored(snap, 5.0))
     archive.insert_or_update(key(), traj_of(2), scored(snap, 5.0))
-    assert archive.record(key()).trajectory is first
+    assert archive.record(key()).tail is first.tail
 
 
 def test_lower_score_unchanged(env, snap):
@@ -416,7 +412,7 @@ def test_checkpoint_traj_len_must_match_its_chain(tmp_path):
     result = build_small_archive()
     key = result.archive.sorted_keys()[5]
     record = result.archive.record(key)
-    record.trajectory = Trajectory(record.trajectory.tail, record.traj_len + 1)
+    record.traj_len += 1
     path = tmp_path / "a.ckpt"
     checkpoint_save(result.archive, path, result.meta)
     with pytest.raises(CheckpointError, match="canonical layout"):
@@ -429,6 +425,36 @@ def test_checkpoint_config_mismatch(tmp_path):
     checkpoint_save(result.archive, path, result.meta)
     with pytest.raises(CheckpointError):
         checkpoint_load(path, expected_config_hash=12345)
+
+
+# Bytes per cell a loaded criterion-7 archive keeps (tracemalloc): 813 when
+# each record held a Trajectory and a snapshot that copied its score and
+# frame counters out of its state bytes, 649 with each fact stored once.
+# perfbench keeps every repetition's loaded archive, so these bytes gate
+# every explore speed-up there.
+LOADED_BYTES_PER_CELL = 750
+
+
+def test_loaded_archive_footprint():
+    """A loaded archive stays under LOADED_BYTES_PER_CELL per cell: the
+    criterion-7 world explored for 40k frames, loaded with tracemalloc on."""
+    run = run_phase1(lambda: small_keydoor(time_limit_game_frames=4_000),
+                     ExploreConfig(k=40, batch_size=20, budget_training_frames=40_000,
+                                   metric_interval_game_frames=10**9),
+                     SelectionConfig(domain_mode=True, w_horizontal=0.3, w_vertical=0.1,
+                                     w_more_keys=10.0),
+                     domain_mapper(1))
+    data = serialize_archive(run.archive, run.meta)
+    del run
+    gc.collect()
+    tracemalloc.start()
+    try:
+        archive, _ = deserialize_archive(data)
+        kept = tracemalloc.get_traced_memory()[0]
+    finally:
+        tracemalloc.stop()
+    assert len(archive) > 500
+    assert kept / len(archive) < LOADED_BYTES_PER_CELL
 
 
 def test_node_sharing_bounded_by_actions():

@@ -42,7 +42,6 @@ from archex.robustify import (
     _policy_layout,
 )
 from archex.selection import SelectionConfig
-from archex.trajectory import Trajectory
 
 
 BASE = """
@@ -301,6 +300,9 @@ def test_cli_config_error_exit_2(tmp_path):
     # where the value got through, nothing would be allocated.
     f"explore.batch = {2**40}",
     f"explore.k = {2**40}",
+    # evaluate_policy loops over every no-op count and episode.
+    f"eval.max_noop = {2**31}",
+    f"eval.min_episodes = {2**31}",
 ])
 def test_cli_out_of_range_setting_exit_2(tmp_path, line):
     """Rejected when the config loads, not after a whole run, by a check of
@@ -553,7 +555,7 @@ def test_cli_replay_traj_len_off_its_chain_exit_3(tmp_path):
     archive, meta = checkpoint_load(out / "archive.ckpt")
     key = archive.sorted_keys()[3]
     record = archive.record(key)
-    record.trajectory = Trajectory(record.trajectory.tail, record.traj_len + 1)
+    record.traj_len += 1
     checkpoint_save(archive, out / "archive.ckpt", meta)
     assert run_cli("replay", "--config", str(path), "--archive", str(out / "archive.ckpt"),
                    "--cell", key.encode().hex()) == 3

@@ -481,8 +481,8 @@ RENDER_WORLDS = {
 
 @pytest.mark.parametrize("world", sorted(RENDER_WORLDS))
 def test_equal_discrete_states_render_equal_frames(world):
-    """The contract the downscaled mapper's memo rests on: within one
-    config, render() is a function of discrete_state(). Any two points of
+    """The contract explore's cell column rests on for downscaled keys:
+    within one config, render() is a function of discrete_state(). Any two points of
     seeded random walks, across resets, restores, pickups, doors, level
     advances, kills, respawns and treasures, whose discrete states are
     equal render the same bytes."""

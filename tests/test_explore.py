@@ -484,7 +484,7 @@ def test_rollout_merge_matches_per_visit_oracle(monkeypatch, name):
     assert any(r.times_seen > 1 for r in archive.cells.values())
 
 
-# -- downscale memo against the un-memoised mapper -------------------------------------
+# -- the cell column against the per-visit oracle --------------------------------------
 
 
 DOWNSCALE_PARAMS = dict(width=8, height=6, depth=8)
@@ -497,33 +497,42 @@ MEMO_CASES = {
 }
 
 
+def spied_mapper(mapper, calls):
+    """``mapper``, appending ``(world, state id, state)`` to ``calls`` each
+    time it maps a world rather than an observation."""
+    from archex.envs.gridworld import GridWorld
+
+    def spied(source, info):
+        if isinstance(source, GridWorld):
+            calls.append((id(source), source.state_id, source.discrete_state()))
+        return mapper(source, info)
+
+    return spied
+
+
 @pytest.mark.parametrize("name", sorted(MEMO_CASES))
 def test_downscale_memo_matches_unmemoised_mapper(monkeypatch, name):
-    """Keys memoised by environment state leave the checkpoint bytes an
-    un-memoised mapper leaves, after every iteration, and the memoised
-    mapper renders each distinct state it maps exactly once."""
+    """Keys read from the world's cell column leave the checkpoint bytes
+    the per-visit oracle leaves with the un-memoised mapper, after every
+    iteration, and explore calls the mapper, which renders, once per state
+    id: the table never clears here, so once per distinct state."""
     from archex.cells import DownscaleParams, downscale_mapper
     from archex.envs.gridworld import GridWorld
 
     factory, budget = MEMO_CASES[name]
     params = DownscaleParams(**DOWNSCALE_PARAMS)
     cfg = cfg_with(budget_training_frames=budget, metric_interval_game_frames=1000, seed=5)
-    memoised = downscale_mapper(params)
-    states = set()
-
-    def spied(source, info):
-        if isinstance(source, GridWorld):
-            states.add(source.discrete_state())
-        return memoised(source, info)
-
+    calls = []
     render = GridWorld.render
     renders = []
     monkeypatch.setattr(GridWorld, "render", lambda env: renders.append(1) or render(env))
     got = per_iteration(monkeypatch, explore_from, merge_results, factory, cfg,
-                        SelectionConfig(), spied)
+                        SelectionConfig(), spied_mapper(downscale_mapper(params), calls))
+    states = {state for _, _, state in calls}
+    assert len({sid for _, sid, _ in calls}) == len(calls) == len(states)
     assert len(renders) == 1 + len(states)  # one at construction, for the start observation
     monkeypatch.undo()
-    want = per_iteration(monkeypatch, explore_from, merge_results, factory, cfg,
+    want = per_iteration(monkeypatch, oracle.explore_from, oracle.merge_results, factory, cfg,
                          SelectionConfig(), oracle.plain_downscale_mapper(params))
     assert len(got[0]) >= 40
     assert got == want
@@ -531,10 +540,17 @@ def test_downscale_memo_matches_unmemoised_mapper(monkeypatch, name):
         assert max(level for _, _, level in got[1]) >= 1
 
 
+def visits_of(visited):
+    """A per-visit oracle rollout's cells in first-visit order, with their
+    visit counts."""
+    return list(Counter(visit.key for visit in visited).items())
+
+
 def test_downscale_memo_keeps_worlds_apart():
-    """One mapper alternating between two worlds whose start states are
-    equal but whose frames differ (a hazard tile) returns each world's own
-    key: the memo is keyed by config hash as well as state."""
+    """One mapper explores two worlds in turn whose start states are equal
+    but whose frames differ (a hazard tile): each world keeps its own
+    column, so each rollout gets its own world's keys, as the per-visit
+    oracle maps them, and the mapper runs once per (world, state id)."""
     from archex.cells import DownscaleParams, downscale_cell, downscale_mapper
 
     params = DownscaleParams(**DOWNSCALE_PARAMS)
@@ -543,12 +559,76 @@ def test_downscale_memo_keeps_worlds_apart():
         env.reset(0)
     assert worlds[0].discrete_state() == worlds[1].discrete_state()
     assert worlds[0].config_hash != worlds[1].config_hash
-    want = [downscale_cell(env.render(), params) for env in worlds]
-    assert want[0] != want[1]
-    mapper = downscale_mapper(params)
-    for _ in range(3):
-        for env, key in zip(worlds, want):
-            assert mapper(env, env.features()) == key
+    starts = [downscale_cell(env.render(), params) for env in worlds]
+    assert starts[0] != starts[1]
+    calls = []
+    mapper = spied_mapper(downscale_mapper(params), calls)
+    archives = [seeded_archive(env)[0] for env in worlds]
+    plain = oracle.plain_downscale_mapper(params)
+    cfg = cfg_with(k=40)
+    for i in range(6):
+        got = []
+        for env, archive in zip(worlds, archives):
+            origin = archive.sorted_keys()[0]
+            result = explore_from(env, origin, archive, stream(0, TAG_EXPLORE, i, 0), cfg,
+                                  mapper)
+            want = oracle.explore_from(env, origin, archive, stream(0, TAG_EXPLORE, i, 0), cfg,
+                                       plain)
+            assert [(k, c.visits) for k, c in result.cells.items()] == visits_of(want.visited)
+            got.append(set(result.cells))
+        assert got[0] != got[1]
+    assert len({(world, sid) for world, sid, _ in calls}) == len(calls) > 20
+
+
+COLUMN_WORLDS = {"twomaze": lambda: small_twomaze(arm_rows=5, arm_cols=10),
+                 "corridor": small_corridor, "keydoor": small_keydoor}
+COLUMN_MAPPERS = {"domain": lambda: MAPPER, "downscale": downscale}
+
+
+@pytest.mark.parametrize("mapper_name", sorted(COLUMN_MAPPERS))
+@pytest.mark.parametrize("world", sorted(COLUMN_WORLDS))
+def test_column_matches_per_visit_oracle_across_table_clears(monkeypatch, world, mapper_name):
+    """With a 20-state table, which clears mid-rollout and hands its ids out
+    again, keys read from the column leave the archive bytes, frames, rooms
+    and levels of the per-visit oracle, which maps every frame. Some state
+    is mapped more than once: a clear emptied its entry."""
+    import archex.envs.gridworld as gridworld
+
+    monkeypatch.setattr(gridworld, "STATE_TABLE_LIMIT", 20)
+    cfg = cfg_with(budget_training_frames=4000, metric_interval_game_frames=1000, seed=5)
+    calls = []
+    got = per_iteration(monkeypatch, explore_from, merge_results, COLUMN_WORLDS[world], cfg,
+                        SelectionConfig(), spied_mapper(COLUMN_MAPPERS[mapper_name](), calls))
+    want = per_iteration(monkeypatch, oracle.explore_from, oracle.merge_results,
+                         COLUMN_WORLDS[world], cfg, SelectionConfig(),
+                         COLUMN_MAPPERS[mapper_name]())
+    assert len(got[0]) >= 40
+    assert got == want
+    assert len(calls) > len({state for _, _, state in calls}) > 20
+
+
+def test_column_follows_the_mapper_it_is_handed(monkeypatch):
+    """One world explored with three mappers in turn, under a 20-state
+    table: every rollout visits the cells, in order and with the counts,
+    that the per-visit oracle gives under the same mapper, so a column
+    filled for one mapper never answers for another."""
+    import archex.envs.gridworld as gridworld
+    from archex.cells import domain_mapper
+
+    monkeypatch.setattr(gridworld, "STATE_TABLE_LIMIT", 20)
+    mappers = [MAPPER, domain_mapper(2), downscale()]
+    archives = [run_phase1(small_keydoor, cfg_with(budget_training_frames=1000),
+                           SelectionConfig(), mapper).archive for mapper in mappers]
+    env = small_keydoor()
+    cfg = cfg_with(k=60)
+    for i in range(10):
+        for mapper, archive in zip(mappers, archives):
+            origin = archive.sorted_keys()[i % len(archive)]
+            result = explore_from(env, origin, archive, stream(1, TAG_EXPLORE, i, 0), cfg,
+                                  mapper)
+            want = oracle.explore_from(env, origin, archive, stream(1, TAG_EXPLORE, i, 0), cfg,
+                                       mapper)
+            assert [(k, c.visits) for k, c in result.cells.items()] == visits_of(want.visited)
 
 
 # -- myopic greedy baseline -------------------------------------------------------------

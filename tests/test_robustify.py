@@ -31,7 +31,7 @@ from archex.seeding import TAG_ATTEMPT, RawDraws, stream
 from archex.selection import SelectionConfig
 from archex.trajectory import Trajectory
 
-from conftest import CountingPolicy, small_corridor, small_keydoor, small_twomaze
+from conftest import CountingPolicy, scored, small_corridor, small_keydoor, small_twomaze
 from oracle import extend
 
 MAPPER = domain_mapper(1)
@@ -84,8 +84,8 @@ def test_demo_corruption_detected(kd_result):
     key, record = kd_result.archive.best_record()
     import dataclasses
 
-    bad = dataclasses.replace(
-        record, snapshot=dataclasses.replace(record.snapshot, cum_score=record.score + 1))
+    forged = scored(record.snapshot, record.score + 1)
+    bad = dataclasses.replace(record, state_bytes=forged.state_bytes)
     with pytest.raises(IntegrityError):
         build_demonstration(env, key, bad)
 
