@@ -6,20 +6,21 @@ accounting, rendering, and byte-exact snapshot/restore; concrete
 environments are layout builders on top of it.
 
 Dynamics are ticked once per training frame: each :meth:`step` moves the
-agent at most one tile and resolves the tile's effects, while the underlying
-frame counter advances by ``frame_skip`` game frames (the skipped frames are
-identical repeats, and the step reward is the total produced during that
-window). ``game_frames == training_frames * frame_skip`` holds exactly,
-including in snapshots taken mid-episode.
+agent at most one tile, resolves the tile's effects and stands for
+``frame_skip`` game frames (the skipped frames are identical repeats, and
+the step reward is the total produced during that window). A world counts
+training frames only: :meth:`frame_counters` and snapshots give the game
+frames as training frames times ``frame_skip``, and the time limit, set in
+game frames, becomes a training-frame count at construction.
 
 Within one config, a tick's next state, reward and kill flag are a pure
 function of the discrete state and the action; only the time limit reads
-the frame counters. So a world interns each discrete state (position,
+the frame counter. So a world interns each discrete state (position,
 level, held key rooms, taken keys, opened doors, collected treasures, as
 one tuple of ints) to an id the first time it meets it, and keeps a
 transition row per id: each action's next id and its :class:`StepResult`
 (the reward, and done where the step kills), unknown until that action is
-first taken. The dynamic state is that id, the score, the frame counters
+first taken. The dynamic state is that id, the score, the frame counter
 and the done flag, and a :meth:`step` is a table read that hands out the
 row's result, one shared object per distinct result, unless the time limit
 ends the episode. On a miss, the world runs :meth:`_tick`, the one
@@ -39,7 +40,10 @@ with it, since ids are then handed out again, and explore reads it by
 :meth:`step` returns only the reward and the done flag.
 :meth:`discrete_state` returns the interned tuple, and :meth:`features`,
 :meth:`snapshot` and :meth:`render` read it. :meth:`render` is the only
-renderer, called where a frame is read: :meth:`observe`, the
+renderer: it cuts the viewport out of the static shade grid that
+construction maps from the tiles, paints the keys, doors, treasures and
+agent the tuple implies, and scales the tiles up to pixels. It is called
+where a frame is read: :meth:`observe`, the
 downscaled-cell mapper (which explore calls once per id the column
 lacks), and ``archex replay --render``.
 :meth:`reset` installs the start state and returns the start observation
@@ -108,6 +112,10 @@ SHADE_DOOR_OPEN = 32
 SHADE_HAZARD = 64
 SHADE_TREASURE = 224
 SHADE_AGENT = 192
+# The static shade of each tile code: render() paints keys, doors and
+# treasures over the floor they start as.
+_TILE_SHADES = np.array([SHADE_FLOOR, SHADE_WALL, SHADE_FLOOR, SHADE_FLOOR, SHADE_HAZARD,
+                         SHADE_FLOOR], dtype=np.uint8)
 
 
 class GridWorld:
@@ -120,15 +128,15 @@ class GridWorld:
 
     Layout inputs (set by subclasses before ``_build``): ``width``/``height``,
     ``base`` (flat bytearray of tile codes), ``spawn``, placements for keys,
-    doors, treasures, the room geometry (``_lay_out_rooms`` sets it with
-    the size, the walls and the doorways), ``_params`` (the constructor
+    doors, treasures, the room geometry (``rooms`` and ``n_rooms``, which
+    ``_lay_out_rooms`` sets with the size, the walls and the doorways), ``_params`` (the constructor
     arguments ``config_lines`` appends, sorted), and behaviour switches
     (``hazard_policy`` is ``"kill"`` or ``"respawn"``, ``treasure_mode`` is
     ``"level"`` or ``"collect"``). A world without rooms renders the whole
     grid; a world of rooms renders the agent's room.
 
     The dynamic state is the interned id of :meth:`discrete_state`, the
-    score, the frame counters and the done flag; it changes only through
+    score, the training-frame count and the done flag; it changes only through
     :meth:`step`, :meth:`reset` and :meth:`restore`.
     """
 
@@ -152,6 +160,9 @@ class GridWorld:
             raise ConfigError("key_capacity must be >= 0")
         self.frame_skip = frame_skip
         self.time_limit_game_frames = time_limit_game_frames
+        # The time limit in training frames: the first count whose game
+        # frames reach it.
+        self._frame_limit = -(-time_limit_game_frames // frame_skip)
         self.key_capacity = key_capacity
         self.config_hash = 0
         self._done = True
@@ -171,6 +182,7 @@ class GridWorld:
         self.treasure_mode = "level"
         # Room geometry: (rows, cols, interior_w, interior_h); None = one room.
         self.rooms: tuple[int, int, int, int] | None = None
+        self.n_rooms = 1
         self._params: dict[str, object] = {}
 
         # Dynamic state: the interned id of discrete_state(), then the rest.
@@ -178,7 +190,6 @@ class GridWorld:
         self.state_id = 0
         self._score = 0.0
         self._training_frames = 0
-        self._game_frames = 0
         # The transition table: discrete states by id and ids by state, then
         # ACTION_COUNT entries per id, the next id and the step's result
         # (reward and kill flag), None until the action is first taken. The
@@ -193,15 +204,10 @@ class GridWorld:
         self._column: list[tuple | None] = []
         self._column_mapper: object = None
 
-        # room_of(x, y) == _room_col[x] + _room_row[y], filled in by _build().
-        self._room_col: list[int] = []
-        self._room_row: list[int] = []
         self._key_at: dict[tuple[int, int], int] = {}
         self._door_at: dict[tuple[int, int], int] = {}
         self._treasure_at: dict[tuple[int, int], int] = {}
-        self._bg: list[np.ndarray] = []
-        self._viewport: list[tuple[int, int, int, int]] = []  # x0,y0,w,h tiles
-        self._dyn: list[list[tuple[int, int, int, int]]] = []
+        self._shades = np.zeros((0, 0), dtype=np.uint8)  # per tile, set by _build()
 
     # -- construction ------------------------------------------------------
 
@@ -223,9 +229,10 @@ class GridWorld:
         higher) room pair is in ``locked``, and floor elsewhere; ``settings``
         names the dimensions for :meth:`_wall_grid`."""
         self.rooms = (rows, cols, w, h)
+        self.n_rooms = rows * cols
         self._wall_grid(cols * (w + 1) + 1, rows * (h + 1) + 1, settings)
         floor = bytes([TILE_FLOOR]) * w
-        for room in range(rows * cols):
+        for room in range(self.n_rooms):
             rr, rc = divmod(room, cols)
             ox, oy = self.room_origin(room)
             for row in range(oy * self.width + ox, (oy + h) * self.width, self.width):
@@ -247,17 +254,10 @@ class GridWorld:
         self._key_at = {p: i for i, p in enumerate(self.key_positions)}
         self._door_at = {p: i for i, p in enumerate(self.door_positions)}
         self._treasure_at = {p: i for i, p in enumerate(self.treasure_positions)}
-        if self.rooms is None:
-            self._room_col = [0] * self.width
-            self._room_row = [0] * self.height
-        else:
-            rows, cols, w, h = self.rooms
-            self._room_col = [min((x - 1) // (w + 1), cols - 1) for x in range(self.width)]
-            self._room_row = [min((y - 1) // (h + 1), rows - 1) * cols
-                              for y in range(self.height)]
         self._validate_layout()
         self.config_hash = config_hash_from_lines(self.config_lines())
-        self._prerender()
+        self._shades = _TILE_SHADES[np.frombuffer(self.base, dtype=np.uint8)].reshape(
+            self.height, self.width)
         # The start state: the spawn tile at level 0, with each of the four
         # counted runs empty. reset() installs it and returns this pair, so
         # the start frame is drawn once and read-only.
@@ -309,8 +309,12 @@ class GridWorld:
     # -- geometry ----------------------------------------------------------
 
     def room_of(self, x: int, y: int) -> int:
-        """Room index of a tile inside the grid, by two table lookups."""
-        return self._room_col[x] + self._room_row[y]
+        """Room index of a tile inside the grid: a doorway belongs to the
+        room left of or above it."""
+        if self.rooms is None:
+            return 0
+        _, cols, w, h = self.rooms
+        return (y - 1) // (h + 1) * cols + (x - 1) // (w + 1)
 
     def room_origin(self, room: int) -> tuple[int, int]:
         """Top-left interior tile of a room."""
@@ -450,11 +454,10 @@ class GridWorld:
             result = self._result[at]
         self.state_id = nid
         self._training_frames += 1
-        self._game_frames += self.frame_skip
         self._score += result.reward
         if result.done:
             self._done = True
-        elif self._game_frames >= self.time_limit_game_frames:
+        elif self._training_frames >= self._frame_limit:
             self._done = True
             return StepResult(result.reward, True)
         return result
@@ -463,7 +466,7 @@ class GridWorld:
         """Install the start state and return its observation and snapshot."""
         del seed  # the engine is deterministic
         self._score = 0.0
-        self._training_frames = self._game_frames = 0
+        self._training_frames = 0
         self._done = False
         self.state_id = self._intern(self._start_state)
         return self._start
@@ -478,83 +481,48 @@ class GridWorld:
     def observe(self) -> Observation:
         return Observation(frame=self.render(), features=self.features())
 
-    def _prerender(self) -> None:
-        tp = self.tile_px
-        shade = {
-            TILE_FLOOR: SHADE_FLOOR,
-            TILE_WALL: SHADE_WALL,
-            TILE_KEY: SHADE_FLOOR,       # drawn dynamically
-            TILE_DOOR: SHADE_FLOOR,      # drawn dynamically
-            TILE_HAZARD: SHADE_HAZARD,   # static
-            TILE_TREASURE: SHADE_FLOOR,  # drawn dynamically
-        }
-        if self.rooms is None:
-            views = [(0, 0, self.width, self.height)]
-        else:
-            rows, cols, w, h = self.rooms
-            views = []
-            for rr in range(rows):
-                for rc in range(cols):
-                    views.append((rc * (w + 1), rr * (h + 1), w + 2, h + 2))
-        self._viewport = views
-        self._bg = []
-        self._dyn = []
-        for x0, y0, vw, vh in views:
-            bg = np.zeros((vh * tp, vw * tp), dtype=np.uint8)
-            for ty in range(vh):
-                for tx in range(vw):
-                    code = self.base[(y0 + ty) * self.width + (x0 + tx)]
-                    val = shade[code]
-                    if val:
-                        bg[ty * tp:(ty + 1) * tp, tx * tp:(tx + 1) * tp] = val
-            self._bg.append(bg)
-            dyn = []
-            for kind, positions in (
-                (TILE_KEY, self.key_positions),
-                (TILE_DOOR, self.door_positions),
-                (TILE_TREASURE, self.treasure_positions),
-            ):
-                for idx, (px, py) in enumerate(positions):
-                    if x0 <= px < x0 + vw and y0 <= py < y0 + vh:
-                        dyn.append((kind, idx, px - x0, py - y0))
-            self._dyn.append(dyn)
-
     def render(self) -> np.ndarray:
-        """Render the current viewport as a fresh uint8 intensity frame.
+        """Render the current viewport as a fresh uint8 intensity frame:
+        the whole grid, or in a world of rooms the agent's room with its
+        walls, cut out of the static shade grid. The keys not taken, the
+        doors (locked or opened), the treasures not collected and then the
+        agent are painted over it, and each tile is scaled up to
+        ``tile_px`` x ``tile_px`` pixels.
 
         The frame is a pure function of the config (``config_hash``) and
         :meth:`discrete_state`: the viewport and the agent tile come from
-        the position, the dynamic tiles from the taken keys, the opened
+        the position, the painted tiles from the taken keys, the opened
         doors and the collected treasures. Explore keeps a downscaled key
         per state id in the cell column, so a state this method draws must
         be in :meth:`discrete_state` too."""
         state = self._states[self.state_id]
         x, y = state[0], state[1]
         (_, keys, doors, treasures), _ = _counted_runs(state, 3)
-        view = 0 if len(self._bg) == 1 else self.room_of(x, y)
-        frame = self._bg[view].copy()
+        if self.rooms is None:
+            x0, y0, x1, y1 = 0, 0, self.width, self.height
+        else:
+            _, _, w, h = self.rooms
+            ox, oy = self.room_origin(self.room_of(x, y))
+            x0, y0, x1, y1 = ox - 1, oy - 1, ox + w + 1, oy + h + 1
+        tiles = self._shades[y0:y1, x0:x1].copy()
+        paint = [(p, SHADE_KEY) for i, p in enumerate(self.key_positions) if i not in keys]
+        paint += [(p, SHADE_DOOR_OPEN if i in doors else SHADE_DOOR_LOCKED)
+                  for i, p in enumerate(self.door_positions)]
+        # Only collect mode takes treasures; a level's treasure stays.
+        paint += [(p, SHADE_TREASURE) for i, p in enumerate(self.treasure_positions)
+                  if i not in treasures]
+        paint.append(((x, y), SHADE_AGENT))
+        for (px, py), shade in paint:
+            if x0 <= px < x1 and y0 <= py < y1:
+                tiles[py - y0, px - x0] = shade
         tp = self.tile_px
-        for kind, idx, tx, ty in self._dyn[view]:
-            if kind == TILE_KEY:
-                if idx in keys:
-                    continue
-                val = SHADE_KEY
-            elif kind == TILE_DOOR:
-                val = SHADE_DOOR_OPEN if idx in doors else SHADE_DOOR_LOCKED
-            else:
-                if self.treasure_mode == "collect" and idx in treasures:
-                    continue
-                val = SHADE_TREASURE
-            frame[ty * tp:(ty + 1) * tp, tx * tp:(tx + 1) * tp] = val
-        x0, y0, _, _ = self._viewport[view]
-        ax, ay = x - x0, y - y0
-        frame[ay * tp:(ay + 1) * tp, ax * tp:(ax + 1) * tp] = SHADE_AGENT
-        return frame
+        return tiles.repeat(tp, axis=0).repeat(tp, axis=1)
 
     # -- counters / score --------------------------------------------------
 
     def frame_counters(self) -> tuple[int, int]:
-        return self._game_frames, self._training_frames
+        """The game frames and the training frames of the episode."""
+        return self._training_frames * self.frame_skip, self._training_frames
 
     @property
     def cum_score(self) -> float:
@@ -567,7 +535,7 @@ class GridWorld:
         payload = STATE_HEAD.pack(
             self._score,
             self._training_frames,
-            self._game_frames,
+            self._training_frames * self.frame_skip,
             1 if self._done else 0,
             state[2],
             state[0],
@@ -593,15 +561,14 @@ class GridWorld:
             raise SnapshotFormatError(f"snapshot done flag is {done}, not 0 or 1")
         if gf != tf * self.frame_skip:
             raise SnapshotFormatError(f"snapshot game frames {gf} are not {tf} x frame_skip")
-        if not done and gf >= self.time_limit_game_frames:
+        if not done and tf >= self._frame_limit:
             raise SnapshotFormatError(f"snapshot is live at game frame {gf}, at or past the "
                                       "time limit")
         if not (0 <= x < self.width and 0 <= y < self.height
                 and self.base[y * self.width + x] != TILE_WALL):
             raise SnapshotFormatError(f"snapshot position ({x},{y}) is off the grid or a wall")
-        n_rooms = 1 if self.rooms is None else self.rooms[0] * self.rooms[1]
         if (len(held) > self.key_capacity or held != tuple(sorted(held))
-                or (held and held[-1] >= n_rooms)):
+                or (held and held[-1] >= self.n_rooms)):
             raise SnapshotFormatError(f"snapshot holds keys of rooms {held}, which no step does")
         for name, taken, count in (("key", keys, len(self.key_positions)),
                                    ("door", doors, len(self.door_positions)),
@@ -624,7 +591,6 @@ class GridWorld:
         self.state_id = self._intern((x, y, level) + tail)
         self._score = score
         self._training_frames = tf
-        self._game_frames = gf
         self._done = bool(done)
 
     def discrete_state(self) -> tuple[int, ...]:

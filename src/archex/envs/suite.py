@@ -123,20 +123,19 @@ class KeyDoorWorld(GridWorld):
                 raise ConfigError(f"locked door {pair} does not join adjacent rooms")
         self._lay_out_rooms(rooms_rows, rooms_cols, room_w, room_h, locked,
                             "rooms_rows, rooms_cols, room_w and room_h")
-        n_rooms = rooms_rows * rooms_cols
         ox, oy = self.room_origin(0)
         self.spawn = (ox + room_w // 2, oy + room_h // 2)
 
         for room, lx, ly in keys:
-            self._place(room, lx, ly, TILE_KEY, n_rooms)
+            self._place(room, lx, ly, TILE_KEY)
             self.key_positions.append(self._global(room, lx, ly))
             self.key_rewards.append(key_reward)
         for room, lx, ly in hazards:
-            self._place(room, lx, ly, TILE_HAZARD, n_rooms)
+            self._place(room, lx, ly, TILE_HAZARD)
 
         if treasure_room is None:
-            treasure_room = n_rooms - 1
-        self._place(treasure_room, room_w // 2, room_h // 2, TILE_TREASURE, n_rooms)
+            treasure_room = self.n_rooms - 1
+        self._place(treasure_room, room_w // 2, room_h // 2, TILE_TREASURE)
         self.treasure_positions.append(
             self._global(treasure_room, room_w // 2, room_h // 2)
         )
@@ -167,8 +166,8 @@ class KeyDoorWorld(GridWorld):
         ox, oy = self.room_origin(room)
         return (ox + lx, oy + ly)
 
-    def _place(self, room: int, lx: int, ly: int, tile: int, n_rooms: int) -> None:
-        if not 0 <= room < n_rooms:
+    def _place(self, room: int, lx: int, ly: int, tile: int) -> None:
+        if not 0 <= room < self.n_rooms:
             raise ConfigError(f"room {room} out of range")
         x, y = self._global(room, lx, ly)
         if self.base[y * self.width + x] != TILE_FLOOR:

@@ -86,8 +86,10 @@ class StickyActions:
         return next(self._uniforms)
 
 
-def force_noops(env: GridWorld | StickyActions, n: int) -> None:
-    """Step ``n`` no-ops on a live episode, fewer if the episode ends first."""
-    for _ in range(n):
+def force_noops(env: GridWorld | StickyActions, n: int) -> int:
+    """Step ``n`` no-ops on a live episode, fewer if the episode ends first,
+    and return how many were stepped."""
+    for i in range(n):
         if env.step(env.noop_action).done:
-            break
+            return i + 1
+    return n

@@ -324,7 +324,7 @@ def run_phase1(
         archive, meta = resume.archive, replace(resume.meta)
         if archive.config_hash != env.config_hash:
             raise CheckpointError("resume archive is from a different env config")
-        if max(meta.rooms_seen, default=0) >= (env.rooms[0] * env.rooms[1] if env.rooms else 1):
+        if max(meta.rooms_seen, default=0) >= env.n_rooms:
             raise CheckpointError("resume checkpoint names a room its world lacks")
         if meta.seed != cfg.seed:
             raise ConfigError(f"resume checkpoint has seed {meta.seed}, config says {cfg.seed}")

@@ -93,11 +93,11 @@ class Demonstration:
 
 def build_demonstration(
     env: GridWorld,
-    key: CellKey,
     record: CellRecord,
     stride: int = 25,
 ) -> Demonstration:
-    """Replay a record from reset into a Demonstration, verifying integrity."""
+    """Replay a record from reset into a Demonstration, verifying integrity;
+    its level is the replayed end state's, which is the record's."""
     if stride < 1:
         raise ConfigError("snapshot stride must be >= 1")
     actions = record.trajectory.actions()
@@ -116,8 +116,7 @@ def build_demonstration(
         )
     if env.snapshot().state_bytes != record.snapshot.state_bytes:
         raise IntegrityError("demonstration end state differs from archive snapshot")
-    level = key.level if isinstance(key, DomainKey) else env.features().level
-    return Demonstration(actions, cum, snaps, level)
+    return Demonstration(actions, cum, snaps, env.features().level)
 
 
 def select_demonstrations(
@@ -146,8 +145,8 @@ def select_demonstrations(
 
     demos = []
     for archive in qualifying[:n]:
-        key, record = archive.best_record(at_top)
-        demos.append(build_demonstration(env, key, record, stride))
+        _, record = archive.best_record(at_top)
+        demos.append(build_demonstration(env, record, stride))
     return demos
 
 
@@ -448,7 +447,7 @@ def backward_run(
         env.reset(int(rng.integers(2**63)))
         env.restore(starts[demo_idx][1])
         if start == 0 and cfg.max_noops > 0:
-            force_noops(env, int(rng.integers(0, cfg.max_noops + 1)))
+            frames += force_noops(env, int(rng.integers(0, cfg.max_noops + 1)))
         draws = RawDraws(rng)  # the learner's draws: the same values, without numpy calls
 
         learner.begin_rollout(demo, start)

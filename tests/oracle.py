@@ -403,7 +403,7 @@ def backward_run_scalar(
         env.reset(int(rng.integers(2**63)))
         env.restore(starts[demo_idx][1])
         if start == 0 and cfg.max_noops > 0:
-            force_noops(env, int(rng.integers(0, cfg.max_noops + 1)))
+            frames += force_noops(env, int(rng.integers(0, cfg.max_noops + 1)))
 
         learner.begin_rollout(demo, start)
         score_at_start = base.cum_score

@@ -125,6 +125,26 @@ def test_skip_one_counters_equal():
     assert env.frame_counters() == (17, 17)
 
 
+@pytest.mark.parametrize("skip,limit", [(skip, limit) for skip in (3, 4)
+                                         for limit in (1, 7, 8, 9)])
+def test_time_limit_off_the_skip_grid(skip, limit):
+    """A time limit that is not a multiple of ``frame_skip`` ends the episode
+    at the first step whose game frames reach it; the counters read
+    ``(tf * skip, tf)`` at every step, and the snapshot taken one step
+    before the end restores to a live episode."""
+    env = small_twomaze(frame_skip=skip, time_limit_game_frames=limit)
+    env.reset(0)
+    last = -(-limit // skip)
+    for tf in range(1, last + 1):
+        before = env.snapshot()
+        assert env.step(ACTION_NOOP).done == (tf == last)
+        assert env.frame_counters() == (tf * skip, tf)
+    assert (last - 1) * skip < limit <= last * skip
+    env.restore(before)
+    assert not env.done and env.frame_counters() == ((last - 1) * skip, last - 1)
+    assert env.step(ACTION_NOOP).done
+
+
 def test_step_after_done_rejected():
     env = small_twomaze(time_limit_game_frames=8)
     env.reset(0)
@@ -530,6 +550,15 @@ def test_tick_is_a_pure_function_of_state_and_action(world):
 
 # -- restore rejects states that break an invariant of step ----------------------
 
+# The BFS-reachable state count of each small world and the sha256 over the
+# sorted render() bytes at those states; a change to what a state draws
+# changes them.
+BFS_FRAME_DIGESTS = {
+    "corridor": (402, "3eb3bdb12561559d47cd1fd24e7df295d681a6cb68f65820110ee0db9f1c179a"),
+    "keydoor": (715, "54a808b78503e137ea436f51c47fe3327516f9fd681f6ffd7adbf82f56f7bfc3"),
+    "twomaze": (41, "619e61c4d3fec420e5e39b23436e5d1a23f655ca82b308bcd947e711ffedb722"),
+}
+
 # sha256 over the sorted snapshot bytes of every BFS-reachable state of each
 # small world; a change to the snapshot layout changes them.
 BFS_SNAPSHOT_DIGESTS = {
@@ -555,6 +584,17 @@ def test_reachable_snapshots_keep_their_bytes_and_round_trip(world):
         env.restore(snap)
         assert env.discrete_state() == state
         assert env.snapshot() == snap
+
+
+@pytest.mark.parametrize("world", sorted(BFS_FRAME_DIGESTS))
+def test_reachable_frames_keep_their_bytes(world):
+    env = ENV_FACTORIES[world]()
+    frames = []
+    for _, snap in reachable(world):
+        env.restore(snap)
+        frames.append(env.render().tobytes())
+    digest = hashlib.sha256(b"".join(sorted(frames))).hexdigest()
+    assert (len(frames), digest) == BFS_FRAME_DIGESTS[world]
 
 
 HEAD_FIELDS = ("score", "tf", "gf", "done", "level", "x", "y")

@@ -37,12 +37,12 @@ from oracle import extend
 MAPPER = domain_mapper(1)
 
 
-def keydoor_archive(seed=0, budget=40_000):
+def keydoor_archive(seed=0, budget=40_000, factory=small_keydoor):
     cfg = ExploreConfig(k=40, batch_size=20, budget_training_frames=budget,
                         seed=seed, metric_interval_game_frames=10**9)
     sel = SelectionConfig(domain_mode=True, w_horizontal=0.3, w_vertical=0.1,
                           w_more_keys=10.0)
-    return run_phase1(small_keydoor, cfg, sel, MAPPER)
+    return run_phase1(factory, cfg, sel, MAPPER)
 
 
 @pytest.fixture(scope="module")
@@ -58,7 +58,8 @@ def kd_result():
 def test_build_demonstration_verifies_replay(kd_result):
     env = small_keydoor()
     key, record = kd_result.archive.best_record()
-    demo = build_demonstration(env, key, record, stride=10)
+    demo = build_demonstration(env, record, stride=10)
+    assert demo.level == key.level  # the end state's level is the domain key's
     assert demo.length == record.traj_len
     assert demo.score == record.score
     assert demo.cum_rewards[0] == 0.0
@@ -68,8 +69,8 @@ def test_build_demonstration_verifies_replay(kd_result):
 
 def test_demo_snapshot_fillin(kd_result):
     env = small_keydoor()
-    key, record = kd_result.archive.best_record()
-    demo = build_demonstration(env, key, record, stride=25)
+    _, record = kd_result.archive.best_record()
+    demo = build_demonstration(env, record, stride=25)
     frame = min(demo.length - 1, 13)  # not on the stride grid
     snap = demo.snapshot_at(frame, env)
     env2 = small_keydoor()
@@ -81,13 +82,13 @@ def test_demo_snapshot_fillin(kd_result):
 
 def test_demo_corruption_detected(kd_result):
     env = small_keydoor()
-    key, record = kd_result.archive.best_record()
+    _, record = kd_result.archive.best_record()
     import dataclasses
 
     forged = scored(record.snapshot, record.score + 1)
     bad = dataclasses.replace(record, state_bytes=forged.state_bytes)
     with pytest.raises(IntegrityError):
-        build_demonstration(env, key, bad)
+        build_demonstration(env, bad)
 
 
 def test_select_demonstrations_level_filter():
@@ -111,8 +112,10 @@ def test_select_demonstrations_level_filter():
 
     archives = [archive_with_level(2), archive_with_level(2), archive_with_level(1)]
     demos = select_demonstrations(archives, 2, env)
-    assert len(demos) == 2
-    assert all(d.level == 2 for d in demos)
+    # Both replay the level-2 records; a demo's level is its replayed end
+    # state's, and a TwoMaze state is always at level 0.
+    assert [d.length for d in demos] == [1, 1]
+    assert all(d.level == 0 for d in demos)
     with pytest.raises(ShortfallError) as err:
         select_demonstrations(archives, 3, env)
     assert "2 of 3" in str(err.value)
@@ -309,6 +312,28 @@ def test_backward_respects_attempt_budget(kd_result):
     result = backward_run(demos, ReplayOracleLearner(), small_keydoor, cfg, seed=0)
     assert result.attempts == 7
     assert result.min_starting_point() > 0
+
+
+@pytest.mark.parametrize("max_noops", [30, 2**31])
+def test_forced_noops_count_toward_the_frame_budget(max_noops):
+    """The no-ops forced at start 0 are training frames, so the frame budget
+    caps them: at a no-op count up to the time limit (1,000 training frames
+    in the criterion-7 world), two attempts at start 0 spend a 2,000-frame
+    budget, where uncounted no-ops would let all 300 attempts run."""
+    from oracle import backward_run_scalar
+
+    factory = lambda: small_keydoor(time_limit_game_frames=4_000)
+    demos = select_demonstrations([keydoor_archive(seed=5, factory=factory).archive], 1,
+                                  factory())
+    # One successful attempt from the demo end moves the start to 0.
+    cfg = BackwardConfig(advance_interval=1, delta=100_000, frame_budget=2_000,
+                         max_attempts=300, max_noops=max_noops)
+    result = backward_run(demos, TabularQLearner(ACTION_COUNT), factory, cfg, seed=5)
+    assert result.min_starting_point() == 0
+    assert result.frames >= cfg.frame_budget
+    assert result.attempts < (300 if max_noops == 30 else 4)
+    scalar = backward_run_scalar(demos, TabularQLearner(ACTION_COUNT), factory, cfg, seed=5)
+    assert (scalar.attempts, scalar.frames) == (result.attempts, result.frames)
 
 
 def test_backward_msp_monotone_and_bounded(kd_result):
