@@ -14,7 +14,6 @@ from __future__ import annotations
 
 import argparse
 import sys
-from typing import get_type_hints
 
 from .archive import checkpoint_load, checkpoint_save, output_dir, write_csv
 from .config import ExperimentConfig, load_config
@@ -27,8 +26,8 @@ from .errors import (
     ShortfallError,
     SnapshotFormatError,
 )
-from .evaluation import emit_report, evaluate_policy, read_metric_csv
-from .explore import MetricsRow, Phase1Result, replay_record, run_phase1
+from .evaluation import emit_report, evaluate_policy
+from .explore import MetricsRow, Phase1Result, read_metrics, replay_record, run_phase1
 from .robustify import (
     GreedyTabularPolicy,
     TabularQLearner,
@@ -57,12 +56,6 @@ def _load(args: argparse.Namespace) -> ExperimentConfig:
     return load_config(args.config, overrides)
 
 
-def _read_metrics(path) -> list[MetricsRow]:
-    """A ``metrics.csv``'s rows, typed so that they render to the same bytes."""
-    types = get_type_hints(MetricsRow).values()  # in field order
-    return [MetricsRow(*(t(v) for t, v in zip(types, row))) for row in read_metric_csv(path)]
-
-
 def cmd_explore(args: argparse.Namespace) -> int:
     cfg = _load(args)
     out = output_dir(cfg.out_dir)
@@ -70,7 +63,7 @@ def cmd_explore(args: argparse.Namespace) -> int:
     metrics_path = out / "metrics.csv"
     resume = Phase1Result(*checkpoint_load(args.resume), []) if args.resume else None
     if resume is not None and metrics_path.exists():
-        resume.metrics = _read_metrics(metrics_path)
+        resume.metrics = read_metrics(metrics_path)
 
     def save(run: Phase1Result) -> None:
         # Metrics first: after a crash between the two writes, the resume
@@ -139,7 +132,7 @@ def cmd_robustify(args: argparse.Namespace) -> int:
         f"{result.attempts} attempts, {result.frames} training frames, "
         f"min max_starting_point {result.min_starting_point()}"
     )
-    print(f"reached within 50 of frame 0: {result.reached_within(50)}")
+    print(f"reached within 50 of frame 0: {result.min_starting_point() <= 50}")
 
     def evaluator(checkpoint, eval_index: int) -> float:
         policy = GreedyTabularPolicy(checkpoint.q, checkpoint.n_actions)

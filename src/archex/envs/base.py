@@ -101,6 +101,11 @@ class EnvSnapshot:
         return read_counts(self.state_bytes)[0]
 
 
+def frame_limit(time_limit_game_frames: int, frame_skip: int) -> int:
+    """A time limit in training frames: the first count whose game frames reach it."""
+    return -(-time_limit_game_frames // frame_skip)
+
+
 def config_hash_from_lines(lines: list[str]) -> int:
     """Hash a canonical key=value description of an environment config."""
     digest = hashlib.sha256("\n".join(lines).encode()).digest()

@@ -77,6 +77,7 @@ from .base import (
     Observation,
     StepResult,
     config_hash_from_lines,
+    frame_limit,
     pack_snapshot,
     read_state_head,
     unpack_snapshot,
@@ -160,9 +161,7 @@ class GridWorld:
             raise ConfigError("key_capacity must be >= 0")
         self.frame_skip = frame_skip
         self.time_limit_game_frames = time_limit_game_frames
-        # The time limit in training frames: the first count whose game
-        # frames reach it.
-        self._frame_limit = -(-time_limit_game_frames // frame_skip)
+        self._frame_limit = frame_limit(time_limit_game_frames, frame_skip)
         self.key_capacity = key_capacity
         self.config_hash = 0
         self._done = True

@@ -1,10 +1,12 @@
 """Stochastic evaluation protocol and summary statistics.
 
 A policy is scored by running at least ``min_episodes`` episodes for every
-forced no-op count in 0..30 under sticky actions, averaging per no-op, and
-reporting the grand mean of the 31 per-no-op means. Uncertainty is reported
-with pivotal bootstrap intervals ``(2*stat - q_hi, 2*stat - q_lo)``;
-figure-style bands use plain percentile bootstrap.
+forced no-op count in 0..30 under sticky actions, each cut at the time limit
+as a world cuts it (:func:`archex.envs.base.frame_limit`), averaging per
+no-op, and reporting the grand mean of the 31 per-no-op means. Uncertainty
+is reported with pivotal bootstrap intervals ``(2*stat - q_hi, 2*stat -
+q_lo)``; figure-style bands, and the report over files that
+:func:`archex.explore.read_metrics` reads, use plain percentile bootstrap.
 
 Quantiles of resampled statistics use linear interpolation at rank
 ``(B - 1) * q`` over the sorted resamples (numpy's "linear" method); pivotal
@@ -13,7 +15,6 @@ endpoints depend on this convention, so it is fixed here.
 
 from __future__ import annotations
 
-import csv
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Callable, Iterable, Iterator, Sequence
@@ -21,10 +22,11 @@ from typing import Callable, Iterable, Iterator, Sequence
 import numpy as np
 
 from .archive import output_dir, write_csv
+from .envs.base import frame_limit
 from .envs.gridworld import GridWorld
 from .envs.wrappers import StickyActions, force_noops
 from .errors import ConfigError, ContractError
-from .explore import MetricsRow
+from .explore import MetricsRow, read_metrics
 from .seeding import TAG_EVAL, stream
 
 # Fallback actions drawn per refill of an episode's action block; on PCG64,
@@ -110,7 +112,7 @@ def evaluate_policy(
     """
     base = env_factory()
     env = StickyActions(base, protocol.sticky_p)
-    frame_cap = protocol.time_limit_game_frames // base.frame_skip
+    frame_cap = frame_limit(protocol.time_limit_game_frames, base.frame_skip)
     scores: list[tuple[int, int, float]] = []
     for noop in range(protocol.max_noop + 1):
         for episode in range(protocol.min_episodes):
@@ -187,30 +189,6 @@ def percentile_band(
 
 # -- report aggregation ---------------------------------------------------------
 
-def read_metric_csv(path) -> list[list[float]]:
-    """The rows of a metrics CSV that ``archex explore`` wrote; any other
-    header raises :class:`ConfigError` naming the file, since the report
-    names its outputs after the columns."""
-    rows = []
-    try:
-        fh = open(path, newline="")
-    except OSError as exc:
-        raise ConfigError(f"cannot read metrics CSV {path}: {exc}") from exc
-    with fh:
-        reader = csv.reader(fh)
-        if next(reader, None) != list(MetricsRow._fields):
-            raise ConfigError(f"{path}:1: not a metrics CSV of archex explore")
-        width = len(MetricsRow._fields)
-        for lineno, row in enumerate(reader, start=2):
-            if len(row) != width:
-                raise ConfigError(f"{path}:{lineno}: expected {width} columns")
-            try:
-                rows.append([float(v) for v in row])
-            except ValueError as exc:
-                raise ConfigError(f"{path}:{lineno}: {exc}") from exc
-    return rows
-
-
 def emit_report(
     metric_csvs: Sequence[str | Path],
     out_dir: str | Path,
@@ -228,12 +206,12 @@ def emit_report(
     tables = []
     seen = set()
     for path in metric_csvs:
-        rows = read_metric_csv(path)
+        rows = read_metrics(path)
         real = Path(path).resolve()
         if real in seen:
             raise ConfigError(f"{path}: given twice (each input is one seed)")
         seen.add(real)
-        tables.append({int(r[0]): r for r in rows})
+        tables.append({r.game_frames: r for r in rows})
     shared = sorted(set.intersection(*(set(t) for t in tables)))
     if not shared:
         raise ConfigError("input CSVs share no game_frames samples")

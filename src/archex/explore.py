@@ -1,13 +1,14 @@
 """The exploration loop: select a batch of cells, return to each without
 noise, explore with repeat-biased random actions, merge discoveries.
 
-Rollouts within an iteration are logically parallel: they all read the
-archive as it stood at selection time, and their results are merged in
-worker-index order afterwards. The implementation executes them serially,
-which makes the "identical results for any worker count" contract hold
-trivially. Every stochastic draw comes from a stream derived from (seed,
-purpose, iteration, worker), so runs are reproducible and resumable bit-for-
-bit.
+Rollouts within an iteration are logically parallel: they all read the archive
+as it stood at selection time, and their results are merged in worker-index
+order afterwards. The implementation executes them serially, which makes the
+"identical results for any worker count" contract hold trivially. Every
+stochastic draw comes from a stream derived from (seed, purpose, iteration,
+worker), so runs are reproducible and resumable bit for bit. The module also
+owns the metrics file (:class:`MetricsRow`, :func:`read_metrics`) and the
+end-of-replay check (:func:`require_replayed`).
 
 A rollout does only the work whose result is used: it snapshots a visit
 only when the visit can still win the merge, it maps each interned state of
@@ -23,9 +24,10 @@ visit on its own.
 
 from __future__ import annotations
 
+import csv
 import time
 from dataclasses import dataclass, field, replace
-from typing import Callable, NamedTuple
+from typing import Callable, NamedTuple, get_type_hints
 
 from .archive import Archive, CellRecord, RunMeta, UpdateOutcome, beats
 from .cells import CellKey, CellMapper
@@ -270,6 +272,36 @@ class MetricsRow(NamedTuple):
     wall_seconds: float
 
 
+def read_metrics(path) -> list[MetricsRow]:
+    """The rows of a ``metrics.csv`` that ``archex explore`` wrote with
+    :func:`archex.archive.write_csv`, and nothing else: the header must be
+    :class:`MetricsRow`'s fields, and each value must parse as its field's
+    annotated type and read back through ``str()`` as the same text. Any
+    other file raises :class:`ConfigError` naming ``file:line``."""
+    try:
+        fh = open(path, newline="", errors="replace")  # a bad byte fails as a value
+    except OSError as exc:
+        raise ConfigError(f"cannot read metrics CSV {path}: {exc}") from exc
+    fields, kinds = list(MetricsRow._fields), get_type_hints(MetricsRow).values()
+    rows = []
+    with fh:
+        reader = csv.reader(fh)
+        try:
+            if next(reader, None) != fields:
+                raise ValueError("not a metrics CSV of archex explore")
+            for row in reader:
+                if len(row) != len(fields):
+                    raise ValueError(f"expected {len(fields)} columns")
+                values = [kind(text) for kind, text in zip(kinds, row)]
+                for name, value, text in zip(fields, values, row):
+                    if str(value) != text:
+                        raise ValueError(f"{name} {text!r} reads back as {value}")
+                rows.append(MetricsRow(*values))
+        except (ValueError, csv.Error) as exc:
+            raise ConfigError(f"{path}:{max(reader.line_num, 1)}: {exc}") from exc
+    return rows
+
+
 @dataclass(slots=True)
 class Phase1Result:
     archive: Archive
@@ -391,17 +423,21 @@ def replay_record(
     key: CellKey,
     mapper: CellMapper,
 ) -> None:
-    """Replay a record's trajectory from reset and verify score, final cell,
-    and snapshot bytes against what the archive stored."""
+    """Replay a record's trajectory from reset and verify it against the
+    archive: :func:`require_replayed`, then the final cell."""
     env.reset()
     for action in record.trajectory.actions():
         if env.step(action).done:
             raise IntegrityError("stored trajectory ends an episode early")
-    if env.cum_score != record.score:
-        raise IntegrityError(
-            f"replayed score {env.cum_score} != stored {record.score}"
-        )
+    require_replayed(env, record)
     if mapper(env, env.features()) != key:
         raise IntegrityError("replayed trajectory lands in a different cell")
+
+
+def require_replayed(env: GridWorld, record: CellRecord) -> None:
+    """Raise :class:`IntegrityError` unless ``env``, at the end of a replay of
+    ``record``'s trajectory, has the record's score and snapshot bytes."""
+    if env.cum_score != record.score:
+        raise IntegrityError(f"replayed score {env.cum_score} != stored {record.score}")
     if env.snapshot().state_bytes != record.snapshot.state_bytes:
         raise IntegrityError("replayed snapshot differs from stored snapshot")

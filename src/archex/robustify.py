@@ -1,17 +1,18 @@
 """Backward-curriculum robustification of a tabular Q-learner.
 
-Demonstrations exported from archives are replayed into per-frame cumulative
-rewards plus periodic snapshots. Training starts rollouts at each
-demonstration's ``max_starting_point`` (initially its end), counts an attempt
-as a success when the rollout's final unshaped score reaches the
-demonstration's, and walks the starting point toward 0 whenever the windowed
-success rate clears the threshold. Stochastic wrappers (sticky actions
-throughout, random no-ops once the start reaches frame 0) force the learned
-policy to be robust rather than a replay.
+Demonstrations exported from archives are replayed, and checked by
+:func:`archex.explore.require_replayed`, into per-frame cumulative rewards plus
+periodic snapshots. Training starts rollouts at each demonstration's
+``max_starting_point`` (initially its end), counts an attempt as a success when
+the rollout's final unshaped score reaches the demonstration's, and walks the
+starting point toward 0 whenever the windowed success rate clears the
+threshold. Stochastic wrappers (sticky actions throughout, random no-ops once
+the start reaches frame 0) force the learned policy to be robust rather than a
+replay.
 
 The learner is :class:`TabularQLearner`, action values over the
-environment's discrete state; :func:`backward_run` calls its
-``begin_rollout``, ``act`` and ``update`` and reads its ``q`` table.
+environment's discrete state; :func:`backward_run` calls its ``act`` and
+``update`` and reads its ``q`` table.
 
 Each attempt has one stream, from (seed, attempt index). With numpy calls it
 draws the demonstration index, the reset seed (which also seeds the sticky
@@ -42,6 +43,7 @@ from .errors import (
     IntegrityError,
     ShortfallError,
 )
+from .explore import require_replayed
 from .seeding import TAG_ATTEMPT, RawDraws, stream
 from .envs.wrappers import StickyActions, force_noops
 
@@ -110,12 +112,7 @@ def build_demonstration(
         cum.append(env.cum_score)
         if i % stride == 0:
             snaps[i] = env.snapshot()
-    if env.cum_score != record.score:
-        raise IntegrityError(
-            f"demonstration replays to {env.cum_score}, archive says {record.score}"
-        )
-    if env.snapshot().state_bytes != record.snapshot.state_bytes:
-        raise IntegrityError("demonstration end state differs from archive snapshot")
+    require_replayed(env, record)
     return Demonstration(actions, cum, snaps, env.features().level)
 
 
@@ -248,9 +245,6 @@ class TabularQLearner:
         self.q: dict[tuple, list[float]] = {}
         self.greedy: dict[tuple, int] = {}
 
-    def begin_rollout(self, demo: Demonstration, start: int) -> None:
-        """Called before each attempt; the Q-learner keeps no per-rollout state."""
-
     def act(self, state: tuple, rng: np.random.Generator | RawDraws) -> int:
         """Epsilon-greedy in ``state``. ``rng`` is any source of numpy's
         ``random()`` and ``integers(n)`` draws; :func:`backward_run` passes
@@ -381,10 +375,6 @@ class BackwardResult:
     def min_starting_point(self) -> int:
         return min(p.max_starting_point for p in self.demo_progress)
 
-    def reached_within(self, units: int) -> bool:
-        """Reporting convention: success once any curve comes this close to 0."""
-        return any(p.max_starting_point <= units for p in self.demo_progress)
-
 
 def backward_run(
     demos: Sequence[Demonstration],
@@ -450,7 +440,6 @@ def backward_run(
             frames += force_noops(env, int(rng.integers(0, cfg.max_noops + 1)))
         draws = RawDraws(rng)  # the learner's draws: the same values, without numpy calls
 
-        learner.begin_rollout(demo, start)
         score_at_start = base.cum_score
         demo_score = demo.score
         gain = 0.0

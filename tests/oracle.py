@@ -46,7 +46,7 @@ from archex.cells import (
     FrameSource,
     downscale_cell,
 )
-from archex.envs.base import DomainInfo, EnvSnapshot, Observation
+from archex.envs.base import DomainInfo, EnvSnapshot, Observation, frame_limit
 from archex.envs.gridworld import GridWorld
 from archex.envs.wrappers import StickyActions, force_noops
 from archex.evaluation import EvalProtocol
@@ -293,7 +293,7 @@ def evaluate_scalar_draws(
     training_frames)`` row per episode."""
     base = env_factory()
     env = StickyActions(base, protocol.sticky_p)
-    frame_cap = protocol.time_limit_game_frames // base.frame_skip
+    frame_cap = frame_limit(protocol.time_limit_game_frames, base.frame_skip)
     rows = []
     for noop in range(protocol.max_noop + 1):
         for episode in range(protocol.min_episodes):
@@ -405,7 +405,6 @@ def backward_run_scalar(
         if start == 0 and cfg.max_noops > 0:
             frames += force_noops(env, int(rng.integers(0, cfg.max_noops + 1)))
 
-        learner.begin_rollout(demo, start)
         score_at_start = base.cum_score
         demo_score = demo.score
         gain = 0.0

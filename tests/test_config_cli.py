@@ -7,8 +7,11 @@ import math
 import re
 import struct
 from pathlib import Path
+from typing import get_type_hints
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from archex.archive import (
     _HEADER,
@@ -33,7 +36,7 @@ from archex.config import (
 from archex.envs import DeceptiveCorridor, KeyDoorWorld, TwoMaze
 from archex.errors import ConfigError
 from archex.evaluation import EvalProtocol
-from archex.explore import ExploreConfig
+from archex.explore import ExploreConfig, MetricsRow
 from archex.robustify import (
     BackwardConfig,
     PolicyCheckpoint,
@@ -908,6 +911,80 @@ def test_cli_resume_onto_foreign_metrics_csv_exit_2(tmp_path):
     (run / "metrics.csv").write_text("game_frames,cells\r\n0,1\r\n")
     assert run_cli("explore", "--config", str(path), "--resume", str(run / "archive.ckpt"),
                    "--budget-frames", "2000", "--out", str(run)) == 2
+
+
+# -- edited metrics.csv values ------------------------------------------------------
+
+# A twomaze run of 1,000 training frames with four metrics rows, each a
+# sample row (game frames 1200, 2000, 3200 and 4000).
+METRICS_RUN = BASE.replace("metric_interval_game_frames = 1000000000",
+                           "metric_interval_game_frames = 1000")
+METRIC_EDITS = ["inf", "nan", "1.5", "2e4", " 7", "", "-0", "1" * 30]
+
+
+@pytest.fixture(scope="module")
+def metrics_run(tmp_path_factory):
+    """The config path, checkpoint bytes and metrics lines of METRICS_RUN."""
+    root = tmp_path_factory.mktemp("metrics_run")
+    path = write_config(root, METRICS_RUN)
+    assert run_cli("explore", "--config", str(path), "--out", str(root / "run")) == 0
+    lines = (root / "run" / "metrics.csv").read_bytes().decode().split("\r\n")
+    assert len(lines) == 6  # the header, four rows and the empty last line
+    return path, (root / "run" / "archive.ckpt").read_bytes(), lines
+
+
+def report_and_resume(metrics_run, work, row, column, value):
+    """The exit codes of ``archex report`` and of ``archex explore --resume``
+    (200 more frames) on METRICS_RUN's files, with cell (row, column) of its
+    metrics set to ``value``; and the metrics lines before and after the
+    resume."""
+    path, ckpt, lines = metrics_run
+    cells = lines[row + 1].split(",")
+    cells[column] = value
+    edited = [*lines[:row + 1], ",".join(cells), *lines[row + 2:]]
+    (work / "archive.ckpt").write_bytes(ckpt)
+    (work / "metrics.csv").write_text("\r\n".join(edited), newline="")
+    report = run_cli("report", str(work / "metrics.csv"), "--out", str(work / "agg"))
+    resume = run_cli("explore", "--config", str(path), "--budget-frames", "1200",
+                     "--resume", str(work / "archive.ckpt"), "--out", str(work))
+    return report, resume, edited, (work / "metrics.csv").read_bytes().decode().split("\r\n")
+
+
+@pytest.mark.parametrize("command", ["report", "resume"])
+@pytest.mark.parametrize("column,value", [
+    ("game_frames", "inf"), ("game_frames", "nan"), ("game_frames", "2000.5"),
+    ("training_frames", "500.75")],
+    ids=["inf", "nan", "fractional-game-frames", "fractional-training-frames"])
+def test_cli_metrics_value_that_does_not_read_back_exit_2(metrics_run, tmp_path, capsys,
+                                                         command, column, value):
+    """A metrics value that its column's type would not write back as the
+    same text exits 2, naming file:line, in the report and on resume. It
+    neither crashes (inf and nan in an integer column) nor is rounded."""
+    codes = report_and_resume(metrics_run, tmp_path, 1, MetricsRow._fields.index(column),
+                              value)[:2]
+    assert dict(zip(["report", "resume"], codes))[command] == 2
+    assert "metrics.csv:3: " in capsys.readouterr().err
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(row=st.integers(0, 3), column=st.integers(0, len(MetricsRow._fields) - 1),
+       value=st.sampled_from(METRIC_EDITS))
+def test_cli_edited_metrics_value_exits_0_or_2(metrics_run, tmp_path_factory, row, column,
+                                              value):
+    """One edited metrics value: the report and the resume exit 0 if the
+    value reads back as written in its column's type, else 2, and never
+    raise. A resume that runs keeps the four rows it read byte for byte,
+    unless the edit moved a row's game frames."""
+    kind = get_type_hints(MetricsRow)[MetricsRow._fields[column]]
+    try:
+        expected = 0 if str(kind(value)) == value else 2
+    except ValueError:
+        expected = 2
+    report, resume, edited, after = report_and_resume(
+        metrics_run, tmp_path_factory.mktemp("edit"), row, column, value)
+    assert (report, resume) == (expected, expected)
+    if expected == 0 and column != 0:
+        assert after[:5] == edited[:5]
 
 
 # -- pinned checkpoint bytes ------------------------------------------------------

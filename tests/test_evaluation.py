@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 
 from archex.archive import write_csv
 from archex.envs import ACTION_NOOP
+from archex.envs.base import frame_limit
 from archex.errors import ConfigError, ContractError
 from archex.evaluation import (
     EvalProtocol,
@@ -176,6 +177,28 @@ def test_do_nothing_policy_scores_zero():
     assert result.grand_mean == 0.0
 
 
+@pytest.mark.parametrize("limit_of", ["world", "evaluation"])
+def test_time_limit_off_the_skip_grid_ends_evaluation_where_the_world_does(limit_of):
+    """A limit of 9 game frames at frame_skip 4 ends an episode at the first
+    step whose game frames reach it, at (12, 3), whether the world's own
+    limit or the evaluation protocol's sets it (``frame_limit``)."""
+    worlds = []
+
+    def make_world():
+        worlds.append(small_twomaze(frame_skip=4, time_limit_game_frames=9
+                                    if limit_of == "world" else 400_000))
+        return worlds[-1]
+
+    class Noop:
+        def act(self, env, actions):
+            return ACTION_NOOP
+
+    protocol = EvalProtocol(max_noop=0, min_episodes=1, sticky_p=0.0,
+                            time_limit_game_frames=9 if limit_of == "evaluation" else 400_000)
+    evaluate_policy(Noop(), make_world, protocol)
+    assert worlds[0].frame_counters() == (12, 3)
+
+
 # Raw scores of the sweep below at sticky_p 0.25, from when StickyActions
 # built its stream at every reset.
 STICKY_SCORES = [-15.0, -17.0, -20.0, -16.0, -12.0, -13.0, -13.0, -10.0]
@@ -304,7 +327,7 @@ def test_evaluate_policy_matches_scalar_draws_when_hazards_kill():
                             time_limit_game_frames=4_000)
     _, rows = assert_matches_scalar_draws(
         {}, lambda: small_keydoor(hazards=((0, 3, 1), (0, 1, 3))), protocol, seed=8)
-    cap = protocol.time_limit_game_frames // 4
+    cap = frame_limit(protocol.time_limit_game_frames, 4)
     assert any(frames < cap for *_, frames in rows)
 
 

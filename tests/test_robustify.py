@@ -11,7 +11,7 @@ from archex.archive import Archive
 from archex.cells import domain_mapper
 from archex.envs import ACTION_COUNT, ACTION_NOOP
 from archex.errors import CheckpointError, ContractError, IntegrityError, ShortfallError
-from archex.explore import ExploreConfig, run_phase1
+from archex.explore import ExploreConfig, replay_record, run_phase1
 from archex.robustify import (
     BackwardConfig,
     Demonstration,
@@ -81,14 +81,26 @@ def test_demo_snapshot_fillin(kd_result):
 
 
 def test_demo_corruption_detected(kd_result):
-    env = small_keydoor()
-    _, record = kd_result.archive.best_record()
+    """A record whose stored score, or whose stored state at an equal score,
+    is not where its trajectory ends fails the demonstration replay and
+    ``replay_record`` with one message each (:func:`require_replayed`)."""
     import dataclasses
 
-    forged = scored(record.snapshot, record.score + 1)
-    bad = dataclasses.replace(record, state_bytes=forged.state_bytes)
-    with pytest.raises(IntegrityError):
-        build_demonstration(env, bad)
+    archive = kd_result.archive
+    key, record = archive.best_record()
+    forged_score = (key, record, scored(record.snapshot, record.score + 1))
+    # A score-0 record given the start cell's state: score 0, at frame 0.
+    key = next(k for k in archive.sorted_keys()
+               if archive.cells[k].score == 0 and archive.cells[k].traj_len > 0)
+    start = next(r.snapshot for r in archive.cells.values() if r.traj_len == 0)
+    forged_state = (key, archive.cells[key], start)
+    for (key, record, snap), message in [(forged_score, "replayed score"),
+                                         (forged_state, "replayed snapshot differs")]:
+        bad = dataclasses.replace(record, state_bytes=snap.state_bytes)
+        with pytest.raises(IntegrityError, match=message):
+            build_demonstration(small_keydoor(), bad)
+        with pytest.raises(IntegrityError, match=message):
+            replay_record(small_keydoor(), bad, key, MAPPER)
 
 
 def test_select_demonstrations_level_filter():
@@ -254,25 +266,34 @@ def test_early_termination_with_nonzero_start():
 
 class ReplayOracleLearner(TabularQLearner):
     """Replays the demonstration's own actions, then no-ops: it checks the
-    curriculum mechanics on a deterministic environment. Its Q table still
-    learns from the transitions, so ``backward_run`` checkpoints it."""
+    curriculum mechanics on a deterministic environment. Its place in the
+    demo is the training-frame counter of the world that ``backward_run``
+    builds through :meth:`factory`: a demo snapshot at frame t holds t
+    training frames, and these runs have no sticky actions and no no-ops.
+    Its Q table still learns from the transitions, so ``backward_run``
+    checkpoints it."""
 
-    def __init__(self) -> None:
+    def __init__(self, demos, make_env) -> None:
         super().__init__(ACTION_COUNT)
-        self._actions: list[int] = []
-        self._pos = 0
+        (self._actions,) = {tuple(d.actions) for d in demos}  # one demo, or copies of it
+        self._make_env = make_env
+        self._env = None
 
-    def begin_rollout(self, demo, start):
-        self._actions = demo.actions
-        self._pos = start
+    def factory(self):
+        """``make_env``'s world, recorded for :meth:`act` to read."""
+        self._env = self._make_env()
+        return self._env
 
     def act(self, state, rng):
         del state, rng
-        if self._pos < len(self._actions):
-            action = self._actions[self._pos]
-            self._pos += 1
-            return action
-        return ACTION_NOOP
+        frame = self._env.frame_counters()[1]
+        return self._actions[frame] if frame < len(self._actions) else ACTION_NOOP
+
+
+def replay_oracle_run(demos, make_env, cfg, seed):
+    """``backward_run`` of a :class:`ReplayOracleLearner` on ``make_env``'s world."""
+    learner = ReplayOracleLearner(demos, make_env)
+    return backward_run(demos, learner, learner.factory, cfg, seed=seed)
 
 
 def oracle_cfg(**kw):
@@ -288,7 +309,7 @@ def test_oracle_learner_reaches_zero(kd_result):
     env_factory = small_keydoor
     demos = select_demonstrations([kd_result.archive], 1, env_factory())
     cfg = oracle_cfg()
-    result = backward_run(demos, ReplayOracleLearner(), env_factory, cfg, seed=1)
+    result = replay_oracle_run(demos, env_factory, cfg, seed=1)
     assert result.min_starting_point() == 0
     assert result.demo_progress[0].zero_confirmed
     advances = math.ceil(demos[0].length / cfg.delta)
@@ -301,7 +322,7 @@ def test_oracle_learner_two_demos(kd_result):
     env_factory = small_keydoor
     demos = select_demonstrations([kd_result.archive, kd_result.archive], 2, env_factory())
     cfg = oracle_cfg(advance_interval=4)
-    result = backward_run(demos, ReplayOracleLearner(), env_factory, cfg, seed=3)
+    result = replay_oracle_run(demos, env_factory, cfg, seed=3)
     assert result.min_starting_point() == 0
     assert all(p.zero_confirmed for p in result.demo_progress)
 
@@ -309,7 +330,7 @@ def test_oracle_learner_two_demos(kd_result):
 def test_backward_respects_attempt_budget(kd_result):
     demos = select_demonstrations([kd_result.archive], 1, small_keydoor())
     cfg = oracle_cfg(max_attempts=7)
-    result = backward_run(demos, ReplayOracleLearner(), small_keydoor, cfg, seed=0)
+    result = replay_oracle_run(demos, small_keydoor, cfg, seed=0)
     assert result.attempts == 7
     assert result.min_starting_point() > 0
 
@@ -339,7 +360,7 @@ def test_forced_noops_count_toward_the_frame_budget(max_noops):
 def test_backward_msp_monotone_and_bounded(kd_result):
     demos = select_demonstrations([kd_result.archive], 1, small_keydoor())
     cfg = oracle_cfg()
-    result = backward_run(demos, ReplayOracleLearner(), small_keydoor, cfg, seed=0)
+    result = replay_oracle_run(demos, small_keydoor, cfg, seed=0)
     L = demos[0].length
     series = [msp for row in result.progress for msp in row.max_starting_points]
     assert all(0 <= m <= L for m in series)
@@ -348,8 +369,8 @@ def test_backward_msp_monotone_and_bounded(kd_result):
 
 def test_backward_progress_rows_have_all_demos(kd_result):
     demos = select_demonstrations([kd_result.archive, kd_result.archive], 2, small_keydoor())
-    result = backward_run(demos, ReplayOracleLearner(), small_keydoor,
-                          oracle_cfg(advance_interval=4, max_attempts=40), seed=0)
+    result = replay_oracle_run(demos, small_keydoor,
+                               oracle_cfg(advance_interval=4, max_attempts=40), seed=0)
     for row in result.progress:
         assert len(row.max_starting_points) == 2
         assert len(row.success_rates) == 2
@@ -357,7 +378,7 @@ def test_backward_progress_rows_have_all_demos(kd_result):
 
 def test_backward_needs_demos():
     with pytest.raises(ShortfallError):
-        backward_run([], ReplayOracleLearner(), small_keydoor, BackwardConfig(), 0)
+        backward_run([], TabularQLearner(ACTION_COUNT), small_keydoor, BackwardConfig(), 0)
 
 
 def scripted_demo(env, actions):
@@ -396,7 +417,7 @@ def test_deficit_zero_strands_negative_reward_demo():
     cfg = BackwardConfig(success_threshold=0.1, advance_interval=3, delta=10,
                          window=50, allowed_deficit=0.0, sticky_p=0.0,
                          max_noops=0, max_attempts=120)
-    result = backward_run([demo], ReplayOracleLearner(), small_corridor, cfg, seed=0)
+    result = replay_oracle_run([demo], small_corridor, cfg, seed=0)
     assert result.min_starting_point() > 0
     assert not result.demo_progress[0].zero_confirmed
 
@@ -406,7 +427,7 @@ def test_allowed_deficit_unstrands_negative_reward_demo():
     cfg = BackwardConfig(success_threshold=0.1, advance_interval=3, delta=10,
                          window=50, allowed_deficit=250.0, sticky_p=0.0,
                          max_noops=0, max_attempts=120)
-    result = backward_run([demo], ReplayOracleLearner(), small_corridor, cfg, seed=0)
+    result = replay_oracle_run([demo], small_corridor, cfg, seed=0)
     assert result.min_starting_point() == 0
     assert result.demo_progress[0].zero_confirmed
 
