@@ -45,9 +45,9 @@ class DownscaleParams:
     depth: int = 8  # quantized values span 0..depth inclusive
 
     def __post_init__(self) -> None:
-        for name in ("width", "height"):  # DownscaledKey.encode packs 16 bits each
-            if not 1 <= getattr(self, name) <= 0xFFFF:
-                raise ConfigError(f"downscale {name} must be in [1, 65535]")
+        # DownscaledKey.encode packs each side in 16 bits; the key is width * height bytes.
+        if not (self.width >= 1 and self.height >= 1 and self.width * self.height <= 0xFFFF):
+            raise ConfigError("downscale width and height must be >= 1, width * height <= 65535")
         if not 1 <= self.depth <= 255:
             raise ConfigError("downscale depth must be in [1, 255]")
 

@@ -29,6 +29,7 @@ from .errors import (
 from .evaluation import emit_report, evaluate_policy
 from .explore import MetricsRow, Phase1Result, read_metrics, replay_record, run_phase1
 from .robustify import (
+    NEAR,
     GreedyTabularPolicy,
     TabularQLearner,
     backward_run,
@@ -132,7 +133,7 @@ def cmd_robustify(args: argparse.Namespace) -> int:
         f"{result.attempts} attempts, {result.frames} training frames, "
         f"min max_starting_point {result.min_starting_point()}"
     )
-    print(f"reached within 50 of frame 0: {result.min_starting_point() <= 50}")
+    print(f"reached within {NEAR} of frame 0: {result.min_starting_point() <= NEAR}")
 
     def evaluator(checkpoint, eval_index: int) -> float:
         policy = GreedyTabularPolicy(checkpoint.q, checkpoint.n_actions)

@@ -49,6 +49,8 @@ from .envs.wrappers import StickyActions, force_noops
 
 POLICY_MAGIC = b"AXPOLC\x00\x01"
 POLICY_VERSION = 1
+NEAR = 50        # the checkpoint pool: within NEAR of the lowest max_starting_point
+MAX_TESTED = 10  # best_checkpoint scores at most this many of the pool
 
 
 # -- demonstrations -------------------------------------------------------------
@@ -368,7 +370,7 @@ class PolicyCheckpoint:
 class BackwardResult:
     progress: list[ProgressRow]
     demo_progress: list[DemoProgress]
-    checkpoints: list[PolicyCheckpoint]
+    checkpoints: list[PolicyCheckpoint]  # the pool: within NEAR of the final floor, in order
     attempts: int
     frames: int
 
@@ -402,11 +404,14 @@ def backward_run(
     frame_cap = math.inf if cfg.rollout_frame_cap is None else cfg.rollout_frame_cap
 
     def take_checkpoint() -> None:
+        floor = min(p.max_starting_point for p in progress)
+        # The floor never rises, so a checkpoint above floor + NEAR never re-enters the pool.
+        checkpoints[:] = [c for c in checkpoints if c.min_msp <= floor + NEAR]
         checkpoints.append(
             PolicyCheckpoint(
                 q={s: list(r) for s, r in learner.q.items()},
                 n_actions=learner.n_actions,
-                min_msp=min(p.max_starting_point for p in progress),
+                min_msp=floor,
                 attempts=attempts,
             )
         )
@@ -557,25 +562,18 @@ def load_policy(path, expected_config_hash: int | None = None) -> PolicyCheckpoi
 
 
 def best_checkpoint(
-    candidates: Sequence[PolicyCheckpoint],
+    pool: Sequence[PolicyCheckpoint],
     evaluator: Callable[[PolicyCheckpoint, int], float],
     rng: np.random.Generator,
-    near: int = 50,
-    max_tested: int = 10,
 ) -> tuple[PolicyCheckpoint, float, float]:
-    """Pick among the checkpoints with (near-)lowest max_starting_point.
-
-    A random subset of at most ``max_tested`` is scored with
-    ``evaluator(checkpoint, eval_index)``; the winner is re-evaluated on a
-    fresh index and that retest score is the one to report, correcting for
-    the selection bias of picking the max.
-    """
-    if not candidates:
+    """Pick from :func:`backward_run`'s pool: score a random subset of at
+    most :data:`MAX_TESTED` with ``evaluator(checkpoint, eval_index)``, then
+    re-evaluate the winner on a fresh index. That retest score is the one to
+    report, correcting for the selection bias of picking the max."""
+    if not pool:
         raise ShortfallError("no policy checkpoints to choose from")
-    floor = min(c.min_msp for c in candidates)
-    pool = [c for c in candidates if c.min_msp <= floor + near]
-    if len(pool) > max_tested:
-        idx = sorted(rng.choice(len(pool), size=max_tested, replace=False).tolist())
+    if len(pool) > MAX_TESTED:
+        idx = sorted(rng.choice(len(pool), size=MAX_TESTED, replace=False).tolist())
         pool = [pool[i] for i in idx]
     scores = [evaluator(c, i) for i, c in enumerate(pool)]
     best_i = max(range(len(pool)), key=scores.__getitem__)

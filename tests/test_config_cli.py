@@ -292,6 +292,8 @@ def test_cli_config_error_exit_2(tmp_path):
     "repr.grid_size = 0",
     "repr.width = 65536",  # past what a downscaled key's encoding holds
     "repr.height = 65536",
+    # Each side fits its 16 bits, but a first key would be a 34 GB int64 array.
+    pytest.param("repr.width = 65535\nrepr.height = 65535", id="repr.width = repr.height = 65535"),
     pytest.param("env.type = keydoor\nenv.key_capacity = -1", id="env.key_capacity = -1"),
     # Grids past MAX_TILES tiles: one past the index range, one within it.
     pytest.param("env.type = twomaze\nenv.arm_rows = 18446744073709551616",

@@ -663,6 +663,53 @@ def test_backward_run_equals_scalar_reference(kd_result, tmp_path, world, sticky
     assert fast["counts"][1] > 5_000  # the loop ran, not only the bookkeeping
 
 
+def test_backward_run_keeps_only_checkpoints_near_the_floor(kd_result, tmp_path, monkeypatch):
+    """A keydoor run that walks one demo to frame 0 takes checkpoints far
+    above the floor. ``backward_run`` keeps the pool ``best_checkpoint``
+    chooses from: the unpruned reference's checkpoints within NEAR of the
+    floor, in order, and never more at once; learning is unchanged."""
+    import weakref
+
+    import archex.robustify as robustify_module
+    from archex.robustify import NEAR, PolicyCheckpoint
+    from oracle import ScalarQLearner, backward_run_scalar
+
+    live, peak = weakref.WeakSet(), [0]
+
+    class Counted(PolicyCheckpoint):  # counts the checkpoints alive at each take
+        __hash__ = object.__hash__
+
+        def __init__(self, **fields):
+            super().__init__(**fields)
+            live.add(self)
+            peak[0] = max(peak[0], len(live))
+
+    monkeypatch.setattr(robustify_module, "PolicyCheckpoint", Counted)
+    demo = select_demonstrations([kd_result.archive], 1, small_keydoor())[0]
+    demos = [truncate_demo(demo, max_frames=180, to_last_reward=True)]
+    cfg = BackwardConfig(success_threshold=0.1, advance_interval=10, delta=4,
+                         allowed_deficit=math.inf, max_noops=30, frame_budget=100_000,
+                         rollout_frame_cap=400)
+    qcfg = TabularQConfig(alpha=0.3, gamma=0.98, epsilon=0.1)
+    learner, scalar = TabularQLearner(5, qcfg), ScalarQLearner(5, qcfg)
+    result = backward_run(demos, learner, small_keydoor, cfg, seed=2)
+    reference = backward_run_scalar(demos, scalar, small_keydoor, cfg, seed=2)
+
+    floor = reference.min_starting_point()
+    assert floor == 0 and result.demo_progress[0].zero_confirmed
+    pool = [c for c in reference.checkpoints if c.min_msp <= floor + NEAR]
+    fields = lambda cs: repr([(c.q, c.n_actions, c.min_msp, c.attempts) for c in cs])
+    assert fields(result.checkpoints) == fields(pool)
+    assert len(reference.checkpoints) >= 2 * len(pool)
+    # One demo: the advances within NEAR of the floor, the step clamped to
+    # frame 0, the zero confirmation and the end checkpoint.
+    assert peak[0] == len(pool) <= NEAR // cfg.delta + 4
+    fast = backward_facts(result, learner, tmp_path / "fast.ckpt")
+    slow = backward_facts(reference, scalar, tmp_path / "scalar.ckpt")
+    del fast["checkpoints"], slow["checkpoints"]
+    assert fast == slow
+
+
 def test_scalar_reference_catches_a_mutated_tie_rule(kd_result, tmp_path, monkeypatch):
     """The differential test fails when the greedy cache breaks ties by the
     last maximum instead of the first."""
@@ -754,12 +801,10 @@ def test_policy_write_failing_partway_keeps_previous(tmp_path, monkeypatch):
 
 
 def test_best_checkpoint_retests_winner():
-    from archex.robustify import PolicyCheckpoint
+    from archex.robustify import MAX_TESTED, PolicyCheckpoint
 
-    candidates = [
-        PolicyCheckpoint(q={}, n_actions=5, min_msp=msp, attempts=i)
-        for i, msp in enumerate([0, 0, 0, 40, 300])
-    ]
+    candidates = [PolicyCheckpoint(q={}, n_actions=5, min_msp=0, attempts=i)
+                  for i in range(MAX_TESTED + 5)]
     calls = []
 
     def evaluator(ckpt, eval_index):
@@ -767,13 +812,11 @@ def test_best_checkpoint_retests_winner():
         return float(ckpt.attempts)
 
     rng = np.random.default_rng(0)
-    chosen, selection_score, retest = best_checkpoint(
-        candidates, evaluator, rng, near=50, max_tested=3
-    )
-    assert chosen.min_msp <= 50          # candidates near the minimum only
-    tested = {c for c, _ in calls[:-1]}
-    assert 300 not in {candidates[i].attempts for i in range(5) if candidates[i].min_msp > 50} & tested
-    assert calls[-1][0] == chosen.attempts  # the retest call
+    chosen, selection_score, retest = best_checkpoint(candidates, evaluator, rng)
+    tested = [c for c, _ in calls[:-1]]
+    assert len(set(tested)) == MAX_TESTED and tested == sorted(tested)  # a sample, in order
+    assert [i for _, i in calls] == list(range(MAX_TESTED + 1))
+    assert calls[-1][0] == chosen.attempts == max(tested)  # the retest call
     assert retest == selection_score         # deterministic stub evaluator
 
 
