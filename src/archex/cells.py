@@ -13,7 +13,7 @@ A mapper is called as ``mapper(source, info)``: ``source`` is either an
 just stepped, which the domain mapper never touches. The downscaled mapper
 renders an environment on every call and keeps no state. Explore calls a
 mapper once per interned state of its world, and reads the key from the
-world's cell column after that (:meth:`GridWorld.cell_column`), since a
+world's column after that (:meth:`GridWorld.column`), since a
 key is a function of the config and the discrete state. The domain mapper
 copies the features as they are: a world's held key rooms are sorted, and
 :meth:`GridWorld.restore` admits no snapshot where they are not.

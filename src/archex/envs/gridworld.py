@@ -31,11 +31,18 @@ of its discrete state. Ids belong to one world, and the table is bounded:
 once it holds ``STATE_TABLE_LIMIT`` states, the next new state clears it,
 and it starts again from the current state.
 
-Explore keeps its cell mapping beside the table: the cell column holds,
-per id, the state's cell key, room and level under one mapper
-(:meth:`cell_column`). It grows with the table and is cleared in place
-with it, since ids are then handed out again, and explore reads it by
-:attr:`state_id` after every step, so it maps each state once per table.
+Explore and robustify keep their own facts about a state beside the table,
+in the world's column (:meth:`column`): per id, explore's cell key, room
+and level under one mapper, or the Q-row id of one learner. It grows with
+the table and is cleared in place with it, since ids are then handed out
+again, and it belongs to one owner at a time.
+
+:meth:`step` is one table read behind the checks a caller needs.
+``explore_from`` and ``backward_run``, the two loops that step the most
+frames, read the table inline instead: they keep the id, the score and the
+frame count in locals, call :meth:`_miss` on an entry not yet filled in,
+and write the dynamic state back before they snapshot, map or return, so
+:meth:`_tick` and :meth:`_miss` stay the only code that fills the table.
 
 :meth:`step` returns only the reward and the done flag.
 :meth:`discrete_state` returns the interned tuple, and :meth:`features`,
@@ -99,7 +106,7 @@ MAX_TILES = 1 << 20  # the most tiles a grid may have; checked before allocating
 MAX_FRAME_SKIP = 1 << 10
 # The most states a world's transition table holds before the next new one
 # clears it. Near full (63,684 states) in the shipped keydoor world, the
-# table and explore's cell column free 25.7 MB when dropped, 266 and 138 B
+# table and explore's column free 25.7 MB when dropped, 266 and 138 B
 # per state (tracemalloc), so a full table holds about 26.5 MB.
 STATE_TABLE_LIMIT = 1 << 16
 _EMPTY_ROW = [None] * ACTION_COUNT  # a new id's transition entries
@@ -185,7 +192,6 @@ class GridWorld:
         self._params: dict[str, object] = {}
 
         # Dynamic state: the interned id of discrete_state(), then the rest.
-        # Explore reads the id to index its cell column (see cell_column).
         self.state_id = 0
         self._score = 0.0
         self._training_frames = 0
@@ -198,10 +204,10 @@ class GridWorld:
         self._next: list[int | None] = []
         self._result: list[StepResult | None] = []
         self._results: dict[tuple[float, bool], StepResult] = {}
-        # Explore's cell column: per id, the state's (cell key, room, level)
-        # under _column_mapper, None until explore first maps the id.
-        self._column: list[tuple | None] = []
-        self._column_mapper: object = None
+        # The column: per id, _column_owner's fact about the state (see
+        # column), None until the owner first records one.
+        self._column: list[object] = []
+        self._column_owner: object = None
 
         self._key_at: dict[tuple[int, int], int] = {}
         self._door_at: dict[tuple[int, int], int] = {}
@@ -405,17 +411,19 @@ class GridWorld:
         self._column.append(None)
         return sid
 
-    def cell_column(self, mapper: object) -> list[tuple | None]:
-        """Explore's column: per id, ``None`` or the ``(cell key, room,
-        level)`` that ``mapper`` and :meth:`features` give the id's state.
-        Explore fills an entry the first time it meets the id and reads it
-        after that; a key is a function of the config and the state (see
-        :meth:`render`). The column is cleared in place with the table,
-        since ids are then reused, and emptied when handed a mapper other
-        than the one it was filled for."""
-        if mapper is not self._column_mapper:
+    def column(self, owner: object) -> list:
+        """The column of ``owner``: per id, ``None`` or what ``owner``
+        recorded about the id's state. Explore's owner is its mapper, and an
+        entry the ``(cell key, room, level)`` that the mapper and
+        :meth:`features` give the state; a key is a function of the config
+        and the state (see :meth:`render`). A learner's entry is the id of
+        the state's Q row. An owner fills an entry the first time it meets
+        the id and reads it after that. The column is cleared in place with
+        the table, since ids are then reused, and emptied when handed an
+        owner other than the one it was filled for."""
+        if owner is not self._column_owner:
             self._column[:] = [None] * len(self._column)
-            self._column_mapper = mapper
+            self._column_owner = owner
         return self._column
 
     def _miss(self, action: int) -> tuple[int, StepResult]:
@@ -441,6 +449,13 @@ class GridWorld:
         if self._done:
             raise ContractError("episode has ended; reset or restore first")
 
+    # The done rule: a step ends the episode when its result is done (the
+    # step kills), or when it is the episode's _frame_limit-th training frame.
+    # step() applies it per frame. explore_from and backward_run apply it in
+    # their own loops, against the frames left at the start of the rollout
+    # (_frame_limit - _training_frames, read once), because a helper called
+    # per frame made a whole 1M-frame keydoor explore run 3-7% slower (best
+    # of three runs, four alternating trials, Python 3.11, 2-core box).
     def step(self, action: int) -> StepResult:
         self._require_live()
         if not 0 <= action < self.action_count:
@@ -492,7 +507,7 @@ class GridWorld:
         :meth:`discrete_state`: the viewport and the agent tile come from
         the position, the painted tiles from the taken keys, the opened
         doors and the collected treasures. Explore keeps a downscaled key
-        per state id in the cell column, so a state this method draws must
+        per state id in the column, so a state this method draws must
         be in :meth:`discrete_state` too."""
         state = self._states[self.state_id]
         x, y = state[0], state[1]

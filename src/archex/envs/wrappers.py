@@ -40,6 +40,10 @@ class StickyActions:
     underneath; read anything else there, snapshots included. A ``__getattr__``
     forward would make :meth:`step` about a quarter slower: CPython stops
     specializing attribute loads on a class that defines one.
+
+    ``archex.robustify.backward_run`` applies :meth:`step`'s rule inline:
+    it reads ``_prev`` and ``_uniforms``, calls :meth:`_refill` on an empty
+    block and writes ``_prev`` back at the end of an attempt.
     """
 
     def __init__(self, inner: GridWorld, p: float) -> None:

@@ -12,11 +12,13 @@ end-of-replay check (:func:`require_replayed`).
 
 A rollout does only the work whose result is used: it snapshots a visit
 only when the visit can still win the merge, it maps each interned state of
-its world once (the world's cell column keeps the state's cell key, room
-and level by state id, so a known state is neither featurised nor mapped,
-nor rendered, again; see :meth:`GridWorld.cell_column`), and it hands the
-merge one aggregate per cell it visited (a visit count and the cell's last
-winning visit; see :func:`explore_from`).
+its world once (the world's column keeps the state's cell key, room and
+level by state id, so a known state is neither featurised nor mapped, nor
+rendered, again; see :meth:`GridWorld.column`), and it hands the merge one
+aggregate per cell it visited (a visit count and the cell's last winning
+visit; see :func:`explore_from`). It builds its actions up front, from the
+two draws of its RNG contract, and steps its world by reading the
+transition table inline rather than through :meth:`GridWorld.step`.
 The merge then runs once per (rollout, cell), and gives the same records,
 visit counts, discovery credit and order of added keys as folding in every
 visit on its own.
@@ -29,9 +31,11 @@ import time
 from dataclasses import dataclass, field, replace
 from typing import Callable, NamedTuple, get_type_hints
 
+import numpy as np
+
 from .archive import Archive, CellRecord, RunMeta, UpdateOutcome, beats
 from .cells import CellKey, CellMapper
-from .envs.base import EnvSnapshot
+from .envs.base import ACTION_COUNT, EnvSnapshot
 from .envs.gridworld import GridWorld
 from .errors import CheckpointError, ConfigError, ContractError, IntegrityError
 from .seeding import TAG_BASELINE, TAG_EXPLORE, TAG_SELECT, stream
@@ -106,13 +110,15 @@ def explore_from(
     The RNG contract is fixed: one ``rng.random(k)`` call for the repeat
     decisions followed by one ``rng.integers(0, n_actions, k)`` call for the
     fresh actions; frame i repeats when ``repeats[i] < repeat_p`` (never on
-    the first frame). Returning consumes no randomness at all. If the episode
-    ends, the rollout stops and the final transition is discarded: it has no
-    destination cell.
+    the first frame). Returning consumes no randomness at all. All ``k``
+    actions are built from the two draws before the first step: a repeat
+    takes the fresh action of the last frame that does not repeat. If the
+    episode ends (:meth:`GridWorld.step`'s done rule), the rollout stops and
+    the final transition is discarded: it has no destination cell.
 
-    Each frame's cell key, room and level come from ``env``'s cell column
-    for ``mapper``, indexed by the state id after the step; ``features()``
-    and ``mapper`` run only for an id the column lacks, and fill it in.
+    Each frame's cell key, room and level come from ``env``'s column for
+    ``mapper``, indexed by the state id after the step; ``features()`` and
+    ``mapper`` run only for an id the column lacks, and fill it in.
 
     ``archive`` must stand as it did at selection time: the caller merges
     only after all of a batch's rollouts. A visit wins if it beats, by the
@@ -129,38 +135,52 @@ def explore_from(
     """
     record = archive.cells[origin]
     env.restore(record.snapshot)
+    env._require_live()
 
-    repeats = rng.random(cfg.k)
-    fresh = rng.integers(0, env.action_count, cfg.k)
-    column = env.cell_column(mapper)
+    k = cfg.k
+    repeats = rng.random(k)
+    fresh = rng.integers(0, env.action_count, k)
+    # Frame i takes the fresh action of the last frame at or before it that
+    # does not repeat; frame 0 never repeats.
+    repeat = repeats < cfg.repeat_p
+    repeat[0] = False
+    actions = fresh[np.maximum.accumulate(np.where(repeat, 0, np.arange(k)))].tolist()
+
+    column = env.column(mapper)
     cells = archive.cells
     found: dict[CellKey, list] = {}  # key -> [visits, score, length, snapshot] of its winner
-    actions: list[int] = []
     base = length = record.traj_len
     rooms: set[int] = set()
     max_level = 0
-    prev_action = -1
+    # GridWorld.step inline: the world's id, score and frame count live in
+    # locals, and go back to the world before it snapshots, maps or is left.
+    table_next, table_result = env._next, env._result
+    sid, score, start_frames = env.state_id, env._score, env._training_frames
+    frames_left = env._frame_limit - start_frames
     frames = 0
     terminated = False
-    for i in range(cfg.k):
-        if i > 0 and repeats[i] < cfg.repeat_p:
-            action = prev_action
+    for action in actions:
+        at = sid * ACTION_COUNT + action
+        nid = table_next[at]
+        if nid is None:
+            env.state_id = sid
+            nid, result = env._miss(action)
+            table_next, table_result = env._next, env._result  # a clear replaces them
         else:
-            action = int(fresh[i])
-        result = env.step(action)
+            result = table_result[at]
+        sid = nid
         frames += 1
-        prev_action = action
-        if result.done:
+        score += result.reward
+        if result.done or frames >= frames_left:
             terminated = True
             break
-        actions.append(action)
         length += 1
-        mapped = column[env.state_id]
+        mapped = column[sid]
         if mapped is None:
+            env.state_id = sid
             info = env.features()
-            mapped = column[env.state_id] = (mapper(env, info), info.room, info.level)
+            mapped = column[sid] = (mapper(env, info), info.room, info.level)
         key, room, level = mapped
-        score = env.cum_score
         entry = found.get(key)
         if entry is None:
             held = cells.get(key)
@@ -170,10 +190,13 @@ def explore_from(
         if beats(score, length, entry[1], entry[2]):
             entry[1] = score
             entry[2] = length
+            env.state_id, env._score, env._training_frames = sid, score, start_frames + frames
             entry[3] = env.snapshot()
         rooms.add(room)
         if level > max_level:
             max_level = level
+    env.state_id, env._score, env._training_frames = sid, score, start_frames + frames
+    env._done = terminated
 
     last = max((entry[2] for entry in found.values() if entry[3] is not None), default=base)
     nodes = []  # nodes[i] ends the trajectory of length base + i + 1

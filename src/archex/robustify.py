@@ -11,8 +11,13 @@ the start reaches frame 0) force the learned policy to be robust rather than a
 replay.
 
 The learner is :class:`TabularQLearner`, action values over the
-environment's discrete state; :func:`backward_run` calls its ``act`` and
-``update`` and reads its ``q`` table.
+environment's discrete state, kept as rows by row id. :func:`backward_run`
+finds a state's row id through its world's column for the learner (see
+:meth:`GridWorld.column`), which is dropped with the world's transition
+table, calls the learner's ``act`` and ``update`` with row ids, and copies
+its ``q`` table, keyed by state tuple, into each policy checkpoint. Its
+attempt loop reads the world's table inline instead of calling
+``StickyActions.step`` and ``GridWorld.step`` per frame.
 
 Each attempt has one stream, from (seed, attempt index). With numpy calls it
 draws the demonstration index, the reset seed (which also seeds the sticky
@@ -34,7 +39,7 @@ import numpy as np
 
 from .archive import Archive, CellRecord, read_checksummed, require_layout, write_checksummed
 from .cells import CellKey, DomainKey
-from .envs.base import EnvSnapshot
+from .envs.base import ACTION_COUNT, EnvSnapshot
 from .envs.gridworld import GridWorld
 from .errors import (
     CheckpointError,
@@ -236,49 +241,80 @@ class TabularQConfig:
 class TabularQLearner:
     """Q-learning over the environment's discrete state tuple.
 
-    ``greedy[state]`` is the first maximum of ``q[state]``
-    (``max(range(n_actions), key=row.__getitem__)``); :meth:`update` keeps
-    it current, so neither :meth:`act` nor the update target scans a row.
+    Each state the learner has acted from has a Q row: ``rows[r]`` is the
+    row of the state whose ``row_ids`` entry is ``r``, and ``row_ids`` keeps
+    the states in the order their rows were made. ``greedy[r]`` is the
+    first maximum of ``rows[r]`` (``max(range(n_actions),
+    key=row.__getitem__)``), or ``None`` while the row has not been updated
+    yet; :meth:`update` keeps it current, so neither :meth:`act` nor the
+    update target scans a row. :func:`backward_run` finds a state's row id
+    through its world's column (:meth:`GridWorld.column`), so a frame reads
+    no dict keyed by a state tuple.
     """
 
     def __init__(self, n_actions: int, cfg: TabularQConfig = TabularQConfig()) -> None:
         self.n_actions = n_actions
         self.cfg = cfg
-        self.q: dict[tuple, list[float]] = {}
-        self.greedy: dict[tuple, int] = {}
+        self.rows: list[list[float]] = []
+        self.greedy: list[int | None] = []
+        self.row_ids: dict[tuple, int] = {}
 
-    def act(self, state: tuple, rng: np.random.Generator | RawDraws) -> int:
-        """Epsilon-greedy in ``state``. ``rng`` is any source of numpy's
-        ``random()`` and ``integers(n)`` draws; :func:`backward_run` passes
-        a :class:`archex.seeding.RawDraws`."""
+    @property
+    def q(self) -> dict[tuple, list[float]]:
+        """The Q table by state, in the order its rows were made; the rows
+        are the learner's own lists."""
+        rows = self.rows
+        return {state: rows[r] for state, r in self.row_ids.items()}
+
+    def row(self, state: tuple) -> int:
+        """The id of ``state``'s row, made with zeros (and no greedy action
+        until its first update) if the state has none."""
+        r = self.row_ids.get(state)
+        if r is None:
+            r = self.row_ids[state] = len(self.rows)
+            self.rows.append([0.0] * self.n_actions)
+            self.greedy.append(None)
+        return r
+
+    def act(self, row: int, rng: np.random.Generator | RawDraws) -> int:
+        """Epsilon-greedy in the state of ``row``; a row not updated yet
+        acts at random. ``rng`` is any source of numpy's ``random()`` and
+        ``integers(n)`` draws; :func:`backward_run` passes a
+        :class:`archex.seeding.RawDraws`."""
         if rng.random() < self.cfg.epsilon:
             return int(rng.integers(self.n_actions))
-        action = self.greedy.get(state)
+        action = self.greedy[row]
         if action is None:
             return int(rng.integers(self.n_actions))
         return action
 
     def update(self, transitions: list[tuple]) -> None:
+        """One Q-learning step per ``(row, action, reward, next_row, done)``
+        transition, in order. ``next_row`` is ``None`` for a state without
+        a row when it was reached; a next row not updated yet, like a
+        missing one, adds nothing to the target. So rows may be made as an
+        episode acts (:meth:`row`) and its transitions updated at its end,
+        with the targets they would have if each row were made at its first
+        update."""
         alpha, gamma = self.cfg.alpha, self.cfg.gamma
-        q, greedy = self.q, self.greedy
-        for state, action, reward, next_state, done in transitions:
-            row = q.get(state)
-            if row is None:
-                row = q[state] = [0.0] * self.n_actions
-                greedy[state] = 0
+        rows, greedy = self.rows, self.greedy
+        for r, action, reward, next_r, done in transitions:
+            row = rows[r]
+            best = greedy[r]
+            if best is None:
+                best = greedy[r] = 0
             target = reward
-            if not done:
-                nxt = greedy.get(next_state)
+            if not done and next_r is not None:
+                nxt = greedy[next_r]
                 if nxt is not None:
-                    target += gamma * q[next_state][nxt]
+                    target += gamma * rows[next_r][nxt]
             old = row[action]
             row[action] = value = old + alpha * (target - old)
-            best = greedy[state]
             if action == best:
                 if value < old:
-                    greedy[state] = max(range(self.n_actions), key=row.__getitem__)
+                    greedy[r] = max(range(self.n_actions), key=row.__getitem__)
             elif value > row[best] or (value == row[best] and action < best):
-                greedy[state] = action
+                greedy[r] = action
 
     def policy(self) -> "GreedyTabularPolicy":
         return GreedyTabularPolicy(self.q, self.n_actions)
@@ -370,7 +406,7 @@ class PolicyCheckpoint:
 class BackwardResult:
     progress: list[ProgressRow]
     demo_progress: list[DemoProgress]
-    checkpoints: list[PolicyCheckpoint]  # the pool: within NEAR of the final floor, in order
+    checkpoints: list[PolicyCheckpoint]  # the pool (see backward_run), in order
     attempts: int
     frames: int
 
@@ -385,36 +421,43 @@ def backward_run(
     cfg: BackwardConfig,
     seed: int = 0,
 ) -> BackwardResult:
-    """Train a learner along the demonstrations' backward curriculum."""
+    """Train a learner along the demonstrations' backward curriculum.
+
+    An attempt steps its world by reading the transition table inline, as
+    :meth:`GridWorld.step` would behind :class:`StickyActions` (whose
+    uniforms it draws from the wrapper's own block), and finds each state's
+    Q row through the world's column for ``learner``. A checkpoint is taken
+    whenever a demo's start moves or its start at frame 0 is first
+    confirmed, and at the end; the pool keeps those whose total of the
+    demos' starts is within :data:`NEAR` of the lowest total."""
     if not demos:
         raise ShortfallError("backward_run needs at least one demonstration")
     interval = cfg.advance_interval or 200 * len(demos)
     base = env_factory()
-    env = StickyActions(base, cfg.sticky_p)  # steps go through the wrapper, reads to base
+    env = StickyActions(base, cfg.sticky_p)  # no-op starts step through it; reads go to base
     # Each demo's (max_starting_point, snapshot there): the start changes
     # only at an advance, so the replay fill-in runs once per start.
     starts: list[tuple[int, EnvSnapshot] | None] = [None] * len(demos)
 
     progress = [DemoProgress(max_starting_point=d.length) for d in demos]
     rows: list[ProgressRow] = []
-    checkpoints: list[PolicyCheckpoint] = []
+    pool: list[tuple[int, PolicyCheckpoint]] = []  # (total of the starts, checkpoint)
     attempts = 0
     frames = 0
     shaping, window, deficit = cfg.shaping, cfg.window, cfg.allowed_deficit
     frame_cap = math.inf if cfg.rollout_frame_cap is None else cfg.rollout_frame_cap
+    sticky_p = cfg.sticky_p
 
     def take_checkpoint() -> None:
-        floor = min(p.max_starting_point for p in progress)
-        # The floor never rises, so a checkpoint above floor + NEAR never re-enters the pool.
-        checkpoints[:] = [c for c in checkpoints if c.min_msp <= floor + NEAR]
-        checkpoints.append(
-            PolicyCheckpoint(
-                q={s: list(r) for s, r in learner.q.items()},
-                n_actions=learner.n_actions,
-                min_msp=floor,
-                attempts=attempts,
-            )
-        )
+        total = sum(p.max_starting_point for p in progress)
+        # The total never rises, so a checkpoint above total + NEAR never re-enters the pool.
+        pool[:] = [(t, c) for t, c in pool if t <= total + NEAR]
+        pool.append((total, PolicyCheckpoint(
+            q={s: list(r) for s, r in learner.q.items()},
+            n_actions=learner.n_actions,
+            min_msp=min(p.max_starting_point for p in progress),
+            attempts=attempts,
+        )))
 
     def emit_row(last_score: float) -> None:
         rows.append(
@@ -447,28 +490,62 @@ def backward_run(
 
         score_at_start = base.cum_score
         demo_score = demo.score
-        gain = 0.0
-        transitions: list[tuple] = []  # one per frame stepped
+        transitions: list[tuple] = []  # one (row, action, reward, next row, done) per frame
         success = score_at_start >= demo_score
-        state = None if success else base.discrete_state()
-        while not success:
-            elapsed = len(transitions)
-            if base.done or elapsed >= frame_cap:
-                break
-            # early_terminate is False until the window has elapsed.
-            if elapsed >= window and early_terminate(gain, demo.cum_rewards, start, elapsed,
-                                                     window, deficit):
-                break
-            action = learner.act(state, draws)
-            result = env.step(action)
-            score = base.cum_score
-            gain = score - score_at_start
-            next_state = base.discrete_state()
-            reward = result.reward  # both shaping modes map a zero reward to itself
-            transitions.append((state, action, shaping(reward) if reward else reward,
-                                next_state, result.done))
-            state = next_state
-            success = score >= demo_score
+        if not success and not base.done:
+            # StickyActions.step and GridWorld.step inline: the world's id,
+            # score and frame count live in locals until the attempt ends.
+            column = base.column(learner)
+            states, table_next, table_result = base._states, base._next, base._result
+            sid, score, start_frames = base.state_id, score_at_start, base._training_frames
+            frames_left = base._frame_limit - start_frames
+            prev, uniforms = env._prev, env._uniforms
+            r = column[sid]
+            elapsed = 0
+            while True:
+                if r is None:
+                    r = column[sid] = learner.row(states[sid])
+                action = executed = learner.act(r, draws)
+                if prev is not None and sticky_p > 0.0:
+                    u = next(uniforms, None)
+                    if u is None:
+                        u = env._refill()
+                        uniforms = env._uniforms
+                    if u < sticky_p:
+                        executed = prev
+                prev = executed
+                at = sid * ACTION_COUNT + executed
+                nid = table_next[at]
+                if nid is None:
+                    base.state_id = sid
+                    nid, result = base._miss(executed)
+                    # A clear replaces the table and empties the column in place.
+                    states, table_next, table_result = base._states, base._next, base._result
+                else:
+                    result = table_result[at]
+                sid = nid
+                elapsed += 1
+                reward = result.reward
+                score += reward
+                done = result.done or elapsed >= frames_left
+                next_r = column[sid]
+                if next_r is None:
+                    next_r = column[sid] = learner.row_ids.get(states[sid])
+                # Both shaping modes map a zero reward to itself.
+                transitions.append((r, action, shaping(reward) if reward else reward,
+                                    next_r, done))
+                success = score >= demo_score
+                if success or done or elapsed >= frame_cap:
+                    break
+                # early_terminate is False until the window has elapsed.
+                if elapsed >= window and early_terminate(score - score_at_start,
+                                                         demo.cum_rewards, start, elapsed,
+                                                         window, deficit):
+                    break
+                r = next_r
+            base.state_id, base._score = sid, score
+            base._training_frames, base._done = start_frames + elapsed, done
+            env._prev = prev
         frames += len(transitions)
         learner.update(transitions)
 
@@ -483,9 +560,10 @@ def backward_run(
             if rate >= cfg.success_threshold:
                 if prog.max_starting_point > 0:
                     prog.max_starting_point = max(0, prog.max_starting_point - cfg.delta)
-                else:
+                    take_checkpoint()
+                elif not prog.zero_confirmed:
                     prog.zero_confirmed = True
-                take_checkpoint()
+                    take_checkpoint()
             emit_row(base.cum_score)
 
     take_checkpoint()
@@ -493,7 +571,7 @@ def backward_run(
     return BackwardResult(
         progress=rows,
         demo_progress=progress,
-        checkpoints=checkpoints,
+        checkpoints=[c for _, c in pool],
         attempts=attempts,
         frames=frames,
     )

@@ -5,23 +5,26 @@
 archive at once. :func:`explore_from` and :func:`merge_results` are the
 per-visit rollout and merge: every visit is mapped, builds its own
 trajectory node and is folded into the archive on its own, where
-:mod:`archex.explore` maps each state id once through the world's cell
-column and merges once per (rollout, cell); both must leave the same
+:mod:`archex.explore` maps each state id once through the world's column
+and merges once per (rollout, cell); both must leave the same
 archive bytes.
 :func:`myopic_greedy_baseline` is the reward-greedy control of the
 deceptive-reward milestone. :func:`evaluate_scalar_draws` is the no-op
 sweep with one ``rng.integers(n_actions)`` call per unknown-state frame,
 where :func:`archex.evaluation.evaluate_policy` draws fallback actions in
 blocks; both must give the same scores. :class:`ScalarQLearner` and
-:func:`backward_run_scalar` are the backward run with numpy's scalar
-``random()`` and ``integers(n)`` calls on the attempt stream and a ``max``
-over the Q row wherever a greedy action or value is needed, where
-:func:`archex.robustify.backward_run` reads the same draws through
-:class:`archex.seeding.RawDraws` and :class:`archex.robustify.TabularQLearner`
-caches each row's greedy action; both must give the same Q tables, progress
-rows and checkpoints. :func:`plain_downscale_mapper` downscales every
-frame it is handed, rendering an environment on every call; explore's
-downscaled keys, read from the cell column, must equal its keys.
+:func:`backward_run_scalar` are the backward run stepping through
+``StickyActions.step``, with numpy's scalar ``random()`` and
+``integers(n)`` calls on the attempt stream, a Q table keyed by state and
+a ``max`` over the Q row wherever a greedy action or value is needed,
+where :func:`archex.robustify.backward_run` reads the world's table inline,
+the same draws through :class:`archex.seeding.RawDraws`, and
+:class:`archex.robustify.TabularQLearner`'s rows by row id with each row's
+greedy action cached; both must give the same Q tables, progress rows and
+checkpoints (the reference keeps every checkpoint, ``backward_run`` the
+pool). :func:`plain_downscale_mapper` downscales every frame it is handed,
+rendering an environment on every call; explore's downscaled keys, read
+from the world's column, must equal its keys.
 :func:`extend` grows a trajectory by one action, as only tests do; the
 package links nodes itself.
 :func:`resample_means_oneshot` draws and gathers a bootstrap's whole index
@@ -59,7 +62,7 @@ from archex.robustify import (
     GreedyTabularPolicy,
     PolicyCheckpoint,
     ProgressRow,
-    TabularQLearner,
+    TabularQConfig,
     early_terminate,
 )
 from archex.seeding import TAG_ATTEMPT, TAG_EVAL, stream
@@ -320,10 +323,16 @@ def resample_means_oneshot(samples: np.ndarray, n_resamples: int,
     return samples[idx].mean(axis=1)
 
 
-class ScalarQLearner(TabularQLearner):
-    """:class:`archex.robustify.TabularQLearner` that finds each greedy
-    action and value with a ``max`` over the row, and leaves ``greedy``
-    empty."""
+class ScalarQLearner:
+    """:class:`archex.robustify.TabularQLearner` keyed by state tuple, with
+    one dict for its Q table and a ``max`` over the row wherever a greedy
+    action or value is needed, and a row made only when a transition from
+    its state is updated."""
+
+    def __init__(self, n_actions: int, cfg: TabularQConfig = TabularQConfig()) -> None:
+        self.n_actions = n_actions
+        self.cfg = cfg
+        self.q: dict[tuple, list[float]] = {}
 
     def act(self, state: tuple, rng: np.random.Generator) -> int:
         if rng.random() < self.cfg.epsilon:
@@ -347,13 +356,14 @@ class ScalarQLearner(TabularQLearner):
 
 def backward_run_scalar(
     demos: Sequence[Demonstration],
-    learner: TabularQLearner,
+    learner: ScalarQLearner,
     env_factory: Callable[[], GridWorld],
     cfg: BackwardConfig,
     seed: int = 0,
 ) -> BackwardResult:
-    """:func:`archex.robustify.backward_run` with the learner drawing from
-    the attempt stream itself, one numpy call per draw."""
+    """:func:`archex.robustify.backward_run` through
+    :meth:`StickyActions.step`, with the learner drawing from the attempt
+    stream itself, one numpy call per draw, and every checkpoint kept."""
     interval = cfg.advance_interval or 200 * len(demos)
     base = env_factory()
     env = StickyActions(base, cfg.sticky_p)  # steps go through the wrapper, reads to base
@@ -444,9 +454,10 @@ def backward_run_scalar(
             if rate >= cfg.success_threshold:
                 if prog.max_starting_point > 0:
                     prog.max_starting_point = max(0, prog.max_starting_point - cfg.delta)
-                else:
+                    take_checkpoint()
+                elif not prog.zero_confirmed:
                     prog.zero_confirmed = True
-                take_checkpoint()
+                    take_checkpoint()
             emit_row(base.cum_score)
 
     take_checkpoint()

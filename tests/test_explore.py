@@ -427,12 +427,14 @@ def test_baseline_golden(name):
 def per_iteration(monkeypatch, explore, merge, factory, cfg, sel_cfg, mapper):
     """Run Phase 1 with the given rollout and merge functions: the
     checkpoint bytes after every iteration, each iteration's merged frames,
-    rooms and max level, and the metrics rows without wall_seconds."""
+    rooms and max level and each rollout's frames and termination, and the
+    metrics rows without wall_seconds."""
     stats = []
 
     def merge_and_record(archive, results):
         merged = merge(archive, results)
-        stats.append((merged.frames, sorted(merged.rooms), merged.max_level))
+        stats.append((merged.frames, sorted(merged.rooms), merged.max_level,
+                      [(r.frames, r.terminated) for r in results]))
         return merged
 
     checkpoints = []
@@ -482,9 +484,14 @@ def test_rollout_merge_matches_per_visit_oracle(monkeypatch, name):
     archive, _ = deserialize_archive(got[0][-1])
     assert len(archive) > 10
     assert any(r.times_seen > 1 for r in archive.cells.values())
+    if name == "keydoor-time-limit":
+        # No hazards: only the time limit ends an episode, here mid-rollout.
+        ended = [frames for *_, rollouts in got[1] for frames, terminated in rollouts
+                 if terminated]
+        assert any(1 < frames < cfg.k for frames in ended)
 
 
-# -- the cell column against the per-visit oracle --------------------------------------
+# -- the world's column against the per-visit oracle -----------------------------------
 
 
 DOWNSCALE_PARAMS = dict(width=8, height=6, depth=8)
@@ -512,7 +519,7 @@ def spied_mapper(mapper, calls):
 
 @pytest.mark.parametrize("name", sorted(MEMO_CASES))
 def test_downscale_memo_matches_unmemoised_mapper(monkeypatch, name):
-    """Keys read from the world's cell column leave the checkpoint bytes
+    """Keys read from the world's column leave the checkpoint bytes
     the per-visit oracle leaves with the un-memoised mapper, after every
     iteration, and explore calls the mapper, which renders, once per state
     id: the table never clears here, so once per distinct state."""
@@ -537,7 +544,7 @@ def test_downscale_memo_matches_unmemoised_mapper(monkeypatch, name):
     assert len(got[0]) >= 40
     assert got == want
     if name == "keydoor":
-        assert max(level for _, _, level in got[1]) >= 1
+        assert max(level for _, _, level, _ in got[1]) >= 1
 
 
 def visits_of(visited):
@@ -580,6 +587,31 @@ def test_downscale_memo_keeps_worlds_apart():
     assert len({(world, sid) for world, sid, _ in calls}) == len(calls) > 20
 
 
+def clears_after_first_frame(patch) -> list:
+    """Patch ``GridWorld`` so that each table clear made by a miss from a
+    state other than the one the world last restored, so after a rollout's
+    first frame, appends that state to the returned list."""
+    from archex.envs.gridworld import GridWorld
+
+    restore, miss = GridWorld.restore, GridWorld._miss
+    restored, clears = {}, []
+
+    def noting_restore(self, snap):
+        restore(self, snap)
+        restored[id(self)] = self.discrete_state()
+
+    def noting_miss(self, action):
+        state, table = self._states[self.state_id], self._next
+        entry = miss(self, action)
+        if self._next is not table and state != restored.get(id(self)):
+            clears.append(state)
+        return entry
+
+    patch.setattr(GridWorld, "restore", noting_restore)
+    patch.setattr(GridWorld, "_miss", noting_miss)
+    return clears
+
+
 COLUMN_WORLDS = {"twomaze": lambda: small_twomaze(arm_rows=5, arm_cols=10),
                  "corridor": small_corridor, "keydoor": small_keydoor}
 COLUMN_MAPPERS = {"domain": lambda: MAPPER, "downscale": downscale}
@@ -597,14 +629,19 @@ def test_column_matches_per_visit_oracle_across_table_clears(monkeypatch, world,
     monkeypatch.setattr(gridworld, "STATE_TABLE_LIMIT", 20)
     cfg = cfg_with(budget_training_frames=4000, metric_interval_game_frames=1000, seed=5)
     calls = []
-    got = per_iteration(monkeypatch, explore_from, merge_results, COLUMN_WORLDS[world], cfg,
-                        SelectionConfig(), spied_mapper(COLUMN_MAPPERS[mapper_name](), calls))
+    with monkeypatch.context() as patch:
+        clears = clears_after_first_frame(patch)
+        got = per_iteration(monkeypatch, explore_from, merge_results, COLUMN_WORLDS[world],
+                            cfg, SelectionConfig(),
+                            spied_mapper(COLUMN_MAPPERS[mapper_name](), calls))
     want = per_iteration(monkeypatch, oracle.explore_from, oracle.merge_results,
                          COLUMN_WORLDS[world], cfg, SelectionConfig(),
                          COLUMN_MAPPERS[mapper_name]())
     assert len(got[0]) >= 40
     assert got == want
     assert len(calls) > len({state for _, _, state in calls}) > 20
+    assert clears
+
 
 
 def test_column_follows_the_mapper_it_is_handed(monkeypatch):

@@ -270,24 +270,34 @@ class ReplayOracleLearner(TabularQLearner):
     demo is the training-frame counter of the world that ``backward_run``
     builds through :meth:`factory`: a demo snapshot at frame t holds t
     training frames, and these runs have no sticky actions and no no-ops.
-    Its Q table still learns from the transitions, so ``backward_run``
-    checkpoints it."""
+    ``backward_run`` keeps the world's counter in a local during an
+    attempt, so the fake reads it at an attempt's first action, and counts
+    on from there until :meth:`update` ends the attempt. Its Q table still
+    learns from the transitions, so ``backward_run`` checkpoints it."""
 
     def __init__(self, demos, make_env) -> None:
         super().__init__(ACTION_COUNT)
         (self._actions,) = {tuple(d.actions) for d in demos}  # one demo, or copies of it
         self._make_env = make_env
         self._env = None
+        self._frame = None  # the attempt's place in the demo
 
     def factory(self):
         """``make_env``'s world, recorded for :meth:`act` to read."""
         self._env = self._make_env()
         return self._env
 
-    def act(self, state, rng):
-        del state, rng
-        frame = self._env.frame_counters()[1]
+    def act(self, row, rng):
+        del row, rng
+        if self._frame is None:
+            self._frame = self._env.frame_counters()[1]
+        frame = self._frame
+        self._frame += 1
         return self._actions[frame] if frame < len(self._actions) else ACTION_NOOP
+
+    def update(self, transitions):
+        self._frame = None
+        super().update(transitions)
 
 
 def replay_oracle_run(demos, make_env, cfg, seed):
@@ -341,7 +351,7 @@ def test_forced_noops_count_toward_the_frame_budget(max_noops):
     caps them: at a no-op count up to the time limit (1,000 training frames
     in the criterion-7 world), two attempts at start 0 spend a 2,000-frame
     budget, where uncounted no-ops would let all 300 attempts run."""
-    from oracle import backward_run_scalar
+    from oracle import ScalarQLearner, backward_run_scalar
 
     factory = lambda: small_keydoor(time_limit_game_frames=4_000)
     demos = select_demonstrations([keydoor_archive(seed=5, factory=factory).archive], 1,
@@ -353,7 +363,7 @@ def test_forced_noops_count_toward_the_frame_budget(max_noops):
     assert result.min_starting_point() == 0
     assert result.frames >= cfg.frame_budget
     assert result.attempts < (300 if max_noops == 30 else 4)
-    scalar = backward_run_scalar(demos, TabularQLearner(ACTION_COUNT), factory, cfg, seed=5)
+    scalar = backward_run_scalar(demos, ScalarQLearner(ACTION_COUNT), factory, cfg, seed=5)
     assert (scalar.attempts, scalar.frames) == (result.attempts, result.frames)
 
 
@@ -393,18 +403,18 @@ def scripted_demo(env, actions):
     return Demonstration(actions=list(actions), cum_rewards=cum, snapshots=snaps, level=0)
 
 
-def corridor_demo_with_early_penalty():
-    """A corridor run that clips one -1 hazard, idles for a full termination
-    window, then collects a 2000-point treasure: the exact shape that makes a
-    zero-deficit sliding window kill even perfect replays."""
+def corridor_demo_with_early_penalty(env=None):
+    """A corridor run (in ``env``, else :func:`small_corridor`'s world) that
+    clips one -1 hazard, idles for a full termination window, then collects
+    a 2000-point treasure: the exact shape that makes a zero-deficit
+    sliding window kill even perfect replays."""
     from archex.envs import ACTION_DOWN, ACTION_NOOP, ACTION_RIGHT, ACTION_UP
 
     actions = ([ACTION_RIGHT] * 13 + [ACTION_NOOP] * 60
                + [ACTION_UP] * 2 + [ACTION_RIGHT] * 7 + [ACTION_DOWN] * 2
                + [ACTION_RIGHT] * 2 + [ACTION_DOWN] + [ACTION_RIGHT] * 6
                + [ACTION_UP] + [ACTION_RIGHT])
-    env = small_corridor()
-    demo = scripted_demo(env, actions)
+    demo = scripted_demo(env or small_corridor(), actions)
     assert demo.reward_at(13) == -1.0 and demo.score == 1999.0
     return demo
 
@@ -602,6 +612,14 @@ def test_raw_draws_equal_scalar_generator_draws(n):
                 assert draws.random() == scalars.random()
 
 
+def update_by_state(learner, transitions) -> None:
+    """``learner.update`` of ``(state, action, reward, next_state, done)``
+    transitions, each from-state's row made as ``backward_run`` makes it,
+    when the transition is taken, and each next state's looked up then."""
+    learner.update([(learner.row(state), action, reward, learner.row_ids.get(next_state), done)
+                    for state, action, reward, next_state, done in transitions])
+
+
 def backward_facts(result, learner, path) -> dict:
     """Everything a backward run leaves that must not depend on how it draws."""
     save_policy(result.checkpoints[-1], path, 0)
@@ -629,6 +647,13 @@ def reference_case(world, kd_result):
     if world == "corridor":
         # A -1 hazard, scaled rewards and an allowed deficit.
         return ([corridor_demo_with_early_penalty()], small_corridor,
+                dict(shaping=RewardShaping("scale"), allowed_deficit=250.0))
+    if world == "corridor-time-limit":
+        # The 95-frame demo in a world whose time limit is 130 training
+        # frames: an attempt from start s has 130 - s frames. Nothing kills,
+        # so an attempt that ends done ended at the limit.
+        factory = lambda: small_corridor(time_limit_game_frames=130 * 4)
+        return ([corridor_demo_with_early_penalty(factory())], factory,
                 dict(shaping=RewardShaping("scale"), allowed_deficit=250.0))
     # TwoMaze has no rewards: every Q value stays 0, so every greedy action
     # is a tie. The demo claims a score no rollout reaches.
@@ -663,11 +688,72 @@ def test_backward_run_equals_scalar_reference(kd_result, tmp_path, world, sticky
     assert fast["counts"][1] > 5_000  # the loop ran, not only the bookkeeping
 
 
-def test_backward_run_keeps_only_checkpoints_near_the_floor(kd_result, tmp_path, monkeypatch):
-    """A keydoor run that walks one demo to frame 0 takes checkpoints far
-    above the floor. ``backward_run`` keeps the pool ``best_checkpoint``
-    chooses from: the unpruned reference's checkpoints within NEAR of the
-    floor, in order, and never more at once; learning is unchanged."""
+def test_time_limit_ends_attempts_mid_loop(kd_result, tmp_path, monkeypatch):
+    """backward_run applies the world's done rule in its own loop: where the
+    time limit ends attempts after their first frame, it still leaves the
+    scalar reference's facts, which steps through ``GridWorld.step``."""
+    ended = []
+    update = TabularQLearner.update
+
+    def noting_update(self, transitions):
+        if len(transitions) > 1 and transitions[-1][-1]:
+            ended.append(len(transitions))
+        update(self, transitions)
+
+    monkeypatch.setattr(TabularQLearner, "update", noting_update)
+    fast, slow = run_against_reference("corridor-time-limit", 0.25, kd_result, tmp_path)
+    assert fast == slow
+    assert len(ended) > 20 and fast["counts"][2] < 95  # the curriculum moved
+
+
+@pytest.mark.parametrize("world", ["keydoor", "corridor", "twomaze"])
+def test_backward_run_equals_scalar_reference_across_table_clears(kd_result, tmp_path,
+                                                                  monkeypatch, world):
+    """With a 20-state table, which clears inside attempts and hands its ids
+    out again, backward_run still leaves the scalar reference's facts: its
+    transitions hold Q-row ids, not world ids, and it finds rows through the
+    world's column, which a clear empties. Some clear comes at an attempt's
+    second frame or later, after transitions were recorded."""
+    import archex.envs.gridworld as gridworld
+    from archex.envs.gridworld import GridWorld
+
+    monkeypatch.setattr(gridworld, "STATE_TABLE_LIMIT", 20)
+    acts, clears = [0], []  # TabularQLearner.act calls in the current attempt
+    act, update, miss = TabularQLearner.act, TabularQLearner.update, GridWorld._miss
+
+    def counting_act(self, row, rng):
+        acts[0] += 1
+        return act(self, row, rng)
+
+    def counting_update(self, transitions):
+        acts[0] = 0
+        update(self, transitions)
+
+    def noting_miss(self, action):
+        table = self._next
+        entry = miss(self, action)
+        if self._next is not table and acts[0] >= 2:
+            clears.append(acts[0])
+        return entry
+
+    monkeypatch.setattr(TabularQLearner, "act", counting_act)
+    monkeypatch.setattr(TabularQLearner, "update", counting_update)
+    monkeypatch.setattr(GridWorld, "_miss", noting_miss)
+    # The reference's learner is no TabularQLearner, so its clears see no acts.
+    fast, slow = run_against_reference(world, 0.25, kd_result, tmp_path)
+    assert fast == slow
+    assert clears
+
+
+def pool_against_reference(kd_result, tmp_path, monkeypatch, cuts, frame_budget):
+    """``backward_run`` and the unpruned scalar reference on keydoor demos,
+    each cut to its first reward (``"first key"``) or to its last reward
+    within 180 frames (``"last"``), walked to frame 0 in steps of 4. The pool
+    must be the reference's checkpoints whose total of the demos' starts is
+    within NEAR of the final total, field for field and in order; no more
+    checkpoints may be alive at once, counted through a ``PolicyCheckpoint``
+    subclass; and every other fact must be the reference's. Returns the
+    pool's size and the reference's number of checkpoints."""
     import weakref
 
     import archex.robustify as robustify_module
@@ -686,28 +772,59 @@ def test_backward_run_keeps_only_checkpoints_near_the_floor(kd_result, tmp_path,
 
     monkeypatch.setattr(robustify_module, "PolicyCheckpoint", Counted)
     demo = select_demonstrations([kd_result.archive], 1, small_keydoor())[0]
-    demos = [truncate_demo(demo, max_frames=180, to_last_reward=True)]
+    first_key = next(i for i in range(1, demo.length + 1) if demo.reward_at(i) > 0)
+    demos = [truncate_demo(demo, max_frames=first_key) if cut == "first key"
+             else truncate_demo(demo, max_frames=180, to_last_reward=True) for cut in cuts]
     cfg = BackwardConfig(success_threshold=0.1, advance_interval=10, delta=4,
-                         allowed_deficit=math.inf, max_noops=30, frame_budget=100_000,
+                         allowed_deficit=math.inf, max_noops=30, frame_budget=frame_budget,
                          rollout_frame_cap=400)
     qcfg = TabularQConfig(alpha=0.3, gamma=0.98, epsilon=0.1)
     learner, scalar = TabularQLearner(5, qcfg), ScalarQLearner(5, qcfg)
     result = backward_run(demos, learner, small_keydoor, cfg, seed=2)
     reference = backward_run_scalar(demos, scalar, small_keydoor, cfg, seed=2)
 
-    floor = reference.min_starting_point()
-    assert floor == 0 and result.demo_progress[0].zero_confirmed
-    pool = [c for c in reference.checkpoints if c.min_msp <= floor + NEAR]
+    assert all(p.zero_confirmed for p in result.demo_progress)
+    # A checkpoint is taken at a check, whose progress row has its attempts.
+    totals = {row.attempts: sum(row.max_starting_points) for row in reference.progress}
+    lowest = sum(p.max_starting_point for p in reference.demo_progress)
+    pool = [c for c in reference.checkpoints if totals[c.attempts] <= lowest + NEAR]
     fields = lambda cs: repr([(c.q, c.n_actions, c.min_msp, c.attempts) for c in cs])
     assert fields(result.checkpoints) == fields(pool)
-    assert len(reference.checkpoints) >= 2 * len(pool)
-    # One demo: the advances within NEAR of the floor, the step clamped to
-    # frame 0, the zero confirmation and the end checkpoint.
-    assert peak[0] == len(pool) <= NEAR // cfg.delta + 4
+    assert peak[0] == len(pool)
     fast = backward_facts(result, learner, tmp_path / "fast.ckpt")
     slow = backward_facts(reference, scalar, tmp_path / "scalar.ckpt")
     del fast["checkpoints"], slow["checkpoints"]
     assert fast == slow
+    return len(pool), len(reference.checkpoints)
+
+
+def test_backward_run_keeps_only_checkpoints_near_the_floor(kd_result, tmp_path, monkeypatch):
+    """A keydoor run that walks one demo to frame 0 takes checkpoints far
+    above the floor. ``backward_run`` keeps the pool ``best_checkpoint``
+    chooses from: the unpruned reference's checkpoints within NEAR of the
+    floor, in order, and never more at once; learning is unchanged."""
+    from archex.robustify import NEAR
+
+    pool, taken = pool_against_reference(kd_result, tmp_path, monkeypatch, ["last"], 100_000)
+    assert taken >= 2 * pool
+    # One demo: the advances within NEAR of the floor, the step clamped to
+    # frame 0, the zero confirmation and the end checkpoint.
+    assert pool <= NEAR // 4 + 4
+
+
+def test_backward_run_bounds_the_pool_of_two_demos(kd_result, tmp_path, monkeypatch):
+    """Two keydoor demos, of 27 and 174 frames: once the short one is at
+    frame 0, the floor stays there while the long one walks down. The pool
+    is bounded by the total of the demos' starts, as one demo's is by its
+    start, and a demo confirmed at frame 0 takes no further checkpoint, so
+    fewer checkpoints are alive at once than the long demo's advances."""
+    from archex.robustify import NEAR
+
+    pool, taken = pool_against_reference(kd_result, tmp_path, monkeypatch,
+                                         ["first key", "last"], 200_000)
+    assert taken >= 3 * pool
+    # Per demo, beside the advances within NEAR: a clamped step and a confirmation.
+    assert pool <= NEAR // 4 + 2 + 2 * 2
 
 
 def test_scalar_reference_catches_a_mutated_tie_rule(kd_result, tmp_path, monkeypatch):
@@ -717,9 +834,9 @@ def test_scalar_reference_catches_a_mutated_tie_rule(kd_result, tmp_path, monkey
 
     def last_max_update(self, transitions):
         update(self, transitions)
-        for state, *_ in transitions:
-            row = self.q[state]
-            self.greedy[state] = max(reversed(range(self.n_actions)), key=row.__getitem__)
+        for r, *_ in transitions:
+            row = self.rows[r]
+            self.greedy[r] = max(reversed(range(self.n_actions)), key=row.__getitem__)
 
     monkeypatch.setattr(TabularQLearner, "update", last_max_update)
     for world in ("keydoor", "twomaze"):
@@ -742,10 +859,9 @@ def test_greedy_cache_is_first_max_after_every_update(n_actions, alpha, gamma, t
     transition every row's cached action is its first maximum."""
     learner = TabularQLearner(n_actions, TabularQConfig(alpha=alpha, gamma=gamma))
     for state, action, reward, next_state, done in transitions:
-        learner.update([((state,), action % n_actions, reward, (next_state,), done)])
-        assert learner.greedy.keys() == learner.q.keys()
-        for key, row in learner.q.items():
-            best = learner.greedy[key]
+        update_by_state(learner, [((state,), action % n_actions, reward, (next_state,), done)])
+        assert len(learner.greedy) == len(learner.rows) == len(learner.row_ids)
+        for best, row in zip(learner.greedy, learner.rows):
             assert best == max(range(n_actions), key=row.__getitem__)
             assert row[best] == max(row)
 
@@ -755,7 +871,7 @@ def test_greedy_cache_is_first_max_after_every_update(n_actions, alpha, gamma, t
 
 def test_policy_checkpoint_roundtrip(tmp_path):
     learner = TabularQLearner(5)
-    learner.update([((1, 2), 3, 1.0, (1, 3), False), ((1, 3), 0, -1.0, (1, 2), True)])
+    update_by_state(learner, [((1, 2), 3, 1.0, (1, 3), False), ((1, 3), 0, -1.0, (1, 2), True)])
     from archex.robustify import PolicyCheckpoint
 
     ckpt = PolicyCheckpoint(q=learner.q, n_actions=5, min_msp=17, attempts=123)
