@@ -1,4 +1,5 @@
-"""Deterministic, snapshot-restorable grid worlds and stochastic wrappers."""
+"""Deterministic, snapshot-restorable grid worlds; sticky-action uniforms and
+forced no-ops."""
 
 from .base import (
     ACTION_COUNT,
@@ -14,7 +15,7 @@ from .base import (
 )
 from .gridworld import GridWorld
 from .suite import DeceptiveCorridor, KeyDoorWorld, TwoMaze
-from .wrappers import StickyActions, force_noops
+from .wrappers import force_noops, sticky_uniforms
 
 __all__ = [
     "ACTION_COUNT",
@@ -30,7 +31,7 @@ __all__ = [
     "KeyDoorWorld",
     "Observation",
     "StepResult",
-    "StickyActions",
     "TwoMaze",
     "force_noops",
+    "sticky_uniforms",
 ]

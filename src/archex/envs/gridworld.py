@@ -132,7 +132,9 @@ class GridWorld:
     The environment interface: callers take a ``GridWorld`` or anything that
     duck-types what they call. Instances are single-owner; snapshots are
     immutable values and may be shared freely. The engine is deterministic:
-    the ``seed`` of :meth:`reset` only matters to stochastic wrappers.
+    the ``seed`` of :meth:`reset` is ignored. Evaluation seeds an episode's
+    sticky uniforms (:func:`archex.envs.wrappers.sticky_uniforms`) with the
+    same value.
 
     Layout inputs (set by subclasses before ``_build``): ``width``/``height``,
     ``base`` (flat bytearray of tile codes), ``spawn``, placements for keys,

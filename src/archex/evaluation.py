@@ -1,12 +1,14 @@
 """Stochastic evaluation protocol and summary statistics.
 
 A policy is scored by running at least ``min_episodes`` episodes for every
-forced no-op count in 0..30 under sticky actions, each cut at the time limit
-as a world cuts it (:func:`archex.envs.base.frame_limit`), averaging per
-no-op, and reporting the grand mean of the 31 per-no-op means. Uncertainty
-is reported with pivotal bootstrap intervals ``(2*stat - q_hi, 2*stat -
-q_lo)``; figure-style bands, and the report over files that
-:func:`archex.explore.read_metrics` reads, use plain percentile bootstrap.
+forced no-op count in 0..30 under sticky actions (the rule of
+:mod:`archex.envs.wrappers`, applied in the episode loop), each cut at the
+time limit as a world cuts it (:func:`archex.envs.base.frame_limit`),
+averaging per no-op, and reporting the grand mean of the 31 per-no-op
+means. Uncertainty is reported with pivotal bootstrap intervals
+``(2*stat - q_hi, 2*stat - q_lo)``; figure-style bands, and the report over
+files that :func:`archex.explore.read_metrics` reads, use plain percentile
+bootstrap.
 
 Quantiles of resampled statistics use linear interpolation at rank
 ``(B - 1) * q`` over the sorted resamples (numpy's "linear" method); pivotal
@@ -24,7 +26,7 @@ import numpy as np
 from .archive import output_dir, write_csv
 from .envs.base import frame_limit
 from .envs.gridworld import GridWorld
-from .envs.wrappers import StickyActions, force_noops
+from .envs.wrappers import force_noops, sticky_uniforms
 from .errors import ConfigError, ContractError
 from .explore import MetricsRow, read_metrics
 from .seeding import TAG_EVAL, stream
@@ -102,29 +104,37 @@ def evaluate_policy(
 
     Episode RNG streams are derived from (seed, noop, episode), so scores are
     reproducible and episodes are independent of evaluation order. Each
-    episode's stream first draws the reset seed; after that it only feeds
-    ``policy.act(env, actions)``, whose ``actions`` iterator yields uniform
-    fallback actions over ``env.action_count``, drawn from that stream in
+    episode's stream first draws the reset seed, which also seeds the
+    episode's :func:`sticky_uniforms`; after that it only feeds
+    ``policy.act(world, actions)``, whose ``actions`` iterator yields uniform
+    fallback actions over ``world.action_count``, drawn from that stream in
     blocks of 256 (see :func:`uniform_actions`). Episodes run one after
-    another on the one environment ``env_factory`` makes; actions go through
-    the sticky-action wrapper, while ``policy.act`` and the loop read the
-    unwrapped environment.
+    another on the one world ``env_factory`` makes. The loop applies the
+    sticky-action rule itself: with ``prev`` the last executed action, a
+    decision draws one uniform and, below ``sticky_p``, steps ``prev``
+    instead of the policy's action.
     """
-    base = env_factory()
-    env = StickyActions(base, protocol.sticky_p)
-    frame_cap = frame_limit(protocol.time_limit_game_frames, base.frame_skip)
+    world = env_factory()
+    p = protocol.sticky_p
+    frame_cap = frame_limit(protocol.time_limit_game_frames, world.frame_skip)
     scores: list[tuple[int, int, float]] = []
     for noop in range(protocol.max_noop + 1):
         for episode in range(protocol.min_episodes):
             rng = stream(seed, TAG_EVAL, noop, episode)
-            env.reset(int(rng.integers(2**63)))
-            force_noops(env, noop)
-            actions = uniform_actions(rng, base.action_count)
-            frames = base.frame_counters()[1]
-            while not base.done and frames < frame_cap:
-                env.step(policy.act(base, actions))
+            reset_seed = int(rng.integers(2**63))
+            world.reset(reset_seed)
+            uniforms = sticky_uniforms(reset_seed)
+            prev = world.noop_action if force_noops(world, noop, p, uniforms) else None
+            actions = uniform_actions(rng, world.action_count)
+            frames = world.frame_counters()[1]
+            while not world.done and frames < frame_cap:
+                action = policy.act(world, actions)
+                if prev is not None and p > 0.0 and next(uniforms) < p:
+                    action = prev
+                world.step(action)
+                prev = action
                 frames += 1
-            scores.append((noop, episode, base.cum_score))
+            scores.append((noop, episode, world.cum_score))
     gmean, per_noop = grand_mean((n, s) for n, _, s in scores)
     return EvalResult(grand_mean=gmean, per_noop=per_noop, scores=scores)
 

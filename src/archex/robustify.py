@@ -6,9 +6,9 @@ periodic snapshots. Training starts rollouts at each demonstration's
 ``max_starting_point`` (initially its end), counts an attempt as a success when
 the rollout's final unshaped score reaches the demonstration's, and walks the
 starting point toward 0 whenever the windowed success rate clears the
-threshold. Stochastic wrappers (sticky actions throughout, random no-ops once
-the start reaches frame 0) force the learned policy to be robust rather than a
-replay.
+threshold. Sticky actions throughout and random no-ops once the start
+reaches frame 0 (the rule of :mod:`archex.envs.wrappers`, applied in the
+attempt loop) force the learned policy to be robust rather than a replay.
 
 The learner is :class:`TabularQLearner`, action values over the
 environment's discrete state, kept as rows by row id. :func:`backward_run`
@@ -17,15 +17,17 @@ finds a state's row id through its world's column for the learner (see
 table, calls the learner's ``act`` and ``update`` with row ids, and copies
 its ``q`` table, keyed by state tuple, into each policy checkpoint. Its
 attempt loop reads the world's table inline instead of calling
-``StickyActions.step`` and ``GridWorld.step`` per frame.
+``GridWorld.step`` per frame.
 
 Each attempt has one stream, from (seed, attempt index). With numpy calls it
-draws the demonstration index, the reset seed (which also seeds the sticky
-stream) and, at frame 0, the no-op count. The learner's exploration draws
-then come from the same stream through :class:`archex.seeding.RawDraws`,
-which gives the values that numpy's scalar ``random()`` and
-``integers(n)`` calls would. ``tests/oracle.py`` keeps the loop with those
-scalar calls and a learner that scans its Q rows, as the reference.
+draws the demonstration index, the seed of the attempt's sticky uniforms
+(:func:`archex.envs.wrappers.sticky_uniforms`) and, at frame 0, the no-op
+count. The learner's exploration draws then come from the same stream
+through :class:`archex.seeding.RawDraws`, which gives the values that
+numpy's scalar ``random()`` and ``integers(n)`` calls would.
+``tests/oracle.py`` keeps the loop with those scalar calls, one scalar
+sticky draw per decision and a learner that scans its Q rows, as the
+reference.
 """
 
 from __future__ import annotations
@@ -50,7 +52,7 @@ from .errors import (
 )
 from .explore import require_replayed
 from .seeding import TAG_ATTEMPT, RawDraws, stream
-from .envs.wrappers import StickyActions, force_noops
+from .envs.wrappers import force_noops, sticky_uniforms
 
 POLICY_MAGIC = b"AXPOLC\x00\x01"
 POLICY_VERSION = 1
@@ -423,9 +425,9 @@ def backward_run(
 ) -> BackwardResult:
     """Train a learner along the demonstrations' backward curriculum.
 
-    An attempt steps its world by reading the transition table inline, as
-    :meth:`GridWorld.step` would behind :class:`StickyActions` (whose
-    uniforms it draws from the wrapper's own block), and finds each state's
+    An attempt restores its world to the demo's start and steps it by
+    reading the transition table inline, as :meth:`GridWorld.step` would,
+    with the sticky-action rule applied in the loop, and finds each state's
     Q row through the world's column for ``learner``. A checkpoint is taken
     whenever a demo's start moves or its start at frame 0 is first
     confirmed, and at the end; the pool keeps those whose total of the
@@ -433,8 +435,7 @@ def backward_run(
     if not demos:
         raise ShortfallError("backward_run needs at least one demonstration")
     interval = cfg.advance_interval or 200 * len(demos)
-    base = env_factory()
-    env = StickyActions(base, cfg.sticky_p)  # no-op starts step through it; reads go to base
+    world = env_factory()
     # Each demo's (max_starting_point, snapshot there): the start changes
     # only at an advance, so the replay fill-in runs once per start.
     starts: list[tuple[int, EnvSnapshot] | None] = [None] * len(demos)
@@ -481,46 +482,44 @@ def backward_run(
         start = prog.max_starting_point
 
         if starts[demo_idx] is None or starts[demo_idx][0] != start:
-            starts[demo_idx] = (start, demo.snapshot_at(start, base))
-        env.reset(int(rng.integers(2**63)))
-        env.restore(starts[demo_idx][1])
+            starts[demo_idx] = (start, demo.snapshot_at(start, world))
+        uniforms = sticky_uniforms(int(rng.integers(2**63)))
+        world.restore(starts[demo_idx][1])
+        prev = None  # the last executed action
         if start == 0 and cfg.max_noops > 0:
-            frames += force_noops(env, int(rng.integers(0, cfg.max_noops + 1)))
+            noops = force_noops(world, int(rng.integers(0, cfg.max_noops + 1)), sticky_p, uniforms)
+            frames += noops
+            if noops:
+                prev = world.noop_action
         draws = RawDraws(rng)  # the learner's draws: the same values, without numpy calls
 
-        score_at_start = base.cum_score
+        score_at_start = world.cum_score
         demo_score = demo.score
         transitions: list[tuple] = []  # one (row, action, reward, next row, done) per frame
         success = score_at_start >= demo_score
-        if not success and not base.done:
-            # StickyActions.step and GridWorld.step inline: the world's id,
-            # score and frame count live in locals until the attempt ends.
-            column = base.column(learner)
-            states, table_next, table_result = base._states, base._next, base._result
-            sid, score, start_frames = base.state_id, score_at_start, base._training_frames
-            frames_left = base._frame_limit - start_frames
-            prev, uniforms = env._prev, env._uniforms
+        if not success and not world.done:
+            # GridWorld.step inline: the world's id, score and frame count
+            # live in locals until the attempt ends.
+            column = world.column(learner)
+            states, table_next, table_result = world._states, world._next, world._result
+            sid, score, start_frames = world.state_id, score_at_start, world._training_frames
+            frames_left = world._frame_limit - start_frames
             r = column[sid]
             elapsed = 0
             while True:
                 if r is None:
                     r = column[sid] = learner.row(states[sid])
                 action = executed = learner.act(r, draws)
-                if prev is not None and sticky_p > 0.0:
-                    u = next(uniforms, None)
-                    if u is None:
-                        u = env._refill()
-                        uniforms = env._uniforms
-                    if u < sticky_p:
-                        executed = prev
+                if prev is not None and sticky_p > 0.0 and next(uniforms) < sticky_p:
+                    executed = prev
                 prev = executed
                 at = sid * ACTION_COUNT + executed
                 nid = table_next[at]
                 if nid is None:
-                    base.state_id = sid
-                    nid, result = base._miss(executed)
+                    world.state_id = sid
+                    nid, result = world._miss(executed)
                     # A clear replaces the table and empties the column in place.
-                    states, table_next, table_result = base._states, base._next, base._result
+                    states, table_next, table_result = world._states, world._next, world._result
                 else:
                     result = table_result[at]
                 sid = nid
@@ -543,9 +542,8 @@ def backward_run(
                                                          window, deficit):
                     break
                 r = next_r
-            base.state_id, base._score = sid, score
-            base._training_frames, base._done = start_frames + elapsed, done
-            env._prev = prev
+            world.state_id, world._score = sid, score
+            world._training_frames, world._done = start_frames + elapsed, done
         frames += len(transitions)
         learner.update(transitions)
 
@@ -564,10 +562,10 @@ def backward_run(
                 elif not prog.zero_confirmed:
                     prog.zero_confirmed = True
                     take_checkpoint()
-            emit_row(base.cum_score)
+            emit_row(world.cum_score)
 
     take_checkpoint()
-    emit_row(base.cum_score if attempts else float("nan"))
+    emit_row(world.cum_score if attempts else float("nan"))
     return BackwardResult(
         progress=rows,
         demo_progress=progress,

@@ -25,7 +25,6 @@ with the scalar oracle the tests keep (``tests/oracle.py``).
 
 from __future__ import annotations
 
-import math
 import sys
 from dataclasses import dataclass
 
@@ -34,6 +33,14 @@ import numpy as np
 from .archive import SLOT_KINDS, Archive
 from .cells import CellKey, DomainKey
 from .errors import ConfigError
+
+
+# The largest selection weight. A cell scores at most about 100 * w (three
+# count subscores of at most 1 / sqrt(EPS1) = 31.6 times their weight, plus
+# five neighbor slots), so below 2**64 the sum of the scores of any archive
+# a run can build stays finite. At w = 1e308 it overflows to inf, and
+# cell_probs' probabilities become 0 or NaN.
+MAX_WEIGHT = float(1 << 64)
 
 
 @dataclass(frozen=True)
@@ -58,8 +65,8 @@ class SelectionConfig:
         for name in ("w_chosen", "w_chosen_since_new", "w_seen",
                      "w_horizontal", "w_vertical", "w_more_keys"):
             value = getattr(self, name)
-            if not math.isfinite(value) or value < 0:
-                raise ConfigError(f"selection weight {name} must be finite and >= 0")
+            if not 0 <= value <= MAX_WEIGHT:
+                raise ConfigError(f"selection weight {name} must be in [0, 2**64]")
 
 
 # The count subscores' power and epsilons, and the level weight's base: one

@@ -9,12 +9,17 @@ trajectory node and is folded into the archive on its own, where
 and merges once per (rollout, cell); both must leave the same
 archive bytes.
 :func:`myopic_greedy_baseline` is the reward-greedy control of the
-deceptive-reward milestone. :func:`evaluate_scalar_draws` is the no-op
+deceptive-reward milestone. :class:`ScalarSticky` is the sticky-action
+rule with one ``rng.random()`` call per decision, where the episode loops
+of :mod:`archex.evaluation` and :mod:`archex.robustify` apply it inline
+with uniforms drawn in blocks (:func:`archex.envs.wrappers.sticky_uniforms`)
+and step no-op starts through :func:`archex.envs.wrappers.force_noops`.
+:func:`evaluate_scalar_draws` is the no-op
 sweep with one ``rng.integers(n_actions)`` call per unknown-state frame,
 where :func:`archex.evaluation.evaluate_policy` draws fallback actions in
 blocks; both must give the same scores. :class:`ScalarQLearner` and
 :func:`backward_run_scalar` are the backward run stepping through
-``StickyActions.step``, with numpy's scalar ``random()`` and
+:class:`ScalarSticky`, with numpy's scalar ``random()`` and
 ``integers(n)`` calls on the attempt stream, a Q table keyed by state and
 a ``max`` over the Q row wherever a greedy action or value is needed,
 where :func:`archex.robustify.backward_run` reads the world's table inline,
@@ -51,7 +56,6 @@ from archex.cells import (
 )
 from archex.envs.base import DomainInfo, EnvSnapshot, Observation, frame_limit
 from archex.envs.gridworld import GridWorld
-from archex.envs.wrappers import StickyActions, force_noops
 from archex.evaluation import EvalProtocol
 from archex.explore import ExploreConfig, IterationStats
 from archex.robustify import (
@@ -65,7 +69,7 @@ from archex.robustify import (
     TabularQConfig,
     early_terminate,
 )
-from archex.seeding import TAG_ATTEMPT, TAG_EVAL, stream
+from archex.seeding import TAG_ATTEMPT, TAG_EVAL, TAG_WRAPPER, stream
 from archex.trajectory import Node, Trajectory
 from archex.selection import (
     COUNT_POWER,
@@ -284,6 +288,35 @@ def myopic_greedy_baseline(
     return best
 
 
+class ScalarSticky:
+    """Sticky actions on ``world`` (Machado et al. 2018): with probability
+    ``p`` a step executes the last executed action instead of the submitted
+    one, deciding with one ``random()`` call on ``stream(seed, TAG_WRAPPER,
+    1)``; the first step after :meth:`reset` is never replaced. Call
+    :meth:`reset` at every reset or restore of the world."""
+
+    def __init__(self, world: GridWorld, p: float) -> None:
+        self.world, self.p = world, p
+
+    def reset(self, seed: int) -> None:
+        self.rng = stream(seed, TAG_WRAPPER, 1)
+        self.prev: int | None = None
+
+    def step(self, action: int):
+        if self.prev is not None and self.rng.random() < self.p:
+            action = self.prev
+        self.prev = action
+        return self.world.step(action)
+
+    def noops(self, n: int) -> int:
+        """Step up to ``n`` no-ops, stopping when the episode ends; return
+        how many were stepped."""
+        for i in range(n):
+            if self.step(self.world.noop_action).done:
+                return i + 1
+        return n
+
+
 def evaluate_scalar_draws(
     policy: GreedyTabularPolicy,
     env_factory: Callable[[], GridWorld],
@@ -294,23 +327,25 @@ def evaluate_scalar_draws(
     unknown state's action with its own ``rng.integers(n_actions)`` call on
     the episode stream. Returns one ``(noop, episode, score,
     training_frames)`` row per episode."""
-    base = env_factory()
-    env = StickyActions(base, protocol.sticky_p)
-    frame_cap = frame_limit(protocol.time_limit_game_frames, base.frame_skip)
+    world = env_factory()
+    sticky = ScalarSticky(world, protocol.sticky_p)
+    frame_cap = frame_limit(protocol.time_limit_game_frames, world.frame_skip)
     rows = []
     for noop in range(protocol.max_noop + 1):
         for episode in range(protocol.min_episodes):
             rng = stream(seed, TAG_EVAL, noop, episode)
-            env.reset(int(rng.integers(2**63)))
-            force_noops(env, noop)
-            frames = base.frame_counters()[1]
-            while not base.done and frames < frame_cap:
-                action = policy.greedy.get(base.discrete_state())
+            reset_seed = int(rng.integers(2**63))
+            world.reset(reset_seed)
+            sticky.reset(reset_seed)
+            sticky.noops(noop)
+            frames = world.frame_counters()[1]
+            while not world.done and frames < frame_cap:
+                action = policy.greedy.get(world.discrete_state())
                 if action is None:
                     action = int(rng.integers(policy.n_actions))
-                env.step(action)
+                sticky.step(action)
                 frames += 1
-            rows.append((noop, episode, base.cum_score, frames))
+            rows.append((noop, episode, world.cum_score, frames))
     return rows
 
 
@@ -362,11 +397,11 @@ def backward_run_scalar(
     seed: int = 0,
 ) -> BackwardResult:
     """:func:`archex.robustify.backward_run` through
-    :meth:`StickyActions.step`, with the learner drawing from the attempt
+    :meth:`ScalarSticky.step`, with the learner drawing from the attempt
     stream itself, one numpy call per draw, and every checkpoint kept."""
     interval = cfg.advance_interval or 200 * len(demos)
-    base = env_factory()
-    env = StickyActions(base, cfg.sticky_p)  # steps go through the wrapper, reads to base
+    world = env_factory()
+    sticky = ScalarSticky(world, cfg.sticky_p)
     # Each demo's (max_starting_point, snapshot there): the start changes
     # only at an advance, so the replay fill-in runs once per start.
     starts: list[tuple[int, EnvSnapshot] | None] = [None] * len(demos)
@@ -409,21 +444,21 @@ def backward_run_scalar(
         start = prog.max_starting_point
 
         if starts[demo_idx] is None or starts[demo_idx][0] != start:
-            starts[demo_idx] = (start, demo.snapshot_at(start, base))
-        env.reset(int(rng.integers(2**63)))
-        env.restore(starts[demo_idx][1])
+            starts[demo_idx] = (start, demo.snapshot_at(start, world))
+        sticky.reset(int(rng.integers(2**63)))
+        world.restore(starts[demo_idx][1])
         if start == 0 and cfg.max_noops > 0:
-            frames += force_noops(env, int(rng.integers(0, cfg.max_noops + 1)))
+            frames += sticky.noops(int(rng.integers(0, cfg.max_noops + 1)))
 
-        score_at_start = base.cum_score
+        score_at_start = world.cum_score
         demo_score = demo.score
         gain = 0.0
         transitions: list[tuple] = []  # one per frame stepped
         success = score_at_start >= demo_score
-        state = None if success else base.discrete_state()
+        state = None if success else world.discrete_state()
         while not success:
             elapsed = len(transitions)
-            if base.done:
+            if world.done:
                 break
             if cfg.rollout_frame_cap is not None and elapsed >= cfg.rollout_frame_cap:
                 break
@@ -431,11 +466,11 @@ def backward_run_scalar(
                                cfg.window, cfg.allowed_deficit):
                 break
             action = learner.act(state, rng)
-            result = env.step(action)
+            result = sticky.step(action)
             frames += 1
-            score = base.cum_score
+            score = world.cum_score
             gain = score - score_at_start
-            next_state = base.discrete_state()
+            next_state = world.discrete_state()
             transitions.append(
                 (state, action, cfg.shaping(result.reward), next_state, result.done)
             )
@@ -458,10 +493,10 @@ def backward_run_scalar(
                 elif not prog.zero_confirmed:
                     prog.zero_confirmed = True
                     take_checkpoint()
-            emit_row(base.cum_score)
+            emit_row(world.cum_score)
 
     take_checkpoint()
-    emit_row(base.cum_score if attempts else float("nan"))
+    emit_row(world.cum_score if attempts else float("nan"))
     return BackwardResult(
         progress=rows,
         demo_progress=progress,

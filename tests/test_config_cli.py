@@ -4,8 +4,13 @@ import csv
 import hashlib
 import inspect
 import math
+import os
 import re
+import signal
 import struct
+import subprocess
+import sys
+import time
 from pathlib import Path
 from typing import get_type_hints
 
@@ -280,6 +285,8 @@ def test_cli_config_error_exit_2(tmp_path):
     "select.w_seen = nan",
     "select.w_horizontal = nan",
     "select.w_seen = inf",
+    # The sum of the cell scores would overflow to inf (SelectionConfig).
+    "select.w_chosen = 1e308",
     "robustify.alpha = -5",
     "robustify.epsilon = 2",
     "robustify.gamma = 1.5",
@@ -903,6 +910,42 @@ def test_cli_resume_after_a_crash_past_the_last_checkpoint(tmp_path, monkeypatch
     assert 0 < meta.training_frames < finished[0].training_frames
     assert run_cli("explore", "--config", path, "--resume", str(run / "archive.ckpt"),
                    "--out", str(run)) == 0
+    assert _cut(run / "metrics.csv") == _cut(straight / "metrics.csv")
+
+
+def test_cli_explore_killed_then_resumed_matches_a_straight_run(tmp_path):
+    """``archex explore`` killed with SIGKILL once its first periodic
+    checkpoint is on disk resumes to a straight run's archive bytes and
+    metrics, wall_seconds aside, whatever it was writing when killed."""
+    import archex
+
+    budget = 300_000
+    path = str(write_config(tmp_path, KEYDOOR_SMALL.replace(
+        "metric_interval_game_frames = 1000000000", "metric_interval_game_frames = 50000")
+        + "explore.checkpoint_interval_iterations = 25\n"))
+    straight, run = tmp_path / "straight", tmp_path / "run"
+    argv = ["explore", "--config", path, "--budget-frames", str(budget)]
+    assert run_cli(*argv, "--out", str(straight)) == 0
+
+    src = str(Path(archex.__file__).resolve().parent.parent)
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")])))
+    proc = subprocess.Popen([sys.executable, "-m", "archex.cli", *argv, "--out", str(run)],
+                            env=env, stdout=subprocess.DEVNULL)
+    try:
+        deadline = time.monotonic() + 60
+        while not (run / "archive.ckpt").exists():
+            assert proc.poll() is None and time.monotonic() < deadline
+            time.sleep(0.002)
+    finally:
+        proc.kill()
+        proc.wait()
+    assert proc.returncode == -signal.SIGKILL
+    _, meta = checkpoint_load(run / "archive.ckpt")
+    assert 0 < meta.training_frames < budget
+
+    assert run_cli(*argv, "--resume", str(run / "archive.ckpt"), "--out", str(run)) == 0
+    assert (run / "archive.ckpt").read_bytes() == (straight / "archive.ckpt").read_bytes()
     assert _cut(run / "metrics.csv") == _cut(straight / "metrics.csv")
 
 

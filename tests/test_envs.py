@@ -1,4 +1,5 @@
-"""Environment contracts: determinism, snapshots, wrappers, suite topology."""
+"""Environment contracts: determinism, snapshots, sticky uniforms and forced
+no-ops, suite topology."""
 
 import dataclasses
 import functools
@@ -19,14 +20,17 @@ from archex.envs import (
     ACTION_UP,
     DeceptiveCorridor,
     KeyDoorWorld,
-    StickyActions,
     TwoMaze,
     force_noops,
+    sticky_uniforms,
 )
 from archex.envs.base import STATE_HEAD, pack_snapshot, unpack_snapshot
 from archex.envs import gridworld
 from archex.envs.gridworld import TILE_DOOR, TILE_HAZARD, TILE_WALL
 from archex.errors import ConfigError, ContractError, SnapshotFormatError
+from archex.evaluation import EvalProtocol
+from archex.robustify import BackwardConfig
+from archex.seeding import TAG_WRAPPER, stream
 
 from conftest import (
     ENV_FACTORIES,
@@ -698,103 +702,39 @@ def test_restore_of_an_edited_tail_raises_or_round_trips(world, pick, op, at, va
     decode(env)
 
 
-# -- sticky wrapper -------------------------------------------------------------
+# -- sticky actions and forced no-ops ------------------------------------------------
 
 
 def test_sticky_probability_bounds():
-    with pytest.raises(ConfigError):
-        StickyActions(small_twomaze(), 1.0)
-    with pytest.raises(ConfigError):
-        StickyActions(small_twomaze(), -0.1)
+    """The two configs that set a sticky probability reject one outside [0, 1)."""
+    for p in (1.0, -0.1):
+        with pytest.raises(ConfigError):
+            EvalProtocol(sticky_p=p)
+        with pytest.raises(ConfigError):
+            BackwardConfig(sticky_p=p)
 
 
-def record_executed(env):
-    """The list of actions that reach ``env.step`` from now on."""
-    executed = []
-    step = env.step
-
-    def recording_step(action):
-        executed.append(action)
-        return step(action)
-
-    env.step = recording_step
-    return executed
-
-
-def test_sticky_first_action_never_replaced():
-    env = StickyActions(small_twomaze(), 0.999)
-    executed = record_executed(env.inner)
-    env.reset(123)
-    x_before = decode(env.inner).x
-    env.step(ACTION_LEFT)  # must execute LEFT: nothing to repeat yet
-    assert executed == [ACTION_LEFT]
-    assert decode(env.inner).x == x_before - 1
-
-
-def test_sticky_chain_resets_on_restore():
-    env = StickyActions(small_twomaze(), 0.999)
-    executed = record_executed(env.inner)
-    env.reset(123)
-    snap = env.inner.snapshot()
-    env.step(ACTION_LEFT)
-    env.restore(snap)
-    env.step(ACTION_RIGHT)  # first action after restore, never replaced
-    assert executed == [ACTION_LEFT, ACTION_RIGHT]
-
-
-def test_sticky_replacement_pattern_matches_independent_enumeration():
-    """Fixed RNG stream: re-derive the substitution pattern externally with
-    one scalar draw per decision, across several of the wrapper's blocks of
-    draws, restores (which skip a decision) and a reseeding reset."""
-    from archex.seeding import TAG_WRAPPER, stream
-
-    p = 0.3
-    env = StickyActions(small_twomaze(time_limit_game_frames=10**9), p)
-    submitted = random_actions(9, 1500)
-    executed, expect = [], []
+def test_sticky_uniforms_equal_scalar_draws():
+    """Across several blocks, each seed's uniforms are the values of one
+    ``random()`` call per decision on its stream."""
     for seed in (3, 8):
-        env.reset(seed)
-        snap = env.inner.snapshot()
-        rng, prev = stream(seed, TAG_WRAPPER, 1), None
-        for i, a in enumerate(submitted):
-            if i % 400 == 399:
-                env.restore(snap)
-                prev = None
-            env.step(a)
-            executed.append(env._prev)
-            if prev is not None and rng.random() < p:
-                a = prev
-            expect.append(a)
-            prev = a
-    assert executed == expect
-
-
-def test_sticky_empirical_frequency():
-    """Replacement frequency over 1e6 frames within +-0.01 of p. Each
-    submitted action differs from the last executed one, so a frame was
-    replaced exactly when its executed action differs from its submitted."""
-    p = 0.25
-    env = StickyActions(small_twomaze(time_limit_game_frames=10**9), p)
-    executed = record_executed(env.inner)
-    env.reset(5)
-    rng = np.random.default_rng(0)
-    shifts = rng.integers(1, 5, 1_000_000).tolist()
-    replaced = 0
-    for shift in shifts:
-        action = (executed[-1] + shift) % 5 if executed else 0
-        env.step(action)
-        replaced += executed[-1] != action
-    assert abs(replaced / len(shifts) - p) < 0.01
-
-
-# -- forced no-ops ----------------------------------------------------------------
+        uniforms, scalars = sticky_uniforms(seed), stream(seed, TAG_WRAPPER, 1)
+        assert [next(uniforms) for _ in range(1000)] == [scalars.random() for _ in range(1000)]
 
 
 def test_force_noops_exact():
-    env = small_twomaze()
-    env.reset(0)
-    force_noops(env, 7)
-    assert env.frame_counters()[1] == 7
+    """Seven no-ops step seven frames and leave the agent where it was; at
+    p > 0 the six after the first draw one uniform each, at p == 0 none do."""
+    for p in (0.0, 0.25):
+        env = small_twomaze()
+        env.reset(0)
+        start = env.discrete_state()
+        drawn = []
+        uniforms = (drawn.append(i) or 0.0 for i in range(100))
+        assert force_noops(env, 7, p, uniforms) == 7
+        assert env.frame_counters()[1] == 7
+        assert env.discrete_state() == start
+        assert len(drawn) == (6 if p else 0)
 
 
 # -- suite topology ----------------------------------------------------------------

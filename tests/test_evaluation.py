@@ -199,14 +199,14 @@ def test_time_limit_off_the_skip_grid_ends_evaluation_where_the_world_does(limit
     assert worlds[0].frame_counters() == (12, 3)
 
 
-# Raw scores of the sweep below at sticky_p 0.25, from when StickyActions
-# built its stream at every reset.
+# Raw scores of the sweep below at sticky_p 0.25, from when the sticky
+# stream was built at every reset, before any uniform was drawn.
 STICKY_SCORES = [-15.0, -17.0, -20.0, -16.0, -12.0, -13.0, -13.0, -10.0]
 
 
 @pytest.mark.parametrize("sticky_p", [0.0, 0.25])
 def test_sticky_stream_built_only_where_drawn(monkeypatch, sticky_p):
-    """The sticky wrapper builds its stream at an episode's first draw: a
+    """An episode's sticky uniforms build their stream at its first draw: a
     sweep at sticky_p 0 builds none, and one at 0.25 builds one per episode
     and keeps its scores."""
     import archex.envs.wrappers as W
@@ -304,20 +304,40 @@ def assert_matches_scalar_draws(q, make_env, protocol, seed):
     return policy, rows
 
 
-@pytest.mark.parametrize("table", ["empty", "checkerboard"])
+@pytest.mark.parametrize("table", ["empty", "checkerboard", "checkerboard-cleared"])
 @pytest.mark.parametrize("sticky_p", [0.0, 0.25])
 @pytest.mark.parametrize("world", sorted(ENV_FACTORIES))
-def test_evaluate_policy_matches_scalar_draws(world, sticky_p, table):
+def test_evaluate_policy_matches_scalar_draws(monkeypatch, world, sticky_p, table):
     """Block-drawn fallback actions give the raw scores of one
     ``rng.integers`` call per unknown-state frame. The 600-frame cap makes
-    the empty table draw three blocks per episode."""
+    the empty table draw three blocks per episode. In the
+    ``checkerboard-cleared`` case the world's transition table holds at
+    most 4 states, so it is cleared within episodes, after their first
+    frame."""
+    import archex.envs.gridworld as gridworld
+    from archex.envs.gridworld import GridWorld
+
     make_env = ENV_FACTORIES[world]
-    q = checkerboard_table(make_env) if table == "checkerboard" else {}
+    q = checkerboard_table(make_env) if table != "empty" else {}
+    clears = []
+    if table == "checkerboard-cleared":
+        monkeypatch.setattr(gridworld, "STATE_TABLE_LIMIT", 4)
+        miss = GridWorld._miss
+
+        def noting_miss(self, action):
+            table = self._next
+            entry = miss(self, action)
+            if self._next is not table and self._training_frames > 0:
+                clears.append(self._training_frames)
+            return entry
+
+        monkeypatch.setattr(GridWorld, "_miss", noting_miss)
     protocol = EvalProtocol(max_noop=3, min_episodes=2, sticky_p=sticky_p,
                             time_limit_game_frames=2_400)
     policy, _ = assert_matches_scalar_draws(q, make_env, protocol, seed=31)
     assert policy.unknown > 256
     assert policy.known > 0 if q else policy.known == 0
+    assert bool(clears) == (table == "checkerboard-cleared")
 
 
 def test_evaluate_policy_matches_scalar_draws_when_hazards_kill():

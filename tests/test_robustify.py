@@ -536,7 +536,7 @@ GOLDEN_ROBUSTIFY = {
 def test_robustify_and_evaluate_golden(kd_result, tmp_path, sticky_p):
     """Policy file bytes and evaluation scores of a small fixed run, pinned
     to the values the per-step implementation produced. The sticky_p 0 case
-    pins the sticky-action wrapper's p = 0 path, which draws nothing."""
+    pins the p = 0 path of the sticky-action rule, which draws nothing."""
     import hashlib
 
     from archex.evaluation import EvalProtocol, evaluate_policy
