@@ -31,18 +31,20 @@ of its discrete state. Ids belong to one world, and the table is bounded:
 once it holds ``STATE_TABLE_LIMIT`` states, the next new state clears it,
 and it starts again from the current state.
 
-Explore and robustify keep their own facts about a state beside the table,
-in the world's column (:meth:`column`): per id, explore's cell key, room
-and level under one mapper, or the Q-row id of one learner. It grows with
+Explore, robustify and evaluation keep their own facts about a state
+beside the table, in the world's column (:meth:`column`): per id,
+explore's cell key, room and level under one mapper, the Q-row id of one
+learner, or the greedy action of one evaluated policy. It grows with
 the table and is cleared in place with it, since ids are then handed out
 again, and it belongs to one owner at a time.
 
 :meth:`step` is one table read behind the checks a caller needs.
-``explore_from`` and ``backward_run``, the two loops that step the most
-frames, read the table inline instead: they keep the id, the score and the
-frame count in locals, call :meth:`_miss` on an entry not yet filled in,
-and write the dynamic state back before they snapshot, map or return, so
-:meth:`_tick` and :meth:`_miss` stay the only code that fills the table.
+``explore_from``, ``backward_run`` and ``evaluate_policy``, the three loops
+that step the most frames, read the table inline instead: they keep the
+id, the score and the frame count in locals, call :meth:`_miss` on an
+entry not yet filled in, and write the dynamic state back before they
+snapshot, map or return, so :meth:`_tick` and :meth:`_miss` stay the only
+code that fills the table.
 
 :meth:`step` returns only the reward and the done flag.
 :meth:`discrete_state` returns the interned tuple, and :meth:`features`,
@@ -419,10 +421,12 @@ class GridWorld:
         entry the ``(cell key, room, level)`` that the mapper and
         :meth:`features` give the state; a key is a function of the config
         and the state (see :meth:`render`). A learner's entry is the id of
-        the state's Q row. An owner fills an entry the first time it meets
-        the id and reads it after that. The column is cleared in place with
-        the table, since ids are then reused, and emptied when handed an
-        owner other than the one it was filled for."""
+        the state's Q row, and an evaluated policy's the state's greedy
+        action, or -1 where the policy lacks the state. An owner fills an
+        entry the first time it meets the id and reads it after that. The
+        column is cleared in place with the table, since ids are then
+        reused, and emptied when handed an owner other than the one it was
+        filled for."""
         if owner is not self._column_owner:
             self._column[:] = [None] * len(self._column)
             self._column_owner = owner
@@ -453,11 +457,12 @@ class GridWorld:
 
     # The done rule: a step ends the episode when its result is done (the
     # step kills), or when it is the episode's _frame_limit-th training frame.
-    # step() applies it per frame. explore_from and backward_run apply it in
-    # their own loops, against the frames left at the start of the rollout
-    # (_frame_limit - _training_frames, read once), because a helper called
-    # per frame made a whole 1M-frame keydoor explore run 3-7% slower (best
-    # of three runs, four alternating trials, Python 3.11, 2-core box).
+    # step() applies it per frame. explore_from, backward_run and
+    # evaluate_policy apply it in their own loops, against the frames left at
+    # the start of the rollout (_frame_limit - _training_frames, read once),
+    # because a helper called per frame made a whole 1M-frame keydoor explore
+    # run 3-7% slower (best of three runs, four alternating trials, Python
+    # 3.11, 2-core box).
     def step(self, action: int) -> StepResult:
         self._require_live()
         if not 0 <= action < self.action_count:

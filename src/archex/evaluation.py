@@ -24,11 +24,12 @@ from typing import Callable, Iterable, Iterator, Sequence
 import numpy as np
 
 from .archive import output_dir, write_csv
-from .envs.base import frame_limit
+from .envs.base import ACTION_COUNT, frame_limit
 from .envs.gridworld import GridWorld
 from .envs.wrappers import force_noops, sticky_uniforms
 from .errors import ConfigError, ContractError
 from .explore import MetricsRow, read_metrics
+from .robustify import GreedyTabularPolicy
 from .seeding import TAG_EVAL, stream
 
 # Fallback actions drawn per refill of an episode's action block; on PCG64,
@@ -95,28 +96,48 @@ def uniform_actions(rng: np.random.Generator, n: int) -> Iterator[int]:
 
 
 def evaluate_policy(
-    policy,
+    policy: GreedyTabularPolicy,
     env_factory: Callable[[], GridWorld],
     protocol: EvalProtocol,
     seed: int = 0,
 ) -> EvalResult:
     """Run the full no-op sweep and return the grand mean and raw scores.
 
+    ``policy`` is a :class:`archex.robustify.GreedyTabularPolicy` and
+    ``env_factory`` makes a :class:`GridWorld`; the sweep raises
+    :class:`ContractError` before its first frame unless the policy has the
+    world's action count. Episodes run one after another on the one world
+    ``env_factory`` makes.
+
     Episode RNG streams are derived from (seed, noop, episode), so scores are
     reproducible and episodes are independent of evaluation order. Each
     episode's stream first draws the reset seed, which also seeds the
-    episode's :func:`sticky_uniforms`; after that it only feeds
-    ``policy.act(world, actions)``, whose ``actions`` iterator yields uniform
-    fallback actions over ``world.action_count``, drawn from that stream in
-    blocks of 256 (see :func:`uniform_actions`). Episodes run one after
-    another on the one world ``env_factory`` makes. The loop applies the
-    sticky-action rule itself: with ``prev`` the last executed action, a
-    decision draws one uniform and, below ``sticky_p``, steps ``prev``
-    instead of the policy's action.
+    episode's :func:`sticky_uniforms`; after that it only feeds the uniform
+    fallback actions over ``world.action_count`` taken in states the policy
+    lacks, drawn from that stream in blocks of 256 (see
+    :func:`uniform_actions`): the actions :meth:`GreedyTabularPolicy.act`
+    would take. The loop applies the sticky-action rule itself: with
+    ``prev`` the last executed action, a decision draws one uniform and,
+    below ``sticky_p``, steps ``prev`` instead of the policy's action.
+
+    After the forced no-ops, which :func:`force_noops` steps, an episode
+    reads the transition table inline, as ``backward_run`` does: the
+    world's id, score and frame count live in locals, and each state's
+    greedy action (-1 where the policy lacks the state) is kept in the
+    world's column for ``policy``, so a state's tuple is hashed once per
+    id, not once per frame. The loop applies :meth:`GridWorld.step`'s done
+    rule against the frames left to the nearer of the protocol's and the
+    world's time limits, and writes the dynamic state back at the end of
+    each episode.
     """
     world = env_factory()
+    if policy.n_actions != world.action_count:
+        raise ContractError(f"policy has {policy.n_actions} actions, "
+                            f"the environment {world.action_count}")
     p = protocol.sticky_p
-    frame_cap = frame_limit(protocol.time_limit_game_frames, world.frame_skip)
+    frame_cap = min(frame_limit(protocol.time_limit_game_frames, world.frame_skip),
+                    world._frame_limit)
+    column = world.column(policy)
     scores: list[tuple[int, int, float]] = []
     for noop in range(protocol.max_noop + 1):
         for episode in range(protocol.min_episodes):
@@ -126,15 +147,37 @@ def evaluate_policy(
             uniforms = sticky_uniforms(reset_seed)
             prev = world.noop_action if force_noops(world, noop, p, uniforms) else None
             actions = uniform_actions(rng, world.action_count)
-            frames = world.frame_counters()[1]
-            while not world.done and frames < frame_cap:
-                action = policy.act(world, actions)
+            states, table_next, table_result = world._states, world._next, world._result
+            sid, score, start = world.state_id, world._score, world._training_frames
+            frames_left = frame_cap - start
+            done = world.done
+            elapsed = 0
+            while not done and elapsed < frames_left:
+                action = column[sid]
+                if action is None:
+                    action = column[sid] = policy.greedy.get(states[sid], -1)
+                if action < 0:
+                    action = next(actions)
                 if prev is not None and p > 0.0 and next(uniforms) < p:
                     action = prev
-                world.step(action)
                 prev = action
-                frames += 1
-            scores.append((noop, episode, world.cum_score))
+                at = sid * ACTION_COUNT + action
+                nid = table_next[at]
+                if nid is None:
+                    world.state_id = sid
+                    nid, result = world._miss(action)
+                    # A clear replaces the table and empties the column in place.
+                    states, table_next, table_result = world._states, world._next, world._result
+                else:
+                    result = table_result[at]
+                sid = nid
+                score += result.reward
+                done = result.done
+                elapsed += 1
+            world.state_id, world._score = sid, score
+            world._training_frames = start + elapsed
+            world._done = done or world._training_frames >= world._frame_limit
+            scores.append((noop, episode, score))
     gmean, per_noop = grand_mean((n, s) for n, _, s in scores)
     return EvalResult(grand_mean=gmean, per_noop=per_noop, scores=scores)
 

@@ -329,6 +329,9 @@ class GreedyTabularPolicy:
 
     The greedy action of each state (the first maximum of its row) is
     computed once, here: later changes to ``q`` do not reach the policy.
+    :func:`archex.evaluation.evaluate_policy` reads ``greedy`` through the
+    world's column and draws from ``actions`` itself; :meth:`act` is the
+    same rule one frame at a time, as the scalar reference calls it.
     """
 
     def __init__(self, q: dict[tuple, list[float]], n_actions: int) -> None:

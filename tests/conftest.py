@@ -7,9 +7,12 @@ from collections import deque
 
 import pytest
 
-from archex.envs import DeceptiveCorridor, KeyDoorWorld, TwoMaze
+from archex.envs import ACTION_NOOP, DeceptiveCorridor, KeyDoorWorld, TwoMaze
 from archex.envs.base import EnvSnapshot, pack_snapshot, peek_config_hash, unpack_snapshot
+from archex.evaluation import evaluate_policy
 from archex.robustify import GreedyTabularPolicy
+
+from oracle import evaluate_scalar_draws
 
 
 def small_twomaze(**kwargs):
@@ -60,12 +63,19 @@ def any_env(request):
 
 
 class CountingPolicy(GreedyTabularPolicy):
-    """Counts the frames whose state the table knows and those it lacks."""
+    """Counts the frames whose state the table knows and those it lacks, and
+    keeps the distinct states, in the loops that call :meth:`act` per frame
+    (the scalar reference)."""
 
-    known = unknown = 0
+    def __init__(self, q, n_actions):
+        super().__init__(q, n_actions)
+        self.known = self.unknown = 0
+        self.states = set()
 
     def act(self, env, actions):
-        if env.discrete_state() in self.greedy:
+        state = env.discrete_state()
+        self.states.add(state)
+        if state in self.greedy:
             self.known += 1
         else:
             self.unknown += 1
@@ -97,6 +107,63 @@ def bfs_reachable_states(env, limit: int | None = None, max_level: int = 1):
                 if limit is not None and len(seen) > limit:
                     raise AssertionError("state space larger than expected")
     return seen
+
+
+def noop_policy(env):
+    """A policy greedy in ``ACTION_NOOP`` on every state reachable in ``env``."""
+    row = [0.0] * env.action_count
+    row[ACTION_NOOP] = 1.0
+    return GreedyTabularPolicy(dict.fromkeys(bfs_reachable_states(env), row), env.action_count)
+
+
+class LoggedReads(list):
+    """A transition table's ``_next`` list that appends each index read
+    from it to ``log``."""
+
+    def __init__(self, entries, log):
+        super().__init__(entries)
+        self.log = log
+
+    def __getitem__(self, at):
+        self.log.append(at)
+        return super().__getitem__(at)
+
+
+def logging_reads(make_env, log):
+    """``make_env`` whose worlds append to ``log`` each index their
+    transition table's ``_next`` is read at, state id x ``ACTION_COUNT`` +
+    action: one per frame, whether :meth:`step` takes it or a loop reads
+    the table inline. A table clear replaces ``_next``, so the new one is
+    wrapped too."""
+    def make():
+        env = make_env()
+        intern = env._intern
+
+        def logged_intern(state):
+            sid = intern(state)
+            if type(env._next) is not LoggedReads:
+                env._next = LoggedReads(env._next, log)
+            return sid
+
+        env._intern = logged_intern
+        env._next = LoggedReads(env._next, log)
+        return env
+    return make
+
+
+def assert_matches_scalar_draws(q, make_env, protocol, seed):
+    """Scores, and every table read of every frame, equal the
+    one-draw-per-frame oracle's (TwoMaze has no rewards, so its scores alone
+    prove nothing). Returns the policy, whose counts are the oracle's, and
+    the oracle's (noop, episode, score, training_frames) rows."""
+    policy = CountingPolicy(q, 5)
+    expected, read = [], []
+    rows = evaluate_scalar_draws(policy, logging_reads(make_env, expected), protocol, seed=seed)
+    outcome = evaluate_policy(policy, logging_reads(make_env, read), protocol, seed=seed)
+    assert outcome.scores == [row[:3] for row in rows]
+    assert read == expected
+    assert len(expected) == sum(frames for *_, frames in rows)
+    return policy, rows
 
 
 def drive(env, actions):

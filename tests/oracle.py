@@ -14,13 +14,15 @@ rule with one ``rng.random()`` call per decision, where the episode loops
 of :mod:`archex.evaluation` and :mod:`archex.robustify` apply it inline
 with uniforms drawn in blocks (:func:`archex.envs.wrappers.sticky_uniforms`)
 and step no-op starts through :func:`archex.envs.wrappers.force_noops`.
-:func:`evaluate_scalar_draws` is the no-op
-sweep with one ``rng.integers(n_actions)`` call per unknown-state frame,
-where :func:`archex.evaluation.evaluate_policy` draws fallback actions in
-blocks; both must give the same scores. :class:`ScalarQLearner` and
-:func:`backward_run_scalar` are the backward run stepping through
-:class:`ScalarSticky`, with numpy's scalar ``random()`` and
-``integers(n)`` calls on the attempt stream, a Q table keyed by state and
+:func:`evaluate_scalar_draws` is the no-op sweep through ``policy.act``
+and :meth:`archex.envs.gridworld.GridWorld.step`, with one
+``rng.integers(n_actions)`` call per unknown-state frame, where
+:func:`archex.evaluation.evaluate_policy` reads the greedy actions through
+the world's column and the table inline, and draws fallback actions in
+blocks; both must give the same scores and table reads.
+:class:`ScalarQLearner` and :func:`backward_run_scalar` are the backward
+run stepping through :class:`ScalarSticky`, with numpy's scalar
+``random()`` and ``integers(n)`` calls on the attempt stream, a Q table keyed by state and
 a ``max`` over the Q row wherever a greedy action or value is needed,
 where :func:`archex.robustify.backward_run` reads the world's table inline,
 the same draws through :class:`archex.seeding.RawDraws`, and
@@ -323,9 +325,10 @@ def evaluate_scalar_draws(
     protocol: EvalProtocol,
     seed: int = 0,
 ) -> list[tuple[int, int, float, int]]:
-    """:func:`archex.evaluation.evaluate_policy`'s sweep, drawing each
-    unknown state's action with its own ``rng.integers(n_actions)`` call on
-    the episode stream. Returns one ``(noop, episode, score,
+    """:func:`archex.evaluation.evaluate_policy`'s sweep, stepping each
+    frame through ``policy.act`` and :meth:`ScalarSticky.step`, and drawing
+    each unknown state's action with its own ``rng.integers(n_actions)``
+    call on the episode stream. Returns one ``(noop, episode, score,
     training_frames)`` row per episode."""
     world = env_factory()
     sticky = ScalarSticky(world, protocol.sticky_p)
@@ -338,12 +341,10 @@ def evaluate_scalar_draws(
             world.reset(reset_seed)
             sticky.reset(reset_seed)
             sticky.noops(noop)
+            draws = iter(lambda: int(rng.integers(policy.n_actions)), None)
             frames = world.frame_counters()[1]
             while not world.done and frames < frame_cap:
-                action = policy.greedy.get(world.discrete_state())
-                if action is None:
-                    action = int(rng.integers(policy.n_actions))
-                sticky.step(action)
+                sticky.step(policy.act(world, draws))
                 frames += 1
             rows.append((noop, episode, world.cum_score, frames))
     return rows

@@ -9,7 +9,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from archex.archive import write_csv
-from archex.envs import ACTION_NOOP
 from archex.envs.base import frame_limit
 from archex.errors import ConfigError, ContractError
 from archex.evaluation import (
@@ -23,17 +22,19 @@ from archex.evaluation import (
     uniform_actions,
 )
 from archex.explore import MetricsRow
+from archex.robustify import GreedyTabularPolicy
 from archex.seeding import TAG_EVAL, stream
 
 from conftest import (
     ENV_FACTORIES,
-    CountingPolicy,
+    assert_matches_scalar_draws,
     bfs_reachable_states,
+    noop_policy,
     small_corridor,
     small_keydoor,
     small_twomaze,
 )
-from oracle import evaluate_scalar_draws, resample_means_oneshot
+from oracle import resample_means_oneshot
 
 
 # -- grand mean ------------------------------------------------------------------
@@ -71,93 +72,54 @@ def test_grand_mean_invariant_to_duplication():
     assert gmean == pytest.approx(gmean2)
 
 
-# -- evaluate_policy over a scripted environment ------------------------------------
+def test_grand_mean_of_a_sweep_table():
+    """A constructed 31 x 5 score table reproduces the 31-mean average exactly."""
+    rng = np.random.default_rng(0)
+    table = {n: [float(rng.integers(0, 100)) for _ in range(5)] for n in range(31)}
+    gmean, per_noop = grand_mean((n, score) for n, row in table.items() for score in row)
+    expect_per_noop = {n: sum(v) / 5 for n, v in table.items()}
+    assert per_noop == pytest.approx(expect_per_noop)
+    assert gmean == pytest.approx(sum(expect_per_noop.values()) / 31)
 
 
-class ScriptedEnv:
-    """Env stub: one agent step ends the episode with a table-driven score."""
-
-    action_count = 2
-    noop_action = 0
-    frame_skip = 1
-    config_hash = 0
-
-    def __init__(self, table):
-        self.table = table  # (noop, episode) -> score
-        self.episode_of_noop = {}
-        self._noops = 0
-        self._score = 0.0
-        self._done = True
-        self._frames = 0
-
-    @property
-    def cum_score(self):
-        return self._score
-
-    @property
-    def done(self):
-        return self._done
-
-    def reset(self, seed):
-        self._noops = 0
-        self._score = 0.0
-        self._done = False
-        self._frames = 0
-        return None, None
-
-    def step(self, action):
-        from archex.envs.base import StepResult
-
-        self._frames += 1
-        if action == self.noop_action and self._score == 0.0:
-            self._noops += 1
-            return StepResult(0.0, False)
-        episode = self.episode_of_noop.get(self._noops, 0)
-        self.episode_of_noop[self._noops] = episode + 1
-        self._score = float(self.table[self._noops][episode])
-        self._done = True
-        return StepResult(self._score, True)
-
-    def frame_counters(self):
-        return (self._frames, self._frames)
-
-    def discrete_state(self):
-        return (0,)
-
-    def observe(self):
-        return None
-
-    def snapshot(self):
-        raise NotImplementedError
-
-    def restore(self, snap):
-        raise NotImplementedError
-
-
-class OneStepPolicy:
-    def act(self, env, actions):
-        return 1
+# -- evaluate_policy ----------------------------------------------------------------
 
 
 def test_evaluate_policy_grand_mean_arithmetic():
-    """Constructed score tables reproduce the 31-mean average exactly."""
-    rng = np.random.default_rng(0)
-    table = {n: [float(rng.integers(0, 100)) for _ in range(5)] for n in range(31)}
-    env = ScriptedEnv(table)
-    protocol = EvalProtocol(max_noop=30, min_episodes=5, sticky_p=0.0,
-                            time_limit_game_frames=10_000)
-    result = evaluate_policy(OneStepPolicy(), lambda: env, protocol, seed=0)
-    expect_per_noop = {n: sum(v) / 5 for n, v in table.items()}
-    expect_grand = sum(expect_per_noop.values()) / 31
-    assert result.per_noop == pytest.approx(expect_per_noop)
-    assert result.grand_mean == pytest.approx(expect_grand)
+    """The paper's sweep on a real world: 5 episodes for each of the 31
+    no-op counts, in order, and the grand mean of their raw scores."""
+    protocol = EvalProtocol(max_noop=30, min_episodes=5, sticky_p=0.25,
+                            time_limit_game_frames=400)
+    result = evaluate_policy(GreedyTabularPolicy({}, 5), small_corridor, protocol, seed=0)
     assert len(result.scores) == 31 * 5
+    assert [(n, e) for n, e, _ in result.scores] == [(n, e) for n in range(31) for e in range(5)]
     assert {n for n, _, _ in result.scores} == set(range(31))
+    assert len({score for *_, score in result.scores}) > 1
+    gmean, per_noop = grand_mean((n, score) for n, _, score in result.scores)
+    assert (result.grand_mean, result.per_noop) == (gmean, per_noop)
+
+
+@pytest.mark.parametrize("n_actions", [4, 6])
+def test_evaluate_policy_rejects_another_action_count(n_actions):
+    """A policy whose action count is not the world's raises before any
+    frame is stepped: a 6-action policy's action 5 would read the next
+    state's row of the table."""
+    worlds = []
+
+    def make_world():
+        worlds.append(small_keydoor())
+        return worlds[-1]
+
+    start = small_keydoor().discrete_state()
+    q = {start: [0.0] * (n_actions - 1) + [1.0]}
+    protocol = EvalProtocol(max_noop=2, min_episodes=1, sticky_p=0.0,
+                            time_limit_game_frames=200)
+    with pytest.raises(ContractError, match="actions"):
+        evaluate_policy(GreedyTabularPolicy(q, n_actions), make_world, protocol)
+    assert worlds[0].frame_counters() == (0, 0)
 
 
 def test_evaluate_policy_reproducible_on_real_env():
-    from archex.robustify import GreedyTabularPolicy
-
     policy = GreedyTabularPolicy({}, 5)  # acts uniformly at random
     protocol = EvalProtocol(max_noop=3, min_episodes=2, sticky_p=0.25,
                             time_limit_game_frames=400)
@@ -167,13 +129,9 @@ def test_evaluate_policy_reproducible_on_real_env():
 
 
 def test_do_nothing_policy_scores_zero():
-    class Noop:
-        def act(self, env, actions):
-            return ACTION_NOOP
-
     protocol = EvalProtocol(max_noop=2, min_episodes=1, sticky_p=0.25,
                             time_limit_game_frames=200)
-    result = evaluate_policy(Noop(), small_keydoor, protocol, seed=0)
+    result = evaluate_policy(noop_policy(small_keydoor()), small_keydoor, protocol, seed=0)
     assert result.grand_mean == 0.0
 
 
@@ -189,13 +147,9 @@ def test_time_limit_off_the_skip_grid_ends_evaluation_where_the_world_does(limit
                                     if limit_of == "world" else 400_000))
         return worlds[-1]
 
-    class Noop:
-        def act(self, env, actions):
-            return ACTION_NOOP
-
     protocol = EvalProtocol(max_noop=0, min_episodes=1, sticky_p=0.0,
                             time_limit_game_frames=9 if limit_of == "evaluation" else 400_000)
-    evaluate_policy(Noop(), make_world, protocol)
+    evaluate_policy(noop_policy(small_twomaze()), make_world, protocol)
     assert worlds[0].frame_counters() == (12, 3)
 
 
@@ -210,7 +164,6 @@ def test_sticky_stream_built_only_where_drawn(monkeypatch, sticky_p):
     sweep at sticky_p 0 builds none, and one at 0.25 builds one per episode
     and keeps its scores."""
     import archex.envs.wrappers as W
-    from archex.robustify import GreedyTabularPolicy
 
     built = []
     real = W.stream
@@ -255,62 +208,46 @@ def test_uniform_actions_draws_one_block_at_a_time():
 
 def checkerboard_table(make_env):
     """Q rows for the states on even squares (x + y even), each greedy in
-    an action that leaves its state. Known and unknown frames then
-    alternate, and no greedy loop holds the agent on known states."""
+    the action whose next state the breadth-first search from the start
+    found last; staying put and dying rank below every move. Known and
+    unknown frames then alternate, and the greedy actions carry the agent
+    away from the start instead of holding it among a few states."""
     env = make_env()
     rng = np.random.default_rng(5)
+    reachable = bfs_reachable_states(env)
+    order = {state: i for i, state in enumerate(reachable)}
     q = {}
-    for state, snap in bfs_reachable_states(env).items():
+    for state, snap in reachable.items():
         if (state[0] + state[1]) % 2:
             continue
-        moves = []
+        ranks = []
         for action in range(env.action_count):
             env.restore(snap)
             env.step(action)
-            if env.done or env.discrete_state() != state:
-                moves.append(action)
+            moved = not env.done and env.discrete_state() != state
+            ranks.append(order.get(env.discrete_state(), -1) if moved else -1)
         row = rng.random(env.action_count)
-        row[rng.choice(moves)] = 2.0
+        row[ranks.index(max(ranks))] = 2.0
         q[state] = row.tolist()
     return q
 
 
-def logging_actions(make_env, log):
-    """``make_env`` whose worlds append each action they step to ``log``."""
-    def make():
-        env = make_env()
-        step = env.step
-
-        def logged_step(action):
-            log.append(action)
-            return step(action)
-
-        env.step = logged_step
-        return env
-    return make
-
-
-def assert_matches_scalar_draws(q, make_env, protocol, seed):
-    """Scores, and every action the world steps, equal the one-draw-per-frame
-    oracle's (TwoMaze has no rewards, so its scores alone prove nothing).
-    Returns the policy and the oracle's (noop, episode, score,
-    training_frames) rows."""
-    policy = CountingPolicy(q, 5)
-    expected, stepped = [], []
-    rows = evaluate_scalar_draws(policy, logging_actions(make_env, expected), protocol, seed=seed)
-    outcome = evaluate_policy(policy, logging_actions(make_env, stepped), protocol, seed=seed)
-    assert outcome.scores == [row[:3] for row in rows]
-    assert stepped == expected
-    return policy, rows
+# The fewest distinct states a checkerboard sweep below acts in, per world,
+# of the 402, 715 and 41 states reachable (bfs_reachable_states). The sweeps
+# act in 74 / 215 (corridor), 60 / 180 (keydoor) and 21 / 21 (twomaze) at
+# sticky_p 0 / 0.25.
+CHECKERBOARD_DISTINCT_FLOOR = {"corridor": 70, "keydoor": 50, "twomaze": 20}
 
 
 @pytest.mark.parametrize("table", ["empty", "checkerboard", "checkerboard-cleared"])
 @pytest.mark.parametrize("sticky_p", [0.0, 0.25])
 @pytest.mark.parametrize("world", sorted(ENV_FACTORIES))
 def test_evaluate_policy_matches_scalar_draws(monkeypatch, world, sticky_p, table):
-    """Block-drawn fallback actions give the raw scores of one
-    ``rng.integers`` call per unknown-state frame. The 600-frame cap makes
-    the empty table draw three blocks per episode. In the
+    """Block-drawn fallback actions and greedy actions read through the
+    world's column give the raw scores and the table reads of one
+    ``policy.act`` and one ``rng.integers`` call per unknown-state frame.
+    The 600-frame cap makes the empty table draw three blocks per episode,
+    and the checkerboard tables carry the agent through many states. In the
     ``checkerboard-cleared`` case the world's transition table holds at
     most 4 states, so it is cleared within episodes, after their first
     frame."""
@@ -337,6 +274,8 @@ def test_evaluate_policy_matches_scalar_draws(monkeypatch, world, sticky_p, tabl
     policy, _ = assert_matches_scalar_draws(q, make_env, protocol, seed=31)
     assert policy.unknown > 256
     assert policy.known > 0 if q else policy.known == 0
+    if q:
+        assert len(policy.states) >= CHECKERBOARD_DISTINCT_FLOOR[world]
     assert bool(clears) == (table == "checkerboard-cleared")
 
 

@@ -31,7 +31,7 @@ from archex.seeding import TAG_ATTEMPT, RawDraws, stream
 from archex.selection import SelectionConfig
 from archex.trajectory import Trajectory
 
-from conftest import CountingPolicy, scored, small_corridor, small_keydoor, small_twomaze
+from conftest import assert_matches_scalar_draws, scored, small_corridor, small_keydoor, small_twomaze
 from oracle import extend
 
 MAPPER = domain_mapper(1)
@@ -563,10 +563,10 @@ def test_robustify_and_evaluate_golden(kd_result, tmp_path, sticky_p):
 
 @pytest.mark.parametrize("sticky_p", [0.0, 0.25])
 def test_learned_policy_evaluates_as_scalar_draws(kd_result, sticky_p):
-    """A backward run's policy gets the same raw scores from block-drawn
-    fallback actions as from one draw per unknown-state frame."""
-    from archex.evaluation import EvalProtocol, evaluate_policy
-    from oracle import evaluate_scalar_draws
+    """A backward run's policy gets the same raw scores and table reads
+    from block-drawn fallback actions as from one draw per unknown-state
+    frame."""
+    from archex.evaluation import EvalProtocol
 
     demo = select_demonstrations([kd_result.archive], 1, small_keydoor())[0]
     first_level = next(i for i, c in enumerate(demo.cum_rewards) if c >= 1100.0)
@@ -576,12 +576,9 @@ def test_learned_policy_evaluates_as_scalar_draws(kd_result, sticky_p):
                          rollout_frame_cap=400)
     learner = TabularQLearner(5, TabularQConfig(alpha=0.3, gamma=0.98, epsilon=0.1))
     backward_run([demo], learner, small_keydoor, cfg, seed=4)
-    policy = CountingPolicy(learner.q, 5)
     protocol = EvalProtocol(max_noop=6, min_episodes=2, sticky_p=sticky_p,
                             time_limit_game_frames=2_400)
-    rows = evaluate_scalar_draws(policy, small_keydoor, protocol, seed=29)
-    outcome = evaluate_policy(policy, small_keydoor, protocol, seed=29)
-    assert outcome.scores == [row[:3] for row in rows]
+    policy, _ = assert_matches_scalar_draws(learner.q, small_keydoor, protocol, seed=29)
     assert policy.known > 0 and policy.unknown > 256
 
 
