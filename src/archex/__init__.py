@@ -13,7 +13,13 @@ from .cells import (
 )
 from .envs import DeceptiveCorridor, KeyDoorWorld, TwoMaze
 from .evaluation import EvalProtocol, bootstrap_ci, evaluate_policy, grand_mean
-from .explore import ExploreConfig, baseline_from_start, explore_from, run_phase1
+from .explore import (
+    ExploreConfig,
+    baseline_from_start,
+    explore_from,
+    plan_rollouts,
+    run_phase1,
+)
 from .robustify import (
     BackwardConfig,
     Demonstration,
@@ -52,6 +58,7 @@ __all__ = [
     "evaluate_policy",
     "explore_from",
     "grand_mean",
+    "plan_rollouts",
     "run_phase1",
     "sample_batch",
     "select_demonstrations",

@@ -44,7 +44,13 @@ that step the most frames, read the table inline instead: they keep the
 id, the score and the frame count in locals, call :meth:`_miss` on an
 entry not yet filled in, and write the dynamic state back before they
 snapshot, map or return, so :meth:`_tick` and :meth:`_miss` stay the only
-code that fills the table.
+code that fills the table. An entry that leads back to its own state with
+no reward and no kill is a self-loop: taking its action again repeats it
+exactly, so ``explore_from`` counts the rest of a run of that action
+without stepping it, and ``evaluate_policy`` ends an episode whose greedy
+action is one at the frame cap. A miss compares the next id with
+``state_id`` as :meth:`_miss` leaves it, since a clear interns the state
+left again under a new id and may give the old one to the next state.
 
 :meth:`step` returns only the reward and the done flag.
 :meth:`discrete_state` returns the interned tuple, and :meth:`features`,

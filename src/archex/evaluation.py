@@ -129,6 +129,15 @@ def evaluate_policy(
     rule against the frames left to the nearer of the protocol's and the
     world's time limits, and writes the dynamic state back at the end of
     each episode.
+
+    An episode whose executed action is its state's greedy action, and
+    whose step returns that state with no reward and not done, ends there
+    at the frame cap with its score: every later frame takes the same
+    action, whether the sticky rule repeats it or the policy chooses it,
+    and steps the same table entry. The uniforms it would have drawn are
+    its own stream's, so skipping them changes no other episode. After a
+    miss, the step is compared with the id a table clear gave the state it
+    left, since a clear hands ids out again.
     """
     world = env_factory()
     if policy.n_actions != world.action_count:
@@ -153,11 +162,10 @@ def evaluate_policy(
             done = world.done
             elapsed = 0
             while not done and elapsed < frames_left:
-                action = column[sid]
-                if action is None:
-                    action = column[sid] = policy.greedy.get(states[sid], -1)
-                if action < 0:
-                    action = next(actions)
+                greedy = column[sid]
+                if greedy is None:
+                    greedy = column[sid] = policy.greedy.get(states[sid], -1)
+                action = greedy if greedy >= 0 else next(actions)
                 if prev is not None and p > 0.0 and next(uniforms) < p:
                     action = prev
                 prev = action
@@ -166,14 +174,20 @@ def evaluate_policy(
                 if nid is None:
                     world.state_id = sid
                     nid, result = world._miss(action)
-                    # A clear replaces the table and empties the column in place.
+                    # A clear replaces the table, empties the column in place
+                    # and interns the state left again.
+                    sid = world.state_id
                     states, table_next, table_result = world._states, world._next, world._result
                 else:
                     result = table_result[at]
-                sid = nid
                 score += result.reward
                 done = result.done
                 elapsed += 1
+                if nid == sid and action == greedy and not result.reward and not done:
+                    # A greedy self-loop: the policy and the sticky repeat
+                    # both take this action again, to the frame cap.
+                    elapsed = frames_left
+                sid = nid
             world.state_id, world._score = sid, score
             world._training_frames = start + elapsed
             world._done = done or world._training_frames >= world._frame_limit

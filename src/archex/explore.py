@@ -16,9 +16,14 @@ its world once (the world's column keeps the state's cell key, room and
 level by state id, so a known state is neither featurised nor mapped, nor
 rendered, again; see :meth:`GridWorld.column`), and it hands the merge one
 aggregate per cell it visited (a visit count and the cell's last winning
-visit; see :func:`explore_from`). It builds its actions up front, from the
-two draws of its RNG contract, and steps its world by reading the
-transition table inline rather than through :meth:`GridWorld.step`.
+visit; see :func:`explore_from`). A batch's actions are planned up front,
+a block of rollouts at a time, from the two draws of each rollout's RNG
+contract (:func:`plan_rollouts`), and a rollout steps its world by reading
+the transition table inline rather than through :meth:`GridWorld.step`.
+Most exploring frames repeat the previous action into a wall or stand
+still: once a step leaves the state as it was, with no reward, every
+later frame of the same action is that step again, so the rollout counts
+the rest of the run instead of stepping it.
 The merge then runs once per (rollout, cell), and gives the same records,
 visit counts, discovery credit and order of added keys as folding in every
 visit on its own.
@@ -29,7 +34,8 @@ from __future__ import annotations
 import csv
 import time
 from dataclasses import dataclass, field, replace
-from typing import Callable, NamedTuple, get_type_hints
+from itertools import islice
+from typing import Callable, Iterable, Iterator, NamedTuple, get_type_hints
 
 import numpy as np
 
@@ -43,10 +49,14 @@ from .selection import SelectionConfig, cell_probs, sample_batch
 from .trajectory import Node, Trajectory
 
 
-# The largest rollout length and batch; each sizes an array of draws per
-# iteration (see explore_from and sample_batch), checked before any work.
+# The largest rollout length and batch, checked before any work. A batch
+# is planned a block of rollouts at a time (see plan_rollouts), so its
+# draws never sit in memory at once; sample_batch draws the origins whole.
 MAX_K = 1 << 20
 MAX_BATCH = 1 << 20
+# Draws of each kind planned per block of rollouts: a block is as many
+# rollouts as fit, and at least one, so it holds max(k, _PLAN_DRAWS) draws.
+_PLAN_DRAWS = 1 << 16
 
 
 @dataclass(frozen=True)
@@ -96,23 +106,71 @@ class RolloutResult:
     max_level: int
 
 
+class RolloutPlan(NamedTuple):
+    """A rollout's actions, one per frame, and where each run of equal
+    actions in them ends (exclusive); the last end is the frame count."""
+
+    actions: list[int]
+    ends: list[int]
+
+
+def plan_rollouts(
+    rngs: Iterable[np.random.Generator],
+    cfg: ExploreConfig,
+    n_actions: int,
+) -> Iterator[RolloutPlan]:
+    """The plan of one rollout per generator of ``rngs``, in their order.
+
+    The RNG contract is fixed: each generator makes one ``random(k)`` call
+    for the repeat decisions followed by one ``integers(0, n_actions, k)``
+    call for the fresh actions, and nothing else. Frame i repeats when
+    ``repeats[i] < repeat_p`` (never on the first frame), and then takes
+    the fresh action of the last frame before it that does not repeat.
+    Returning to a cell consumes no randomness at all.
+
+    Rollouts are planned a block at a time, with one set of array
+    operations per block. A block holds ``max(k, _PLAN_DRAWS)`` draws of
+    each kind, and ``rngs`` is read one generator at a time as the block
+    fills, so a lazy iterable of streams is derived a block at a time too.
+    """
+    k = cfg.k
+    block = max(1, _PLAN_DRAWS // k)
+    frame = np.arange(k)
+    repeats = np.empty((block, k))
+    fresh = np.empty((block, k), np.int64)
+    rngs = iter(rngs)
+    while True:
+        rows = 0
+        for rng in islice(rngs, block):
+            repeats[rows] = rng.random(k)
+            fresh[rows] = rng.integers(0, n_actions, k)
+            rows += 1
+        if not rows:
+            return
+        # Each frame's source is its own index, or 0 where it repeats, and
+        # the running maximum is the last frame that does not repeat; frame
+        # 0 is its own source either way.
+        source = np.where(repeats[:rows] < cfg.repeat_p, 0, frame)
+        np.maximum.accumulate(source, axis=1, out=source)
+        actions = np.take_along_axis(fresh[:rows], source, axis=1)
+        row_of, col = np.nonzero(actions[:, 1:] != actions[:, :-1])
+        cuts = np.bincount(row_of, minlength=rows).cumsum().tolist()
+        ends = (col + 1).tolist()
+        first = 0
+        for row, cut in zip(actions.tolist(), cuts):
+            yield RolloutPlan(row, ends[first:cut] + [k])
+            first = cut
+
+
 def explore_from(
     env: GridWorld,
     origin: CellKey,
     archive: Archive,
-    rng,
-    cfg: ExploreConfig,
+    plan: RolloutPlan,
     mapper: CellMapper,
 ) -> RolloutResult:
-    """Restore ``origin``'s archived snapshot, take up to ``k``
-    repeat-biased random actions, and sum up the visits per cell.
-
-    The RNG contract is fixed: one ``rng.random(k)`` call for the repeat
-    decisions followed by one ``rng.integers(0, n_actions, k)`` call for the
-    fresh actions; frame i repeats when ``repeats[i] < repeat_p`` (never on
-    the first frame). Returning consumes no randomness at all. All ``k``
-    actions are built from the two draws before the first step: a repeat
-    takes the fresh action of the last frame that does not repeat. If the
+    """Restore ``origin``'s archived snapshot, take the actions of ``plan``
+    (see :func:`plan_rollouts`), and sum up the visits per cell. If the
     episode ends (:meth:`GridWorld.step`'s done rule), the rollout stops and
     the final transition is discarded: it has no destination cell.
 
@@ -132,20 +190,23 @@ def explore_from(
     records only improve (by earlier rollouts of the batch), so no visit
     that loses here can be added or improve a record, and a cell's last
     winner beats its current record iff any of its visits does.
+
+    A frame whose step returns the state it left, with no reward and not
+    done, is processed in full, and then the rest of its run of equal
+    actions is counted, not stepped: each of those frames is the same
+    table entry (the table is a pure function of state and action), so it
+    visits the same cell with the same score and a longer trajectory, which
+    cannot win. They add visits, frames and length. The time limit still
+    applies: a run that reaches it counts the frames before it as visits,
+    and its limit frame ends the rollout as a stepped one would. A table
+    clear hands ids out again, so after a miss the step is compared with
+    the id the clear gave the state it left.
     """
     record = archive.cells[origin]
     env.restore(record.snapshot)
     env._require_live()
 
-    k = cfg.k
-    repeats = rng.random(k)
-    fresh = rng.integers(0, env.action_count, k)
-    # Frame i takes the fresh action of the last frame at or before it that
-    # does not repeat; frame 0 never repeats.
-    repeat = repeats < cfg.repeat_p
-    repeat[0] = False
-    actions = fresh[np.maximum.accumulate(np.where(repeat, 0, np.arange(k)))].tolist()
-
+    actions, ends = plan
     column = env.column(mapper)
     cells = archive.cells
     found: dict[CellKey, list] = {}  # key -> [visits, score, length, snapshot] of its winner
@@ -159,42 +220,58 @@ def explore_from(
     frames_left = env._frame_limit - start_frames
     frames = 0
     terminated = False
-    for action in actions:
-        at = sid * ACTION_COUNT + action
-        nid = table_next[at]
-        if nid is None:
-            env.state_id = sid
-            nid, result = env._miss(action)
-            table_next, table_result = env._next, env._result  # a clear replaces them
-        else:
-            result = table_result[at]
-        sid = nid
-        frames += 1
-        score += result.reward
-        if result.done or frames >= frames_left:
-            terminated = True
+    for end in ends:
+        action = actions[frames]
+        while frames < end:
+            at = sid * ACTION_COUNT + action
+            nid = table_next[at]
+            if nid is None:
+                env.state_id = sid
+                nid, result = env._miss(action)
+                sid = env.state_id  # a clear interns the state left again
+                table_next, table_result = env._next, env._result  # a clear replaces them
+            else:
+                result = table_result[at]
+            frames += 1
+            score += result.reward
+            if result.done or frames >= frames_left:
+                terminated = True
+                break
+            length += 1
+            stays = nid == sid and not result.reward
+            sid = nid
+            mapped = column[sid]
+            if mapped is None:
+                env.state_id = sid
+                info = env.features()
+                mapped = column[sid] = (mapper(env, info), info.room, info.level)
+            key, room, level = mapped
+            entry = found.get(key)
+            if entry is None:
+                held = cells.get(key)
+                entry = found[key] = [0, *(_NO_BAR if held is None
+                                           else (held.score, held.traj_len)), None]
+            entry[0] += 1
+            if beats(score, length, entry[1], entry[2]):
+                entry[1] = score
+                entry[2] = length
+                env.state_id, env._score, env._training_frames = sid, score, start_frames + frames
+                entry[3] = env.snapshot()
+            rooms.add(room)
+            if level > max_level:
+                max_level = level
+            if stays:
+                # The rest of the run repeats this frame, up to the time limit.
+                rest = min(end, frames_left - 1) - frames
+                entry[0] += rest
+                length += rest
+                frames += rest
+                if frames < end:  # the limit frame: counted, and it visits no cell
+                    frames += 1
+                    terminated = True
+                    break
+        if terminated:
             break
-        length += 1
-        mapped = column[sid]
-        if mapped is None:
-            env.state_id = sid
-            info = env.features()
-            mapped = column[sid] = (mapper(env, info), info.room, info.level)
-        key, room, level = mapped
-        entry = found.get(key)
-        if entry is None:
-            held = cells.get(key)
-            entry = found[key] = [0, *(_NO_BAR if held is None
-                                       else (held.score, held.traj_len)), None]
-        entry[0] += 1
-        if beats(score, length, entry[1], entry[2]):
-            entry[1] = score
-            entry[2] = length
-            env.state_id, env._score, env._training_frames = sid, score, start_frames + frames
-            entry[3] = env.snapshot()
-        rooms.add(room)
-        if level > max_level:
-            max_level = level
     env.state_id, env._score, env._training_frames = sid, score, start_frames + frames
     env._done = terminated
 
@@ -274,12 +351,12 @@ def _roll_out(
     tag: int,
     iteration: int,
 ) -> IterationStats:
-    """Explore from each origin on stream (seed, tag, iteration, worker),
-    then merge the results in worker order."""
-    results = []
-    for worker, key in enumerate(origins):
-        rng = stream(cfg.seed, tag, iteration, worker)
-        results.append(explore_from(env, key, archive, rng, cfg, mapper))
+    """Explore from each origin on the plan of stream (seed, tag,
+    iteration, worker), then merge the results in worker order."""
+    rngs = (stream(cfg.seed, tag, iteration, worker) for worker in range(len(origins)))
+    plans = plan_rollouts(rngs, cfg, env.action_count)
+    results = [explore_from(env, key, archive, plan, mapper)
+               for key, plan in zip(origins, plans)]
     return merge_results(archive, results)
 
 

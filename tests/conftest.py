@@ -8,7 +8,13 @@ from collections import deque
 import pytest
 
 from archex.envs import ACTION_NOOP, DeceptiveCorridor, KeyDoorWorld, TwoMaze
-from archex.envs.base import EnvSnapshot, pack_snapshot, peek_config_hash, unpack_snapshot
+from archex.envs.base import (
+    ACTION_COUNT,
+    EnvSnapshot,
+    pack_snapshot,
+    peek_config_hash,
+    unpack_snapshot,
+)
 from archex.evaluation import evaluate_policy
 from archex.robustify import GreedyTabularPolicy
 
@@ -117,53 +123,92 @@ def noop_policy(env):
 
 
 class LoggedReads(list):
-    """A transition table's ``_next`` list that appends each index read
-    from it to ``log``."""
+    """A transition table's ``_next`` list that hands each index read from
+    it to ``note``."""
 
-    def __init__(self, entries, log):
+    def __init__(self, entries, note):
         super().__init__(entries)
-        self.log = log
+        self.note = note
 
     def __getitem__(self, at):
-        self.log.append(at)
+        self.note(at)
         return super().__getitem__(at)
 
 
-def logging_reads(make_env, log):
-    """``make_env`` whose worlds append to ``log`` each index their
-    transition table's ``_next`` is read at, state id x ``ACTION_COUNT`` +
-    action: one per frame, whether :meth:`step` takes it or a loop reads
-    the table inline. A table clear replaces ``_next``, so the new one is
-    wrapped too."""
-    def make():
-        env = make_env()
-        intern = env._intern
+class ReadLog:
+    """A factory of ``make_env``'s worlds that log, per episode (from one
+    reset to the next), each read of the transition table's ``_next`` as
+    ``(at, state)``: the index read, state id x ``ACTION_COUNT`` + action,
+    and the tuple of that state id. Every stepped frame reads once, whether
+    :meth:`step` takes it or a loop reads the table inline. A table clear
+    replaces ``_next``, so the new one is wrapped too."""
+
+    def __init__(self, make_env):
+        self.make_env = make_env
+        self.reads: list[list] = []  # per episode
+        self.ends: list[tuple[int, bool]] = []  # per ended episode: (training frames, done)
+        self.world = None
+
+    def __call__(self):
+        env = self.world = self.make_env()
+        intern, reset = env._intern, env.reset
+
+        def note(at):
+            self.reads[-1].append((at, env._states[at // ACTION_COUNT]))
 
         def logged_intern(state):
             sid = intern(state)
             if type(env._next) is not LoggedReads:
-                env._next = LoggedReads(env._next, log)
+                env._next = LoggedReads(env._next, note)
             return sid
 
-        env._intern = logged_intern
-        env._next = LoggedReads(env._next, log)
+        def logged_reset(seed=0):
+            if self.reads:
+                self.ends.append((env._training_frames, env.done))
+            self.reads.append([])
+            return reset(seed)
+
+        env._intern, env.reset = logged_intern, logged_reset
+        env._next = LoggedReads(env._next, note)
         return env
-    return make
+
+    def episodes(self) -> list[tuple[list, tuple[int, bool]]]:
+        """Each episode's reads and its (training frames, done) at its end."""
+        ends = self.ends + [(self.world._training_frames, self.world.done)]
+        return list(zip(self.reads, ends, strict=True))
 
 
 def assert_matches_scalar_draws(q, make_env, protocol, seed):
-    """Scores, and every table read of every frame, equal the
-    one-draw-per-frame oracle's (TwoMaze has no rewards, so its scores alone
-    prove nothing). Returns the policy, whose counts are the oracle's, and
-    the oracle's (noop, episode, score, training_frames) rows."""
+    """Scores, each episode's training frames and done flag, and every
+    table read the loop makes equal the one-draw-per-frame oracle's
+    (TwoMaze has no rewards, so its scores alone prove nothing). The loop
+    reads a prefix of each episode's oracle reads, at the same frames: it
+    ends an episode at a greedy self-loop, so each run of oracle reads it
+    skips must repeat the read just before it, as a step under the state's
+    greedy action that returns the state with no reward and not done.
+    Returns the policy, whose counts are the oracle's, the oracle's
+    (noop, episode, score, training_frames) rows, and the number of
+    frames the loop skipped."""
     policy = CountingPolicy(q, 5)
-    expected, read = [], []
-    rows = evaluate_scalar_draws(policy, logging_reads(make_env, expected), protocol, seed=seed)
-    outcome = evaluate_policy(policy, logging_reads(make_env, read), protocol, seed=seed)
+    expected, read = ReadLog(make_env), ReadLog(make_env)
+    rows = evaluate_scalar_draws(policy, expected, protocol, seed=seed)
+    outcome = evaluate_policy(policy, read, protocol, seed=seed)
     assert outcome.scores == [row[:3] for row in rows]
-    assert read == expected
-    assert len(expected) == sum(frames for *_, frames in rows)
-    return policy, rows
+    world = make_env()
+    skipped_frames = 0
+    for (want, want_end), (got, got_end), row in zip(expected.episodes(), read.episodes(), rows,
+                                                     strict=True):
+        assert got_end == want_end and len(want) == want_end[0] == row[3]
+        assert got == want[:len(got)]
+        skipped = want[len(got):]
+        if skipped:
+            at, state = got[-1]
+            action = at % ACTION_COUNT
+            assert skipped == [got[-1]] * len(skipped)
+            assert policy.greedy.get(state) == action
+            assert world._tick(state, action) == (state, 0.0, False)
+            skipped_frames += len(skipped)
+    return policy, rows, skipped_frames
 
 
 def drive(env, actions):

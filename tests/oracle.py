@@ -3,11 +3,12 @@
 :func:`cell_score` scores one cell as the selection formula is written;
 :func:`archex.selection.cell_probs` must give the same floats for the whole
 archive at once. :func:`explore_from` and :func:`merge_results` are the
-per-visit rollout and merge: every visit is mapped, builds its own
-trajectory node and is folded into the archive on its own, where
-:mod:`archex.explore` maps each state id once through the world's column
-and merges once per (rollout, cell); both must leave the same
-archive bytes.
+per-visit rollout and merge: each rollout draws its own actions, every
+frame is stepped, every visit is mapped, builds its own trajectory node
+and is folded into the archive on its own, where :mod:`archex.explore`
+plans a batch's actions up front, counts the rest of a run after a step
+that stays put, maps each state id once through the world's column and
+merges once per (rollout, cell); both must leave the same archive bytes.
 :func:`myopic_greedy_baseline` is the reward-greedy control of the
 deceptive-reward milestone. :class:`ScalarSticky` is the sticky-action
 rule with one ``rng.random()`` call per decision, where the episode loops
@@ -18,8 +19,9 @@ and step no-op starts through :func:`archex.envs.wrappers.force_noops`.
 and :meth:`archex.envs.gridworld.GridWorld.step`, with one
 ``rng.integers(n_actions)`` call per unknown-state frame, where
 :func:`archex.evaluation.evaluate_policy` reads the greedy actions through
-the world's column and the table inline, and draws fallback actions in
-blocks; both must give the same scores and table reads.
+the world's column and the table inline, draws fallback actions in
+blocks and ends an episode at a greedy self-loop; both must give the same
+scores and frame counts, and the same table reads up to such a loop.
 :class:`ScalarQLearner` and :func:`backward_run_scalar` are the backward
 run stepping through :class:`ScalarSticky`, with numpy's scalar
 ``random()`` and ``integers(n)`` calls on the attempt stream, a Q table keyed by state and
@@ -162,7 +164,7 @@ _NO_BAR = (float("-inf"), float("inf"))  # what a visit to an unarchived cell mu
 def explore_from(env: GridWorld, origin: CellKey, archive: Archive, rng,
                  cfg: ExploreConfig, mapper: CellMapper) -> VisitResult:
     """One rollout with one :class:`VisitedCell` per stepped frame, on the
-    same RNG contract as :func:`archex.explore.explore_from`. A visit gets a
+    RNG contract of :func:`archex.explore.plan_rollouts`. A visit gets a
     snapshot only if it beats its cell's archive record and the cell's
     earlier visits in this rollout."""
     record = archive.cells[origin]

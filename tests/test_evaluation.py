@@ -9,7 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from archex.archive import write_csv
-from archex.envs.base import frame_limit
+from archex.envs.base import ACTION_LEFT, frame_limit
 from archex.errors import ConfigError, ContractError
 from archex.evaluation import (
     EvalProtocol,
@@ -271,7 +271,7 @@ def test_evaluate_policy_matches_scalar_draws(monkeypatch, world, sticky_p, tabl
         monkeypatch.setattr(GridWorld, "_miss", noting_miss)
     protocol = EvalProtocol(max_noop=3, min_episodes=2, sticky_p=sticky_p,
                             time_limit_game_frames=2_400)
-    policy, _ = assert_matches_scalar_draws(q, make_env, protocol, seed=31)
+    policy, _, _ = assert_matches_scalar_draws(q, make_env, protocol, seed=31)
     assert policy.unknown > 256
     assert policy.known > 0 if q else policy.known == 0
     if q:
@@ -284,7 +284,7 @@ def test_evaluate_policy_matches_scalar_draws_when_hazards_kill():
     block; the next episode starts a block of its own stream."""
     protocol = EvalProtocol(max_noop=4, min_episodes=3, sticky_p=0.25,
                             time_limit_game_frames=4_000)
-    _, rows = assert_matches_scalar_draws(
+    _, rows, _ = assert_matches_scalar_draws(
         {}, lambda: small_keydoor(hazards=((0, 3, 1), (0, 1, 3))), protocol, seed=8)
     cap = frame_limit(protocol.time_limit_game_frames, 4)
     assert any(frames < cap for *_, frames in rows)
@@ -295,10 +295,34 @@ def test_evaluate_policy_matches_scalar_draws_when_noops_end_the_episode():
     the policy acts, so those episodes draw no fallback action."""
     protocol = EvalProtocol(max_noop=5, min_episodes=2, sticky_p=0.25,
                             time_limit_game_frames=2_400)
-    policy, rows = assert_matches_scalar_draws(
+    policy, rows, _ = assert_matches_scalar_draws(
         {}, lambda: small_twomaze(time_limit_game_frames=12), protocol, seed=3)
     assert all(frames == 3 for *_, frames in rows)
     assert policy.unknown == (3 + 2 + 1) * 2  # noops 0, 1, 2 leave 3, 2, 1 frames
+
+
+@pytest.mark.parametrize("sticky_p", [0.0, 0.25])
+@pytest.mark.parametrize("limit_of", ["world", "evaluation"])
+def test_greedy_self_loop_runs_to_the_time_limit(limit_of, sticky_p):
+    """A policy greedy in moving left walks to the wall and pushes into it,
+    a greedy self-loop: the episode ends at the nearer time limit without
+    stepping the rest. Scores, each episode's training frames and done
+    flag, and the table reads match the oracle's, whether the world's limit
+    (done) or the protocol's (not done) is the nearer. After the forced
+    no-ops, a sticky no-op stays put too, but it is not the greedy action,
+    so it does not end the episode."""
+    env = small_keydoor()
+    row = [0.0] * env.action_count
+    row[ACTION_LEFT] = 1.0
+    q = dict.fromkeys(bfs_reachable_states(env), row)
+    protocol = EvalProtocol(max_noop=4, min_episodes=2, sticky_p=sticky_p,
+                            time_limit_game_frames=400 if limit_of == "evaluation" else 2_400)
+    make_world = (small_keydoor if limit_of == "evaluation"
+                  else lambda: small_keydoor(time_limit_game_frames=400))
+    policy, rows, skipped = assert_matches_scalar_draws(q, make_world, protocol, seed=13)
+    assert all(frames == 100 for *_, frames in rows)
+    assert policy.unknown == 0
+    assert skipped > 80 * len(rows)
 
 
 # -- bootstrap -----------------------------------------------------------------------

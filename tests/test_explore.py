@@ -19,6 +19,7 @@ from archex.explore import (
     baseline_from_start,
     explore_from,
     merge_results,
+    plan_rollouts,
     run_iteration,
     run_phase1,
 )
@@ -27,7 +28,7 @@ from archex.selection import SelectionConfig
 from archex.trajectory import Trajectory
 
 import oracle
-from conftest import drive, small_corridor, small_keydoor, small_twomaze
+from conftest import ReadLog, drive, small_corridor, small_keydoor, small_twomaze
 from oracle import extend, myopic_greedy_baseline
 
 MAPPER = domain_mapper(1)
@@ -60,6 +61,12 @@ def grown_archive(env, iterations=3):
     return archive
 
 
+def roll(env, origin, archive, rng, cfg, mapper):
+    """:func:`explore_from` on the plan of ``rng``, as a batch plans it."""
+    plan = next(plan_rollouts([rng], cfg, env.action_count))
+    return explore_from(env, origin, archive, plan, mapper)
+
+
 def winners(result):
     return [c for c in result.cells.values() if c.snapshot is not None]
 
@@ -67,7 +74,7 @@ def winners(result):
 def test_rollout_consumes_k_frames():
     env = small_twomaze()
     archive, key = seeded_archive(env)
-    result = explore_from(env, key, archive, np.random.default_rng(0),
+    result = roll(env, key, archive, np.random.default_rng(0),
                           cfg_with(), MAPPER)
     assert result.frames == 20
     assert not result.terminated
@@ -77,7 +84,7 @@ def test_rollout_consumes_k_frames():
 def test_rollout_stops_at_episode_end_and_discards_terminal():
     env = small_twomaze(time_limit_game_frames=10 * 4)  # 10 training frames
     archive, key = seeded_archive(env)
-    result = explore_from(env, key, archive, np.random.default_rng(0),
+    result = roll(env, key, archive, np.random.default_rng(0),
                           cfg_with(k=50), MAPPER)
     assert result.terminated
     assert result.frames == 10           # the fatal frame is counted
@@ -93,7 +100,7 @@ def test_rollout_repeat_zero_matches_enumeration():
     env = small_twomaze()
     archive, key = seeded_archive(env)
     cfg = cfg_with(repeat_p=0.0)
-    result = explore_from(env, key, archive, stream(9, TAG_EXPLORE, 0, 0), cfg, MAPPER)
+    result = roll(env, key, archive, stream(9, TAG_EXPLORE, 0, 0), cfg, MAPPER)
     rng = stream(9, TAG_EXPLORE, 0, 0)
     rng.random(cfg.k)  # repeat draws, unused at p=0
     expect = [int(a) for a in rng.integers(0, env.action_count, cfg.k)]
@@ -114,7 +121,7 @@ def test_rollout_trajectories_extend_origin():
     archive = grown_archive(env, iterations=2)
     origin = max(archive.cells, key=lambda k: archive.record(k).traj_len)
     record = archive.record(origin)
-    result = explore_from(env, origin, archive, np.random.default_rng(2),
+    result = roll(env, origin, archive, np.random.default_rng(2),
                           cfg_with(), MAPPER)
     found = winners(result)
     assert len(found) > 1 and record.traj_len > 0
@@ -137,7 +144,7 @@ def test_rollout_scores_track_env():
     env = small_corridor()
     archive = grown_archive(env)
     origin = archive.sorted_keys()[len(archive) // 2]
-    result = explore_from(env, origin, archive, np.random.default_rng(3),
+    result = roll(env, origin, archive, np.random.default_rng(3),
                           cfg_with(k=100), MAPPER)
     losers = [c for c in result.cells.values() if c.snapshot is None]
     assert losers and all(c[1:] == (None, None) for c in losers)
@@ -164,7 +171,7 @@ def test_rollout_snapshots_exactly_the_possible_winners():
     archive = grown_archive(env)
     origin = archive.sorted_keys()[2]
     cfg = cfg_with(k=100)
-    result = explore_from(env, origin, archive, np.random.default_rng(2), cfg, MAPPER)
+    result = roll(env, origin, archive, np.random.default_rng(2), cfg, MAPPER)
     visited = oracle.explore_from(env, origin, archive, np.random.default_rng(2), cfg,
                                   MAPPER).visited
     best = {k: (r.score, r.traj_len) for k, r in archive.cells.items()}
@@ -439,7 +446,13 @@ def per_iteration(monkeypatch, explore, merge, factory, cfg, sel_cfg, mapper):
 
     checkpoints = []
     with monkeypatch.context() as patch:
-        patch.setattr(X, "explore_from", explore)
+        if explore is oracle.explore_from:
+            # The oracle takes each rollout's stream and draws per frame.
+            patch.setattr(X, "plan_rollouts", lambda rngs, cfg, n_actions: rngs)
+            patch.setattr(X, "explore_from", lambda env, origin, archive, rng, mapper:
+                          oracle.explore_from(env, origin, archive, rng, cfg, mapper))
+        else:
+            patch.setattr(X, "explore_from", explore)
         patch.setattr(X, "merge_results", merge_and_record)
         run = run_phase1(factory, cfg, sel_cfg, mapper, on_iteration=lambda r: checkpoints.append(
             serialize_archive(r.archive, r.meta)))
@@ -475,8 +488,15 @@ def test_rollout_merge_matches_per_visit_oracle(monkeypatch, name):
     factory, mapper, sel_cfg, settings = ORACLE_CASES[name]
     cfg = cfg_with(budget_training_frames=6000, metric_interval_game_frames=1000,
                    seed=5, **settings)
-    got = per_iteration(monkeypatch, explore_from, merge_results, factory, cfg, sel_cfg,
-                        mapper())
+    rollouts = []
+
+    def spied(env, origin, archive, plan, mapper):
+        snapshot = archive.cells[origin].snapshot
+        result = explore_from(env, origin, archive, plan, mapper)
+        rollouts.append((snapshot, plan, result))
+        return result
+
+    got = per_iteration(monkeypatch, spied, merge_results, factory, cfg, sel_cfg, mapper())
     want = per_iteration(monkeypatch, oracle.explore_from, oracle.merge_results, factory,
                          cfg, sel_cfg, mapper())
     assert len(got[0]) >= 20
@@ -489,6 +509,28 @@ def test_rollout_merge_matches_per_visit_oracle(monkeypatch, name):
         ended = [frames for *_, rollouts in got[1] for frames, terminated in rollouts
                  if terminated]
         assert any(1 < frames < cfg.k for frames in ended)
+        # Some rollout counts its limit frame without stepping it: an
+        # earlier frame of its last run stays put with no reward.
+        env = factory()
+        assert any(limit_in_counted_run(env, snapshot, plan, result.frames)
+                   for snapshot, plan, result in rollouts if result.terminated)
+
+
+def limit_in_counted_run(env, snapshot, plan, frames):
+    """Whether a rollout from ``snapshot`` along ``plan`` that the time
+    limit ends at ``frames`` reaches its limit frame in a run of equal
+    actions that an earlier frame of the run repeats in place: a step that
+    returns the state it left, with no reward. Steps the frames before the
+    limit frame."""
+    limit = frames - 1
+    run_start = max(end for end in [0, *plan.ends] if end <= limit)
+    env.restore(snapshot)
+    for i, action in enumerate(plan.actions[:limit]):
+        state = env.discrete_state()
+        result = env.step(action)
+        if i >= run_start and not result.reward and env.discrete_state() == state:
+            return True
+    return False
 
 
 # -- the world's column against the per-visit oracle -----------------------------------
@@ -577,7 +619,7 @@ def test_downscale_memo_keeps_worlds_apart():
         got = []
         for env, archive in zip(worlds, archives):
             origin = archive.sorted_keys()[0]
-            result = explore_from(env, origin, archive, stream(0, TAG_EXPLORE, i, 0), cfg,
+            result = roll(env, origin, archive, stream(0, TAG_EXPLORE, i, 0), cfg,
                                   mapper)
             want = oracle.explore_from(env, origin, archive, stream(0, TAG_EXPLORE, i, 0), cfg,
                                        plain)
@@ -644,6 +686,99 @@ def test_column_matches_per_visit_oracle_across_table_clears(monkeypatch, world,
 
 
 
+def per_cell(visited):
+    """A per-visit oracle rollout's visits folded per cell, in first-visit
+    order: the visit count and the last visit that won, or ``None``."""
+    cells = {}
+    for visit in visited:
+        n, won = cells.get(visit.key, (0, None))
+        cells[visit.key] = (n + 1, visit if visit.snapshot is not None else won)
+    return cells
+
+
+def world_state(env):
+    return env.discrete_state(), env.cum_score, env.frame_counters(), env.done
+
+
+@pytest.mark.parametrize("limit", [2, 3, 5, 8, 13])
+@pytest.mark.parametrize("mapper_name", sorted(COLUMN_MAPPERS))
+@pytest.mark.parametrize("world", sorted(COLUMN_WORLDS))
+def test_counted_runs_match_per_visit_oracle_across_table_clears(monkeypatch, world,
+                                                                 mapper_name, limit):
+    """Rollouts that count the rest of a run in place of stepping it give
+    the per-visit oracle's frames, termination, rooms, max level, visits
+    per cell, winners' trajectory lengths and snapshot bytes, and leave the
+    world as it does, under tables of ``limit`` states. Such a table clears
+    on most misses and hands its ids out again, so a new state often gets
+    the id the state left had: a step is a self-loop only if it returns
+    the id the clear gave the state left. Most frames are counted, not
+    stepped."""
+    import archex.envs.gridworld as gridworld
+
+    factory, mapper = COLUMN_WORLDS[world], COLUMN_MAPPERS[mapper_name]()
+    archive = run_phase1(factory, cfg_with(budget_training_frames=1000), SelectionConfig(),
+                         mapper).archive
+    monkeypatch.setattr(gridworld, "STATE_TABLE_LIMIT", limit)
+    reads = ReadLog(factory)
+    env = reads()
+    env.reset(0)
+    cfg = cfg_with(k=100)
+    origins = archive.sorted_keys()
+    frames = stepped = 0
+    with monkeypatch.context() as patch:
+        clears = clears_after_first_frame(patch)
+        for i in range(40):
+            origin = origins[i % len(origins)]
+            before = len(reads.reads[-1])
+            got = roll(env, origin, archive, stream(2, TAG_EXPLORE, i, 0), cfg, mapper)
+            stepped += len(reads.reads[-1]) - before
+            got_world = world_state(env)
+            want = oracle.explore_from(env, origin, archive, stream(2, TAG_EXPLORE, i, 0), cfg,
+                                       mapper)
+            assert got_world == world_state(env)
+            assert (got.frames, got.terminated, got.rooms, got.max_level) == (
+                want.frames, want.terminated, want.rooms, want.max_level)
+            expect = per_cell(want.visited)
+            assert list(got.cells) == list(expect)
+            for key, (n, won) in expect.items():
+                cell = got.cells[key]
+                assert cell.visits == n
+                if won is None:
+                    assert cell.snapshot is None and cell.trajectory is None
+                else:
+                    assert cell.trajectory.length == won.trajectory.length
+                    assert cell.snapshot.state_bytes == won.snapshot.state_bytes
+            frames += got.frames
+    assert clears
+    assert stepped < frames / 2
+
+
+def test_planning_holds_one_block_at_a_time():
+    """Planning a batch of ``MAX_BATCH`` rollouts of ``MAX_K`` frames, 2^40
+    draws of each kind, or of 100 frames, holds one block of draws, at most
+    ``max(k, 65_536)`` of each kind, and derives the streams of one block
+    at a time. Only the first blocks are planned; nothing is rolled out."""
+    import tracemalloc
+    from itertools import islice
+
+    for k in (X.MAX_K, 100):
+        cfg = ExploreConfig(k=k, batch_size=X.MAX_BATCH)
+        block = max(1, X._PLAN_DRAWS // k)
+        derived = []
+        rngs = (derived.append(worker) or stream(0, TAG_EXPLORE, 0, worker)
+                for worker in range(cfg.batch_size))
+        tracemalloc.start()
+        try:
+            plans = plan_rollouts(rngs, cfg, 5)
+            for i, (actions, ends) in enumerate(islice(plans, 3 * block)):
+                assert len(derived) == (i // block + 1) * block
+                assert len(actions) == ends[-1] == k
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 12 * 8 * max(k, X._PLAN_DRAWS)
+
+
 def test_column_follows_the_mapper_it_is_handed(monkeypatch):
     """One world explored with three mappers in turn, under a 20-state
     table: every rollout visits the cells, in order and with the counts,
@@ -661,7 +796,7 @@ def test_column_follows_the_mapper_it_is_handed(monkeypatch):
     for i in range(10):
         for mapper, archive in zip(mappers, archives):
             origin = archive.sorted_keys()[i % len(archive)]
-            result = explore_from(env, origin, archive, stream(1, TAG_EXPLORE, i, 0), cfg,
+            result = roll(env, origin, archive, stream(1, TAG_EXPLORE, i, 0), cfg,
                                   mapper)
             want = oracle.explore_from(env, origin, archive, stream(1, TAG_EXPLORE, i, 0), cfg,
                                        mapper)

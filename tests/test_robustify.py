@@ -565,7 +565,7 @@ def test_robustify_and_evaluate_golden(kd_result, tmp_path, sticky_p):
 def test_learned_policy_evaluates_as_scalar_draws(kd_result, sticky_p):
     """A backward run's policy gets the same raw scores and table reads
     from block-drawn fallback actions as from one draw per unknown-state
-    frame."""
+    frame, also where an episode ends in a greedy self-loop."""
     from archex.evaluation import EvalProtocol
 
     demo = select_demonstrations([kd_result.archive], 1, small_keydoor())[0]
@@ -578,8 +578,9 @@ def test_learned_policy_evaluates_as_scalar_draws(kd_result, sticky_p):
     backward_run([demo], learner, small_keydoor, cfg, seed=4)
     protocol = EvalProtocol(max_noop=6, min_episodes=2, sticky_p=sticky_p,
                             time_limit_game_frames=2_400)
-    policy, _ = assert_matches_scalar_draws(learner.q, small_keydoor, protocol, seed=29)
+    policy, _, skipped = assert_matches_scalar_draws(learner.q, small_keydoor, protocol, seed=29)
     assert policy.known > 0 and policy.unknown > 256
+    assert skipped > 0  # some episode ends in a greedy self-loop
 
 
 # -- the backward run against its scalar reference ------------------------------------
