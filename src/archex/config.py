@@ -32,7 +32,7 @@ from .cells import CellMapper, DownscaleParams, domain_mapper, downscale_mapper
 from .envs import DeceptiveCorridor, GridWorld, KeyDoorWorld, TwoMaze
 from .errors import ConfigError
 from .evaluation import EvalProtocol
-from .explore import ExploreConfig
+from .explore import ExploreConfig, check_metric_rows
 from .robustify import BackwardConfig, RewardShaping, TabularQConfig
 from .selection import SelectionConfig
 
@@ -307,6 +307,7 @@ def _env_section(r: _Reader) -> tuple[str, dict]:
 
 
 def build_config(values: dict[str, str]) -> ExperimentConfig:
+    values = dict(values)  # the caller's dict keeps its preset
     preset_name = values.pop("preset", None)
     if preset_name is not None:
         preset = PRESETS.get(preset_name.strip())
@@ -347,7 +348,7 @@ def build_config(values: dict[str, str]) -> ExperimentConfig:
     )
     r.reject_unknown()
     cfg = ExperimentConfig(**run)
-    cfg.env_factory()()  # constructing the env validates placements
+    check_metric_rows(cfg.explore, cfg.env_factory()().frame_skip)  # the env checks placements
     return cfg
 
 

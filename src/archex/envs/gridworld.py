@@ -29,7 +29,7 @@ the action to the next tuple, the reward and the kill flag, then interns
 the next tuple and fills the entry in. The tuple is the world's only copy
 of its discrete state. Ids belong to one world, and the table is bounded:
 once it holds ``STATE_TABLE_LIMIT`` states, the next new state clears it,
-and it starts again from the current state.
+and it starts again, in place, from the current state.
 
 Explore, robustify and evaluation keep their own facts about a state
 beside the table, in the world's column (:meth:`column`): per id,
@@ -41,16 +41,15 @@ again, and it belongs to one owner at a time.
 :meth:`step` is one table read behind the checks a caller needs.
 ``explore_from``, ``backward_run`` and ``evaluate_policy``, the three loops
 that step the most frames, read the table inline instead: they keep the
-id, the score and the frame count in locals, call :meth:`_miss` on an
-entry not yet filled in, and write the dynamic state back before they
-snapshot, map or return, so :meth:`_tick` and :meth:`_miss` stay the only
-code that fills the table. An entry that leads back to its own state with
-no reward and no kill is a self-loop: taking its action again repeats it
-exactly, so ``explore_from`` counts the rest of a run of that action
-without stepping it, and ``evaluate_policy`` ends an episode whose greedy
-action is one at the frame cap. A miss compares the next id with
-``state_id`` as :meth:`_miss` leaves it, since a clear interns the state
-left again under a new id and may give the old one to the next state.
+id, the score and the frame count in locals and only read the world:
+:meth:`_miss` fills an entry in, and :meth:`_settle` takes the state back
+before they snapshot, map or return. An entry that leads back to its own
+state with no reward and no kill is a self-loop: taking its action again
+repeats it exactly, so ``explore_from`` counts the rest of a run of that
+action without stepping it, and ``evaluate_policy`` ends an episode whose
+greedy action is one at the frame cap. A miss compares the next id with
+the id :meth:`_miss` returns for the state left, since a clear interns
+that state again and may give its old id to the next state.
 
 :meth:`step` returns only the reward and the done flag.
 :meth:`discrete_state` returns the interned tuple, and :meth:`features`,
@@ -154,8 +153,8 @@ class GridWorld:
     grid; a world of rooms renders the agent's room.
 
     The dynamic state is the interned id of :meth:`discrete_state`, the
-    score, the training-frame count and the done flag; it changes only through
-    :meth:`step`, :meth:`reset` and :meth:`restore`.
+    score, the training-frame count and the done flag: :meth:`step` writes
+    it per frame, and :meth:`_settle` everywhere else.
     """
 
     action_count: int = ACTION_COUNT
@@ -181,7 +180,6 @@ class GridWorld:
         self._frame_limit = frame_limit(time_limit_game_frames, frame_skip)
         self.key_capacity = key_capacity
         self.config_hash = 0
-        self._done = True
 
         # Layout, filled in by _build().
         self.width = 0
@@ -201,10 +199,8 @@ class GridWorld:
         self.n_rooms = 1
         self._params: dict[str, object] = {}
 
-        # Dynamic state: the interned id of discrete_state(), then the rest.
-        self.state_id = 0
-        self._score = 0.0
-        self._training_frames = 0
+        # Dynamic state (see _settle), done until _build installs the start.
+        self._settle(0, 0.0, 0, True)
         # The transition table: discrete states by id and ids by state, then
         # ACTION_COUNT entries per id, the next id and the step's result
         # (reward and kill flag), None until the action is first taken. The
@@ -277,8 +273,7 @@ class GridWorld:
         # counted runs empty. reset() installs it and returns this pair, so
         # the start frame is drawn once and read-only.
         self._start_state = (*self.spawn, 0, 0, 0, 0, 0)
-        self.state_id = self._intern(self._start_state)
-        self._done = False
+        self._settle(self._intern(self._start_state), 0.0, 0, False)
         obs = self.observe()
         obs.frame.flags.writeable = False
         self._start = (obs, self.snapshot())
@@ -403,15 +398,15 @@ class GridWorld:
     def _intern(self, state: tuple[int, ...]) -> int:
         """The id of ``state``, giving it the next id and an empty row if
         it is new. A table that already holds ``STATE_TABLE_LIMIT`` states
-        is cleared first, and the current state interned again, so ``_sid``
-        stays valid."""
+        is cleared first, in place, so a loop may hold its lists, and the
+        current state interned again, so ``state_id`` stays valid."""
         sid = self._ids.get(state)
         if sid is not None:
             return sid
         if len(self._states) >= STATE_TABLE_LIMIT:
             current = self._states[self.state_id]
-            self._states, self._ids, self._next, self._result = [], {}, [], []
-            self._column.clear()  # in place: a rollout holds the list
+            for table in (self._states, self._ids, self._next, self._result, self._column):
+                table.clear()
             self.state_id = self._intern(current)
         sid = len(self._states)
         self._states.append(state)
@@ -438,20 +433,29 @@ class GridWorld:
             self._column_owner = owner
         return self._column
 
-    def _miss(self, action: int) -> tuple[int, StepResult]:
-        """Tick ``action`` from the current state, whose row lacks it, and
-        fill in and return its entry: the next id and the step's result,
-        which is done only if the step kills."""
-        state, reward, kill = self._tick(self._states[self.state_id], action)
+    def _miss(self, sid: int, action: int) -> tuple[int, int, StepResult]:
+        """Install state ``sid``, tick ``action``, which its row lacks, and
+        fill the entry in. Returns the id of the state left, which a table
+        clear changes, the next id and the result (done only if it kills)."""
+        self.state_id = sid
+        state, reward, kill = self._tick(self._states[sid], action)
         nid = self._intern(state)
+        sid = self.state_id
         pair = (reward, kill)
         result = self._results.get(pair)
         if result is None:
             result = self._results[pair] = StepResult(*pair)
-        at = self.state_id * ACTION_COUNT + action
+        at = sid * ACTION_COUNT + action
         self._next[at] = nid
         self._result[at] = result
-        return nid, result
+        return sid, nid, result
+
+    def _settle(self, sid: int, score: float, frames: int, done: bool) -> None:
+        """Install a dynamic state, done if ``done`` or at the time limit."""
+        self.state_id = sid
+        self._score = score
+        self._training_frames = frames
+        self._done = done or frames >= self._frame_limit
 
     @property
     def done(self) -> bool:
@@ -463,12 +467,12 @@ class GridWorld:
 
     # The done rule: a step ends the episode when its result is done (the
     # step kills), or when it is the episode's _frame_limit-th training frame.
-    # step() applies it per frame. explore_from, backward_run and
-    # evaluate_policy apply it in their own loops, against the frames left at
-    # the start of the rollout (_frame_limit - _training_frames, read once),
-    # because a helper called per frame made a whole 1M-frame keydoor explore
-    # run 3-7% slower (best of three runs, four alternating trials, Python
-    # 3.11, 2-core box).
+    # step() applies it per frame, and _settle to a state handed back.
+    # explore_from, backward_run and evaluate_policy apply it in their own
+    # loops, against the frames left at the start of the rollout
+    # (_frame_limit - _training_frames, read once), because a helper called
+    # per frame made a whole 1M-frame keydoor explore run 3-7% slower (best
+    # of three runs, four alternating trials, Python 3.11, 2-core box).
     def step(self, action: int) -> StepResult:
         self._require_live()
         if not 0 <= action < self.action_count:
@@ -476,7 +480,7 @@ class GridWorld:
         at = self.state_id * ACTION_COUNT + action
         nid = self._next[at]
         if nid is None:
-            nid, result = self._miss(action)
+            _, nid, result = self._miss(self.state_id, action)
         else:
             result = self._result[at]
         self.state_id = nid
@@ -492,10 +496,7 @@ class GridWorld:
     def reset(self, seed: int = 0) -> tuple[Observation, EnvSnapshot]:
         """Install the start state and return its observation and snapshot."""
         del seed  # the engine is deterministic
-        self._score = 0.0
-        self._training_frames = 0
-        self._done = False
-        self.state_id = self._intern(self._start_state)
+        self._settle(self._intern(self._start_state), 0.0, 0, False)
         return self._start
 
     # -- observation -------------------------------------------------------
@@ -615,10 +616,7 @@ class GridWorld:
                 raise SnapshotFormatError("snapshot collects treasures that advance levels")
         elif level:
             raise SnapshotFormatError(f"snapshot is at level {level} in a world without levels")
-        self.state_id = self._intern((x, y, level) + tail)
-        self._score = score
-        self._training_frames = tf
-        self._done = bool(done)
+        self._settle(self._intern((x, y, level) + tail), score, tf, bool(done))
 
     def discrete_state(self) -> tuple[int, ...]:
         """Position, level, then the held key rooms, taken keys, opened

@@ -127,8 +127,8 @@ def evaluate_policy(
     world's column for ``policy``, so a state's tuple is hashed once per
     id, not once per frame. The loop applies :meth:`GridWorld.step`'s done
     rule against the frames left to the nearer of the protocol's and the
-    world's time limits, and writes the dynamic state back at the end of
-    each episode.
+    world's time limits, and settles the dynamic state back into the world
+    at the end of each episode.
 
     An episode whose executed action is its state's greedy action, and
     whose step returns that state with no reward and not done, ends there
@@ -136,8 +136,8 @@ def evaluate_policy(
     action, whether the sticky rule repeats it or the policy chooses it,
     and steps the same table entry. The uniforms it would have drawn are
     its own stream's, so skipping them changes no other episode. After a
-    miss, the step is compared with the id a table clear gave the state it
-    left, since a clear hands ids out again.
+    miss, the step is compared with the id ``GridWorld._miss`` returns for
+    the state it left, since a table clear hands ids out again.
     """
     world = env_factory()
     if policy.n_actions != world.action_count:
@@ -172,12 +172,7 @@ def evaluate_policy(
                 at = sid * ACTION_COUNT + action
                 nid = table_next[at]
                 if nid is None:
-                    world.state_id = sid
-                    nid, result = world._miss(action)
-                    # A clear replaces the table, empties the column in place
-                    # and interns the state left again.
-                    sid = world.state_id
-                    states, table_next, table_result = world._states, world._next, world._result
+                    sid, nid, result = world._miss(sid, action)
                 else:
                     result = table_result[at]
                 score += result.reward
@@ -188,9 +183,7 @@ def evaluate_policy(
                     # both take this action again, to the frame cap.
                     elapsed = frames_left
                 sid = nid
-            world.state_id, world._score = sid, score
-            world._training_frames = start + elapsed
-            world._done = done or world._training_frames >= world._frame_limit
+            world._settle(sid, score, start + elapsed, done)
             scores.append((noop, episode, score))
     gmean, per_noop = grand_mean((n, s) for n, _, s in scores)
     return EvalResult(grand_mean=gmean, per_noop=per_noop, scores=scores)

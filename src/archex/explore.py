@@ -57,6 +57,9 @@ MAX_BATCH = 1 << 20
 # Draws of each kind planned per block of rollouts: a block is as many
 # rollouts as fit, and at least one, so it holds max(k, _PLAN_DRAWS) draws.
 _PLAN_DRAWS = 1 << 16
+# The most metrics rows a run may write, one per metric interval its game
+# frames cross, each of which scans the archive; the shipped keydoor run writes 80.
+MAX_METRIC_ROWS = 1 << 16
 
 
 @dataclass(frozen=True)
@@ -81,6 +84,16 @@ class ExploreConfig:
             raise ConfigError("seed must be in [0, 2**64)")
         if self.metric_interval_game_frames < 1:
             raise ConfigError("metric interval must be >= 1")
+
+
+def check_metric_rows(cfg: ExploreConfig, frame_skip: int) -> None:
+    """Raise :class:`ConfigError` if a run of ``cfg``, which ends below budget
+    + batch * k training frames, could cross over ``MAX_METRIC_ROWS`` intervals."""
+    rows = ((cfg.budget_training_frames + cfg.batch_size * cfg.k) * frame_skip
+            // cfg.metric_interval_game_frames)
+    if rows > MAX_METRIC_ROWS:
+        raise ConfigError(f"metric_interval_game_frames {cfg.metric_interval_game_frames} gives "
+                          f"{rows} metrics rows at frame_skip {frame_skip}, over {MAX_METRIC_ROWS}")
 
 
 class CellVisits(NamedTuple):
@@ -200,7 +213,7 @@ def explore_from(
     applies: a run that reaches it counts the frames before it as visits,
     and its limit frame ends the rollout as a stepped one would. A table
     clear hands ids out again, so after a miss the step is compared with
-    the id the clear gave the state it left.
+    the id ``GridWorld._miss`` returns for the state it left.
     """
     record = archive.cells[origin]
     env.restore(record.snapshot)
@@ -214,7 +227,7 @@ def explore_from(
     rooms: set[int] = set()
     max_level = 0
     # GridWorld.step inline: the world's id, score and frame count live in
-    # locals, and go back to the world before it snapshots, maps or is left.
+    # locals, and are settled into it before it snapshots, maps or is left.
     table_next, table_result = env._next, env._result
     sid, score, start_frames = env.state_id, env._score, env._training_frames
     frames_left = env._frame_limit - start_frames
@@ -226,10 +239,7 @@ def explore_from(
             at = sid * ACTION_COUNT + action
             nid = table_next[at]
             if nid is None:
-                env.state_id = sid
-                nid, result = env._miss(action)
-                sid = env.state_id  # a clear interns the state left again
-                table_next, table_result = env._next, env._result  # a clear replaces them
+                sid, nid, result = env._miss(sid, action)
             else:
                 result = table_result[at]
             frames += 1
@@ -242,7 +252,7 @@ def explore_from(
             sid = nid
             mapped = column[sid]
             if mapped is None:
-                env.state_id = sid
+                env._settle(sid, score, start_frames + frames, False)
                 info = env.features()
                 mapped = column[sid] = (mapper(env, info), info.room, info.level)
             key, room, level = mapped
@@ -255,7 +265,7 @@ def explore_from(
             if beats(score, length, entry[1], entry[2]):
                 entry[1] = score
                 entry[2] = length
-                env.state_id, env._score, env._training_frames = sid, score, start_frames + frames
+                env._settle(sid, score, start_frames + frames, False)
                 entry[3] = env.snapshot()
             rooms.add(room)
             if level > max_level:
@@ -272,8 +282,7 @@ def explore_from(
                     break
         if terminated:
             break
-    env.state_id, env._score, env._training_frames = sid, score, start_frames + frames
-    env._done = terminated
+    env._settle(sid, score, start_frames + frames, terminated)
 
     last = max((entry[2] for entry in found.values() if entry[3] is not None), default=base)
     nodes = []  # nodes[i] ends the trajectory of length base + i + 1
@@ -434,11 +443,11 @@ def run_phase1(
 
     The metrics get a row each time the game frames cross a multiple of
     ``cfg.metric_interval_game_frames``, and a final row if the last
-    iteration wrote none. ``resume`` continues a previous leg bit-exactly:
-    streams are derived from the iteration index, so its archive and meta
-    are all the state there is, and its metrics (cut by
-    :func:`_resumed_metrics`) seed the series, whose ``wall_seconds`` carry
-    on. Its archive must come from this environment config and name only
+    iteration wrote none; :func:`check_metric_rows` bounds them before any
+    work. ``resume`` continues a previous leg bit-exactly: streams are
+    derived from the iteration index, so its archive and meta are all the
+    state there is, and its metrics (cut by :func:`_resumed_metrics`) seed
+    the series, whose ``wall_seconds`` carry on. Its archive must come from this environment config and name only
     its rooms (else :class:`CheckpointError`), and its run from ``cfg.seed``
     (else :class:`ConfigError`). The optional ``stop_condition`` is
     evaluated between iterations (milestone runs); ``on_iteration`` gets the
@@ -449,6 +458,7 @@ def run_phase1(
     if sel_cfg is None and resume is not None:
         raise ContractError("the from-start control does not resume")
     env = env_factory()
+    check_metric_rows(cfg, env.frame_skip)
     start = time.perf_counter()
     interval = cfg.metric_interval_game_frames
 

@@ -431,7 +431,8 @@ def backward_run(
     An attempt restores its world to the demo's start and steps it by
     reading the transition table inline, as :meth:`GridWorld.step` would,
     with the sticky-action rule applied in the loop, and finds each state's
-    Q row through the world's column for ``learner``. A checkpoint is taken
+    Q row through the world's column for ``learner``; it settles the world
+    at its end. A checkpoint is taken
     whenever a demo's start moves or its start at frame 0 is first
     confirmed, and at the end; the pool keeps those whose total of the
     demos' starts is within :data:`NEAR` of the lowest total."""
@@ -519,10 +520,7 @@ def backward_run(
                 at = sid * ACTION_COUNT + executed
                 nid = table_next[at]
                 if nid is None:
-                    world.state_id = sid
-                    nid, result = world._miss(executed)
-                    # A clear replaces the table and empties the column in place.
-                    states, table_next, table_result = world._states, world._next, world._result
+                    sid, nid, result = world._miss(sid, executed)
                 else:
                     result = table_result[at]
                 sid = nid
@@ -545,8 +543,7 @@ def backward_run(
                                                          window, deficit):
                     break
                 r = next_r
-            world.state_id, world._score = sid, score
-            world._training_frames, world._done = start_frames + elapsed, done
+            world._settle(sid, score, start_frames + elapsed, done)
         frames += len(transitions)
         learner.update(transitions)
 

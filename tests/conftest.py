@@ -135,13 +135,36 @@ class LoggedReads(list):
         return super().__getitem__(at)
 
 
+def note_clears(patch) -> list:
+    """Patch ``GridWorld._intern`` so that each transition-table clear
+    appends its world to the returned list. A clear is the one way a new
+    state leaves a table of two or more states no larger: it empties the
+    table in place and interns the state left again before the new one, so
+    the lists are the same objects after it, and at a limit of 2 the table
+    goes from 2 states to 2. (At a limit of 1, the first clear, from 1
+    state to 2, goes unseen.)"""
+    from archex.envs.gridworld import GridWorld
+
+    intern, clears = GridWorld._intern, []
+
+    def noting_intern(self, state):
+        new, count = state not in self._ids, len(self._states)
+        sid = intern(self, state)
+        if new and len(self._states) <= count:
+            clears.append(self)
+        return sid
+
+    patch.setattr(GridWorld, "_intern", noting_intern)
+    return clears
+
+
 class ReadLog:
     """A factory of ``make_env``'s worlds that log, per episode (from one
     reset to the next), each read of the transition table's ``_next`` as
     ``(at, state)``: the index read, state id x ``ACTION_COUNT`` + action,
     and the tuple of that state id. Every stepped frame reads once, whether
     :meth:`step` takes it or a loop reads the table inline. A table clear
-    replaces ``_next``, so the new one is wrapped too."""
+    empties ``_next`` in place, so the wrapper stays."""
 
     def __init__(self, make_env):
         self.make_env = make_env
@@ -151,16 +174,10 @@ class ReadLog:
 
     def __call__(self):
         env = self.world = self.make_env()
-        intern, reset = env._intern, env.reset
+        reset = env.reset
 
         def note(at):
             self.reads[-1].append((at, env._states[at // ACTION_COUNT]))
-
-        def logged_intern(state):
-            sid = intern(state)
-            if type(env._next) is not LoggedReads:
-                env._next = LoggedReads(env._next, note)
-            return sid
 
         def logged_reset(seed=0):
             if self.reads:
@@ -168,7 +185,7 @@ class ReadLog:
             self.reads.append([])
             return reset(seed)
 
-        env._intern, env.reset = logged_intern, logged_reset
+        env.reset = logged_reset
         env._next = LoggedReads(env._next, note)
         return env
 

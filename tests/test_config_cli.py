@@ -186,6 +186,13 @@ def test_preset_domain_loads_table_values():
     assert cfg2.representation.grid_size == 16
 
 
+def test_build_config_leaves_its_values_as_given():
+    """A preset is read from a copy: the caller's dict keeps its keys."""
+    values = {"preset": "montezuma-like-domain", "env.type": "twomaze"}
+    build_config(values)
+    assert values == {"preset": "montezuma-like-domain", "env.type": "twomaze"}
+
+
 def test_preset_nodomain_loads_table_values():
     cfg = build_config(parse_text("preset = montezuma-like-nodomain\nenv.type = twomaze\n"))
     assert cfg.selection.w_chosen == 0.1
@@ -308,6 +315,9 @@ def test_cli_config_error_exit_2(tmp_path):
     pytest.param("env.type = keydoor\nenv.room_w = 10000", id="env.room_w = 10000"),
     # run_phase1 writes a metrics row per metric interval the game frames cross.
     f"env.frame_skip = {2**31}",
+    # (1000 + 5 * 20) * 64 game frames cross 70,400 intervals of 1, over MAX_METRIC_ROWS.
+    pytest.param("explore.metric_interval_game_frames = 1\nenv.frame_skip = 64",
+                 id="explore.metric_interval_game_frames = 1 at frame_skip 64"),
     # Each sizes an array of draws; numpy refuses 2**40 at once, so even
     # where the value got through, nothing would be allocated.
     f"explore.batch = {2**40}",

@@ -24,7 +24,7 @@ from archex.envs import (
     force_noops,
     sticky_uniforms,
 )
-from archex.envs.base import STATE_HEAD, pack_snapshot, unpack_snapshot
+from archex.envs.base import ACTION_COUNT, STATE_HEAD, pack_snapshot, unpack_snapshot
 from archex.envs import gridworld
 from archex.envs.gridworld import TILE_DOOR, TILE_HAZARD, TILE_WALL
 from archex.errors import ConfigError, ContractError, SnapshotFormatError
@@ -465,6 +465,76 @@ def test_table_limit_clears_and_keeps_the_bytes(monkeypatch):
     limited = [snap for *_, snap in walk_trace(monkeypatch, env, 9, 20_000)[1]]
     assert limited == unlimited
     assert max(sizes) <= 51 and sizes.count(2) > 10
+
+
+def test_miss_clears_in_place_and_returns_the_state_left(monkeypatch):
+    """A miss to a new state from a full table clears the table in place:
+    its lists and the column are the same objects after it, so a loop that
+    holds them may keep them. The id the miss returns for the state left is
+    the one that state was interned again under, and the filled entry is
+    that id's."""
+    env = small_keydoor()
+    env.reset(0)
+    for action in (ACTION_RIGHT, ACTION_RIGHT, ACTION_UP):
+        env.step(action)
+    left, sid = env.discrete_state(), env.state_id
+    after, _, _ = env._tick(left, ACTION_UP)
+    assert sid == 3 and after not in env._ids
+    monkeypatch.setattr(gridworld, "STATE_TABLE_LIMIT", len(env._states))
+    owner = object()
+    held = (env._states, env._ids, env._next, env._result, env.column(owner))
+    env.column(owner)[sid] = "fact"
+    got_sid, nid, result = env._miss(sid, ACTION_UP)
+    assert all(now is then for now, then in zip(
+        (env._states, env._ids, env._next, env._result, env.column(owner)), held))
+    assert (got_sid, nid) == (env.state_id, 1) == (0, 1)
+    assert env._states == [left, after] and env._states[got_sid] is left
+    assert env._next[got_sid * ACTION_COUNT + ACTION_UP] == nid
+    assert env._result[got_sid * ACTION_COUNT + ACTION_UP] is result
+    assert env.column(owner) == [None, None]
+
+
+def test_settle_ends_the_episode_at_the_time_limit():
+    """``_settle`` installs a dynamic state, done where it says so or where
+    the frames reach the time limit, as a step there would be."""
+    env = small_twomaze(time_limit_game_frames=12)
+    env.reset(0)
+    sid = env.state_id
+    for frames, done, want in ((1, False, False), (1, True, True), (3, False, True)):
+        env._settle(sid, 5.0, frames, done)
+        assert (env.state_id, env.cum_score, env.frame_counters(), env.done) == (
+            sid, 5.0, (4 * frames, frames), want)
+
+
+# The fields of a world's dynamic state and transition table.
+WORLD_STATE_FIELDS = {"state_id", "_score", "_training_frames", "_done", "_states", "_ids",
+                      "_next", "_result"}
+
+
+def test_only_the_grid_world_writes_its_state():
+    """No module of ``archex`` but ``envs/gridworld.py`` assigns, augments
+    or deletes an attribute named after a field of a world's dynamic state
+    or table: the inline loops only read them, and hand state back through
+    ``GridWorld._miss`` and ``GridWorld._settle``."""
+    import ast
+    import re
+    from pathlib import Path
+
+    import archex
+
+    root = Path(archex.__file__).parent
+    # Only a module that names one of the fields after a dot can write it;
+    # parsing just those keeps the test fast.
+    named = re.compile(r"\.\s*(?:%s)\b" % "|".join(sorted(WORLD_STATE_FIELDS)))
+    sources = {path: path.read_text() for path in sorted(root.rglob("*.py"))
+               if path != root / "envs" / "gridworld.py"}
+    writes = [f"{path.relative_to(root)}:{node.lineno} {node.attr}"
+              for path, text in sources.items() if named.search(text)
+              for node in ast.walk(ast.parse(text, str(path)))
+              if isinstance(node, ast.Attribute) and not isinstance(node.ctx, ast.Load)
+              and node.attr in WORLD_STATE_FIELDS]
+    assert len(sources) > 10
+    assert writes == []
 
 
 def test_replay_from_a_snapshot_reads_the_table(monkeypatch):

@@ -30,6 +30,7 @@ from conftest import (
     assert_matches_scalar_draws,
     bfs_reachable_states,
     noop_policy,
+    note_clears,
     small_corridor,
     small_keydoor,
     small_twomaze,
@@ -259,12 +260,12 @@ def test_evaluate_policy_matches_scalar_draws(monkeypatch, world, sticky_p, tabl
     clears = []
     if table == "checkerboard-cleared":
         monkeypatch.setattr(gridworld, "STATE_TABLE_LIMIT", 4)
-        miss = GridWorld._miss
+        miss, cleared = GridWorld._miss, note_clears(monkeypatch)
 
-        def noting_miss(self, action):
-            table = self._next
-            entry = miss(self, action)
-            if self._next is not table and self._training_frames > 0:
+        def noting_miss(self, sid, action):
+            before = len(cleared)
+            entry = miss(self, sid, action)
+            if len(cleared) > before and self._training_frames > 0:
                 clears.append(self._training_frames)
             return entry
 

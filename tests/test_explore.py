@@ -9,7 +9,7 @@ import pytest
 
 from archex.archive import Archive, deserialize_archive, serialize_archive
 from archex.cells import domain_mapper
-from archex.errors import ContractError
+from archex.errors import ConfigError, ContractError
 import archex.explore as X
 from archex.explore import (
     CellVisits,
@@ -28,7 +28,14 @@ from archex.selection import SelectionConfig
 from archex.trajectory import Trajectory
 
 import oracle
-from conftest import ReadLog, drive, small_corridor, small_keydoor, small_twomaze
+from conftest import (
+    ReadLog,
+    drive,
+    note_clears,
+    small_corridor,
+    small_keydoor,
+    small_twomaze,
+)
 from oracle import extend, myopic_greedy_baseline
 
 MAPPER = domain_mapper(1)
@@ -281,6 +288,23 @@ def test_phase1_frame_accounting():
     env = small_twomaze()
     assert result.meta.game_frames == result.meta.training_frames * env.frame_skip
     assert result.meta.training_frames >= 1500  # stops at first crossing
+
+
+def test_phase1_bounds_its_metrics_rows_before_any_work():
+    """A run whose game frames could cross more than ``MAX_METRIC_ROWS``
+    metric intervals raises ``ConfigError`` before its first iteration; one
+    at the bound passes the check."""
+    cfg = cfg_with(k=20, batch_size=5, budget_training_frames=X.MAX_METRIC_ROWS // 4 - 100)
+    X.check_metric_rows(replace(cfg, metric_interval_game_frames=1), 4)
+    over = replace(cfg, budget_training_frames=cfg.budget_training_frames + 1,
+                   metric_interval_game_frames=1)
+    with pytest.raises(ConfigError, match="metric_interval_game_frames"):
+        X.check_metric_rows(over, 4)
+    iterations = []
+    with pytest.raises(ConfigError):
+        run_phase1(small_twomaze, over, SelectionConfig(), MAPPER,
+                   on_iteration=lambda run: iterations.append(run.meta.iteration))
+    assert iterations == []
 
 
 def test_phase1_metrics_monotone():
@@ -636,16 +660,16 @@ def clears_after_first_frame(patch) -> list:
     from archex.envs.gridworld import GridWorld
 
     restore, miss = GridWorld.restore, GridWorld._miss
-    restored, clears = {}, []
+    restored, cleared, clears = {}, note_clears(patch), []
 
     def noting_restore(self, snap):
         restore(self, snap)
         restored[id(self)] = self.discrete_state()
 
-    def noting_miss(self, action):
-        state, table = self._states[self.state_id], self._next
-        entry = miss(self, action)
-        if self._next is not table and state != restored.get(id(self)):
+    def noting_miss(self, sid, action):
+        state, before = self._states[sid], len(cleared)
+        entry = miss(self, sid, action)
+        if len(cleared) > before and state != restored.get(id(self)):
             clears.append(state)
         return entry
 

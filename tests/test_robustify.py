@@ -31,7 +31,14 @@ from archex.seeding import TAG_ATTEMPT, RawDraws, stream
 from archex.selection import SelectionConfig
 from archex.trajectory import Trajectory
 
-from conftest import assert_matches_scalar_draws, scored, small_corridor, small_keydoor, small_twomaze
+from conftest import (
+    assert_matches_scalar_draws,
+    note_clears,
+    scored,
+    small_corridor,
+    small_keydoor,
+    small_twomaze,
+)
 from oracle import extend
 
 MAPPER = domain_mapper(1)
@@ -718,6 +725,7 @@ def test_backward_run_equals_scalar_reference_across_table_clears(kd_result, tmp
     monkeypatch.setattr(gridworld, "STATE_TABLE_LIMIT", 20)
     acts, clears = [0], []  # TabularQLearner.act calls in the current attempt
     act, update, miss = TabularQLearner.act, TabularQLearner.update, GridWorld._miss
+    cleared = note_clears(monkeypatch)
 
     def counting_act(self, row, rng):
         acts[0] += 1
@@ -727,10 +735,10 @@ def test_backward_run_equals_scalar_reference_across_table_clears(kd_result, tmp
         acts[0] = 0
         update(self, transitions)
 
-    def noting_miss(self, action):
-        table = self._next
-        entry = miss(self, action)
-        if self._next is not table and acts[0] >= 2:
+    def noting_miss(self, sid, action):
+        before = len(cleared)
+        entry = miss(self, sid, action)
+        if len(cleared) > before and acts[0] >= 2:
             clears.append(acts[0])
         return entry
 
