@@ -1,4 +1,21 @@
-"""The cell archive: trajectories, records, counters, and checkpoints.
+"""The cell archive: cells as columns, trajectories, counters, and checkpoints.
+
+Each cell gets a dense id when it is added, and every fact about it sits in
+a column indexed by that id: its key and the key's encoding, the best
+visit (the tail node and length of the trajectory to it, the state bytes
+of the snapshot to return to, and that snapshot's score), the three
+counters, the key's level and its missing-neighbor mask. Objects (keys,
+encodings, tail nodes, states) sit in lists and numbers in
+:class:`array.array` columns: explore reads scores and lengths one at a
+time, and selection copies the counters, levels and masks whole into
+numpy, which also adds to the counters in place. Only this module writes
+the columns. A :class:`CellRecord` is a read-only view of one cell, and
+:attr:`Archive.cells` maps keys to them.
+
+The archive also keeps its ids, keys and encodings in canonical key order
+(by encoding). A key is encoded once, when it is added, and placed into
+that order by a binary search among the keys placed before
+(:meth:`Archive._place_added`), so no key is encoded or sorted again.
 
 Trajectories are stored as shared-suffix linked lists: extending by one
 action allocates a single node and never touches existing nodes, so the total
@@ -13,13 +30,11 @@ right. Checkpoints are streamed to a temporary file, fsynced and renamed over
 the target, so a failed write leaves the previous checkpoint intact
 (:func:`write_atomic`, which policy checkpoints and every CSV output use too).
 
-Every added key is indexed once (see :meth:`Archive._index`): its encoding,
-kept for the canonical key order, and the archive's max level. The archive
-owns the neighbor slots of a domain key, which selection weights: the bit
-layout of its missing-neighbor masks (:data:`SLOT_KINDS`), the four grid
-slots and the more-keys rule. The masks are built on their first read, from
-the keys added since the last one, so an archive that is only loaded,
-replayed or robustified never builds them.
+The archive owns the neighbor slots of a domain key, which selection
+weights: the bit layout of its missing-neighbor masks (:data:`SLOT_KINDS`),
+the four grid slots and the more-keys rule. The masks are built on their
+first read, from the keys added since the last one, so an archive that is
+only loaded, replayed or robustified never builds them.
 """
 
 from __future__ import annotations
@@ -30,10 +45,15 @@ import hashlib
 import io
 import os
 import struct
+from array import array
+from bisect import bisect_left
 from collections import Counter
+from collections.abc import Mapping
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Callable, Iterable, Iterator, Sequence
+
+import numpy as np
 
 from .cells import CellKey, DomainKey, decode_key
 from .envs.base import EnvSnapshot, peek_config_hash, read_counts, read_state_head, unpack_snapshot
@@ -52,12 +72,13 @@ SLOT_KINDS = ("horizontal", "horizontal", "vertical", "vertical", "more_keys")
 MORE_KEYS_BIT = 1 << 4
 
 
-def _grid_slots(key: DomainKey) -> tuple[DomainKey, ...]:
-    """The keys of grid slots 0-3, in bit order. Slots outside the world
-    are keys like any other; they are never archived."""
-    x, y = key.x_bin, key.y_bin
-    return (key._replace(x_bin=x - 1), key._replace(x_bin=x + 1),
-            key._replace(y_bin=y - 1), key._replace(y_bin=y + 1))
+def _grid_slots(key: DomainKey) -> tuple[tuple, ...]:
+    """The keys of grid slots 0-3, in bit order, as plain tuples: a tuple
+    equals, and hashes as, the :class:`DomainKey` of the same fields. Slots
+    outside the world are keys like any other; they are never archived."""
+    x, y, room, level, rooms = key
+    return ((x - 1, y, room, level, rooms), (x + 1, y, room, level, rooms),
+            (x, y - 1, room, level, rooms), (x, y + 1, room, level, rooms))
 
 
 def _has_more_keys(other: DomainKey, key: DomainKey) -> bool:
@@ -80,23 +101,46 @@ class UpdateOutcome(enum.Enum):
     UNCHANGED = "unchanged"
 
 
-@dataclass(slots=True)
 class CellRecord:
-    """A cell's best visit and the cell's three counters. The visit is kept
-    as the tail node and length of the trajectory to it and the state bytes
-    of the snapshot to return to, whose head holds its score; each fact is
-    stored once, and :attr:`trajectory` and :attr:`snapshot` are views."""
+    """A read-only view of one archived cell, read from the archive's
+    columns as they stand: the cell's best visit (the tail node and length
+    of the trajectory to it, and the state bytes of the snapshot to return
+    to, whose head holds its score) and its three counters.
+    :attr:`trajectory` and :attr:`snapshot` wrap the visit's columns."""
 
-    tail: Node | None
-    traj_len: int
-    state_bytes: bytes
-    times_seen: int = 1
-    times_chosen: int = 0
-    times_chosen_since_new: int = 0
+    __slots__ = ("_archive", "_id")
+
+    def __init__(self, archive: Archive, cell_id: int) -> None:
+        self._archive = archive
+        self._id = cell_id
+
+    @property
+    def tail(self) -> Node | None:
+        return self._archive._tails[self._id]
+
+    @property
+    def traj_len(self) -> int:
+        return self._archive._lengths[self._id]
+
+    @property
+    def state_bytes(self) -> bytes:
+        return self._archive._state_bytes[self._id]
 
     @property
     def score(self) -> float:
-        return read_counts(self.state_bytes)[0]
+        return self._archive._scores[self._id]
+
+    @property
+    def times_seen(self) -> int:
+        return self._archive._seen[self._id]
+
+    @property
+    def times_chosen(self) -> int:
+        return self._archive._chosen[self._id]
+
+    @property
+    def times_chosen_since_new(self) -> int:
+        return self._archive._since_new[self._id]
 
     @property
     def trajectory(self) -> Trajectory:
@@ -105,6 +149,41 @@ class CellRecord:
     @property
     def snapshot(self) -> EnvSnapshot:
         return EnvSnapshot(self.state_bytes)
+
+
+class _Cells(Mapping):
+    """An archive's cells as a read-only mapping from key to
+    :class:`CellRecord`, in the order they were added."""
+
+    __slots__ = ("_archive",)
+
+    def __init__(self, archive: Archive) -> None:
+        self._archive = archive
+
+    def __getitem__(self, key: CellKey) -> CellRecord:
+        return CellRecord(self._archive, self._archive._cell_ids[key])
+
+    def __iter__(self) -> Iterator[CellKey]:
+        return iter(self._archive._cell_ids)
+
+    def __len__(self) -> int:
+        return len(self._archive._cell_ids)
+
+    def __contains__(self, key: object) -> bool:
+        return key in self._archive._cell_ids
+
+
+def _inserted(old: list, at: Sequence[int], new: Sequence) -> list:
+    """A new list: ``old`` with each ``new[j]`` placed before ``old[at[j]]``,
+    for non-decreasing ``at``."""
+    out: list = []
+    done = 0
+    for pos, item in zip(at, new):
+        out += old[done:pos]
+        out.append(item)
+        done = pos
+    out += old[done:]
+    return out
 
 
 @dataclass(slots=True)
@@ -120,41 +199,95 @@ class RunMeta:
 
 
 class Archive:
-    """Map from cell keys to their best known record."""
+    """Map from cell keys to their best known record, held as columns
+    indexed by cell id (see the module docstring)."""
 
     def __init__(self, config_hash: int) -> None:
         self.config_hash = config_hash
-        self.cells: dict[CellKey, CellRecord] = {}
         self.max_level = 0
-        # Bit b set: neighbor slot b of the key is missing from the archive.
-        self._missing: dict[DomainKey, int] = {}
-        self._pos_index: dict[tuple[int, int, int, int], list[DomainKey]] = {}
-        self._unmasked: list[DomainKey] = []  # added since the masks were last read
-        self._encoded: dict[CellKey, bytes] = {}
+        self._cell_ids: dict[CellKey, int] = {}
+        self._keys: list[CellKey] = []
+        self._encoded: list[bytes] = []
+        # The best visit.
+        self._tails: list[Node | None] = []
+        self._lengths = array("q")
+        self._state_bytes: list[bytes] = []
+        self._scores = array("d")
+        # The counters, the level and the missing-neighbor mask (bit b set:
+        # neighbor slot b is missing). A level is stored as its index into
+        # the distinct levels in the order they were first added; -1 stands
+        # for a key without a level.
+        self._seen = array("Q")
+        self._chosen = array("Q")
+        self._since_new = array("Q")
+        self._level_slots = array("I")
+        self._distinct_levels: list[int] = []
+        self._level_slot: dict[int, int] = {}
+        self._masks = array("B")
+        self._pos_index: dict[tuple[int, int, int, int], list[int]] = {}
+        self._unmasked: list[int] = []  # domain ids added since the masks were last read
+        # Ids, keys and encodings in canonical key order, and the ids added
+        # since they were last placed in it.
+        self._order = np.empty(0, np.intp)
         self._sorted_keys: list[CellKey] = []
-        self._unsorted_keys: list[CellKey] = []  # added since the last sorted_keys()
+        self._sorted_encoded: list[bytes] = []
+        self._unsorted: list[int] = []
 
     def __len__(self) -> int:
-        return len(self.cells)
+        return len(self._keys)
 
     def __contains__(self, key: CellKey) -> bool:
-        return key in self.cells
+        return key in self._cell_ids
 
-    def record(self, key: CellKey) -> CellRecord:
+    @property
+    def cells(self) -> Mapping[CellKey, CellRecord]:
+        """Every cell's record by key, in the order the cells were added."""
+        return _Cells(self)
+
+    def id_of(self, key: CellKey) -> int:
+        """The id of archived ``key``."""
         try:
-            return self.cells[key]
+            return self._cell_ids[key]
         except KeyError:
             raise ContractError(f"cell {key!r} not in archive") from None
 
+    def record(self, key: CellKey) -> CellRecord:
+        return CellRecord(self, self.id_of(key))
+
+    # -- canonical order ------------------------------------------------------
+
     def sorted_keys(self) -> list[CellKey]:
-        """Keys in canonical (encoded-bytes) order; cached between inserts,
-        and keys added since the last call are sorted into the cached
-        order."""
-        if self._unsorted_keys:
-            self._sorted_keys = sorted(self._sorted_keys + self._unsorted_keys,
-                                       key=self._encoded.__getitem__)
-            self._unsorted_keys = []
+        """Keys in canonical (encoded-bytes) order. A list once returned is
+        not changed: keys added later are placed into a new one."""
+        self._place_added()
         return self._sorted_keys
+
+    def sorted_ids(self) -> np.ndarray:
+        """Cell ids in canonical key order."""
+        self._place_added()
+        return self._order
+
+    def find_encoded(self, encoded: bytes) -> CellKey | None:
+        """The key whose encoding is ``encoded``, by binary search over the
+        sorted encodings, or ``None`` if no archived key has it."""
+        self._place_added()
+        at = bisect_left(self._sorted_encoded, encoded)
+        if at < len(self._sorted_encoded) and self._sorted_encoded[at] == encoded:
+            return self._sorted_keys[at]
+        return None
+
+    def _place_added(self) -> None:
+        """Place the ids added since the last call into the canonical order,
+        each by a binary search on its encoding among the keys placed before."""
+        if not self._unsorted:
+            return
+        added = sorted(self._unsorted, key=self._encoded.__getitem__)
+        self._unsorted = []
+        encoded = [self._encoded[i] for i in added]
+        at = [bisect_left(self._sorted_encoded, enc) for enc in encoded]
+        self._order = np.insert(self._order, at, added)
+        self._sorted_encoded = _inserted(self._sorted_encoded, at, encoded)
+        self._sorted_keys = _inserted(self._sorted_keys, at, [self._keys[i] for i in added])
 
     # -- updates -----------------------------------------------------------
 
@@ -172,75 +305,132 @@ class Archive:
         The visits add to the record's ``times_seen``, or set it for an
         added cell. A rollout merges each cell it visited once: the
         candidate is its last winning visit, and a cell none of whose visits
-        won only has its ``times_seen`` raised.
+        won only has its ``times_seen`` raised (:meth:`count_visits`).
         """
-        if peek_config_hash(snapshot.state_bytes) != self.config_hash:
+        state = snapshot.state_bytes
+        if peek_config_hash(state) != self.config_hash:
             raise ContractError("candidate snapshot from a different env config")
-        record = self.cells.get(key)
-        if record is None:
-            self.cells[key] = CellRecord(trajectory.tail, trajectory.length,
-                                         snapshot.state_bytes, visits)
-            self._index(key)
+        score = read_counts(state)[0]
+        i = self._cell_ids.get(key)
+        if i is None:
+            self._add(key, trajectory.tail, trajectory.length, state, score, visits, 0, 0)
             return UpdateOutcome.ADDED
-        record.times_seen += visits
-        if not beats(snapshot.cum_score, trajectory.length, record.score, record.traj_len):
+        self._seen[i] += visits
+        if not beats(score, trajectory.length, self._scores[i], self._lengths[i]):
             return UpdateOutcome.UNCHANGED
-        record.tail = trajectory.tail
-        record.traj_len = trajectory.length
-        record.state_bytes = snapshot.state_bytes
-        record.times_chosen = 0
-        record.times_chosen_since_new = 0
+        self._tails[i] = trajectory.tail
+        self._lengths[i] = trajectory.length
+        self._state_bytes[i] = state
+        self._scores[i] = score
+        self._chosen[i] = self._since_new[i] = 0
         return UpdateOutcome.IMPROVED
 
-    def _index(self, key: CellKey) -> None:
-        """Index a newly added key: its encoding, and for a domain key the
-        max level; its masks wait for :attr:`missing_neighbors`."""
-        self._encoded[key] = key.encode()
-        self._unsorted_keys.append(key)
-        if not isinstance(key, DomainKey):
+    def _add(self, key: CellKey, tail: Node | None, length: int, state: bytes, score: float,
+             seen: int, chosen: int, since_new: int) -> None:
+        """Give ``key`` the next id, fill its columns and index it once: its
+        encoding, queued for the canonical order, and for a domain key its
+        level, the max level and a mask queued for :attr:`missing_neighbors`."""
+        i = self._cell_ids[key] = len(self._keys)
+        self._keys.append(key)
+        self._encoded.append(key.encode())
+        self._unsorted.append(i)
+        self._tails.append(tail)
+        self._lengths.append(length)
+        self._state_bytes.append(state)
+        self._scores.append(score)
+        self._seen.append(seen)
+        self._chosen.append(chosen)
+        self._since_new.append(since_new)
+        self._masks.append(0)
+        level = key.level if isinstance(key, DomainKey) else -1
+        slot = self._level_slot.get(level)
+        if slot is None:
+            slot = self._level_slot[level] = len(self._distinct_levels)
+            self._distinct_levels.append(level)
+        self._level_slots.append(slot)
+        if level < 0:
             return
-        if key.level > self.max_level:
-            self.max_level = key.level
-        self._unmasked.append(key)
+        if level > self.max_level:
+            self.max_level = level
+        self._unmasked.append(i)
+
+    def record_chosen(self, *keys: CellKey) -> None:
+        """Count a choice of each of ``keys`` (a repeated key once per
+        repeat) in its ``times_chosen`` and ``times_chosen_since_new``."""
+        ids = np.array([self.id_of(key) for key in keys], np.intp)
+        np.add.at(np.frombuffer(self._chosen, np.uint64), ids, 1)
+        np.add.at(np.frombuffer(self._since_new, np.uint64), ids, 1)
+
+    def count_visits(self, ids: Sequence[int], visits: Sequence[int]) -> None:
+        """Add ``visits[j]`` to the ``times_seen`` of cell id ``ids[j]``, for
+        every j (a repeated id adds each time)."""
+        np.add.at(np.frombuffer(self._seen, np.uint64), np.array(ids, np.intp),
+                  np.array(visits, np.uint64))
+
+    def credit_discovery(self, key: CellKey) -> None:
+        self._since_new[self.id_of(key)] = 0
+
+    def set_counters(self, key: CellKey, times_chosen: int, times_chosen_since_new: int,
+                     times_seen: int) -> None:
+        """Set the three counters of ``key`` as given."""
+        i = self.id_of(key)
+        self._chosen[i] = times_chosen
+        self._since_new[i] = times_chosen_since_new
+        self._seen[i] = times_seen
+
+    # -- columns selection reads ------------------------------------------
+    # Copies, not views: an array column cannot grow while a numpy view of
+    # it lives, and a caller may hold what these return.
+
+    def counters(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """Copies of ``times_chosen``, ``times_chosen_since_new`` and
+        ``times_seen`` by id."""
+        return (np.array(self._chosen, np.uint64), np.array(self._since_new, np.uint64),
+                np.array(self._seen, np.uint64))
+
+    def levels(self) -> tuple[list[int], np.ndarray]:
+        """The distinct levels of the keys (-1 for a key without one), and
+        a copy of every key's index into them by id."""
+        return list(self._distinct_levels), np.array(self._level_slots, np.uint32)
+
+    def missing_masks(self) -> np.ndarray:
+        """A copy of the missing-neighbor mask of every key by id, 0 for a key
+        that is not a domain key."""
+        self._index_neighbors()
+        return np.array(self._masks, np.intp)
 
     @property
     def missing_neighbors(self) -> dict[DomainKey, int]:
         """The missing-neighbor mask of every domain key."""
-        return self._index_neighbors()
+        self._index_neighbors()
+        return {key: self._masks[i] for key, i in self._cell_ids.items()
+                if isinstance(key, DomainKey)}
 
-    def _index_neighbors(self) -> dict[DomainKey, int]:
+    def _index_neighbors(self) -> None:
         """Index the domain keys added since the masks were last read, in the
         order they were added: the position index gets the key, and the
-        masks of the key, of its existing grid neighbors and of the
+        masks of the key, of its archived grid neighbors and of the
         same-position keys whose more-keys slot it fills are set. Archives
         only grow, so masks only lose bits."""
-        masks = self._missing
-        for key in self._unmasked:
+        masks, ids, keys = self._masks, self._cell_ids, self._keys
+        for i in self._unmasked:
+            key = keys[i]
             mask = 0
             for bit, slot in enumerate(_grid_slots(key)):
-                if slot in masks:
-                    masks[slot] &= ~(1 << (bit ^ 1))
-                else:
+                j = ids.get(slot)
+                if j is None:
                     mask |= 1 << bit
-            pos = (key.x_bin, key.y_bin, key.room, key.level)
-            same_pos = self._pos_index.setdefault(pos, [])
-            if not any(_has_more_keys(other, key) for other in same_pos):
+                elif j < i:  # a key added later sets its own mask
+                    masks[j] &= ~(1 << (bit ^ 1))
+            same_pos = self._pos_index.setdefault(key[:4], [])
+            if not any(_has_more_keys(keys[j], key) for j in same_pos):
                 mask |= MORE_KEYS_BIT
-            for other in same_pos:
-                if _has_more_keys(key, other):
-                    masks[other] &= ~MORE_KEYS_BIT
-            same_pos.append(key)
-            masks[key] = mask
+            for j in same_pos:
+                if _has_more_keys(key, keys[j]):
+                    masks[j] &= ~MORE_KEYS_BIT
+            same_pos.append(i)
+            masks[i] = mask
         self._unmasked.clear()
-        return masks
-
-    def record_chosen(self, key: CellKey) -> None:
-        record = self.record(key)
-        record.times_chosen += 1
-        record.times_chosen_since_new += 1
-
-    def credit_discovery(self, key: CellKey) -> None:
-        self.record(key).times_chosen_since_new = 0
 
     # -- queries -----------------------------------------------------------
 
@@ -248,19 +438,20 @@ class Archive:
         self, predicate: Callable[[CellKey, CellRecord], bool] | None = None
     ) -> tuple[CellKey, CellRecord]:
         """Highest score, ties to shorter trajectory, then lexicographic key."""
-        best: tuple[float, int, bytes, CellKey, CellRecord] | None = None
-        for key, record in self.cells.items():
-            if predicate is not None and not predicate(key, record):
+        best: tuple[float, int, bytes, int] | None = None
+        scores, lengths, encoded = self._scores, self._lengths, self._encoded
+        for i, key in enumerate(self._keys):
+            if predicate is not None and not predicate(key, CellRecord(self, i)):
                 continue
-            rank = (-record.score, record.traj_len, self._encoded[key])
+            rank = (-scores[i], lengths[i], encoded[i])
             if best is None or rank < best[:3]:
-                best = (*rank, key, record)
+                best = (*rank, i)
         if best is None:
             raise ContractError("no archive cell matches the filter")
-        return best[3], best[4]
+        return self._keys[best[3]], CellRecord(self, best[3])
 
     def max_score(self) -> float:
-        return max((r.score for r in self.cells.values()), default=0.0)
+        return max(self._scores, default=0.0)
 
 
 # -- checkpoint serialization ---------------------------------------------------
@@ -272,6 +463,13 @@ _COUNT = struct.Struct("<Q")  # nodes or cells that follow
 _KEY_LEN = struct.Struct("<I")
 _NODE_ROW = struct.Struct("<HQ")
 _CELL_ROW = struct.Struct("<dQQQQQdQQI")
+# _CELL_ROW's fields, for reading all of a checkpoint's rows at once; the
+# last is the length of the state that follows the row.
+_CELL_FIELDS = np.dtype([("score", "<f8"), ("traj_len", "<u8"), ("tail", "<u8"),
+                         ("seen", "<u8"), ("chosen", "<u8"), ("since_new", "<u8"),
+                         ("head_score", "<f8"), ("training_frames", "<u8"),
+                         ("game_frames", "<u8"), ("state_len", "<u4")])
+_STATE_LEN = struct.Struct("<I")
 _CHUNK_ROWS = 1024  # node or cell rows per piece of the streamed layout
 
 
@@ -293,10 +491,12 @@ def _layout(archive: Archive, meta: RunMeta | None) -> Iterator[bytes]:
 
     node_ids: dict = {}  # node -> its row; nodes hash by identity
     nodes: list = []
-    ordered = archive.sorted_keys()
-    for key in ordered:
+    ids = archive._cell_ids
+    ordered = [ids[key] for key in archive.sorted_keys()]
+    tails = archive._tails
+    for i in ordered:
         stack = []
-        node = archive.cells[key].tail
+        node = tails[i]
         while node is not None and node not in node_ids:
             stack.append(node)
             node = node.parent
@@ -315,24 +515,25 @@ def _layout(archive: Archive, meta: RunMeta | None) -> Iterator[bytes]:
 
     yield _COUNT.pack(len(ordered))
     pack_cell = _CELL_ROW.pack
+    encoded, lengths, states = archive._encoded, archive._lengths, archive._state_bytes
+    seen, chosen, since_new = archive._seen, archive._chosen, archive._since_new
     for start in range(0, len(ordered), _CHUNK_ROWS):
         parts = []
-        for key in ordered[start:start + _CHUNK_ROWS]:
-            record = archive.cells[key]
-            enc = archive._encoded[key]
-            tail = record.tail
-            state = record.state_bytes
+        for i in ordered[start:start + _CHUNK_ROWS]:
+            enc = encoded[i]
+            tail = tails[i]
+            state = states[i]
             score, tf, gf = read_counts(state)
             parts.append(_KEY_LEN.pack(len(enc)))
             parts.append(enc)
             parts.append(
                 pack_cell(
                     score,
-                    record.traj_len,
+                    lengths[i],
                     0 if tail is None else node_ids[tail] + 1,
-                    record.times_seen,
-                    record.times_chosen,
-                    record.times_chosen_since_new,
+                    seen[i],
+                    chosen[i],
+                    since_new[i],
                     score,
                     tf,
                     gf,
@@ -361,8 +562,10 @@ def _parse_body(body: bytes) -> tuple[Archive, RunMeta]:
 
 
 def _parse_fields(body: bytes) -> tuple[Archive, RunMeta]:
-    """The archive and meta of ``body``; the row columns that copy a chain's
-    length or a state's head are not read."""
+    """The archive and meta of ``body``. One pass over the cells finds each
+    key, row and state, and checks each state's head; the rows are then
+    read all at once, and the row columns that copy a chain's length or a
+    state's head are not read."""
     offset = len(CHECKPOINT_MAGIC)
     _, config_hash, seed, iteration, tf, gf, n_rooms = _HEADER.unpack_from(body, offset)
     offset += _HEADER.size
@@ -382,26 +585,31 @@ def _parse_fields(body: bytes) -> tuple[Archive, RunMeta]:
         lengths.append(lengths[parent_id] + 1)
     offset = end
 
-    archive = Archive(config_hash)
     (n_cells,) = _COUNT.unpack_from(body, offset)
     offset += _COUNT.size
+    keys, rows, states, scores = [], [], [], []
+    state_len_at = _CELL_ROW.size - _STATE_LEN.size
     for _ in range(n_cells):
         (key_len,) = _KEY_LEN.unpack_from(body, offset)
         offset += _KEY_LEN.size
-        key = decode_key(body[offset:offset + key_len])
+        keys.append(decode_key(body[offset:offset + key_len]))
         offset += key_len
-        _, _, tail_id, seen, chosen, since_new, _, _, _, snap_len = _CELL_ROW.unpack_from(
-            body, offset)
+        (state_len,) = _STATE_LEN.unpack_from(body, offset + state_len_at)
+        rows.append(body[offset:offset + _CELL_ROW.size])
         offset += _CELL_ROW.size
-        state = body[offset:offset + snap_len]
-        offset += snap_len
-        # The snapshot's score and frame counts are read from its head later,
-        # so a state with a cut head or of another config is rejected here.
-        read_state_head(unpack_snapshot(state, config_hash))
-        if key not in archive.cells:  # a repeated key is indexed once
-            archive._index(key)
-        archive.cells[key] = CellRecord(nodes[tail_id], lengths[tail_id], state,
-                                        seen, chosen, since_new)
+        state = body[offset:offset + state_len]
+        offset += state_len
+        # A state with a cut head or of another config is rejected here.
+        scores.append(read_state_head(unpack_snapshot(state, config_hash))[0])
+        states.append(state)
+    if len(set(keys)) != len(keys):  # the writer writes each key once
+        raise CheckpointError("archive checkpoint is not in the canonical layout")
+    row = np.frombuffer(b"".join(rows), _CELL_FIELDS)
+    archive = Archive(config_hash)
+    for key, tail_id, state, score, seen, chosen, since_new in zip(
+            keys, row["tail"].tolist(), states, scores, row["seen"].tolist(),
+            row["chosen"].tolist(), row["since_new"].tolist()):
+        archive._add(key, nodes[tail_id], lengths[tail_id], state, score, seen, chosen, since_new)
     require_layout(body, _layout(archive, meta), "archive checkpoint")
     return archive, meta
 

@@ -182,11 +182,10 @@ def cmd_replay(args: argparse.Namespace) -> int:
             wanted = bytes.fromhex(args.cell)
         except ValueError:
             raise ConfigError(f'--cell: expected "best" or a hex key, got {args.cell!r}') from None
-        matches = [k for k in archive.sorted_keys() if k.encode() == wanted]
-        if not matches:
+        key = archive.find_encoded(wanted)
+        if key is None:
             raise ShortfallError(f"no cell with key {args.cell}")
-        key = matches[0]
-        record = archive.cells[key]
+        record = archive.record(key)
     replay_record(env, record, key, cfg.mapper())
     print(
         f"replay ok: score {record.score}, {record.traj_len} training frames, "

@@ -26,7 +26,10 @@ later frame of the same action is that step again, so the rollout counts
 the rest of the run instead of stepping it.
 The merge then runs once per (rollout, cell), and gives the same records,
 visit counts, discovery credit and order of added keys as folding in every
-visit on its own.
+visit on its own. A batch's choices, and the visits of each cell a
+rollout met without a winning visit, are each counted with one array
+operation on the archive's counter columns (:meth:`Archive.record_chosen`,
+:meth:`Archive.count_visits`).
 """
 
 from __future__ import annotations
@@ -97,13 +100,15 @@ def check_metric_rows(cfg: ExploreConfig, frame_skip: int) -> None:
 
 
 class CellVisits(NamedTuple):
-    """A rollout's visits to one cell: how many, and the last visit that won
+    """A rollout's visits to one cell: how many, the last visit that won
     (its trajectory, and its snapshot, which carries its score), or ``None``
-    for both when none did."""
+    for both when none did, and the cell's archive id at selection time, or
+    ``None`` if it was not archived then."""
 
     visits: int
     trajectory: Trajectory | None
     snapshot: EnvSnapshot | None
+    cell_id: int | None = None
 
 
 _NO_BAR = (float("-inf"), float("inf"))  # what a visit to an unarchived cell must beat
@@ -194,7 +199,8 @@ def explore_from(
     ``archive`` must stand as it did at selection time: the caller merges
     only after all of a batch's rollouts. A visit wins if it beats, by the
     merge rule of :func:`archex.archive.beats`, both the archive record of
-    its cell (when there is one) and the cell's earlier winner in this
+    its cell (when there is one, read from the archive's score and length
+    columns) and the cell's earlier winner in this
     rollout; only winners are snapshotted, and each cell keeps its last
     winner, which is the best of its visits. A losing visit only counts.
     Trajectory nodes are built at the end, along the rollout's actions up
@@ -215,15 +221,17 @@ def explore_from(
     clear hands ids out again, so after a miss the step is compared with
     the id ``GridWorld._miss`` returns for the state it left.
     """
-    record = archive.cells[origin]
-    env.restore(record.snapshot)
+    # The archive's columns, only read here: each cell's id, and its best
+    # visit's score, length, tail node and state by id.
+    ids, scores, lengths = archive._cell_ids, archive._scores, archive._lengths
+    start = ids[origin]
+    env.restore(EnvSnapshot(archive._state_bytes[start]))
     env._require_live()
 
     actions, ends = plan
     column = env.column(mapper)
-    cells = archive.cells
-    found: dict[CellKey, list] = {}  # key -> [visits, score, length, snapshot] of its winner
-    base = length = record.traj_len
+    found: dict[CellKey, list] = {}  # key -> [visits, score, length, snapshot, id]
+    base = length = lengths[start]
     rooms: set[int] = set()
     max_level = 0
     # GridWorld.step inline: the world's id, score and frame count live in
@@ -258,9 +266,9 @@ def explore_from(
             key, room, level = mapped
             entry = found.get(key)
             if entry is None:
-                held = cells.get(key)
+                held = ids.get(key)
                 entry = found[key] = [0, *(_NO_BAR if held is None
-                                           else (held.score, held.traj_len)), None]
+                                           else (scores[held], lengths[held])), None, held]
             entry[0] += 1
             if beats(score, length, entry[1], entry[2]):
                 entry[1] = score
@@ -286,14 +294,14 @@ def explore_from(
 
     last = max((entry[2] for entry in found.values() if entry[3] is not None), default=base)
     nodes = []  # nodes[i] ends the trajectory of length base + i + 1
-    tail = record.tail
+    tail = archive._tails[start]
     for action in actions[:last - base]:
         tail = Node(action, tail)
         nodes.append(tail)
     visits = {
-        key: CellVisits(n, Trajectory(nodes[won_len - base - 1], won_len), snapshot)
-        if snapshot is not None else CellVisits(n, None, None)
-        for key, (n, _, won_len, snapshot) in found.items()
+        key: CellVisits(n, Trajectory(nodes[won_len - base - 1], won_len), snapshot, held)
+        if snapshot is not None else CellVisits(n, None, None, held)
+        for key, (n, _, won_len, snapshot, held) in found.items()
     }
     return RolloutResult(origin, visits, frames, terminated, rooms, max_level)
 
@@ -310,14 +318,19 @@ class IterationStats:
 def merge_results(archive: Archive, results: list[RolloutResult]) -> IterationStats:
     """Fold rollout results into the archive in worker-index order, once per
     (rollout, cell): a cell with a winner goes through the merge rule with
-    its visit count, and one without only adds its visits to
-    ``times_seen``."""
+    its visit count, and the visits of the others, which were archived at
+    selection time, are added to their ``times_seen`` by id at the end, all
+    at once (:meth:`Archive.count_visits`): no merge decision reads a visit
+    count."""
     stats = IterationStats()
+    seen_ids: list[int] = []
+    seen_visits: list[int] = []
     for result in results:
         discovered = False
-        for key, (visits, trajectory, snapshot) in result.cells.items():
+        for key, (visits, trajectory, snapshot, cell_id) in result.cells.items():
             if snapshot is None:
-                archive.cells[key].times_seen += visits
+                seen_ids.append(cell_id)
+                seen_visits.append(visits)
                 continue
             outcome = archive.insert_or_update(key, trajectory, snapshot, visits)
             if outcome is UpdateOutcome.ADDED:
@@ -331,6 +344,7 @@ def merge_results(archive: Archive, results: list[RolloutResult]) -> IterationSt
         stats.frames += result.frames
         stats.rooms |= result.rooms
         stats.max_level = max(stats.max_level, result.max_level)
+    archive.count_visits(seen_ids, seen_visits)
     return stats
 
 
@@ -346,8 +360,7 @@ def run_iteration(
     replacement, roll out, merge."""
     table = cell_probs(archive, sel_cfg)
     origins = sample_batch(table, cfg.batch_size, stream(cfg.seed, TAG_SELECT, iteration))
-    for key in origins:
-        archive.record_chosen(key)
+    archive.record_chosen(*origins)
     return _roll_out(archive, env, cfg, mapper, origins, TAG_EXPLORE, iteration)
 
 

@@ -15,11 +15,15 @@ Scores are strictly positive, so every cell keeps a nonzero selection
 probability. Probabilities are the scores normalized over the archive, and
 batches are drawn with replacement by cumulative-sum roulette.
 
-:func:`cell_probs` scores the whole archive at once. Its neighbor term reads
-the archive's missing-neighbor masks (the archive owns the slots, see
+:func:`cell_probs` scores the whole archive at once, from the archive's
+columns by cell id (:meth:`Archive.counters`, :meth:`Archive.levels`,
+:meth:`Archive.missing_masks`), and gathers the scores into canonical key
+order through the archive's id array (:meth:`Archive.sorted_ids`); no
+key is encoded, sorted or looked up. Its neighbor term reads the
+missing-neighbor masks (the archive owns the slots, see
 :data:`archex.archive.SLOT_KINDS`) through :func:`neigh_weight_table`, and
-it takes one level weight per distinct level gap, with the same operations
-in the same order as the per-cell formula above, so it agrees bit for bit
+it takes one level weight per distinct level, with the same operations in
+the same order as the per-cell formula above, so it agrees bit for bit
 with the scalar oracle the tests keep (``tests/oracle.py``).
 """
 
@@ -31,7 +35,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .archive import SLOT_KINDS, Archive
-from .cells import CellKey, DomainKey
+from .cells import CellKey
 from .errors import ConfigError
 
 
@@ -126,44 +130,35 @@ class SelectionTable:
 
 def cell_probs(archive: Archive, cfg: SelectionConfig) -> SelectionTable:
     """Scores and normalized probabilities over the archive in canonical key
-    order."""
-    keys = archive.sorted_keys()
-    if not keys:
+    order. Each cell is scored from the archive's columns, by cell id, and
+    the scores are then gathered into key order, so the sum that
+    normalizes them runs over the same values in the same order as the
+    scalar formula summed over the sorted keys."""
+    order = archive.sorted_ids()
+    if not len(order):
         raise ConfigError("cannot select from an empty archive")
-    n = len(keys)
-    records = [archive.cells[k] for k in keys]
-    chosen = np.fromiter((r.times_chosen for r in records), np.float64, n)
-    since = np.fromiter((r.times_chosen_since_new for r in records), np.float64, n)
-    seen = np.fromiter((r.times_seen for r in records), np.float64, n)
+    chosen, since, seen = archive.counters()
     cnt = (
         count_subscores(chosen, cfg.w_chosen, COUNT_POWER, EPS1, EPS2)
         + count_subscores(since, cfg.w_chosen_since_new, COUNT_POWER, EPS1, EPS2)
         + count_subscores(seen, cfg.w_seen, COUNT_POWER, EPS1, EPS2)
     )
     if cfg.domain_mode:
-        # Non-domain keys have no mask (weight 0) and level weight 1, which
-        # the gap -1 stands for.
-        masks = archive.missing_neighbors
-        neigh = neigh_weight_table(cfg)[
-            np.fromiter((masks.get(k, 0) for k in keys), np.intp, n)
-        ]
+        # Non-domain keys have mask 0 (weight 0) and level -1, which stands
+        # for level weight 1.
+        neigh = neigh_weight_table(cfg).take(archive.missing_masks())
         top = archive.max_level
-        gaps = np.fromiter(
-            (top - k.level if isinstance(k, DomainKey) else -1 for k in keys),
-            np.int64,
-            n,
-        )
-        distinct, where = np.unique(gaps, return_inverse=True)
+        distinct, slots = archive.levels()
         lw = np.array(
-            [1.0 if g < 0 else level_weight(top - g, top, LEVEL_DECAY)
-             for g in distinct.tolist()],
+            [1.0 if level < 0 else level_weight(level, top, LEVEL_DECAY) for level in distinct],
             np.float64,
-        )[where]
+        ).take(slots)
         scores = lw * (neigh + cnt + 1.0)
     else:
         scores = cnt + 1.0
+    scores = scores[order]
     probs = scores / scores.sum()
-    return SelectionTable(keys=keys, scores=scores, probs=probs)
+    return SelectionTable(keys=archive.sorted_keys(), scores=scores, probs=probs)
 
 
 def sample_batch(table: SelectionTable, b: int, rng: np.random.Generator) -> list[CellKey]:

@@ -221,7 +221,7 @@ def merge_results(archive: Archive, results: list[VisitResult]) -> IterationStat
             if snapshot is None:
                 record = archive.record(key)
                 assert not beats(score, trajectory.length, record.score, record.traj_len)
-                record.times_seen += 1
+                archive.count_visits([archive.id_of(key)], [1])
                 continue
             outcome = archive.insert_or_update(key, trajectory, snapshot)
             if outcome is UpdateOutcome.ADDED:

@@ -116,10 +116,8 @@ def test_criterion_01_formula_oracle():
             if key in archive:
                 continue
             archive.insert_or_update(key, Trajectory(), snap)
-            record = archive.record(key)
-            record.times_chosen = int(trng.integers(0, 100))
-            record.times_chosen_since_new = int(trng.integers(0, 30))
-            record.times_seen = int(trng.integers(1, 1000))
+            archive.set_counters(key, int(trng.integers(0, 100)), int(trng.integers(0, 30)),
+                                 int(trng.integers(1, 1000)))
             keys.append(key)
         table = cell_probs(archive, cfg)
         oracle_scores = []
@@ -165,10 +163,8 @@ def test_criterion_02_selection_distribution():
         if key in archive:
             continue
         archive.insert_or_update(key, Trajectory(), snap)
-        record = archive.record(key)
-        record.times_chosen = int(rng.integers(0, 40))
-        record.times_chosen_since_new = int(rng.integers(0, 10))
-        record.times_seen = int(rng.integers(1, 400))
+        archive.set_counters(key, int(rng.integers(0, 40)), int(rng.integers(0, 10)),
+                             int(rng.integers(1, 400)))
     table = cell_probs(archive, SelectionConfig())
     draws = 100_000
     picks = sample_batch(table, draws, stream(11, TAG_EVAL, 2))

@@ -18,7 +18,7 @@ from archex.archive import (
     serialize_archive,
     write_csv,
 )
-from archex.cells import DomainKey, domain_mapper
+from archex.cells import DomainKey, DownscaledKey, domain_mapper
 from archex.errors import CheckpointError, ContractError
 from archex.explore import ExploreConfig, replay_record, run_phase1
 from archex.robustify import PolicyCheckpoint, load_policy, save_policy
@@ -263,8 +263,6 @@ def test_sorted_keys_follow_encoding_across_inserts_and_load(env, snap):
     checkpoint load; lists handed out earlier are left as they were."""
     import numpy as np
 
-    from archex.cells import DownscaledKey
-
     rng = np.random.default_rng(5)
 
     def random_key():
@@ -292,6 +290,211 @@ def test_sorted_keys_follow_encoding_across_inserts_and_load(env, snap):
     for _ in range(30):
         loaded.insert_or_update(random_key(), Trajectory(), snap)
     assert loaded.sorted_keys() == full_sort(loaded)
+
+
+# -- columns ---------------------------------------------------------------------------
+
+
+# Keys whose encodings share long prefixes, and that are often grid or
+# more-keys neighbors: domain keys differ in a few small fields, downscaled
+# keys of 4 cells in their shape or grid.
+DOMAIN_KEYS = st.builds(key, st.integers(-1, 1), st.integers(-1, 1), st.integers(0, 1),
+                        st.integers(0, 2), st.sampled_from([(), (1,), (1, 1), (1, 2)]))
+DOWNSCALED_KEYS = st.builds(lambda shape, grid: DownscaledKey(*shape, 8, bytes(grid)),
+                            st.sampled_from([(1, 4), (2, 2), (4, 1)]),
+                            st.lists(st.integers(0, 1), min_size=4, max_size=4))
+INSERT_OP = st.tuples(st.just("insert"), st.one_of(DOMAIN_KEYS, DOMAIN_KEYS, DOWNSCALED_KEYS),
+                      st.sampled_from([0.0, 1.0, 2.0]), st.integers(0, 3), st.integers(1, 4))
+# Operations on an archive, after a first batch of inserts; an integer
+# picks an archived key modulo the archive's size.
+COLUMN_OPS = st.tuples(st.lists(INSERT_OP, min_size=8, max_size=30), st.lists(st.one_of(
+    INSERT_OP,
+    st.tuples(st.just("visits"), st.lists(st.tuples(st.integers(0, 99), st.integers(1, 5)),
+                                          min_size=1, max_size=6)),
+    st.tuples(st.just("chosen"), st.lists(st.integers(0, 99), min_size=1, max_size=6)),
+    st.tuples(st.just("credit"), st.integers(0, 99)),
+    st.tuples(st.just("select"), st.booleans()),
+    st.tuples(st.just("reload")),
+), min_size=10, max_size=40)).map(lambda parts: parts[0] + parts[1])
+
+
+def column_cfg(domain_mode):
+    return SelectionConfig(w_chosen=0.5, w_chosen_since_new=0.2, w_seen=0.3,
+                           w_horizontal=0.3, w_vertical=0.1, w_more_keys=10.0,
+                           domain_mode=domain_mode)
+
+
+@settings(max_examples=80, deadline=None, derandomize=True)
+@given(ops=COLUMN_OPS)
+def test_columns_follow_interleaved_updates(ops):
+    """Adds, improvements, visit counts, choices, discovery credit,
+    selections and checkpoint round trips, interleaved: every record reads
+    as a per-key model of the merge rule and counters says; the sorted keys
+    are the keys sorted by encoding; ``cell_probs`` gives the scalar
+    oracle's scores normalised, bit for bit; and a loaded archive selects
+    exactly as the archive that wrote it, and goes on growing."""
+    import numpy as np
+
+    from archex.archive import beats
+    from archex.selection import cell_probs, sample_batch
+    from archex.seeding import TAG_SELECT, stream
+    from oracle import cell_score
+
+    world = small_twomaze()
+    snap = world.reset(0)[1]
+    archive = Archive(world.config_hash)
+    model = {}  # key -> [score, length, seen, chosen, since_new]
+
+    def pick(i):
+        return list(model)[i % len(model)]
+
+    def selection(arch, cfg):
+        table = cell_probs(arch, cfg)
+        return table.keys, table.scores.tobytes(), table.probs.tobytes(), sample_batch(
+            table, 20, stream(3, TAG_SELECT, len(arch)))
+
+    for op, *args in ops:
+        if op == "insert":
+            k, score, length, visits = args
+            outcome = archive.insert_or_update(k, traj_of(*[0] * length), scored(snap, score),
+                                               visits)
+            held = model.get(k)
+            if held is None:
+                model[k] = [score, length, visits, 0, 0]
+                assert outcome is UpdateOutcome.ADDED
+            else:
+                held[2] += visits
+                won = beats(score, length, held[0], held[1])
+                if won:
+                    held[:2], held[3:] = [score, length], [0, 0]
+                assert outcome is (UpdateOutcome.IMPROVED if won else UpdateOutcome.UNCHANGED)
+        elif not model:
+            continue
+        elif op == "visits":
+            keys = [pick(i) for i, _ in args[0]]
+            archive.count_visits([archive.id_of(k) for k in keys], [n for _, n in args[0]])
+            for k, (_, n) in zip(keys, args[0]):
+                model[k][2] += n
+        elif op == "chosen":
+            keys = [pick(i) for i in args[0]]
+            archive.record_chosen(*keys)
+            for k in keys:
+                model[k][3] += 1
+                model[k][4] += 1
+        elif op == "credit":
+            archive.credit_discovery(pick(args[0]))
+            model[pick(args[0])][4] = 0
+        elif op == "select":
+            cfg = column_cfg(args[0])
+            assert archive.sorted_keys() == sorted(model, key=lambda k: k.encode())
+            table = cell_probs(archive, cfg)
+            oracle = np.array([cell_score(archive.record(k), k, archive, cfg)
+                               for k in table.keys])
+            assert table.scores.tobytes() == oracle.tobytes()
+            assert table.probs.tobytes() == (oracle / oracle.sum()).tobytes()
+        else:
+            loaded, _ = deserialize_archive(serialize_archive(archive))
+            for domain_mode in (False, True):
+                assert selection(loaded, column_cfg(domain_mode)) == selection(
+                    archive, column_cfg(domain_mode))
+            archive = loaded
+            model = {k: model[k] for k in archive.sorted_keys()}  # loaded in key order
+        assert list(archive.cells) == list(model)
+        for k, want in model.items():
+            record = archive.record(k)
+            assert [record.score, record.traj_len, record.times_seen, record.times_chosen,
+                    record.times_chosen_since_new] == want
+    assert archive.sorted_keys() == sorted(model, key=lambda k: k.encode())
+
+
+def test_keys_are_encoded_once(env, snap, monkeypatch):
+    """A key is encoded when it is added and never again: a selection after
+    m adds encodes just the m new keys, a save encodes none, and a load
+    encodes each key once."""
+    from archex.selection import cell_probs
+
+    encode, calls = DomainKey.encode, []
+    monkeypatch.setattr(DomainKey, "encode", lambda self: calls.append(self) or encode(self))
+    cfg = column_cfg(True)
+    keys = [key(x, y, level=x % 3) for x in range(-10, 10) for y in range(10)]
+    archive = fresh_archive(env)
+    for k in keys[:150]:
+        archive.insert_or_update(k, Trajectory(), snap)
+    cell_probs(archive, cfg)
+    del calls[:]
+    for k in keys[150:]:
+        archive.insert_or_update(k, Trajectory(), snap)
+    cell_probs(archive, cfg)
+    archive.best_record()
+    assert archive.find_encoded(encode(keys[7])) == keys[7]
+    data = serialize_archive(archive)
+    assert calls == keys[150:]
+    del calls[:]
+    loaded, _ = deserialize_archive(data)
+    cell_probs(loaded, cfg)
+    assert sorted(calls) == sorted(keys)
+
+
+# Every column of an archive; only archex/archive.py may write them.
+ARCHIVE_COLUMNS = {"_cell_ids", "_keys", "_encoded", "_tails", "_lengths", "_state_bytes",
+                   "_scores", "_seen", "_chosen", "_since_new", "_level_slots",
+                   "_distinct_levels", "_level_slot", "_masks", "_pos_index", "_unmasked",
+                   "_order", "_sorted_keys", "_sorted_encoded", "_unsorted"}
+_MUTATING_METHODS = {"append", "extend", "insert", "pop", "remove", "clear", "update",
+                     "setdefault", "popitem", "frombytes", "fromlist", "byteswap", "reverse",
+                     "sort", "fill", "put", "resize"}
+
+
+def column_writes(tree) -> list:
+    """The nodes of ``tree`` that may write an archive column: a store into
+    or delete of one (an attribute or an item of it), a mutating method
+    called on one, or one passed to a call (``np.add.at(archive._seen,
+    ...)``). Reading a column, or an item of it, is not a write."""
+    import ast
+
+    def column(node):
+        return isinstance(node, ast.Attribute) and node.attr in ARCHIVE_COLUMNS
+
+    found = []
+    for node in ast.walk(tree):
+        if isinstance(node, (ast.Attribute, ast.Subscript)) and not isinstance(node.ctx, ast.Load):
+            if column(node) or column(getattr(node, "value", None)):
+                found.append(node)
+        elif isinstance(node, ast.Call):
+            func = node.func
+            if (isinstance(func, ast.Attribute) and func.attr in _MUTATING_METHODS
+                    and column(func.value)):
+                found.append(node)
+            elif any(column(arg) for arg in [*node.args, *(kw.value for kw in node.keywords)]):
+                found.append(node)
+    return found
+
+
+def test_only_the_archive_writes_its_columns():
+    """No module of ``archex`` but ``archive.py`` writes an archive column
+    (see :func:`column_writes`): explore reads the score and length columns
+    inline, and every write goes through an ``Archive`` method."""
+    import ast
+    import re
+    from pathlib import Path
+
+    import archex
+
+    for snippet in ("a._seen[i] += 1", "a._scores = []", "del a._tails[0]",
+                    "a._cell_ids.setdefault(k, 0)", "np.add.at(a._chosen, ids, 1)",
+                    "np.frombuffer(buffer=a._masks)"):
+        assert column_writes(ast.parse(snippet)), snippet
+    assert not column_writes(ast.parse("ids, s = a._cell_ids, a._scores\nx = s[ids.get(k)]"))
+
+    root = Path(archex.__file__).parent
+    named = re.compile(r"\.\s*(?:%s)\b" % "|".join(sorted(ARCHIVE_COLUMNS)))
+    sources = {path: path.read_text() for path in sorted(root.rglob("*.py"))
+               if path != root / "archive.py"}
+    readers = [path for path, text in sources.items() if named.search(text)]
+    writes = [f"{path.relative_to(root)}:{node.lineno}" for path in readers
+              for node in column_writes(ast.parse(sources[path], str(path)))]
+    assert len(sources) > 10 and root / "explore.py" in readers
+    assert writes == []
 
 
 # -- checkpoints -------------------------------------------------------------------------
@@ -411,8 +614,7 @@ def test_checkpoint_traj_len_must_match_its_chain(tmp_path):
     load, before anything replays it."""
     result = build_small_archive()
     key = result.archive.sorted_keys()[5]
-    record = result.archive.record(key)
-    record.traj_len += 1
+    result.archive._lengths[result.archive._cell_ids[key]] += 1  # no archive writer does this
     path = tmp_path / "a.ckpt"
     checkpoint_save(result.archive, path, result.meta)
     with pytest.raises(CheckpointError, match="canonical layout"):

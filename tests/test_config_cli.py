@@ -576,8 +576,7 @@ def test_cli_replay_traj_len_off_its_chain_exit_3(tmp_path):
     assert run_cli("explore", "--config", str(path), "--out", str(out)) == 0
     archive, meta = checkpoint_load(out / "archive.ckpt")
     key = archive.sorted_keys()[3]
-    record = archive.record(key)
-    record.traj_len += 1
+    archive._lengths[archive._cell_ids[key]] += 1  # no archive writer does this
     checkpoint_save(archive, out / "archive.ckpt", meta)
     assert run_cli("replay", "--config", str(path), "--archive", str(out / "archive.ckpt"),
                    "--cell", key.encode().hex()) == 3
@@ -694,6 +693,29 @@ def test_cli_resume_malformed_checkpoint_exit_3(tmp_path, defect, code):
         checkpoint_save(archive, ckpt, meta)
     assert run_cli("explore", "--config", str(path), "--budget-frames", "2000",
                    "--resume", str(ckpt), "--out", str(out)) == code
+
+
+@pytest.mark.parametrize("cell", ["archived", "prefix", "past-the-end"])
+def test_cli_replay_cell_by_key(tmp_path, capsys, cell):
+    """``--cell`` finds an archived key by its encoding and replays it; an
+    encoding no key has (a prefix of an archived one, or one after every
+    archived one) is a shortfall, exit 4."""
+    path = write_config(tmp_path, BASE)
+    out = tmp_path / "run"
+    assert run_cli("explore", "--config", str(path), "--out", str(out)) == 0
+    capsys.readouterr()
+    archive, _ = checkpoint_load(out / "archive.ckpt")
+    enc = archive.sorted_keys()[len(archive) // 2].encode()
+    wanted = {"archived": enc, "prefix": enc[:-1], "past-the-end": b"\xff"}[cell]
+    code = run_cli("replay", "--config", str(path), "--archive", str(out / "archive.ckpt"),
+                   "--cell", wanted.hex())
+    captured = capsys.readouterr()
+    if cell == "archived":
+        assert code == 0
+        assert captured.out.startswith("replay ok") and f"key {enc.hex()}" in captured.out
+    else:
+        assert code == 4
+        assert captured.err == f"error: no cell with key {wanted.hex()}\n"
 
 
 def test_cli_replay_malformed_cell_key_exit_2(tmp_path):

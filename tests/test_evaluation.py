@@ -233,6 +233,44 @@ def checkerboard_table(make_env):
     return q
 
 
+def loop_clears_after_first_frame(patch) -> list:
+    """Patch ``GridWorld`` so that each table clear made by a miss outside
+    :meth:`GridWorld.step`, so by ``evaluate_policy``'s inline loop, from a
+    state other than the one the world was last reset to, so after the
+    episode's first frame, appends that state to the returned list. The
+    clears of the per-frame oracle and of the forced no-ops, which step,
+    are left out."""
+    from archex.envs.gridworld import GridWorld
+
+    reset, step, miss = GridWorld.reset, GridWorld.step, GridWorld._miss
+    started, stepping, cleared, clears = {}, set(), note_clears(patch), []
+
+    def noting_reset(self, seed=0):
+        out = reset(self, seed)
+        started[id(self)] = self.discrete_state()
+        return out
+
+    def noting_step(self, action):
+        stepping.add(id(self))
+        try:
+            return step(self, action)
+        finally:
+            stepping.discard(id(self))
+
+    def noting_miss(self, sid, action):
+        state, before = self._states[sid], len(cleared)
+        entry = miss(self, sid, action)
+        if (len(cleared) > before and id(self) not in stepping
+                and state != started.get(id(self))):
+            clears.append(state)
+        return entry
+
+    patch.setattr(GridWorld, "reset", noting_reset)
+    patch.setattr(GridWorld, "step", noting_step)
+    patch.setattr(GridWorld, "_miss", noting_miss)
+    return clears
+
+
 # The fewest distinct states a checkerboard sweep below acts in, per world,
 # of the 402, 715 and 41 states reachable (bfs_reachable_states). The sweeps
 # act in 74 / 215 (corridor), 60 / 180 (keydoor) and 21 / 21 (twomaze) at
@@ -250,26 +288,16 @@ def test_evaluate_policy_matches_scalar_draws(monkeypatch, world, sticky_p, tabl
     The 600-frame cap makes the empty table draw three blocks per episode,
     and the checkerboard tables carry the agent through many states. In the
     ``checkerboard-cleared`` case the world's transition table holds at
-    most 4 states, so it is cleared within episodes, after their first
-    frame."""
+    most 4 states, and the inline loop itself must clear it within an
+    episode, after the episode's first frame."""
     import archex.envs.gridworld as gridworld
-    from archex.envs.gridworld import GridWorld
 
     make_env = ENV_FACTORIES[world]
     q = checkerboard_table(make_env) if table != "empty" else {}
     clears = []
     if table == "checkerboard-cleared":
         monkeypatch.setattr(gridworld, "STATE_TABLE_LIMIT", 4)
-        miss, cleared = GridWorld._miss, note_clears(monkeypatch)
-
-        def noting_miss(self, sid, action):
-            before = len(cleared)
-            entry = miss(self, sid, action)
-            if len(cleared) > before and self._training_frames > 0:
-                clears.append(self._training_frames)
-            return entry
-
-        monkeypatch.setattr(GridWorld, "_miss", noting_miss)
+        clears = loop_clears_after_first_frame(monkeypatch)
     protocol = EvalProtocol(max_noop=3, min_episodes=2, sticky_p=sticky_p,
                             time_limit_game_frames=2_400)
     policy, _, _ = assert_matches_scalar_draws(q, make_env, protocol, seed=31)

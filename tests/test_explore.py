@@ -147,14 +147,14 @@ def test_rollout_trajectories_extend_origin():
 def test_rollout_scores_track_env():
     """Each winner's score is the env's, restored from its snapshot or
     replayed from reset along its trajectory; a cell that only lost carries
-    no trajectory or snapshot."""
+    no trajectory or snapshot, and its archive id."""
     env = small_corridor()
     archive = grown_archive(env)
     origin = archive.sorted_keys()[len(archive) // 2]
     result = roll(env, origin, archive, np.random.default_rng(3),
                           cfg_with(k=100), MAPPER)
-    losers = [c for c in result.cells.values() if c.snapshot is None]
-    assert losers and all(c[1:] == (None, None) for c in losers)
+    losers = {k: c for k, c in result.cells.items() if c.snapshot is None}
+    assert losers and all(c[1:] == (None, None, archive.id_of(k)) for k, c in losers.items())
     for key, cell in result.cells.items():
         if cell.snapshot is None:
             continue

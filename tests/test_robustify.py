@@ -90,9 +90,8 @@ def test_demo_snapshot_fillin(kd_result):
 def test_demo_corruption_detected(kd_result):
     """A record whose stored score, or whose stored state at an equal score,
     is not where its trajectory ends fails the demonstration replay and
-    ``replay_record`` with one message each (:func:`require_replayed`)."""
-    import dataclasses
-
+    ``replay_record`` with one message each (:func:`require_replayed`). The
+    forged record is the only cell of an archive of its own."""
     archive = kd_result.archive
     key, record = archive.best_record()
     forged_score = (key, record, scored(record.snapshot, record.score + 1))
@@ -103,7 +102,9 @@ def test_demo_corruption_detected(kd_result):
     forged_state = (key, archive.cells[key], start)
     for (key, record, snap), message in [(forged_score, "replayed score"),
                                          (forged_state, "replayed snapshot differs")]:
-        bad = dataclasses.replace(record, state_bytes=snap.state_bytes)
+        forged = Archive(archive.config_hash)
+        forged.insert_or_update(key, record.trajectory, snap)
+        bad = forged.record(key)
         with pytest.raises(IntegrityError, match=message):
             build_demonstration(small_keydoor(), bad)
         with pytest.raises(IntegrityError, match=message):

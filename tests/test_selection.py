@@ -51,10 +51,7 @@ def build_archive(records, domain=True):
     archive = Archive(env.config_hash)
     for key, chosen, since, seen in records:
         archive.insert_or_update(key, Trajectory(), snap)
-        record = archive.record(key)
-        record.times_chosen = chosen
-        record.times_chosen_since_new = since
-        record.times_seen = seen
+        archive.set_counters(key, chosen, since, seen)
     return archive
 
 
