@@ -12,10 +12,11 @@ numpy, which also adds to the counters in place. Only this module writes
 the columns. A :class:`CellRecord` is a read-only view of one cell, and
 :attr:`Archive.cells` maps keys to them.
 
-The archive also keeps its ids, keys and encodings in canonical key order
-(by encoding). A key is encoded once, when it is added, and placed into
-that order by a binary search among the keys placed before
-(:meth:`Archive._place_added`), so no key is encoded or sorted again.
+Selection, explore and the counter writers pass cell ids, which follow the
+order cells were added (a loaded archive's, key order): an id belongs to one
+archive object. The canonical key order (by encoding) is kept once, as the
+id array :meth:`Archive.sorted_ids`; a key is encoded once, when it is
+added, and its id placed by a binary search (:meth:`Archive._place_added`).
 
 Trajectories are stored as shared-suffix linked lists: extending by one
 action allocates a single node and never touches existing nodes, so the total
@@ -173,19 +174,6 @@ class _Cells(Mapping):
         return key in self._archive._cell_ids
 
 
-def _inserted(old: list, at: Sequence[int], new: Sequence) -> list:
-    """A new list: ``old`` with each ``new[j]`` placed before ``old[at[j]]``,
-    for non-decreasing ``at``."""
-    out: list = []
-    done = 0
-    for pos, item in zip(at, new):
-        out += old[done:pos]
-        out.append(item)
-        done = pos
-    out += old[done:]
-    return out
-
-
 @dataclass(slots=True)
 class RunMeta:
     """Explorer progress stored alongside an archive in checkpoints."""
@@ -226,11 +214,9 @@ class Archive:
         self._masks = array("B")
         self._pos_index: dict[tuple[int, int, int, int], list[int]] = {}
         self._unmasked: list[int] = []  # domain ids added since the masks were last read
-        # Ids, keys and encodings in canonical key order, and the ids added
-        # since they were last placed in it.
+        # Ids in canonical key order, and the ids added since they were last
+        # placed in it.
         self._order = np.empty(0, np.intp)
-        self._sorted_keys: list[CellKey] = []
-        self._sorted_encoded: list[bytes] = []
         self._unsorted: list[int] = []
 
     def __len__(self) -> int:
@@ -257,37 +243,34 @@ class Archive:
     # -- canonical order ------------------------------------------------------
 
     def sorted_keys(self) -> list[CellKey]:
-        """Keys in canonical (encoded-bytes) order. A list once returned is
-        not changed: keys added later are placed into a new one."""
-        self._place_added()
-        return self._sorted_keys
+        """Keys in canonical (encoded-bytes) order, as a new list."""
+        return [self._keys[i] for i in self.sorted_ids().tolist()]
 
     def sorted_ids(self) -> np.ndarray:
-        """Cell ids in canonical key order."""
+        """Cell ids in canonical key order. An array once returned is not
+        changed: ids added later are placed into a new one."""
         self._place_added()
         return self._order
 
     def find_encoded(self, encoded: bytes) -> CellKey | None:
         """The key whose encoding is ``encoded``, by binary search over the
-        sorted encodings, or ``None`` if no archived key has it."""
-        self._place_added()
-        at = bisect_left(self._sorted_encoded, encoded)
-        if at < len(self._sorted_encoded) and self._sorted_encoded[at] == encoded:
-            return self._sorted_keys[at]
+        canonical order, or ``None`` if no archived key has it."""
+        order = self.sorted_ids()
+        at = bisect_left(order, encoded, key=self._encoded.__getitem__)
+        if at < len(order) and self._encoded[order[at]] == encoded:
+            return self._keys[order[at]]
         return None
 
     def _place_added(self) -> None:
         """Place the ids added since the last call into the canonical order,
-        each by a binary search on its encoding among the keys placed before."""
+        each by a binary search on its encoding among the ids placed before."""
         if not self._unsorted:
             return
-        added = sorted(self._unsorted, key=self._encoded.__getitem__)
+        encoded = self._encoded.__getitem__
+        added = sorted(self._unsorted, key=encoded)
         self._unsorted = []
-        encoded = [self._encoded[i] for i in added]
-        at = [bisect_left(self._sorted_encoded, enc) for enc in encoded]
+        at = [bisect_left(self._order, encoded(i), key=encoded) for i in added]
         self._order = np.insert(self._order, at, added)
-        self._sorted_encoded = _inserted(self._sorted_encoded, at, encoded)
-        self._sorted_keys = _inserted(self._sorted_keys, at, [self._keys[i] for i in added])
 
     # -- updates -----------------------------------------------------------
 
@@ -354,10 +337,12 @@ class Archive:
             self.max_level = level
         self._unmasked.append(i)
 
-    def record_chosen(self, *keys: CellKey) -> None:
-        """Count a choice of each of ``keys`` (a repeated key once per
+    def record_chosen(self, ids: Sequence[int]) -> None:
+        """Count a choice of each cell id of ``ids`` (a repeated id once per
         repeat) in its ``times_chosen`` and ``times_chosen_since_new``."""
-        ids = np.array([self.id_of(key) for key in keys], np.intp)
+        ids = np.array(ids, np.intp)
+        if len(ids) and not 0 <= ids.min() <= ids.max() < len(self._keys):
+            raise ContractError(f"cell id outside [0, {len(self._keys)})")
         np.add.at(np.frombuffer(self._chosen, np.uint64), ids, 1)
         np.add.at(np.frombuffer(self._since_new, np.uint64), ids, 1)
 
@@ -367,16 +352,11 @@ class Archive:
         np.add.at(np.frombuffer(self._seen, np.uint64), np.array(ids, np.intp),
                   np.array(visits, np.uint64))
 
-    def credit_discovery(self, key: CellKey) -> None:
-        self._since_new[self.id_of(key)] = 0
-
-    def set_counters(self, key: CellKey, times_chosen: int, times_chosen_since_new: int,
-                     times_seen: int) -> None:
-        """Set the three counters of ``key`` as given."""
-        i = self.id_of(key)
-        self._chosen[i] = times_chosen
-        self._since_new[i] = times_chosen_since_new
-        self._seen[i] = times_seen
+    def credit_discovery(self, cell_id: int) -> None:
+        """Reset the ``times_chosen_since_new`` of cell id ``cell_id``."""
+        if not 0 <= cell_id < len(self._keys):  # a column would take -1 as its last cell
+            raise ContractError(f"cell id outside [0, {len(self._keys)})")
+        self._since_new[cell_id] = 0
 
     # -- columns selection reads ------------------------------------------
     # Copies, not views: an array column cannot grow while a numpy view of
@@ -491,8 +471,7 @@ def _layout(archive: Archive, meta: RunMeta | None) -> Iterator[bytes]:
 
     node_ids: dict = {}  # node -> its row; nodes hash by identity
     nodes: list = []
-    ids = archive._cell_ids
-    ordered = [ids[key] for key in archive.sorted_keys()]
+    ordered = archive.sorted_ids().tolist()
     tails = archive._tails
     for i in ordered:
         stack = []

@@ -26,9 +26,10 @@ later frame of the same action is that step again, so the rollout counts
 the rest of the run instead of stepping it.
 The merge then runs once per (rollout, cell), and gives the same records,
 visit counts, discovery credit and order of added keys as folding in every
-visit on its own. A batch's choices, and the visits of each cell a
-rollout met without a winning visit, are each counted with one array
-operation on the archive's counter columns (:meth:`Archive.record_chosen`,
+visit on its own. Origins are cell ids, from selection to the discovery
+credit. A batch's choices, and the visits of each cell a rollout met
+without a winning visit, are each counted by id with one array operation
+on the archive's counter columns (:meth:`Archive.record_chosen`,
 :meth:`Archive.count_visits`).
 """
 
@@ -116,7 +117,7 @@ _NO_BAR = (float("-inf"), float("inf"))  # what a visit to an unarchived cell mu
 
 @dataclass(slots=True)
 class RolloutResult:
-    origin: CellKey
+    origin: int  # the cell id the rollout started from
     cells: dict[CellKey, CellVisits]  # in the order of their first visits
     frames: int
     terminated: bool
@@ -182,15 +183,16 @@ def plan_rollouts(
 
 def explore_from(
     env: GridWorld,
-    origin: CellKey,
+    origin: int,
     archive: Archive,
     plan: RolloutPlan,
     mapper: CellMapper,
 ) -> RolloutResult:
-    """Restore ``origin``'s archived snapshot, take the actions of ``plan``
-    (see :func:`plan_rollouts`), and sum up the visits per cell. If the
-    episode ends (:meth:`GridWorld.step`'s done rule), the rollout stops and
-    the final transition is discarded: it has no destination cell.
+    """Restore the archived snapshot of cell id ``origin``, take the
+    actions of ``plan`` (see :func:`plan_rollouts`), and sum up the visits
+    per cell. If the episode ends (:meth:`GridWorld.step`'s done rule), the
+    rollout stops and the final transition is discarded: it has no
+    destination cell.
 
     Each frame's cell key, room and level come from ``env``'s column for
     ``mapper``, indexed by the state id after the step; ``features()`` and
@@ -224,14 +226,13 @@ def explore_from(
     # The archive's columns, only read here: each cell's id, and its best
     # visit's score, length, tail node and state by id.
     ids, scores, lengths = archive._cell_ids, archive._scores, archive._lengths
-    start = ids[origin]
-    env.restore(EnvSnapshot(archive._state_bytes[start]))
+    env.restore(EnvSnapshot(archive._state_bytes[origin]))
     env._require_live()
 
     actions, ends = plan
     column = env.column(mapper)
     found: dict[CellKey, list] = {}  # key -> [visits, score, length, snapshot, id]
-    base = length = lengths[start]
+    base = length = lengths[origin]
     rooms: set[int] = set()
     max_level = 0
     # GridWorld.step inline: the world's id, score and frame count live in
@@ -294,7 +295,7 @@ def explore_from(
 
     last = max((entry[2] for entry in found.values() if entry[3] is not None), default=base)
     nodes = []  # nodes[i] ends the trajectory of length base + i + 1
-    tail = archive._tails[start]
+    tail = archive._tails[origin]
     for action in actions[:last - base]:
         tail = Node(action, tail)
         nodes.append(tail)
@@ -356,11 +357,11 @@ def run_iteration(
     iteration: int,
     mapper: CellMapper,
 ) -> IterationStats:
-    """One batch: recompute probabilities once, sample b origins with
+    """One batch: recompute probabilities once, sample b origin ids with
     replacement, roll out, merge."""
     table = cell_probs(archive, sel_cfg)
     origins = sample_batch(table, cfg.batch_size, stream(cfg.seed, TAG_SELECT, iteration))
-    archive.record_chosen(*origins)
+    archive.record_chosen(origins)
     return _roll_out(archive, env, cfg, mapper, origins, TAG_EXPLORE, iteration)
 
 
@@ -369,16 +370,16 @@ def _roll_out(
     env: GridWorld,
     cfg: ExploreConfig,
     mapper: CellMapper,
-    origins: list[CellKey],
+    origins: list[int],
     tag: int,
     iteration: int,
 ) -> IterationStats:
-    """Explore from each origin on the plan of stream (seed, tag,
+    """Explore from each origin id on the plan of stream (seed, tag,
     iteration, worker), then merge the results in worker order."""
     rngs = (stream(cfg.seed, tag, iteration, worker) for worker in range(len(origins)))
     plans = plan_rollouts(rngs, cfg, env.action_count)
-    results = [explore_from(env, key, archive, plan, mapper)
-               for key, plan in zip(origins, plans)]
+    results = [explore_from(env, origin, archive, plan, mapper)
+               for origin, plan in zip(origins, plans)]
     return merge_results(archive, results)
 
 
@@ -505,7 +506,7 @@ def run_phase1(
         if stop_condition is not None and stop_condition(archive, meta):
             break
         if sel_cfg is None:
-            origins = [start_key] * cfg.batch_size
+            origins = [archive.id_of(start_key)] * cfg.batch_size
             stats = _roll_out(archive, env, cfg, mapper, origins, TAG_BASELINE, meta.iteration)
         else:
             stats = run_iteration(archive, env, sel_cfg, cfg, meta.iteration, mapper)

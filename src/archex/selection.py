@@ -13,14 +13,14 @@ the constants :data:`COUNT_POWER`, :data:`EPS1`, :data:`EPS2` and
 
 Scores are strictly positive, so every cell keeps a nonzero selection
 probability. Probabilities are the scores normalized over the archive, and
-batches are drawn with replacement by cumulative-sum roulette.
+batches of cell ids are drawn with replacement by cumulative-sum roulette.
 
 :func:`cell_probs` scores the whole archive at once, from the archive's
 columns by cell id (:meth:`Archive.counters`, :meth:`Archive.levels`,
 :meth:`Archive.missing_masks`), and gathers the scores into canonical key
-order through the archive's id array (:meth:`Archive.sorted_ids`); no
-key is encoded, sorted or looked up. Its neighbor term reads the
-missing-neighbor masks (the archive owns the slots, see
+order through the archive's id array (:meth:`Archive.sorted_ids`), which
+the table carries; no key is encoded, sorted or looked up. Its neighbor
+term reads the missing-neighbor masks (the archive owns the slots, see
 :data:`archex.archive.SLOT_KINDS`) through :func:`neigh_weight_table`, and
 it takes one level weight per distinct level, with the same operations in
 the same order as the per-cell formula above, so it agrees bit for bit
@@ -123,7 +123,7 @@ def level_weight(level: int, max_level: int, base: float) -> float:
 
 @dataclass(slots=True)
 class SelectionTable:
-    keys: list[CellKey]
+    ids: np.ndarray  # cell ids in canonical key order
     scores: np.ndarray
     probs: np.ndarray
 
@@ -158,16 +158,16 @@ def cell_probs(archive: Archive, cfg: SelectionConfig) -> SelectionTable:
         scores = cnt + 1.0
     scores = scores[order]
     probs = scores / scores.sum()
-    return SelectionTable(keys=archive.sorted_keys(), scores=scores, probs=probs)
+    return SelectionTable(ids=order, scores=scores, probs=probs)
 
 
-def sample_batch(table: SelectionTable, b: int, rng: np.random.Generator) -> list[CellKey]:
-    """Draw b keys with replacement, proportional to table.probs."""
+def sample_batch(table: SelectionTable, b: int, rng: np.random.Generator) -> list[int]:
+    """Draw b cell ids with replacement, proportional to table.probs."""
     if b < 1:
         raise ConfigError("batch size must be >= 1")
     cum = np.cumsum(table.probs)
     cum[-1] = 1.0  # guard against accumulated rounding at the top end
     draws = rng.random(b)
     idx = np.searchsorted(cum, draws, side="right")
-    idx = np.minimum(idx, len(table.keys) - 1)
-    return [table.keys[i] for i in idx]
+    idx = np.minimum(idx, len(table.ids) - 1)
+    return table.ids[idx].tolist()

@@ -34,8 +34,9 @@ checkpoints (the reference keeps every checkpoint, ``backward_run`` the
 pool). :func:`plain_downscale_mapper` downscales every frame it is handed,
 rendering an environment on every call; explore's downscaled keys, read
 from the world's column, must equal its keys.
-:func:`extend` grows a trajectory by one action, as only tests do; the
-package links nodes itself.
+:func:`extend` grows a trajectory by one action, and :func:`set_counters`
+sets a cell's counters outright, as only tests do; the package links nodes
+itself and only counts.
 :func:`resample_means_oneshot` draws and gathers a bootstrap's whole index
 matrix at once, where :func:`archex.evaluation.bootstrap_ci` and
 :func:`archex.evaluation.percentile_band` do it in blocks of rows; both
@@ -118,6 +119,17 @@ def missing_slots(archive: Archive, key: DomainKey) -> int:
     return mask
 
 
+def set_counters(archive: Archive, key: CellKey, times_chosen: int,
+                 times_chosen_since_new: int, times_seen: int) -> None:
+    """Set the three counters of archived ``key`` as given, by writing the
+    archive's counter columns: the package only counts (choices, visits,
+    discovery credit), and selection tests need counters set outright."""
+    i = archive.id_of(key)
+    archive._chosen[i] = times_chosen
+    archive._since_new[i] = times_chosen_since_new
+    archive._seen[i] = times_seen
+
+
 def slot_weights(cfg: SelectionConfig) -> tuple[float, ...]:
     """The weight of each :func:`missing_slots` bit, in bit order."""
     return (cfg.w_horizontal, cfg.w_horizontal, cfg.w_vertical, cfg.w_vertical,
@@ -150,7 +162,7 @@ class VisitedCell(NamedTuple):
 
 
 class VisitResult(NamedTuple):
-    origin: CellKey
+    origin: int  # the cell id the rollout started from
     visited: list[VisitedCell]
     frames: int
     terminated: bool
@@ -161,13 +173,14 @@ class VisitResult(NamedTuple):
 _NO_BAR = (float("-inf"), float("inf"))  # what a visit to an unarchived cell must beat
 
 
-def explore_from(env: GridWorld, origin: CellKey, archive: Archive, rng,
+def explore_from(env: GridWorld, origin: int, archive: Archive, rng,
                  cfg: ExploreConfig, mapper: CellMapper) -> VisitResult:
-    """One rollout with one :class:`VisitedCell` per stepped frame, on the
-    RNG contract of :func:`archex.explore.plan_rollouts`. A visit gets a
-    snapshot only if it beats its cell's archive record and the cell's
-    earlier visits in this rollout."""
-    record = archive.cells[origin]
+    """One rollout from cell id ``origin`` with one :class:`VisitedCell`
+    per stepped frame, on the RNG contract of
+    :func:`archex.explore.plan_rollouts`. A visit gets a snapshot only if
+    it beats its cell's archive record and the cell's earlier visits in
+    this rollout."""
+    record = CellRecord(archive, origin)
     env.restore(record.snapshot)
 
     repeats = rng.random(cfg.k)

@@ -52,7 +52,7 @@ from archex.selection import (
 from archex.trajectory import Trajectory
 
 from conftest import bfs_reachable_states, step_and_render
-from oracle import missing_slots, myopic_greedy_baseline, slot_weights
+from oracle import missing_slots, myopic_greedy_baseline, set_counters, slot_weights
 
 mp.dps = 50
 
@@ -116,12 +116,12 @@ def test_criterion_01_formula_oracle():
             if key in archive:
                 continue
             archive.insert_or_update(key, Trajectory(), snap)
-            archive.set_counters(key, int(trng.integers(0, 100)), int(trng.integers(0, 30)),
-                                 int(trng.integers(1, 1000)))
+            set_counters(archive, key, int(trng.integers(0, 100)), int(trng.integers(0, 30)),
+                         int(trng.integers(1, 1000)))
             keys.append(key)
         table = cell_probs(archive, cfg)
         oracle_scores = []
-        for key in table.keys:
+        for key in archive.sorted_keys():
             record = archive.record(key)
             counts = mpf(0)
             for v, w in (
@@ -140,8 +140,7 @@ def test_criterion_01_formula_oracle():
             lw = mpf(str(LEVEL_DECAY)) ** (archive.max_level - key.level) if cfg.domain_mode else mpf(1)
             oracle_scores.append(lw * (neigh + counts + 1))
         total = sum(oracle_scores)
-        for i, key in enumerate(table.keys):
-            got_score = table.scores[i]
+        for i, got_score in enumerate(table.scores):
             worst = max(worst, abs(got_score - float(oracle_scores[i])) / float(oracle_scores[i]))
             want_prob = float(oracle_scores[i] / total)
             worst = max(worst, abs(table.probs[i] - want_prob) / want_prob)
@@ -163,15 +162,16 @@ def test_criterion_02_selection_distribution():
         if key in archive:
             continue
         archive.insert_or_update(key, Trajectory(), snap)
-        archive.set_counters(key, int(rng.integers(0, 40)), int(rng.integers(0, 10)),
-                             int(rng.integers(1, 400)))
+        set_counters(archive, key, int(rng.integers(0, 40)), int(rng.integers(0, 10)),
+                     int(rng.integers(1, 400)))
     table = cell_probs(archive, SelectionConfig())
     draws = 100_000
     picks = sample_batch(table, draws, stream(11, TAG_EVAL, 2))
-    counts = {key: 0 for key in table.keys}
-    for key in picks:
-        counts[key] += 1
-    observed = [counts[key] for key in table.keys]
+    ids = table.ids.tolist()
+    counts = {cell_id: 0 for cell_id in ids}
+    for cell_id in picks:
+        counts[cell_id] += 1
+    observed = [counts[cell_id] for cell_id in ids]
     expected = [p * draws for p in table.probs]
     result = scipy_stats.chisquare(observed, expected)
     report(2, result.pvalue > 0.01,

@@ -5,7 +5,7 @@ import hashlib
 import tracemalloc
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import Phase, given, note, settings
 from hypothesis import strategies as st
 
 from archex.archive import (
@@ -94,8 +94,8 @@ def test_insert_absent_added(env, snap):
 def test_higher_score_improves_and_resets_chosen(env, snap):
     archive = fresh_archive(env)
     archive.insert_or_update(key(), traj_of(1), scored(snap, 5.0))
-    archive.record_chosen(key())
-    archive.record_chosen(key())
+    archive.record_chosen([archive.id_of(key())])
+    archive.record_chosen([archive.id_of(key())])
     outcome = archive.insert_or_update(key(), traj_of(1, 2), scored(snap, 9.0))
     record = archive.record(key())
     assert outcome is UpdateOutcome.IMPROVED
@@ -157,7 +157,7 @@ def test_visit_count_adds_to_times_seen(env, snap):
     outcome = archive.insert_or_update(key(), loser, scored(snap, 5.0), 3)
     assert outcome is UpdateOutcome.UNCHANGED
     assert (record.times_seen, record.traj_len) == (7, 1)
-    archive.record_chosen(key())
+    archive.record_chosen([archive.id_of(key())])
     outcome = archive.insert_or_update(key(), traj_of(2), scored(snap, 6.0), 2)
     assert outcome is UpdateOutcome.IMPROVED
     assert (record.times_seen, record.score, record.times_chosen) == (9, 6.0, 0)
@@ -169,10 +169,10 @@ def test_visit_count_adds_to_times_seen(env, snap):
 def test_record_chosen_counts(env, snap):
     archive = fresh_archive(env)
     archive.insert_or_update(key(), Trajectory(), snap)
-    archive.record_chosen(key())
+    archive.record_chosen([archive.id_of(key())])
     record = archive.record(key())
     assert (record.times_chosen, record.times_chosen_since_new) == (1, 1)
-    archive.record_chosen(key())
+    archive.record_chosen([archive.id_of(key())])
     assert (record.times_chosen, record.times_chosen_since_new) == (2, 2)
 
 
@@ -180,9 +180,9 @@ def test_chosen_credited_chosen(env, snap):
     """chosen, credited with a discovery, chosen again -> (2, 1)."""
     archive = fresh_archive(env)
     archive.insert_or_update(key(), Trajectory(), snap)
-    archive.record_chosen(key())
-    archive.credit_discovery(key())
-    archive.record_chosen(key())
+    archive.record_chosen([archive.id_of(key())])
+    archive.credit_discovery(archive.id_of(key()))
+    archive.record_chosen([archive.id_of(key())])
     record = archive.record(key())
     assert (record.times_chosen, record.times_chosen_since_new) == (2, 1)
 
@@ -190,17 +190,30 @@ def test_chosen_credited_chosen(env, snap):
 def test_credit_discovery_idempotent(env, snap):
     archive = fresh_archive(env)
     archive.insert_or_update(key(), Trajectory(), snap)
-    archive.credit_discovery(key())
-    archive.credit_discovery(key())
+    archive.credit_discovery(archive.id_of(key()))
+    archive.credit_discovery(archive.id_of(key()))
     assert archive.record(key()).times_chosen_since_new == 0
 
 
-def test_counter_ops_on_absent_key(env):
+def test_counter_ops_on_absent_key(env, snap):
+    """An id outside ``[0, len(archive))`` is refused, not wrapped onto the
+    last cell as a column indexed by -1 would be, and no counter moves."""
     archive = fresh_archive(env)
     with pytest.raises(ContractError):
-        archive.record_chosen(key())
+        archive.record_chosen([0])
     with pytest.raises(ContractError):
-        archive.credit_discovery(key())
+        archive.credit_discovery(0)
+    archive.insert_or_update(key(), Trajectory(), snap)
+    archive.record_chosen([0, 0])
+    for bad in (-1, 1):
+        with pytest.raises(ContractError):
+            archive.record_chosen([0, bad])
+        with pytest.raises(ContractError):
+            archive.credit_discovery(bad)
+    record = archive.record(key())
+    assert (record.times_chosen, record.times_chosen_since_new) == (2, 2)
+    archive.record_chosen([])
+    assert record.times_chosen == 2
 
 
 @settings(max_examples=50, deadline=None)
@@ -324,7 +337,11 @@ def column_cfg(domain_mode):
                            domain_mode=domain_mode)
 
 
-@settings(max_examples=80, deadline=None, derandomize=True)
+# No shrink phase: the failing example is reported as drawn, with its
+# operations and the index of the one that failed, in seconds rather than
+# the minutes shrinking these operation lists takes.
+@settings(max_examples=80, deadline=None, derandomize=True,
+          phases=(Phase.explicit, Phase.generate))
 @given(ops=COLUMN_OPS)
 def test_columns_follow_interleaved_updates(ops):
     """Adds, improvements, visit counts, choices, discovery credit,
@@ -332,7 +349,8 @@ def test_columns_follow_interleaved_updates(ops):
     as a per-key model of the merge rule and counters says; the sorted keys
     are the keys sorted by encoding; ``cell_probs`` gives the scalar
     oracle's scores normalised, bit for bit; and a loaded archive selects
-    exactly as the archive that wrote it, and goes on growing."""
+    exactly as the archive that wrote it, and goes on growing. A loaded
+    archive numbers its cells anew, so selections are compared by key."""
     import numpy as np
 
     from archex.archive import beats
@@ -340,6 +358,7 @@ def test_columns_follow_interleaved_updates(ops):
     from archex.seeding import TAG_SELECT, stream
     from oracle import cell_score
 
+    note(f"operations: {ops}")
     world = small_twomaze()
     snap = world.reset(0)[1]
     archive = Archive(world.config_hash)
@@ -350,60 +369,68 @@ def test_columns_follow_interleaved_updates(ops):
 
     def selection(arch, cfg):
         table = cell_probs(arch, cfg)
-        return table.keys, table.scores.tobytes(), table.probs.tobytes(), sample_batch(
-            table, 20, stream(3, TAG_SELECT, len(arch)))
+        keys = arch.sorted_keys()
+        key_of = dict(zip(table.ids.tolist(), keys))
+        picks = sample_batch(table, 20, stream(3, TAG_SELECT, len(arch)))
+        return keys, table.scores.tobytes(), table.probs.tobytes(), [key_of[i] for i in picks]
 
-    for op, *args in ops:
-        if op == "insert":
-            k, score, length, visits = args
-            outcome = archive.insert_or_update(k, traj_of(*[0] * length), scored(snap, score),
-                                               visits)
-            held = model.get(k)
-            if held is None:
-                model[k] = [score, length, visits, 0, 0]
-                assert outcome is UpdateOutcome.ADDED
+    for index, (op, *args) in enumerate(ops):
+        try:
+            if op == "insert":
+                k, score, length, visits = args
+                outcome = archive.insert_or_update(k, traj_of(*[0] * length),
+                                                   scored(snap, score), visits)
+                held = model.get(k)
+                if held is None:
+                    model[k] = [score, length, visits, 0, 0]
+                    assert outcome is UpdateOutcome.ADDED
+                else:
+                    held[2] += visits
+                    won = beats(score, length, held[0], held[1])
+                    if won:
+                        held[:2], held[3:] = [score, length], [0, 0]
+                    assert outcome is (UpdateOutcome.IMPROVED if won
+                                       else UpdateOutcome.UNCHANGED)
+            elif not model:
+                continue
+            elif op == "visits":
+                keys = [pick(i) for i, _ in args[0]]
+                archive.count_visits([archive.id_of(k) for k in keys],
+                                     [n for _, n in args[0]])
+                for k, (_, n) in zip(keys, args[0]):
+                    model[k][2] += n
+            elif op == "chosen":
+                keys = [pick(i) for i in args[0]]
+                archive.record_chosen([archive.id_of(k) for k in keys])
+                for k in keys:
+                    model[k][3] += 1
+                    model[k][4] += 1
+            elif op == "credit":
+                archive.credit_discovery(archive.id_of(pick(args[0])))
+                model[pick(args[0])][4] = 0
+            elif op == "select":
+                cfg = column_cfg(args[0])
+                assert archive.sorted_keys() == sorted(model, key=lambda k: k.encode())
+                table = cell_probs(archive, cfg)
+                oracle = np.array([cell_score(archive.record(k), k, archive, cfg)
+                                   for k in archive.sorted_keys()])
+                assert table.scores.tobytes() == oracle.tobytes()
+                assert table.probs.tobytes() == (oracle / oracle.sum()).tobytes()
             else:
-                held[2] += visits
-                won = beats(score, length, held[0], held[1])
-                if won:
-                    held[:2], held[3:] = [score, length], [0, 0]
-                assert outcome is (UpdateOutcome.IMPROVED if won else UpdateOutcome.UNCHANGED)
-        elif not model:
-            continue
-        elif op == "visits":
-            keys = [pick(i) for i, _ in args[0]]
-            archive.count_visits([archive.id_of(k) for k in keys], [n for _, n in args[0]])
-            for k, (_, n) in zip(keys, args[0]):
-                model[k][2] += n
-        elif op == "chosen":
-            keys = [pick(i) for i in args[0]]
-            archive.record_chosen(*keys)
-            for k in keys:
-                model[k][3] += 1
-                model[k][4] += 1
-        elif op == "credit":
-            archive.credit_discovery(pick(args[0]))
-            model[pick(args[0])][4] = 0
-        elif op == "select":
-            cfg = column_cfg(args[0])
-            assert archive.sorted_keys() == sorted(model, key=lambda k: k.encode())
-            table = cell_probs(archive, cfg)
-            oracle = np.array([cell_score(archive.record(k), k, archive, cfg)
-                               for k in table.keys])
-            assert table.scores.tobytes() == oracle.tobytes()
-            assert table.probs.tobytes() == (oracle / oracle.sum()).tobytes()
-        else:
-            loaded, _ = deserialize_archive(serialize_archive(archive))
-            for domain_mode in (False, True):
-                assert selection(loaded, column_cfg(domain_mode)) == selection(
-                    archive, column_cfg(domain_mode))
-            archive = loaded
-            model = {k: model[k] for k in archive.sorted_keys()}  # loaded in key order
-        assert list(archive.cells) == list(model)
-        for k, want in model.items():
-            record = archive.record(k)
-            assert [record.score, record.traj_len, record.times_seen, record.times_chosen,
-                    record.times_chosen_since_new] == want
+                loaded, _ = deserialize_archive(serialize_archive(archive))
+                for domain_mode in (False, True):
+                    assert selection(loaded, column_cfg(domain_mode)) == selection(
+                        archive, column_cfg(domain_mode))
+                archive = loaded
+                model = {k: model[k] for k in archive.sorted_keys()}  # loaded in key order
+            assert list(archive.cells) == list(model)
+            for k, want in model.items():
+                record = archive.record(k)
+                assert [record.score, record.traj_len, record.times_seen, record.times_chosen,
+                        record.times_chosen_since_new] == want
+        except BaseException:
+            note(f"failing operation {index}: {(op, *args)}")
+            raise
     assert archive.sorted_keys() == sorted(model, key=lambda k: k.encode())
 
 
@@ -439,7 +466,7 @@ def test_keys_are_encoded_once(env, snap, monkeypatch):
 ARCHIVE_COLUMNS = {"_cell_ids", "_keys", "_encoded", "_tails", "_lengths", "_state_bytes",
                    "_scores", "_seen", "_chosen", "_since_new", "_level_slots",
                    "_distinct_levels", "_level_slot", "_masks", "_pos_index", "_unmasked",
-                   "_order", "_sorted_keys", "_sorted_encoded", "_unsorted"}
+                   "_order", "_unsorted"}
 _MUTATING_METHODS = {"append", "extend", "insert", "pop", "remove", "clear", "update",
                      "setdefault", "popitem", "frombytes", "fromlist", "byteswap", "reverse",
                      "sort", "fill", "put", "resize"}
@@ -480,6 +507,7 @@ def test_only_the_archive_writes_its_columns():
 
     import archex
 
+    assert ARCHIVE_COLUMNS == {name for name in vars(Archive(0)) if name.startswith("_")}
     for snippet in ("a._seen[i] += 1", "a._scores = []", "del a._tails[0]",
                     "a._cell_ids.setdefault(k, 0)", "np.add.at(a._chosen, ids, 1)",
                     "np.frombuffer(buffer=a._masks)"):

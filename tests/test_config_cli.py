@@ -688,8 +688,9 @@ def test_cli_resume_malformed_checkpoint_exit_3(tmp_path, defect, code):
             struct.pack_into("<Q", body, at, struct.unpack_from("<Q", body, at)[0] ^ 1)
         write_checksummed(ckpt, [bytes(body)])
     elif defect != "none":
-        order = keys[:4] + keys[3:] if defect == "duplicate-row" else keys[::-1]
-        archive.sorted_keys = lambda: order
+        ids = archive.sorted_ids()
+        order = ids[[*range(4), *range(3, len(ids))]] if defect == "duplicate-row" else ids[::-1]
+        archive.sorted_ids = lambda: order
         checkpoint_save(archive, ckpt, meta)
     assert run_cli("explore", "--config", str(path), "--budget-frames", "2000",
                    "--resume", str(ckpt), "--out", str(out)) == code

@@ -7,7 +7,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from archex.archive import Archive, deserialize_archive, serialize_archive
+from archex.archive import Archive, CellRecord, deserialize_archive, serialize_archive
 from archex.cells import domain_mapper
 from archex.errors import ConfigError, ContractError
 import archex.explore as X
@@ -69,7 +69,8 @@ def grown_archive(env, iterations=3):
 
 
 def roll(env, origin, archive, rng, cfg, mapper):
-    """:func:`explore_from` on the plan of ``rng``, as a batch plans it."""
+    """:func:`explore_from` from cell id ``origin`` on the plan of ``rng``,
+    as a batch plans it."""
     plan = next(plan_rollouts([rng], cfg, env.action_count))
     return explore_from(env, origin, archive, plan, mapper)
 
@@ -81,8 +82,8 @@ def winners(result):
 def test_rollout_consumes_k_frames():
     env = small_twomaze()
     archive, key = seeded_archive(env)
-    result = roll(env, key, archive, np.random.default_rng(0),
-                          cfg_with(), MAPPER)
+    result = roll(env, archive.id_of(key), archive, np.random.default_rng(0),
+                  cfg_with(), MAPPER)
     assert result.frames == 20
     assert not result.terminated
     assert sum(c.visits for c in result.cells.values()) == 20
@@ -91,8 +92,8 @@ def test_rollout_consumes_k_frames():
 def test_rollout_stops_at_episode_end_and_discards_terminal():
     env = small_twomaze(time_limit_game_frames=10 * 4)  # 10 training frames
     archive, key = seeded_archive(env)
-    result = roll(env, key, archive, np.random.default_rng(0),
-                          cfg_with(k=50), MAPPER)
+    result = roll(env, archive.id_of(key), archive, np.random.default_rng(0),
+                  cfg_with(k=50), MAPPER)
     assert result.terminated
     assert result.frames == 10           # the fatal frame is counted
     assert sum(c.visits for c in result.cells.values()) == 9  # ... but visits no cell
@@ -107,7 +108,7 @@ def test_rollout_repeat_zero_matches_enumeration():
     env = small_twomaze()
     archive, key = seeded_archive(env)
     cfg = cfg_with(repeat_p=0.0)
-    result = roll(env, key, archive, stream(9, TAG_EXPLORE, 0, 0), cfg, MAPPER)
+    result = roll(env, archive.id_of(key), archive, stream(9, TAG_EXPLORE, 0, 0), cfg, MAPPER)
     rng = stream(9, TAG_EXPLORE, 0, 0)
     rng.random(cfg.k)  # repeat draws, unused at p=0
     expect = [int(a) for a in rng.integers(0, env.action_count, cfg.k)]
@@ -128,8 +129,8 @@ def test_rollout_trajectories_extend_origin():
     archive = grown_archive(env, iterations=2)
     origin = max(archive.cells, key=lambda k: archive.record(k).traj_len)
     record = archive.record(origin)
-    result = roll(env, origin, archive, np.random.default_rng(2),
-                          cfg_with(), MAPPER)
+    result = roll(env, archive.id_of(origin), archive, np.random.default_rng(2),
+                  cfg_with(), MAPPER)
     found = winners(result)
     assert len(found) > 1 and record.traj_len > 0
     longest = max(found, key=lambda c: c.trajectory.length)
@@ -150,9 +151,8 @@ def test_rollout_scores_track_env():
     no trajectory or snapshot, and its archive id."""
     env = small_corridor()
     archive = grown_archive(env)
-    origin = archive.sorted_keys()[len(archive) // 2]
-    result = roll(env, origin, archive, np.random.default_rng(3),
-                          cfg_with(k=100), MAPPER)
+    origin = archive.sorted_ids().tolist()[len(archive) // 2]
+    result = roll(env, origin, archive, np.random.default_rng(3), cfg_with(k=100), MAPPER)
     losers = {k: c for k, c in result.cells.items() if c.snapshot is None}
     assert losers and all(c[1:] == (None, None, archive.id_of(k)) for k, c in losers.items())
     for key, cell in result.cells.items():
@@ -176,7 +176,7 @@ def test_rollout_snapshots_exactly_the_possible_winners():
     rollout returns to cells with a higher score and some cells win twice."""
     env = small_corridor(hazard_penalty=1.0)
     archive = grown_archive(env)
-    origin = archive.sorted_keys()[2]
+    origin = archive.sorted_ids().tolist()[2]
     cfg = cfg_with(k=100)
     result = roll(env, origin, archive, np.random.default_rng(2), cfg, MAPPER)
     visited = oracle.explore_from(env, origin, archive, np.random.default_rng(2), cfg,
@@ -252,9 +252,10 @@ def test_merge_credits_improvement():
     env.step(3)
     other_key = MAPPER(env.observe(), env.observe().features)
     archive.insert_or_update(other_key, extend(extend(Trajectory(), 3), 0), env.snapshot())
-    archive.record_chosen(key)
+    origin = archive.id_of(key)
+    archive.record_chosen([origin])
     shorter = CellVisits(2, extend(Trajectory(), 3), env.snapshot())
-    merge_results(archive, [RolloutResult(key, {other_key: shorter}, 1, False, set(), 0)])
+    merge_results(archive, [RolloutResult(origin, {other_key: shorter}, 1, False, set(), 0)])
     assert archive.record(other_key).traj_len == 1
     assert archive.record(other_key).times_seen == 3
     assert archive.record(key).times_chosen_since_new == 0
@@ -515,7 +516,7 @@ def test_rollout_merge_matches_per_visit_oracle(monkeypatch, name):
     rollouts = []
 
     def spied(env, origin, archive, plan, mapper):
-        snapshot = archive.cells[origin].snapshot
+        snapshot = CellRecord(archive, origin).snapshot
         result = explore_from(env, origin, archive, plan, mapper)
         rollouts.append((snapshot, plan, result))
         return result
@@ -642,9 +643,8 @@ def test_downscale_memo_keeps_worlds_apart():
     for i in range(6):
         got = []
         for env, archive in zip(worlds, archives):
-            origin = archive.sorted_keys()[0]
-            result = roll(env, origin, archive, stream(0, TAG_EXPLORE, i, 0), cfg,
-                                  mapper)
+            origin = archive.sorted_ids().tolist()[0]
+            result = roll(env, origin, archive, stream(0, TAG_EXPLORE, i, 0), cfg, mapper)
             want = oracle.explore_from(env, origin, archive, stream(0, TAG_EXPLORE, i, 0), cfg,
                                        plain)
             assert [(k, c.visits) for k, c in result.cells.items()] == visits_of(want.visited)
@@ -747,7 +747,7 @@ def test_counted_runs_match_per_visit_oracle_across_table_clears(monkeypatch, wo
     env = reads()
     env.reset(0)
     cfg = cfg_with(k=100)
-    origins = archive.sorted_keys()
+    origins = archive.sorted_ids().tolist()
     frames = stepped = 0
     with monkeypatch.context() as patch:
         clears = clears_after_first_frame(patch)
@@ -819,9 +819,8 @@ def test_column_follows_the_mapper_it_is_handed(monkeypatch):
     cfg = cfg_with(k=60)
     for i in range(10):
         for mapper, archive in zip(mappers, archives):
-            origin = archive.sorted_keys()[i % len(archive)]
-            result = roll(env, origin, archive, stream(1, TAG_EXPLORE, i, 0), cfg,
-                                  mapper)
+            origin = archive.sorted_ids().tolist()[i % len(archive)]
+            result = roll(env, origin, archive, stream(1, TAG_EXPLORE, i, 0), cfg, mapper)
             want = oracle.explore_from(env, origin, archive, stream(1, TAG_EXPLORE, i, 0), cfg,
                                        mapper)
             assert [(k, c.visits) for k, c in result.cells.items()] == visits_of(want.visited)

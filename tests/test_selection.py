@@ -24,7 +24,7 @@ from archex.selection import (
 from archex.trajectory import Trajectory
 
 from conftest import small_twomaze
-from oracle import cell_score, count_subscore, missing_slots
+from oracle import cell_score, count_subscore, missing_slots, set_counters
 
 mp.dps = 50
 
@@ -51,7 +51,7 @@ def build_archive(records, domain=True):
     archive = Archive(env.config_hash)
     for key, chosen, since, seen in records:
         archive.insert_or_update(key, Trajectory(), snap)
-        archive.set_counters(key, chosen, since, seen)
+        set_counters(archive, key, chosen, since, seen)
     return archive
 
 
@@ -241,7 +241,7 @@ def test_probs_positive_and_scale_invariant():
 
 def assert_probs_match_scalar(archive, cfg):
     table = cell_probs(archive, cfg)
-    for i, key in enumerate(table.keys):
+    for i, key in enumerate(archive.sorted_keys()):
         assert table.scores[i] == cell_score(archive.record(key), key, archive, cfg), key
 
 
@@ -339,7 +339,7 @@ def test_sample_single_cell():
     archive = build_archive([(dkey(), 0, 0, 1)])
     table = cell_probs(archive, SelectionConfig())
     rng = np.random.default_rng(0)
-    assert sample_batch(table, 5, rng) == [dkey()] * 5
+    assert sample_batch(table, 5, rng) == [archive.id_of(dkey())] * 5
 
 
 def test_sample_statistics_two_cells():
@@ -350,7 +350,7 @@ def test_sample_statistics_two_cells():
     table.probs = np.array([0.75, 0.25])
     rng = np.random.default_rng(7)
     picks = sample_batch(table, 100_000, rng)
-    n0 = sum(1 for k in picks if k == dkey(0))
+    n0 = picks.count(archive.id_of(dkey(0)))
     chi = stats.chisquare([n0, 100_000 - n0], [75_000, 25_000])
     assert chi.pvalue > 0.01
 
