@@ -340,17 +340,23 @@ class Archive:
     def record_chosen(self, ids: Sequence[int]) -> None:
         """Count a choice of each cell id of ``ids`` (a repeated id once per
         repeat) in its ``times_chosen`` and ``times_chosen_since_new``."""
-        ids = np.array(ids, np.intp)
-        if len(ids) and not 0 <= ids.min() <= ids.max() < len(self._keys):
-            raise ContractError(f"cell id outside [0, {len(self._keys)})")
+        ids = self._id_array(ids)
         np.add.at(np.frombuffer(self._chosen, np.uint64), ids, 1)
         np.add.at(np.frombuffer(self._since_new, np.uint64), ids, 1)
 
     def count_visits(self, ids: Sequence[int], visits: Sequence[int]) -> None:
         """Add ``visits[j]`` to the ``times_seen`` of cell id ``ids[j]``, for
         every j (a repeated id adds each time)."""
-        np.add.at(np.frombuffer(self._seen, np.uint64), np.array(ids, np.intp),
+        np.add.at(np.frombuffer(self._seen, np.uint64), self._id_array(ids),
                   np.array(visits, np.uint64))
+
+    def _id_array(self, ids: Sequence[int]) -> np.ndarray:
+        """``ids`` as an index array, checked: a column would take -1 as its
+        last cell."""
+        ids = np.array(ids, np.intp)
+        if len(ids) and not 0 <= ids.min() <= ids.max() < len(self._keys):
+            raise ContractError(f"cell id outside [0, {len(self._keys)})")
+        return ids
 
     def credit_discovery(self, cell_id: int) -> None:
         """Reset the ``times_chosen_since_new`` of cell id ``cell_id``."""

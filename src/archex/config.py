@@ -6,11 +6,14 @@ parameter set first; explicit keys override it. Unknown or malformed keys
 are rejected with their field path before anything runs.
 
 Each key is ``section.<field>`` of its settings class, with that field's
-type and default (``explore.batch``, ``robustify.reward_mode`` and
-``robustify.reward_scale`` are the renamed ones, and ``out.dir``,
-``workers`` and ``explore.checkpoint_interval_iterations`` are
-``ExperimentConfig``'s run-level fields); ``env.*`` keys are the keyword
-arguments of the chosen environment's constructor.
+type and default (``explore.batch`` and ``robustify.reward_mode`` are the
+renamed ones, and ``out.dir``, ``workers`` and
+``explore.checkpoint_interval_iterations`` are ``ExperimentConfig``'s
+run-level fields); ``env.*`` keys are the keyword arguments of the chosen
+environment's constructor. A value the reference setup fixes has no key:
+the action repeat probability (``explore.REPEAT_P``), the downscaled
+cell's size and depth (the ``DownscaleParams`` defaults) and the factor of
+the ``scale`` reward mode (``robustify.REWARD_SCALE``) are constants.
 
 Placement syntaxes:
     env.keys / env.hazards   room:x,y pairs, e.g. "5:6,1; 18:1,4"
@@ -40,9 +43,6 @@ PRESETS: dict[str, dict[str, str]] = {
     # Downscaled-frame representation, sparse-reward weighting.
     "montezuma-like-nodomain": {
         "repr.mode": "downscale",
-        "repr.width": "11",
-        "repr.height": "8",
-        "repr.depth": "8",
         "select.w_chosen": "0.1",
         "select.w_chosen_since_new": "0",
         "select.w_seen": "0.3",
@@ -242,7 +242,6 @@ ENV_TYPES: dict[str, type[GridWorld]] = {
 class ReprConfig:
     mode: str = "domain"  # "domain" | "downscale"
     grid_size: int = 1
-    downscale: DownscaleParams = DownscaleParams()
 
     def __post_init__(self) -> None:
         if self.mode not in ("domain", "downscale"):
@@ -295,7 +294,7 @@ class ExperimentConfig:
         rep = self.representation
         if rep.mode == "domain":
             return domain_mapper(rep.grid_size)
-        return downscale_mapper(rep.downscale)
+        return downscale_mapper(DownscaleParams())
 
 
 def _env_section(r: _Reader) -> tuple[str, dict]:
@@ -322,16 +321,13 @@ def build_config(values: dict[str, str]) -> ExperimentConfig:
 
     r = _Reader(values)
     env_type, env_kwargs = _env_section(r)
-    representation = _section(
-        r, "repr.", ReprConfig, downscale=_section(r, "repr.", DownscaleParams)
-    )
+    representation = _section(r, "repr.", ReprConfig)
     selection = _section(
         r, "select.", SelectionConfig,
         domain_mode=r.boolean("select.domain_mode", representation.mode == "domain"),
     )
     explore = _section(r, "explore.", ExploreConfig, keys={"batch_size": "batch"})
-    shaping = _section(r, "robustify.", RewardShaping,
-                       keys={"mode": "reward_mode", "scale": "reward_scale"})
+    shaping = _section(r, "robustify.", RewardShaping, keys={"mode": "reward_mode"})
     robustify = _section(
         r, "robustify.", RobustifyConfig,
         backward=_section(r, "robustify.", BackwardConfig, shaping=shaping),

@@ -153,8 +153,8 @@ class GridWorld:
     grid; a world of rooms renders the agent's room.
 
     The dynamic state is the interned id of :meth:`discrete_state`, the
-    score, the training-frame count and the done flag: :meth:`step` writes
-    it per frame, and :meth:`_settle` everywhere else.
+    score, the training-frame count and the done flag: :meth:`_settle`
+    installs it, for :meth:`step` as for every state handed back.
     """
 
     action_count: int = ACTION_COUNT
@@ -467,12 +467,9 @@ class GridWorld:
 
     # The done rule: a step ends the episode when its result is done (the
     # step kills), or when it is the episode's _frame_limit-th training frame.
-    # step() applies it per frame, and _settle to a state handed back.
-    # explore_from, backward_run and evaluate_policy apply it in their own
-    # loops, against the frames left at the start of the rollout
-    # (_frame_limit - _training_frames, read once), because a helper called
-    # per frame made a whole 1M-frame keydoor explore run 3-7% slower (best
-    # of three runs, four alternating trials, Python 3.11, 2-core box).
+    # _settle applies it. The three inline loops apply it themselves, against
+    # the frames left at the start of a rollout: a call per frame made a
+    # 1M-frame keydoor explore 3-7% slower (Python 3.11, 2-core box).
     def step(self, action: int) -> StepResult:
         self._require_live()
         if not 0 <= action < self.action_count:
@@ -483,13 +480,8 @@ class GridWorld:
             _, nid, result = self._miss(self.state_id, action)
         else:
             result = self._result[at]
-        self.state_id = nid
-        self._training_frames += 1
-        self._score += result.reward
-        if result.done:
-            self._done = True
-        elif self._training_frames >= self._frame_limit:
-            self._done = True
+        self._settle(nid, self._score + result.reward, self._training_frames + 1, result.done)
+        if self._done and not result.done:  # the time limit
             return StepResult(result.reward, True)
         return result
 

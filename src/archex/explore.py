@@ -1,5 +1,6 @@
 """The exploration loop: select a batch of cells, return to each without
-noise, explore with repeat-biased random actions, merge discoveries.
+noise, explore with random actions that repeat the previous one with
+probability ``REPEAT_P`` (Go-Explore's 0.95), merge discoveries.
 
 Rollouts within an iteration are logically parallel: they all read the archive
 as it stood at selection time, and their results are merged in worker-index
@@ -64,12 +65,13 @@ _PLAN_DRAWS = 1 << 16
 # The most metrics rows a run may write, one per metric interval its game
 # frames cross, each of which scans the archive; the shipped keydoor run writes 80.
 MAX_METRIC_ROWS = 1 << 16
+# The probability that an exploring frame repeats the previous action.
+REPEAT_P = 0.95
 
 
 @dataclass(frozen=True)
 class ExploreConfig:
     k: int = 100                      # exploration budget per rollout, training frames
-    repeat_p: float = 0.95            # action repeat probability per training frame
     batch_size: int = 100
     budget_training_frames: int = 1_000_000
     seed: int = 0
@@ -78,8 +80,6 @@ class ExploreConfig:
     def __post_init__(self) -> None:
         if not 1 <= self.k <= MAX_K:
             raise ConfigError(f"k must be in [1, {MAX_K}]")
-        if not 0.0 <= self.repeat_p < 1.0:
-            raise ConfigError("repeat_p must satisfy 0 <= p < 1")
         if not 1 <= self.batch_size <= MAX_BATCH:
             raise ConfigError(f"batch_size must be in [1, {MAX_BATCH}]")
         if self.budget_training_frames < 0:
@@ -143,7 +143,7 @@ def plan_rollouts(
     The RNG contract is fixed: each generator makes one ``random(k)`` call
     for the repeat decisions followed by one ``integers(0, n_actions, k)``
     call for the fresh actions, and nothing else. Frame i repeats when
-    ``repeats[i] < repeat_p`` (never on the first frame), and then takes
+    ``repeats[i] < REPEAT_P`` (never on the first frame), and then takes
     the fresh action of the last frame before it that does not repeat.
     Returning to a cell consumes no randomness at all.
 
@@ -169,7 +169,7 @@ def plan_rollouts(
         # Each frame's source is its own index, or 0 where it repeats, and
         # the running maximum is the last frame that does not repeat; frame
         # 0 is its own source either way.
-        source = np.where(repeats[:rows] < cfg.repeat_p, 0, frame)
+        source = np.where(repeats[:rows] < REPEAT_P, 0, frame)
         np.maximum.accumulate(source, axis=1, out=source)
         actions = np.take_along_axis(fresh[:rows], source, axis=1)
         row_of, col = np.nonzero(actions[:, 1:] != actions[:, :-1])

@@ -58,6 +58,7 @@ POLICY_MAGIC = b"AXPOLC\x00\x01"
 POLICY_VERSION = 1
 NEAR = 50        # the checkpoint pool: within NEAR of the lowest max_starting_point
 MAX_TESTED = 10  # best_checkpoint scores at most this many of the pool
+REWARD_SCALE = 0.001  # the factor of the "scale" reward mode
 
 
 # -- demonstrations -------------------------------------------------------------
@@ -185,21 +186,18 @@ def truncate_demo(
 
 @dataclass(frozen=True)
 class RewardShaping:
-    """Either clip to [-1, 1] or multiply by a small constant."""
+    """Either clip to [-1, 1] or multiply by ``REWARD_SCALE``."""
 
     mode: str = "clip"  # "clip" | "scale"
-    scale: float = 0.001
 
     def __call__(self, reward: float) -> float:
         if self.mode == "clip":
             return max(-1.0, min(1.0, reward))
-        return reward * self.scale
+        return reward * REWARD_SCALE
 
     def __post_init__(self) -> None:
         if self.mode not in ("clip", "scale"):
             raise ConfigError(f"unknown reward shaping mode {self.mode!r}")
-        if not (math.isfinite(self.scale) and self.scale > 0):
-            raise ConfigError("robustify.reward_scale must be finite and > 0")
 
 
 def early_terminate(

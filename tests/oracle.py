@@ -50,6 +50,7 @@ from typing import Callable, NamedTuple, Sequence
 
 import numpy as np
 
+import archex.explore
 from archex.archive import Archive, CellRecord, UpdateOutcome, beats
 from archex.cells import (
     CellKey,
@@ -194,7 +195,7 @@ def explore_from(env: GridWorld, origin: int, archive: Archive, rng,
     frames = 0
     terminated = False
     for i in range(cfg.k):
-        if i > 0 and repeats[i] < cfg.repeat_p:
+        if i > 0 and repeats[i] < archex.explore.REPEAT_P:
             action = prev_action
         else:
             action = int(fresh[i])

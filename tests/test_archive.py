@@ -203,17 +203,23 @@ def test_counter_ops_on_absent_key(env, snap):
         archive.record_chosen([0])
     with pytest.raises(ContractError):
         archive.credit_discovery(0)
+    with pytest.raises(ContractError):
+        archive.count_visits([0], [5])
     archive.insert_or_update(key(), Trajectory(), snap)
     archive.record_chosen([0, 0])
+    archive.count_visits([0], [3])
     for bad in (-1, 1):
         with pytest.raises(ContractError):
             archive.record_chosen([0, bad])
         with pytest.raises(ContractError):
             archive.credit_discovery(bad)
+        with pytest.raises(ContractError):
+            archive.count_visits([0, bad], [5, 5])
     record = archive.record(key())
-    assert (record.times_chosen, record.times_chosen_since_new) == (2, 2)
+    assert (record.times_chosen, record.times_chosen_since_new, record.times_seen) == (2, 2, 4)
     archive.record_chosen([])
-    assert record.times_chosen == 2
+    archive.count_visits([], [])
+    assert (record.times_chosen, record.times_seen) == (2, 4)
 
 
 @settings(max_examples=50, deadline=None)

@@ -1,6 +1,7 @@
 """Config parsing, presets, and CLI command wiring."""
 
 import csv
+import dataclasses
 import hashlib
 import inspect
 import math
@@ -104,10 +105,13 @@ def test_unknown_key_rejected():
     "select.p_chosen = 0.5", "select.p_chosen_since_new = 0.5", "select.p_seen = 0.5",
     "select.eps1 = 0.001", "select.eps2 = 0.00001", "select.level_decay = 0.1",
     "env.tile_px = 4", "robustify.near = 50", "robustify.max_tested = 10",
+    "explore.repeat_p = 0.95", "repr.width = 11", "repr.height = 8", "repr.depth = 8",
+    "robustify.reward_scale = 0.001",
 ])
 def test_constant_keys_exit_2_as_unknown(tmp_path, capsys, line):
-    """The count power, epsilons, level decay, tile size and checkpoint
-    choice have one value each and no key, even at that value."""
+    """The count power, epsilons, level decay, tile size, checkpoint choice,
+    action repeat probability, downscaled cell size and depth, and scale
+    reward factor have one value each and no key, even at that value."""
     path = write_config(tmp_path, BASE + line + "\n")
     assert run_cli("explore", "--config", str(path), "--out", str(tmp_path / "run")) == 2
     key = line.split("=")[0].strip()
@@ -168,7 +172,6 @@ def test_invalid_layout_rejected_before_running():
 def test_defaults_fill_in():
     cfg = build_config(parse_text(BASE))
     assert cfg.explore.k == 20
-    assert cfg.explore.repeat_p == 0.95
     assert cfg.protocol.max_noop == 30
     assert cfg.robustify.backward.success_threshold == 0.1
     assert cfg.robustify.backward.window == 50
@@ -200,7 +203,10 @@ def test_preset_nodomain_loads_table_values():
     assert cfg.selection.w_seen == 0.3
     assert cfg.explore.batch_size == 100
     assert cfg.representation.mode == "downscale"
-    assert cfg.representation.downscale == DownscaleParams(11, 8, 8)
+    env = cfg.env_factory()()
+    env.reset(0)
+    key = cfg.mapper()(env, env.features())
+    assert (key.width, key.height, key.depth, len(key.grid)) == (11, 8, 8, 88)
     assert not cfg.selection.domain_mode
 
 
@@ -300,14 +306,7 @@ def test_cli_config_error_exit_2(tmp_path):
     "robustify.allowed_deficit = nan",
     "robustify.allowed_deficit = -1",
     "robustify.allowed_deficit = -inf",
-    "robustify.reward_scale = nan",
-    *(pytest.param(f"robustify.reward_mode = scale\nrobustify.reward_scale = {v}",
-                   id=f"robustify.reward_scale = {v} (scale mode)") for v in ("inf", "-1", "0")),
     "repr.grid_size = 0",
-    "repr.width = 65536",  # past what a downscaled key's encoding holds
-    "repr.height = 65536",
-    # Each side fits its 16 bits, but a first key would be a 34 GB int64 array.
-    pytest.param("repr.width = 65535\nrepr.height = 65535", id="repr.width = repr.height = 65535"),
     pytest.param("env.type = keydoor\nenv.key_capacity = -1", id="env.key_capacity = -1"),
     # Grids past MAX_TILES tiles: one past the index range, one within it.
     pytest.param("env.type = twomaze\nenv.arm_rows = 18446744073709551616",
@@ -357,6 +356,10 @@ def test_cli_out_of_range_seed_exit_2(tmp_path, seed):
 
 @pytest.mark.parametrize("make", [
     lambda: DownscaleParams(depth=0),
+    lambda: DownscaleParams(width=65536),  # past what a downscaled key's encoding holds
+    lambda: DownscaleParams(height=65536),
+    # Each side fits its 16 bits, but a first key would be a 34 GB int64 array.
+    lambda: DownscaleParams(width=65535, height=65535),
     lambda: ReprConfig(mode="pixels"),
     lambda: RobustifyConfig(n_demos=0),
     lambda: SelectionConfig(w_seen=-1),
@@ -365,7 +368,8 @@ def test_cli_out_of_range_seed_exit_2(tmp_path, seed):
     lambda: TabularQConfig(alpha=5),
     lambda: BackwardConfig(delta=0),
     lambda: EvalProtocol(min_episodes=0),
-], ids=["DownscaleParams", "ReprConfig", "RobustifyConfig", "SelectionConfig",
+], ids=["DownscaleParams", "DownscaleParams-width", "DownscaleParams-height",
+        "DownscaleParams-area", "ReprConfig", "RobustifyConfig", "SelectionConfig",
         "ExploreConfig", "RewardShaping", "TabularQConfig", "BackwardConfig", "EvalProtocol"])
 def test_settings_check_themselves_when_made(make):
     with pytest.raises(ConfigError):
@@ -375,12 +379,13 @@ def test_settings_check_themselves_when_made(make):
 # Each settings class, the prefix of its keys, and the fields whose key is
 # not their name.
 SECTIONS = [
-    (ReprConfig, "repr.", {}), (DownscaleParams, "repr.", {}), (SelectionConfig, "select.", {}),
+    (ReprConfig, "repr.", {}), (SelectionConfig, "select.", {}),
     (ExploreConfig, "explore.", {"batch_size": "batch"}),
-    (RewardShaping, "robustify.", {"mode": "reward_mode", "scale": "reward_scale"}),
+    (RewardShaping, "robustify.", {"mode": "reward_mode"}),
     (RobustifyConfig, "robustify.", {}), (BackwardConfig, "robustify.", {}),
     (TabularQConfig, "robustify.", {}), (EvalProtocol, "eval.", {}),
-    (ExperimentConfig, "", {"checkpoint_interval_iterations":
+    (ExperimentConfig, "", {"env_type": "env.type", "out_dir": "out.dir",
+                            "checkpoint_interval_iterations":
                             "explore.checkpoint_interval_iterations"}),
 ]
 EDGE_VALUES = {int: ("-1", "0", str(2**63), str(2**64)), float: ("nan", "inf", "-inf")}
@@ -404,9 +409,67 @@ def test_every_number_setting_at_an_edge_loads_or_raises_config_error():
                 except ConfigError as err:
                     assert "unknown config keys" not in str(err)
                 swept.add(key)
-    assert {"env.frame_skip", "env.room_w", "repr.width", "explore.batch",
-            "robustify.reward_scale", "robustify.max_noops", "eval.max_noop", "workers",
+    assert {"env.frame_skip", "env.room_w", "repr.grid_size", "explore.batch",
+            "robustify.window", "robustify.max_noops", "eval.max_noop", "workers",
             "explore.checkpoint_interval_iterations"} <= swept
+
+
+# Settings that every shipped config and benchmark workload gives one
+# value, yet keep their key, and why. The env.* keys are not swept: they
+# define the worlds, and tests vary them.
+ONE_VALUE_KEYS = {
+    "robustify.truncate_frames": "the CLI golden's small keydoor config sets 75",
+    "robustify.n_demos": "the multi-demo robustify path and its shortfall exit",
+    "robustify.max_attempts": "the stop bound of a robustify run cut short",
+    "workers": "accepted, and has no effect until Phase 1 runs rollouts in parallel",
+    "robustify.demo_stride": "the benchmark reads it",
+    "robustify.window": "the benchmark's config text sets it",
+    "robustify.sticky_p": "the benchmark's config text sets it",
+    "robustify.max_noops": "the benchmark's config text sets it",
+    "robustify.epsilon": "the benchmark's config text sets it",
+    "eval.max_noop": "the benchmark's config text sets it",
+    "eval.min_episodes": "the benchmark's config text sets it",
+    "eval.sticky_p": "the benchmark's config text sets it",
+    "explore.seed": "--seed and the benchmark seed vary it",
+}
+
+
+def test_every_setting_takes_two_values_or_is_named(monkeypatch, tmp_path):
+    """Across the shipped configs and the benchmark workloads' configs, each
+    scalar setting takes at least two values, or is one of ``ONE_VALUE_KEYS``:
+    a value the reference setup fixes is a constant, not a key. A named key
+    that takes two values, or is gone, leaves the list."""
+    configs = [load_config(path) for path in sorted(CONFIGS.glob("*.cfg"))]
+    monkeypatch.syspath_prepend(str(CONFIGS.parent / "perfbench"))
+    try:
+        import workloads
+
+        for name, workload in workloads.WORKLOADS.items():
+            work = tmp_path / name
+            work.mkdir()
+            made = workload.setup(workloads.Context(CONFIGS.parent, work, 0), 0)
+            configs.append(load_config(getattr(made, "config_path", made)))
+    finally:
+        for name in ("speed", "tracer", "workloads"):
+            sys.modules.pop(name, None)
+    assert len(configs) == 6
+
+    values: dict[str, set] = {}
+    for cfg in configs:
+        # Each settings object of the config by its class.
+        objects, todo = {}, [cfg]
+        while todo:
+            obj = todo.pop()
+            objects[type(obj)] = obj
+            todo += [value for value in vars(obj).values() if dataclasses.is_dataclass(value)]
+        for cls, prefix, renamed in SECTIONS:
+            for name, kind, _ in _settings(cls):
+                if kind in (int, float, bool, str):
+                    key = prefix + renamed.get(name, name)
+                    values.setdefault(key, set()).add(getattr(objects[cls], name))
+    one_valued = {key for key, seen in values.items() if len(seen) == 1}
+    assert one_valued - set(ONE_VALUE_KEYS) == set()
+    assert set(ONE_VALUE_KEYS) - one_valued == set()
 
 
 @pytest.mark.parametrize("env_type, line", [

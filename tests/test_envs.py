@@ -537,6 +537,23 @@ def test_only_the_grid_world_writes_its_state():
     assert writes == []
 
 
+def test_settle_is_the_one_writer_of_score_frames_and_done():
+    """Within the grid world, only ``_settle`` assigns the score, the frame
+    count or the done flag, so a step and a state handed back share one
+    done-at-the-limit rule."""
+    import ast
+    import inspect
+
+    fields = {"_score", "_training_frames", "_done"}
+    writers = {(fn.name, node.attr)
+               for fn in ast.walk(ast.parse(inspect.getsource(gridworld)))
+               if isinstance(fn, ast.FunctionDef)
+               for node in ast.walk(fn)
+               if isinstance(node, ast.Attribute) and not isinstance(node.ctx, ast.Load)
+               and node.attr in fields}
+    assert writers == {("_settle", name) for name in fields}
+
+
 def test_replay_from_a_snapshot_reads_the_table(monkeypatch):
     """Stepping the same actions from the same snapshot a second time ticks
     no step and gives the same results and snapshots."""

@@ -100,14 +100,15 @@ def test_rollout_stops_at_episode_end_and_discards_terminal():
     assert all(c.trajectory.length <= 9 for c in winners(result))
 
 
-def test_rollout_repeat_zero_matches_enumeration():
-    """repeat_p=0: every action is the fresh draw from the fixed stream.
+def test_rollout_repeat_zero_matches_enumeration(monkeypatch):
+    """REPEAT_P = 0: every action is the fresh draw from the fixed stream.
     Stepping the drawn actions from the origin visits the rollout's cells as
     often as it counts them, and every winner's trajectory is a prefix of
     the drawn actions."""
+    monkeypatch.setattr(X, "REPEAT_P", 0.0)
     env = small_twomaze()
     archive, key = seeded_archive(env)
-    cfg = cfg_with(repeat_p=0.0)
+    cfg = cfg_with()
     result = roll(env, archive.id_of(key), archive, stream(9, TAG_EXPLORE, 0, 0), cfg, MAPPER)
     rng = stream(9, TAG_EXPLORE, 0, 0)
     rng.random(cfg.k)  # repeat draws, unused at p=0

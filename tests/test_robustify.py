@@ -201,7 +201,7 @@ def test_shape_clip():
 
 
 def test_shape_scale():
-    scale = RewardShaping("scale", 0.001)
+    scale = RewardShaping("scale")
     assert scale(3000.0) == 3.0
     assert scale(-1.0) == -0.001
 
@@ -209,7 +209,7 @@ def test_shape_scale():
 @settings(max_examples=50, deadline=None)
 @given(rewards=st.lists(st.floats(-1000, 1000, allow_nan=False), max_size=30))
 def test_scale_commutes_with_sum(rewards):
-    scale = RewardShaping("scale", 0.001)
+    scale = RewardShaping("scale")
     shaped_then_summed = sum(scale(r) for r in rewards)
     summed_then_shaped = scale(sum(rewards))
     assert shaped_then_summed == pytest.approx(summed_then_shaped, abs=1e-9)
@@ -218,7 +218,7 @@ def test_scale_commutes_with_sum(rewards):
 @settings(max_examples=30, deadline=None)
 @given(a=st.floats(-100, 100), b=st.floats(-100, 100))
 def test_scale_preserves_order(a, b):
-    scale = RewardShaping("scale", 0.001)
+    scale = RewardShaping("scale")
     if a < b:
         assert scale(a) < scale(b)
 
@@ -455,7 +455,7 @@ def test_scale_shaping_with_corridor_rewards():
     them. Checked on the actual demo reward stream."""
     demo = corridor_demo_with_early_penalty()
     per_frame = [demo.reward_at(i) for i in range(1, demo.length + 1)]
-    scale = RewardShaping("scale", 0.001)
+    scale = RewardShaping("scale")
     clip = RewardShaping("clip")
     assert sum(scale(r) for r in per_frame) == pytest.approx(demo.score * 0.001)
     assert sum(clip(r) for r in per_frame) == 0.0  # -1 and +1 cancel
