@@ -72,7 +72,7 @@ def cmd_explore(args: argparse.Namespace) -> int:
         write_csv(metrics_path, MetricsRow._fields, run.metrics)
         checkpoint_save(run.archive, archive_path, run.meta)
 
-    interval = cfg.checkpoint_interval_iterations
+    interval = cfg.explore.checkpoint_interval_iterations
 
     def on_iteration(run: Phase1Result) -> None:
         if run.meta.iteration % interval == 0:

@@ -6,14 +6,13 @@ parameter set first; explicit keys override it. Unknown or malformed keys
 are rejected with their field path before anything runs.
 
 Each key is ``section.<field>`` of its settings class, with that field's
-type and default (``explore.batch`` and ``robustify.reward_mode`` are the
-renamed ones, and ``out.dir``, ``workers`` and
-``explore.checkpoint_interval_iterations`` are ``ExperimentConfig``'s
-run-level fields); ``env.*`` keys are the keyword arguments of the chosen
-environment's constructor. A value the reference setup fixes has no key:
-the action repeat probability (``explore.REPEAT_P``), the downscaled
-cell's size and depth (the ``DownscaleParams`` defaults) and the factor of
-the ``scale`` reward mode (``robustify.REWARD_SCALE``) are constants.
+type and default; ``env.*`` keys are the keyword arguments of the chosen
+environment's constructor, and ``env.type``, ``out.dir`` and ``workers``
+are the run-level keys of ``ExperimentConfig``. A value the reference setup
+fixes has no key: the action repeat probability (``explore.REPEAT_P``), the
+downscaled cell's size and depth (the ``DownscaleParams`` defaults) and the
+factor of the ``scale`` reward mode (``robustify.REWARD_SCALE``) are
+constants.
 
 Placement syntaxes:
     env.keys / env.hazards   room:x,y pairs, e.g. "5:6,1; 18:1,4"
@@ -36,7 +35,7 @@ from .envs import DeceptiveCorridor, GridWorld, KeyDoorWorld, TwoMaze
 from .errors import ConfigError
 from .evaluation import EvalProtocol
 from .explore import ExploreConfig, check_metric_rows
-from .robustify import BackwardConfig, RewardShaping, TabularQConfig
+from .robustify import BackwardConfig, TabularQConfig
 from .selection import SelectionConfig
 
 PRESETS: dict[str, dict[str, str]] = {
@@ -209,16 +208,13 @@ def _settings(cls: type) -> tuple[tuple[str, type, object], ...]:
     return tuple(out)
 
 
-def _values(r: _Reader, prefix: str, cls: type, keys: dict[str, str] | None = None,
-            **given) -> dict:
+def _values(r: _Reader, prefix: str, cls: type, **given) -> dict:
     """Each setting of ``cls``: taken from ``given``, or read from the key
-    ``prefix + name`` with the setting's type and default; ``keys`` maps the
-    fields whose key is not their name."""
+    ``prefix + name`` with the setting's type and default."""
     read = {int: r.integer, float: r.floating, bool: r.boolean, str: r.string}
-    keys = keys or {}
     out = {}
     for name, kind, default in _settings(cls):
-        key = prefix + keys.get(name, name)
+        key = prefix + name
         if name in given:
             out[name] = given[name]
         elif kind is tuple:
@@ -228,9 +224,8 @@ def _values(r: _Reader, prefix: str, cls: type, keys: dict[str, str] | None = No
     return out
 
 
-def _section(r: _Reader, prefix: str, cls: type, keys: dict[str, str] | None = None,
-             **given):
-    return cls(**_values(r, prefix, cls, keys, **given))
+def _section(r: _Reader, prefix: str, cls: type, **given):
+    return cls(**_values(r, prefix, cls, **given))
 
 
 ENV_TYPES: dict[str, type[GridWorld]] = {
@@ -277,13 +272,10 @@ class ExperimentConfig:
     protocol: EvalProtocol
     out_dir: str = "out"
     workers: int = 1
-    checkpoint_interval_iterations: int = 0
 
     def __post_init__(self) -> None:
         if self.workers < 1:
             raise ConfigError("workers must be >= 1")
-        if self.checkpoint_interval_iterations < 0:
-            raise ConfigError("explore.checkpoint_interval_iterations must be >= 0")
 
     def env_factory(self) -> Callable[[], GridWorld]:
         ctor = ENV_TYPES[self.env_type]
@@ -326,21 +318,19 @@ def build_config(values: dict[str, str]) -> ExperimentConfig:
         r, "select.", SelectionConfig,
         domain_mode=r.boolean("select.domain_mode", representation.mode == "domain"),
     )
-    explore = _section(r, "explore.", ExploreConfig, keys={"batch_size": "batch"})
-    shaping = _section(r, "robustify.", RewardShaping, keys={"mode": "reward_mode"})
+    explore = _section(r, "explore.", ExploreConfig)
     robustify = _section(
         r, "robustify.", RobustifyConfig,
-        backward=_section(r, "robustify.", BackwardConfig, shaping=shaping),
+        backward=_section(r, "robustify.", BackwardConfig),
         q=_section(r, "robustify.", TabularQConfig),
     )
     protocol = _section(r, "eval.", EvalProtocol)
 
     run = _values(
         r, "", ExperimentConfig,
-        keys={"out_dir": "out.dir",
-              "checkpoint_interval_iterations": "explore.checkpoint_interval_iterations"},
         env_type=env_type, env_kwargs=env_kwargs, representation=representation,
         selection=selection, explore=explore, robustify=robustify, protocol=protocol,
+        out_dir=r.string("out.dir", ExperimentConfig.out_dir),
     )
     r.reject_unknown()
     cfg = ExperimentConfig(**run)

@@ -105,6 +105,9 @@ TILE_HAZARD = 4
 TILE_TREASURE = 5
 
 MAX_TILES = 1 << 20  # the most tiles a grid may have; checked before allocating them
+# The most keys, doors or treasures a world may place: a snapshot stores the
+# count and the indices of those taken as 16-bit integers.
+MAX_PLACED = 0xFFFF
 # The most game frames one training frame may stand for (Atari-style frame
 # skipping uses 2 to 4). run_phase1 writes a metrics row for each metric
 # interval the game frames cross, so the cap bounds the rows a training frame
@@ -284,6 +287,8 @@ class GridWorld:
             ("door", self.door_positions),
             ("treasure", self.treasure_positions),
         ):
+            if len(positions) > MAX_PLACED:
+                raise ConfigError(f"{len(positions)} {name}s placed, over {MAX_PLACED}")
             for x, y in positions:
                 if not (0 <= x < self.width and 0 <= y < self.height):
                     raise ConfigError(f"{name} at ({x},{y}) outside the grid")

@@ -72,28 +72,31 @@ REPEAT_P = 0.95
 @dataclass(frozen=True)
 class ExploreConfig:
     k: int = 100                      # exploration budget per rollout, training frames
-    batch_size: int = 100
+    batch: int = 100                  # rollouts per iteration
     budget_training_frames: int = 1_000_000
     seed: int = 0
     metric_interval_game_frames: int = 4_000_000
+    checkpoint_interval_iterations: int = 0  # the CLI's checkpoint period; 0 = only at the end
 
     def __post_init__(self) -> None:
         if not 1 <= self.k <= MAX_K:
             raise ConfigError(f"k must be in [1, {MAX_K}]")
-        if not 1 <= self.batch_size <= MAX_BATCH:
-            raise ConfigError(f"batch_size must be in [1, {MAX_BATCH}]")
+        if not 1 <= self.batch <= MAX_BATCH:
+            raise ConfigError(f"batch must be in [1, {MAX_BATCH}]")
         if self.budget_training_frames < 0:
             raise ConfigError("budget must be >= 0")
         if not 0 <= self.seed < 2**64:  # checkpoints store it as an unsigned 64-bit integer
             raise ConfigError("seed must be in [0, 2**64)")
         if self.metric_interval_game_frames < 1:
             raise ConfigError("metric interval must be >= 1")
+        if self.checkpoint_interval_iterations < 0:
+            raise ConfigError("checkpoint_interval_iterations must be >= 0")
 
 
 def check_metric_rows(cfg: ExploreConfig, frame_skip: int) -> None:
     """Raise :class:`ConfigError` if a run of ``cfg``, which ends below budget
     + batch * k training frames, could cross over ``MAX_METRIC_ROWS`` intervals."""
-    rows = ((cfg.budget_training_frames + cfg.batch_size * cfg.k) * frame_skip
+    rows = ((cfg.budget_training_frames + cfg.batch * cfg.k) * frame_skip
             // cfg.metric_interval_game_frames)
     if rows > MAX_METRIC_ROWS:
         raise ConfigError(f"metric_interval_game_frames {cfg.metric_interval_game_frames} gives "
@@ -360,7 +363,7 @@ def run_iteration(
     """One batch: recompute probabilities once, sample b origin ids with
     replacement, roll out, merge."""
     table = cell_probs(archive, sel_cfg)
-    origins = sample_batch(table, cfg.batch_size, stream(cfg.seed, TAG_SELECT, iteration))
+    origins = sample_batch(table, cfg.batch, stream(cfg.seed, TAG_SELECT, iteration))
     archive.record_chosen(origins)
     return _roll_out(archive, env, cfg, mapper, origins, TAG_EXPLORE, iteration)
 
@@ -506,7 +509,7 @@ def run_phase1(
         if stop_condition is not None and stop_condition(archive, meta):
             break
         if sel_cfg is None:
-            origins = [archive.id_of(start_key)] * cfg.batch_size
+            origins = [archive.id_of(start_key)] * cfg.batch
             stats = _roll_out(archive, env, cfg, mapper, origins, TAG_BASELINE, meta.iteration)
         else:
             stats = run_iteration(archive, env, sel_cfg, cfg, meta.iteration, mapper)

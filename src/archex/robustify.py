@@ -184,20 +184,12 @@ def truncate_demo(
 
 # -- reward shaping and early termination -----------------------------------------
 
-@dataclass(frozen=True)
-class RewardShaping:
-    """Either clip to [-1, 1] or multiply by ``REWARD_SCALE``."""
-
-    mode: str = "clip"  # "clip" | "scale"
-
-    def __call__(self, reward: float) -> float:
-        if self.mode == "clip":
-            return max(-1.0, min(1.0, reward))
-        return reward * REWARD_SCALE
-
-    def __post_init__(self) -> None:
-        if self.mode not in ("clip", "scale"):
-            raise ConfigError(f"unknown reward shaping mode {self.mode!r}")
+def shape_reward(reward: float, mode: str) -> float:
+    """The learner's reward: ``reward`` clipped to [-1, 1] in mode ``"clip"``,
+    or multiplied by ``REWARD_SCALE`` in mode ``"scale"``."""
+    if mode == "clip":
+        return max(-1.0, min(1.0, reward))
+    return reward * REWARD_SCALE
 
 
 def early_terminate(
@@ -353,7 +345,7 @@ class BackwardConfig:
     delta: int = 1                          # starting-point shift per advance
     window: int = 50                        # early-termination window, frames
     allowed_deficit: float = 0.0
-    shaping: RewardShaping = RewardShaping("clip")
+    reward_mode: str = "clip"               # shape_reward's mode: "clip" | "scale"
     sticky_p: float = 0.25
     max_noops: int = 30
     max_attempts: int = 1_000_000
@@ -371,6 +363,8 @@ class BackwardConfig:
             raise ConfigError("allowed_deficit must be >= 0")
         if self.advance_interval is not None and self.advance_interval < 1:
             raise ConfigError("advance_interval must be >= 1")
+        if self.reward_mode not in ("clip", "scale"):
+            raise ConfigError(f"unknown reward_mode {self.reward_mode!r}")
         if not 0 <= self.sticky_p < 1:
             raise ConfigError("sticky_p must satisfy 0 <= p < 1")
         # backward_run draws the no-op count as an int64 below max_noops + 1.
@@ -447,7 +441,7 @@ def backward_run(
     pool: list[tuple[int, PolicyCheckpoint]] = []  # (total of the starts, checkpoint)
     attempts = 0
     frames = 0
-    shaping, window, deficit = cfg.shaping, cfg.window, cfg.allowed_deficit
+    reward_mode, window, deficit = cfg.reward_mode, cfg.window, cfg.allowed_deficit
     frame_cap = math.inf if cfg.rollout_frame_cap is None else cfg.rollout_frame_cap
     sticky_p = cfg.sticky_p
 
@@ -530,8 +524,8 @@ def backward_run(
                 if next_r is None:
                     next_r = column[sid] = learner.row_ids.get(states[sid])
                 # Both shaping modes map a zero reward to itself.
-                transitions.append((r, action, shaping(reward) if reward else reward,
-                                    next_r, done))
+                shaped = shape_reward(reward, reward_mode) if reward else reward
+                transitions.append((r, action, shaped, next_r, done))
                 success = score >= demo_score
                 if success or done or elapsed >= frame_cap:
                     break

@@ -74,6 +74,7 @@ from archex.robustify import (
     ProgressRow,
     TabularQConfig,
     early_terminate,
+    shape_reward,
 )
 from archex.seeding import TAG_ATTEMPT, TAG_EVAL, TAG_WRAPPER, stream
 from archex.trajectory import Node, Trajectory
@@ -489,7 +490,8 @@ def backward_run_scalar(
             gain = score - score_at_start
             next_state = world.discrete_state()
             transitions.append(
-                (state, action, cfg.shaping(result.reward), next_state, result.done)
+                (state, action, shape_reward(result.reward, cfg.reward_mode), next_state,
+                 result.done)
             )
             state = next_state
             success = score >= demo_score

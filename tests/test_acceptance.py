@@ -202,7 +202,7 @@ def _suite_archives():
     ]
     out = []
     for factory, mapper, budget, sel in jobs:
-        cfg = ExploreConfig(k=60, batch_size=20, budget_training_frames=budget,
+        cfg = ExploreConfig(k=60, batch=20, budget_training_frames=budget,
                             seed=3, metric_interval_game_frames=10**9)
         out.append((factory, mapper, run_phase1(factory, cfg, sel, mapper).archive))
     return out
@@ -249,7 +249,7 @@ def _detachment_seed(oracle: set, seed: int) -> tuple[bool, bool]:
     mapper = domain_mapper(1)
     sel = SelectionConfig(domain_mode=True, w_horizontal=1.0, w_vertical=0.0,
                           w_chosen=1.0, w_chosen_since_new=0.5, w_seen=0.0)
-    cfg = ExploreConfig(k=100, batch_size=50,
+    cfg = ExploreConfig(k=100, batch=50,
                         budget_training_frames=200_000, seed=seed,
                         metric_interval_game_frames=10**9)
     coverage = lambda a: len({(k.x_bin, k.y_bin) for k in a.cells} & oracle) / len(oracle)
@@ -287,7 +287,7 @@ def _sparse_milestone_seed(final_room: int, seed: int) -> tuple[bool, bool]:
             for k in archive.cells
         )
 
-    cfg = ExploreConfig(k=100, batch_size=100,
+    cfg = ExploreConfig(k=100, batch=100,
                         budget_training_frames=5_000_000, seed=seed,
                         metric_interval_game_frames=250_000)
     result = run_phase1(factory, cfg, sel, mapper, stop_condition=milestone)
@@ -327,7 +327,7 @@ def _deceptive_milestone_seed(seed: int) -> tuple[bool, bool]:
     def target(archive, meta):
         return archive.max_score() >= 0.9 * attainable
 
-    cfg = ExploreConfig(k=100, batch_size=100,
+    cfg = ExploreConfig(k=100, batch=100,
                         budget_training_frames=4_000_000, seed=seed,
                         metric_interval_game_frames=10**9)
     result = run_phase1(factory, cfg, sel, mapper, stop_condition=target)
@@ -354,7 +354,7 @@ def _robustify_once(seed: int) -> tuple[bool, float, float]:
         keys=((1, 4, 1),), locked_doors=((2, 3), (1, 3)), hazards=(),
         treasure_room=3, time_limit_game_frames=4_000,
     )
-    explore_cfg = ExploreConfig(k=40, batch_size=20, budget_training_frames=40_000,
+    explore_cfg = ExploreConfig(k=40, batch=20, budget_training_frames=40_000,
                                 seed=seed, metric_interval_game_frames=10**9)
     sel = SelectionConfig(domain_mode=True, w_horizontal=0.3, w_vertical=0.1,
                           w_more_keys=10.0)

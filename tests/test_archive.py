@@ -537,7 +537,7 @@ def test_only_the_archive_writes_its_columns():
 def build_small_archive(seed=0, budget=6_000):
     factory = small_twomaze
     cfg = ExploreConfig(
-        k=50, batch_size=10, budget_training_frames=budget, seed=seed,
+        k=50, batch=10, budget_training_frames=budget, seed=seed,
         metric_interval_game_frames=10**9,
     )
     sel = SelectionConfig()
@@ -675,7 +675,7 @@ def test_loaded_archive_footprint():
     """A loaded archive stays under LOADED_BYTES_PER_CELL per cell: the
     criterion-7 world explored for 40k frames, loaded with tracemalloc on."""
     run = run_phase1(lambda: small_keydoor(time_limit_game_frames=4_000),
-                     ExploreConfig(k=40, batch_size=20, budget_training_frames=40_000,
+                     ExploreConfig(k=40, batch=20, budget_training_frames=40_000,
                                    metric_interval_game_frames=10**9),
                      SelectionConfig(domain_mode=True, w_horizontal=0.3, w_vertical=0.1,
                                      w_more_keys=10.0),
@@ -734,7 +734,7 @@ def _edited(data: bytes, edits) -> bytes:
 def keydoor_checkpoint():
     """A small keydoor archive's checkpoint bytes: several rooms, scores
     other than 0 and shared trajectory nodes."""
-    cfg = ExploreConfig(k=50, batch_size=10, budget_training_frames=3_000, seed=0,
+    cfg = ExploreConfig(k=50, batch=10, budget_training_frames=3_000, seed=0,
                         metric_interval_game_frames=10**9)
     result = run_phase1(small_keydoor, cfg, SelectionConfig(), domain_mapper(1))
     return serialize_archive(result.archive, result.meta)

@@ -46,7 +46,6 @@ from archex.explore import ExploreConfig, MetricsRow
 from archex.robustify import (
     BackwardConfig,
     PolicyCheckpoint,
-    RewardShaping,
     TabularQConfig,
     _policy_layout,
 )
@@ -182,9 +181,9 @@ def test_preset_domain_loads_table_values():
     assert cfg.selection.w_horizontal == 0.3
     assert cfg.selection.w_vertical == 0.1
     assert cfg.selection.w_more_keys == 10.0
-    assert cfg.explore.batch_size == 5  # explicit keys beat the preset
+    assert cfg.explore.batch == 5  # explicit keys beat the preset
     cfg2 = build_config(parse_text("preset = montezuma-like-domain\nenv.type = twomaze\n"))
-    assert cfg2.explore.batch_size == 1000
+    assert cfg2.explore.batch == 1000
     assert cfg2.representation.mode == "domain"
     assert cfg2.representation.grid_size == 16
 
@@ -201,7 +200,7 @@ def test_preset_nodomain_loads_table_values():
     assert cfg.selection.w_chosen == 0.1
     assert cfg.selection.w_chosen_since_new == 0.0
     assert cfg.selection.w_seen == 0.3
-    assert cfg.explore.batch_size == 100
+    assert cfg.explore.batch == 100
     assert cfg.representation.mode == "downscale"
     env = cfg.env_factory()()
     env.reset(0)
@@ -217,7 +216,21 @@ def test_preset_pitfall_disables_keys():
     assert cfg.selection.w_horizontal == 1.0
     assert cfg.selection.w_vertical == 0.0
     assert cfg.selection.w_more_keys == 0.0
-    assert cfg.explore.batch_size == 1000
+    assert cfg.explore.batch == 1000
+
+
+def record_reads(monkeypatch) -> set[str]:
+    """A set that collects, from now on, every key build_config tries to
+    read, whether it is set or not."""
+    read: set[str] = set()
+    raw = _Reader._raw
+
+    def recording_raw(self, key):
+        read.add(key)
+        return raw(self, key)
+
+    monkeypatch.setattr(_Reader, "_raw", recording_raw)
+    return read
 
 
 def test_readme_config_block_loads(monkeypatch):
@@ -227,14 +240,7 @@ def test_readme_config_block_loads(monkeypatch):
     readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
     block = readme.split("```ini\n", 1)[1].split("```", 1)[0]
     documented = parse_text(block, source="README.md")
-    read: set[str] = set()
-    raw = _Reader._raw
-
-    def recording_raw(self, key):
-        read.add(key)
-        return raw(self, key)
-
-    monkeypatch.setattr(_Reader, "_raw", recording_raw)
+    read = record_reads(monkeypatch)
     build_config({k: v for k, v in documented.items() if v})
     for env_type in ("twomaze", "corridor"):  # their keys are in comments
         build_config({"env.type": env_type})
@@ -364,38 +370,54 @@ def test_cli_out_of_range_seed_exit_2(tmp_path, seed):
     lambda: RobustifyConfig(n_demos=0),
     lambda: SelectionConfig(w_seen=-1),
     lambda: ExploreConfig(k=0),
-    lambda: RewardShaping(mode="tanh"),
     lambda: TabularQConfig(alpha=5),
     lambda: BackwardConfig(delta=0),
+    lambda: BackwardConfig(reward_mode="tanh"),
     lambda: EvalProtocol(min_episodes=0),
 ], ids=["DownscaleParams", "DownscaleParams-width", "DownscaleParams-height",
         "DownscaleParams-area", "ReprConfig", "RobustifyConfig", "SelectionConfig",
-        "ExploreConfig", "RewardShaping", "TabularQConfig", "BackwardConfig", "EvalProtocol"])
+        "ExploreConfig", "TabularQConfig", "BackwardConfig", "BackwardConfig-reward_mode",
+        "EvalProtocol"])
 def test_settings_check_themselves_when_made(make):
     with pytest.raises(ConfigError):
         make()
 
 
-# Each settings class, the prefix of its keys, and the fields whose key is
-# not their name.
+# Each settings class, the prefix of its keys, and the two run-level fields
+# whose key build_config reads on its own.
 SECTIONS = [
     (ReprConfig, "repr.", {}), (SelectionConfig, "select.", {}),
-    (ExploreConfig, "explore.", {"batch_size": "batch"}),
-    (RewardShaping, "robustify.", {"mode": "reward_mode"}),
-    (RobustifyConfig, "robustify.", {}), (BackwardConfig, "robustify.", {}),
-    (TabularQConfig, "robustify.", {}), (EvalProtocol, "eval.", {}),
-    (ExperimentConfig, "", {"env_type": "env.type", "out_dir": "out.dir",
-                            "checkpoint_interval_iterations":
-                            "explore.checkpoint_interval_iterations"}),
+    (ExploreConfig, "explore.", {}), (RobustifyConfig, "robustify.", {}),
+    (BackwardConfig, "robustify.", {}), (TabularQConfig, "robustify.", {}),
+    (EvalProtocol, "eval.", {}),
+    (ExperimentConfig, "", {"env_type": "env.type", "out_dir": "out.dir"}),
 ]
-EDGE_VALUES = {int: ("-1", "0", str(2**63), str(2**64)), float: ("nan", "inf", "-inf")}
+EDGE_VALUES = {int: ("-1", "0", str(2**63), str(2**64)), float: ("nan", "inf", "-inf"),
+               str: ("", "bogus"), bool: ("2", "maybe")}
 
 
-def test_every_number_setting_at_an_edge_loads_or_raises_config_error():
-    """Every int and float setting of every settings class and of the
-    shipped config's world, set to an edge value in each shipped config:
-    the config loads or raises ConfigError, never another exception. The
-    settings come from the classes, so a setting added later is swept too."""
+def test_every_key_read_is_its_fields_name(monkeypatch):
+    """Each key build_config reads, for each world, is ``prefix + field`` of
+    a settings class of ``SECTIONS``, an ``env.*`` argument of the world's
+    constructor, or one of ``env.type``, ``out.dir`` and ``preset``: no key
+    renames its field."""
+    read = record_reads(monkeypatch)
+    fields = {prefix + name for cls, prefix, _ in SECTIONS for name, _, _ in _settings(cls)}
+    for env_type, ctor in ENV_TYPES.items():
+        read.clear()
+        build_config({"env.type": env_type})
+        env_fields = {"env." + name for name, _, _ in _settings(ctor)}
+        assert sorted(read - fields - env_fields - {"env.type", "out.dir", "preset"}) == []
+        assert {"explore.batch", "robustify.reward_mode",
+                "explore.checkpoint_interval_iterations", "workers"} <= read
+
+
+def test_every_setting_at_an_edge_loads_or_raises_config_error():
+    """Every int, float, str and bool setting of every settings class and
+    of the shipped config's world, set to an edge value in each shipped
+    config: the config loads or raises ConfigError, never another
+    exception. The settings come from the classes, so a setting added later
+    is swept too."""
     swept = set()
     for path in sorted(CONFIGS.glob("*.cfg")):
         base = parse_text(path.read_text())
@@ -411,7 +433,8 @@ def test_every_number_setting_at_an_edge_loads_or_raises_config_error():
                 swept.add(key)
     assert {"env.frame_skip", "env.room_w", "repr.grid_size", "explore.batch",
             "robustify.window", "robustify.max_noops", "eval.max_noop", "workers",
-            "explore.checkpoint_interval_iterations"} <= swept
+            "explore.checkpoint_interval_iterations", "repr.mode", "robustify.reward_mode",
+            "env.type", "env.hazard_policy", "select.domain_mode"} <= swept
 
 
 # Settings that every shipped config and benchmark workload gives one

@@ -1000,6 +1000,50 @@ def test_bad_layouts_rejected():
         small_twomaze(frame_skip=0)
 
 
+def many_keys(n):
+    """A 1x2 keydoor world of 300x300 rooms with ``n`` keys in room 0, the
+    last one right of the spawn tile (150, 150)."""
+    tiles = [(0, x, y) for y in range(300) for x in range(300)
+             if (x, y) not in ((150, 150), (151, 150))]
+    return KeyDoorWorld(rooms_rows=1, rooms_cols=2, room_w=300, room_h=300,
+                        keys=(*tiles[:n - 1], (0, 151, 150)), locked_doors=(), hazards=())
+
+
+def every_door(rows, cols):
+    """A keydoor world of 3x3 rooms with every doorway locked."""
+    across = [(room, room + 1) for room in range(rows * cols) if room % cols + 1 < cols]
+    down = [(room, room + cols) for room in range((rows - 1) * cols)]
+    return KeyDoorWorld(rooms_rows=rows, rooms_cols=cols, room_w=3, room_h=3, keys=(),
+                        locked_doors=(*across, *down), hazards=())
+
+
+def test_last_of_16_bit_key_indices_snapshots():
+    """A snapshot stores the count and indices of the keys taken as 16-bit
+    integers: with 65,535 keys, taking the last one snapshots and restores."""
+    env = many_keys(65_535)
+    env.reset(0)
+    env.step(ACTION_RIGHT)
+    state = env.discrete_state()
+    assert state[3:] == (1, 0, 1, 65_534, 0, 0)
+    snap = env.snapshot()
+    env.reset(0)
+    env.restore(snap)
+    assert env.discrete_state() == state
+
+
+@pytest.mark.parametrize("make, name", [
+    (lambda: many_keys(65_536), "keys"),
+    # 2 x 21,846 rooms have 65,536 doorways, within MAX_TILES.
+    (lambda: every_door(2, 21_846), "doors"),
+], ids=["keys", "doors"])
+def test_placements_past_16_bit_indices_rejected(make, name):
+    """A world of more than 65,535 keys or doors is refused when built:
+    the index or count of those taken could pass the 16 bits a snapshot
+    stores them in."""
+    with pytest.raises(ConfigError, match=f"65536 {name} placed, over 65535"):
+        make()
+
+
 def test_config_hash_distinguishes_layouts():
     assert small_keydoor().config_hash != small_keydoor(room_w=6).config_hash
     assert small_keydoor().config_hash == small_keydoor().config_hash

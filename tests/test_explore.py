@@ -51,7 +51,7 @@ def seeded_archive(env, seed=0):
 
 def cfg_with(**kw):
     kw.setdefault("k", 20)
-    kw.setdefault("batch_size", 5)
+    kw.setdefault("batch", 5)
     kw.setdefault("budget_training_frames", 2000)
     kw.setdefault("seed", 0)
     kw.setdefault("metric_interval_game_frames", 10**9)
@@ -215,7 +215,7 @@ def test_rollout_snapshots_exactly_the_possible_winners():
 def test_first_iteration_chooses_start_b_times():
     env = small_twomaze()
     archive, key = seeded_archive(env)
-    cfg = cfg_with(batch_size=7)
+    cfg = cfg_with(batch=7)
     run_iteration(archive, env, SelectionConfig(), cfg, 0, MAPPER)
     assert archive.record(key).times_chosen == 7
 
@@ -223,7 +223,7 @@ def test_first_iteration_chooses_start_b_times():
 def test_discovery_resets_since_new_once():
     env = small_twomaze()
     archive, key = seeded_archive(env)
-    cfg = cfg_with(batch_size=1, k=30)
+    cfg = cfg_with(batch=1, k=30)
     run_iteration(archive, env, SelectionConfig(), cfg, 0, MAPPER)
     record = archive.record(key)
     # the single rollout discovered multiple cells; credit once
@@ -296,7 +296,7 @@ def test_phase1_bounds_its_metrics_rows_before_any_work():
     """A run whose game frames could cross more than ``MAX_METRIC_ROWS``
     metric intervals raises ``ConfigError`` before its first iteration; one
     at the bound passes the check."""
-    cfg = cfg_with(k=20, batch_size=5, budget_training_frames=X.MAX_METRIC_ROWS // 4 - 100)
+    cfg = cfg_with(k=20, batch=5, budget_training_frames=X.MAX_METRIC_ROWS // 4 - 100)
     X.check_metric_rows(replace(cfg, metric_interval_game_frames=1), 4)
     over = replace(cfg, budget_training_frames=cfg.budget_training_frames + 1,
                    metric_interval_game_frames=1)
@@ -787,11 +787,11 @@ def test_planning_holds_one_block_at_a_time():
     from itertools import islice
 
     for k in (X.MAX_K, 100):
-        cfg = ExploreConfig(k=k, batch_size=X.MAX_BATCH)
+        cfg = ExploreConfig(k=k, batch=X.MAX_BATCH)
         block = max(1, X._PLAN_DRAWS // k)
         derived = []
         rngs = (derived.append(worker) or stream(0, TAG_EXPLORE, 0, worker)
-                for worker in range(cfg.batch_size))
+                for worker in range(cfg.batch))
         tracemalloc.start()
         try:
             plans = plan_rollouts(rngs, cfg, 5)

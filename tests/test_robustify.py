@@ -15,7 +15,6 @@ from archex.explore import ExploreConfig, replay_record, run_phase1
 from archex.robustify import (
     BackwardConfig,
     Demonstration,
-    RewardShaping,
     TabularQConfig,
     TabularQLearner,
     backward_run,
@@ -25,6 +24,7 @@ from archex.robustify import (
     load_policy,
     save_policy,
     select_demonstrations,
+    shape_reward,
     truncate_demo,
 )
 from archex.seeding import TAG_ATTEMPT, RawDraws, stream
@@ -45,7 +45,7 @@ MAPPER = domain_mapper(1)
 
 
 def keydoor_archive(seed=0, budget=40_000, factory=small_keydoor):
-    cfg = ExploreConfig(k=40, batch_size=20, budget_training_frames=budget,
+    cfg = ExploreConfig(k=40, batch=20, budget_training_frames=budget,
                         seed=seed, metric_interval_game_frames=10**9)
     sel = SelectionConfig(domain_mode=True, w_horizontal=0.3, w_vertical=0.1,
                           w_more_keys=10.0)
@@ -194,33 +194,29 @@ def test_truncate_no_positive_reward_errors():
 
 
 def test_shape_clip():
-    clip = RewardShaping("clip")
-    assert clip(-5.0) == -1.0
-    assert clip(0.5) == 0.5
-    assert clip(3000.0) == 1.0
+    assert shape_reward(-5.0, "clip") == -1.0
+    assert shape_reward(0.5, "clip") == 0.5
+    assert shape_reward(3000.0, "clip") == 1.0
 
 
 def test_shape_scale():
-    scale = RewardShaping("scale")
-    assert scale(3000.0) == 3.0
-    assert scale(-1.0) == -0.001
+    assert shape_reward(3000.0, "scale") == 3.0
+    assert shape_reward(-1.0, "scale") == -0.001
 
 
 @settings(max_examples=50, deadline=None)
 @given(rewards=st.lists(st.floats(-1000, 1000, allow_nan=False), max_size=30))
 def test_scale_commutes_with_sum(rewards):
-    scale = RewardShaping("scale")
-    shaped_then_summed = sum(scale(r) for r in rewards)
-    summed_then_shaped = scale(sum(rewards))
+    shaped_then_summed = sum(shape_reward(r, "scale") for r in rewards)
+    summed_then_shaped = shape_reward(sum(rewards), "scale")
     assert shaped_then_summed == pytest.approx(summed_then_shaped, abs=1e-9)
 
 
 @settings(max_examples=30, deadline=None)
 @given(a=st.floats(-100, 100), b=st.floats(-100, 100))
 def test_scale_preserves_order(a, b):
-    scale = RewardShaping("scale")
     if a < b:
-        assert scale(a) < scale(b)
+        assert shape_reward(a, "scale") < shape_reward(b, "scale")
 
 
 # -- early termination -----------------------------------------------------------------
@@ -455,10 +451,8 @@ def test_scale_shaping_with_corridor_rewards():
     them. Checked on the actual demo reward stream."""
     demo = corridor_demo_with_early_penalty()
     per_frame = [demo.reward_at(i) for i in range(1, demo.length + 1)]
-    scale = RewardShaping("scale")
-    clip = RewardShaping("clip")
-    assert sum(scale(r) for r in per_frame) == pytest.approx(demo.score * 0.001)
-    assert sum(clip(r) for r in per_frame) == 0.0  # -1 and +1 cancel
+    assert sum(shape_reward(r, "scale") for r in per_frame) == pytest.approx(demo.score * 0.001)
+    assert sum(shape_reward(r, "clip") for r in per_frame) == 0.0  # -1 and +1 cancel
 
 
 # -- tabular learner end to end ---------------------------------------------------------
@@ -653,14 +647,14 @@ def reference_case(world, kd_result):
     if world == "corridor":
         # A -1 hazard, scaled rewards and an allowed deficit.
         return ([corridor_demo_with_early_penalty()], small_corridor,
-                dict(shaping=RewardShaping("scale"), allowed_deficit=250.0))
+                dict(reward_mode="scale", allowed_deficit=250.0))
     if world == "corridor-time-limit":
         # The 95-frame demo in a world whose time limit is 130 training
         # frames: an attempt from start s has 130 - s frames. Nothing kills,
         # so an attempt that ends done ended at the limit.
         factory = lambda: small_corridor(time_limit_game_frames=130 * 4)
         return ([corridor_demo_with_early_penalty(factory())], factory,
-                dict(shaping=RewardShaping("scale"), allowed_deficit=250.0))
+                dict(reward_mode="scale", allowed_deficit=250.0))
     # TwoMaze has no rewards: every Q value stays 0, so every greedy action
     # is a tie. The demo claims a score no rollout reaches.
     env = small_twomaze()

@@ -299,7 +299,7 @@ def test_probs_match_scalar_on_explored_archive():
     from conftest import small_keydoor
 
     cfg = table2_cfg()
-    explore = ExploreConfig(k=50, batch_size=20, budget_training_frames=20_000,
+    explore = ExploreConfig(k=50, batch=20, budget_training_frames=20_000,
                             metric_interval_game_frames=10**9)
     archive = run_phase1(small_keydoor, explore, cfg, domain_mapper(1)).archive
     assert archive.max_level >= 1
